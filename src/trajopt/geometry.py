@@ -135,6 +135,54 @@ def closed_form_d_3d(x_tilde, y_tilde, z_tilde, alpha, beta, shape: EllipsoidSha
     return np.clip(num / den, lower, upper)
 
 
+def scaled_sq_norm(deltas, a, b):
+    """Squared ellipsoidal norm of per-axis offsets.
+
+    deltas is a sequence of per-axis arrays of one shape: (dx, dy) for the
+    planar ellipse with semi-axes (a, b), or (dx, dy, dz) for the (a, a, b)
+    spheroid.  Every axis but the last is scaled by a, the last by b.  a and
+    b broadcast against the offsets, so one call covers many obstacles.
+    """
+    inv_a, inv_b = 1.0 / np.asarray(a, dtype=float), 1.0 / np.asarray(b, dtype=float)
+    *lateral, last = deltas
+    quad, *rest = [d * inv_a for d in lateral] + [last * inv_b]
+    quad *= quad
+    for scaled in rest:
+        scaled *= scaled
+        quad += scaled
+    return quad
+
+
+def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
+    """Residual delta - target of the closed-form polar projection.
+
+    The polar sub-steps put the target at scale d = clip(r, lower, upper)
+    in the direction of the offset, r being the scaled norm
+    (scaled_sq_norm ** 0.5).  Because cos(arctan2(y, x)) = x / r, the
+    target is delta * d / r and no angle is needed: the residual is
+    delta * (1 - d / r).  At r = 0 the angles take their origin convention
+    (alpha = beta = 0), which puts the target at lower * a along the first
+    axis in 2-D and at lower * b along the last axis in 3-D.
+
+    deltas, a and b are as in scaled_sq_norm.  Returns the list of per-axis
+    residuals, each shaped as the offsets broadcast against a and b.
+    """
+    r = scaled_sq_norm(deltas, a, b)
+    np.sqrt(r, out=r)
+    centre = r == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shrink = np.clip(r, lower, upper)
+        shrink /= r
+        np.subtract(1.0, shrink, out=shrink)
+        out = [d * shrink for d in deltas]
+    if centre.any():
+        axis, semi = (0, a) if len(deltas) == 2 else (len(deltas) - 1, b)
+        for res in out:
+            res[centre] = 0.0
+        out[axis][centre] = -lower * np.broadcast_to(semi, r.shape)[centre]
+    return out
+
+
 def update_multiplier(lam, residual, rho):
     """Augmented-Lagrangian dual ascent: lam + rho * residual, elementwise."""
     lam = np.asarray(lam, dtype=float)

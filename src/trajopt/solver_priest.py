@@ -6,14 +6,27 @@ useful signal even when every raw sample is infeasible.  The projection is
 an alternating scheme on
 
     min 0.5 ||xi_bar - xi||^2   s.t.  A xi_bar = b_eq,
-                                      F_tilde xi_bar = e_tilde(alpha, beta, d),
-                                      G xi_bar <= tau
+                                      F xi_bar = e(alpha, beta, d)
 
-where the collision / velocity / acceleration constraints are in polar form
-(closed-form alpha/beta/d sub-steps) and the affine workspace bounds get a
-clipped slack.  The saddle matrix of the coefficient step is independent of
-the sample being projected, so one cached factor serves the whole batch for
-every inner iteration.
+where the rows of F sample each axis's position once per obstacle, its
+velocity and acceleration, and its position twice more for the lower and
+upper workspace bounds.  The collision, velocity and acceleration rows are
+in polar form.  Their closed-form alpha/beta/d sub-steps need no angles:
+since cos(arctan2(y, x)) = x / r, the target of an offset delta is
+delta * clip(r, lower, upper) / r, a radial clamp of its scaled norm r
+(geometry.radial_clamp).  The workspace rows take a clipped slack, so
+their residual is max(0, pos - s_max) - max(0, s_min - pos).
+
+Each inner iteration works in sample space per axis and returns to
+coefficient space with one small product per family:
+
+    residual @ F = (sum_obstacles res + res_box) @ P + res_v @ Pdot + res_a @ Pddot
+    e @ F        = xi @ F'F - residual @ F
+
+F is never built.  F'F is block diagonal with one (m, m) block per axis,
+n_o P'P + Pdot'Pdot + Pddot'Pddot + 2 P'P, and the saddle matrix of the
+coefficient step, built from I + rho F'F, does not depend on the sample, so
+one cached factor serves the whole batch for every inner iteration.
 
 The cost functional is treated as a black box evaluated pointwise on sampled
 trajectories; nothing here differentiates it.
@@ -27,7 +40,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import D_CAP, ObstacleTrack
+from .geometry import ObstacleTrack, radial_clamp, scaled_sq_norm
 
 _SPEED_EPS = 1e-6
 
@@ -95,7 +108,8 @@ class ProjectionSetup:
 
     Workspace bounds, velocity and acceleration limits are optional; with
     everything absent the projection reduces to the minimum-change
-    correction onto the boundary equalities.
+    correction onto the boundary equalities.  Inputs are checked here, so a
+    projection never starts on malformed scene data.
     """
 
     def __init__(
@@ -126,117 +140,104 @@ class ProjectionSetup:
         n_o = len(self.obstacles)
         self.n_o = n_o
 
-        blocks = []
-        if n_o:
-            blocks.append(np.tile(basis.P, (n_o, 1)))
-        if v_max is not None:
-            blocks.append(basis.Pdot)
-        if a_max is not None:
-            blocks.append(basis.Pddot)
-        axis_block = np.vstack(blocks) if blocks else np.zeros((0, m))
-        F_tilde = np.zeros((dim * axis_block.shape[0], dim * m))
-        for k in range(dim):
-            F_tilde[k * axis_block.shape[0] : (k + 1) * axis_block.shape[0], k * m : (k + 1) * m] = axis_block
-        self.F_tilde = F_tilde
-
-        if self.s_min is not None and self.s_max is not None:
-            bound_block = np.vstack([-basis.P, basis.P])
-            G = np.zeros((dim * 2 * n_p, dim * m))
-            tau = np.zeros(dim * 2 * n_p)
-            for k in range(dim):
-                G[k * 2 * n_p : (k + 1) * 2 * n_p, k * m : (k + 1) * m] = bound_block
-                tau[k * 2 * n_p : k * 2 * n_p + n_p] = -self.s_min[k]
-                tau[k * 2 * n_p + n_p : (k + 1) * 2 * n_p] = self.s_max[k]
-            self.G, self.tau = G, tau
-        else:
-            self.G = np.zeros((0, dim * m))
-            self.tau = np.zeros(0)
-
-        self.F = np.vstack([self.F_tilde, self.G])
-        B = boundary_matrix(basis, start_orders, end_orders)
-        self.A = np.zeros((dim * B.shape[0], dim * m))
-        for k in range(dim):
-            self.A[k * B.shape[0] : (k + 1) * B.shape[0], k * m : (k + 1) * m] = B
         self.b_eq = np.concatenate([bc.values(start_orders, end_orders) for bc in boundary])
+        self._validate()
 
-        if n_o:
-            self.obs_pos = np.stack([o.centers for o in self.obstacles])  # (n_o, n_p, dim)
-            self.obs_a = np.array([o.shape.a for o in self.obstacles])
-            self.obs_b = np.array([o.shape.b for o in self.obstacles])
+        self.A = np.kron(np.eye(dim), boundary_matrix(basis, start_orders, end_orders))
+        self.obs_pos = np.stack([o.centers for o in self.obstacles]) if n_o else np.zeros((0, n_p, dim))
+        self.obs_a = np.array([o.shape.a for o in self.obstacles], dtype=float)
+        self.obs_b = np.array([o.shape.b for o in self.obstacles], dtype=float)
+        self._obs_axes = np.ascontiguousarray(self.obs_pos.transpose(2, 0, 1))  # (dim, n_o, n_p)
+        # position, velocity and acceleration samples of one axis in one product
+        self._pva = np.vstack([basis.P, basis.Pdot, basis.Pddot])
 
-        self.factor = qpcore.factorize(np.eye(dim * m) + rho * self.F.T @ self.F, self.A)
+        # F'F of the stacked constraint rows, one (m, m) block per axis: every
+        # obstacle and both workspace bounds contribute P'P
+        PtP = basis.P.T @ basis.P
+        FtF = n_o * PtP
+        if v_max is not None:
+            FtF = FtF + basis.Pdot.T @ basis.Pdot
+        if a_max is not None:
+            FtF = FtF + basis.Pddot.T @ basis.Pddot
+        if self.s_min is not None:
+            FtF = FtF + 2.0 * PtP
+        self.FtF = FtF
+
+        self.factor = qpcore.factorize(np.eye(dim * m) + rho * np.kron(np.eye(dim), FtF), self.A)
         self.n_factorizations = 1
+
+    def _validate(self):
+        dim, n_p = self.dim, self.basis.n_p
+        if not np.all(np.isfinite(self.b_eq)):
+            raise ValueError("boundary values must be finite")
+        for i, o in enumerate(self.obstacles):
+            centers = np.asarray(o.centers)
+            if centers.shape != (n_p, dim):
+                raise ValueError(f"obstacle {i} centres have shape {centers.shape}, expected {(n_p, dim)}")
+            if not np.all(np.isfinite(centers)):
+                raise ValueError(f"obstacle {i} centres must be finite")
+        for name, limit in (("v_max", self.v_max), ("a_max", self.a_max)):
+            if limit is not None and not (np.isfinite(limit) and limit > 0):
+                raise ValueError(f"{name} must be positive and finite, got {limit}")
+        if (self.s_min is None) != (self.s_max is None):
+            raise ValueError("give both workspace bounds s_min and s_max, or neither")
+        if self.s_min is not None:
+            if self.s_min.shape != (dim,) or self.s_max.shape != (dim,):
+                raise ValueError(f"workspace bounds must have shape ({dim},)")
+            if not (np.all(np.isfinite(self.s_min)) and np.all(np.isfinite(self.s_max))):
+                raise ValueError("workspace bounds must be finite")
+            if np.any(self.s_min >= self.s_max):
+                raise ValueError("workspace bounds need s_min < s_max on every axis")
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
     # -- sampling helpers ----------------------------------------------------
 
     def axis_samples(self, xis: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        """Apply one basis matrix per axis: (N, dim*m) -> (N, dim, n_p)."""
+        """Apply one basis matrix per axis: (N, dim*m) -> (N, dim, rows of mat)."""
         xis = np.atleast_2d(xis)
-        out = np.empty((xis.shape[0], self.dim, mat.shape[0]))
-        for k in range(self.dim):
-            out[:, k, :] = xis[:, k * self.m : (k + 1) * self.m] @ mat.T
-        return out
+        n = xis.shape[0]
+        return (xis.reshape(n * self.dim, self.m) @ mat.T).reshape(n, self.dim, mat.shape[0])
+
+    def pva_samples(self, xis: np.ndarray) -> np.ndarray:
+        """Position, velocity and acceleration samples: (N, dim, 3, n_p)."""
+        xis = np.atleast_2d(xis)
+        return self.axis_samples(xis, self._pva).reshape(xis.shape[0], self.dim, 3, self.basis.n_p)
 
     def trajectory_of(self, xi: np.ndarray) -> Trajectory:
-        xi = np.asarray(xi)
-        return Trajectory(
-            t=self.basis.grid.timestamps,
-            pos=self.axis_samples(xi, self.basis.P)[0].T,
-            vel=self.axis_samples(xi, self.basis.Pdot)[0].T,
-            acc=self.axis_samples(xi, self.basis.Pddot)[0].T,
-        )
+        return self._trajectory(self.pva_samples(xi)[0])
 
-    def _polar_targets(self, xis: np.ndarray) -> np.ndarray:
-        """e_tilde rows for each sample, matching the F_tilde layout."""
-        n = xis.shape[0]
-        pos = self.axis_samples(xis, self.basis.P)
-        vel = self.axis_samples(xis, self.basis.Pdot)
-        acc = self.axis_samples(xis, self.basis.Pddot)
-        per_axis = [[] for _ in range(self.dim)]
+    def _trajectory(self, pva: np.ndarray) -> Trajectory:
+        pos, vel, acc = pva.transpose(1, 2, 0)
+        return Trajectory(t=self.basis.grid.timestamps, pos=pos, vel=vel, acc=acc)
 
-        if self.n_o:
-            deltas = pos[:, None, :, :] - self.obs_pos.transpose(0, 2, 1)[None, :, :, :]  # (N, n_o, dim, n_p)
-            a = self.obs_a[None, :, None]
-            b = self.obs_b[None, :, None]
-            dx, dy = deltas[:, :, 0], deltas[:, :, 1]
-            if self.dim == 3:
-                dz = deltas[:, :, 2]
-                alpha = np.arctan2(dy, dx)
-                beta = np.arctan2(np.hypot(dx / a, dy / a), dz / b)
-                d = np.clip(np.sqrt(dx**2 / a**2 + dy**2 / a**2 + dz**2 / b**2), 1.0, D_CAP)
-                obs_xyz = self.obs_pos.transpose(0, 2, 1)[None]
-                per_axis[0].append((obs_xyz[:, :, 0] + a * d * np.cos(alpha) * np.sin(beta)).reshape(n, -1))
-                per_axis[1].append((obs_xyz[:, :, 1] + a * d * np.sin(alpha) * np.sin(beta)).reshape(n, -1))
-                per_axis[2].append((obs_xyz[:, :, 2] + b * d * np.cos(beta)).reshape(n, -1))
-            else:
-                # scaled angle keeps the planar-ellipse reconstruction exact
-                alpha = np.arctan2(dy / b, dx / a)
-                d = np.clip(np.hypot(dx / a, dy / b), 1.0, D_CAP)
-                obs_xy = self.obs_pos.transpose(0, 2, 1)[None]
-                per_axis[0].append((obs_xy[:, :, 0] + a * d * np.cos(alpha)).reshape(n, -1))
-                per_axis[1].append((obs_xy[:, :, 1] + b * d * np.sin(alpha)).reshape(n, -1))
+    def obstacle_offsets(self, pos: np.ndarray) -> list[np.ndarray]:
+        """Per-axis offsets from every obstacle centre: (N, dim, n_p) -> dim x (N, n_o, n_p)."""
+        return [pos[:, k, None, :] - self._obs_axes[k] for k in range(self.dim)]
 
-        for limit, samples in ((self.v_max, vel), (self.a_max, acc)):
-            if limit is None:
-                continue
-            if self.dim == 3:
-                vx, vy, vz = samples[:, 0], samples[:, 1], samples[:, 2]
-                alpha = np.arctan2(vy, vx)
-                beta = np.arctan2(np.hypot(vx, vy), vz)
-                d = np.clip(np.sqrt(vx**2 + vy**2 + vz**2) / limit, 0.0, 1.0)
-                per_axis[0].append(limit * d * np.cos(alpha) * np.sin(beta))
-                per_axis[1].append(limit * d * np.sin(alpha) * np.sin(beta))
-                per_axis[2].append(limit * d * np.cos(beta))
-            else:
-                vx, vy = samples[:, 0], samples[:, 1]
-                alpha = np.arctan2(vy, vx)
-                d = np.clip(np.hypot(vx, vy) / limit, 0.0, 1.0)
-                per_axis[0].append(limit * d * np.cos(alpha))
-                per_axis[1].append(limit * d * np.sin(alpha))
 
-        if self.F_tilde.shape[0] == 0:
-            return np.zeros((n, 0))
-        return np.hstack([np.hstack(parts) for parts in per_axis])
+def _residuals(setup: ProjectionSetup, pva: np.ndarray):
+    """Residuals x - e of every constraint family, in sample space.
+
+    pva holds the (N, dim, 3, n_p) samples.  Returns (obstacle, families):
+    obstacle is the per-axis list of (N, n_o, n_p) collision residuals
+    (empty without obstacles); families pairs each other family's
+    (N, dim, n_p) residual with the basis matrix it is sampled by, so that
+    residual @ F is the sum of their products.
+    """
+    pos = pva[:, :, 0]
+    obstacle = []
+    if setup.n_o:
+        obstacle = radial_clamp(setup.obstacle_offsets(pos), setup.obs_a[:, None], setup.obs_b[:, None])
+    families = []
+    if setup.s_min is not None:
+        box = np.maximum(0.0, pos - setup.s_max[:, None]) - np.maximum(0.0, setup.s_min[:, None] - pos)
+        families.append((box, setup.basis.P))
+    for order, limit, mat in ((1, setup.v_max, setup.basis.Pdot), (2, setup.a_max, setup.basis.Pddot)):
+        if limit is not None:
+            res = radial_clamp(pva[:, :, order].transpose(1, 0, 2), limit, limit, lower=0.0, upper=1.0)
+            families.append((np.stack(res, axis=1), mat))
+    return obstacle, families
 
 
 def project(
@@ -247,41 +248,49 @@ def project(
 ) -> list[ProjectedSample]:
     """Project each sampled coefficient vector toward the feasible set.
 
-    All samples share the cached saddle factor; the inner loop alternates
-    closed-form polar updates, the slack clip, multiplier ascent, and the
+    All samples share the cached saddle factor; each inner iteration takes
+    the clamp residuals in sample space, returns them to coefficient space
+    with one product per family, ascends the multipliers, and makes one
     batched coefficient solve.  Pass a list as residual_history to collect
     the per-inner-iteration residual scores (shape (N_s,) each).
     """
     if n_inner < 1:
         raise ValueError("n_inner must be at least 1")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    dim, m = setup.dim, setup.m
+    if samples.ndim != 2 or samples.shape[1] != dim * m:
+        raise ValueError(f"samples must have shape (N, {dim * m}), got {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     n = samples.shape[0]
     xi_bar = samples.copy()
     lam = np.zeros_like(samples)
     bs = np.tile(setup.b_eq, (n, 1))
     rho = setup.rho
     for _ in range(n_inner):
-        e_tilde = setup._polar_targets(xi_bar)
-        if setup.G.shape[0]:
-            Gx = xi_bar @ setup.G.T
-            slack = np.maximum(0.0, setup.tau[None, :] - Gx)
-            e = np.hstack([e_tilde, setup.tau[None, :] - slack])
-        else:
-            e = e_tilde
-        residual = xi_bar @ setup.F.T - e
-        lam = lam - rho * (residual @ setup.F)
-        q_lin = -(samples + lam + rho * (e @ setup.F))
+        obstacle, families = _residuals(setup, setup.pva_samples(xi_bar))
+        res_f = np.zeros((n, dim, m))  # residual @ F, per axis
+        for k, res in enumerate(obstacle):
+            res_f[:, k] += res.sum(axis=1) @ setup.basis.P
+        for res, mat in families:
+            res_f += (res.reshape(n * dim, -1) @ mat).reshape(n, dim, m)
+        res_f = res_f.reshape(n, dim * m)
+        lam = lam - rho * res_f
+        # e @ F = xi @ F'F - residual @ F
+        e_f = (xi_bar.reshape(n * dim, m) @ setup.FtF).reshape(n, dim * m) - res_f
+        q_lin = -(samples + lam + rho * e_f)
         xi_bar, _ = qpcore.solve_batch(setup.factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
         if residual_history is not None:
             residual_history.append(residual_scores(setup, xi_bar))
 
     scores = residual_scores(setup, xi_bar)
+    pva = setup.pva_samples(xi_bar)
     return [
         ProjectedSample(
             original=samples[i],
             projected=xi_bar[i],
             residual=float(scores[i]),
-            trajectory=setup.trajectory_of(xi_bar[i]),
+            trajectory=setup._trajectory(pva[i]),
         )
         for i in range(n)
     ]
@@ -290,15 +299,12 @@ def project(
 def residual_scores(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
     """Constraint-violation score per sample: L2 norm of the stacked
     reformulated-equality residuals and clipped affine violations."""
-    xis = np.atleast_2d(xis)
-    parts = []
-    if setup.F_tilde.shape[0]:
-        parts.append(xis @ setup.F_tilde.T - setup._polar_targets(xis))
-    if setup.G.shape[0]:
-        parts.append(np.maximum(0.0, xis @ setup.G.T - setup.tau[None, :]))
-    if not parts:
-        return np.zeros(xis.shape[0])
-    return np.linalg.norm(np.hstack(parts), axis=1)
+    pva = setup.pva_samples(xis)
+    obstacle, families = _residuals(setup, pva)
+    sq = np.zeros(pva.shape[0])
+    for res in obstacle + [res for res, _ in families]:
+        sq += np.einsum("nij,nij->n", res, res)
+    return np.sqrt(sq)
 
 
 def residual_score(setup: ProjectionSetup, xi_bar: np.ndarray) -> float:
@@ -395,27 +401,19 @@ class CemResult:
 
 def _cem_penalty(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
     """Linear max(0, g) penalties of the raw inequality constraints."""
-    xis = np.atleast_2d(xis)
-    n = xis.shape[0]
-    total = np.zeros(n)
-    pos = setup.axis_samples(xis, setup.basis.P)
+    pva = setup.pva_samples(xis)
+    pos, vel, acc = pva[:, :, 0], pva[:, :, 1], pva[:, :, 2]
+    total = np.zeros(pva.shape[0])
     if setup.n_o:
-        deltas = pos[:, None, :, :] - setup.obs_pos.transpose(0, 2, 1)[None, :, :, :]
-        a = setup.obs_a[None, :, None]
-        b = setup.obs_b[None, :, None]
-        if setup.dim == 3:
-            quad = deltas[:, :, 0] ** 2 / a**2 + deltas[:, :, 1] ** 2 / a**2 + deltas[:, :, 2] ** 2 / b**2
-        else:
-            quad = deltas[:, :, 0] ** 2 / a**2 + deltas[:, :, 1] ** 2 / b**2
+        quad = scaled_sq_norm(setup.obstacle_offsets(pos), setup.obs_a[:, None], setup.obs_b[:, None])
         total += np.maximum(0.0, 1.0 - quad).sum(axis=(1, 2))
     if setup.v_max is not None:
-        vel = setup.axis_samples(xis, setup.basis.Pdot)
         total += np.maximum(0.0, (vel**2).sum(axis=1) - setup.v_max**2).sum(axis=1)
     if setup.a_max is not None:
-        acc = setup.axis_samples(xis, setup.basis.Pddot)
         total += np.maximum(0.0, (acc**2).sum(axis=1) - setup.a_max**2).sum(axis=1)
-    if setup.G.shape[0]:
-        total += np.maximum(0.0, xis @ setup.G.T - setup.tau[None, :]).sum(axis=1)
+    if setup.s_min is not None:
+        box = np.maximum(0.0, setup.s_min[:, None] - pos) + np.maximum(0.0, pos - setup.s_max[:, None])
+        total += box.sum(axis=(1, 2))
     return total
 
 

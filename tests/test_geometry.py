@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajopt.geometry import (
+    D_CAP,
     EllipsoidShape,
     angle2d,
     angles3d,
@@ -11,6 +12,8 @@ from trajopt.geometry import (
     closed_form_d_3d,
     los_distance,
     los_distance_2d,
+    radial_clamp,
+    scaled_sq_norm,
     update_multiplier,
 )
 
@@ -150,6 +153,70 @@ class TestClosedFormD:
             d_unclamped = closed_form_d_3d(delta[0], delta[1], delta[2], alpha, beta, sh, 0.0, np.inf)
             quad = np.sqrt(delta[0] ** 2 / sh.a**2 + delta[1] ** 2 / sh.a**2 + delta[2] ** 2 / sh.b**2)
             assert d_unclamped == pytest.approx(quad, rel=1e-9, abs=1e-12)
+
+
+def _trig_residual(delta, shape, lower, upper):
+    """delta - target through the angles and the closed-form scale."""
+    if delta.shape[-1] == 2:
+        alpha = angle2d(delta[..., 0] / shape.a, delta[..., 1] / shape.b)
+        d = closed_form_d(delta[..., 0], delta[..., 1], alpha, shape, lower, upper)
+        target = np.stack([shape.a * d * np.cos(alpha), shape.b * d * np.sin(alpha)], axis=-1)
+    else:
+        alpha, beta = angles3d(delta, shape)
+        d = closed_form_d_3d(delta[..., 0], delta[..., 1], delta[..., 2], alpha, beta, shape, lower, upper)
+        target = np.stack(
+            [
+                shape.a * d * np.cos(alpha) * np.sin(beta),
+                shape.a * d * np.sin(alpha) * np.sin(beta),
+                shape.b * d * np.cos(beta),
+            ],
+            axis=-1,
+        )
+    return delta - target
+
+
+class TestRadialClamp:
+    @staticmethod
+    def _offsets(dim, shape, rng):
+        """Random offsets with r = 0, r < 1, 1 < r < D_CAP and r > D_CAP."""
+        direction = rng.normal(size=(40, dim))
+        direction[:, -1] *= shape.b / shape.a
+        direction /= np.sqrt(scaled_sq_norm(direction.T, shape.a, shape.b))[:, None]
+        scales = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 13), rng.uniform(1.0, 50.0, 13), rng.uniform(1.5, 9.0, 13) * D_CAP])
+        return direction * scales[:, None] + 0.0  # no negative zeros: arctan2 reads their sign
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("a,b", [(1.3, 0.6), (2e-6, 5e-6)])
+    def test_matches_trig_reconstruction(self, dim, a, b):
+        shape = EllipsoidShape(a, b)
+        delta = self._offsets(dim, shape, np.random.default_rng(dim))
+        got = np.stack(radial_clamp(delta.T, a, b), axis=-1)
+        np.testing.assert_allclose(got, _trig_residual(delta, shape, 1.0, D_CAP), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_speed_limit_form(self, dim):
+        # velocity limit: unscaled norm clamped to [0, limit]; zero velocity
+        # has zero residual
+        limit = 2.5
+        shape = EllipsoidShape(limit, limit)
+        rng = np.random.default_rng(7)
+        vel = rng.normal(size=(30, dim)) * rng.uniform(0.0, 3.0 * limit, size=(30, 1))
+        vel[0] = 0.0
+        got = np.stack(radial_clamp(vel.T, limit, limit, lower=0.0, upper=1.0), axis=-1)
+        np.testing.assert_allclose(got, _trig_residual(vel, shape, 0.0, 1.0), rtol=1e-12, atol=1e-12)
+        assert np.all(got[0] == 0.0)
+
+    def test_broadcasts_over_obstacles(self):
+        a = np.array([[0.5], [1.0], [2.0]])  # (n_o, 1) against (N, n_o, n_p) offsets
+        b = np.array([[0.7], [0.9], [1.1]])
+        rng = np.random.default_rng(3)
+        deltas = [rng.normal(size=(4, 3, 5)) for _ in range(3)]
+        got = radial_clamp(deltas, a, b)
+        for o in range(3):
+            shape = EllipsoidShape(float(a[o, 0]), float(b[o, 0]))
+            delta = np.stack([d[:, o] for d in deltas], axis=-1)
+            ref = _trig_residual(delta, shape, 1.0, D_CAP)
+            np.testing.assert_allclose(np.stack([g[:, o] for g in got], axis=-1), ref, rtol=1e-12, atol=1e-12)
 
 
 class TestUpdateMultiplier:

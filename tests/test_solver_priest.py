@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from trajopt import qpcore
+from trajopt import qpcore, solver_priest
 from trajopt.basis import AxisBoundary, build_basis, straight_line_coeffs
-from trajopt.geometry import EllipsoidShape, ObstacleTrack
+from trajopt.bench import gen_scenario
+from trajopt.bench.runner import _barn_c1, default_sampling_distribution, priest_setup_from_scenario
+from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack
 from trajopt.solver_priest import (
     CemParams,
     PriestParams,
+    ProjectedSample,
     ProjectionSetup,
     SamplingDistribution,
     barn_cost,
@@ -17,6 +20,7 @@ from trajopt.solver_priest import (
     residual_score,
     update_distribution,
 )
+from trajopt.solver_priest import _cem_penalty
 
 N_P = 40
 
@@ -63,6 +67,95 @@ def _line_sample(setup):
     start = np.array([bc.p0 for bc in setup.boundary])
     goal = np.array([bc.p1 for bc in setup.boundary])
     return straight_line_coeffs(setup.basis, start, goal).ravel()
+
+
+def _reference_projection(setup, samples, n_inner):
+    """The projection as first written: polar targets through arctan2/cos/sin
+    and products with the dense stacked constraint matrix F.
+
+    Returns (projected coefficients, residual scores)."""
+    basis, dim, m, n_p = setup.basis, setup.dim, setup.m, setup.basis.n_p
+    obstacles = setup.obstacles
+    blocks = [np.tile(basis.P, (len(obstacles), 1))] if obstacles else []
+    if setup.v_max is not None:
+        blocks.append(basis.Pdot)
+    if setup.a_max is not None:
+        blocks.append(basis.Pddot)
+    axis_block = np.vstack(blocks) if blocks else np.zeros((0, m))
+    F_tilde = np.kron(np.eye(dim), axis_block)
+    if setup.s_min is not None:
+        G = np.kron(np.eye(dim), np.vstack([-basis.P, basis.P]))
+        tau = np.concatenate([np.r_[np.full(n_p, -setup.s_min[k]), np.full(n_p, setup.s_max[k])] for k in range(dim)])
+    else:
+        G, tau = np.zeros((0, dim * m)), np.zeros(0)
+    F = np.vstack([F_tilde, G])
+    factor = qpcore.factorize(np.eye(dim * m) + setup.rho * F.T @ F, setup.A)
+
+    def per_axis(xis, mat):
+        return np.stack([xis[:, k * m : (k + 1) * m] @ mat.T for k in range(dim)], axis=1)
+
+    def polar_targets(xis):
+        n = xis.shape[0]
+        pos, vel, acc = (per_axis(xis, mat) for mat in (basis.P, basis.Pdot, basis.Pddot))
+        parts = [[] for _ in range(dim)]
+        if obstacles:
+            obs = np.stack([o.centers for o in obstacles]).transpose(0, 2, 1)[None]  # (1, n_o, dim, n_p)
+            a = np.array([o.shape.a for o in obstacles])[None, :, None]
+            b = np.array([o.shape.b for o in obstacles])[None, :, None]
+            delta = pos[:, None] - obs
+            dx, dy = delta[:, :, 0], delta[:, :, 1]
+            if dim == 3:
+                dz = delta[:, :, 2]
+                alpha = np.arctan2(dy, dx)
+                beta = np.arctan2(np.hypot(dx / a, dy / a), dz / b)
+                d = np.clip(np.sqrt(dx**2 / a**2 + dy**2 / a**2 + dz**2 / b**2), 1.0, D_CAP)
+                parts[0].append((obs[:, :, 0] + a * d * np.cos(alpha) * np.sin(beta)).reshape(n, -1))
+                parts[1].append((obs[:, :, 1] + a * d * np.sin(alpha) * np.sin(beta)).reshape(n, -1))
+                parts[2].append((obs[:, :, 2] + b * d * np.cos(beta)).reshape(n, -1))
+            else:
+                alpha = np.arctan2(dy / b, dx / a)
+                d = np.clip(np.hypot(dx / a, dy / b), 1.0, D_CAP)
+                parts[0].append((obs[:, :, 0] + a * d * np.cos(alpha)).reshape(n, -1))
+                parts[1].append((obs[:, :, 1] + b * d * np.sin(alpha)).reshape(n, -1))
+        for limit, v in ((setup.v_max, vel), (setup.a_max, acc)):
+            if limit is None:
+                continue
+            alpha = np.arctan2(v[:, 1], v[:, 0])
+            if dim == 3:
+                beta = np.arctan2(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+                d = np.clip(np.sqrt((v**2).sum(axis=1)) / limit, 0.0, 1.0)
+                parts[0].append(limit * d * np.cos(alpha) * np.sin(beta))
+                parts[1].append(limit * d * np.sin(alpha) * np.sin(beta))
+                parts[2].append(limit * d * np.cos(beta))
+            else:
+                d = np.clip(np.hypot(v[:, 0], v[:, 1]) / limit, 0.0, 1.0)
+                parts[0].append(limit * d * np.cos(alpha))
+                parts[1].append(limit * d * np.sin(alpha))
+        if F_tilde.shape[0] == 0:
+            return np.zeros((n, 0))
+        return np.hstack([np.hstack(p) for p in parts])
+
+    def scores(xis):
+        res = [xis @ F_tilde.T - polar_targets(xis), np.maximum(0.0, xis @ G.T - tau[None, :])]
+        return np.linalg.norm(np.hstack(res), axis=1)
+
+    samples = np.atleast_2d(samples)
+    xi_bar = samples.copy()
+    lam = np.zeros_like(samples)
+    bs = np.tile(setup.b_eq, (samples.shape[0], 1))
+    for _ in range(n_inner):
+        slack = np.maximum(0.0, tau[None, :] - xi_bar @ G.T)
+        e = np.hstack([polar_targets(xi_bar), tau[None, :] - slack])
+        residual = xi_bar @ F.T - e
+        lam = lam - setup.rho * (residual @ F)
+        q_lin = -(samples + lam + setup.rho * (e @ F))
+        xi_bar, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+    return xi_bar, scores(xi_bar)
+
+
+def _noisy_line_samples(setup, n, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return _line_sample(setup)[None, :] + rng.normal(scale=scale, size=(n, setup.A.shape[1]))
 
 
 class TestProject:
@@ -334,3 +427,136 @@ class TestFlatnessAndBarnCost:
         acc = np.zeros((n, 2))
         expected = n * h**2
         assert barn_cost(pos, vel, acc, [0.0, 0.0], [10.0, 0.0]) == pytest.approx(expected, rel=1e-9)
+
+
+def _reference_samples(setup, samples, n_inner=30):
+    xi, scores = _reference_projection(setup, samples, n_inner)
+    return [
+        ProjectedSample(original=s, projected=x, residual=float(r), trajectory=setup.trajectory_of(x))
+        for s, x, r in zip(samples, xi, scores)
+    ]
+
+
+def _scenario_setup(kind, params, seed):
+    scenario = gen_scenario(kind, params, seed=seed)
+    h = scenario.horizon
+    basis = build_basis(h.t0, h.tf, h.n_p, 10)
+    return scenario, priest_setup_from_scenario(scenario, basis), default_sampling_distribution(scenario, basis)
+
+
+def _assert_matches_reference(setup, samples, n_inner):
+    outs = project(setup, samples, n_inner=n_inner)
+    ref_xi, ref_scores = _reference_projection(setup, samples, n_inner)
+    for out, xi, score in zip(outs, ref_xi, ref_scores):
+        assert np.max(np.abs(out.projected - xi)) <= 1e-9 * np.max(np.abs(xi))
+        assert abs(out.residual - score) <= 1e-12
+
+
+class TestProjectMatchesReference:
+    @pytest.mark.parametrize("kind,params", [("barn-like", None), ("random-static", {"dim": 3})])
+    def test_scenario_samples(self, kind, params):
+        _, setup, dist = _scenario_setup(kind, params, seed=5)
+        samples = np.random.default_rng(0).multivariate_normal(dist.mu, dist.sigma_mat, size=24, method="svd")
+        _assert_matches_reference(setup, samples, n_inner=30)
+
+    @pytest.mark.parametrize("make,dim", [(make_setup_2d, 2), (make_setup_3d, 3)])
+    def test_sample_at_obstacle_centre(self, make, dim):
+        # zero coefficients put every position at the origin and every
+        # velocity at zero, the degenerate directions of the polar targets;
+        # the first obstacle sits on the origin mid-horizon, away from the
+        # pinned start
+        centers = np.full((N_P, dim), 20.0)
+        centers[10:20] = 0.0
+        track = ObstacleTrack(centers=centers, shape=EllipsoidShape(1.0, 0.8))
+        setup = make(obstacles=[track, _static_obstacle(np.full(dim, 3.0), 0.6, 0.9)])
+        samples = np.vstack([np.zeros(setup.A.shape[1]), _noisy_line_samples(setup, 5, seed=1)])
+        _assert_matches_reference(setup, samples, n_inner=20)
+
+    def test_priest_optimize_one_outer_iteration(self, monkeypatch):
+        scenario, setup, dist = _scenario_setup("barn-like", None, seed=2)
+        params = PriestParams(n_outer=1, seed=3)
+        got = priest_optimize(setup, _barn_c1(scenario), dist, params)
+        monkeypatch.setattr(solver_priest, "project", _reference_samples)
+        ref = priest_optimize(setup, _barn_c1(scenario), dist, params)
+        assert np.max(np.abs(got.best.projected - ref.best.projected)) <= 1e-9 * np.max(np.abs(ref.best.projected))
+        np.testing.assert_allclose(got.best.trajectory.pos, ref.best.trajectory.pos, rtol=0, atol=1e-9)
+
+
+class TestSetupValidation:
+    def _obstacle(self, centers):
+        return ObstacleTrack(centers=np.asarray(centers, dtype=float), shape=EllipsoidShape(0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"v_max": 0.0},
+            {"v_max": -1.0},
+            {"a_max": 0.0},
+            {"a_max": float("nan")},
+            {"rho": 0.0},
+            {"rho": -2.0},
+            {"s_min": np.array([-2.0, 5.0]), "s_max": np.array([10.0, 5.0])},
+            {"s_min": np.array([-2.0, 6.0]), "s_max": np.array([10.0, 5.0])},
+            {"s_min": np.array([-2.0]), "s_max": np.array([10.0])},
+            {"s_min": np.array([-2.0, -5.0, 0.0]), "s_max": np.array([10.0, 5.0, 1.0])},
+            {"s_min": np.array([-np.inf, -5.0]), "s_max": np.array([10.0, 5.0])},
+            {"s_min": np.array([-2.0, -5.0]), "s_max": np.array([10.0, np.nan])},
+            {"s_min": np.array([-2.0, -5.0]), "s_max": None},
+        ],
+    )
+    def test_bad_limits_rejected(self, kwargs):
+        basis = build_basis(0.0, 8.0, N_P, 8)
+        base = dict(
+            basis=basis,
+            boundary=(AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=0.0, p1=0.0)),
+            v_max=3.0,
+            a_max=3.0,
+            s_min=np.array([-2.0, -5.0]),
+            s_max=np.array([10.0, 5.0]),
+        )
+        with pytest.raises(ValueError):
+            ProjectionSetup(**{**base, **kwargs})
+
+    @pytest.mark.parametrize(
+        "centers",
+        [
+            np.full((N_P, 2), np.nan),
+            np.where(np.arange(N_P)[:, None] == 7, np.inf, np.ones((N_P, 2))),
+            np.ones((N_P, 3)),
+            np.ones((N_P - 1, 2)),
+            np.ones(2),
+        ],
+    )
+    def test_bad_obstacle_centres_rejected(self, centers):
+        with pytest.raises(ValueError):
+            make_setup_2d(obstacles=[self._obstacle(centers)])
+
+    def test_non_finite_boundary_values_rejected(self):
+        basis = build_basis(0.0, 8.0, N_P, 8)
+        with pytest.raises(ValueError):
+            ProjectionSetup(basis=basis, boundary=(AxisBoundary(p0=0.0, p1=np.nan), AxisBoundary(p0=0.0, v0=np.inf)))
+
+    def test_bad_samples_rejected_by_project(self):
+        setup = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.0, 1.0)])
+        xi = _line_sample(setup)
+        # rejected up front by name, not by a shape or finiteness error from
+        # inside the inner loop
+        for bad in (np.r_[xi, 0.0], xi[:-1], np.where(np.arange(xi.size) == 3, np.nan, xi), np.full_like(xi, np.inf)):
+            with pytest.raises(ValueError, match="samples must"):
+                project(setup, bad[None, :], n_inner=2)
+        with pytest.raises(ValueError, match="samples must"):
+            project(setup, np.stack([xi, xi])[None], n_inner=2)
+
+
+class TestCemPenalty:
+    def test_values_pinned(self):
+        # values of the original dense formulation on a fixed input; every
+        # family (obstacles, speed, acceleration, workspace box) contributes
+        s2 = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.2, 0.9), _static_obstacle([6.0, 1.0], 0.7, 1.1)])
+        x2 = _line_sample(s2)[None, :] + np.random.default_rng(8).normal(scale=1.5, size=(4, s2.A.shape[1]))
+        np.testing.assert_allclose(
+            _cem_penalty(s2, x2), [9.138142420076484, 97.93144900718406, 1.0253246112348724, 136.17507851754567], rtol=1e-12
+        )
+        s3 = make_setup_3d(obstacles=[_static_obstacle([4.0, 0.0, 1.0], 1.0, 0.8)])
+        x3 = _line_sample(s3)[None, :] + np.random.default_rng(9).normal(scale=1.5, size=(3, s3.A.shape[1]))
+        np.testing.assert_allclose(_cem_penalty(s3, x3), [103.08846544930357, 34.16351275469579, 3.070211144049175], rtol=1e-12)

@@ -67,33 +67,6 @@ class BasisSet:
         return self.grid.n_p
 
 
-@dataclass(frozen=True)
-class TrajectoryCoeffs:
-    """Per-axis coefficient vectors, each of length degree + 1."""
-
-    xi_x: np.ndarray
-    xi_y: np.ndarray
-    xi_z: np.ndarray | None = None
-    xi_psi: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class AxisSamples:
-    pos: np.ndarray
-    vel: np.ndarray
-    acc: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrajectorySamples:
-    """Sampled position/velocity/acceleration per axis on the grid."""
-
-    x: AxisSamples
-    y: AxisSamples
-    z: AxisSamples | None = None
-    psi: AxisSamples | None = None
-
-
 @dataclass
 class Trajectory:
     """Dense trajectory samples used by metrics and the benchmark harness.
@@ -177,20 +150,18 @@ def build_basis(t0: float, tf: float, n_p: int, degree: int) -> BasisSet:
     return BasisSet(grid=grid, degree=int(degree), P=P, Pdot=Pdot, Pddot=Pddot)
 
 
-def _eval_axis(basis: BasisSet, xi: np.ndarray) -> AxisSamples:
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (basis.n_var,):
-        raise ValueError(f"coefficient length {xi.shape} does not match basis columns {basis.n_var}")
-    return AxisSamples(pos=basis.P @ xi, vel=basis.Pdot @ xi, acc=basis.Pddot @ xi)
+def sample_trajectory(basis: BasisSet, coeffs: np.ndarray, psi: np.ndarray | None = None) -> Trajectory:
+    """Position/velocity/acceleration samples of per-axis coefficients.
 
-
-def eval_trajectory(basis: BasisSet, coeffs: TrajectoryCoeffs) -> TrajectorySamples:
-    """Evaluate position/velocity/acceleration samples for each axis."""
-    return TrajectorySamples(
-        x=_eval_axis(basis, coeffs.xi_x),
-        y=_eval_axis(basis, coeffs.xi_y),
-        z=_eval_axis(basis, coeffs.xi_z) if coeffs.xi_z is not None else None,
-        psi=_eval_axis(basis, coeffs.xi_psi) if coeffs.xi_psi is not None else None,
+    coeffs has shape (n_var, dim), one column per axis; psi is passed
+    through as the heading samples.
+    """
+    return Trajectory(
+        t=basis.grid.timestamps,
+        pos=basis.P @ coeffs,
+        vel=basis.Pdot @ coeffs,
+        acc=basis.Pddot @ coeffs,
+        psi=psi,
     )
 
 
@@ -216,9 +187,3 @@ def straight_line_coeffs(basis: BasisSet, start: np.ndarray, goal: np.ndarray) -
     sol, *_ = np.linalg.lstsq(basis.P, line, rcond=None)
     return sol.T
 
-
-def fit_coeffs(basis: BasisSet, samples: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients reproducing the given position samples."""
-    samples = np.asarray(samples, dtype=float)
-    sol, *_ = np.linalg.lstsq(basis.P, samples, rcond=None)
-    return sol

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..basis import Trajectory
+from ..geometry import scaled_sq_norm
 from .scenarios import Scenario, predict_obstacles
 
 
@@ -55,16 +56,10 @@ def eval_metrics(trajectory: Trajectory, scenario: Scenario, desired: np.ndarray
 def _scaled_distances(trajectory: Trajectory, scenario: Scenario) -> np.ndarray:
     """Ellipsoidal distance (1 on the boundary) per obstacle and sample."""
     tracks = predict_obstacles(scenario, trajectory.t)
-    pos = trajectory.pos
-    out = np.empty((len(tracks), pos.shape[0]))
-    for j, track in enumerate(tracks):
-        delta = pos - track.centers
-        if scenario.dim == 3:
-            quad = delta[:, 0] ** 2 / track.shape.a**2 + delta[:, 1] ** 2 / track.shape.a**2 + delta[:, 2] ** 2 / track.shape.b**2
-        else:
-            quad = delta[:, 0] ** 2 / track.shape.a**2 + delta[:, 1] ** 2 / track.shape.b**2
-        out[j] = np.sqrt(quad)
-    return out
+    deltas = trajectory.pos[None, :, :] - np.stack([track.centers for track in tracks])
+    a = np.array([[track.shape.a] for track in tracks])
+    b = np.array([[track.shape.b] for track in tracks])
+    return np.sqrt(scaled_sq_norm(np.moveaxis(deltas, -1, 0), a, b))
 
 
 def check_collision_free(trajectory: Trajectory, scenario: Scenario, margin: float = 0.0) -> tuple[bool, float]:

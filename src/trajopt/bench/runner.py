@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import solver_batch, solver_multiagent, solver_priest, solver_single
 from ..basis import AxisBoundary, Trajectory, build_basis, straight_line_coeffs
-from ..geometry import EllipsoidShape, ObstacleTrack
+from ..geometry import EllipsoidShape, ObstacleTrack, scaled_sq_norm
 from .metrics import RunMetrics, check_collision_free, eval_metrics
 from .scenarios import Scenario, agent_boundaries, predict_obstacles
 
@@ -304,23 +304,14 @@ def read_results_csv(path) -> list:
     return out
 
 
-def _current_obstacle_positions(scenario: Scenario, t_abs: float) -> list:
-    positions = []
-    for obs in scenario.obstacles:
-        positions.append(np.asarray(obs.center) + np.asarray(obs.velocity) * t_abs)
-    return positions
-
-
 def _in_collision_now(scenario: Scenario, pos: np.ndarray, t_abs: float) -> bool:
-    for obs, c in zip(scenario.obstacles, _current_obstacle_positions(scenario, t_abs)):
-        delta = pos - c
-        if scenario.dim == 3:
-            quad = delta[0] ** 2 / obs.a**2 + delta[1] ** 2 / obs.a**2 + delta[2] ** 2 / obs.b**2
-        else:
-            quad = delta[0] ** 2 / obs.a**2 + delta[1] ** 2 / obs.b**2
-        if quad < 1.0:
-            return True
-    return False
+    obstacles = scenario.obstacles
+    if not obstacles:
+        return False
+    centers = np.array([obs.center for obs in obstacles]) + np.array([obs.velocity for obs in obstacles]) * t_abs
+    a = np.array([obs.a for obs in obstacles])
+    b = np.array([obs.b for obs in obstacles])
+    return bool(np.any(scaled_sq_norm((pos - centers).T, a, b) < 1.0))
 
 
 def receding_horizon_run(

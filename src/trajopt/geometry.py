@@ -1,4 +1,4 @@
-"""Closed-form polar/spherical sub-steps shared by all solvers.
+"""The closed-form polar/spherical kernel shared by all solvers.
 
 A separation constraint against an axis-aligned ellipsoid with semi-axes
 (a, a, b) is rewritten as equalities in a line-of-sight scale d and angles
@@ -9,8 +9,21 @@ A separation constraint against an axis-aligned ellipsoid with semi-axes
     dz = b * d * cos(beta),          d >= 1
 
 In 2-D the planar ellipse uses semi-axes (a, b):  dx = a d cos(alpha),
-dy = b d sin(alpha).  All functions are pure and broadcast elementwise over
-timesteps / obstacles / batch members.
+dy = b d sin(alpha).  Velocity and acceleration bounds take the same form
+with a = b = the limit and d in [0, 1].
+
+The kernel, the only place this math is written:
+
+- scaled_sq_norm: squared ellipsoidal norm r**2 of per-axis offsets;
+- los_scale: the closed-form scale d = clip(r, lower, upper);
+- radial_clamp: residual of the closed-form polar projection, with no angles;
+- angle2d, angles3d: the angles recovering an offset;
+- closed_form_d_3d: the clamped scale at fixed angles, for shifted targets;
+- stalled: the windowed stall test behind every penalty schedule.
+
+Offsets are passed per axis, and the semi-axes broadcast against them, so
+one call covers every timestep, obstacle and batch member.  All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -18,6 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+__all__ = [
+    "D_CAP",
+    "EllipsoidShape",
+    "ObstacleTrack",
+    "angle2d",
+    "angles3d",
+    "closed_form_d_3d",
+    "los_scale",
+    "radial_clamp",
+    "scaled_sq_norm",
+    "stalled",
+]
 
 # Numerical cap standing in for the +inf upper bound on collision scales.
 D_CAP = 1e6
@@ -51,87 +77,43 @@ class ObstacleTrack:
     shape: EllipsoidShape
 
 
-@dataclass
-class PolarVars:
-    """Line-of-sight scale and angles; beta is None for planar problems."""
-
-    d: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray | None = None
-
-
-@dataclass
-class MultiplierBlock:
-    """Per-constraint multipliers plus the two penalty weights."""
-
-    lam: dict
-    rho: float
-    rho_o: float
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.rho_o <= 0:
-            raise ValueError("penalty weights must be strictly positive")
-
-
-def los_distance(delta, shape: EllipsoidShape):
-    """Clamped line-of-sight scale of a 3-D offset: max(1, ellipsoidal norm).
-
-    delta has shape (..., 3); returns shape (...).  Equals 1 exactly on and
-    inside the ellipsoid.
-    """
-    delta = np.asarray(delta, dtype=float)
-    quad = (
-        delta[..., 0] ** 2 / shape.a**2
-        + delta[..., 1] ** 2 / shape.a**2
-        + delta[..., 2] ** 2 / shape.b**2
-    )
-    return np.maximum(1.0, np.sqrt(quad))
-
-
-def los_distance_2d(dx, dy, shape: EllipsoidShape):
-    """Planar counterpart on the ellipse with semi-axes (a, b)."""
-    return np.maximum(1.0, np.hypot(np.asarray(dx) / shape.a, np.asarray(dy) / shape.b))
-
-
 def angle2d(dx, dy):
-    """Planar angle in (-pi, pi]; the origin maps to 0 by convention."""
+    """Planar angle in (-pi, pi]; the origin maps to 0 by convention.
+
+    For the planar ellipse pass the scaled offsets (dx / a, dy / b).
+    """
     alpha = np.arctan2(dy, dx)
     return np.where(alpha == -np.pi, np.pi, alpha)
 
 
-def angles3d(delta, shape: EllipsoidShape):
-    """Azimuth/polar angles recovering delta through the spherical equalities.
+def angles3d(deltas, a, b):
+    """Azimuth/polar angles recovering (dx, dy, dz) through the spheroid equalities.
 
     alpha in (-pi, pi], beta in [0, pi].  Degenerate directions
     (dx = dy = 0) take alpha = 0; beta stays total because it is computed
-    from the planar magnitude rather than dividing by cos(alpha).
+    from the planar magnitude rather than dividing by cos(alpha).  deltas,
+    a and b are as in scaled_sq_norm.
     """
-    delta = np.asarray(delta, dtype=float)
-    dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
+    dx, dy, dz = deltas
     alpha = angle2d(dx, dy)
-    planar = np.hypot(dx / shape.a, dy / shape.a)
-    beta = np.arctan2(planar, dz / shape.b)
+    planar = np.hypot(dx / a, dy / a)
+    beta = np.arctan2(planar, dz / b)
     return alpha, beta
 
 
-def closed_form_d(x_tilde, y_tilde, alpha, shape: EllipsoidShape, lower, upper):
-    """Clamped minimizer of |x - a d cos(alpha)|^2 + |y - b d sin(alpha)|^2 over d.
+def closed_form_d_3d(x_tilde, y_tilde, z_tilde, alpha, beta, a, b, lower, upper):
+    """Clamped minimizer over d of the (a, a, b) spheroid equality residual.
 
-    The objective is a single-variable convex quadratic, so clamping the
-    unconstrained minimizer to [lower, upper] is exact.
+    Minimizes |x - a d cos(alpha) sin(beta)|^2 + |y - a d sin(alpha) sin(beta)|^2
+    + |z - b d cos(beta)|^2, a single-variable convex quadratic, so clamping
+    the unconstrained minimizer to [lower, upper] is exact.  With the angles
+    of the offset itself (angles3d) this is los_scale; it differs when the
+    targets are shifted, e.g. by multipliers.
     """
     ca, sa = np.cos(alpha), np.sin(alpha)
-    num = shape.a * np.asarray(x_tilde) * ca + shape.b * np.asarray(y_tilde) * sa
-    den = shape.a**2 * ca**2 + shape.b**2 * sa**2
-    return np.clip(num / den, lower, upper)
-
-
-def closed_form_d_3d(x_tilde, y_tilde, z_tilde, alpha, beta, shape: EllipsoidShape, lower, upper):
-    """3-D counterpart for the (a, a, b) spheroid equalities."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
-    num = shape.a * sb * (np.asarray(x_tilde) * ca + np.asarray(y_tilde) * sa) + shape.b * np.asarray(z_tilde) * cb
-    den = shape.a**2 * sb**2 + shape.b**2 * cb**2
+    num = a * sb * (ca * x_tilde + sa * y_tilde) + b * cb * z_tilde
+    den = a**2 * sb**2 + b**2 * cb**2
     return np.clip(num / den, lower, upper)
 
 
@@ -151,6 +133,15 @@ def scaled_sq_norm(deltas, a, b):
         scaled *= scaled
         quad += scaled
     return quad
+
+
+def los_scale(deltas, a, b, lower=1.0, upper=D_CAP):
+    """Closed-form line-of-sight scale: the scaled norm clamped to [lower, upper].
+
+    This is the d minimizing the polar equality residual when the angles are
+    those of the offset itself.  deltas, a and b are as in scaled_sq_norm.
+    """
+    return np.clip(np.sqrt(scaled_sq_norm(deltas, a, b)), lower, upper)
 
 
 def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
@@ -183,10 +174,18 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
     return out
 
 
-def update_multiplier(lam, residual, rho):
-    """Augmented-Lagrangian dual ascent: lam + rho * residual, elementwise."""
-    lam = np.asarray(lam, dtype=float)
-    residual = np.asarray(residual, dtype=float)
-    if lam.shape != residual.shape:
-        raise ValueError(f"multiplier shape {lam.shape} does not match residual shape {residual.shape}")
-    return lam + rho * residual
+def stalled(history, since_change, window, improvement, floor):
+    """Windowed stall test behind every penalty schedule.
+
+    True when the mean of the last `window` entries of history improved on
+    the mean of the `window` before them by a relative amount below
+    `improvement`.  Never true with fewer than 2 * window entries, within
+    `window` iterations of the last penalty change (since_change), or when
+    the earlier mean is already at or below `floor`.  The response (grow a
+    penalty, advance a level) is the caller's.
+    """
+    if len(history) < 2 * window or since_change < window:
+        return False
+    recent = np.mean(history[-window:])
+    previous = np.mean(history[-2 * window : -window])
+    return bool(previous > floor and (previous - recent) / previous < improvement)

@@ -36,14 +36,6 @@ class FactorizationError(ValueError):
 
 
 @dataclass(frozen=True)
-class EqQP:
-    Q: np.ndarray
-    q: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class BatchRHS:
     """Stacked right-hand sides: qs is (N_b, n_v), bs is (N_b, n_eq)."""
 
@@ -142,9 +134,3 @@ def solve_batch(factor: KKTFactor, rhs: BatchRHS) -> tuple[np.ndarray, np.ndarra
     sol = lu_solve(factor._lu, block)
     return sol[: factor.n_v].T, sol[factor.n_v :].T
 
-
-def kkt_residuals(Q, A, q, b, xi, nu) -> tuple[float, float]:
-    """Stationarity and feasibility residual norms of a candidate solution."""
-    r_stat = float(np.linalg.norm(Q @ xi + A.T @ nu + q))
-    r_feas = float(np.linalg.norm(A @ xi - b))
-    return r_stat, r_feas

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import D_CAP, ObstacleTrack
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
+from .geometry import ObstacleTrack, angle2d, los_scale, scaled_sq_norm, stalled
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,8 @@ class BatchState:
     _factor_psi: qpcore.KKTFactor | None = field(default=None, repr=False)
     _factor_rho: float | None = field(default=None, repr=False)
     _psi_targets: np.ndarray | None = field(default=None, repr=False)
+    # residual F xi - g of the last iteration, (N_b, rows)
+    residual: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -316,32 +318,29 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure | 
 
 
 def alpha_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
+    """Polar angles of every collision offset (scaled by the ellipse) and of velocity and acceleration."""
     struct = struct or _Structure(problem)
     basis, m = problem.basis, struct.m
     xi_x, _, xi_y, _ = _split(state.xi, m)
     if problem.n_o:
         dx, dy = _footprint_deltas(problem, struct, xi_x @ basis.P.T, xi_y @ basis.P.T, state.psi)
-        state.alpha_coll = np.arctan2(dy, dx)
-    state.alpha_v = np.arctan2(xi_y @ basis.Pdot.T, xi_x @ basis.Pdot.T)
-    state.alpha_a = np.arctan2(xi_y @ basis.Pddot.T, xi_x @ basis.Pddot.T)
+        state.alpha_coll = angle2d(dx / struct.obs_a[:, None], dy / struct.obs_b[:, None])
+    state.alpha_v = angle2d(xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
+    state.alpha_a = angle2d(xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T)
 
 
 def d_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
+    """Closed-form scales; with the angles of alpha_step each is the clamped scaled norm."""
     struct = struct or _Structure(problem)
     basis, m = problem.basis, struct.m
     xi_x, _, xi_y, _ = _split(state.xi, m)
     if problem.n_o:
         dx, dy = _footprint_deltas(problem, struct, xi_x @ basis.P.T, xi_y @ basis.P.T, state.psi)
-        a = struct.obs_a[None, None, :, None]
-        b = struct.obs_b[None, None, :, None]
-        ca, sa = np.cos(state.alpha_coll), np.sin(state.alpha_coll)
-        num = a * dx * ca + b * dy * sa
-        den = a**2 * ca**2 + b**2 * sa**2
-        state.d_coll = np.clip(num / den, 1.0, D_CAP)
-    vx, vy = xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T
-    state.d_v = np.clip((vx * np.cos(state.alpha_v) + vy * np.sin(state.alpha_v)) / problem.v_max, 0.0, 1.0)
-    ax, ay = xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T
-    state.d_a = np.clip((ax * np.cos(state.alpha_a) + ay * np.sin(state.alpha_a)) / problem.a_max, 0.0, 1.0)
+        state.d_coll = los_scale((dx, dy), struct.obs_a[:, None], struct.obs_b[:, None])
+    vel = (xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
+    state.d_v = los_scale(vel, problem.v_max, problem.v_max, 0.0, 1.0)
+    acc = (xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T)
+    state.d_a = los_scale(acc, problem.a_max, problem.a_max, 0.0, 1.0)
 
 
 def _residual_matrix(state, problem, struct):
@@ -355,7 +354,7 @@ def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure
     heading_step(state, problem, struct)
     alpha_step(state, problem, struct)
     d_step(state, problem, struct)
-    res = _residual_matrix(state, problem, struct)
+    res = state.residual = _residual_matrix(state, problem, struct)
     state.lam = state.lam - state.rho * (res @ struct.F)
     psi_res = state.psi - state._psi_targets
     state.lam_psi = state.lam_psi - state.rho_psi * (psi_res @ problem.basis.P)
@@ -382,28 +381,13 @@ def check_raw_feasibility(state, problem, struct, d_margin, kin_margin):
     ok = np.ones(x.shape[0], dtype=bool)
     if problem.n_o:
         dx, dy = _footprint_deltas(problem, struct, x, y, state.psi)
-        a = struct.obs_a[None, None, :, None]
-        b = struct.obs_b[None, None, :, None]
-        dist = np.hypot(dx / a, dy / b)
+        dist = np.sqrt(scaled_sq_norm((dx, dy), struct.obs_a[:, None], struct.obs_b[:, None]))
         ok &= dist.min(axis=(1, 2, 3)) >= 1.0 - d_margin
     speed = np.hypot(xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
     ok &= speed.max(axis=1) <= problem.v_max * (1.0 + kin_margin)
     accel = np.hypot(xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T)
     ok &= accel.max(axis=1) <= problem.a_max * (1.0 + kin_margin)
     return ok
-
-
-def _maybe_grow_rho(state, params, history, last_change):
-    w = params.stall_window
-    if len(history) < 2 * w or state.iteration - last_change < w:
-        return last_change
-    recent = np.mean(history[-w:])
-    previous = np.mean(history[-2 * w : -w])
-    if previous > max(params.tol, 0.0) and (previous - recent) / previous < params.stall_improvement:
-        state.rho = min(state.rho * params.rho_growth, params.rho_cap)
-        state.rho_psi = min(state.rho_psi * params.rho_growth, params.rho_cap)
-        return state.iteration
-    return last_change
 
 
 def solve_batch_opt(
@@ -430,14 +414,7 @@ def solve_batch_opt(
         if samples is None:
             if mean is None:
                 bx, by = problem.boundary
-                line = np.linalg.lstsq(
-                    basis.P,
-                    np.column_stack(
-                        [np.linspace(bx.p0, bx.p1, basis.n_p), np.linspace(by.p0, by.p1, basis.n_p)]
-                    ),
-                    rcond=None,
-                )[0]
-                mean = np.concatenate([line[:, 0], line[:, 1]])
+                mean = straight_line_coeffs(basis, [bx.p0, by.p0], [bx.p1, by.p1]).ravel()
             if covariance is None:
                 bx, by = problem.boundary
                 scale = max(np.hypot(bx.p1 - bx.p0, by.p1 - by.p0) / 10.0, 0.5)
@@ -450,7 +427,7 @@ def solve_batch_opt(
     maxabs_hist: list[float] = []
     for _ in range(params.max_iter):
         batch_iteration(state, problem, struct)
-        res = _residual_matrix(state, problem, struct)
+        res = state.residual
         per_member_max = np.max(np.abs(res), axis=1)
         per_member_norm = np.linalg.norm(res, axis=1)
         best_idx = int(np.argmin(per_member_norm))
@@ -458,9 +435,14 @@ def solve_batch_opt(
             {"norm": float(per_member_norm[best_idx]), "max_abs": float(per_member_max[best_idx]), "rho": state.rho}
         )
         maxabs_hist.append(float(per_member_max.min()))
-        last_change = _maybe_grow_rho(state, params, maxabs_hist, last_change)
+        since_change = state.iteration - last_change
+        if stalled(maxabs_hist, since_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
+            state.rho = min(state.rho * params.rho_growth, params.rho_cap)
+            state.rho_psi = min(state.rho_psi * params.rho_growth, params.rho_cap)
+            last_change = state.iteration
 
-    res = _residual_matrix(state, problem, struct)
+    if not best_history:
+        res = _residual_matrix(state, problem, struct)
     residual_max = np.max(np.abs(res), axis=1)
     residual_norm = np.linalg.norm(res, axis=1)
     feasible = (residual_max <= params.tol) & check_raw_feasibility(
@@ -471,18 +453,9 @@ def solve_batch_opt(
     best_index = int(np.argmin(np.where(feasible, aug_costs, np.inf))) if feasible.any() else None
 
     xi_x, _, xi_y, _ = _split(state.xi, m)
-    trajectories = []
-    for i in range(state.xi.shape[0]):
-        coeffs = np.column_stack([xi_x[i], xi_y[i]])
-        trajectories.append(
-            Trajectory(
-                t=basis.grid.timestamps,
-                pos=basis.P @ coeffs,
-                vel=basis.Pdot @ coeffs,
-                acc=basis.Pddot @ coeffs,
-                psi=state.psi[i],
-            )
-        )
+    trajectories = [
+        sample_trajectory(basis, np.column_stack([xi_x[i], xi_y[i]]), psi=state.psi[i]) for i in range(state.xi.shape[0])
+    ]
     return RankedSolutions(
         trajectories=trajectories,
         costs=costs,

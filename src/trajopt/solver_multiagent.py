@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import D_CAP, EllipsoidShape
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory
+from .geometry import D_CAP, EllipsoidShape, angles3d, closed_form_d_3d, stalled
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,7 @@ def _init_state(problem, struct) -> JointState:
     )
     if n_pairs:
         deltas = struct.pair_deltas(struct.agent_positions(xi))
-        state.alpha = np.arctan2(deltas[:, :, 1], deltas[:, :, 0])
-        planar = np.hypot(deltas[:, :, 0] / struct.pa, deltas[:, :, 1] / struct.pa)
-        state.beta = np.arctan2(planar, deltas[:, :, 2] / struct.pb)
+        state.alpha, state.beta = angles3d(np.moveaxis(deltas, -1, 0), struct.pa, struct.pb)
     return state
 
 
@@ -277,20 +275,13 @@ def _iterate(state: JointState, struct: _JointStructure) -> None:
 
     deltas = struct.pair_deltas(struct.agent_positions(state.xi))
     dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
-    state.alpha = np.arctan2(dy, dx)
-    planar = np.hypot(dx / struct.pa, dy / struct.pa)
-    state.beta = np.arctan2(planar, dz / struct.pb)
+    state.alpha, state.beta = angles3d((dx, dy, dz), struct.pa, struct.pb)
 
-    # multiplier-shifted single-variable quadratic in d, clamped at 1
-    sb, cb = np.sin(state.beta), np.cos(state.beta)
-    sa, ca = np.sin(state.alpha), np.cos(state.alpha)
+    # the d targets are shifted by the multipliers, so d keeps the closed form
     shift = state.lam / rho
-    num = (
-        struct.pa * sb * (ca * (dx + shift[0]) + sa * (dy + shift[1]))
-        + struct.pb * cb * (dz + shift[2])
+    state.d = closed_form_d_3d(
+        dx + shift[0], dy + shift[1], dz + shift[2], state.alpha, state.beta, struct.pa, struct.pb, 1.0, D_CAP
     )
-    den = struct.pa**2 * sb**2 + struct.pb**2 * cb**2
-    state.d = np.clip(num / den, 1.0, D_CAP)
 
     res = pairwise_residuals_arrays(struct, state)
     state.lam = state.lam + rho * res
@@ -308,6 +299,7 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
     state = _init_state(problem, struct)
 
     history = []
+    norms: list[float] = []
     last_change = 0
     converged = False
     for _ in range(params.max_iter):
@@ -316,6 +308,7 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
         norm = float(np.linalg.norm(res))
         max_abs = float(np.max(np.abs(res))) if res.size else 0.0
         history.append({"norm": norm, "max_abs": max_abs, "rho": struct.rho_levels[state.level]})
+        norms.append(norm)
         if norm <= params.tol_norm:
             converged = True
             break
@@ -323,29 +316,17 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
         # advance early whenever the windowed residual stalls
         n_levels = len(struct.rho_levels)
         scheduled = min(int(state.iteration * n_levels / max(params.max_iter, 1)), n_levels - 1)
-        w = params.stall_window
-        stalled = False
-        if len(history) >= 2 * w and state.iteration - last_change >= w:
-            recent = np.mean([h["norm"] for h in history[-w:]])
-            previous = np.mean([h["norm"] for h in history[-2 * w : -w]])
-            stalled = previous > 0 and (previous - recent) / previous < params.stall_improvement
-        target = max(scheduled, state.level + 1 if stalled else state.level)
+        since_change = state.iteration - last_change
+        stall = stalled(norms, since_change, params.stall_window, params.stall_improvement, 0.0)
+        target = max(scheduled, state.level + 1 if stall else state.level)
         if target > state.level and state.level < n_levels - 1:
             state.level = min(target, n_levels - 1)
             last_change = state.iteration
 
     positions = struct.agent_positions(state.xi)
-    trajectories = []
-    for i in range(struct.n_a):
-        coeffs = state.xi[:, i * struct.m : (i + 1) * struct.m].T  # (m, 3)
-        trajectories.append(
-            Trajectory(
-                t=struct.basis.grid.timestamps,
-                pos=struct.basis.P @ coeffs,
-                vel=struct.basis.Pdot @ coeffs,
-                acc=struct.basis.Pddot @ coeffs,
-            )
-        )
+    trajectories = [
+        sample_trajectory(struct.basis, state.xi[:, i * struct.m : (i + 1) * struct.m].T) for i in range(struct.n_a)
+    ]
 
     min_dist = np.inf
     for i in range(struct.n_a):

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, straight_line_coeffs
-from .geometry import D_CAP, ObstacleTrack, angle2d, angles3d
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
+from .geometry import ObstacleTrack, angle2d, angles3d, los_scale, stalled
 
 
 @dataclass
@@ -86,6 +86,8 @@ class SingleState:
     rho: float
     rho_o: float
     iteration: int = 0
+    # equality residuals of the last sweep, as equality_residuals returns them
+    residuals: dict = field(default_factory=dict, repr=False)
     # cached KKT factor for the position QP, keyed by the rho_o it was built at
     _factor: qpcore.KKTFactor | None = field(default=None, repr=False)
     _factor_rho_o: float | None = field(default=None, repr=False)
@@ -112,6 +114,13 @@ def _deltas(problem: SingleProblem, positions: np.ndarray) -> np.ndarray:
     return positions[None, :, :] - tracks
 
 
+def _semi_axes(problem: SingleProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Obstacle semi-axes a and b, each shaped (n_o, 1) to broadcast over time."""
+    a = np.array([obs.shape.a for obs in problem.obstacles])[:, None]
+    b = np.array([obs.shape.b for obs in problem.obstacles])[:, None]
+    return a, b
+
+
 def init_state(problem: SingleProblem, seed: int | None = None, params: SingleParams | None = None) -> SingleState:
     """Initial AM state: d = 1, angles from the straight-line interpolant.
 
@@ -129,19 +138,12 @@ def init_state(problem: SingleProblem, seed: int | None = None, params: SinglePa
 
     d = np.ones((n_o, n_p))
     if n_o > 0:
-        deltas = _deltas(problem, line)
+        deltas = np.moveaxis(_deltas(problem, line), -1, 0)
+        a, b = _semi_axes(problem)
         if dim == 3:
-            pairs = [angles3d(deltas[j], problem.obstacles[j].shape) for j in range(n_o)]
-            alpha = np.stack([p[0] for p in pairs])
-            beta = np.stack([p[1] for p in pairs])
+            alpha, beta = angles3d(deltas, a, b)
         else:
-            alpha = np.stack(
-                [
-                    angle2d(deltas[j, :, 0] / problem.obstacles[j].shape.a, deltas[j, :, 1] / problem.obstacles[j].shape.b)
-                    for j in range(n_o)
-                ]
-            )
-            beta = None
+            alpha, beta = angle2d(deltas[0] / a, deltas[1] / b), None
     else:
         alpha = np.zeros((0, n_p))
         beta = np.zeros((0, n_p)) if dim == 3 else None
@@ -176,8 +178,7 @@ def _cost_blocks(problem: SingleProblem):
 
 def _position_targets(problem: SingleProblem, state: SingleState) -> np.ndarray:
     """Per-axis reconstruction targets a*d*cos... stacked as (dim, n_o, n_p)."""
-    a = np.array([obs.shape.a for obs in problem.obstacles])[:, None]
-    b = np.array([obs.shape.b for obs in problem.obstacles])[:, None]
+    a, b = _semi_axes(problem)
     tracks = np.stack([obs.centers for obs in problem.obstacles])  # (n_o, n_p, dim)
     if problem.dim == 3:
         tx = tracks[:, :, 0] + a * state.d * state.cos_a * state.sin_b
@@ -216,8 +217,7 @@ def _alpha_copy_step(state: SingleState, problem: SingleProblem) -> None:
     if problem.n_o == 0:
         return
     deltas = _deltas(problem, problem.basis.P @ state.xi.T)
-    a = np.array([obs.shape.a for obs in problem.obstacles])[:, None]
-    b = np.array([obs.shape.b for obs in problem.obstacles])[:, None]
+    a, b = _semi_axes(problem)
     rho, rho_o = state.rho, state.rho_o
     dx, dy = deltas[:, :, 0], deltas[:, :, 1]
     if problem.dim == 3:
@@ -246,8 +246,7 @@ def _beta_copy_step(state: SingleState, problem: SingleProblem) -> None:
     if problem.n_o == 0 or problem.dim != 3:
         return
     deltas = _deltas(problem, problem.basis.P @ state.xi.T)
-    a = np.array([obs.shape.a for obs in problem.obstacles])[:, None]
-    b = np.array([obs.shape.b for obs in problem.obstacles])[:, None]
+    a, b = _semi_axes(problem)
     rho, rho_o = state.rho, state.rho_o
     dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
     coef_cb = b * state.d
@@ -275,20 +274,8 @@ def _d_step(state: SingleState, problem: SingleProblem) -> None:
     """Analytic line-of-sight update from the freshly solved positions."""
     if problem.n_o == 0:
         return
-    positions = problem.basis.P @ state.xi.T
-    deltas = _deltas(problem, positions)
-    d = np.empty_like(state.d)
-    for j, obs in enumerate(problem.obstacles):
-        if problem.dim == 3:
-            quad = (
-                deltas[j, :, 0] ** 2 / obs.shape.a**2
-                + deltas[j, :, 1] ** 2 / obs.shape.a**2
-                + deltas[j, :, 2] ** 2 / obs.shape.b**2
-            )
-        else:
-            quad = deltas[j, :, 0] ** 2 / obs.shape.a**2 + deltas[j, :, 1] ** 2 / obs.shape.b**2
-        d[j] = np.minimum(np.maximum(1.0, np.sqrt(quad)), D_CAP)
-    state.d = d
+    deltas = _deltas(problem, problem.basis.P @ state.xi.T)
+    state.d = los_scale(np.moveaxis(deltas, -1, 0), *_semi_axes(problem))
 
 
 def equality_residuals(state: SingleState, problem: SingleProblem) -> dict:
@@ -297,8 +284,7 @@ def equality_residuals(state: SingleState, problem: SingleProblem) -> dict:
     if problem.n_o:
         positions = problem.basis.P @ state.xi.T
         deltas = _deltas(problem, positions)
-        a = np.array([obs.shape.a for obs in problem.obstacles])[:, None]
-        b = np.array([obs.shape.b for obs in problem.obstacles])[:, None]
+        a, b = _semi_axes(problem)
         if problem.dim == 3:
             res["coll_x"] = deltas[:, :, 0] - a * state.d * state.cos_a * state.sin_b
             res["coll_y"] = deltas[:, :, 1] - a * state.d * state.sin_a * state.sin_b
@@ -321,8 +307,7 @@ def residual_report(state: SingleState, problem: SingleProblem) -> dict:
     }
 
 
-def _residual_extremes(state: SingleState, problem: SingleProblem) -> tuple[float, float]:
-    res = equality_residuals(state, problem)
+def _residual_extremes(res: dict) -> tuple[float, float]:
     if not res:
         return 0.0, 0.0
     stacked = np.concatenate([r.ravel() for r in res.values()])
@@ -330,7 +315,8 @@ def _residual_extremes(state: SingleState, problem: SingleProblem) -> tuple[floa
 
 
 def _multiplier_step(state: SingleState, problem: SingleProblem) -> None:
-    res = equality_residuals(state, problem)
+    # the multipliers do not enter the residuals, so they stay those of the sweep
+    res = state.residuals = equality_residuals(state, problem)
     if not res:
         return
     state.lam_pos[0] += state.rho_o * res["coll_x"]
@@ -389,21 +375,6 @@ def am_iteration(state: SingleState, problem: SingleProblem) -> SingleState:
     return state
 
 
-def _maybe_grow_penalties(state, params, history, last_change):
-    w = params.stall_window
-    if len(history) < 2 * w or state.iteration - last_change < w:
-        return last_change
-    recent = np.mean(history[-w:])
-    previous = np.mean(history[-2 * w : -w])
-    if previous <= max(params.tol, 0.0):
-        return last_change
-    if (previous - recent) / previous < params.stall_improvement:
-        state.rho = min(state.rho * params.rho_growth, params.rho_cap)
-        state.rho_o = min(state.rho_o * params.rho_growth, params.rho_cap)
-        return state.iteration
-    return last_change
-
-
 def solve_single(problem: SingleProblem, params: SingleParams | None = None, state: SingleState | None = None) -> SingleSolution:
     """Run the AM loop until residual tolerance or max_iter.
 
@@ -418,22 +389,21 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
     converged = False
     for _ in range(params.max_iter):
         am_iteration(state, problem)
-        norm, max_abs = _residual_extremes(state, problem)
+        norm, max_abs = _residual_extremes(state.residuals)
         history.append({"norm": norm, "max_abs": max_abs, "rho_o": state.rho_o})
         max_hist.append(max_abs)
         if max_abs <= params.tol:
             converged = True
             break
-        last_change = _maybe_grow_penalties(state, params, max_hist, last_change)
+        since_change = state.iteration - last_change
+        if stalled(max_hist, since_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
+            state.rho = min(state.rho * params.rho_growth, params.rho_cap)
+            state.rho_o = min(state.rho_o * params.rho_growth, params.rho_cap)
+            last_change = state.iteration
 
-    basis = problem.basis
-    traj = Trajectory(
-        t=basis.grid.timestamps,
-        pos=basis.P @ state.xi.T,
-        vel=basis.Pdot @ state.xi.T,
-        acc=basis.Pddot @ state.xi.T,
-    )
-    norm, max_abs = _residual_extremes(state, problem)
+    traj = sample_trajectory(problem.basis, state.xi.T)
+    if not history:
+        norm, max_abs = _residual_extremes(equality_residuals(state, problem))
     smooth = float(np.sum(traj.acc**2))
     track = float(np.sum((traj.pos - problem.desired) ** 2))
     return SingleSolution(

@@ -4,10 +4,9 @@ from numpy.polynomial import polynomial as npoly
 
 from trajopt.basis import (
     AxisBoundary,
-    TrajectoryCoeffs,
     boundary_matrix,
     build_basis,
-    eval_trajectory,
+    sample_trajectory,
     straight_line_coeffs,
 )
 
@@ -72,12 +71,15 @@ class TestBuildBasis:
 
 
 class TestEvalTrajectory:
+    """sample_trajectory: grid samples of per-axis coefficients."""
+
     def test_zero_coefficients(self):
         b = build_basis(0.0, 1.0, 9, 3)
-        out = eval_trajectory(b, TrajectoryCoeffs(xi_x=np.zeros(4), xi_y=np.zeros(4)))
-        np.testing.assert_array_equal(out.x.pos, np.zeros(9))
-        np.testing.assert_array_equal(out.y.vel, np.zeros(9))
-        assert out.z is None and out.psi is None
+        out = sample_trajectory(b, np.zeros((4, 2)))
+        np.testing.assert_array_equal(out.pos, np.zeros((9, 2)))
+        np.testing.assert_array_equal(out.vel, np.zeros((9, 2)))
+        np.testing.assert_array_equal(out.t, b.grid.timestamps)
+        assert out.dim == 2 and out.psi is None
 
     def test_agrees_with_direct_polynomial_evaluation(self):
         # oracle: convert Bernstein coefficients to the power basis and
@@ -95,24 +97,26 @@ class TestEvalTrajectory:
                 power[j + k] += c[j] * comb(degree, j) * comb(degree - j, k) * (-1.0) ** k
         tau = (b.grid.timestamps - 0.0) / 2.0
         expected = npoly.polyval(tau, power)
-        out = eval_trajectory(b, TrajectoryCoeffs(xi_x=c, xi_y=np.zeros(degree + 1)))
-        np.testing.assert_allclose(out.x.pos, expected, atol=1e-12)
+        out = sample_trajectory(b, np.column_stack([c, np.zeros(degree + 1)]))
+        np.testing.assert_allclose(out.pos[:, 0], expected, atol=1e-12)
+        np.testing.assert_array_equal(out.pos[:, 1], 0.0)
 
     def test_linearity(self):
         b = build_basis(0.0, 1.0, 25, 5)
         rng = np.random.default_rng(3)
         c1, c2 = rng.normal(size=6), rng.normal(size=6)
         a1, a2 = 1.7, -0.3
-        combo = eval_trajectory(b, TrajectoryCoeffs(xi_x=a1 * c1 + a2 * c2, xi_y=np.zeros(6)))
-        e1 = eval_trajectory(b, TrajectoryCoeffs(xi_x=c1, xi_y=np.zeros(6)))
-        e2 = eval_trajectory(b, TrajectoryCoeffs(xi_x=c2, xi_y=np.zeros(6)))
-        np.testing.assert_allclose(combo.x.pos, a1 * e1.x.pos + a2 * e2.x.pos, atol=1e-12)
-        np.testing.assert_allclose(combo.x.acc, a1 * e1.x.acc + a2 * e2.x.acc, atol=1e-12)
+        combo = sample_trajectory(b, (a1 * c1 + a2 * c2)[:, None])
+        e1 = sample_trajectory(b, c1[:, None])
+        e2 = sample_trajectory(b, c2[:, None])
+        np.testing.assert_allclose(combo.pos, a1 * e1.pos + a2 * e2.pos, atol=1e-12)
+        np.testing.assert_allclose(combo.vel, a1 * e1.vel + a2 * e2.vel, atol=1e-12)
+        np.testing.assert_allclose(combo.acc, a1 * e1.acc + a2 * e2.acc, atol=1e-12)
 
     def test_dimension_mismatch(self):
         b = build_basis(0.0, 1.0, 9, 3)
         with pytest.raises(ValueError):
-            eval_trajectory(b, TrajectoryCoeffs(xi_x=np.zeros(5), xi_y=np.zeros(4)))
+            sample_trajectory(b, np.zeros((5, 2)))
 
 
 class TestBoundaryHelpers:

@@ -12,6 +12,7 @@ from trajopt.bench import (
     ScenarioObstacle,
     agent_boundaries,
     check_collision_free,
+    clearance_lower_bound,
     eval_metrics,
     from_json,
     gen_scenario,
@@ -24,6 +25,7 @@ from trajopt.bench import (
     to_json,
     write_results_csv,
 )
+from trajopt.bench.runner import _in_collision_now
 
 
 def _trajectory_from_positions(t, pos):
@@ -162,6 +164,57 @@ class TestCheckCollisionFree:
         ok, worst = check_collision_free(traj, scenario, margin=0.0)
         assert ok
         assert abs(worst) <= 1e-9
+
+
+    # obstacle (a, b) = (2, 0.5) at the origin: in 2-D b is the y semi-axis,
+    # in 3-D x and y take a and z takes b
+    @pytest.mark.parametrize(
+        "dim,points,scaled",
+        [
+            (2, [[3.0, 0.0], [0.0, 1.0], [-1.2, -0.8]], [1.5, 2.0, (0.36 + 2.56) ** 0.5]),
+            (2, [[3.0, 0.0], [0.0, 0.4]], [1.5, 0.8]),
+            (3, [[0.0, 3.0, 0.0], [0.0, 0.0, -1.0], [1.2, 0.0, 0.8]], [1.5, 2.0, (0.36 + 2.56) ** 0.5]),
+            (3, [[3.0, 0.0, 0.0], [0.0, 0.0, 0.4]], [1.5, 0.8]),
+        ],
+    )
+    def test_elliptical_obstacle_hand_values(self, dim, points, scaled):
+        scenario = empty_scenario(dim=dim)
+        scenario.obstacles = [ScenarioObstacle(a=2.0, b=0.5, center=[0.0] * dim, velocity=[0.0] * dim)]
+        t = np.linspace(0.0, 1.0, len(points))
+        traj = _trajectory_from_positions(t, points)
+        ok, worst = check_collision_free(traj, scenario, margin=0.1)
+        assert worst == pytest.approx(1.1 - min(scaled), abs=1e-12)
+        assert ok == (min(scaled) >= 1.1)
+        assert clearance_lower_bound(traj, scenario) == pytest.approx((min(scaled) - 1.0) * 0.5, abs=1e-12)
+
+
+class TestInCollisionNow:
+    # obstacle (a, b) = (2, 0.5) starting at (1, 0[, 0]) and moving +1 m/s
+    # in x, so it is centred at x = 3 when t_abs = 2
+    @pytest.mark.parametrize(
+        "dim,pos,inside",
+        [
+            (2, [3.0, 0.4], True),
+            (2, [3.0, 0.6], False),
+            (2, [4.9, 0.0], True),
+            (2, [5.1, 0.0], False),
+            (3, [3.0, 1.9, 0.0], True),
+            (3, [3.0, 0.0, 0.6], False),
+            (3, [3.0, 0.0, 0.4], True),
+            (3, [4.5, 1.5, 0.0], False),
+        ],
+    )
+    def test_elliptical_obstacle_hand_values(self, dim, pos, inside):
+        scenario = empty_scenario(dim=dim)
+        far = [50.0] + [0.0] * (dim - 1)
+        scenario.obstacles = [
+            ScenarioObstacle(a=0.5, b=0.5, center=far, velocity=[0.0] * dim),
+            ScenarioObstacle(a=2.0, b=0.5, center=[1.0] + [0.0] * (dim - 1), velocity=[1.0] + [0.0] * (dim - 1)),
+        ]
+        assert _in_collision_now(scenario, np.asarray(pos), t_abs=2.0) is inside
+
+    def test_no_obstacles(self):
+        assert _in_collision_now(empty_scenario(), np.zeros(2), t_abs=0.0) is False
 
 
 class TestPredictObstacles:

@@ -1,44 +1,47 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajopt
+from trajopt import geometry
 from trajopt.geometry import (
     D_CAP,
     EllipsoidShape,
     angle2d,
     angles3d,
-    closed_form_d,
     closed_form_d_3d,
-    los_distance,
-    los_distance_2d,
+    los_scale,
     radial_clamp,
     scaled_sq_norm,
-    update_multiplier,
+    stalled,
 )
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 class TestLosDistance:
+    """scaled_sq_norm and the clamped line-of-sight scale los_scale built on it."""
+
     def test_axis_aligned_scaling(self):
-        sh = EllipsoidShape(a=0.7, b=2.0)
-        assert los_distance(np.array([1.4, 0.0, 0.0]), sh) == pytest.approx(2.0)
+        assert scaled_sq_norm(np.array([1.4, 0.0, 0.0]), 0.7, 2.0) == pytest.approx(4.0)
+        assert los_scale(np.array([1.4, 0.0, 0.0]), 0.7, 2.0) == pytest.approx(2.0)
 
     def test_interior_clamped_to_one(self):
-        sh = EllipsoidShape(a=1.0, b=2.0)
-        assert los_distance(np.array([0.0, 0.0, 1.0]), sh) == pytest.approx(1.0)
+        assert los_scale(np.array([0.0, 0.0, 1.0]), 1.0, 2.0) == pytest.approx(1.0)
 
     def test_polar_direction(self):
-        sh = EllipsoidShape(a=1.0, b=2.0)
-        assert los_distance(np.array([0.0, 0.0, 6.0]), sh) == pytest.approx(3.0)
+        assert los_scale(np.array([0.0, 0.0, 6.0]), 1.0, 2.0) == pytest.approx(3.0)
 
     @settings(max_examples=100, deadline=None)
     @given(dx=finite_floats, dy=finite_floats, dz=finite_floats)
     def test_one_iff_inside(self, dx, dy, dz):
-        sh = EllipsoidShape(a=1.5, b=0.75)
-        quad = dx**2 / sh.a**2 + dy**2 / sh.a**2 + dz**2 / sh.b**2
-        d = float(los_distance(np.array([dx, dy, dz]), sh))
+        delta = np.array([dx, dy, dz])
+        quad = scaled_sq_norm(delta, 1.5, 0.75)
+        d = float(los_scale(delta, 1.5, 0.75))
         assert d >= 1.0
         if quad <= 1.0:
             assert d == 1.0
@@ -46,9 +49,10 @@ class TestLosDistance:
             assert d > 1.0
 
     def test_planar_variant(self):
-        sh = EllipsoidShape(a=2.0, b=1.0)
-        assert los_distance_2d(4.0, 0.0, sh) == pytest.approx(2.0)
-        assert los_distance_2d(0.0, 0.5, sh) == pytest.approx(1.0)
+        assert los_scale(np.array([4.0, 0.0]), 2.0, 1.0) == pytest.approx(2.0)
+        assert los_scale(np.array([0.0, 0.5]), 2.0, 1.0) == pytest.approx(1.0)
+        # the planar ellipse scales y by b
+        assert scaled_sq_norm(np.array([0.0, 3.0]), 2.0, 1.5) == pytest.approx(4.0)
 
 
 class TestAngle2d:
@@ -69,14 +73,12 @@ class TestAngle2d:
 
 class TestAngles3d:
     def test_equatorial_point(self):
-        sh = EllipsoidShape(a=1.3, b=0.6)
-        alpha, beta = angles3d(np.array([1.3, 0.0, 0.0]), sh)
+        alpha, beta = angles3d(np.array([1.3, 0.0, 0.0]), 1.3, 0.6)
         assert alpha == pytest.approx(0.0)
         assert beta == pytest.approx(np.pi / 2)
 
     def test_polar_point(self):
-        sh = EllipsoidShape(a=1.3, b=0.6)
-        alpha, beta = angles3d(np.array([0.0, 0.0, 0.6]), sh)
+        alpha, beta = angles3d(np.array([0.0, 0.0, 0.6]), 1.3, 0.6)
         assert alpha == pytest.approx(0.0)  # degenerate-direction convention
         assert beta == pytest.approx(0.0)
 
@@ -86,10 +88,10 @@ class TestAngles3d:
         rng = np.random.default_rng(0)
         for _ in range(200):
             delta = rng.normal(scale=5.0, size=3)
-            d = los_distance(delta, sh)
+            d = los_scale(delta, sh.a, sh.b)
             if d <= 1.0 + 1e-9:
                 continue
-            alpha, beta = angles3d(delta, sh)
+            alpha, beta = angles3d(delta, sh.a, sh.b)
             rebuilt = np.array(
                 [
                     sh.a * d * np.cos(alpha) * np.sin(beta),
@@ -100,57 +102,56 @@ class TestAngles3d:
             np.testing.assert_allclose(rebuilt, delta, rtol=1e-9, atol=1e-12)
 
     def test_beta_range(self):
-        sh = EllipsoidShape(a=1.0, b=1.0)
         rng = np.random.default_rng(1)
         deltas = rng.normal(size=(500, 3))
-        _, beta = angles3d(deltas, sh)
+        _, beta = angles3d(deltas.T, 1.0, 1.0)
         assert np.all(beta >= 0.0) and np.all(beta <= np.pi)
 
 
 class TestClosedFormD:
+    """closed_form_d_3d, the clamped scale at fixed angles."""
+
     def test_on_axis_sphere(self):
-        sh = EllipsoidShape(a=1.0, b=1.0)
-        assert closed_form_d(2.0, 0.0, 0.0, sh, 1.0, np.inf) == pytest.approx(2.0)
+        assert closed_form_d_3d(2.0, 0.0, 0.0, 0.0, np.pi / 2, 1.0, 1.0, 1.0, np.inf) == pytest.approx(2.0)
 
     def test_clamped_at_lower_bound(self):
-        sh = EllipsoidShape(a=1.0, b=1.0)
-        assert closed_form_d(0.5, 0.0, 0.0, sh, 1.0, np.inf) == pytest.approx(1.0)
+        assert closed_form_d_3d(0.5, 0.0, 0.0, 0.0, np.pi / 2, 1.0, 1.0, 1.0, np.inf) == pytest.approx(1.0)
+
+    @staticmethod
+    def _cost(d, x, y, z, alpha, beta, a, b):
+        return (
+            (x - a * d * np.cos(alpha) * np.sin(beta)) ** 2
+            + (y - a * d * np.sin(alpha) * np.sin(beta)) ** 2
+            + (z - b * d * np.cos(beta)) ** 2
+        )
 
     def test_matches_grid_search_on_unit_interval(self):
-        sh = EllipsoidShape(a=0.9, b=1.8)
+        a, b = 0.9, 1.8
         rng = np.random.default_rng(2)
-
-        def cost(d, x, y, alpha):
-            return (x - sh.a * d * np.cos(alpha)) ** 2 + (y - sh.b * d * np.sin(alpha)) ** 2
-
         grid = np.linspace(0.0, 1.0, 2_000_001)
         for _ in range(20):
-            x, y = rng.normal(scale=2.0, size=2)
-            alpha = rng.uniform(-np.pi, np.pi)
-            d = float(closed_form_d(x, y, alpha, sh, 0.0, 1.0))
-            d_grid = grid[np.argmin(cost(grid, x, y, alpha))]
+            x, y, z = rng.normal(scale=2.0, size=3)
+            alpha, beta = rng.uniform(-np.pi, np.pi), rng.uniform(0.0, np.pi)
+            d = float(closed_form_d_3d(x, y, z, alpha, beta, a, b, 0.0, 1.0))
+            d_grid = grid[np.argmin(self._cost(grid, x, y, z, alpha, beta, a, b))]
             assert abs(d - d_grid) < 1e-6
 
     def test_optimality_against_random_candidates(self):
-        sh = EllipsoidShape(a=1.1, b=0.4)
+        a, b = 1.1, 0.4
         rng = np.random.default_rng(3)
-        x, y = 1.7, -2.3
-        alpha = 0.9
-
-        def cost(d):
-            return (x - sh.a * d * np.cos(alpha)) ** 2 + (y - sh.b * d * np.sin(alpha)) ** 2
-
-        d_star = float(closed_form_d(x, y, alpha, sh, 1.0, 50.0))
+        x, y, z, alpha, beta = 1.7, -2.3, 0.8, 0.9, 1.2
+        d_star = float(closed_form_d_3d(x, y, z, alpha, beta, a, b, 1.0, 50.0))
         candidates = rng.uniform(1.0, 50.0, size=1000)
-        assert cost(d_star) <= cost(candidates).min() + 1e-12
+        cost = self._cost(candidates, x, y, z, alpha, beta, a, b)
+        assert self._cost(d_star, x, y, z, alpha, beta, a, b) <= cost.min() + 1e-12
 
     def test_3d_variant_consistent_with_reconstruction(self):
         sh = EllipsoidShape(a=0.8, b=1.7)
         rng = np.random.default_rng(4)
         for _ in range(50):
             delta = rng.normal(scale=4.0, size=3)
-            alpha, beta = angles3d(delta, sh)
-            d_unclamped = closed_form_d_3d(delta[0], delta[1], delta[2], alpha, beta, sh, 0.0, np.inf)
+            alpha, beta = angles3d(delta, sh.a, sh.b)
+            d_unclamped = closed_form_d_3d(delta[0], delta[1], delta[2], alpha, beta, sh.a, sh.b, 0.0, np.inf)
             quad = np.sqrt(delta[0] ** 2 / sh.a**2 + delta[1] ** 2 / sh.a**2 + delta[2] ** 2 / sh.b**2)
             assert d_unclamped == pytest.approx(quad, rel=1e-9, abs=1e-12)
 
@@ -159,11 +160,14 @@ def _trig_residual(delta, shape, lower, upper):
     """delta - target through the angles and the closed-form scale."""
     if delta.shape[-1] == 2:
         alpha = angle2d(delta[..., 0] / shape.a, delta[..., 1] / shape.b)
-        d = closed_form_d(delta[..., 0], delta[..., 1], alpha, shape, lower, upper)
-        target = np.stack([shape.a * d * np.cos(alpha), shape.b * d * np.sin(alpha)], axis=-1)
+        # clamped minimizer of |x - a d cos(alpha)|^2 + |y - b d sin(alpha)|^2
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        num = shape.a * delta[..., 0] * ca + shape.b * delta[..., 1] * sa
+        d = np.clip(num / (shape.a**2 * ca**2 + shape.b**2 * sa**2), lower, upper)
+        target = np.stack([shape.a * d * ca, shape.b * d * sa], axis=-1)
     else:
-        alpha, beta = angles3d(delta, shape)
-        d = closed_form_d_3d(delta[..., 0], delta[..., 1], delta[..., 2], alpha, beta, shape, lower, upper)
+        alpha, beta = angles3d(np.moveaxis(delta, -1, 0), shape.a, shape.b)
+        d = closed_form_d_3d(delta[..., 0], delta[..., 1], delta[..., 2], alpha, beta, shape.a, shape.b, lower, upper)
         target = np.stack(
             [
                 shape.a * d * np.cos(alpha) * np.sin(beta),
@@ -219,23 +223,6 @@ class TestRadialClamp:
             np.testing.assert_allclose(np.stack([g[:, o] for g in got], axis=-1), ref, rtol=1e-12, atol=1e-12)
 
 
-class TestUpdateMultiplier:
-    def test_zero_residual_unchanged(self):
-        lam = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(update_multiplier(lam, np.zeros(2), 10.0), lam)
-
-    def test_scalar_case(self):
-        assert update_multiplier(np.array(0.0), np.array(0.5), 1.0) == pytest.approx(0.5)
-
-    def test_vector_hand_case(self):
-        out = update_multiplier(np.array([1.0, -1.0]), np.array([0.1, 0.2]), 2.0)
-        np.testing.assert_allclose(out, [1.2, -0.6])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            update_multiplier(np.zeros(2), np.zeros(3), 1.0)
-
-
 class TestShapeValidation:
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_invalid_semi_axes(self, a, b):
@@ -243,18 +230,32 @@ class TestShapeValidation:
             EllipsoidShape(a=a, b=b)
 
 
-class TestStateContainers:
-    def test_polar_vars_planar_has_no_beta(self):
-        from trajopt.geometry import PolarVars
+class TestStalled:
+    # window 2, improvement 0.1 (10 %), floor 0.5
+    @pytest.mark.parametrize(
+        "history,since_change,floor,expected",
+        [
+            ([4.0, 4.0, 4.0], 10, 0.5, False),  # too little history: fewer than 2 windows
+            ([4.0, 4.0, 4.0, 4.0], 1, 0.5, False),  # inside the window after the last change
+            ([4.0, 4.0, 4.0, 4.0], 2, 0.5, True),  # a full window after the change, flat history
+            ([0.5, 0.5, 0.5, 0.5], 10, 0.5, False),  # previous mean at the floor
+            ([0.4, 0.4, 0.4, 0.4], 10, 0.5, False),  # previous mean below the floor
+            ([0.4, 0.4, 0.4, 0.4], 10, 0.0, True),  # the same history above a zero floor
+            ([5.0, 5.0, 4.45, 4.45], 10, 0.5, False),  # improved 11 %: just above the threshold
+            ([5.0, 5.0, 4.55, 4.55], 10, 0.5, True),  # improved 9 %: just below the threshold
+            ([9.0, 5.0, 5.0, 4.55, 4.55], 10, 0.5, True),  # only the last two windows count
+        ],
+    )
+    def test_table(self, history, since_change, floor, expected):
+        assert stalled(history, since_change, 2, 0.1, floor) is expected
 
-        pv = PolarVars(d=np.ones(4), alpha=np.zeros(4))
-        assert pv.beta is None
 
-    def test_multiplier_block_requires_positive_weights(self):
-        from trajopt.geometry import MultiplierBlock
-
-        MultiplierBlock(lam={"x": np.zeros(3)}, rho=1.0, rho_o=2.0)
-        with pytest.raises(ValueError):
-            MultiplierBlock(lam={}, rho=0.0, rho_o=1.0)
-        with pytest.raises(ValueError):
-            MultiplierBlock(lam={}, rho=1.0, rho_o=-1.0)
+def test_public_names_are_used_by_the_package():
+    # geometry exports only the kernel: every public name has a caller in
+    # the package outside geometry.py itself
+    root = Path(trajopt.__file__).parent
+    sources = "\n".join(p.read_text() for p in root.rglob("*.py") if p.name != "geometry.py" or p.parent != root)
+    unused = [name for name in geometry.__all__ if not re.search(rf"\b{name}\b", sources)]
+    assert unused == []
+    public = {n for n, v in vars(geometry).items() if not n.startswith("_") and getattr(v, "__module__", None) == geometry.__name__}
+    assert public <= set(geometry.__all__)

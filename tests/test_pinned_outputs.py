@@ -1,0 +1,112 @@
+"""Solver outputs pinned to values recorded before the shared polar kernel.
+
+Every solver was routed through trajopt.geometry (one polar kernel, one stall
+rule) without meaning to change what it computes.  These runs hold it to
+that: coefficient norms, a few trajectory samples and residuals to 1e-9, and
+iteration counts and flags exactly.  The multi-agent square-antipodal solve
+amplifies a rounding-level change to about 1e-3 within 30 iterations (the
+agents cross at the centre), so passing there means bit-for-bit the same.
+"""
+
+import numpy as np
+import pytest
+
+from trajopt import solver_batch, solver_multiagent, solver_single
+from trajopt.basis import build_basis
+from trajopt.bench import gen_scenario, runner
+
+ATOL = 1e-9
+SAMPLES = [10, 50, 90]
+
+
+def _basis(scenario):
+    h = scenario.horizon
+    return build_basis(h.t0, h.tf, h.n_p, degree=10)
+
+
+@pytest.mark.parametrize(
+    "kind,params,pinned",
+    [
+        (
+            "corridor",
+            None,
+            dict(
+                xi_norm=31.88233820699229,
+                pos=[
+                    [0.5628544593244525, 0.3065213981171878],
+                    [6.075200819624303, -0.20061006979837834],
+                    [11.552524150382313, 0.2539966921364376],
+                ],
+                residual_max=0.003913395589257684,
+                iterations=300,
+                converged=False,
+                n_factorizations=1,
+            ),
+        ),
+        (
+            "random-static",
+            {"dim": 3},
+            dict(
+                xi_norm=27.845704631230348,
+                pos=[
+                    [0.5397878660123708, 0.15069913761541157, 0.041533344699256944],
+                    [6.000075116540317, 0.328309735085171, -0.15966135497424333],
+                    [11.473070545343388, 0.027550593450476904, -0.04583799889779151],
+                ],
+                residual_max=0.000989866220778679,
+                iterations=261,
+                converged=True,
+                n_factorizations=2,
+            ),
+        ),
+    ],
+)
+def test_single(kind, params, pinned):
+    scenario = gen_scenario(kind, params, seed=0)
+    sol = solver_single.solve_single(runner.single_problem_from_scenario(scenario, _basis(scenario)))
+    assert np.linalg.norm(sol.state.xi) == pytest.approx(pinned["xi_norm"], abs=ATOL)
+    np.testing.assert_allclose(sol.trajectory.pos[SAMPLES], pinned["pos"], rtol=0, atol=ATOL)
+    assert sol.residual_max == pytest.approx(pinned["residual_max"], abs=ATOL)
+    assert (sol.iterations, sol.converged, sol.n_factorizations) == (
+        pinned["iterations"],
+        pinned["converged"],
+        pinned["n_factorizations"],
+    )
+
+
+def test_batch_dynamic_flow():
+    scenario = gen_scenario("dynamic-flow", seed=0)
+    problem = runner.batch_problem_from_scenario(scenario, _basis(scenario))
+    ranked = solver_batch.solve_batch_opt(problem, solver_batch.BatchParams(max_iter=20), seed=0)
+    assert np.linalg.norm(ranked.state.xi) == pytest.approx(265.3456452692076, abs=ATOL)
+    np.testing.assert_allclose(
+        ranked.trajectories[0].pos[SAMPLES],
+        [
+            [0.5124128460303032, -0.02765895048023883],
+            [6.125288864631013, -0.004120877261746165],
+            [11.60844701557522, 0.07583845836815252],
+        ],
+        rtol=0,
+        atol=ATOL,
+    )
+    assert ranked.residual_max.sum() == pytest.approx(24.804641293551576, abs=ATOL)
+    assert (ranked.iterations, int(ranked.feasible.sum()), ranked.best_index, ranked.n_factorizations) == (20, 0, None, 6)
+
+
+def test_joint_square_antipodal():
+    scenario = gen_scenario("square-antipodal", {"n_agents": 4}, seed=0)
+    sol = solver_multiagent.solve_joint(runner.multiagent_problem_from_scenario(scenario, _basis(scenario)))
+    assert np.linalg.norm(sol.state.xi) == pytest.approx(31.843106494437926, abs=ATOL)
+    np.testing.assert_allclose(
+        sol.trajectories[0].pos[SAMPLES],
+        [
+            [-2.9458990877957305, -2.9660544504760966, 1.0186422300948965],
+            [-0.21778522967401326, 0.38263546736672693, 1.3129404656300458],
+            [2.9430123401710993, 2.987787661766911, 1.0150824223612298],
+        ],
+        rtol=0,
+        atol=ATOL,
+    )
+    assert sol.residual_norm == pytest.approx(0.009033189928682806, abs=ATOL)
+    assert sol.min_pair_distance == pytest.approx(0.8796532067893332, abs=ATOL)
+    assert (sol.iterations, sol.converged) == (94, True)

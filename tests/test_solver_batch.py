@@ -359,3 +359,17 @@ class TestSolveBatchOpt:
         ranked = solve_batch_opt(prob, BatchParams(max_iter=40), seed=2)
         distinct_rho = len({h["rho"] for h in ranked.best_history})
         assert ranked.n_factorizations == 2 * distinct_rho  # one xi factor + one psi factor per value
+
+    def test_elliptical_obstacle_far_from_the_path_converges(self):
+        # (a, b) = (0.5, 2.0) at (5, -6): every sample of the straight line
+        # y = 0 has scaled distance >= 3, so the collision rows are slack and
+        # the straight line is the answer.  The angles must be those of the
+        # scaled offset (dx / a, dy / b); with the unscaled arctan2(dy, dx)
+        # the collision targets never match the positions.
+        prob = make_problem(obstacles=[_static_obstacle([5.0, -6.0], 0.5, 2.0)], n_batch=1, offsets=(0.0,))
+        from trajopt.basis import straight_line_coeffs
+
+        samples = straight_line_coeffs(prob.basis, [0.0, 0.0], [10.0, 0.0]).ravel()[None, :]
+        ranked = solve_batch_opt(prob, BatchParams(max_iter=100), samples=samples)
+        assert ranked.residual_max[0] < 1e-9
+        assert ranked.feasible[0] and ranked.best_index == 0

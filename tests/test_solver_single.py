@@ -3,7 +3,7 @@ import pytest
 
 from trajopt import qpcore
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
-from trajopt.geometry import EllipsoidShape, ObstacleTrack, angles3d, los_distance
+from trajopt.geometry import EllipsoidShape, ObstacleTrack, angles3d
 from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
@@ -11,6 +11,7 @@ from trajopt.solver_single import (
     _alpha_extract,
     _beta_copy_step,
     _cost_blocks,
+    _d_step,
     _position_step,
     am_iteration,
     augmented_lagrangian,
@@ -67,6 +68,25 @@ def boundary_qp_oracle(problem):
     return np.stack(xis)
 
 
+class TestDStep:
+    # robot parked at the origin; each obstacle centre puts the offset on a
+    # hand-checked point of an a != b ellipse (2-D) or spheroid (3-D)
+    CASES = {
+        2: ((2.0, 1.0), [[4.0, 0.0], [0.0, 0.5], [0.0, -3.0], [3.0, 2.0]], [2.0, 1.0, 3.0, 2.5]),
+        3: ((0.7, 2.0), [[1.4, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -6.0], [1.05, 0.0, 4.0]], [2.0, 1.0, 3.0, 2.5]),
+    }
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hand_values_on_elliptical_obstacles(self, dim):
+        (a, b), offsets, expected = self.CASES[dim]
+        obstacles = [_static_obstacle(-np.asarray(o), EllipsoidShape(a, b), 50) for o in offsets]
+        prob = make_problem_2d(n_p=50, obstacles=obstacles) if dim == 2 else make_problem_3d(obstacles=obstacles)
+        state = init_state(prob)
+        state.xi = np.zeros_like(state.xi)
+        _d_step(state, prob)
+        np.testing.assert_allclose(state.d, np.repeat(np.asarray(expected)[:, None], 50, axis=1), rtol=1e-12)
+
+
 class TestInitState:
     def test_multipliers_start_at_zero(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
@@ -109,11 +129,11 @@ class TestAmIteration:
         state.xi = boundary_qp_oracle(prob)
         positions = prob.basis.P @ state.xi.T
         deltas = positions[None, :, :] - obstacle.centers[None, :, :]
-        alpha, beta = angles3d(deltas[0], obstacle.shape)
+        alpha, beta = angles3d(np.moveaxis(deltas[0], -1, 0), obstacle.shape.a, obstacle.shape.b)
         state.alpha, state.beta = alpha[None, :], beta[None, :]
         state.cos_a, state.sin_a = np.cos(state.alpha), np.sin(state.alpha)
         state.cos_b, state.sin_b = np.cos(state.beta), np.sin(state.beta)
-        state.d = los_distance(deltas, obstacle.shape)
+        _d_step(state, prob)
 
         res0 = residual_report(state, prob)
         for fam in res0.values():

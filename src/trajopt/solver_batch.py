@@ -4,13 +4,28 @@ Hundreds of Gaussian initializations are refined simultaneously.  Per member
 the decision vector is xi = (xi_x, xi_c, xi_y, xi_s) where xi_c/xi_s
 parameterize copies of cos(psi)/sin(psi), plus a separate heading block
 xi_psi.  Velocity/acceleration norm bounds and per-circle collision
-constraints are rewritten as one stacked equality F xi = g(alpha, d, psi)
-whose matrix F never changes, so the xi-step KKT matrix Q + rho F'F is
-factorized once per rho value and applied to the whole batch in one shot.
+constraints are polar equalities F xi = g; per axis (x with the cos copy)
+the rows are Pdot xi_x = t_v, Pddot xi_x = t_a, P xi_x + r_c P xi_c =
+centre_o + t_coll for every circle c and obstacle o, and P xi_c = cos(psi).
 
-The heading block is fit to arctan2(sin-copy, cos-copy) targets (a convex
-surrogate), the angle blocks have arctan2 closed forms, and the scale blocks
-reduce to clamped single-variable quadratics.
+polar_step sets every target by the radial clamp (geometry.radial_clamp) of
+its offset, with no angles; collision targets are kept relative to the
+obstacle centre, so a warm start follows a moved obstacle.  F and g are
+never built: per axis, g @ F is one product per family,
+
+    x columns:     (sum_c sum_o (centre_o + t_coll)) @ P + t_v @ Pdot + t_a @ Pddot
+    copy columns:  (sum_c r_c sum_o (centre_o + t_coll) + cos psi) @ P
+
+and F'F is one closed-form (2m, 2m) block per axis,
+
+    [[Pdot'Pdot + Pddot'Pddot + n_c n_o P'P,  (sum r) n_o P'P          ],
+     [(sum r) n_o P'P,                         ((sum r^2) n_o + 1) P'P ]]
+
+So the xi-step KKT matrix Q + rho F'F is factorized once per rho value and
+applied to the whole batch in one shot, the multiplier step uses
+residual @ F = xi @ F'F - g @ F, and residuals are taken family by family in
+sample space.  The heading block is fit to arctan2(sin-copy, cos-copy)
+targets (a convex surrogate).
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleTrack, angle2d, los_scale, scaled_sq_norm, stalled
+from .geometry import D_CAP, ObstacleTrack, radial_clamp, scaled_sq_norm, stalled
 
 
 @dataclass(frozen=True)
@@ -33,6 +48,8 @@ class FootprintSpec:
     def __post_init__(self):
         if len(self.offsets) < 1:
             raise ValueError("footprint needs at least one circle")
+        if not np.all(np.isfinite(np.asarray(self.offsets, dtype=float))):
+            raise ValueError("footprint offsets must be finite")
 
     @property
     def n_c(self) -> int:
@@ -55,12 +72,21 @@ class BatchProblem:
 
     def __post_init__(self):
         self.desired = np.asarray(self.desired, dtype=float)
-        if self.v_max <= 0 or self.a_max <= 0:
-            raise ValueError("v_max and a_max must be positive")
+        n_p = self.basis.n_p
+        for name, limit in (("v_max", self.v_max), ("a_max", self.a_max)):
+            if not (np.isfinite(limit) and limit > 0):
+                raise ValueError(f"{name} must be positive and finite, got {limit}")
         if self.n_batch < 1:
             raise ValueError("batch size must be at least 1")
-        if self.desired.shape != (self.basis.n_p, 2):
-            raise ValueError("desired trajectory must be (n_p, 2)")
+        if self.desired.shape != (n_p, 2) or not np.all(np.isfinite(self.desired)):
+            raise ValueError("desired trajectory must be finite and (n_p, 2)")
+        values = np.concatenate([bc.values() for bc in self.boundary] + [np.asarray(self.psi_boundary, dtype=float)])
+        if values.shape != (2 * 6 + 2,) or not np.all(np.isfinite(values)):  # two axes of six, the heading pair
+            raise ValueError("need two finite axis boundaries and a finite psi_boundary pair")
+        for i, o in enumerate(self.obstacles):
+            centers = np.asarray(o.centers, dtype=float)
+            if centers.shape != (n_p, 2) or not np.all(np.isfinite(centers)):
+                raise ValueError(f"obstacle {i} centres must be finite and {(n_p, 2)}, got shape {centers.shape}")
 
     @property
     def n_o(self) -> int:
@@ -86,12 +112,10 @@ class BatchState:
     xi: np.ndarray  # (N_b, 4m): [xi_x | xi_c | xi_y | xi_s]
     xi_psi: np.ndarray  # (N_b, m)
     psi: np.ndarray  # (N_b, n_p) samples of the current heading fit
-    alpha_coll: np.ndarray  # (N_b, n_c, n_o, n_p)
-    alpha_v: np.ndarray  # (N_b, n_p)
-    alpha_a: np.ndarray
-    d_coll: np.ndarray
-    d_v: np.ndarray
-    d_a: np.ndarray
+    # polar targets per axis; collision targets relative to the obstacle centre
+    t_coll: np.ndarray  # (2, N_b, n_c, n_o, n_p)
+    t_v: np.ndarray  # (2, N_b, n_p)
+    t_a: np.ndarray  # (2, N_b, n_p)
     lam: np.ndarray  # (N_b, 4m)
     lam_psi: np.ndarray  # (N_b, m)
     rho: float
@@ -100,10 +124,9 @@ class BatchState:
     n_factorizations: int = 0
     _factor_xi: qpcore.KKTFactor | None = field(default=None, repr=False)
     _factor_psi: qpcore.KKTFactor | None = field(default=None, repr=False)
-    _factor_rho: float | None = field(default=None, repr=False)
+    # the (Q, A) pairs the two factors were built from
+    _factor_key: tuple | None = field(default=None, repr=False)
     _psi_targets: np.ndarray | None = field(default=None, repr=False)
-    # residual F xi - g of the last iteration, (N_b, rows)
-    residual: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -141,42 +164,26 @@ def sample_initializations(mean: np.ndarray, covariance: np.ndarray, n_batch: in
 
 
 class _Structure:
-    """Constant matrices of one BatchProblem (F, boundary rows, cost blocks)."""
+    """Constant matrices of one BatchProblem (F'F, boundary rows, cost blocks)."""
 
     def __init__(self, problem: BatchProblem):
         basis = problem.basis
-        m = basis.n_var
-        n_p = basis.n_p
+        m, n_p, n_o = basis.n_var, basis.n_p, problem.n_o
         self.m = m
         P, Pdot, Pddot = basis.P, basis.Pdot, basis.Pddot
-        zeros = np.zeros((n_p, m))
+        self.PtP = PtP = P.T @ P
+        self.r = r = np.asarray(problem.footprint.offsets, dtype=float)
 
-        half_rows = [np.hstack([Pdot, zeros]), np.hstack([Pddot, zeros])]
-        for r_c in problem.footprint.offsets:
-            for _ in range(problem.n_o):
-                half_rows.append(np.hstack([P, r_c * P]))
-        half_rows.append(np.hstack([zeros, P]))
-        F_half = np.vstack(half_rows)
-        self.F = np.block(
-            [
-                [F_half, np.zeros((F_half.shape[0], 2 * m))],
-                [np.zeros((F_half.shape[0], 2 * m)), F_half],
-            ]
-        )
-        self.FtF = self.F.T @ self.F
+        coupling = r.sum() * n_o * PtP
+        pos_block = Pdot.T @ Pdot + Pddot.T @ Pddot + r.size * n_o * PtP
+        self.FtF = np.kron(np.eye(2), np.block([[pos_block, coupling], [coupling, (r @ r * n_o + 1.0) * PtP]]))
 
-        cost_xx = problem.w_smooth * Pddot.T @ Pddot + problem.w_track * P.T @ P
+        cost_xx = problem.w_smooth * Pddot.T @ Pddot + problem.w_track * PtP
         self.Q = np.zeros((4 * m, 4 * m))
         self.Q[:m, :m] = cost_xx
         self.Q[2 * m : 3 * m, 2 * m : 3 * m] = cost_xx
-        self.q = np.concatenate(
-            [
-                -problem.w_track * P.T @ problem.desired[:, 0],
-                np.zeros(m),
-                -problem.w_track * P.T @ problem.desired[:, 1],
-                np.zeros(m),
-            ]
-        )
+        track = [-problem.w_track * P.T @ problem.desired[:, k] for k in range(2)]
+        self.q = np.concatenate([track[0], np.zeros(m), track[1], np.zeros(m)])
 
         B = boundary_matrix(basis)
         self.A = np.zeros((12, 4 * m))
@@ -188,11 +195,10 @@ class _Structure:
         self.b_psi = np.asarray(problem.psi_boundary, dtype=float)
         self.Q_psi_smooth = Pddot.T @ Pddot
 
-        self.obs_x = np.stack([o.centers[:, 0] for o in problem.obstacles]) if problem.n_o else np.zeros((0, n_p))
-        self.obs_y = np.stack([o.centers[:, 1] for o in problem.obstacles]) if problem.n_o else np.zeros((0, n_p))
+        centres = [np.asarray(o.centers, dtype=float).T for o in problem.obstacles]
+        self.obs = np.stack(centres, axis=1) if n_o else np.zeros((2, 0, n_p))  # (2, n_o, n_p)
         self.obs_a = np.array([o.shape.a for o in problem.obstacles])
         self.obs_b = np.array([o.shape.b for o in problem.obstacles])
-        self.r = np.asarray(problem.footprint.offsets, dtype=float)
 
 
 def _footprint_deltas(problem, struct, x, y, psi):
@@ -201,32 +207,9 @@ def _footprint_deltas(problem, struct, x, y, psi):
     r = struct.r[None, :, None, None]
     cx = x[:, None, None, :] + r * cos_psi[:, None, None, :]
     cy = y[:, None, None, :] + r * sin_psi[:, None, None, :]
-    dx = cx - struct.obs_x[None, None, :, :]
-    dy = cy - struct.obs_y[None, None, :, :]
+    dx = cx - struct.obs[0][None, None, :, :]
+    dy = cy - struct.obs[1][None, None, :, :]
     return dx, dy
-
-
-def _build_g(problem, struct, state):
-    """Stacked targets matching the F row layout, shape (N_b, rows)."""
-    n_b = state.xi.shape[0]
-    parts_x = [
-        problem.v_max * state.d_v * np.cos(state.alpha_v),
-        problem.a_max * state.d_a * np.cos(state.alpha_a),
-    ]
-    parts_y = [
-        problem.v_max * state.d_v * np.sin(state.alpha_v),
-        problem.a_max * state.d_a * np.sin(state.alpha_a),
-    ]
-    if problem.n_o:
-        a = struct.obs_a[None, None, :, None]
-        b = struct.obs_b[None, None, :, None]
-        coll_x = struct.obs_x[None, None, :, :] + a * state.d_coll * np.cos(state.alpha_coll)
-        coll_y = struct.obs_y[None, None, :, :] + b * state.d_coll * np.sin(state.alpha_coll)
-        parts_x.append(coll_x.reshape(n_b, -1))
-        parts_y.append(coll_y.reshape(n_b, -1))
-    parts_x.append(np.cos(state.psi))
-    parts_y.append(np.sin(state.psi))
-    return np.hstack(parts_x + parts_y)
 
 
 def _split(xi, m):
@@ -236,9 +219,9 @@ def _split(xi, m):
 def init_state(problem: BatchProblem, samples: np.ndarray, params: BatchParams | None = None) -> BatchState:
     """State from position-coefficient samples (N_b, 2m): [xi_x | xi_y].
 
-    The heading is seeded from the desired-path direction; copies, angles and
-    scales are made consistent with the sampled geometry; multipliers start
-    at zero.
+    The heading is seeded from the desired-path direction; copies and polar
+    targets are made consistent with the sampled geometry; multipliers
+    start at zero.
     """
     params = params or BatchParams()
     struct = _Structure(problem)
@@ -256,47 +239,55 @@ def init_state(problem: BatchProblem, samples: np.ndarray, params: BatchParams |
 
     xi_c_one, *_ = np.linalg.lstsq(basis.P, np.cos(psi_des), rcond=None)
     xi_s_one, *_ = np.linalg.lstsq(basis.P, np.sin(psi_des), rcond=None)
-    xi = np.hstack(
-        [samples[:, :m], np.tile(xi_c_one, (n_b, 1)), samples[:, m:], np.tile(xi_s_one, (n_b, 1))]
-    )
+    xi = np.hstack([samples[:, :m], np.tile(xi_c_one, (n_b, 1)), samples[:, m:], np.tile(xi_s_one, (n_b, 1))])
 
-    state = BatchState(
-        xi=xi,
-        xi_psi=xi_psi,
-        psi=psi,
-        alpha_coll=np.zeros((n_b, problem.footprint.n_c, problem.n_o, basis.n_p)),
-        alpha_v=np.zeros((n_b, basis.n_p)),
-        alpha_a=np.zeros((n_b, basis.n_p)),
-        d_coll=np.ones((n_b, problem.footprint.n_c, problem.n_o, basis.n_p)),
-        d_v=np.ones((n_b, basis.n_p)),
-        d_a=np.ones((n_b, basis.n_p)),
-        lam=np.zeros((n_b, 4 * m)),
-        lam_psi=np.zeros((n_b, m)),
-        rho=params.rho_start,
-        rho_psi=params.rho_start,
-    )
-    alpha_step(state, problem, struct)
-    d_step(state, problem, struct)
+    # the polar targets are set by polar_step below
+    state = BatchState(xi, xi_psi, psi, None, None, None, lam=np.zeros((n_b, 4 * m)), lam_psi=np.zeros((n_b, m)),
+                       rho=params.rho_start, rho_psi=params.rho_start)
+    polar_step(state, problem, struct)
     return state
 
 
+def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
+    """Reject a warm state whose arrays do not fit this problem."""
+    n_b, m, n_p, n_c = state.xi.shape[0], struct.m, problem.basis.n_p, problem.footprint.n_c
+    shapes = {"xi": (n_b, 4 * m), "t_coll": (2, n_b, n_c, problem.n_o, n_p), "t_v": (2, n_b, n_p), "t_a": (2, n_b, n_p)}
+    for name, shape in shapes.items():
+        got = np.shape(getattr(state, name))
+        if got != shape:
+            raise ValueError(f"warm state {name} has shape {got}, expected {shape} for this problem")
+
+
 def _ensure_factors(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
-    if state._factor_xi is not None and state._factor_rho == state.rho:
-        return
+    """Factor both saddle matrices unless the cached factors were built from the same ones."""
     Q_bar = struct.Q + state.rho * struct.FtF
+    Q_psi = struct.Q_psi_smooth + state.rho_psi * struct.PtP
+    key = (Q_bar, struct.A, Q_psi, struct.A_psi)
+    if state._factor_key is not None and all(np.array_equal(new, old) for new, old in zip(key, state._factor_key)):
+        return
     state._factor_xi = qpcore.factorize(Q_bar, struct.A)
-    Q_psi = struct.Q_psi_smooth + state.rho_psi * problem.basis.P.T @ problem.basis.P
     state._factor_psi = qpcore.factorize(Q_psi, struct.A_psi)
-    state._factor_rho = state.rho
+    state._factor_key = key
     state.n_factorizations += 2
+
+
+def _target_products(state: BatchState, problem: BatchProblem, struct: _Structure) -> np.ndarray:
+    """g @ F, (N_b, 4m), as one product per constraint family and axis."""
+    basis = problem.basis
+    copies = (np.cos(state.psi), np.sin(state.psi))
+    out = []
+    for k in range(2):
+        coll = (struct.obs[k] + state.t_coll[k]).sum(axis=2)  # (N_b, n_c, n_p), summed over obstacles
+        out.append(coll.sum(axis=1) @ basis.P + state.t_v[k] @ basis.Pdot + state.t_a[k] @ basis.Pddot)
+        out.append((np.tensordot(struct.r, coll, axes=(0, 1)) + copies[k]) @ basis.P)
+    return np.hstack(out)
 
 
 def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
     """Shared-factor QP update of every member's stacked coefficients."""
     struct = struct or _Structure(problem)
     _ensure_factors(state, problem, struct)
-    g = _build_g(problem, struct, state)
-    q_lin = struct.q[None, :] - state.lam - state.rho * (g @ struct.F)
+    q_lin = struct.q[None, :] - state.lam - state.rho * _target_products(state, problem, struct)
     bs = np.tile(struct.b, (state.xi.shape[0], 1))
     state.xi, _ = qpcore.solve_batch(state._factor_xi, qpcore.BatchRHS(qs=q_lin, bs=bs))
 
@@ -317,45 +308,51 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure | 
     state._psi_targets = targets
 
 
-def alpha_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
-    """Polar angles of every collision offset (scaled by the ellipse) and of velocity and acceleration."""
+def _targets(deltas, a, b, lower, upper):
+    """Per-axis polar targets, stacked: each offset minus its radial-clamp residual."""
+    return np.stack([d - res for d, res in zip(deltas, radial_clamp(deltas, a, b, lower, upper))])
+
+
+def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
+    """Closed-form polar targets of every collision, velocity and acceleration offset."""
     struct = struct or _Structure(problem)
     basis, m = problem.basis, struct.m
     xi_x, _, xi_y, _ = _split(state.xi, m)
-    if problem.n_o:
-        dx, dy = _footprint_deltas(problem, struct, xi_x @ basis.P.T, xi_y @ basis.P.T, state.psi)
-        state.alpha_coll = angle2d(dx / struct.obs_a[:, None], dy / struct.obs_b[:, None])
-    state.alpha_v = angle2d(xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
-    state.alpha_a = angle2d(xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T)
-
-
-def d_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
-    """Closed-form scales; with the angles of alpha_step each is the clamped scaled norm."""
-    struct = struct or _Structure(problem)
-    basis, m = problem.basis, struct.m
-    xi_x, _, xi_y, _ = _split(state.xi, m)
-    if problem.n_o:
-        dx, dy = _footprint_deltas(problem, struct, xi_x @ basis.P.T, xi_y @ basis.P.T, state.psi)
-        state.d_coll = los_scale((dx, dy), struct.obs_a[:, None], struct.obs_b[:, None])
+    deltas = _footprint_deltas(problem, struct, xi_x @ basis.P.T, xi_y @ basis.P.T, state.psi)
+    state.t_coll = _targets(deltas, struct.obs_a[:, None], struct.obs_b[:, None], 1.0, D_CAP)
     vel = (xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
-    state.d_v = los_scale(vel, problem.v_max, problem.v_max, 0.0, 1.0)
+    state.t_v = _targets(vel, problem.v_max, problem.v_max, 0.0, 1.0)
     acc = (xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T)
-    state.d_a = los_scale(acc, problem.a_max, problem.a_max, 0.0, 1.0)
+    state.t_a = _targets(acc, problem.a_max, problem.a_max, 0.0, 1.0)
 
 
-def _residual_matrix(state, problem, struct):
-    g = _build_g(problem, struct, state)
-    return state.xi @ struct.F.T - g
+def _residual_stats(state: BatchState, problem: BatchProblem, struct: _Structure):
+    """Per-member max |F xi - g| and its norm, taken family by family in sample space."""
+    basis, n_b = problem.basis, state.xi.shape[0]
+    xi_x, xi_c, xi_y, xi_s = _split(state.xi, struct.m)
+    res_max, sq = np.zeros(n_b), np.zeros(n_b)
+    for k, (xi_p, xi_q, trig) in enumerate(((xi_x, xi_c, np.cos(state.psi)), (xi_y, xi_s, np.sin(state.psi)))):
+        pos, q = xi_p @ basis.P.T, xi_q @ basis.P.T
+        circles = pos[:, None, None, :] + struct.r[None, :, None, None] * q[:, None, None, :]
+        for res in (
+            xi_p @ basis.Pdot.T - state.t_v[k],
+            xi_p @ basis.Pddot.T - state.t_a[k],
+            circles - struct.obs[k] - state.t_coll[k],
+            q - trig,
+        ):
+            flat = res.reshape(n_b, -1)
+            res_max = np.maximum(res_max, np.abs(flat).max(axis=1, initial=0.0))
+            sq += np.einsum("ij,ij->i", flat, flat)
+    return res_max, np.sqrt(sq)
 
 
 def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> BatchState:
     struct = struct or _Structure(problem)
     batch_xi_step(state, problem, struct)
     heading_step(state, problem, struct)
-    alpha_step(state, problem, struct)
-    d_step(state, problem, struct)
-    res = state.residual = _residual_matrix(state, problem, struct)
-    state.lam = state.lam - state.rho * (res @ struct.F)
+    polar_step(state, problem, struct)
+    # residual @ F = xi @ F'F - g @ F
+    state.lam = state.lam - state.rho * (state.xi @ struct.FtF - _target_products(state, problem, struct))
     psi_res = state.psi - state._psi_targets
     state.lam_psi = state.lam_psi - state.rho_psi * (psi_res @ problem.basis.P)
     state.iteration += 1
@@ -404,7 +401,9 @@ def solve_batch_opt(
 
     Members are initialized from explicit coefficient samples, or drawn from
     N(mean, covariance) (defaults: straight-line mean, diagonal covariance
-    scaled to the start-goal distance).  Passing state warm-starts.
+    scaled to the start-goal distance).  Passing state warm-starts; its
+    shapes must fit the problem, and its cached factors are reused only
+    while the saddle matrices they factor are unchanged.
     """
     params = params or BatchParams()
     struct = _Structure(problem)
@@ -421,30 +420,29 @@ def solve_batch_opt(
                 covariance = np.eye(2 * m) * scale**2
             samples = sample_initializations(mean, covariance, problem.n_batch, seed)
         state = init_state(problem, samples, params)
+    else:
+        _check_state(state, problem, struct)
 
     best_history = []
     last_change = 0
     maxabs_hist: list[float] = []
+    residual_max = residual_norm = None
     for _ in range(params.max_iter):
         batch_iteration(state, problem, struct)
-        res = state.residual
-        per_member_max = np.max(np.abs(res), axis=1)
-        per_member_norm = np.linalg.norm(res, axis=1)
-        best_idx = int(np.argmin(per_member_norm))
+        residual_max, residual_norm = _residual_stats(state, problem, struct)
+        best_idx = int(np.argmin(residual_norm))
         best_history.append(
-            {"norm": float(per_member_norm[best_idx]), "max_abs": float(per_member_max[best_idx]), "rho": state.rho}
+            {"norm": float(residual_norm[best_idx]), "max_abs": float(residual_max[best_idx]), "rho": state.rho}
         )
-        maxabs_hist.append(float(per_member_max.min()))
+        maxabs_hist.append(float(residual_max.min()))
         since_change = state.iteration - last_change
         if stalled(maxabs_hist, since_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
             state.rho = min(state.rho * params.rho_growth, params.rho_cap)
             state.rho_psi = min(state.rho_psi * params.rho_growth, params.rho_cap)
             last_change = state.iteration
 
-    if not best_history:
-        res = _residual_matrix(state, problem, struct)
-    residual_max = np.max(np.abs(res), axis=1)
-    residual_norm = np.linalg.norm(res, axis=1)
+    if residual_max is None:
+        residual_max, residual_norm = _residual_stats(state, problem, struct)
     feasible = (residual_max <= params.tol) & check_raw_feasibility(
         state, problem, struct, params.d_margin, params.kin_margin
     )

@@ -90,9 +90,6 @@ class SamplingDistribution:
         if not np.allclose(self.sigma_mat, self.sigma_mat.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
 
-    def draw(self, n: int, rng) -> np.ndarray:
-        return rng.multivariate_normal(self.mu, self.sigma_mat, size=n, method="svd")
-
 
 @dataclass
 class ProjectedSample:

@@ -1,21 +1,27 @@
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from trajopt import qpcore
-from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
-from trajopt.geometry import EllipsoidShape, ObstacleTrack
+from trajopt.basis import AxisBoundary, boundary_matrix, build_basis, straight_line_coeffs
+from trajopt.bench import gen_scenario, receding_horizon_run, runner
+from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack, stalled
 from trajopt.solver_batch import (
     BatchParams,
     BatchProblem,
     FootprintSpec,
+    _footprint_deltas,
+    _member_costs,
     _Structure,
     _split,
-    alpha_step,
     batch_iteration,
     batch_xi_step,
-    d_step,
+    check_raw_feasibility,
     heading_step,
     init_state,
+    polar_step,
     sample_initializations,
     solve_batch_opt,
 )
@@ -41,6 +47,136 @@ def make_problem(obstacles=(), n_batch=8, v_max=3.0, a_max=3.0, offsets=(0.3, -0
         a_max=a_max,
         n_batch=n_batch,
     )
+
+
+class _Reference:
+    """The batch solver as first written: the dense stacked constraint matrix
+    F, targets g(alpha, d, psi) through arctan2/cos/sin, separate angle and
+    scale steps, and factors cached on rho alone.
+
+    Only the unchanged constants (cost, boundary rows) come from _Structure.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.struct = _Structure(problem)
+        basis, m, n_p = problem.basis, problem.basis.n_var, problem.basis.n_p
+        self.m = m
+        P, Pdot, Pddot = basis.P, basis.Pdot, basis.Pddot
+        zeros = np.zeros((n_p, m))
+        half_rows = [np.hstack([Pdot, zeros]), np.hstack([Pddot, zeros])]
+        half_rows += [np.hstack([P, r_c * P]) for r_c in problem.footprint.offsets for _ in range(problem.n_o)]
+        half_rows.append(np.hstack([zeros, P]))
+        self.F = np.kron(np.eye(2), np.vstack(half_rows))
+        self.FtF = self.F.T @ self.F
+        centers = np.stack([o.centers for o in problem.obstacles]) if problem.n_o else np.zeros((0, n_p, 2))
+        self.obs_x, self.obs_y = centers[None, None, :, :, 0], centers[None, None, :, :, 1]
+        self.a = np.array([o.shape.a for o in problem.obstacles])[None, None, :, None]
+        self.b = np.array([o.shape.b for o in problem.obstacles])[None, None, :, None]
+        self.r = np.asarray(problem.footprint.offsets, dtype=float)[None, :, None, None]
+
+    def polar(self, xi, psi):
+        """Angles and scales of every collision, velocity and acceleration offset."""
+        basis, prob = self.problem.basis, self.problem
+        xi_x, _, xi_y, _ = _split(xi, self.m)
+        x, y = (xi_x @ basis.P.T)[:, None, None, :], (xi_y @ basis.P.T)[:, None, None, :]
+        dx = x + self.r * np.cos(psi)[:, None, None, :] - self.obs_x
+        dy = y + self.r * np.sin(psi)[:, None, None, :] - self.obs_y
+        out = dict(
+            alpha_coll=np.arctan2(dy / self.b, dx / self.a),
+            d_coll=np.clip(np.hypot(dx / self.a, dy / self.b), 1.0, D_CAP),
+        )
+        for name, limit, mat in (("v", prob.v_max, basis.Pdot), ("a", prob.a_max, basis.Pddot)):
+            vx, vy = xi_x @ mat.T, xi_y @ mat.T
+            out["alpha_" + name] = np.arctan2(vy, vx)
+            out["d_" + name] = np.clip(np.hypot(vx, vy) / limit, 0.0, 1.0)
+        return out
+
+    def g(self, polar, psi):
+        """Stacked targets in the row order of F, (N_b, rows)."""
+        prob, n_b = self.problem, psi.shape[0]
+        parts = []
+        for trig, obs, semi in ((np.cos, self.obs_x, self.a), (np.sin, self.obs_y, self.b)):
+            coll = obs + semi * polar["d_coll"] * trig(polar["alpha_coll"])
+            parts += [
+                prob.v_max * polar["d_v"] * trig(polar["alpha_v"]),
+                prob.a_max * polar["d_a"] * trig(polar["alpha_a"]),
+                coll.reshape(n_b, -1),
+                trig(psi),
+            ]
+        return np.hstack(parts)
+
+    def solve(self, samples, params):
+        """solve_batch_opt from explicit samples, as first written."""
+        prob, struct, P = self.problem, self.struct, self.problem.basis.P
+        s = init_state(prob, samples, params)  # the unchanged start: xi, heading, zero multipliers
+        st = SimpleNamespace(xi=s.xi, xi_psi=s.xi_psi, psi=s.psi, lam=s.lam, lam_psi=s.lam_psi, rho=s.rho)
+        st.rho_psi, st.factor_rho, st.n_factorizations, st.iteration = s.rho_psi, None, 0, 0
+        polar = self.polar(st.xi, st.psi)
+        n_b = st.xi.shape[0]
+        maxabs_hist, last_change, res = [], 0, None
+        for _ in range(params.max_iter):
+            if st.factor_rho != st.rho:
+                f_xi = qpcore.factorize(struct.Q + st.rho * self.FtF, struct.A)
+                f_psi = qpcore.factorize(struct.Q_psi_smooth + st.rho_psi * P.T @ P, struct.A_psi)
+                st.factor_rho, st.n_factorizations = st.rho, st.n_factorizations + 2
+            q_lin = struct.q[None, :] - st.lam - st.rho * (self.g(polar, st.psi) @ self.F)
+            st.xi, _ = qpcore.solve_batch(f_xi, qpcore.BatchRHS(qs=q_lin, bs=np.tile(struct.b, (n_b, 1))))
+            _, xi_c, _, xi_s = _split(st.xi, self.m)
+            raw = np.arctan2(xi_s @ P.T, xi_c @ P.T)
+            targets = raw + 2.0 * np.pi * np.round((st.psi - raw) / (2.0 * np.pi))
+            q_psi = -st.lam_psi - st.rho_psi * (targets @ P)
+            st.xi_psi, _ = qpcore.solve_batch(f_psi, qpcore.BatchRHS(qs=q_psi, bs=np.tile(struct.b_psi, (n_b, 1))))
+            st.psi = st.xi_psi @ P.T
+            polar = self.polar(st.xi, st.psi)
+            res = st.xi @ self.F.T - self.g(polar, st.psi)
+            st.lam = st.lam - st.rho * (res @ self.F)
+            st.lam_psi = st.lam_psi - st.rho_psi * ((st.psi - targets) @ P)
+            st.iteration += 1
+            maxabs_hist.append(float(np.max(np.abs(res), axis=1).min()))
+            if stalled(maxabs_hist, st.iteration - last_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
+                st.rho = min(st.rho * params.rho_growth, params.rho_cap)
+                st.rho_psi = min(st.rho_psi * params.rho_growth, params.rho_cap)
+                last_change = st.iteration
+        st.residual_max = np.max(np.abs(res), axis=1)
+        residual_norm = np.linalg.norm(res, axis=1)
+        st.feasible = (st.residual_max <= params.tol) & check_raw_feasibility(
+            st, prob, struct, params.d_margin, params.kin_margin
+        )
+        aug_costs = _member_costs(st, prob, struct) + st.rho * residual_norm
+        st.best_index = int(np.argmin(np.where(st.feasible, aug_costs, np.inf))) if st.feasible.any() else None
+        return st
+
+
+# an asymmetric footprint: the offsets do not sum to zero, so the copy
+# columns couple to the position columns in F'F
+OFFSETS = (0.45, 0.1, -0.2)
+
+
+def _moving_elliptical_obstacles():
+    """Three a != b obstacles: one crossing the path, one passing through
+    (0.1, 0) at the middle timestep, where a member standing at the origin
+    puts its 0.1 circle exactly on the centre, and one static."""
+    t = np.linspace(0.0, 10.0, N_P)
+    crossing = np.column_stack([3.0 + 0.3 * t, -2.0 + 0.4 * t])
+    through = np.column_stack([np.full(N_P, 0.1), 0.8 * (t - t[N_P // 2])])
+    return [
+        ObstacleTrack(centers=crossing, shape=EllipsoidShape(0.6, 1.0)),
+        ObstacleTrack(centers=through, shape=EllipsoidShape(0.4, 0.7)),
+        _static_obstacle([7.5, 0.3], 0.9, 0.5),
+    ]
+
+
+def _default_samples(problem, seed):
+    """The samples solve_batch_opt draws by default."""
+    bx, by = problem.boundary
+    mean = straight_line_coeffs(problem.basis, [bx.p0, by.p0], [bx.p1, by.p1]).ravel()
+    scale = max(np.hypot(bx.p1 - bx.p0, by.p1 - by.p0) / 10.0, 0.5)
+    return sample_initializations(mean, np.eye(mean.size) * scale**2, problem.n_batch, seed)
+
+
+def _assert_close(got, ref, rel=1e-9):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
 
 class TestSampleInitializations:
@@ -98,17 +234,19 @@ class TestBatchXiStep:
             np.testing.assert_array_equal(state.xi[i], state.xi[0])
 
     def test_batch_matches_per_member_loop(self):
+        # per-member solves with the first-written dense F, trig targets and
+        # F'F; the saddle matrix (condition about 1.4e6) turns their 1e-14
+        # rounding differences into about 1e-11 relative
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.2], 0.5, 0.5)], n_batch=6)
         state = _sample_state(prob, seed=1)
         struct = _Structure(prob)
-        from trajopt.solver_batch import _build_g
-
-        g = _build_g(prob, struct, state)
-        q_lin = struct.q[None, :] - state.lam - state.rho * (g @ struct.F)
-        factor = qpcore.factorize(struct.Q + state.rho * struct.FtF, struct.A)
+        ref = _Reference(prob)
+        g = ref.g(ref.polar(state.xi, state.psi), state.psi)
+        q_lin = struct.q[None, :] - state.lam - state.rho * (g @ ref.F)
+        factor = qpcore.factorize(struct.Q + state.rho * ref.FtF, struct.A)
         expected = np.stack([qpcore.solve(factor, q_lin[i], struct.b)[0] for i in range(6)])
         batch_xi_step(state, prob, struct)
-        assert np.max(np.abs(state.xi - expected)) <= 1e-10
+        _assert_close(state.xi, expected)
 
     def test_small_rho_recovers_pure_qp_optimum(self):
         # with no obstacles and a small penalty the x/y blocks approach the
@@ -199,34 +337,37 @@ class TestHeadingStep:
         np.testing.assert_allclose(psi[:, -1], prob.psi_boundary[1], atol=1e-8)
 
 
+def _scaled_angle(t, a, b):
+    """Polar angle of a stacked (2, ...) collision target on the (a, b) ellipse."""
+    return np.arctan2(t[1] / b, t[0] / a)
+
+
 class TestAlphaStep:
+    """Directions of the polar targets set by polar_step (the former angle step)."""
+
     def test_circle_offset_along_x_gives_zero_angle(self):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)], n_batch=1, offsets=(0.3,))
         state = _sample_state(prob, seed=7, spread=0.0)
         struct = _Structure(prob)
-        # heading 0: the circle sits at x + 0.3; pick the timestep where the
+        # heading 0: the circle sits at x + 0.3; pick the timesteps where the
         # circle center is right of the obstacle on the x axis
-        alpha_step(state, prob, struct)
+        polar_step(state, prob, struct)
         pos_x = state.xi[:, : prob.basis.n_var] @ prob.basis.P.T
         circle_x = pos_x[0] + 0.3 * np.cos(state.psi[0])
         right = circle_x > 5.0
-        assert np.allclose(np.abs(state.alpha_coll[0, 0, 0, right]), 0.0, atol=1e-6) or np.allclose(
-            state.alpha_coll[0, 0, 0, right], 0.0, atol=1e-6
-        )
+        np.testing.assert_allclose(_scaled_angle(state.t_coll[:, 0, 0, 0, right], 0.5, 0.5), 0.0, atol=1e-6)
 
     def test_velocity_angle_45_degrees(self):
         prob = make_problem(obstacles=[], n_batch=1)
         state = _sample_state(prob, seed=8, spread=0.0)
         m = prob.basis.n_var
         # coefficients of a diagonal line: velocity (1, 1) everywhere
-        from trajopt.basis import straight_line_coeffs
-
         diag = straight_line_coeffs(prob.basis, [0.0, 0.0], [10.0, 10.0])
         state.xi[:, :m] = diag[0]
         state.xi[:, 2 * m : 3 * m] = diag[1]
         struct = _Structure(prob)
-        alpha_step(state, prob, struct)
-        np.testing.assert_allclose(state.alpha_v[0], np.pi / 4, atol=1e-9)
+        polar_step(state, prob, struct)
+        np.testing.assert_allclose(np.arctan2(state.t_v[1, 0], state.t_v[0, 0]), np.pi / 4, atol=1e-9)
 
     def test_alpha_update_reduces_collision_residual_term(self):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.3], 0.6, 0.6)], n_batch=4)
@@ -235,51 +376,43 @@ class TestAlphaStep:
         batch_xi_step(state, prob, struct)
         heading_step(state, prob, struct)
 
-        from trajopt.solver_batch import _footprint_deltas
-
         m = prob.basis.n_var
         xi_x, _, xi_y, _ = _split(state.xi, m)
         dx, dy = _footprint_deltas(prob, struct, xi_x @ prob.basis.P.T, xi_y @ prob.basis.P.T, state.psi)
-        a = struct.obs_a[None, None, :, None]
-        b = struct.obs_b[None, None, :, None]
 
-        def sq_residual(alpha):
-            return (dx - a * state.d_coll * np.cos(alpha)) ** 2 + (dy - b * state.d_coll * np.sin(alpha)) ** 2
+        def sq_residual(t):
+            return (dx - t[0]) ** 2 + (dy - t[1]) ** 2
 
-        before = sq_residual(state.alpha_coll)
-        alpha_step(state, prob, struct)
-        after = sq_residual(state.alpha_coll)
+        before = sq_residual(state.t_coll)
+        polar_step(state, prob, struct)
+        after = sq_residual(state.t_coll)
         assert after.sum() <= before.sum() + 1e-12
 
 
 class TestDStep:
+    """Scales of the polar targets set by polar_step (the former scale step)."""
+
     def test_velocity_half_of_limit(self):
         prob = make_problem(obstacles=[], n_batch=1, v_max=2.0)
         state = _sample_state(prob, seed=10, spread=0.0)
         m = prob.basis.n_var
-        from trajopt.basis import straight_line_coeffs
-
         diag = straight_line_coeffs(prob.basis, [0.0, 0.0], [10.0, 0.0])  # speed 1.0 = v_max/2
         state.xi[:, :m] = diag[0]
         state.xi[:, 2 * m : 3 * m] = diag[1]
         struct = _Structure(prob)
-        alpha_step(state, prob, struct)
-        d_step(state, prob, struct)
-        np.testing.assert_allclose(state.d_v[0], 0.5, atol=1e-9)
+        polar_step(state, prob, struct)
+        np.testing.assert_allclose(np.hypot(*state.t_v[:, 0]) / prob.v_max, 0.5, atol=1e-9)
 
     def test_velocity_over_limit_clamped(self):
         prob = make_problem(obstacles=[], n_batch=1, v_max=0.5)
         state = _sample_state(prob, seed=11, spread=0.0)
         m = prob.basis.n_var
-        from trajopt.basis import straight_line_coeffs
-
         diag = straight_line_coeffs(prob.basis, [0.0, 0.0], [10.0, 0.0])  # speed 1.0 = 2 v_max
         state.xi[:, :m] = diag[0]
         state.xi[:, 2 * m : 3 * m] = diag[1]
         struct = _Structure(prob)
-        alpha_step(state, prob, struct)
-        d_step(state, prob, struct)
-        np.testing.assert_allclose(state.d_v[0], 1.0, atol=1e-12)
+        polar_step(state, prob, struct)
+        np.testing.assert_allclose(np.hypot(*state.t_v[:, 0]) / prob.v_max, 1.0, atol=1e-12)
 
     def test_collision_scale_matches_grid_search(self):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.3], 0.7, 1.1)], n_batch=2)
@@ -287,18 +420,17 @@ class TestDStep:
         struct = _Structure(prob)
         batch_iteration(state, prob, struct)
 
-        from trajopt.solver_batch import _footprint_deltas
-
         m = prob.basis.n_var
         xi_x, _, xi_y, _ = _split(state.xi, m)
         dx, dy = _footprint_deltas(prob, struct, xi_x @ prob.basis.P.T, xi_y @ prob.basis.P.T, state.psi)
         a, b = 0.7, 1.1
+        t = state.t_coll[:, 0, 0, 0]
+        alpha, d = _scaled_angle(t, a, b), np.hypot(t[0] / a, t[1] / b)
         grid = np.linspace(1.0, 20.0, 1_900_001)
-        for t in (0, N_P // 2, N_P - 1):
-            alpha = state.alpha_coll[0, 0, 0, t]
-            cost = (dx[0, 0, 0, t] - a * grid * np.cos(alpha)) ** 2 + (dy[0, 0, 0, t] - b * grid * np.sin(alpha)) ** 2
+        for k in (0, N_P // 2, N_P - 1):
+            cost = (dx[0, 0, 0, k] - a * grid * np.cos(alpha[k])) ** 2 + (dy[0, 0, 0, k] - b * grid * np.sin(alpha[k])) ** 2
             d_grid = grid[np.argmin(cost)]
-            assert abs(state.d_coll[0, 0, 0, t] - d_grid) < 1e-4  # grid resolution limited
+            assert abs(d[k] - d_grid) < 1e-4  # grid resolution limited
 
     def test_d_bounds_hold_after_every_iteration(self):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.8, 0.8)], n_batch=4)
@@ -306,9 +438,36 @@ class TestDStep:
         struct = _Structure(prob)
         for _ in range(10):
             batch_iteration(state, prob, struct)
-            assert np.all(state.d_coll >= 1.0)
-            assert np.all((state.d_v >= 0.0) & (state.d_v <= 1.0))
-            assert np.all((state.d_a >= 0.0) & (state.d_a <= 1.0))
+            assert np.all(np.hypot(*state.t_coll) / 0.8 >= 1.0 - 1e-12)
+            assert np.all(np.hypot(*state.t_v) <= prob.v_max * (1.0 + 1e-12))
+            assert np.all(np.hypot(*state.t_a) <= prob.a_max * (1.0 + 1e-12))
+
+
+class TestPolarStep:
+    def test_circle_at_obstacle_centre_and_zero_velocity(self):
+        # a member standing still at the origin: its only circle sits on the
+        # obstacle centre at every timestep and its velocity is exactly zero;
+        # the targets take the origin convention, (a, 0) and (0, 0)
+        prob = make_problem(obstacles=[_static_obstacle([0.0, 0.0], 0.6, 0.9)], n_batch=1, offsets=(0.0,))
+        state = init_state(prob, np.zeros((1, 2 * prob.basis.n_var)))
+        np.testing.assert_array_equal(state.t_coll[:, 0, 0, 0], np.tile([[0.6], [0.0]], (1, N_P)))
+        np.testing.assert_array_equal(state.t_v, 0.0)
+        np.testing.assert_array_equal(state.t_a, 0.0)
+
+    def test_targets_match_trig_reference(self):
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
+        state = _sample_state(prob, seed=21)
+        ref = _Reference(prob)
+        g = ref.g(ref.polar(state.xi, state.psi), state.psi)
+        # rows of g: per axis velocity, acceleration, collisions, copy
+        n_b, n_coll = 6, len(OFFSETS) * prob.n_o * N_P
+        g = g.reshape(n_b, 2, -1)
+        for k in range(2):
+            np.testing.assert_allclose(state.t_v[k], g[:, k, :N_P], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.t_a[k], g[:, k, N_P : 2 * N_P], rtol=0, atol=1e-12)
+            centres = (ref.obs_x, ref.obs_y)[k]
+            coll = (centres + state.t_coll[k]).reshape(n_b, -1)
+            np.testing.assert_allclose(coll, g[:, k, 2 * N_P : 2 * N_P + n_coll], rtol=0, atol=1e-12)
 
 
 class TestSolveBatchOpt:
@@ -373,3 +532,135 @@ class TestSolveBatchOpt:
         ranked = solve_batch_opt(prob, BatchParams(max_iter=100), samples=samples)
         assert ranked.residual_max[0] < 1e-9
         assert ranked.feasible[0] and ranked.best_index == 0
+
+
+class TestMatchesReference:
+    """50 iterations of solve_batch_opt against the first-written solver."""
+
+    def _assert_matches(self, problem, samples):
+        params = BatchParams(max_iter=50)
+        got = solve_batch_opt(problem, params, samples=samples)
+        ref = _Reference(problem).solve(samples, params)
+        _assert_close(got.state.xi, ref.xi)
+        _assert_close(got.state.lam, ref.lam)
+        _assert_close(got.residual_max, ref.residual_max)
+        np.testing.assert_array_equal(got.feasible, ref.feasible)
+        assert (got.best_index, got.n_factorizations) == (ref.best_index, ref.n_factorizations)
+
+    def test_dynamic_flow_seed_0(self):
+        scenario = gen_scenario("dynamic-flow", seed=0)
+        h = scenario.horizon
+        problem = runner.batch_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10))
+        self._assert_matches(problem, _default_samples(problem, 0))
+
+    def test_multi_circle_elliptical_scene(self):
+        # the first member stands still at the origin: zero velocity, and a
+        # circle on an obstacle centre at the middle timestep
+        problem = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=8, offsets=OFFSETS)
+        samples = _default_samples(problem, 3)
+        samples[0] = 0.0
+        self._assert_matches(problem, samples)
+
+
+class TestClosedFormFtF:
+    @pytest.mark.parametrize("offsets,n_obstacles", [(OFFSETS, 3), ((0.0,), 2), ((0.3, -0.3), 0)])
+    def test_matches_dense_product(self, offsets, n_obstacles):
+        obstacles = [_static_obstacle([5.0, float(i)], 0.5, 0.7) for i in range(n_obstacles)]
+        prob = make_problem(obstacles=obstacles, n_batch=1, offsets=offsets)
+        ref = _Reference(prob)
+        _assert_close(_Structure(prob).FtF, ref.FtF, rel=1e-13)
+
+
+class TestProblemValidation:
+    """Bad problem data is rejected when the problem is built."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(v_max=float("nan")),
+            dict(a_max=float("inf")),
+            dict(desired_nan=True),
+            dict(boundary=(AxisBoundary(p0=0.0, p1=float("nan")), AxisBoundary(p0=0.0, p1=0.0))),
+            dict(boundary=(AxisBoundary(p0=0.0, p1=10.0), AxisBoundary(p0=0.0, v0=float("inf"), p1=0.0))),
+            dict(psi_boundary=(0.0, float("nan"))),
+            dict(centers=np.zeros((N_P, 3))),
+            dict(centers=np.zeros((N_P - 1, 2))),
+            dict(centers=np.full((N_P, 2), float("nan"))),
+        ],
+        ids=["v_max-nan", "a_max-inf", "desired-nan", "goal-nan", "v0-inf", "psi-nan", "centres-3d", "centres-short", "centres-nan"],
+    )
+    def test_rejected(self, change):
+        prob = make_problem(obstacles=[_static_obstacle([5.0, 1.0], 0.5, 0.5)])
+        kwargs = dict(vars(prob))
+        desired = prob.desired.copy()
+        if change.pop("desired_nan", False):
+            desired[7, 1] = np.nan
+        kwargs["desired"] = desired
+        if "centers" in change:
+            kwargs["obstacles"] = [ObstacleTrack(centers=change.pop("centers"), shape=EllipsoidShape(0.5, 0.5))]
+        kwargs.update(change)
+        with pytest.raises(ValueError):
+            BatchProblem(**kwargs)
+
+    @pytest.mark.parametrize("offsets", [(0.3, float("nan")), (float("inf"),)])
+    def test_non_finite_footprint_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError):
+            make_problem(offsets=offsets)
+
+
+class TestWarmState:
+    def _solved_state(self, prob, iters=3):
+        return solve_batch_opt(prob, BatchParams(max_iter=iters), seed=0).state
+
+    def test_obstacle_count_mismatch_rejected_before_iterating(self):
+        # a warm state from a one-obstacle problem must not reach a
+        # three-obstacle problem's iterations through its cached factor
+        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)]))
+        before = (state.iteration, state.n_factorizations, state.xi.copy())
+        prob = make_problem(obstacles=[_static_obstacle([5.0, y], 0.5, 0.5) for y in (-2.0, 0.0, 2.0)])
+        with pytest.raises(ValueError, match="warm state t_coll"):
+            solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
+        assert (state.iteration, state.n_factorizations) == before[:2]
+        np.testing.assert_array_equal(state.xi, before[2])
+
+    def test_basis_mismatch_rejected(self):
+        state = self._solved_state(make_problem())
+        basis = build_basis(0.0, 10.0, N_P, 8)
+        prob = make_problem()
+        prob = BatchProblem(**{**vars(prob), "basis": basis})
+        with pytest.raises(ValueError, match="warm state xi"):
+            solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
+
+    def test_changed_saddle_matrix_is_refactored(self):
+        # same shapes, different footprint offsets: F'F changes, so the
+        # cached factors must not be reused
+        obstacle = [_static_obstacle([5.0, 0.5], 0.5, 0.5)]
+        state = self._solved_state(make_problem(obstacles=obstacle, offsets=(0.3,)))
+        fresh = copy.deepcopy(state)
+        fresh._factor_xi = fresh._factor_psi = fresh._factor_key = None
+        prob = make_problem(obstacles=obstacle, offsets=(0.6,))
+        n_before = state.n_factorizations
+        warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
+        expected = solve_batch_opt(prob, BatchParams(max_iter=3), state=fresh)
+        assert warm.n_factorizations == n_before + 2
+        np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
+
+    def test_same_structure_reuses_the_factor(self):
+        # moved obstacle, new boundary and desired path: the saddle matrices
+        # are unchanged, so the warm solve factorizes nothing
+        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
+        prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
+        prob = BatchProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=1.0, p1=10.0), AxisBoundary(p0=0.2, p1=0.0))})
+        n_before = state.n_factorizations
+        warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
+        assert warm.n_factorizations == n_before
+
+    def test_receding_horizon_batch_factorizes_once(self):
+        # every control loop builds a problem with the same saddle matrices;
+        # with fewer iterations per loop than a stall window pair, rho never
+        # grows and only the first loop factorizes
+        scenario = gen_scenario("dynamic-flow", seed=0)
+        n_before = qpcore.factorization_count()
+        result = receding_horizon_run(scenario, solver="batch", step_budget=4, n_steps=3)
+        assert len(result.records) == 3
+        assert qpcore.factorization_count() - n_before == 2

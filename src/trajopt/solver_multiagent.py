@@ -2,11 +2,23 @@
 
 All agents' coefficients are optimized together.  Pairwise separation is
 rewritten through spherical polar equalities per unordered pair and relaxed
-into scaled quadratic penalties.  The per-axis coefficient steps share one
-saddle matrix Q + rho * A_fo' A_fo whose factorization is precomputed for a
-staged schedule of rho values, so the whole solve performs exactly one
-factorization per schedule level no matter how many iterations run or how
-many pairwise constraints exist.
+into scaled quadratic penalties.  Pair p = (i, j) asks P xi_i - P xi_j to
+equal its polar reconstruction, so the stacked pair rows are A_fo = E ⊗ P,
+where E is the signed pair-agent incidence (+1 at i, -1 at an agent j,
+nothing for a static partner).  A_fo is never built.  Since
+E'E = L + D_static (L the pair-graph Laplacian, D_static the number of
+static partners of each agent), the per-axis coefficient steps share one
+saddle matrix
+
+    Q + rho * (L + D_static) ⊗ P'P,
+
+and their right-hand sides are the incidence scatter -rho * E' b P of the
+per-pair targets b, one product for all three axes.  The factorization is
+precomputed for a staged schedule of rho values, so the whole solve performs
+exactly one factorization per schedule level no matter how many iterations
+run or how many pairwise constraints exist.  Each iteration builds the
+reconstruction and the residual once; the reconstruction is the next
+iteration's target, since the polar variables do not change in between.
 
 Static obstacles enter as stationary pseudo-agents wrapped in circumscribing
 spheres: they contribute constraint rows against every real agent but no
@@ -25,8 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
 from .geometry import D_CAP, EllipsoidShape, angles3d, closed_form_d_3d, stalled
+
+
+def _positive_finite(value) -> bool:
+    return bool(np.isfinite(value) and value > 0)
 
 
 @dataclass(frozen=True)
@@ -49,6 +65,18 @@ class MultiAgentProblem:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
+        if any(len(agent) != 3 for agent in self.boundaries):
+            raise ValueError("every agent needs x, y and z boundaries")
+        if not all(np.all(np.isfinite(bc.values())) for agent in self.boundaries for bc in agent):
+            raise ValueError("boundary values must be finite")
+        if not (_positive_finite(self.agent_shape.a) and _positive_finite(self.agent_shape.b)):
+            raise ValueError(f"agent semi-axes must be positive and finite, got {self.agent_shape}")
+        for sphere in self.static_obstacles:
+            center = np.asarray(sphere.center, dtype=float)
+            if center.shape != (3,) or not np.all(np.isfinite(center)):
+                raise ValueError(f"static sphere centres must be finite (3,) points, got {sphere.center!r}")
+            if not (np.isfinite(sphere.radius) and sphere.radius >= 0):
+                raise ValueError(f"static sphere radius must be non-negative and finite, got {sphere.radius}")
 
 
 @dataclass
@@ -64,6 +92,19 @@ class JointParams:
     inflation_factor: float = 4.0
     typical_residual: float = 0.01
 
+    def __post_init__(self):
+        for name in ("rho_start", "rho_final"):
+            if not _positive_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.rho_final < self.rho_start:
+            raise ValueError(f"rho_final {self.rho_final} is below rho_start {self.rho_start}")
+        if self.rho_levels < 1:
+            raise ValueError(f"rho_levels must be at least 1, got {self.rho_levels}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+        if self.stall_window < 1:
+            raise ValueError(f"stall_window must be at least 1, got {self.stall_window}")
+
 
 @dataclass
 class JointState:
@@ -72,6 +113,8 @@ class JointState:
     alpha: np.ndarray
     beta: np.ndarray
     lam: np.ndarray  # (3, n_pairs, n_p)
+    recon: np.ndarray  # (3, n_pairs, n_p) reconstruction at the current (d, alpha, beta)
+    residual: np.ndarray  # (3, n_pairs, n_p) residual of xi against recon
     level: int = 0
     iteration: int = 0
 
@@ -101,46 +144,36 @@ class _JointStructure:
     def __init__(self, problem: MultiAgentProblem, params: JointParams):
         basis = problem.basis
         self.basis = basis
-        m, n_p = basis.n_var, basis.n_p
-        n_a = problem.n_agents
+        m = basis.n_var
+        n_a, n_s = problem.n_agents, len(problem.static_obstacles)
         self.m, self.n_a = m, n_a
 
         a_inf = inflate_radius(problem.agent_shape.a, params.typical_residual, params.inflation_factor)
         b_inf = inflate_radius(problem.agent_shape.b, params.typical_residual, params.inflation_factor)
         self.inflated = (a_inf, b_inf)
 
-        # pair bookkeeping: agent-agent pairs once each, then agent-static
-        self.pair_i: list[int] = []
-        self.pair_j: list[int] = []  # -1 marks a static partner
-        self.pair_a: list[float] = []
-        self.pair_b: list[float] = []
-        static_centers = []
-        for i in range(n_a):
-            for j in range(i + 1, n_a):
-                self.pair_i.append(i)
-                self.pair_j.append(j)
-                self.pair_a.append(2.0 * a_inf)
-                self.pair_b.append(2.0 * b_inf)
-        for sphere in problem.static_obstacles:
-            for i in range(n_a):
-                self.pair_i.append(i)
-                self.pair_j.append(-1)
-                self.pair_a.append(a_inf + sphere.radius)
-                self.pair_b.append(b_inf + sphere.radius)
-                static_centers.append(np.asarray(sphere.center, dtype=float))
+        # pairs: agent-agent pairs once each, then every agent against each
+        # static sphere; pair_j = -1 marks a static partner
+        agent_i, agent_j = np.triu_indices(n_a, 1)
+        self.pair_i = np.concatenate([agent_i, np.tile(np.arange(n_a), n_s)])
+        self.pair_j = np.concatenate([agent_j, np.full(n_a * n_s, -1)])
         self.n_pairs = len(self.pair_i)
-        self.static_centers = static_centers  # aligned with pair_j == -1 order
-        self.pa = np.asarray(self.pair_a)[:, None]
-        self.pb = np.asarray(self.pair_b)[:, None]
+        self.static = self.pair_j < 0
+        radii = np.array([sphere.radius for sphere in problem.static_obstacles], dtype=float)
+        self.pair_a = np.concatenate([np.full(len(agent_i), 2.0 * a_inf), np.repeat(a_inf + radii, n_a)])
+        self.pair_b = np.concatenate([np.full(len(agent_i), 2.0 * b_inf), np.repeat(b_inf + radii, n_a)])
+        self.pa = self.pair_a[:, None]
+        self.pb = self.pair_b[:, None]
+        # (n_pairs, 1, 3) centre of each pair's static partner, zero for agent pairs
+        centers = np.array([sphere.center for sphere in problem.static_obstacles], dtype=float).reshape(n_s, 3)
+        self.static_centers = np.zeros((self.n_pairs, 1, 3))
+        self.static_centers[self.static, 0] = np.repeat(centers, n_a, axis=0)
 
-        self.A_fo = np.zeros((self.n_pairs * n_p, n_a * m))
-        for p in range(self.n_pairs):
-            rows = slice(p * n_p, (p + 1) * n_p)
-            i = self.pair_i[p]
-            self.A_fo[rows, i * m : (i + 1) * m] = basis.P
-            j = self.pair_j[p]
-            if j >= 0:
-                self.A_fo[rows, j * m : (j + 1) * m] = -basis.P
+        # signed pair-agent incidence: the pair rows are A_fo = E ⊗ P
+        self.E = np.zeros((self.n_pairs, n_a))
+        rows = np.arange(self.n_pairs)
+        self.E[rows, self.pair_i] = 1.0
+        self.E[rows[~self.static], self.pair_j[~self.static]] = -1.0
 
         Q_axis = basis.Pddot.T @ basis.Pddot
         self.Q = np.kron(np.eye(n_a), Q_axis)
@@ -153,9 +186,10 @@ class _JointStructure:
             ]
         )  # (3, 6 * N_a)
 
-        # one factorization per rho level, shared by the x/y/z steps
+        # one factorization per rho level, shared by the x/y/z steps;
+        # A_fo'A_fo = (E'E) ⊗ P'P with E'E = L + D_static
         if self.n_pairs:
-            AtA = self.A_fo.T @ self.A_fo
+            AtA = np.kron(self.E.T @ self.E, basis.P.T @ basis.P)
             ratio = (params.rho_final / params.rho_start) ** (1.0 / max(params.rho_levels - 1, 1))
             self.rho_levels = [params.rho_start * ratio**k for k in range(params.rho_levels)]
             self.factors = [qpcore.factorize(self.Q + rho * AtA, self.A_eq) for rho in self.rho_levels]
@@ -166,126 +200,73 @@ class _JointStructure:
 
     def agent_positions(self, xi: np.ndarray) -> np.ndarray:
         """(N_a, n_p, 3) position samples from the stacked coefficients."""
-        out = np.empty((self.n_a, self.basis.n_p, 3))
-        for k in range(3):
-            coeffs = xi[k].reshape(self.n_a, self.m)
-            out[:, :, k] = coeffs @ self.basis.P.T
-        return out
+        return np.moveaxis(xi.reshape(3, self.n_a, self.m) @ self.basis.P.T, 0, -1)
 
     def pair_deltas(self, positions: np.ndarray) -> np.ndarray:
         """(n_pairs, n_p, 3) offsets p_i - p_j (static partner uses its center)."""
-        out = np.empty((self.n_pairs, self.basis.n_p, 3))
-        s = 0
-        for p in range(self.n_pairs):
-            i, j = self.pair_i[p], self.pair_j[p]
-            if j >= 0:
-                out[p] = positions[i] - positions[j]
-            else:
-                out[p] = positions[i] - self.static_centers[s][None, :]
-                s += 1
-        return out
+        partner = np.where(self.static[:, None, None], self.static_centers, positions[self.pair_j])
+        return positions[self.pair_i] - partner
 
 
-def _reconstruction(struct, state):
-    """Target offsets a d sin(beta) cos(alpha) etc. per pair, (n_pairs, n_p, 3)."""
-    sb, cb = np.sin(state.beta), np.cos(state.beta)
-    sa, ca = np.sin(state.alpha), np.cos(state.alpha)
-    return np.stack(
-        [
-            struct.pa * state.d * sb * ca,
-            struct.pa * state.d * sb * sa,
-            struct.pb * state.d * cb,
-        ],
-        axis=-1,
-    )
+def _reconstruction(struct, d, alpha, beta):
+    """Target offsets a d sin(beta) cos(alpha) etc. per pair, (3, n_pairs, n_p)."""
+    sb, cb = np.sin(beta), np.cos(beta)
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    return np.stack([struct.pa * d * sb * ca, struct.pa * d * sb * sa, struct.pb * d * cb])
 
 
-def pairwise_residuals_arrays(struct: _JointStructure, state: JointState) -> np.ndarray:
-    """(3, n_pairs, n_p) separation-equality residuals."""
-    positions = struct.agent_positions(state.xi)
-    deltas = struct.pair_deltas(positions)
-    recon = _reconstruction(struct, state)
-    return np.transpose(deltas - recon, (2, 0, 1))
+def pairwise_residuals_arrays(
+    struct: _JointStructure, state: JointState, recon: np.ndarray | None = None
+) -> np.ndarray:
+    """(3, n_pairs, n_p) separation-equality residuals.
 
-
-def pairwise_residuals(state: JointState, problem: MultiAgentProblem, params: JointParams | None = None, struct=None) -> dict:
-    """Norm and max-abs per axis family plus the stacked totals."""
-    struct = struct or _JointStructure(problem, params or JointParams())
-    res = pairwise_residuals_arrays(struct, state)
-    report = {}
-    for k, name in enumerate("xyz"):
-        report[name] = {
-            "norm": float(np.linalg.norm(res[k])),
-            "max_abs": float(np.max(np.abs(res[k]))) if res[k].size else 0.0,
-        }
-    report["all"] = {
-        "norm": float(np.linalg.norm(res)),
-        "max_abs": float(np.max(np.abs(res))) if res.size else 0.0,
-    }
-    return report
+    recon is the reconstruction at the state's (d, alpha, beta) when the
+    caller already has it; it is computed from the state otherwise.
+    """
+    deltas = struct.pair_deltas(struct.agent_positions(state.xi))
+    if recon is None:
+        recon = _reconstruction(struct, state.d, state.alpha, state.beta)
+    return np.moveaxis(deltas, -1, 0) - recon
 
 
 def _init_state(problem, struct) -> JointState:
     n_pairs, n_p = struct.n_pairs, struct.basis.n_p
-    xi = np.empty((3, struct.n_a * struct.m))
-    for k in range(3):
-        for i, bc in enumerate(problem.boundaries):
-            line = np.linspace(bc[k].p0, bc[k].p1, n_p)
-            coeffs, *_ = np.linalg.lstsq(struct.basis.P, line, rcond=None)
-            xi[k, i * struct.m : (i + 1) * struct.m] = coeffs
+    # one least-squares fit for every (axis, agent) straight line, axis-major
+    ends = np.array([[(bc[k].p0, bc[k].p1) for bc in problem.boundaries] for k in range(3)])
+    xi = straight_line_coeffs(struct.basis, ends[..., 0].ravel(), ends[..., 1].ravel()).reshape(3, -1)
 
-    state = JointState(
-        xi=xi,
-        d=np.ones((n_pairs, n_p)),
-        alpha=np.zeros((n_pairs, n_p)),
-        beta=np.full((n_pairs, n_p), np.pi / 2),
-        lam=np.zeros((3, n_pairs, n_p)),
+    deltas = np.moveaxis(struct.pair_deltas(struct.agent_positions(xi)), -1, 0)
+    d = np.ones((n_pairs, n_p))
+    alpha, beta = angles3d(deltas, struct.pa, struct.pb)
+    recon = _reconstruction(struct, d, alpha, beta)
+    return JointState(
+        xi=xi, d=d, alpha=alpha, beta=beta, lam=np.zeros((3, n_pairs, n_p)), recon=recon, residual=deltas - recon
     )
-    if n_pairs:
-        deltas = struct.pair_deltas(struct.agent_positions(xi))
-        state.alpha, state.beta = angles3d(np.moveaxis(deltas, -1, 0), struct.pa, struct.pb)
-    return state
 
 
 def _iterate(state: JointState, struct: _JointStructure) -> None:
     rho = struct.rho_levels[state.level]
-    factor = struct.factors[state.level]
-    n_p = struct.basis.n_p
 
-    if struct.n_pairs:
-        recon = _reconstruction(struct, state)
-        qs = np.empty((3, struct.n_a * struct.m))
-        s = 0
-        statics = np.zeros((struct.n_pairs, n_p, 3))
-        for p in range(struct.n_pairs):
-            if struct.pair_j[p] < 0:
-                statics[p] = struct.static_centers[s][None, :]
-                s += 1
-        for k in range(3):
-            b_fo = recon[:, :, k] - state.lam[k] / rho + statics[:, :, k]
-            qs[k] = -rho * (struct.A_fo.T @ b_fo.ravel())
-        xis, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=qs, bs=struct.b_eq))
-        state.xi = xis
-    else:
-        qs = np.zeros((3, struct.n_a * struct.m))
-        xis, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=qs, bs=struct.b_eq))
-        state.xi = xis
-        state.iteration += 1
-        return
+    # incidence scatter A_fo' b = E' b P of the targets, all axes at once
+    b_fo = state.recon - state.lam / rho + np.moveaxis(struct.static_centers, -1, 0)
+    qs = -rho * (struct.E.T @ b_fo @ struct.basis.P).reshape(3, -1)
+    state.xi, _ = qpcore.solve_batch(struct.factors[state.level], qpcore.BatchRHS(qs=qs, bs=struct.b_eq))
 
-    deltas = struct.pair_deltas(struct.agent_positions(state.xi))
-    dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
-    state.alpha, state.beta = angles3d((dx, dy, dz), struct.pa, struct.pb)
+    deltas = np.moveaxis(struct.pair_deltas(struct.agent_positions(state.xi)), -1, 0)
+    state.alpha, state.beta = angles3d(deltas, struct.pa, struct.pb)
 
     # the d targets are shifted by the multipliers, so d keeps the closed form
-    shift = state.lam / rho
-    state.d = closed_form_d_3d(
-        dx + shift[0], dy + shift[1], dz + shift[2], state.alpha, state.beta, struct.pa, struct.pb, 1.0, D_CAP
-    )
+    dx, dy, dz = deltas + state.lam / rho
+    state.d = closed_form_d_3d(dx, dy, dz, state.alpha, state.beta, struct.pa, struct.pb, 1.0, D_CAP)
 
-    res = pairwise_residuals_arrays(struct, state)
-    state.lam = state.lam + rho * res
+    state.recon = _reconstruction(struct, state.d, state.alpha, state.beta)
+    state.residual = pairwise_residuals_arrays(struct, state, state.recon)
+    state.lam = state.lam + rho * state.residual
     state.iteration += 1
+
+
+def _max_abs(res: np.ndarray) -> float:
+    return float(np.max(np.abs(res))) if res.size else 0.0
 
 
 def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -> JointSolution:
@@ -304,10 +285,8 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
     converged = False
     for _ in range(params.max_iter):
         _iterate(state, struct)
-        res = pairwise_residuals_arrays(struct, state)
-        norm = float(np.linalg.norm(res))
-        max_abs = float(np.max(np.abs(res))) if res.size else 0.0
-        history.append({"norm": norm, "max_abs": max_abs, "rho": struct.rho_levels[state.level]})
+        norm = float(np.linalg.norm(state.residual))
+        history.append({"norm": norm, "max_abs": _max_abs(state.residual), "rho": struct.rho_levels[state.level]})
         norms.append(norm)
         if norm <= params.tol_norm:
             converged = True
@@ -328,21 +307,16 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
         sample_trajectory(struct.basis, state.xi[:, i * struct.m : (i + 1) * struct.m].T) for i in range(struct.n_a)
     ]
 
-    min_dist = np.inf
-    for i in range(struct.n_a):
-        for j in range(i + 1, struct.n_a):
-            dist = np.linalg.norm(positions[i] - positions[j], axis=1)
-            min_dist = min(min_dist, float(dist.min()))
-
-    res = pairwise_residuals_arrays(struct, state)
+    agents = ~struct.static
+    gaps = np.linalg.norm(positions[struct.pair_i[agents]] - positions[struct.pair_j[agents]], axis=-1)
     return JointSolution(
         trajectories=trajectories,
         converged=converged,
         iterations=state.iteration,
-        residual_norm=float(np.linalg.norm(res)),
-        residual_max=float(np.max(np.abs(res))) if res.size else 0.0,
+        residual_norm=float(np.linalg.norm(state.residual)),
+        residual_max=_max_abs(state.residual),
         residual_history=history,
-        min_pair_distance=min_dist,
+        min_pair_distance=float(gaps.min()) if gaps.size else np.inf,
         inflated_radius=struct.inflated,
         n_factorizations=struct.n_factorizations,
         state=state,

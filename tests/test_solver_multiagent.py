@@ -1,17 +1,20 @@
+import copy
+
 import numpy as np
 import pytest
 
-from trajopt import qpcore
+from trajopt import qpcore, solver_multiagent
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
-from trajopt.geometry import EllipsoidShape
+from trajopt.bench import gen_scenario, runner
+from trajopt.geometry import D_CAP, EllipsoidShape, angles3d, closed_form_d_3d, stalled
 from trajopt.solver_multiagent import (
     JointParams,
     MultiAgentProblem,
     StaticSphere,
-    _JointStructure,
     _init_state,
+    _iterate,
+    _JointStructure,
     inflate_radius,
-    pairwise_residuals,
     pairwise_residuals_arrays,
     solve_joint,
 )
@@ -32,6 +35,148 @@ def make_problem(starts, goals, radius=0.3, statics=(), n_p=N_P):
         agent_shape=EllipsoidShape(radius, radius),
         static_obstacles=list(statics),
     )
+
+
+class _Reference:
+    """The multi-agent iteration as first written: the dense pair matrix
+    A_fo, per-pair Python loops for the offsets and the static centres, the
+    reconstruction built three times and the residual twice per iteration,
+    and factors of Q + rho * A_fo'A_fo.
+
+    Only the unchanged constants (cost, boundary rows, pair lists, radii,
+    rho levels) come from _JointStructure; the initial state is _init_state's.
+    """
+
+    def __init__(self, problem, params):
+        self.problem, self.params = problem, params
+        self.struct = s = _JointStructure(problem, params)
+        basis, m, n_p = problem.basis, s.m, problem.basis.n_p
+        self.A_fo = np.zeros((s.n_pairs * n_p, s.n_a * m))
+        for p in range(s.n_pairs):
+            rows = slice(p * n_p, (p + 1) * n_p)
+            i, j = s.pair_i[p], s.pair_j[p]
+            self.A_fo[rows, i * m : (i + 1) * m] = basis.P
+            if j >= 0:
+                self.A_fo[rows, j * m : (j + 1) * m] = -basis.P
+        self.static_centers = [
+            np.asarray(sphere.center, dtype=float) for sphere in problem.static_obstacles for _ in range(s.n_a)
+        ]
+        if s.n_pairs:
+            AtA = self.A_fo.T @ self.A_fo
+            self.factors = [qpcore.factorize(s.Q + rho * AtA, s.A_eq) for rho in s.rho_levels]
+        else:
+            self.factors = [qpcore.factorize(s.Q, s.A_eq)]
+
+    def agent_positions(self, xi):
+        s = self.struct
+        out = np.empty((s.n_a, s.basis.n_p, 3))
+        for k in range(3):
+            out[:, :, k] = xi[k].reshape(s.n_a, s.m) @ s.basis.P.T
+        return out
+
+    def pair_deltas(self, positions):
+        s = self.struct
+        out = np.empty((s.n_pairs, s.basis.n_p, 3))
+        n_static = 0
+        for p in range(s.n_pairs):
+            i, j = s.pair_i[p], s.pair_j[p]
+            if j >= 0:
+                out[p] = positions[i] - positions[j]
+            else:
+                out[p] = positions[i] - self.static_centers[n_static][None, :]
+                n_static += 1
+        return out
+
+    def reconstruction(self, state):
+        s = self.struct
+        sb, cb = np.sin(state.beta), np.cos(state.beta)
+        sa, ca = np.sin(state.alpha), np.cos(state.alpha)
+        return np.stack(
+            [s.pa * state.d * sb * ca, s.pa * state.d * sb * sa, s.pb * state.d * cb],
+            axis=-1,
+        )
+
+    def residuals(self, state):
+        deltas = self.pair_deltas(self.agent_positions(state.xi))
+        return np.transpose(deltas - self.reconstruction(state), (2, 0, 1))
+
+    def step(self, state):
+        s = self.struct
+        rho = s.rho_levels[state.level]
+        n_p = s.basis.n_p
+        if s.n_pairs:
+            recon = self.reconstruction(state)
+            qs = np.empty((3, s.n_a * s.m))
+            statics = np.zeros((s.n_pairs, n_p, 3))
+            n_static = 0
+            for p in range(s.n_pairs):
+                if s.pair_j[p] < 0:
+                    statics[p] = self.static_centers[n_static][None, :]
+                    n_static += 1
+            for k in range(3):
+                b_fo = recon[:, :, k] - state.lam[k] / rho + statics[:, :, k]
+                qs[k] = -rho * (self.A_fo.T @ b_fo.ravel())
+        else:
+            qs = np.zeros((3, s.n_a * s.m))
+        state.xi, _ = qpcore.solve_batch(self.factors[state.level], qpcore.BatchRHS(qs=qs, bs=s.b_eq))
+        if not s.n_pairs:
+            state.iteration += 1
+            return
+        deltas = self.pair_deltas(self.agent_positions(state.xi))
+        dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
+        state.alpha, state.beta = angles3d((dx, dy, dz), s.pa, s.pb)
+        shift = state.lam / rho
+        state.d = closed_form_d_3d(
+            dx + shift[0], dy + shift[1], dz + shift[2], state.alpha, state.beta, s.pa, s.pb, 1.0, D_CAP
+        )
+        state.lam = state.lam + rho * self.residuals(state)
+        state.iteration += 1
+
+    def solve(self):
+        params, s = self.params, self.struct
+        state = _init_state(self.problem, s)
+        norms, last_change, converged = [], 0, False
+        for _ in range(params.max_iter):
+            self.step(state)
+            norm = float(np.linalg.norm(self.residuals(state)))
+            norms.append(norm)
+            if norm <= params.tol_norm:
+                converged = True
+                break
+            n_levels = len(s.rho_levels)
+            scheduled = min(int(state.iteration * n_levels / max(params.max_iter, 1)), n_levels - 1)
+            stall = stalled(norms, state.iteration - last_change, params.stall_window, params.stall_improvement, 0.0)
+            target = max(scheduled, state.level + 1 if stall else state.level)
+            if target > state.level and state.level < n_levels - 1:
+                state.level = min(target, n_levels - 1)
+                last_change = state.iteration
+        return state, converged, norms, len(self.factors)
+
+
+def _rel(actual, expected):
+    return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
+
+
+def _square_antipodal(n_agents):
+    scenario = gen_scenario("square-antipodal", {"n_agents": n_agents}, seed=0)
+    h = scenario.horizon
+    return runner.multiagent_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10))
+
+
+# non-symmetric problems: no rounding-level tie for the solve to amplify
+NON_SYMMETRIC = {
+    "three agents, two static spheres": (
+        [[-3.0, 0.2, 1.0], [3.0, -0.4, 1.2], [0.3, 3.0, 0.9]],
+        [[3.0, -0.1, 1.1], [-3.0, 0.5, 0.8], [-0.2, -3.0, 1.3]],
+        [StaticSphere(np.array([0.4, 1.2, 1.0]), 0.4), StaticSphere(np.array([-1.1, -0.7, 1.1]), 0.3)],
+    ),
+    "offset two-agent swap": ([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]], []),
+    "one agent past a static sphere": (
+        [[-3.0, 0.1, 1.0]],
+        [[3.0, -0.2, 1.1]],
+        [StaticSphere(np.array([0.0, 0.0, 1.0]), 0.5)],
+    ),
+}
 
 
 class TestInflateRadius:
@@ -130,15 +275,14 @@ class TestInvariants:
         _iterate(state, struct)
         rho = struct.rho_levels[state.level]
         factor = struct.factors[state.level]
-        recon = _reconstruction(struct, state)
 
-        # rebuild the RHS the same way and solve axes one by one, reversed
+        # rebuild the RHS through the incidence product and solve axes one by one, reversed
         state2 = _init_state(prob, struct)
-        recon2 = _reconstruction(struct, state2)
+        recon2 = _reconstruction(struct, state2.d, state2.alpha, state2.beta)
         qs = np.empty((3, struct.n_a * struct.m))
         for k in range(3):
-            b_fo = recon2[:, :, k] - state2.lam[k] / rho
-            qs[k] = -rho * (struct.A_fo.T @ b_fo.ravel())
+            b_fo = recon2[k] - state2.lam[k] / rho
+            qs[k] = -rho * (struct.E.T @ b_fo @ struct.basis.P).ravel()
         xi_rev = np.empty_like(state.xi)
         for k in (2, 1, 0):
             xi_rev[k], _ = qpcore.solve(factor, qs[k], struct.b_eq[k])
@@ -179,8 +323,8 @@ class TestPairwiseResiduals:
             deltas[:, :, 0] ** 2 / struct.pa**2 + deltas[:, :, 1] ** 2 / struct.pa**2 + deltas[:, :, 2] ** 2 / struct.pb**2
         )
         state.d = quad
-        report = pairwise_residuals(state, prob, params)
-        assert report["all"]["max_abs"] < 1e-9
+        res = pairwise_residuals_arrays(struct, state)
+        assert np.max(np.abs(res)) < 1e-9
 
     def test_single_pair_matches_hand_formula(self):
         prob = make_problem([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
@@ -205,6 +349,240 @@ class TestPairwiseResiduals:
         params = JointParams()
         struct = _JointStructure(prob, params)
         state = _init_state(prob, struct)
-        report = pairwise_residuals(state, prob, params)
-        for fam in report.values():
-            assert fam["max_abs"] <= fam["norm"] + 1e-15
+        res = pairwise_residuals_arrays(struct, state)
+        for fam in [*res, res]:
+            assert np.max(np.abs(fam)) <= np.linalg.norm(fam) + 1e-15
+
+
+class TestMatchesReference:
+    def test_one_step_from_states_along_a_square_antipodal_run(self, monkeypatch):
+        problem, params = _square_antipodal(8), JointParams()
+        snapshots = []
+
+        def recording(state, struct):
+            snapshots.append(copy.deepcopy(state))
+            _iterate(state, struct)
+
+        monkeypatch.setattr(solver_multiagent, "_iterate", recording)
+        solve_joint(problem, params)
+        assert len(snapshots) > 100
+        struct, ref = _JointStructure(problem, params), _Reference(problem, params)
+        for k in (0, 25, 50, 100, len(snapshots) - 1):
+            new, old = copy.deepcopy(snapshots[k]), copy.deepcopy(snapshots[k])
+            _iterate(new, struct)
+            ref.step(old)
+            for name in ("d", "alpha", "beta", "lam"):
+                assert _rel(getattr(new, name), getattr(old, name)) <= 1e-10, (k, name)
+            assert _rel(struct.agent_positions(new.xi), ref.agent_positions(old.xi)) <= 1e-10, k
+            # The saddle's condition grows with rho, to 8e10 at the last level
+            # this run reaches.  There a rounding-level (5e-16) change of the
+            # right-hand side alone moves the reference's own xi by 5e-10
+            # relative, along the agents' common motion, which no pair row
+            # sees; so the xi bound scales with the condition above 1e9.
+            cond = struct.factors[snapshots[k].level].cond_estimate
+            assert _rel(new.xi, old.xi) <= 1e-10 * max(1.0, cond / 1e9), (k, cond)
+            assert (new.iteration, new.level) == (old.iteration, old.level)
+
+    @pytest.mark.parametrize("name", list(NON_SYMMETRIC))
+    def test_full_solve(self, name):
+        starts, goals, statics = NON_SYMMETRIC[name]
+        problem, params = make_problem(starts, goals, statics=statics), JointParams()
+        sol = solve_joint(problem, params)
+        ref_state, ref_converged, ref_norms, ref_factorizations = _Reference(problem, params).solve()
+        assert _rel(sol.state.xi, ref_state.xi) <= 1e-9
+        assert (sol.iterations, sol.converged, sol.n_factorizations) == (
+            ref_state.iteration,
+            ref_converged,
+            ref_factorizations,
+        )
+        np.testing.assert_allclose([h["norm"] for h in sol.residual_history], ref_norms, rtol=1e-9, atol=1e-12)
+
+
+class TestStructure:
+    def test_incidence_kron_is_the_dense_normal_matrix(self):
+        starts, goals, statics = NON_SYMMETRIC["three agents, two static spheres"]
+        problem, params = make_problem(starts, goals, statics=statics), JointParams()
+        ref = _Reference(problem, params)
+        struct = ref.struct
+        AtA = ref.A_fo.T @ ref.A_fo
+        kron = np.kron(struct.E.T @ struct.E, problem.basis.P.T @ problem.basis.P)
+        np.testing.assert_allclose(kron, AtA, rtol=0, atol=1e-12 * np.abs(AtA).max())
+
+    def test_incidence_gram_is_laplacian_plus_static_degree(self):
+        starts, goals, statics = NON_SYMMETRIC["three agents, two static spheres"]
+        struct = _JointStructure(make_problem(starts, goals, statics=statics), JointParams())
+        laplacian = 3.0 * np.eye(3) - np.ones((3, 3))  # complete graph on 3 agents
+        np.testing.assert_array_equal(struct.E.T @ struct.E, laplacian + 2.0 * np.eye(3))
+        assert struct.n_pairs == 3 + 2 * 3
+        np.testing.assert_array_equal(struct.pair_i, [0, 0, 1, 0, 1, 2, 0, 1, 2])
+        np.testing.assert_array_equal(struct.pair_j, [1, 2, 2, -1, -1, -1, -1, -1, -1])
+        np.testing.assert_allclose(struct.static_centers[3:6, 0], np.tile(statics[0].center, (3, 1)))
+        np.testing.assert_allclose(struct.static_centers[6:, 0], np.tile(statics[1].center, (3, 1)))
+        assert np.all(struct.static_centers[:3] == 0.0)
+
+    def test_no_attribute_has_a_row_per_pair_sample(self):
+        problem = _square_antipodal(8)
+        struct = _JointStructure(problem, JointParams())
+        rows = struct.n_pairs * problem.basis.n_p
+        for name, value in vars(struct).items():
+            if isinstance(value, np.ndarray):
+                assert value.shape[0] != rows, name
+
+    def test_single_agent_has_integer_empty_pair_arrays(self):
+        problem = make_problem([[0.0, 0.0, 1.0]], [[4.0, 1.0, 1.5]])
+        struct = _JointStructure(problem, JointParams())
+        assert struct.n_pairs == 0
+        for index in (struct.pair_i, struct.pair_j):
+            assert index.shape == (0,) and index.dtype.kind == "i"
+        assert struct.E.shape == (0, 1) and struct.n_factorizations == 1
+        sol = solve_joint(problem, JointParams(max_iter=5))
+        assert sol.converged and sol.iterations == 1
+        assert sol.min_pair_distance == np.inf and sol.residual_norm == 0.0
+
+    def test_agents_and_statics_solve_with_clearance(self):
+        starts, goals, statics = NON_SYMMETRIC["three agents, two static spheres"]
+        radius = 0.3
+        sol = solve_joint(make_problem(starts, goals, radius=radius, statics=statics), JointParams())
+        assert sol.converged
+        assert sol.min_pair_distance >= 2.0 * radius
+        for traj in sol.trajectories:
+            for sphere in statics:
+                assert np.linalg.norm(traj.pos - sphere.center, axis=1).min() >= radius + sphere.radius
+
+
+class TestOnePassPerIteration:
+    def test_one_residual_and_one_reconstruction_per_iteration(self, monkeypatch):
+        calls = {"residual": 0, "recon": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            solver_multiagent,
+            "pairwise_residuals_arrays",
+            counting("residual", solver_multiagent.pairwise_residuals_arrays),
+        )
+        monkeypatch.setattr(solver_multiagent, "_reconstruction", counting("recon", solver_multiagent._reconstruction))
+        sol = solve_joint(make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]]))
+        # the initial state's reconstruction is the only one outside the loop
+        assert calls == {"residual": sol.iterations, "recon": sol.iterations + 1}
+
+    def test_stored_residual_and_reconstruction_match_the_state(self):
+        problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
+        sol = solve_joint(problem, JointParams(max_iter=20))
+        state = sol.state
+        struct = _JointStructure(problem, JointParams())
+        np.testing.assert_array_equal(state.residual, pairwise_residuals_arrays(struct, state))
+        np.testing.assert_array_equal(
+            state.recon, solver_multiagent._reconstruction(struct, state.d, state.alpha, state.beta)
+        )
+        assert sol.residual_norm == np.linalg.norm(state.residual)
+        assert sol.residual_history[-1]["norm"] == sol.residual_norm
+
+    def test_no_iteration_reports_the_initial_residual(self):
+        problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
+        sol = solve_joint(problem, JointParams(max_iter=0))
+        struct = _JointStructure(problem, JointParams())
+        res = pairwise_residuals_arrays(struct, _init_state(problem, struct))
+        assert (sol.iterations, sol.converged, sol.residual_history) == (0, False, [])
+        assert sol.residual_norm == pytest.approx(float(np.linalg.norm(res)), rel=1e-14)
+        assert sol.residual_max == pytest.approx(float(np.max(np.abs(res))), rel=1e-14)
+
+    def test_min_pair_distance_matches_the_pair_loop(self):
+        problem = _square_antipodal(4)
+        sol = solve_joint(problem)
+        positions = _Reference(problem, JointParams()).agent_positions(sol.state.xi)
+        expected = np.inf
+        for i in range(len(positions)):
+            for j in range(i + 1, len(positions)):
+                expected = min(expected, float(np.linalg.norm(positions[i] - positions[j], axis=1).min()))
+        assert sol.min_pair_distance == expected
+
+
+def _shape_problem(shape):
+    return MultiAgentProblem(
+        basis=build_basis(0.0, 8.0, N_P, 10),
+        boundaries=[_axis_bounds([0.0, 0.0, 1.0], [4.0, 0.0, 1.0])],
+        agent_shape=shape,
+    )
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field_name", ["p0", "v0", "a1"])
+    def test_non_finite_boundary_rejected(self, field_name, bad):
+        boundary = dict(p0=0.0, p1=4.0)
+        boundary[field_name] = bad
+        with pytest.raises(ValueError, match="boundary"):
+            MultiAgentProblem(
+                basis=build_basis(0.0, 8.0, N_P, 10),
+                boundaries=[(AxisBoundary(**boundary), AxisBoundary(p0=0.0), AxisBoundary(p0=1.0, p1=1.0))],
+                agent_shape=EllipsoidShape(0.3, 0.3),
+            )
+
+    def test_agent_without_three_axes_rejected(self):
+        with pytest.raises(ValueError, match="x, y and z"):
+            MultiAgentProblem(
+                basis=build_basis(0.0, 8.0, N_P, 10),
+                boundaries=[_axis_bounds([0.0, 0.0], [4.0, 0.0])],
+                agent_shape=EllipsoidShape(0.3, 0.3),
+            )
+
+    @pytest.mark.parametrize("a,b", [(np.nan, 0.3), (0.3, np.nan), (np.inf, 0.3), (0.3, np.inf)])
+    def test_agent_shape_not_positive_and_finite_rejected(self, a, b):
+        with pytest.raises(ValueError, match="semi-axes"):
+            _shape_problem(EllipsoidShape(a, b))
+
+    @pytest.mark.parametrize(
+        "center,radius",
+        [
+            ([0.0, np.nan, 1.0], 0.5),
+            ([0.0, 0.0, np.inf], 0.5),
+            ([0.0, 0.0], 0.5),
+            ([[0.0, 0.0, 1.0]], 0.5),
+            ([0.0, 0.0, 1.0], -0.1),
+            ([0.0, 0.0, 1.0], np.nan),
+            ([0.0, 0.0, 1.0], np.inf),
+        ],
+    )
+    def test_bad_static_sphere_rejected(self, center, radius):
+        with pytest.raises(ValueError, match="static sphere"):
+            make_problem([[-3.0, 0.0, 1.0]], [[3.0, 0.0, 1.0]], statics=[StaticSphere(np.array(center), radius)])
+
+    def test_zero_radius_static_sphere_accepted(self):
+        sphere = StaticSphere(np.array([0.0, 0.0, 1.0]), 0.0)
+        assert make_problem([[-3.0, 0.3, 1.0]], [[3.0, 0.3, 1.0]], statics=[sphere]).n_agents == 1
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(rho_start=0.0),
+            dict(rho_start=-1.0),
+            dict(rho_start=np.nan),
+            dict(rho_start=np.inf),
+            dict(rho_final=0.0),
+            dict(rho_final=np.nan),
+            dict(rho_final=np.inf),
+            dict(rho_start=10.0, rho_final=1.0),
+            dict(rho_levels=0),
+            dict(max_iter=-1),
+            dict(stall_window=0),
+        ],
+    )
+    def test_rejected_before_any_factorization(self, kwargs):
+        before = qpcore.factorization_count()
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            JointParams(**kwargs)
+        assert qpcore.factorization_count() == before
+
+    def test_single_level_and_equal_rho_accepted(self):
+        params = JointParams(rho_start=5.0, rho_final=5.0, rho_levels=1, max_iter=0)
+        problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
+        sol = solve_joint(problem, params)
+        assert sol.n_factorizations == 1

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
-from trajopt import qpcore
+from trajopt import qpcore, solver_single
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
-from trajopt.geometry import EllipsoidShape, ObstacleTrack, angles3d
+from trajopt.bench import gen_scenario, receding_horizon_run
+from trajopt.geometry import EllipsoidShape, ObstacleTrack, angles3d, los_scale
 from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
@@ -14,7 +17,6 @@ from trajopt.solver_single import (
     _d_step,
     _position_step,
     am_iteration,
-    augmented_lagrangian,
     equality_residuals,
     init_state,
     residual_report,
@@ -31,8 +33,8 @@ def _static_obstacle(center, shape, n_p):
     return ObstacleTrack(centers=np.tile(np.asarray(center, dtype=float), (n_p, 1)), shape=shape)
 
 
-def make_problem_2d(n_p=60, obstacles=(), w_track=1.0):
-    basis = build_basis(0.0, 6.0, n_p, 8)
+def make_problem_2d(n_p=60, obstacles=(), w_track=1.0, tf=6.0):
+    basis = build_basis(0.0, tf, n_p, 8)
     return SingleProblem(
         basis=basis,
         boundary=(AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=0.0, p1=0.0)),
@@ -42,8 +44,8 @@ def make_problem_2d(n_p=60, obstacles=(), w_track=1.0):
     )
 
 
-def make_problem_3d(n_p=50, obstacles=()):
-    basis = build_basis(0.0, 6.0, n_p, 8)
+def make_problem_3d(n_p=50, obstacles=(), degree=8):
+    basis = build_basis(0.0, 6.0, n_p, degree)
     return SingleProblem(
         basis=basis,
         boundary=(
@@ -66,6 +68,160 @@ def boundary_qp_oracle(problem):
         xi, _ = qpcore.solve(factor, q[k], bc.values())
         xis.append(xi)
     return np.stack(xis)
+
+
+class _Reference:
+    """The single-solver sweep as first written: the cost blocks, boundary
+    rows and stacked obstacle tracks rebuilt in every step, the positions
+    P @ xi.T evaluated four times, cos/sin of the same angles taken in the
+    sweep start, the copy steps and the residuals, and the cached factor
+    keyed on rho_o alone.  Its state is an ordinary SingleState.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def deltas(self, positions):
+        tracks = np.stack([obs.centers for obs in self.problem.obstacles])
+        return positions[None, :, :] - tracks
+
+    def semi_axes(self):
+        a = np.array([obs.shape.a for obs in self.problem.obstacles])[:, None]
+        b = np.array([obs.shape.b for obs in self.problem.obstacles])[:, None]
+        return a, b
+
+    def position_step(self, state):
+        problem = self.problem
+        basis = problem.basis
+        Q, q = _cost_blocks(problem)
+        A = boundary_matrix(basis)
+        bs = np.stack([bc.values() for bc in problem.boundary])
+        if state._factor is None or state._factor_rho_o != state.rho_o:
+            D = Q + state.rho_o * problem.n_o * (basis.P.T @ basis.P) if problem.n_o else Q
+            state._factor = qpcore.factorize(D, A)
+            state._factor_rho_o = state.rho_o
+            state.n_factorizations += 1
+        if problem.n_o:
+            a, b = self.semi_axes()
+            tracks = np.stack([obs.centers for obs in problem.obstacles])
+            if problem.dim == 3:
+                targets = np.stack([
+                    tracks[:, :, 0] + a * state.d * state.cos_a * state.sin_b,
+                    tracks[:, :, 1] + a * state.d * state.sin_a * state.sin_b,
+                    tracks[:, :, 2] + b * state.d * state.cos_b,
+                ])
+            else:
+                targets = np.stack([tracks[:, :, 0] + a * state.d * state.cos_a, tracks[:, :, 1] + b * state.d * state.sin_a])
+            lam_sum = state.lam_pos.sum(axis=1)
+            q_lin = q + lam_sum @ basis.P - state.rho_o * targets.sum(axis=1) @ basis.P
+        else:
+            q_lin = q
+        state.xi, _ = qpcore.solve_batch(state._factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+
+    def alpha_copy_step(self, state):
+        problem = self.problem
+        deltas = self.deltas(problem.basis.P @ state.xi.T)
+        a, b = self.semi_axes()
+        rho, rho_o = state.rho, state.rho_o
+        dx, dy = deltas[:, :, 0], deltas[:, :, 1]
+        if problem.dim == 3:
+            coef = a * state.d * state.sin_b
+            den = rho + rho_o * coef**2
+            state.cos_a = (rho * np.cos(state.alpha) - state.lam_cos_a + coef * (state.lam_pos[0] + rho_o * dx)) / den
+            state.sin_a = (rho * np.sin(state.alpha) - state.lam_sin_a + coef * (state.lam_pos[1] + rho_o * dy)) / den
+        else:
+            coef_x, coef_y = a * state.d, b * state.d
+            state.cos_a = (rho * np.cos(state.alpha) - state.lam_cos_a + coef_x * (state.lam_pos[0] + rho_o * dx)) / (
+                rho + rho_o * coef_x**2
+            )
+            state.sin_a = (rho * np.sin(state.alpha) - state.lam_sin_a + coef_y * (state.lam_pos[1] + rho_o * dy)) / (
+                rho + rho_o * coef_y**2
+            )
+
+    def beta_copy_step(self, state):
+        deltas = self.deltas(self.problem.basis.P @ state.xi.T)
+        a, b = self.semi_axes()
+        rho, rho_o = state.rho, state.rho_o
+        dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
+        coef_cb = b * state.d
+        state.cos_b = (rho * np.cos(state.beta) - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho_o * dz)) / (
+            rho + rho_o * coef_cb**2
+        )
+        coef_sb = a * state.d
+        num = (
+            rho * np.sin(state.beta)
+            - state.lam_sin_b
+            + coef_sb * (state.cos_a * (state.lam_pos[0] + rho_o * dx) + state.sin_a * (state.lam_pos[1] + rho_o * dy))
+        )
+        state.sin_b = num / (rho + rho_o * coef_sb**2 * (state.cos_a**2 + state.sin_a**2))
+
+    def residuals(self, state):
+        problem = self.problem
+        deltas = self.deltas(problem.basis.P @ state.xi.T)
+        a, b = self.semi_axes()
+        res = {}
+        if problem.dim == 3:
+            res["coll_x"] = deltas[:, :, 0] - a * state.d * state.cos_a * state.sin_b
+            res["coll_y"] = deltas[:, :, 1] - a * state.d * state.sin_a * state.sin_b
+            res["coll_z"] = deltas[:, :, 2] - b * state.d * state.cos_b
+            res["copy_cos_b"] = state.cos_b - np.cos(state.beta)
+            res["copy_sin_b"] = state.sin_b - np.sin(state.beta)
+        else:
+            res["coll_x"] = deltas[:, :, 0] - a * state.d * state.cos_a
+            res["coll_y"] = deltas[:, :, 1] - b * state.d * state.sin_a
+        res["copy_cos_a"] = state.cos_a - np.cos(state.alpha)
+        res["copy_sin_a"] = state.sin_a - np.sin(state.alpha)
+        return res
+
+    def sweep(self, state):
+        """One parent sweep on a problem with obstacles; mutates the state."""
+        problem = self.problem
+        state.cos_a, state.sin_a = np.cos(state.alpha), np.sin(state.alpha)
+        if problem.dim == 3:
+            state.cos_b, state.sin_b = np.cos(state.beta), np.sin(state.beta)
+        self.position_step(state)
+        self.alpha_copy_step(state)
+        state.alpha = np.arctan2(state.sin_a, state.cos_a)
+        if problem.dim == 3:
+            self.beta_copy_step(state)
+            state.beta = np.arctan2(state.sin_b, state.cos_b)
+        deltas = self.deltas(problem.basis.P @ state.xi.T)
+        state.d = los_scale(np.moveaxis(deltas, -1, 0), *self.semi_axes())
+        res = state.residuals = self.residuals(state)
+        for k, name in enumerate(("coll_x", "coll_y", "coll_z")[: problem.dim]):
+            state.lam_pos[k] += state.rho_o * res[name]
+        state.lam_cos_a += state.rho * res["copy_cos_a"]
+        state.lam_sin_a += state.rho * res["copy_sin_a"]
+        if problem.dim == 3:
+            state.lam_cos_b += state.rho * res["copy_cos_b"]
+            state.lam_sin_b += state.rho * res["copy_sin_b"]
+        state.iteration += 1
+
+
+def augmented_lagrangian(state, problem):
+    """Objective plus multiplier and quadratic penalty terms (fixed multipliers).
+
+    The minimization blocks must not increase it.  The d and multiplier
+    steps are excluded from that property: d follows the analytic
+    line-of-sight rule and the multiplier step is dual ascent.
+    """
+    basis = problem.basis
+    acc = basis.Pddot @ state.xi.T
+    pos = basis.P @ state.xi.T
+    value = problem.w_smooth * float(np.sum(acc**2)) + problem.w_track * float(np.sum((pos - problem.desired) ** 2))
+    res = equality_residuals(state, problem)
+    if not res:
+        return value
+    for axis_idx, name in enumerate(("coll_x", "coll_y", "coll_z")[: problem.dim]):
+        r = res[name]
+        value += float(np.sum(state.lam_pos[axis_idx] * r)) + 0.5 * state.rho_o * float(np.sum(r**2))
+    copies = [("copy_cos_a", state.lam_cos_a), ("copy_sin_a", state.lam_sin_a)]
+    if problem.dim == 3:
+        copies += [("copy_cos_b", state.lam_cos_b), ("copy_sin_b", state.lam_sin_b)]
+    for name, lam in copies:
+        r = res[name]
+        value += 0.5 * state.rho * float(np.sum((r + lam / state.rho) ** 2))
+    return value
 
 
 class TestDStep:
@@ -349,3 +505,268 @@ class TestResidualReport:
         for name, fam in report.items():
             assert fam["norm"] == pytest.approx(float(np.linalg.norm(res[name])))
             assert fam["max_abs"] <= fam["norm"] + 1e-15
+
+
+STATE_FIELDS = (
+    "xi", "d", "alpha", "beta", "cos_a", "sin_a", "cos_b", "sin_b",
+    "lam_pos", "lam_cos_a", "lam_sin_a", "lam_cos_b", "lam_sin_b",
+)
+
+
+def _assert_states_match(got, ref):
+    for name in STATE_FIELDS:
+        g, r = getattr(got, name), getattr(ref, name)
+        if r is None:
+            assert g is None, name
+        else:
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+    assert got.residuals.keys() == ref.residuals.keys()
+    for name, r in ref.residuals.items():
+        np.testing.assert_allclose(got.residuals[name], r, rtol=0, atol=1e-12, err_msg=name)
+
+
+def _moving_obstacle(start, velocity, shape, n_p, tf=6.0):
+    t = np.linspace(0.0, tf, n_p)[:, None]
+    return ObstacleTrack(centers=np.asarray(start, dtype=float) + t * np.asarray(velocity, dtype=float), shape=shape)
+
+
+def _mixed_problem(dim, shift=0.0):
+    """a != b obstacles near the path: two static, one crossing it."""
+    if dim == 2:
+        obstacles = [
+            _static_obstacle([3.0 + shift, 0.2], EllipsoidShape(0.9, 0.5), 60),
+            _static_obstacle([5.5, -0.3 + shift], EllipsoidShape(0.4, 0.8), 60),
+            _moving_obstacle([4.0 + shift, -2.0], [0.0, 0.6], EllipsoidShape(0.6, 0.3), 60),
+        ]
+        return make_problem_2d(obstacles=obstacles)
+    obstacles = [
+        _static_obstacle([2.5 + shift, 0.4, 1.1], EllipsoidShape(0.8, 0.5), 50),
+        _static_obstacle([4.0, 0.6 + shift, 0.8], EllipsoidShape(0.4, 0.9), 50),
+        _moving_obstacle([3.5 + shift, -1.5, 1.0], [0.0, 0.5, 0.05], EllipsoidShape(0.5, 0.7), 50),
+    ]
+    return make_problem_3d(obstacles=obstacles)
+
+
+class TestMatchesReference:
+    """Every sweep matches the parent formulation of _Reference."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cold_sweeps_match(self, dim):
+        prob = _mixed_problem(dim)
+        ref = _Reference(prob)
+        state = init_state(prob)
+        ref_state = copy.deepcopy(state)
+        for sweep in range(30):
+            if sweep in (10, 20):  # a penalty step makes both refactor
+                for s in (state, ref_state):
+                    s.rho, s.rho_o = 1.4 * s.rho, 1.4 * s.rho_o
+            am_iteration(state, prob)
+            ref.sweep(ref_state)
+            _assert_states_match(state, ref_state)
+        assert state.n_factorizations == ref_state.n_factorizations == 3
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_warm_state_on_moved_obstacles_matches(self, dim):
+        # the receding-horizon case: same saddle, obstacles and boundary moved
+        state = solve_single(_mixed_problem(dim), SingleParams(max_iter=40)).state
+        prob = _mixed_problem(dim, shift=0.3)
+        ref = _Reference(prob)
+        ref_state = copy.deepcopy(state)
+        struct = solver_single._SingleStructure(prob)
+        for _ in range(15):
+            am_iteration(state, prob, struct)
+            ref.sweep(ref_state)
+            _assert_states_match(state, ref_state)
+        assert state.n_factorizations == ref_state.n_factorizations
+
+    def test_solve_matches_reference_sweeps(self):
+        # a cold solve is the reference sweep under the same schedule
+        prob = _mixed_problem(3)
+        sol = solve_single(prob, SingleParams(max_iter=60, tol=0.0))
+        ref, ref_state = _Reference(prob), init_state(prob)
+        for h in sol.residual_history:
+            ref_state.rho = ref_state.rho_o = h["rho_o"]
+            ref.sweep(ref_state)
+        _assert_states_match(sol.state, ref_state)
+        assert sol.n_factorizations == ref_state.n_factorizations
+
+
+class TestOnePassPerSweep:
+    def test_one_structure_trig_offsets_and_residual_per_sweep(self, monkeypatch):
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        structure = solver_single._SingleStructure
+        monkeypatch.setattr(structure, "__init__", counted("structure", structure.__init__))
+        monkeypatch.setattr(structure, "offsets", counted("offsets", structure.offsets))
+        monkeypatch.setattr(solver_single, "_angle_trig", counted("trig", solver_single._angle_trig))
+        monkeypatch.setattr(solver_single, "equality_residuals", counted("residuals", solver_single.equality_residuals))
+        sol = solve_single(_mixed_problem(3), SingleParams(max_iter=12, tol=0.0))
+        assert sol.iterations == 12
+        # the initial state's straight line takes one more offset evaluation
+        assert counts == {"structure": 1, "offsets": 13, "trig": 12, "residuals": 12}
+
+
+class TestWarmState:
+    def _solved_state(self, prob, iters=3):
+        return solve_single(prob, SingleParams(max_iter=iters)).state
+
+    def _assert_rejected_untouched(self, prob, state, match):
+        before = (state.iteration, state.n_factorizations, state.xi.copy(), qpcore.factorization_count())
+        with pytest.raises(ValueError, match=match):
+            solve_single(prob, SingleParams(max_iter=3), state=state)
+        assert (state.iteration, state.n_factorizations) == before[:2]
+        np.testing.assert_array_equal(state.xi, before[2])
+        assert qpcore.factorization_count() == before[3]
+
+    def test_dimension_mismatch_rejected(self):
+        obstacle = [_static_obstacle([4.0, 0.5, 1.0], EllipsoidShape(0.5, 0.5), 50)]
+        state = self._solved_state(make_problem_2d(n_p=50, obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 50)]))
+        self._assert_rejected_untouched(make_problem_3d(obstacles=obstacle), state, "warm state xi")
+
+    def test_coefficient_width_mismatch_rejected(self):
+        state = self._solved_state(make_problem_3d(degree=8))
+        self._assert_rejected_untouched(make_problem_3d(degree=10), state, "warm state xi")
+
+    @pytest.mark.parametrize("name", ["d", "alpha", "lam_pos", "lam_cos_a", "lam_sin_b"])
+    def test_polar_shape_mismatch_rejected(self, name):
+        obstacles = [_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)]
+        state = self._solved_state(make_problem_3d(obstacles=obstacles))
+        value = getattr(state, name)
+        setattr(state, name, np.concatenate([value, value], axis=-2))  # one obstacle more
+        self._assert_rejected_untouched(make_problem_3d(obstacles=obstacles), state, f"warm state {name}")
+
+    def test_obstacle_count_mismatch_rejected(self):
+        state = self._solved_state(make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)]))
+        more = [_static_obstacle([x, 0.5], EllipsoidShape(0.5, 0.5), 60) for x in (2.0, 4.0, 6.0)]
+        self._assert_rejected_untouched(make_problem_2d(obstacles=more), state, "warm state d")
+
+    def test_beta_set_on_planar_problem_rejected(self):
+        prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
+        state = self._solved_state(prob)
+        state.beta = np.zeros_like(state.alpha)
+        self._assert_rejected_untouched(prob, state, "warm state beta")
+
+    def test_beta_unset_on_spatial_problem_rejected(self):
+        prob = make_problem_3d(obstacles=[_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)])
+        state = self._solved_state(prob)
+        state.beta = None
+        self._assert_rejected_untouched(prob, state, "warm state beta")
+
+    @pytest.mark.parametrize("change", ["horizon", "w_smooth"])
+    def test_changed_saddle_matrix_is_refactored(self, change):
+        # same shapes, another saddle: a 10 s horizon against 8 s, or
+        # another smoothness weight; the cached factor must not be reused
+        obstacles = [_static_obstacle([4.0, 0.3], EllipsoidShape(0.8, 0.6), 60)]
+        state = self._solved_state(make_problem_2d(obstacles=obstacles, tf=10.0))
+        if change == "horizon":
+            prob = make_problem_2d(obstacles=obstacles, tf=8.0)
+        else:
+            prob = SingleProblem(**{**vars(make_problem_2d(obstacles=obstacles, tf=10.0)), "w_smooth": 10.0})
+        fresh = copy.deepcopy(state)
+        fresh._factor = fresh._factor_key = fresh._factor_rho_o = None
+        n_before = state.n_factorizations
+        warm = solve_single(prob, SingleParams(max_iter=3), state=state)
+        expected = solve_single(prob, SingleParams(max_iter=3), state=fresh)
+        assert warm.n_factorizations == expected.n_factorizations == n_before + 1
+        np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
+
+    def test_same_saddle_reuses_the_factor(self):
+        # moved obstacle, new boundary and desired path: the saddle is
+        # unchanged, so the warm solve factorizes nothing
+        state = self._solved_state(make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)]))
+        prob = make_problem_2d(obstacles=[_static_obstacle([5.0, -0.5], EllipsoidShape(0.5, 0.5), 60)])
+        prob = SingleProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=0.5, p1=8.0), AxisBoundary(p0=0.2, p1=0.0))})
+        n_before = state.n_factorizations
+        warm = solve_single(prob, SingleParams(max_iter=3), state=state)
+        assert warm.n_factorizations == n_before
+
+    def test_receding_horizon_factorizes_once_per_rho(self, monkeypatch):
+        # each control loop builds a problem with the same saddle, so the
+        # warm factor is rebuilt only when rho_o changes
+        runs = []
+        original = solver_single.solve_single
+
+        def recording(*args, **kwargs):
+            sol = original(*args, **kwargs)
+            runs.append(sol)
+            return sol
+
+        monkeypatch.setattr(solver_single, "solve_single", recording)
+        result = receding_horizon_run(gen_scenario("barn-like", seed=0), solver="single", n_steps=4)
+        assert len(result.records) == len(runs) >= 2
+        rhos = [h["rho_o"] for sol in runs for h in sol.residual_history]
+        changes = sum(1 for before, after in zip(rhos, rhos[1:]) if before != after)
+        assert runs[-1].n_factorizations == 1 + changes
+
+
+class TestProblemValidation:
+    """Bad problem data is rejected when the problem is built."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(desired_nan=True),
+            dict(boundary=(AxisBoundary(p0=0.0, p1=float("nan")), AxisBoundary(p0=0.0, p1=0.0))),
+            dict(boundary=(AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=0.0, a0=float("inf"), p1=0.0))),
+            dict(boundary=(AxisBoundary(p0=0.0, p1=8.0),)),
+            dict(centers=np.full((60, 2), float("nan"))),
+            dict(centers=np.zeros((60, 3))),
+            dict(shape=EllipsoidShape(float("nan"), 0.5)),
+            dict(shape=EllipsoidShape(0.5, float("inf"))),
+            dict(w_smooth=float("nan")),
+            dict(w_track=float("inf")),
+            dict(w_smooth=-1.0),
+        ],
+        ids=[
+            "desired-nan", "goal-nan", "a0-inf", "one-axis", "centres-nan", "centres-3d",
+            "semi-axis-nan", "semi-axis-inf", "w_smooth-nan", "w_track-inf", "w_smooth-negative",
+        ],
+    )
+    def test_rejected(self, change):
+        prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
+        kwargs = dict(vars(prob))
+        desired = prob.desired.copy()
+        if change.pop("desired_nan", False):
+            desired[7, 1] = np.nan
+        kwargs["desired"] = desired
+        centers = change.pop("centers", prob.obstacles[0].centers)
+        shape = change.pop("shape", prob.obstacles[0].shape)
+        kwargs["obstacles"] = [ObstacleTrack(centers=centers, shape=shape)]
+        kwargs.update(change)
+        with pytest.raises(ValueError):
+            SingleProblem(**kwargs)
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(rho_start=0.0),
+            dict(rho_start=-1.0),
+            dict(rho_start=float("nan")),
+            dict(rho_cap=float("inf")),
+            dict(rho_cap=0.5),
+            dict(rho_growth=float("nan")),
+            dict(rho_growth=float("inf")),
+            dict(rho_growth=0.9),
+            dict(max_iter=-1),
+            dict(stall_window=0),
+            dict(tol=float("nan")),
+            dict(stall_improvement=float("nan")),
+        ],
+        ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
+    )
+    def test_rejected(self, change):
+        with pytest.raises(ValueError):
+            SingleParams(**change)
+
+    def test_defaults_and_boundary_values_accepted(self):
+        SingleParams()
+        SingleParams(rho_start=2.0, rho_cap=2.0, rho_growth=1.0, max_iter=0, stall_window=1, tol=0.0)

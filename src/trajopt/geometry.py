@@ -17,8 +17,9 @@ The kernel, the only place this math is written:
 - scaled_sq_norm: squared ellipsoidal norm r**2 of per-axis offsets;
 - los_scale: the closed-form scale d = clip(r, lower, upper);
 - radial_clamp: residual of the closed-form polar projection, with no angles;
+- radial_target: the closed-form spheroid scale and target for targets
+  shifted off the offset (e.g. by multipliers), with no angles;
 - angle2d, angles3d: the angles recovering an offset;
-- closed_form_d_3d: the clamped scale at fixed angles, for shifted targets;
 - stalled: the windowed stall test behind every penalty schedule.
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
@@ -38,9 +39,9 @@ __all__ = [
     "ObstacleTrack",
     "angle2d",
     "angles3d",
-    "closed_form_d_3d",
     "los_scale",
     "radial_clamp",
+    "radial_target",
     "scaled_sq_norm",
     "stalled",
 ]
@@ -101,22 +102,6 @@ def angles3d(deltas, a, b):
     return alpha, beta
 
 
-def closed_form_d_3d(x_tilde, y_tilde, z_tilde, alpha, beta, a, b, lower, upper):
-    """Clamped minimizer over d of the (a, a, b) spheroid equality residual.
-
-    Minimizes |x - a d cos(alpha) sin(beta)|^2 + |y - a d sin(alpha) sin(beta)|^2
-    + |z - b d cos(beta)|^2, a single-variable convex quadratic, so clamping
-    the unconstrained minimizer to [lower, upper] is exact.  With the angles
-    of the offset itself (angles3d) this is los_scale; it differs when the
-    targets are shifted, e.g. by multipliers.
-    """
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    num = a * sb * (ca * x_tilde + sa * y_tilde) + b * cb * z_tilde
-    den = a**2 * sb**2 + b**2 * cb**2
-    return np.clip(num / den, lower, upper)
-
-
 def scaled_sq_norm(deltas, a, b):
     """Squared ellipsoidal norm of per-axis offsets.
 
@@ -172,6 +157,37 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
             res[centre] = 0.0
         out[axis][centre] = -lower * np.broadcast_to(semi, r.shape)[centre]
     return out
+
+
+def radial_target(deltas, a, b, shifted=None, lower=1.0, upper=D_CAP):
+    """Closed-form (a, a, b) spheroid scale d and target for a shifted target.
+
+    At the angles of the offset delta, d in [lower, upper] minimizes
+    |shifted - target(d)|^2, target(d) the spheroid point of scale d.  Since
+    sin(beta) cos(alpha) = dx / (a r), sin(beta) sin(alpha) = dy / (a r) and
+    cos(beta) = dz / (b r), r the scaled norm, no angle is needed:
+    d = clip(r (delta . shifted) / (delta . delta)) and target = delta d / r.
+    shifted defaults to delta, where d is los_scale and delta - target is
+    radial_clamp.  At r = 0 the angles take their origin convention
+    (alpha = beta = 0): the target is (0, 0, b d), d = clip(shifted_z / b).
+
+    deltas and shifted are (3, ...) arrays; a and b broadcast against one
+    axis.  Returns d, shaped as one axis, and the (3, ...) target.
+    """
+    r = scaled_sq_norm(deltas, a, b)
+    np.sqrt(r, out=r)
+    sq = np.einsum("k...,k...->...", deltas, deltas)
+    dot = sq if shifted is None else np.einsum("k...,k...->...", deltas, shifted)
+    centre = r == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.clip(r * dot / sq, lower, upper)
+        target = deltas * (d / r)
+    if centre.any():
+        semi = np.broadcast_to(b, r.shape)[centre]
+        d[centre] = np.clip((0.0 if shifted is None else shifted[-1][centre]) / semi, lower, upper)
+        target[:, centre] = 0.0
+        target[-1][centre] = semi * d[centre]
+    return d, target
 
 
 def stalled(history, since_change, window, improvement, floor):

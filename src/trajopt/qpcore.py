@@ -97,7 +97,9 @@ def factorize(Q: np.ndarray, A: np.ndarray, *, cond_limit: float = 1e12) -> KKTF
         K[:n_v, n_v:] = A.T
         K[n_v:, :n_v] = A
 
-    cond = float(np.linalg.cond(K))
+    # K is symmetric, so its 2-norm condition number is max|eig| / min|eig|
+    eig = np.abs(np.linalg.eigvalsh(K))
+    cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
     if not np.isfinite(cond) or cond > cond_limit:
         raise FactorizationError(f"saddle matrix is near-singular (cond estimate {cond:.3e})")
 

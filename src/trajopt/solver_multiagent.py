@@ -16,9 +16,14 @@ and their right-hand sides are the incidence scatter -rho * E' b P of the
 per-pair targets b, one product for all three axes.  The factorization is
 precomputed for a staged schedule of rho values, so the whole solve performs
 exactly one factorization per schedule level no matter how many iterations
-run or how many pairwise constraints exist.  Each iteration builds the
-reconstruction and the residual once; the reconstruction is the next
-iteration's target, since the polar variables do not change in between.
+run or how many pairwise constraints exist.
+
+The polar blocks take no angles: the angles of a pair offset delta enter
+the d-step and the reconstruction only as delta / r (r its scaled norm), so
+both come from geometry.radial_target.  Each iteration evaluates the
+axis-major (3, n_pairs, n_p) offsets, the reconstruction and the residual
+once; the reconstruction is the next iteration's target, since the polar
+variables do not change in between.
 
 Static obstacles enter as stationary pseudo-agents wrapped in circumscribing
 spheres: they contribute constraint rows against every real agent but no
@@ -38,7 +43,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import D_CAP, EllipsoidShape, angles3d, closed_form_d_3d, stalled
+from .geometry import EllipsoidShape, radial_target, stalled
 
 
 def _positive_finite(value) -> bool:
@@ -83,7 +88,6 @@ class MultiAgentProblem:
 class JointParams:
     max_iter: int = 200
     tol_norm: float = 0.01
-    tol_max: float = 1e-3
     rho_start: float = 1.0
     rho_final: float = 1e4
     rho_levels: int = 10
@@ -110,10 +114,8 @@ class JointParams:
 class JointState:
     xi: np.ndarray  # (3, N_a * m)
     d: np.ndarray  # (n_pairs, n_p)
-    alpha: np.ndarray
-    beta: np.ndarray
     lam: np.ndarray  # (3, n_pairs, n_p)
-    recon: np.ndarray  # (3, n_pairs, n_p) reconstruction at the current (d, alpha, beta)
+    recon: np.ndarray  # (3, n_pairs, n_p) reconstruction d * delta / r at the offsets of xi
     residual: np.ndarray  # (3, n_pairs, n_p) residual of xi against recon
     level: int = 0
     iteration: int = 0
@@ -164,10 +166,10 @@ class _JointStructure:
         self.pair_b = np.concatenate([np.full(len(agent_i), 2.0 * b_inf), np.repeat(b_inf + radii, n_a)])
         self.pa = self.pair_a[:, None]
         self.pb = self.pair_b[:, None]
-        # (n_pairs, 1, 3) centre of each pair's static partner, zero for agent pairs
+        # (3, n_pairs, 1) centre of each pair's static partner, zero for agent pairs
         centers = np.array([sphere.center for sphere in problem.static_obstacles], dtype=float).reshape(n_s, 3)
-        self.static_centers = np.zeros((self.n_pairs, 1, 3))
-        self.static_centers[self.static, 0] = np.repeat(centers, n_a, axis=0)
+        self.static_centers = np.zeros((3, self.n_pairs, 1))
+        self.static_centers[:, self.static, 0] = np.repeat(centers, n_a, axis=0).T
 
         # signed pair-agent incidence: the pair rows are A_fo = E ⊗ P
         self.E = np.zeros((self.n_pairs, n_a))
@@ -199,68 +201,50 @@ class _JointStructure:
         self.n_factorizations = len(self.factors)
 
     def agent_positions(self, xi: np.ndarray) -> np.ndarray:
-        """(N_a, n_p, 3) position samples from the stacked coefficients."""
-        return np.moveaxis(xi.reshape(3, self.n_a, self.m) @ self.basis.P.T, 0, -1)
+        """(3, N_a, n_p) position samples from the stacked coefficients."""
+        return xi.reshape(3, self.n_a, self.m) @ self.basis.P.T
 
-    def pair_deltas(self, positions: np.ndarray) -> np.ndarray:
-        """(n_pairs, n_p, 3) offsets p_i - p_j (static partner uses its center)."""
-        partner = np.where(self.static[:, None, None], self.static_centers, positions[self.pair_j])
-        return positions[self.pair_i] - partner
+    def pair_deltas(self, xi: np.ndarray) -> np.ndarray:
+        """(3, n_pairs, n_p) offsets p_i - p_j (static partner uses its center).
 
-
-def _reconstruction(struct, d, alpha, beta):
-    """Target offsets a d sin(beta) cos(alpha) etc. per pair, (3, n_pairs, n_p)."""
-    sb, cb = np.sin(beta), np.cos(beta)
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    return np.stack([struct.pa * d * sb * ca, struct.pa * d * sb * sa, struct.pb * d * cb])
+        The incidence product is exact: its rows are +1, -1 and zeros.
+        """
+        return self.E @ self.agent_positions(xi) - self.static_centers
 
 
-def pairwise_residuals_arrays(
-    struct: _JointStructure, state: JointState, recon: np.ndarray | None = None
-) -> np.ndarray:
-    """(3, n_pairs, n_p) separation-equality residuals.
+def pairwise_residuals_arrays(struct: _JointStructure, state: JointState, deltas=None) -> np.ndarray:
+    """(3, n_pairs, n_p) separation-equality residuals, offsets minus state.recon.
 
-    recon is the reconstruction at the state's (d, alpha, beta) when the
-    caller already has it; it is computed from the state otherwise.
+    deltas are the pair offsets of state.xi when the caller already has
+    them; they are evaluated otherwise.
     """
-    deltas = struct.pair_deltas(struct.agent_positions(state.xi))
-    if recon is None:
-        recon = _reconstruction(struct, state.d, state.alpha, state.beta)
-    return np.moveaxis(deltas, -1, 0) - recon
+    if deltas is None:
+        deltas = struct.pair_deltas(state.xi)
+    return deltas - state.recon
 
 
 def _init_state(problem, struct) -> JointState:
-    n_pairs, n_p = struct.n_pairs, struct.basis.n_p
     # one least-squares fit for every (axis, agent) straight line, axis-major
     ends = np.array([[(bc[k].p0, bc[k].p1) for bc in problem.boundaries] for k in range(3)])
     xi = straight_line_coeffs(struct.basis, ends[..., 0].ravel(), ends[..., 1].ravel()).reshape(3, -1)
-
-    deltas = np.moveaxis(struct.pair_deltas(struct.agent_positions(xi)), -1, 0)
-    d = np.ones((n_pairs, n_p))
-    alpha, beta = angles3d(deltas, struct.pa, struct.pb)
-    recon = _reconstruction(struct, d, alpha, beta)
-    return JointState(
-        xi=xi, d=d, alpha=alpha, beta=beta, lam=np.zeros((3, n_pairs, n_p)), recon=recon, residual=deltas - recon
-    )
+    deltas = struct.pair_deltas(xi)
+    d, recon = radial_target(deltas, struct.pa, struct.pb, upper=1.0)  # the unit-scale start d = 1
+    return JointState(xi=xi, d=d, lam=np.zeros_like(deltas), recon=recon, residual=deltas - recon)
 
 
 def _iterate(state: JointState, struct: _JointStructure) -> None:
     rho = struct.rho_levels[state.level]
 
     # incidence scatter A_fo' b = E' b P of the targets, all axes at once
-    b_fo = state.recon - state.lam / rho + np.moveaxis(struct.static_centers, -1, 0)
+    shift = state.lam / rho
+    b_fo = state.recon - shift + struct.static_centers
     qs = -rho * (struct.E.T @ b_fo @ struct.basis.P).reshape(3, -1)
     state.xi, _ = qpcore.solve_batch(struct.factors[state.level], qpcore.BatchRHS(qs=qs, bs=struct.b_eq))
 
-    deltas = np.moveaxis(struct.pair_deltas(struct.agent_positions(state.xi)), -1, 0)
-    state.alpha, state.beta = angles3d(deltas, struct.pa, struct.pb)
-
     # the d targets are shifted by the multipliers, so d keeps the closed form
-    dx, dy, dz = deltas + state.lam / rho
-    state.d = closed_form_d_3d(dx, dy, dz, state.alpha, state.beta, struct.pa, struct.pb, 1.0, D_CAP)
-
-    state.recon = _reconstruction(struct, state.d, state.alpha, state.beta)
-    state.residual = pairwise_residuals_arrays(struct, state, state.recon)
+    deltas = struct.pair_deltas(state.xi)
+    state.d, state.recon = radial_target(deltas, struct.pa, struct.pb, deltas + shift)
+    state.residual = pairwise_residuals_arrays(struct, state, deltas)
     state.lam = state.lam + rho * state.residual
     state.iteration += 1
 
@@ -302,13 +286,11 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
             state.level = min(target, n_levels - 1)
             last_change = state.iteration
 
-    positions = struct.agent_positions(state.xi)
     trajectories = [
         sample_trajectory(struct.basis, state.xi[:, i * struct.m : (i + 1) * struct.m].T) for i in range(struct.n_a)
     ]
 
-    agents = ~struct.static
-    gaps = np.linalg.norm(positions[struct.pair_i[agents]] - positions[struct.pair_j[agents]], axis=-1)
+    gaps = np.linalg.norm(struct.pair_deltas(state.xi)[:, ~struct.static], axis=0)
     return JointSolution(
         trajectories=trajectories,
         converged=converged,

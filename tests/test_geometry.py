@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ from trajopt.geometry import (
     EllipsoidShape,
     angle2d,
     angles3d,
-    closed_form_d_3d,
     los_scale,
     radial_clamp,
+    radial_target,
     scaled_sq_norm,
     stalled,
 )
@@ -108,14 +109,38 @@ class TestAngles3d:
         assert np.all(beta >= 0.0) and np.all(beta <= np.pi)
 
 
+def _closed_form_d_3d(x_tilde, y_tilde, z_tilde, alpha, beta, a, b, lower, upper):
+    """Clamped minimizer over d of the spheroid equality residual at fixed angles."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    num = a * sb * (ca * x_tilde + sa * y_tilde) + b * cb * z_tilde
+    den = a**2 * sb**2 + b**2 * cb**2
+    return np.clip(num / den, lower, upper)
+
+
+def _spheroid_point(alpha, beta, a, b, d=1.0):
+    """(3, ...) point of scale d at the angles (alpha, beta)."""
+    return d * np.array([a * np.cos(alpha) * np.sin(beta), a * np.sin(alpha) * np.sin(beta), b * np.cos(beta)])
+
+
 class TestClosedFormD:
-    """closed_form_d_3d, the clamped scale at fixed angles."""
+    """radial_target's d, the clamped scale at the angles of the offset.
+
+    Each offset is taken along the angles of the hand case, at a scale that
+    does not matter, since only its direction enters the d-step.
+    """
+
+    @staticmethod
+    def _d(x, y, z, alpha, beta, a, b, lower, upper, scale=0.7):
+        delta = _spheroid_point(alpha, beta, a, b, scale)[:, None]
+        d, _ = radial_target(delta, a, b, np.array([[x], [y], [z]]), lower, upper)
+        return float(d[0])
 
     def test_on_axis_sphere(self):
-        assert closed_form_d_3d(2.0, 0.0, 0.0, 0.0, np.pi / 2, 1.0, 1.0, 1.0, np.inf) == pytest.approx(2.0)
+        assert self._d(2.0, 0.0, 0.0, 0.0, np.pi / 2, 1.0, 1.0, 1.0, np.inf) == pytest.approx(2.0)
 
     def test_clamped_at_lower_bound(self):
-        assert closed_form_d_3d(0.5, 0.0, 0.0, 0.0, np.pi / 2, 1.0, 1.0, 1.0, np.inf) == pytest.approx(1.0)
+        assert self._d(0.5, 0.0, 0.0, 0.0, np.pi / 2, 1.0, 1.0, 1.0, np.inf) == pytest.approx(1.0)
 
     @staticmethod
     def _cost(d, x, y, z, alpha, beta, a, b):
@@ -132,7 +157,7 @@ class TestClosedFormD:
         for _ in range(20):
             x, y, z = rng.normal(scale=2.0, size=3)
             alpha, beta = rng.uniform(-np.pi, np.pi), rng.uniform(0.0, np.pi)
-            d = float(closed_form_d_3d(x, y, z, alpha, beta, a, b, 0.0, 1.0))
+            d = self._d(x, y, z, alpha, beta, a, b, 0.0, 1.0, scale=rng.uniform(0.1, 10.0))
             d_grid = grid[np.argmin(self._cost(grid, x, y, z, alpha, beta, a, b))]
             assert abs(d - d_grid) < 1e-6
 
@@ -140,7 +165,7 @@ class TestClosedFormD:
         a, b = 1.1, 0.4
         rng = np.random.default_rng(3)
         x, y, z, alpha, beta = 1.7, -2.3, 0.8, 0.9, 1.2
-        d_star = float(closed_form_d_3d(x, y, z, alpha, beta, a, b, 1.0, 50.0))
+        d_star = self._d(x, y, z, alpha, beta, a, b, 1.0, 50.0)
         candidates = rng.uniform(1.0, 50.0, size=1000)
         cost = self._cost(candidates, x, y, z, alpha, beta, a, b)
         assert self._cost(d_star, x, y, z, alpha, beta, a, b) <= cost.min() + 1e-12
@@ -148,12 +173,64 @@ class TestClosedFormD:
     def test_3d_variant_consistent_with_reconstruction(self):
         sh = EllipsoidShape(a=0.8, b=1.7)
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            delta = rng.normal(scale=4.0, size=3)
-            alpha, beta = angles3d(delta, sh.a, sh.b)
-            d_unclamped = closed_form_d_3d(delta[0], delta[1], delta[2], alpha, beta, sh.a, sh.b, 0.0, np.inf)
-            quad = np.sqrt(delta[0] ** 2 / sh.a**2 + delta[1] ** 2 / sh.a**2 + delta[2] ** 2 / sh.b**2)
-            assert d_unclamped == pytest.approx(quad, rel=1e-9, abs=1e-12)
+        delta = rng.normal(scale=4.0, size=(3, 50))
+        d_unclamped, target = radial_target(delta, sh.a, sh.b, lower=0.0, upper=np.inf)
+        quad = np.sqrt(delta[0] ** 2 / sh.a**2 + delta[1] ** 2 / sh.a**2 + delta[2] ** 2 / sh.b**2)
+        np.testing.assert_allclose(d_unclamped, quad, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(target, delta, rtol=1e-12, atol=1e-12)
+
+
+class TestRadialTarget:
+    A, B = 1.3, 0.6
+
+    def test_matches_the_angle_form(self):
+        # shifted targets around random offsets, clamped at both ends
+        rng = np.random.default_rng(5)
+        delta = rng.normal(size=(3, 400)) * rng.uniform(0.01, 3.0, size=400)
+        shifted = delta + rng.normal(scale=0.5, size=(3, 400))
+        d, target = radial_target(delta, self.A, self.B, shifted, 1.0, 2.5)
+        alpha, beta = angles3d(delta, self.A, self.B)
+        d_ref = _closed_form_d_3d(*shifted, alpha, beta, self.A, self.B, 1.0, 2.5)
+        assert np.any(d_ref == 1.0) and np.any(d_ref == 2.5) and np.any((d_ref > 1.0) & (d_ref < 2.5))
+        np.testing.assert_allclose(d, d_ref, rtol=1e-13)
+        np.testing.assert_allclose(target, _spheroid_point(alpha, beta, self.A, self.B, d_ref), rtol=0, atol=1e-13)
+
+    def test_unshifted_is_los_scale_and_radial_clamp(self):
+        rng = np.random.default_rng(6)
+        delta = rng.normal(size=(3, 200)) * rng.uniform(0.0, 2.0, size=200)
+        delta[:, 0] = 0.0
+        d, target = radial_target(delta, self.A, self.B)
+        np.testing.assert_allclose(d, los_scale(delta, self.A, self.B), rtol=1e-15)
+        np.testing.assert_allclose(delta - target, radial_clamp(delta, self.A, self.B), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shift_z,d_expected", [(None, 1.0), (0.3, 1.0), (1.5, 2.5), (-2.0, 1.0)])
+    def test_coincident_offset_takes_the_origin_convention(self, shift_z, d_expected):
+        # alpha = beta = 0 at the origin: the target is (0, 0, b d) and d the
+        # z-shift over b; a shift in x or y does not move it
+        delta = np.zeros((3, 4))
+        shifted = None if shift_z is None else np.array([[0.4] * 4, [-0.2] * 4, [shift_z] * 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, target = radial_target(delta, self.A, self.B, shifted)
+        np.testing.assert_array_equal(d, d_expected)
+        np.testing.assert_array_equal(target, [[0.0] * 4, [0.0] * 4, [self.B * d_expected] * 4])
+        alpha, beta = angles3d(delta, self.A, self.B)
+        x_tilde, y_tilde, z_tilde = delta if shifted is None else shifted
+        assert np.all(alpha == 0.0) and np.all(beta == 0.0)
+        d_ref = _closed_form_d_3d(x_tilde, y_tilde, z_tilde, alpha, beta, self.A, self.B, 1.0, D_CAP)
+        np.testing.assert_allclose(d, d_ref)
+
+    def test_broadcasts_over_pairs(self):
+        a = np.array([[0.5], [1.0], [2.0]])  # (n_pairs, 1) against (3, n_pairs, n_p) offsets
+        b = np.array([[0.7], [0.9], [1.1]])
+        rng = np.random.default_rng(8)
+        delta, shifted = rng.normal(size=(2, 3, 3, 5))
+        delta[:, 1, 2] = 0.0
+        d, target = radial_target(delta, a, b, shifted)
+        for p in range(3):
+            d_p, target_p = radial_target(delta[:, p], a[p, 0], b[p, 0], shifted[:, p])
+            np.testing.assert_array_equal(d[p], d_p)
+            np.testing.assert_array_equal(target[:, p], target_p)
 
 
 def _trig_residual(delta, shape, lower, upper):
@@ -167,7 +244,7 @@ def _trig_residual(delta, shape, lower, upper):
         target = np.stack([shape.a * d * ca, shape.b * d * sa], axis=-1)
     else:
         alpha, beta = angles3d(np.moveaxis(delta, -1, 0), shape.a, shape.b)
-        d = closed_form_d_3d(delta[..., 0], delta[..., 1], delta[..., 2], alpha, beta, shape.a, shape.b, lower, upper)
+        d = _closed_form_d_3d(delta[..., 0], delta[..., 1], delta[..., 2], alpha, beta, shape.a, shape.b, lower, upper)
         target = np.stack(
             [
                 shape.a * d * np.cos(alpha) * np.sin(beta),

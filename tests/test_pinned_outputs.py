@@ -7,7 +7,8 @@ iteration counts and flags exactly.  The multi-agent square-antipodal solve
 amplifies a rounding-level change to about 1e-3 within 30 iterations (the
 agents cross at the centre), so passing there means bit-for-bit the same;
 its values were recorded again when the solver moved to coefficient space
-(see test_joint_square_antipodal).
+and when its polar step moved to the radial form (see
+test_joint_square_antipodal).
 """
 
 import numpy as np
@@ -98,26 +99,27 @@ def test_batch_dynamic_flow():
 def test_joint_square_antipodal():
     """Pins the coefficient-space multi-agent arithmetic: the straight-line
     start from basis.straight_line_coeffs, factors of Q + rho * (E'E ⊗ P'P),
-    right-hand sides -rho * E' b P, and the reconstruction reused as the next
+    right-hand sides -rho * E' b P, the radial-form polar step
+    (geometry.radial_target) and the reconstruction reused as the next
     target.  The solve amplifies rounding by about 1e13 here, so this is
     bit-for-bit for that arithmetic; a change to its summation order moves
     these values (tests/test_solver_multiagent.py holds it to the dense A_fo
-    iteration per step instead).
+    angle iteration per step instead).
     """
     scenario = gen_scenario("square-antipodal", {"n_agents": 4}, seed=0)
     sol = solver_multiagent.solve_joint(runner.multiagent_problem_from_scenario(scenario, _basis(scenario)))
-    assert np.linalg.norm(sol.state.xi) == pytest.approx(31.94343914006983, abs=ATOL)
+    assert np.linalg.norm(sol.state.xi) == pytest.approx(31.924292303907855, abs=ATOL)
     np.testing.assert_allclose(
         sol.trajectories[0].pos[SAMPLES],
         [
-            [-2.9348307029782945, -2.9793695635294664, 0.9819040419387465],
-            [0.38281624450347695, -0.2173105877758344, 0.6888360077483631],
-            [2.9530148383194836, 2.979729748375081, 0.985159150040011],
+            [-2.9345212363248345, -2.9793329912328366, 0.9815481588467583],
+            [0.3823782903814086, -0.21677059218837666, 0.687600247295091],
+            [2.953018025540787, 2.9795672993614226, 0.9848851872669415],
         ],
         rtol=0,
         atol=ATOL,
     )
-    assert sol.residual_norm == pytest.approx(0.002756692539743356, abs=ATOL)
-    assert sol.min_pair_distance == pytest.approx(0.8789290178440617, abs=ATOL)
+    assert sol.residual_norm == pytest.approx(0.0028528006280305173, abs=ATOL)
+    assert sol.min_pair_distance == pytest.approx(0.8789995508454577, abs=ATOL)
     assert sol.min_pair_distance >= 2.0 * scenario.robot.shape[0]
     assert (sol.iterations, sol.converged) == (86, True)

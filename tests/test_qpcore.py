@@ -57,6 +57,49 @@ class TestFactorize:
         np.testing.assert_allclose(nu, ne, atol=1e-10)
 
 
+def _saddle(Q, A):
+    n_eq = A.shape[0]
+    return np.block([[Q, A.T], [A, np.zeros((n_eq, n_eq))]])
+
+
+class TestConditionEstimate:
+    """The guard's condition number, from the eigenvalues of the symmetric
+    saddle, is the 2-norm one that np.linalg.cond takes from an SVD."""
+
+    @pytest.mark.parametrize("n_v,n_eq", [(8, 3), (30, 6), (130, 6)])
+    def test_random_saddle(self, n_v, n_eq):
+        Q, _, A, _ = _random_instance(np.random.default_rng(n_v), n_v, n_eq)
+        f = factorize(Q, A)
+        assert f.cond_estimate == pytest.approx(np.linalg.cond(_saddle(Q, A)), rel=1e-6)
+
+    @pytest.mark.parametrize("n_v", [8, 30, 130])
+    def test_nearly_singular_saddle(self, n_v):
+        rng = np.random.default_rng(n_v)
+        U, _ = np.linalg.qr(rng.normal(size=(n_v, n_v)))
+        Q = U @ np.diag(np.logspace(0.0, -9.0, n_v)) @ U.T
+        Q = 0.5 * (Q + Q.T)
+        A = rng.normal(size=(2, n_v))
+        f = factorize(Q, A)
+        assert f.cond_estimate > 1e7
+        assert f.cond_estimate == pytest.approx(np.linalg.cond(_saddle(Q, A)), rel=1e-6)
+
+    def test_multiagent_saddles(self):
+        # square-antipodal, 4 agents: every level of the rho schedule, up to 1.6e11
+        from trajopt.basis import build_basis
+        from trajopt.bench import gen_scenario, runner
+        from trajopt.solver_multiagent import JointParams, _JointStructure
+
+        scenario = gen_scenario("square-antipodal", {"n_agents": 4}, seed=0)
+        h = scenario.horizon
+        problem = runner.multiagent_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10))
+        struct = _JointStructure(problem, JointParams())
+        AtA = np.kron(struct.E.T @ struct.E, problem.basis.P.T @ problem.basis.P)
+        for rho, factor in zip(struct.rho_levels, struct.factors):
+            expected = np.linalg.cond(_saddle(struct.Q + rho * AtA, struct.A_eq))
+            assert factor.cond_estimate == pytest.approx(expected, rel=1e-6), rho
+        assert struct.factors[-1].cond_estimate > 1e11
+
+
 class TestSolve:
     def test_one_variable_by_hand(self):
         f = factorize(np.eye(1), np.array([[1.0]]))

@@ -1,12 +1,13 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
 
-from trajopt import qpcore, solver_multiagent
+from trajopt import geometry, qpcore, solver_multiagent
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
 from trajopt.bench import gen_scenario, runner
-from trajopt.geometry import D_CAP, EllipsoidShape, angles3d, closed_form_d_3d, stalled
+from trajopt.geometry import D_CAP, EllipsoidShape, angles3d, radial_target, stalled
 from trajopt.solver_multiagent import (
     JointParams,
     MultiAgentProblem,
@@ -37,14 +38,26 @@ def make_problem(starts, goals, radius=0.3, statics=(), n_p=N_P):
     )
 
 
+def _closed_form_d_3d(x_tilde, y_tilde, z_tilde, alpha, beta, a, b, lower, upper):
+    """Clamped minimizer over d of the spheroid equality residual at fixed angles."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    num = a * sb * (ca * x_tilde + sa * y_tilde) + b * cb * z_tilde
+    den = a**2 * sb**2 + b**2 * cb**2
+    return np.clip(num / den, lower, upper)
+
+
 class _Reference:
     """The multi-agent iteration as first written: the dense pair matrix
-    A_fo, per-pair Python loops for the offsets and the static centres, the
-    reconstruction built three times and the residual twice per iteration,
-    and factors of Q + rho * A_fo'A_fo.
+    A_fo, per-pair Python loops for the offsets and the static centres,
+    the polar angles of every offset (angles3d), the d-step at those angles
+    (_closed_form_d_3d) and the trigonometric reconstruction, and factors
+    of Q + rho * A_fo'A_fo.
 
-    Only the unchanged constants (cost, boundary rows, pair lists, radii,
-    rho levels) come from _JointStructure; the initial state is _init_state's.
+    The angles are those of the offsets of state.xi, as the iteration
+    leaves them, so a JointState carries everything a step needs.  Only the
+    unchanged constants (cost, boundary rows, pair lists, radii, rho levels)
+    come from _JointStructure; the initial state is _init_state's.
     """
 
     def __init__(self, problem, params):
@@ -87,25 +100,28 @@ class _Reference:
                 n_static += 1
         return out
 
-    def reconstruction(self, state):
+    def angles(self, deltas):
         s = self.struct
-        sb, cb = np.sin(state.beta), np.cos(state.beta)
-        sa, ca = np.sin(state.alpha), np.cos(state.alpha)
-        return np.stack(
-            [s.pa * state.d * sb * ca, s.pa * state.d * sb * sa, s.pb * state.d * cb],
-            axis=-1,
-        )
+        return angles3d((deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]), s.pa, s.pb)
 
-    def residuals(self, state):
-        deltas = self.pair_deltas(self.agent_positions(state.xi))
-        return np.transpose(deltas - self.reconstruction(state), (2, 0, 1))
+    def reconstruction(self, d, alpha, beta):
+        s = self.struct
+        sb, cb = np.sin(beta), np.cos(beta)
+        sa, ca = np.sin(alpha), np.cos(alpha)
+        return np.stack([s.pa * d * sb * ca, s.pa * d * sb * sa, s.pb * d * cb], axis=-1)
 
     def step(self, state):
+        self.xi_step(state)
+        if self.struct.n_pairs:
+            self.polar_step(state)
+        state.iteration += 1
+
+    def xi_step(self, state):
         s = self.struct
         rho = s.rho_levels[state.level]
         n_p = s.basis.n_p
         if s.n_pairs:
-            recon = self.reconstruction(state)
+            recon = self.reconstruction(state.d, *self.angles(self.pair_deltas(self.agent_positions(state.xi))))
             qs = np.empty((3, s.n_a * s.m))
             statics = np.zeros((s.n_pairs, n_p, 3))
             n_static = 0
@@ -119,18 +135,28 @@ class _Reference:
         else:
             qs = np.zeros((3, s.n_a * s.m))
         state.xi, _ = qpcore.solve_batch(self.factors[state.level], qpcore.BatchRHS(qs=qs, bs=s.b_eq))
-        if not s.n_pairs:
-            state.iteration += 1
-            return
+
+    def polar_step(self, state):
+        s = self.struct
+        rho = s.rho_levels[state.level]
         deltas = self.pair_deltas(self.agent_positions(state.xi))
-        dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
-        state.alpha, state.beta = angles3d((dx, dy, dz), s.pa, s.pb)
+        alpha, beta = self.angles(deltas)
         shift = state.lam / rho
-        state.d = closed_form_d_3d(
-            dx + shift[0], dy + shift[1], dz + shift[2], state.alpha, state.beta, s.pa, s.pb, 1.0, D_CAP
+        state.d = _closed_form_d_3d(
+            deltas[:, :, 0] + shift[0],
+            deltas[:, :, 1] + shift[1],
+            deltas[:, :, 2] + shift[2],
+            alpha,
+            beta,
+            s.pa,
+            s.pb,
+            1.0,
+            D_CAP,
         )
-        state.lam = state.lam + rho * self.residuals(state)
-        state.iteration += 1
+        recon = self.reconstruction(state.d, alpha, beta)
+        state.recon = np.transpose(recon, (2, 0, 1))
+        state.residual = np.transpose(deltas - recon, (2, 0, 1))
+        state.lam = state.lam + rho * state.residual
 
     def solve(self):
         params, s = self.params, self.struct
@@ -138,7 +164,7 @@ class _Reference:
         norms, last_change, converged = [], 0, False
         for _ in range(params.max_iter):
             self.step(state)
-            norm = float(np.linalg.norm(self.residuals(state)))
+            norm = float(np.linalg.norm(state.residual))
             norms.append(norm)
             if norm <= params.tol_norm:
                 converged = True
@@ -155,6 +181,26 @@ class _Reference:
 
 def _rel(actual, expected):
     return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
+
+
+def _assert_polar_step_matches(before, new, ref):
+    """The polar step (angles, d-step, reconstruction, multipliers) of the
+    reference from `before`, on the coefficients of `new`, so the xi-step's
+    rounding does not enter.
+
+    The residual is offsets minus reconstruction, both of the size of recon,
+    and the reference's trigonometric reconstruction rounds at that size, so
+    the residual (and rho times it, the multiplier update) is held to 1e-12
+    of the reconstruction.
+    """
+    same = copy.deepcopy(before)
+    same.xi = new.xi
+    ref.polar_step(same)
+    rho, scale = ref.struct.rho_levels[before.level], np.linalg.norm(same.recon)
+    assert _rel(new.d, same.d) <= 1e-12
+    assert _rel(new.recon, same.recon) <= 1e-12
+    assert np.linalg.norm(new.residual - same.residual) <= 1e-12 * scale
+    assert np.linalg.norm(new.lam - same.lam) <= 1e-12 * rho * scale
 
 
 def _square_antipodal(n_agents):
@@ -257,8 +303,6 @@ class TestInvariants:
         params = JointParams(max_iter=30)
         struct = _JointStructure(prob, params)
         state = _init_state(prob, struct)
-        from trajopt.solver_multiagent import _iterate
-
         for _ in range(30):
             _iterate(state, struct)
             assert np.all(state.d >= 1.0)
@@ -270,18 +314,15 @@ class TestInvariants:
         params = JointParams(max_iter=10)
         struct = _JointStructure(prob, params)
         state = _init_state(prob, struct)
-        from trajopt.solver_multiagent import _iterate, _reconstruction
-
         _iterate(state, struct)
         rho = struct.rho_levels[state.level]
         factor = struct.factors[state.level]
 
         # rebuild the RHS through the incidence product and solve axes one by one, reversed
         state2 = _init_state(prob, struct)
-        recon2 = _reconstruction(struct, state2.d, state2.alpha, state2.beta)
         qs = np.empty((3, struct.n_a * struct.m))
         for k in range(3):
-            b_fo = recon2[k] - state2.lam[k] / rho
+            b_fo = state2.recon[k] - state2.lam[k] / rho
             qs[k] = -rho * (struct.E.T @ b_fo @ struct.basis.P).ravel()
         xi_rev = np.empty_like(state.xi)
         for k in (2, 1, 0):
@@ -317,32 +358,35 @@ class TestPairwiseResiduals:
         params = JointParams()
         struct = _JointStructure(prob, params)
         state = _init_state(prob, struct)
-        # overwrite d with the exact unclamped scale so reconstruction is exact
-        deltas = struct.pair_deltas(struct.agent_positions(state.xi))
+        # overwrite d and recon with the unclamped scale and target, so the
+        # reconstruction is exact
+        deltas = struct.pair_deltas(state.xi)
         quad = np.sqrt(
-            deltas[:, :, 0] ** 2 / struct.pa**2 + deltas[:, :, 1] ** 2 / struct.pa**2 + deltas[:, :, 2] ** 2 / struct.pb**2
+            deltas[0] ** 2 / struct.pa**2 + deltas[1] ** 2 / struct.pa**2 + deltas[2] ** 2 / struct.pb**2
         )
-        state.d = quad
+        state.d, state.recon = radial_target(deltas, struct.pa, struct.pb, lower=0.0, upper=np.inf)
+        np.testing.assert_allclose(state.d, quad, rtol=1e-14)
         res = pairwise_residuals_arrays(struct, state)
         assert np.max(np.abs(res)) < 1e-9
 
     def test_single_pair_matches_hand_formula(self):
-        prob = make_problem([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
-        params = JointParams()
-        struct = _JointStructure(prob, params)
+        # after a step the residual is the offset minus the spheroid point at
+        # the offset's angles and the step's d
+        prob = make_problem([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0.0, 1.0], [-1.0, 0.3, 1.0]])
+        struct = _JointStructure(prob, JointParams())
         state = _init_state(prob, struct)
-        rng = np.random.default_rng(0)
-        state.d = 1.0 + rng.uniform(size=state.d.shape)
-        state.alpha = rng.uniform(-np.pi, np.pi, size=state.alpha.shape)
-        state.beta = rng.uniform(0.0, np.pi, size=state.beta.shape)
+        for _ in range(3):
+            _iterate(state, struct)
         res = pairwise_residuals_arrays(struct, state)
         positions = struct.agent_positions(state.xi)
-        delta = positions[0] - positions[1]
+        delta = positions[:, 0] - positions[:, 1]
         a, b = struct.pair_a[0], struct.pair_b[0]
-        expected_x = delta[:, 0] - a * state.d[0] * np.sin(state.beta[0]) * np.cos(state.alpha[0])
-        expected_z = delta[:, 2] - b * state.d[0] * np.cos(state.beta[0])
-        np.testing.assert_allclose(res[0, 0], expected_x, atol=1e-12)
-        np.testing.assert_allclose(res[2, 0], expected_z, atol=1e-12)
+        alpha, beta = angles3d(delta, a, b)
+        d = state.d[0]
+        sb = np.sin(beta)
+        expected = delta - [a * d * sb * np.cos(alpha), a * d * sb * np.sin(alpha), b * d * np.cos(beta)]
+        np.testing.assert_allclose(res[:, 0], expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(res, state.residual)
 
     def test_max_abs_below_norm(self):
         prob = make_problem([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
@@ -371,10 +415,7 @@ class TestMatchesReference:
             new, old = copy.deepcopy(snapshots[k]), copy.deepcopy(snapshots[k])
             _iterate(new, struct)
             ref.step(old)
-            for name in ("d", "alpha", "beta", "lam"):
-                assert _rel(getattr(new, name), getattr(old, name)) <= 1e-10, (k, name)
-            assert _rel(struct.agent_positions(new.xi), ref.agent_positions(old.xi)) <= 1e-10, k
-            # The saddle's condition grows with rho, to 8e10 at the last level
+            # The saddle's condition grows with rho, to 6e11 at the last level
             # this run reaches.  There a rounding-level (5e-16) change of the
             # right-hand side alone moves the reference's own xi by 5e-10
             # relative, along the agents' common motion, which no pair row
@@ -382,6 +423,28 @@ class TestMatchesReference:
             cond = struct.factors[snapshots[k].level].cond_estimate
             assert _rel(new.xi, old.xi) <= 1e-10 * max(1.0, cond / 1e9), (k, cond)
             assert (new.iteration, new.level) == (old.iteration, old.level)
+            _assert_polar_step_matches(snapshots[k], new, ref)
+
+    def test_one_step_from_coincident_agents(self):
+        # both agents on one straight line: every pair offset is zero, where
+        # the angles take their origin convention (alpha = beta = 0)
+        problem, params = make_problem([[-2.0, 0.0, 1.0]] * 2, [[2.0, 0.5, 1.2]] * 2), JointParams()
+        struct = _JointStructure(problem, params)
+        state = _init_state(problem, struct)
+        assert np.all(struct.pair_deltas(state.xi) == 0.0)
+        np.testing.assert_array_equal(state.d, 1.0)
+        np.testing.assert_array_equal(state.recon, np.broadcast_to([[[0.0]], [[0.0]], struct.pb], state.recon.shape))
+        before = copy.deepcopy(state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _iterate(state, struct)
+        for value in (state.xi, state.d, state.recon, state.residual, state.lam):
+            assert np.all(np.isfinite(value))
+        ref = _Reference(problem, params)
+        old = copy.deepcopy(before)
+        ref.step(old)
+        assert _rel(state.xi, old.xi) <= 1e-10
+        _assert_polar_step_matches(before, state, ref)
 
     @pytest.mark.parametrize("name", list(NON_SYMMETRIC))
     def test_full_solve(self, name):
@@ -416,9 +479,9 @@ class TestStructure:
         assert struct.n_pairs == 3 + 2 * 3
         np.testing.assert_array_equal(struct.pair_i, [0, 0, 1, 0, 1, 2, 0, 1, 2])
         np.testing.assert_array_equal(struct.pair_j, [1, 2, 2, -1, -1, -1, -1, -1, -1])
-        np.testing.assert_allclose(struct.static_centers[3:6, 0], np.tile(statics[0].center, (3, 1)))
-        np.testing.assert_allclose(struct.static_centers[6:, 0], np.tile(statics[1].center, (3, 1)))
-        assert np.all(struct.static_centers[:3] == 0.0)
+        np.testing.assert_allclose(struct.static_centers[:, 3:6, 0], np.tile(statics[0].center, (3, 1)).T)
+        np.testing.assert_allclose(struct.static_centers[:, 6:, 0], np.tile(statics[1].center, (3, 1)).T)
+        assert np.all(struct.static_centers[:, :3] == 0.0)
 
     def test_no_attribute_has_a_row_per_pair_sample(self):
         problem = _square_antipodal(8)
@@ -466,20 +529,43 @@ class TestOnePassPerIteration:
             "pairwise_residuals_arrays",
             counting("residual", solver_multiagent.pairwise_residuals_arrays),
         )
-        monkeypatch.setattr(solver_multiagent, "_reconstruction", counting("recon", solver_multiagent._reconstruction))
+        monkeypatch.setattr(solver_multiagent, "radial_target", counting("recon", solver_multiagent.radial_target))
         sol = solve_joint(make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]]))
         # the initial state's reconstruction is the only one outside the loop
         assert calls == {"residual": sol.iterations, "recon": sol.iterations + 1}
+
+    def test_iteration_takes_no_angles(self, monkeypatch):
+        problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
+        struct = _JointStructure(problem, JointParams())
+        state = _init_state(problem, struct)
+        calls = []
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("sin", "cos", "tan", "arctan2", "arccos", "arcsin", "hypot"):
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        for module in (solver_multiagent, geometry):
+            monkeypatch.setattr(module, "angles3d", counting("angles3d", angles3d), raising=False)
+        for _ in range(3):
+            _iterate(state, struct)
+        assert calls == []
 
     def test_stored_residual_and_reconstruction_match_the_state(self):
         problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
         sol = solve_joint(problem, JointParams(max_iter=20))
         state = sol.state
         struct = _JointStructure(problem, JointParams())
+        deltas = struct.pair_deltas(state.xi)
         np.testing.assert_array_equal(state.residual, pairwise_residuals_arrays(struct, state))
-        np.testing.assert_array_equal(
-            state.recon, solver_multiagent._reconstruction(struct, state.d, state.alpha, state.beta)
-        )
+        np.testing.assert_array_equal(state.residual, deltas - state.recon)
+        # the reconstruction is the spheroid point of scale d along the offset
+        r = np.sqrt(deltas[0] ** 2 / struct.pa**2 + deltas[1] ** 2 / struct.pa**2 + deltas[2] ** 2 / struct.pb**2)
+        np.testing.assert_allclose(state.recon, deltas * state.d / r, rtol=1e-14)
         assert sol.residual_norm == np.linalg.norm(state.residual)
         assert sol.residual_history[-1]["norm"] == sol.residual_norm
 

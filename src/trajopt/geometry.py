@@ -159,7 +159,7 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
     return out
 
 
-def radial_target(deltas, a, b, shifted=None, lower=1.0, upper=D_CAP):
+def radial_target(deltas, a, b, shifted, lower=1.0, upper=D_CAP):
     """Closed-form (a, a, b) spheroid scale d and target for a shifted target.
 
     At the angles of the offset delta, d in [lower, upper] minimizes
@@ -167,24 +167,23 @@ def radial_target(deltas, a, b, shifted=None, lower=1.0, upper=D_CAP):
     sin(beta) cos(alpha) = dx / (a r), sin(beta) sin(alpha) = dy / (a r) and
     cos(beta) = dz / (b r), r the scaled norm, no angle is needed:
     d = clip(r (delta . shifted) / (delta . delta)) and target = delta d / r.
-    shifted defaults to delta, where d is los_scale and delta - target is
-    radial_clamp.  At r = 0 the angles take their origin convention
-    (alpha = beta = 0): the target is (0, 0, b d), d = clip(shifted_z / b).
+    With shifted = delta, d is los_scale and delta - target is radial_clamp.
+    At r = 0 the angles take their origin convention (alpha = beta = 0):
+    the target is (0, 0, b d), d = clip(shifted_z / b).
 
     deltas and shifted are (3, ...) arrays; a and b broadcast against one
     axis.  Returns d, shaped as one axis, and the (3, ...) target.
     """
     r = scaled_sq_norm(deltas, a, b)
     np.sqrt(r, out=r)
-    sq = np.einsum("k...,k...->...", deltas, deltas)
-    dot = sq if shifted is None else np.einsum("k...,k...->...", deltas, shifted)
+    dot = np.einsum("k...,k...->...", deltas, shifted)
     centre = r == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.clip(r * dot / sq, lower, upper)
+        d = np.clip(r * dot / np.einsum("k...,k...->...", deltas, deltas), lower, upper)
         target = deltas * (d / r)
     if centre.any():
         semi = np.broadcast_to(b, r.shape)[centre]
-        d[centre] = np.clip((0.0 if shifted is None else shifted[-1][centre]) / semi, lower, upper)
+        d[centre] = np.clip(shifted[-1][centre] / semi, lower, upper)
         target[:, centre] = 0.0
         target[-1][centre] = semi * d[centre]
     return d, target

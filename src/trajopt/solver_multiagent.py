@@ -228,7 +228,7 @@ def _init_state(problem, struct) -> JointState:
     ends = np.array([[(bc[k].p0, bc[k].p1) for bc in problem.boundaries] for k in range(3)])
     xi = straight_line_coeffs(struct.basis, ends[..., 0].ravel(), ends[..., 1].ravel()).reshape(3, -1)
     deltas = struct.pair_deltas(xi)
-    d, recon = radial_target(deltas, struct.pa, struct.pb, upper=1.0)  # the unit-scale start d = 1
+    d, recon = radial_target(deltas, struct.pa, struct.pb, deltas, upper=1.0)  # the unit-scale start d = 1
     return JointState(xi=xi, d=d, lam=np.zeros_like(deltas), recon=recon, residual=deltas - recon)
 
 

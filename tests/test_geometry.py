@@ -174,7 +174,7 @@ class TestClosedFormD:
         sh = EllipsoidShape(a=0.8, b=1.7)
         rng = np.random.default_rng(4)
         delta = rng.normal(scale=4.0, size=(3, 50))
-        d_unclamped, target = radial_target(delta, sh.a, sh.b, lower=0.0, upper=np.inf)
+        d_unclamped, target = radial_target(delta, sh.a, sh.b, delta, lower=0.0, upper=np.inf)
         quad = np.sqrt(delta[0] ** 2 / sh.a**2 + delta[1] ** 2 / sh.a**2 + delta[2] ** 2 / sh.b**2)
         np.testing.assert_allclose(d_unclamped, quad, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(target, delta, rtol=1e-12, atol=1e-12)
@@ -199,7 +199,7 @@ class TestRadialTarget:
         rng = np.random.default_rng(6)
         delta = rng.normal(size=(3, 200)) * rng.uniform(0.0, 2.0, size=200)
         delta[:, 0] = 0.0
-        d, target = radial_target(delta, self.A, self.B)
+        d, target = radial_target(delta, self.A, self.B, delta)
         np.testing.assert_allclose(d, los_scale(delta, self.A, self.B), rtol=1e-15)
         np.testing.assert_allclose(delta - target, radial_clamp(delta, self.A, self.B), rtol=0, atol=1e-15)
 
@@ -208,16 +208,15 @@ class TestRadialTarget:
         # alpha = beta = 0 at the origin: the target is (0, 0, b d) and d the
         # z-shift over b; a shift in x or y does not move it
         delta = np.zeros((3, 4))
-        shifted = None if shift_z is None else np.array([[0.4] * 4, [-0.2] * 4, [shift_z] * 4])
+        shifted = delta if shift_z is None else np.array([[0.4] * 4, [-0.2] * 4, [shift_z] * 4])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d, target = radial_target(delta, self.A, self.B, shifted)
         np.testing.assert_array_equal(d, d_expected)
         np.testing.assert_array_equal(target, [[0.0] * 4, [0.0] * 4, [self.B * d_expected] * 4])
         alpha, beta = angles3d(delta, self.A, self.B)
-        x_tilde, y_tilde, z_tilde = delta if shifted is None else shifted
         assert np.all(alpha == 0.0) and np.all(beta == 0.0)
-        d_ref = _closed_form_d_3d(x_tilde, y_tilde, z_tilde, alpha, beta, self.A, self.B, 1.0, D_CAP)
+        d_ref = _closed_form_d_3d(*shifted, alpha, beta, self.A, self.B, 1.0, D_CAP)
         np.testing.assert_allclose(d, d_ref)
 
     def test_broadcasts_over_pairs(self):

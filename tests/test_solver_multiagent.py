@@ -191,7 +191,9 @@ def _assert_polar_step_matches(before, new, ref):
     The residual is offsets minus reconstruction, both of the size of recon,
     and the reference's trigonometric reconstruction rounds at that size, so
     the residual (and rho times it, the multiplier update) is held to 1e-12
-    of the reconstruction.
+    of the reconstruction.  Near convergence that is loose relative to the
+    small residual, so both are also held to 1e-10 relative (the reference
+    rounds them to 7e-12 at rho = 1e4).
     """
     same = copy.deepcopy(before)
     same.xi = new.xi
@@ -201,6 +203,8 @@ def _assert_polar_step_matches(before, new, ref):
     assert _rel(new.recon, same.recon) <= 1e-12
     assert np.linalg.norm(new.residual - same.residual) <= 1e-12 * scale
     assert np.linalg.norm(new.lam - same.lam) <= 1e-12 * rho * scale
+    assert _rel(new.residual, same.residual) <= 1e-10
+    assert _rel(new.lam, same.lam) <= 1e-10
 
 
 def _square_antipodal(n_agents):
@@ -364,29 +368,32 @@ class TestPairwiseResiduals:
         quad = np.sqrt(
             deltas[0] ** 2 / struct.pa**2 + deltas[1] ** 2 / struct.pa**2 + deltas[2] ** 2 / struct.pb**2
         )
-        state.d, state.recon = radial_target(deltas, struct.pa, struct.pb, lower=0.0, upper=np.inf)
+        state.d, state.recon = radial_target(deltas, struct.pa, struct.pb, deltas, lower=0.0, upper=np.inf)
         np.testing.assert_allclose(state.d, quad, rtol=1e-14)
         res = pairwise_residuals_arrays(struct, state)
         assert np.max(np.abs(res)) < 1e-9
 
     def test_single_pair_matches_hand_formula(self):
         # after a step the residual is the offset minus the spheroid point at
-        # the offset's angles and the step's d
-        prob = make_problem([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0.0, 1.0], [-1.0, 0.3, 1.0]])
-        struct = _JointStructure(prob, JointParams())
-        state = _init_state(prob, struct)
-        for _ in range(3):
-            _iterate(state, struct)
-        res = pairwise_residuals_arrays(struct, state)
-        positions = struct.agent_positions(state.xi)
-        delta = positions[:, 0] - positions[:, 1]
-        a, b = struct.pair_a[0], struct.pair_b[0]
-        alpha, beta = angles3d(delta, a, b)
-        d = state.d[0]
-        sb = np.sin(beta)
-        expected = delta - [a * d * sb * np.cos(alpha), a * d * sb * np.sin(alpha), b * d * np.cos(beta)]
-        np.testing.assert_allclose(res[:, 0], expected, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(res, state.residual)
+        # the offset's angles and the step's d; the symmetric swap keeps the
+        # offsets on the x axis up to rounding (beta = pi / 2), the shifted
+        # goal does not
+        for goal_y in (0.0, 0.3):
+            prob = make_problem([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0.0, 1.0], [-1.0, goal_y, 1.0]])
+            struct = _JointStructure(prob, JointParams())
+            state = _init_state(prob, struct)
+            for _ in range(3):
+                _iterate(state, struct)
+            res = pairwise_residuals_arrays(struct, state)
+            positions = struct.agent_positions(state.xi)
+            delta = positions[:, 0] - positions[:, 1]
+            a, b = struct.pair_a[0], struct.pair_b[0]
+            alpha, beta = angles3d(delta, a, b)
+            d = state.d[0]
+            sb = np.sin(beta)
+            expected = delta - [a * d * sb * np.cos(alpha), a * d * sb * np.sin(alpha), b * d * np.cos(beta)]
+            np.testing.assert_allclose(res[:, 0], expected, rtol=0, atol=1e-12, err_msg=f"goal_y={goal_y}")
+            np.testing.assert_array_equal(res, state.residual)
 
     def test_max_abs_below_norm(self):
         prob = make_problem([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
@@ -415,13 +422,20 @@ class TestMatchesReference:
             new, old = copy.deepcopy(snapshots[k]), copy.deepcopy(snapshots[k])
             _iterate(new, struct)
             ref.step(old)
+            for name in ("d", "recon", "lam", "residual"):
+                assert _rel(getattr(new, name), getattr(old, name)) <= 1e-10, (k, name)
             # The saddle's condition grows with rho, to 6e11 at the last level
             # this run reaches.  There a rounding-level (5e-16) change of the
-            # right-hand side alone moves the reference's own xi by 5e-10
-            # relative, along the agents' common motion, which no pair row
-            # sees; so the xi bound scales with the condition above 1e9.
+            # right-hand side alone moves the reference's own xi by 1e-9 and
+            # its positions by 4e-11 relative, along the agents' common
+            # motion, which no pair row sees; so the xi bound scales with the
+            # condition above 1e9 and the positions bound above 1e11, while
+            # the pair offsets are held to 1e-12 at every level.
             cond = struct.factors[snapshots[k].level].cond_estimate
             assert _rel(new.xi, old.xi) <= 1e-10 * max(1.0, cond / 1e9), (k, cond)
+            positions = np.moveaxis(ref.agent_positions(old.xi), -1, 0)
+            assert _rel(struct.agent_positions(new.xi), positions) <= 1e-10 * max(1.0, cond / 1e11), (k, cond)
+            assert _rel(struct.pair_deltas(new.xi), struct.pair_deltas(old.xi)) <= 1e-12, k
             assert (new.iteration, new.level) == (old.iteration, old.level)
             _assert_polar_step_matches(snapshots[k], new, ref)
 
@@ -444,6 +458,12 @@ class TestMatchesReference:
         old = copy.deepcopy(before)
         ref.step(old)
         assert _rel(state.xi, old.xi) <= 1e-10
+        assert _rel(struct.agent_positions(state.xi), np.moveaxis(ref.agent_positions(old.xi), -1, 0)) <= 1e-10
+        # the agents still share both end points, where either side's offsets
+        # are rounding noise of arbitrary direction; so the full step is
+        # compared between them, and the polar step on the same xi everywhere
+        for name in ("d", "recon", "lam", "residual"):
+            assert _rel(getattr(state, name)[..., 1:-1], getattr(old, name)[..., 1:-1]) <= 1e-10, name
         _assert_polar_step_matches(before, state, ref)
 
     @pytest.mark.parametrize("name", list(NON_SYMMETRIC))

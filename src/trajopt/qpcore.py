@@ -1,14 +1,28 @@
-"""Equality-constrained QP solving through a cached saddle-point factorization.
+"""Equality-constrained QP solving through a cached null-space factorization.
 
-The problem  min 0.5 xi' Q xi + q' xi  s.t.  A xi = b  is solved through the
-linear system
+The problem  min 0.5 xi' Q xi + q' xi  s.t.  A xi = b  has the saddle system
 
     [[Q, A'], [A, 0]] @ [xi; nu] = [-q; b]
 
-The saddle matrix depends only on (Q, A), so it is factorized once (LU with
-partial pivoting) and reused for every right-hand side.  solve_batch applies
-the factor to all stacked right-hand sides in one call, which is the
-one-shot structure every solver in this package leans on.
+whose matrix depends only on (Q, A).  factorize solves it in reduced
+coordinates.  One QR of A' = [Y N] [R; 0] gives the rank check, an
+orthonormal basis N of null(A) and the particular map Pb = Y R^-T, with
+A Pb = I.  Writing xi = Pb b + N z leaves the reduced Hessian N'QN, the only
+matrix that is factored (a symmetric eigendecomposition, which also gives
+the condition number the guard reads).  The primal and dual blocks of the
+saddle inverse are then formed once,
+
+    xi = M q + C b,    nu = -C' q - Pb'Q C b,
+
+with M = -N (N'QN)^-1 N' and C = (I + M Q) Pb, so every solve is a few
+GEMMs on the stacked right-hand sides.  Solving in null(A) keeps the
+factored matrix at the scale of Q: a penalty term rho * F'F grows the
+reduced Hessian's condition number, not the one of the whole saddle, where
+it is set against the unit rows of A.
+
+A stack of Hessians Q (k, n, n) that share A is factored in one call; each
+block has its own guard, and solve_batch applies block i to the i-th stack
+of right-hand sides.
 
 KKTFactor is immutable after construction; solve/solve_batch are reentrant.
 """
@@ -18,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 _factorization_count = 0
 
@@ -32,37 +45,50 @@ def factorization_count() -> int:
 
 
 class FactorizationError(ValueError):
-    """Saddle matrix is rank-deficient or too ill-conditioned to trust."""
+    """Equality rows are rank-deficient or the reduced Hessian is too ill-conditioned to trust."""
 
 
 @dataclass(frozen=True)
 class BatchRHS:
-    """Stacked right-hand sides: qs is (N_b, n_v), bs is (N_b, n_eq)."""
+    """Stacked right-hand sides: qs is (N_b, n_v), bs is (N_b, n_eq).
+
+    For a stacked factor of k blocks they are (k, N_b, n_v) and (k, N_b, n_eq).
+    """
 
     qs: np.ndarray
     bs: np.ndarray
 
     def __post_init__(self):
-        if self.qs.ndim != 2 or self.bs.ndim != 2:
-            raise ValueError("batch right-hand sides must be 2-D arrays")
-        if self.qs.shape[0] != self.bs.shape[0]:
+        if self.qs.ndim < 2 or self.qs.ndim != self.bs.ndim:
+            raise ValueError("batch right-hand sides must be 2-D arrays, or 3-D for a stacked factor")
+        if self.qs.shape[:-1] != self.bs.shape[:-1]:
             raise ValueError("qs and bs must have the same batch size")
-        if self.qs.shape[0] < 1:
+        if self.qs.shape[-2] < 1:
             raise ValueError("empty batch")
 
     @property
     def size(self) -> int:
-        return self.qs.shape[0]
+        return self.qs.shape[-2]
 
 
 @dataclass(frozen=True)
 class KKTFactor:
-    """LU factorization of [[Q, A'], [A, 0]] plus dimension metadata."""
+    """Blocks of the saddle inverse for one (Q, A), or a stack of Q sharing A.
+
+    In row form, with q and b rows of the right-hand sides:
+        xi = q @ q_map + b @ b_map,    nu = -q @ b_map.T + b @ dual_map
+    q_map (n_v, n_v) is M, b_map (n_eq, n_v) is C' and dual_map (n_eq, n_eq)
+    is -Pb'Q C; a stacked factor has a leading block axis on each.
+    cond_estimate is the reduced Hessian's 2-norm condition number, one per
+    block for a stack.
+    """
 
     n_v: int
     n_eq: int
-    cond_estimate: float
-    _lu: tuple = field(repr=False)
+    cond_estimate: float | np.ndarray
+    q_map: np.ndarray = field(repr=False)
+    b_map: np.ndarray = field(repr=False)
+    dual_map: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -72,67 +98,87 @@ class KKTFactor:
 def factorize(Q: np.ndarray, A: np.ndarray, *, cond_limit: float = 1e12) -> KKTFactor:
     """Factorize the saddle matrix once for repeated solves.
 
-    Raises FactorizationError when A is row rank-deficient or the saddle
-    matrix condition estimate exceeds cond_limit (penalty schedules can
+    Q is (n_v, n_v), or (k, n_v, n_v) for k Hessians sharing A.  Raises
+    FactorizationError when A is row rank-deficient or the condition number
+    of a reduced Hessian N'QN exceeds cond_limit (penalty schedules can
     degrade conditioning; fail loudly rather than return garbage).
     """
     global _factorization_count
     Q = np.asarray(Q, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    n_v = Q.shape[0]
-    if Q.shape != (n_v, n_v):
-        raise ValueError(f"Q must be square, got {Q.shape}")
-    if not np.allclose(Q, Q.T, rtol=1e-10, atol=1e-12):
+    n_v = Q.shape[-1]
+    if Q.ndim not in (2, 3) or Q.shape[-2] != n_v:
+        raise ValueError(f"Q must be square or a stack of square matrices, got {Q.shape}")
+    QT = np.swapaxes(Q, -1, -2)
+    if not np.all(np.abs(Q - QT) <= 1e-12 + 1e-10 * np.abs(QT)):
         raise ValueError("Q must be symmetric")
     n_eq = A.shape[0]
     if A.shape[1] != n_v:
         raise ValueError(f"A has {A.shape[1]} columns, expected {n_v}")
-    if n_eq > 0 and np.linalg.matrix_rank(A) < n_eq:
-        # covers n_eq > n_v as well: more rows than columns can never be full row rank
+
+    # A' = [Y N] [R; 0]: R's diagonal gives the rank, N spans null(A)
+    basis, R = np.linalg.qr(A.T, mode="complete")
+    pivots = np.abs(np.diagonal(R))
+    # covers n_eq > n_v as well: more rows than columns can never be full row rank
+    if n_eq > n_v or (n_eq and pivots.min() <= pivots.max() * max(A.shape) * np.finfo(float).eps):
         raise FactorizationError(f"equality matrix A is rank-deficient (rank < {n_eq})")
+    R = R[:n_eq]
+    Y, N = basis[:, :n_eq], basis[:, n_eq:]
+    Pb = np.linalg.solve(R, Y.T).T  # Y R^-T, the particular solution map
 
-    K = np.zeros((n_v + n_eq, n_v + n_eq))
-    K[:n_v, :n_v] = Q
-    if n_eq > 0:
-        K[:n_v, n_v:] = A.T
-        K[n_v:, :n_v] = A
+    # the reduced Hessian is symmetric: its eigenvalues give the guard and its inverse
+    eig, U = np.linalg.eigh(N.T @ Q @ N)
+    cond = np.ones(eig.shape[:-1])  # A square and invertible: nothing left to factor
+    if eig.shape[-1]:
+        magnitude = np.abs(eig)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = magnitude.max(axis=-1) / magnitude.min(axis=-1)
+    worst = float(np.max(cond))
+    if not np.isfinite(worst) or worst > cond_limit:
+        raise FactorizationError(f"reduced Hessian N'QN is near-singular (cond estimate {worst:.3e})")
 
-    # K is symmetric, so its 2-norm condition number is max|eig| / min|eig|
-    eig = np.abs(np.linalg.eigvalsh(K))
-    cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise FactorizationError(f"saddle matrix is near-singular (cond estimate {cond:.3e})")
-
-    lu = lu_factor(K)
+    G = N @ U
+    q_map = -(G / eig[..., None, :]) @ np.swapaxes(G, -1, -2)
+    C = Pb + q_map @ (Q @ Pb)
+    dual_map = -(Pb.T @ Q) @ C
     _factorization_count += 1
-    return KKTFactor(n_v=n_v, n_eq=n_eq, cond_estimate=cond, _lu=lu)
+    return KKTFactor(
+        n_v=n_v,
+        n_eq=n_eq,
+        cond_estimate=cond if Q.ndim == 3 else float(cond),
+        q_map=q_map,
+        b_map=np.swapaxes(C, -1, -2),
+        dual_map=dual_map,
+    )
 
 
 def solve(factor: KKTFactor, q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one instance; returns (primal xi, dual nu)."""
+    """Solve one instance (one per block of a stacked factor); returns (primal xi, dual nu)."""
     q = np.asarray(q, dtype=float)
     b = np.asarray(b, dtype=float)
-    if q.shape != (factor.n_v,):
-        raise ValueError(f"q has shape {q.shape}, expected ({factor.n_v},)")
-    if b.shape != (factor.n_eq,):
-        raise ValueError(f"b has shape {b.shape}, expected ({factor.n_eq},)")
-    rhs = np.concatenate([-q, b])
-    sol = lu_solve(factor._lu, rhs)
-    return sol[: factor.n_v], sol[factor.n_v :]
+    blocks = factor.q_map.shape[:-2]
+    if q.shape != (*blocks, factor.n_v):
+        raise ValueError(f"q has shape {q.shape}, expected {(*blocks, factor.n_v)}")
+    if b.shape != (*blocks, factor.n_eq):
+        raise ValueError(f"b has shape {b.shape}, expected {(*blocks, factor.n_eq)}")
+    xis, nus = solve_batch(factor, BatchRHS(qs=q[..., None, :], bs=b[..., None, :]))
+    return xis[..., 0, :], nus[..., 0, :]
 
 
 def solve_batch(factor: KKTFactor, rhs: BatchRHS) -> tuple[np.ndarray, np.ndarray]:
     """Solve all batch instances in one shot.
 
-    The stacked right-hand-side block is applied to the cached factor as a
-    single matrix solve; column i matches solve(factor, qs[i], bs[i]).
-    Returns (xis, nus) with shapes (N_b, n_v) and (N_b, n_eq).
+    The stacked right-hand sides go through the cached maps as GEMMs; row i
+    matches solve(factor, qs[i], bs[i]).  Returns (xis, nus) with shapes
+    (N_b, n_v) and (N_b, n_eq), with the block axis first for a stacked
+    factor.
     """
-    if rhs.qs.shape[1] != factor.n_v:
-        raise ValueError(f"qs have length {rhs.qs.shape[1]}, expected {factor.n_v}")
-    if rhs.bs.shape[1] != factor.n_eq:
-        raise ValueError(f"bs have length {rhs.bs.shape[1]}, expected {factor.n_eq}")
-    block = np.hstack([-rhs.qs, rhs.bs]).T  # (n_v + n_eq, N_b)
-    sol = lu_solve(factor._lu, block)
-    return sol[: factor.n_v].T, sol[factor.n_v :].T
-
+    if rhs.qs.shape[-1] != factor.n_v:
+        raise ValueError(f"qs have length {rhs.qs.shape[-1]}, expected {factor.n_v}")
+    if rhs.bs.shape[-1] != factor.n_eq:
+        raise ValueError(f"bs have length {rhs.bs.shape[-1]}, expected {factor.n_eq}")
+    if rhs.qs.shape[:-2] != factor.q_map.shape[:-2]:
+        raise ValueError(f"right-hand sides stacked as {rhs.qs.shape[:-2]}, factor as {factor.q_map.shape[:-2]}")
+    xis = rhs.qs @ factor.q_map + rhs.bs @ factor.b_map
+    nus = rhs.bs @ factor.dual_map - rhs.qs @ np.swapaxes(factor.b_map, -1, -2)
+    return xis, nus

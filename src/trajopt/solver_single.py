@@ -14,7 +14,8 @@ Lagrangian and the blocks are swept in order:
 What the sweep reads from the problem is built once per solve in a
 _SingleStructure: the cost blocks Q and q, the boundary rows A and values,
 P'P, the obstacle tracks and the semi-axes.  Each sweep takes cos/sin of the
-angles once (they restart the copies and anchor the copy steps) and
+angles once: the residual step takes them of the new angles, and the next
+sweep reuses them to restart the copies and anchor the copy steps.  It
 evaluates the positions and their obstacle offsets once, right after the
 position step; the copy, d and residual steps all read those offsets.
 
@@ -131,6 +132,9 @@ class SingleState:
     _factor_key: tuple | None = field(default=None, repr=False)
     _factor_rho_o: float | None = field(default=None, repr=False)
     n_factorizations: int = 0
+    # (alpha, beta, _angle_trig of them): the residual step's cos/sin of the
+    # new angles, reused by the next sweep while these arrays are the state's
+    _trig: tuple | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -237,15 +241,15 @@ def init_state(
         beta = np.zeros((0, n_p)) if dim == 3 else None
 
     zeros = np.zeros((n_o, n_p))
-    return SingleState(
+    state = SingleState(
         xi=xi,
         d=d,
         alpha=alpha,
         beta=beta,
-        cos_a=np.cos(alpha),
-        sin_a=np.sin(alpha),
-        cos_b=np.cos(beta) if beta is not None else None,
-        sin_b=np.sin(beta) if beta is not None else None,
+        cos_a=None,
+        sin_a=None,
+        cos_b=None,
+        sin_b=None,
         lam_pos=np.zeros((dim, n_o, n_p)),
         lam_cos_a=zeros.copy(),
         lam_sin_a=zeros.copy(),
@@ -254,14 +258,25 @@ def init_state(
         rho=params.rho_start,
         rho_o=params.rho_start,
     )
+    state.cos_a, state.sin_a, state.cos_b, state.sin_b = _angle_trig(state)
+    return state
 
 
 def _angle_trig(state: SingleState) -> tuple:
-    """(cos alpha, sin alpha, cos beta, sin beta); the beta pair is None in 2-D."""
+    """(cos alpha, sin alpha, cos beta, sin beta); the beta pair is None in 2-D.
+
+    Taken once per pair of angle arrays: the state keeps the last result
+    with the arrays it came from, and reuses it while state.alpha and
+    state.beta are those same arrays.  The solver replaces the angles with
+    new arrays, never writing into them, so an unchanged array has
+    unchanged values.
+    """
+    if state._trig is not None and state._trig[0] is state.alpha and state._trig[1] is state.beta:
+        return state._trig[2]
     ca, sa = np.cos(state.alpha), np.sin(state.alpha)
-    if state.beta is None:
-        return ca, sa, None, None
-    return ca, sa, np.cos(state.beta), np.sin(state.beta)
+    trig = (ca, sa, None, None) if state.beta is None else (ca, sa, np.cos(state.beta), np.sin(state.beta))
+    state._trig = (state.alpha, state.beta, trig)
+    return trig
 
 
 def _position_targets(problem: SingleProblem, state: SingleState, struct: _SingleStructure | None = None) -> np.ndarray:
@@ -399,17 +414,18 @@ def equality_residuals(
         struct = struct or _SingleStructure(problem)
         deltas = struct.offsets(state.xi) if offsets is None else offsets
         a, b = struct.a, struct.b
+        cos_alpha, sin_alpha, cos_beta, sin_beta = _angle_trig(state)
         if problem.dim == 3:
             res["coll_x"] = deltas[0] - a * state.d * state.cos_a * state.sin_b
             res["coll_y"] = deltas[1] - a * state.d * state.sin_a * state.sin_b
             res["coll_z"] = deltas[2] - b * state.d * state.cos_b
-            res["copy_cos_b"] = state.cos_b - np.cos(state.beta)
-            res["copy_sin_b"] = state.sin_b - np.sin(state.beta)
+            res["copy_cos_b"] = state.cos_b - cos_beta
+            res["copy_sin_b"] = state.sin_b - sin_beta
         else:
             res["coll_x"] = deltas[0] - a * state.d * state.cos_a
             res["coll_y"] = deltas[1] - b * state.d * state.sin_a
-        res["copy_cos_a"] = state.cos_a - np.cos(state.alpha)
-        res["copy_sin_a"] = state.sin_a - np.sin(state.alpha)
+        res["copy_cos_a"] = state.cos_a - cos_alpha
+        res["copy_sin_a"] = state.sin_a - sin_alpha
     return res
 
 

@@ -6,9 +6,9 @@ that: coefficient norms, a few trajectory samples and residuals to 1e-9, and
 iteration counts and flags exactly.  The multi-agent square-antipodal solve
 amplifies a rounding-level change to about 1e-3 within 30 iterations (the
 agents cross at the centre), so passing there means bit-for-bit the same;
-its values were recorded again when the solver moved to coefficient space
-and when its polar step moved to the radial form (see
-test_joint_square_antipodal).
+its values were recorded again when the solver moved to coefficient space,
+when its polar step moved to the radial form and when its coefficient step
+moved to the eigenbasis of E'E (see test_joint_square_antipodal).
 """
 
 import numpy as np
@@ -98,8 +98,9 @@ def test_batch_dynamic_flow():
 
 def test_joint_square_antipodal():
     """Pins the coefficient-space multi-agent arithmetic: the straight-line
-    start from basis.straight_line_coeffs, factors of Q + rho * (E'E ⊗ P'P),
-    right-hand sides -rho * E' b P, the radial-form polar step
+    start from basis.straight_line_coeffs, reduced factors of the blocks
+    Q_axis + rho * lam * P'P per eigenvalue lam of E'E, right-hand sides
+    -rho * (E V)' b P in the eigenbasis V, the radial-form polar step
     (geometry.radial_target) and the reconstruction reused as the next
     target.  The solve amplifies rounding by about 1e13 here, so this is
     bit-for-bit for that arithmetic; a change to its summation order moves
@@ -108,18 +109,18 @@ def test_joint_square_antipodal():
     """
     scenario = gen_scenario("square-antipodal", {"n_agents": 4}, seed=0)
     sol = solver_multiagent.solve_joint(runner.multiagent_problem_from_scenario(scenario, _basis(scenario)))
-    assert np.linalg.norm(sol.state.xi) == pytest.approx(31.924292303907855, abs=ATOL)
+    assert np.linalg.norm(sol.state.xi) == pytest.approx(33.07122202030355, abs=ATOL)
     np.testing.assert_allclose(
         sol.trajectories[0].pos[SAMPLES],
         [
-            [-2.9345212363248345, -2.9793329912328366, 0.9815481588467583],
-            [0.3823782903814086, -0.21677059218837666, 0.687600247295091],
-            [2.953018025540787, 2.9795672993614226, 0.9848851872669415],
+            [-2.9376175731079934, -2.9754606638240375, 0.984116469564474],
+            [-0.21913889914489074, 0.3889327181652901, 0.6915999146429558],
+            [2.949791153269689, 2.981018630756489, 0.987363467941089],
         ],
         rtol=0,
         atol=ATOL,
     )
-    assert sol.residual_norm == pytest.approx(0.0028528006280305173, abs=ATOL)
-    assert sol.min_pair_distance == pytest.approx(0.8789995508454577, abs=ATOL)
+    assert sol.residual_norm == pytest.approx(0.00956471627596344, abs=ATOL)
+    assert sol.min_pair_distance == pytest.approx(0.8754878281290885, abs=ATOL)
     assert sol.min_pair_distance >= 2.0 * scenario.robot.shape[0]
-    assert (sol.iterations, sol.converged) == (86, True)
+    assert (sol.iterations, sol.converged) == (97, True)

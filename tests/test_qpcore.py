@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,20 +58,22 @@ class TestFactorize:
         np.testing.assert_allclose(nu, ne, atol=1e-10)
 
 
-def _saddle(Q, A):
-    n_eq = A.shape[0]
-    return np.block([[Q, A.T], [A, np.zeros((n_eq, n_eq))]])
+def _reduced(Q, A):
+    """N'QN for an orthonormal basis N of null(A), the matrix factorize factors."""
+    N = scipy.linalg.null_space(A)
+    return N.T @ Q @ N
 
 
 class TestConditionEstimate:
     """The guard's condition number, from the eigenvalues of the symmetric
-    saddle, is the 2-norm one that np.linalg.cond takes from an SVD."""
+    reduced Hessian N'QN, is the 2-norm one that np.linalg.cond takes from
+    an SVD; it does not depend on which orthonormal basis of null(A) is used."""
 
     @pytest.mark.parametrize("n_v,n_eq", [(8, 3), (30, 6), (130, 6)])
     def test_random_saddle(self, n_v, n_eq):
         Q, _, A, _ = _random_instance(np.random.default_rng(n_v), n_v, n_eq)
         f = factorize(Q, A)
-        assert f.cond_estimate == pytest.approx(np.linalg.cond(_saddle(Q, A)), rel=1e-6)
+        assert f.cond_estimate == pytest.approx(np.linalg.cond(_reduced(Q, A)), rel=1e-6)
 
     @pytest.mark.parametrize("n_v", [8, 30, 130])
     def test_nearly_singular_saddle(self, n_v):
@@ -81,23 +84,30 @@ class TestConditionEstimate:
         A = rng.normal(size=(2, n_v))
         f = factorize(Q, A)
         assert f.cond_estimate > 1e7
-        assert f.cond_estimate == pytest.approx(np.linalg.cond(_saddle(Q, A)), rel=1e-6)
+        assert f.cond_estimate == pytest.approx(np.linalg.cond(_reduced(Q, A)), rel=1e-6)
 
     def test_multiagent_saddles(self):
-        # square-antipodal, 4 agents: every level of the rho schedule, up to 1.6e11
-        from trajopt.basis import build_basis
+        # square-antipodal, 4 agents: every level of the rho schedule and
+        # every mode group of E'E, Q_axis + rho * lam * P'P on the boundary
+        # rows; the full saddle reached 1.6e11 at the top level, its reduced
+        # blocks stay below 1e4
+        from trajopt.basis import boundary_matrix, build_basis
         from trajopt.bench import gen_scenario, runner
         from trajopt.solver_multiagent import JointParams, _JointStructure
 
         scenario = gen_scenario("square-antipodal", {"n_agents": 4}, seed=0)
         h = scenario.horizon
-        problem = runner.multiagent_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10))
-        struct = _JointStructure(problem, JointParams())
-        AtA = np.kron(struct.E.T @ struct.E, problem.basis.P.T @ problem.basis.P)
+        basis = build_basis(h.t0, h.tf, h.n_p, 10)
+        struct = _JointStructure(runner.multiagent_problem_from_scenario(scenario, basis), JointParams())
+        lam = np.linalg.eigvalsh(struct.E.T @ struct.E)
+        assert len(struct.groups) == 2
+        B = boundary_matrix(basis)
         for rho, factor in zip(struct.rho_levels, struct.factors):
-            expected = np.linalg.cond(_saddle(struct.Q + rho * AtA, struct.A_eq))
-            assert factor.cond_estimate == pytest.approx(expected, rel=1e-6), rho
-        assert struct.factors[-1].cond_estimate > 1e11
+            for g, modes in enumerate(struct.groups):
+                block = basis.Pddot.T @ basis.Pddot + rho * lam[modes].mean() * basis.P.T @ basis.P
+                expected = np.linalg.cond(_reduced(block, B))
+                assert factor.cond_estimate[g] == pytest.approx(expected, rel=1e-6), (rho, g)
+        assert 1e3 < np.max(struct.factors[-1].cond_estimate) < 1e4
 
 
 class TestSolve:
@@ -191,3 +201,99 @@ class TestSolveBatch:
         f = factorize(Q, A)
         with pytest.raises(ValueError):
             solve_batch(f, BatchRHS(qs=np.zeros((3, 4)), bs=np.zeros((3, 2))))
+
+
+def _graded_hessians(rng, k, n_v, decades):
+    """k symmetric PD matrices with eigenvalues spread over the given decades."""
+    out = []
+    for _ in range(k):
+        U, _ = np.linalg.qr(rng.normal(size=(n_v, n_v)))
+        Q = U @ np.diag(np.logspace(0.0, -decades, n_v)) @ U.T
+        out.append(0.5 * (Q + Q.T))
+    return np.stack(out)
+
+
+class TestStackedFactor:
+    def test_matches_per_block_factors(self):
+        rng = np.random.default_rng(7)
+        Qs = _graded_hessians(rng, 3, 11, 4.0)
+        A = rng.normal(size=(6, 11))
+        before = factorization_count()
+        stacked = factorize(Qs, A)
+        assert factorization_count() == before + 1
+        assert (stacked.n_v, stacked.n_eq, stacked.cond_estimate.shape) == (11, 6, (3,))
+        for i, Q in enumerate(Qs):
+            single = factorize(Q, A)
+            assert stacked.cond_estimate[i] == pytest.approx(single.cond_estimate, rel=1e-12)
+            for name in ("q_map", "b_map", "dual_map"):
+                expected = getattr(single, name)
+                np.testing.assert_allclose(
+                    getattr(stacked, name)[i], expected, rtol=0, atol=1e-12 * np.abs(expected).max(), err_msg=name
+                )
+
+    def test_solves_apply_each_block_to_its_own_right_hand_sides(self):
+        rng = np.random.default_rng(8)
+        Qs = _graded_hessians(rng, 2, 9, 2.0)
+        A = rng.normal(size=(4, 9))
+        stacked = factorize(Qs, A)
+        qs, bs = rng.normal(size=(2, 5, 9)), rng.normal(size=(2, 5, 4))
+        xis, nus = solve_batch(stacked, BatchRHS(qs=qs, bs=bs))
+        xi0, nu0 = solve(stacked, qs[:, 0], bs[:, 0])
+        for i in range(2):
+            xe, ne = solve_batch(factorize(Qs[i], A), BatchRHS(qs=qs[i], bs=bs[i]))
+            np.testing.assert_allclose(xis[i], xe, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(nus[i], ne, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(xi0[i], xis[i, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(nu0[i], nus[i, 0], rtol=0, atol=1e-12)
+
+    def test_one_singular_block_rejects_the_stack(self):
+        A = np.array([[1.0, 0.0]])
+        with pytest.raises(FactorizationError, match="cond"):
+            factorize(np.stack([np.eye(2), np.diag([1.0, 0.0])]), A)
+
+    def test_right_hand_sides_must_match_the_stack(self):
+        f = factorize(np.stack([np.eye(3)] * 2), np.array([[1.0, 1.0, 0.0]]))
+        with pytest.raises(ValueError, match="stacked"):
+            solve_batch(f, BatchRHS(qs=np.zeros((4, 3)), bs=np.zeros((4, 1))))
+        with pytest.raises(ValueError):
+            solve(f, np.zeros(3), np.zeros(1))
+
+
+class TestKKTResidualScalesWithCondition:
+    """solve and solve_batch satisfy both KKT rows to rounding amplified by
+    the reduced Hessian's condition number times A's, relative to the sizes
+    of the terms in the rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_v=st.integers(2, 12),
+        n_eq=st.integers(1, 6),
+        n_blocks=st.integers(0, 3),
+        decades=st.floats(0.0, 8.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_kkt_rows(self, n_v, n_eq, n_blocks, decades, seed):
+        n_eq = min(n_eq, n_v - 1)
+        rng = np.random.default_rng(seed)
+        Qs = _graded_hessians(rng, max(n_blocks, 1), n_v, decades)
+        A = rng.normal(size=(n_eq, n_v))
+        f = factorize(Qs if n_blocks else Qs[0], A)
+        conds = np.atleast_1d(f.cond_estimate) * np.linalg.cond(A)
+        qs, bs = rng.normal(size=(len(Qs), 4, n_v)), rng.normal(size=(len(Qs), 4, n_eq))
+        if n_blocks:
+            xis, nus = solve_batch(f, BatchRHS(qs=qs, bs=bs))
+            xi0, nu0 = solve(f, qs[:, 0], bs[:, 0])
+        else:
+            xis, nus = (x[None] for x in solve_batch(f, BatchRHS(qs=qs[0], bs=bs[0])))
+            xi0, nu0 = (x[None] for x in solve(f, qs[0, 0], bs[0, 0]))
+        norm_a = np.linalg.norm(A, 2)
+        for i, Q in enumerate(Qs):
+            norm_q = np.linalg.norm(Q, 2)
+            rows = [(xis[i, j], nus[i, j], qs[i, j], bs[i, j]) for j in range(4)]
+            rows.append((xi0[i], nu0[i], qs[i, 0], bs[i, 0]))
+            for xi, nu, q, b in rows:
+                size = (norm_q + norm_a) * np.linalg.norm(xi) + norm_a * np.linalg.norm(nu)
+                size += np.linalg.norm(q) + np.linalg.norm(b)
+                tol = 64 * np.finfo(float).eps * conds[i] * size
+                assert np.linalg.norm(Q @ xi + A.T @ nu + q) <= tol
+                assert np.linalg.norm(A @ xi - b) <= tol

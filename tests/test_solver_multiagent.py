@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from trajopt import geometry, qpcore, solver_multiagent
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
@@ -52,12 +53,15 @@ class _Reference:
     A_fo, per-pair Python loops for the offsets and the static centres,
     the polar angles of every offset (angles3d), the d-step at those angles
     (_closed_form_d_3d) and the trigonometric reconstruction, and factors
-    of Q + rho * A_fo'A_fo.
+    of the full saddle [[Q + rho * A_fo'A_fo, A_eq'], [A_eq, 0]] for the
+    stacked agent coefficients, each one dense LU (test-local, so the
+    solver's reduced factors are checked against an independent solve).
+    conds holds each saddle's 2-norm condition number.
 
     The angles are those of the offsets of state.xi, as the iteration
     leaves them, so a JointState carries everything a step needs.  Only the
-    unchanged constants (cost, boundary rows, pair lists, radii, rho levels)
-    come from _JointStructure; the initial state is _init_state's.
+    unchanged constants (pair lists, radii, rho levels) come from
+    _JointStructure; the initial state is _init_state's.
     """
 
     def __init__(self, problem, params):
@@ -74,11 +78,15 @@ class _Reference:
         self.static_centers = [
             np.asarray(sphere.center, dtype=float) for sphere in problem.static_obstacles for _ in range(s.n_a)
         ]
-        if s.n_pairs:
-            AtA = self.A_fo.T @ self.A_fo
-            self.factors = [qpcore.factorize(s.Q + rho * AtA, s.A_eq) for rho in s.rho_levels]
-        else:
-            self.factors = [qpcore.factorize(s.Q, s.A_eq)]
+        Q = np.kron(np.eye(s.n_a), basis.Pddot.T @ basis.Pddot)
+        A_eq = np.kron(np.eye(s.n_a), boundary_matrix(basis))
+        self.b_eq = np.stack([np.concatenate([bc[k].values() for bc in problem.boundaries]) for k in range(3)])
+        AtA = self.A_fo.T @ self.A_fo
+        n_eq = A_eq.shape[0]
+        saddles = [np.block([[Q + rho * AtA, A_eq.T], [A_eq, np.zeros((n_eq, n_eq))]]) for rho in s.rho_levels]
+        self.n_v = Q.shape[0]
+        self.factors = [scipy.linalg.lu_factor(K) for K in saddles]
+        self.conds = [np.linalg.cond(K) for K in saddles]
 
     def agent_positions(self, xi):
         s = self.struct
@@ -134,7 +142,8 @@ class _Reference:
                 qs[k] = -rho * (self.A_fo.T @ b_fo.ravel())
         else:
             qs = np.zeros((3, s.n_a * s.m))
-        state.xi, _ = qpcore.solve_batch(self.factors[state.level], qpcore.BatchRHS(qs=qs, bs=s.b_eq))
+        sol = scipy.linalg.lu_solve(self.factors[state.level], np.hstack([-qs, self.b_eq]).T)
+        state.xi = sol[: self.n_v].T
 
     def polar_step(self, state):
         s = self.struct
@@ -207,8 +216,8 @@ def _assert_polar_step_matches(before, new, ref):
     assert _rel(new.lam, same.lam) <= 1e-10
 
 
-def _square_antipodal(n_agents):
-    scenario = gen_scenario("square-antipodal", {"n_agents": n_agents}, seed=0)
+def _square_antipodal(n_agents, **params):
+    scenario = gen_scenario("square-antipodal", {"n_agents": n_agents, **params}, seed=0)
     h = scenario.horizon
     return runner.multiagent_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10))
 
@@ -312,8 +321,10 @@ class TestInvariants:
             assert np.all(state.d >= 1.0)
 
     def test_axis_solves_decoupled(self):
-        # axis updates share one factor but separate right-hand sides, so
-        # solving them in any order gives identical coefficients
+        # axis updates share one factor but separate right-hand sides, and in
+        # the eigenbasis of E'E each mode is its own small problem, so solving
+        # axes and modes one by one, in reverse order, gives the same
+        # coefficients
         prob = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.1, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.1, 1.0]])
         params = JointParams(max_iter=10)
         struct = _JointStructure(prob, params)
@@ -322,15 +333,22 @@ class TestInvariants:
         rho = struct.rho_levels[state.level]
         factor = struct.factors[state.level]
 
-        # rebuild the RHS through the incidence product and solve axes one by one, reversed
+        # rebuild the RHS through the incidence product and rotate it and the
+        # boundary values into the modes
         state2 = _init_state(prob, struct)
-        qs = np.empty((3, struct.n_a * struct.m))
-        for k in range(3):
-            b_fo = state2.recon[k] - state2.lam[k] / rho
-            qs[k] = -rho * (struct.E.T @ b_fo @ struct.basis.P).ravel()
-        xi_rev = np.empty_like(state.xi)
+        q_agents = -rho * (struct.E.T @ (state2.recon - state2.lam / rho) @ struct.basis.P)  # (3, N_a, m)
+        q_modes = struct.V.T @ q_agents
+        b_modes = struct.V.T @ np.array([[bc[k].values() for bc in prob.boundaries] for k in range(3)])
+        group = np.concatenate([np.full(modes.stop - modes.start, g) for g, modes in enumerate(struct.groups)])
+        n_groups = len(struct.groups)
+        eta = np.empty_like(q_modes)
         for k in (2, 1, 0):
-            xi_rev[k], _ = qpcore.solve(factor, qs[k], struct.b_eq[k])
+            for j in reversed(range(struct.n_a)):
+                # every block solves this mode's right-hand side; its own group's is kept
+                q, b = np.tile(q_modes[k, j], (n_groups, 1)), np.tile(b_modes[k, j], (n_groups, 1))
+                xi_blocks, _ = qpcore.solve(factor, q, b)
+                eta[k, j] = xi_blocks[group[j]]
+        xi_rev = (struct.V @ eta).reshape(3, -1)
         np.testing.assert_allclose(xi_rev, state.xi, atol=1e-12)
 
     def test_residual_trend_on_swap(self):
@@ -431,7 +449,7 @@ class TestMatchesReference:
             # motion, which no pair row sees; so the xi bound scales with the
             # condition above 1e9 and the positions bound above 1e11, while
             # the pair offsets are held to 1e-12 at every level.
-            cond = struct.factors[snapshots[k].level].cond_estimate
+            cond = ref.conds[snapshots[k].level]
             assert _rel(new.xi, old.xi) <= 1e-10 * max(1.0, cond / 1e9), (k, cond)
             positions = np.moveaxis(ref.agent_positions(old.xi), -1, 0)
             assert _rel(struct.agent_positions(new.xi), positions) <= 1e-10 * max(1.0, cond / 1e11), (k, cond)
@@ -531,6 +549,26 @@ class TestStructure:
         for traj in sol.trajectories:
             for sphere in statics:
                 assert np.linalg.norm(traj.pos - sphere.center, axis=1).min() >= radius + sphere.radius
+
+
+class TestLargeSwarms:
+    @pytest.mark.parametrize("n_agents,side", [(12, 6.0), (16, 6.0), (24, 6.0), (32, 8.0)])
+    def test_square_antipodal_solves_with_clearance(self, n_agents, side):
+        # on the default 6 m square, 32 agents start 0.75 m apart, inside two
+        # agent radii (0.8 m), so their square is widened to 8 m
+        problem = _square_antipodal(n_agents, side=side)
+        before = qpcore.factorization_count()
+        sol = solve_joint(problem)
+        assert sol.n_factorizations == qpcore.factorization_count() - before == JointParams().rho_levels
+        assert sol.min_pair_distance >= 2.0 * problem.agent_shape.a
+
+    def test_complete_pair_graph_has_two_mode_groups(self):
+        # E'E = (N_a + n_s) I - 11': the mean trajectory and the deviations from it
+        struct = _JointStructure(_square_antipodal(12), JointParams())
+        assert struct.groups == [slice(0, 1), slice(1, 12)]
+        np.testing.assert_allclose(np.abs(struct.V[:, 0]), 1.0 / np.sqrt(12), rtol=1e-12)
+        for factor in struct.factors:
+            assert factor.q_map.shape == (2, struct.m, struct.m)
 
 
 class TestOnePassPerIteration:

@@ -607,10 +607,23 @@ class TestOnePassPerSweep:
         monkeypatch.setattr(structure, "offsets", counted("offsets", structure.offsets))
         monkeypatch.setattr(solver_single, "_angle_trig", counted("trig", solver_single._angle_trig))
         monkeypatch.setattr(solver_single, "equality_residuals", counted("residuals", solver_single.equality_residuals))
+        for name in ("cos", "sin"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
         sol = solve_single(_mixed_problem(3), SingleParams(max_iter=12, tol=0.0))
         assert sol.iterations == 12
-        # the initial state's straight line takes one more offset evaluation
-        assert counts == {"structure": 1, "offsets": 13, "trig": 12, "residuals": 12}
+        # the initial state's straight line takes one more offset evaluation.
+        # _angle_trig runs at the initial state, in each residual step (on
+        # the new angles) and at each sweep start, which reuses the residual
+        # step's result: so cos and sin pass once over alpha and once over
+        # beta per sweep, plus once each for the initial angles
+        assert counts == {
+            "structure": 1,
+            "offsets": 13,
+            "trig": 1 + 2 * 12,
+            "residuals": 12,
+            "cos": 2 * (1 + 12),
+            "sin": 2 * (1 + 12),
+        }
 
 
 class TestWarmState:

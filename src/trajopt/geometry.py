@@ -17,10 +17,15 @@ The kernel, the only place this math is written:
 - scaled_sq_norm: squared ellipsoidal norm r**2 of per-axis offsets;
 - los_scale: the closed-form scale d = clip(r, lower, upper);
 - radial_clamp: residual of the closed-form polar projection, with no angles;
+- unit_pair: the projection onto the unit circle, (cos, sin) of an angle
+  without the angle;
 - radial_target: the closed-form spheroid scale and target for targets
   shifted off the offset (e.g. by multipliers), with no angles;
-- angle2d, angles3d: the angles recovering an offset;
-- stalled: the windowed stall test behind every penalty schedule.
+- angle2d, angles3d: the angles recovering an offset, which only seed the
+  single solver's unit pairs (its sweeps project with unit_pair);
+- stalled: the windowed stall test behind every penalty schedule;
+- check_schedule: the parameter checks of the geometric penalty schedule
+  that the single and batch solvers share.
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
 one call covers every timestep, obstacle and batch member.  All functions
@@ -39,11 +44,13 @@ __all__ = [
     "ObstacleTrack",
     "angle2d",
     "angles3d",
+    "check_schedule",
     "los_scale",
     "radial_clamp",
     "radial_target",
     "scaled_sq_norm",
     "stalled",
+    "unit_pair",
 ]
 
 # Numerical cap standing in for the +inf upper bound on collision scales.
@@ -62,8 +69,8 @@ class EllipsoidShape:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"semi-axes must be positive, got a={self.a}, b={self.b}")
+        if not all(np.isfinite(axis) and axis > 0 for axis in (self.a, self.b)):
+            raise ValueError(f"semi-axes must be positive and finite, got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,8 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
     axis in 2-D and at lower * b along the last axis in 3-D.
 
     deltas, a and b are as in scaled_sq_norm.  Returns the list of per-axis
-    residuals, each shaped as the offsets broadcast against a and b.
+    residuals, each shaped as the offsets broadcast against a and b.  At
+    a = b = lower = upper = 1 in 2-D the target is unit_pair.
     """
     r = scaled_sq_norm(deltas, a, b)
     np.sqrt(r, out=r)
@@ -156,6 +164,23 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
         for res in out:
             res[centre] = 0.0
         out[axis][centre] = -lower * np.broadcast_to(semi, r.shape)[centre]
+    return out
+
+
+def unit_pair(c, s):
+    """(c, s) / hypot(c, s), stacked as (2, ...): (cos, sin) of arctan2(s, c), no angle taken.
+
+    This is the radial_clamp target at a = b = lower = upper = 1, the
+    nearest point of the unit circle.  The origin maps to (1, 0), the
+    convention of arctan2(0, 0) = 0.
+    """
+    r = np.hypot(c, s)
+    out = np.array([c, s], dtype=float)
+    centre = r == 0.0
+    with np.errstate(invalid="ignore"):
+        out /= r
+    if centre.any():
+        out[0][centre], out[1][centre] = 1.0, 0.0
     return out
 
 
@@ -204,3 +229,29 @@ def stalled(history, since_change, window, improvement, floor):
     recent = np.mean(history[-window:])
     previous = np.mean(history[-2 * window : -window])
     return bool(previous > floor and (previous - recent) / previous < improvement)
+
+
+def check_schedule(params):
+    """Reject a geometric penalty schedule that cannot run.
+
+    params carries max_iter, tol, rho_start, rho_growth, rho_cap,
+    stall_window and stall_improvement: rho starts positive and finite,
+    grows by a finite factor of at least 1 up to a finite cap at or above
+    its start, and stalls are judged over windows of at least one entry.
+    Raises ValueError naming the first bad field.
+    """
+    for name in ("rho_start", "rho_cap"):
+        value = getattr(params, name)
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if params.rho_cap < params.rho_start:
+        raise ValueError(f"rho_cap {params.rho_cap} is below rho_start {params.rho_start}")
+    if not (np.isfinite(params.rho_growth) and params.rho_growth >= 1):
+        raise ValueError(f"rho_growth must be finite and at least 1, got {params.rho_growth}")
+    if params.max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {params.max_iter}")
+    if params.stall_window < 1:
+        raise ValueError(f"stall_window must be at least 1, got {params.stall_window}")
+    for name in ("tol", "stall_improvement"):
+        if np.isnan(getattr(params, name)):
+            raise ValueError(f"{name} must not be NaN")

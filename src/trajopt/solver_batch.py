@@ -36,7 +36,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import D_CAP, ObstacleTrack, radial_clamp, scaled_sq_norm, stalled
+from .geometry import D_CAP, ObstacleTrack, check_schedule, radial_clamp, scaled_sq_norm, stalled
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,9 @@ class BatchParams:
     stall_improvement: float = 0.01
     d_margin: float = 1e-2
     kin_margin: float = 1e-2
+
+    def __post_init__(self):
+        check_schedule(self)
 
 
 @dataclass
@@ -283,18 +286,16 @@ def _target_products(state: BatchState, problem: BatchProblem, struct: _Structur
     return np.hstack(out)
 
 
-def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
+def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Shared-factor QP update of every member's stacked coefficients."""
-    struct = struct or _Structure(problem)
     _ensure_factors(state, problem, struct)
     q_lin = struct.q[None, :] - state.lam - state.rho * _target_products(state, problem, struct)
     bs = np.tile(struct.b, (state.xi.shape[0], 1))
     state.xi, _ = qpcore.solve_batch(state._factor_xi, qpcore.BatchRHS(qs=q_lin, bs=bs))
 
 
-def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
+def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Fit the heading block to unwrapped arctan2 targets from the copies."""
-    struct = struct or _Structure(problem)
     _ensure_factors(state, problem, struct)
     basis = problem.basis
     _, xi_c, _, xi_s = _split(state.xi, struct.m)
@@ -313,9 +314,8 @@ def _targets(deltas, a, b, lower, upper):
     return np.stack([d - res for d, res in zip(deltas, radial_clamp(deltas, a, b, lower, upper))])
 
 
-def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> None:
+def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Closed-form polar targets of every collision, velocity and acceleration offset."""
-    struct = struct or _Structure(problem)
     basis, m = problem.basis, struct.m
     xi_x, _, xi_y, _ = _split(state.xi, m)
     deltas = _footprint_deltas(problem, struct, xi_x @ basis.P.T, xi_y @ basis.P.T, state.psi)
@@ -346,8 +346,7 @@ def _residual_stats(state: BatchState, problem: BatchProblem, struct: _Structure
     return res_max, np.sqrt(sq)
 
 
-def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure | None = None) -> BatchState:
-    struct = struct or _Structure(problem)
+def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure) -> BatchState:
     batch_xi_step(state, problem, struct)
     heading_step(state, problem, struct)
     polar_step(state, problem, struct)

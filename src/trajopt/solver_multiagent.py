@@ -88,8 +88,6 @@ class MultiAgentProblem:
             raise ValueError("every agent needs x, y and z boundaries")
         if not all(np.all(np.isfinite(bc.values())) for agent in self.boundaries for bc in agent):
             raise ValueError("boundary values must be finite")
-        if not (_positive_finite(self.agent_shape.a) and _positive_finite(self.agent_shape.b)):
-            raise ValueError(f"agent semi-axes must be positive and finite, got {self.agent_shape}")
         for sphere in self.static_obstacles:
             center = np.asarray(sphere.center, dtype=float)
             if center.shape != (3,) or not np.all(np.isfinite(center)):

@@ -7,17 +7,25 @@ Lagrangian and the blocks are swept in order:
 
     positions (equality-constrained QP, one cached KKT factor for all axes)
     -> angle copies (elementwise quadratics)
-    -> angles (arctan2 of the copies)
+    -> angles (each copy pair projected onto the unit circle)
     -> line-of-sight scales (analytic, clamped at 1)
     -> multiplier ascent
 
+The angles enter the equalities only through their cos and sin, so the state
+keeps each angle as its unit pair (cos, sin) and no sweep forms an angle: the
+angle step sets the pair to (c, s) / hypot(c, s) for the copy pair (c, s),
+which is (cos, sin) of arctan2(s, c), and to (1, 0) at the origin, as
+arctan2(0, 0) = 0 (geometry.unit_pair, the radial clamp's target at unit
+semi-axes and scale).  Only init_state takes angles, of the straight-line
+offsets, once per solve.  A 2-D problem is the 3-D one with sin(beta) = 1
+and lateral semi-axes (a, b) in place of (a, a), so the reconstruction and
+the alpha copy step are written once.
+
 What the sweep reads from the problem is built once per solve in a
 _SingleStructure: the cost blocks Q and q, the boundary rows A and values,
-P'P, the obstacle tracks and the semi-axes.  Each sweep takes cos/sin of the
-angles once: the residual step takes them of the new angles, and the next
-sweep reuses them to restart the copies and anchor the copy steps.  It
-evaluates the positions and their obstacle offsets once, right after the
-position step; the copy, d and residual steps all read those offsets.
+P'P, the obstacle tracks and the semi-axes.  Each sweep evaluates the
+positions and their obstacle offsets once, right after the position step;
+the copy, d and residual steps all read those offsets.
 
 The KKT matrix of the position step is Q + rho_o * n_o * P'P; its size does
 not depend on the obstacle count.  The state caches its factor with the
@@ -36,7 +44,9 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleTrack, angle2d, angles3d, los_scale, stalled
+from .geometry import ObstacleTrack, angle2d, angles3d, check_schedule, los_scale, stalled, unit_pair
+
+_COLL = ("coll_x", "coll_y", "coll_z")
 
 
 @dataclass
@@ -64,8 +74,6 @@ class SingleProblem:
             centers = np.asarray(obs.centers, dtype=float)
             if centers.shape != (n_p, dim) or not np.all(np.isfinite(centers)):
                 raise ValueError(f"obstacle {i} centres must be finite and cover the grid, {(n_p, dim)}")
-            if not all(np.isfinite(axis) and axis > 0 for axis in (obs.shape.a, obs.shape.b)):
-                raise ValueError(f"obstacle {i} semi-axes must be positive and finite, got {obs.shape}")
 
     @property
     def dim(self) -> int:
@@ -89,29 +97,16 @@ class SingleParams:
     stall_improvement: float = 0.01
 
     def __post_init__(self):
-        for name in ("rho_start", "rho_cap"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.rho_cap < self.rho_start:
-            raise ValueError(f"rho_cap {self.rho_cap} is below rho_start {self.rho_start}")
-        if not (np.isfinite(self.rho_growth) and self.rho_growth >= 1):
-            raise ValueError(f"rho_growth must be finite and at least 1, got {self.rho_growth}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
-        if self.stall_window < 1:
-            raise ValueError(f"stall_window must be at least 1, got {self.stall_window}")
-        for name in ("tol", "stall_improvement"):
-            if np.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must not be NaN")
+        check_schedule(self)
 
 
 @dataclass
 class SingleState:
     xi: np.ndarray  # (dim, n_var)
     d: np.ndarray  # (n_o, n_p)
-    alpha: np.ndarray
-    beta: np.ndarray | None
+    # the angles as unit pairs (cos, sin), (2, n_o, n_p); unit_b is None in 2-D
+    unit_a: np.ndarray
+    unit_b: np.ndarray | None
     cos_a: np.ndarray
     sin_a: np.ndarray
     cos_b: np.ndarray | None
@@ -132,9 +127,6 @@ class SingleState:
     _factor_key: tuple | None = field(default=None, repr=False)
     _factor_rho_o: float | None = field(default=None, repr=False)
     n_factorizations: int = 0
-    # (alpha, beta, _angle_trig of them): the residual step's cos/sin of the
-    # new angles, reused by the next sweep while these arrays are the state's
-    _trig: tuple | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -165,7 +157,7 @@ class _SingleStructure:
     def __init__(self, problem: SingleProblem):
         basis = problem.basis
         self.P = basis.P
-        self.n_o = problem.n_o
+        self.dim, self.n_o = problem.dim, problem.n_o
         self.Q, self.q = _cost_blocks(problem)
         self.PtP = basis.P.T @ basis.P
         self.A = boundary_matrix(basis)
@@ -176,6 +168,8 @@ class _SingleStructure:
             self.tracks = np.stack([np.asarray(obs.centers, dtype=float).T for obs in problem.obstacles], axis=1)
         self.a = np.array([obs.shape.a for obs in problem.obstacles], dtype=float)[:, None]
         self.b = np.array([obs.shape.b for obs in problem.obstacles], dtype=float)[:, None]
+        # semi-axes of the x and y rows, which carry cos(alpha) and sin(alpha)
+        self.lateral = (self.a, self.a if problem.dim == 3 else self.b)
 
     def saddle(self, rho_o: float) -> np.ndarray:
         """The position-step KKT block Q + rho_o * n_o * P'P."""
@@ -194,11 +188,12 @@ def _check_state(state: SingleState, problem: SingleProblem, struct: _SingleStru
     """
     dim, n_o, n_p = problem.dim, problem.n_o, problem.basis.n_p
     polar = (n_o, n_p)
-    shapes = {"xi": (dim, problem.basis.n_var)}
-    shapes.update(dict.fromkeys(("d", "alpha", "cos_a", "sin_a", "lam_cos_a", "lam_sin_a"), polar))
-    shapes["lam_pos"] = (dim, n_o, n_p)
+    shapes = {"xi": (dim, problem.basis.n_var), "d": polar, "unit_a": (2, *polar)}
+    shapes.update(dict.fromkeys(("cos_a", "sin_a", "lam_cos_a", "lam_sin_a"), polar))
+    shapes["lam_pos"] = (dim, *polar)
     # the beta block exists in 3-D only
-    shapes.update(dict.fromkeys(("beta", "cos_b", "sin_b", "lam_cos_b", "lam_sin_b"), polar if dim == 3 else None))
+    shapes["unit_b"] = (2, *polar) if dim == 3 else None
+    shapes.update(dict.fromkeys(("cos_b", "sin_b", "lam_cos_b", "lam_sin_b"), polar if dim == 3 else None))
     for name, shape in shapes.items():
         value = getattr(state, name)
         got = None if value is None else np.shape(value)
@@ -229,27 +224,25 @@ def init_state(
     goal = np.array([bc.p1 for bc in problem.boundary])
     xi = straight_line_coeffs(problem.basis, start, goal)
 
-    d = np.ones((n_o, n_p))
-    if n_o > 0:
-        deltas = struct.offsets(xi)
-        if dim == 3:
-            alpha, beta = angles3d(deltas, struct.a, struct.b)
-        else:
-            alpha, beta = angle2d(deltas[0] / struct.a, deltas[1] / struct.b), None
+    deltas = struct.offsets(xi)
+    unit_b = None
+    if dim == 3:
+        alpha, beta = angles3d(deltas, struct.a, struct.b)
+        unit_b = np.stack([np.cos(beta), np.sin(beta)])
     else:
-        alpha = np.zeros((0, n_p))
-        beta = np.zeros((0, n_p)) if dim == 3 else None
+        alpha = angle2d(deltas[0] / struct.a, deltas[1] / struct.b)
+    unit_a = np.stack([np.cos(alpha), np.sin(alpha)])
 
     zeros = np.zeros((n_o, n_p))
-    state = SingleState(
+    return SingleState(
         xi=xi,
-        d=d,
-        alpha=alpha,
-        beta=beta,
-        cos_a=None,
-        sin_a=None,
-        cos_b=None,
-        sin_b=None,
+        d=np.ones((n_o, n_p)),
+        unit_a=unit_a,
+        unit_b=unit_b,
+        cos_a=unit_a[0],
+        sin_a=unit_a[1],
+        cos_b=None if unit_b is None else unit_b[0],
+        sin_b=None if unit_b is None else unit_b[1],
         lam_pos=np.zeros((dim, n_o, n_p)),
         lam_cos_a=zeros.copy(),
         lam_sin_a=zeros.copy(),
@@ -258,43 +251,27 @@ def init_state(
         rho=params.rho_start,
         rho_o=params.rho_start,
     )
-    state.cos_a, state.sin_a, state.cos_b, state.sin_b = _angle_trig(state)
-    return state
 
 
-def _angle_trig(state: SingleState) -> tuple:
-    """(cos alpha, sin alpha, cos beta, sin beta); the beta pair is None in 2-D.
+def _planar_scale(state: SingleState) -> np.ndarray:
+    """d sin(beta), the scale of the x and y rows; sin(beta) = 1 in 2-D."""
+    return state.d if state.sin_b is None else state.d * state.sin_b
 
-    Taken once per pair of angle arrays: the state keeps the last result
-    with the arrays it came from, and reuses it while state.alpha and
-    state.beta are those same arrays.  The solver replaces the angles with
-    new arrays, never writing into them, so an unchanged array has
-    unchanged values.
+
+def _reconstruction(state: SingleState, struct: _SingleStructure) -> np.ndarray:
+    """The polar points of the copies, (dim, n_o, n_p).
+
+    x = a d cos(alpha) sin(beta), y = a d sin(alpha) sin(beta), z = b d cos(beta);
+    in 2-D sin(beta) = 1 and y takes the semi-axis b.
     """
-    if state._trig is not None and state._trig[0] is state.alpha and state._trig[1] is state.beta:
-        return state._trig[2]
-    ca, sa = np.cos(state.alpha), np.sin(state.alpha)
-    trig = (ca, sa, None, None) if state.beta is None else (ca, sa, np.cos(state.beta), np.sin(state.beta))
-    state._trig = (state.alpha, state.beta, trig)
-    return trig
+    (ax, ay), planar = struct.lateral, _planar_scale(state)
+    rows = [ax * planar * state.cos_a, ay * planar * state.sin_a]
+    if struct.dim == 3:
+        rows.append(struct.b * state.d * state.cos_b)
+    return np.array(rows)
 
 
-def _position_targets(problem: SingleProblem, state: SingleState, struct: _SingleStructure | None = None) -> np.ndarray:
-    """Per-axis reconstruction targets a*d*cos... stacked as (dim, n_o, n_p)."""
-    struct = struct or _SingleStructure(problem)
-    a, b, tracks = struct.a, struct.b, struct.tracks
-    if problem.dim == 3:
-        tx = tracks[0] + a * state.d * state.cos_a * state.sin_b
-        ty = tracks[1] + a * state.d * state.sin_a * state.sin_b
-        tz = tracks[2] + b * state.d * state.cos_b
-        return np.stack([tx, ty, tz])
-    tx = tracks[0] + a * state.d * state.cos_a
-    ty = tracks[1] + b * state.d * state.sin_a
-    return np.stack([tx, ty])
-
-
-def _position_step(state: SingleState, problem: SingleProblem, struct: _SingleStructure | None = None) -> None:
-    struct = struct or _SingleStructure(problem)
+def _position_step(state: SingleState, struct: _SingleStructure) -> None:
     if state._factor is None or state._factor_rho_o != state.rho_o:
         saddle = struct.saddle(state.rho_o)
         state._factor = qpcore.factorize(saddle, struct.A)
@@ -304,68 +281,35 @@ def _position_step(state: SingleState, problem: SingleProblem, struct: _SingleSt
 
     q_lin = struct.q
     if struct.n_o:
-        targets = _position_targets(problem, state, struct)  # (dim, n_o, n_p)
+        targets = struct.tracks + _reconstruction(state, struct)  # (dim, n_o, n_p)
         lam_sum = state.lam_pos.sum(axis=1)  # (dim, n_p)
         q_lin = struct.q + lam_sum @ struct.P - state.rho_o * targets.sum(axis=1) @ struct.P
     state.xi, _ = qpcore.solve_batch(state._factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
 
 
-def _alpha_copy_step(
-    state: SingleState,
-    problem: SingleProblem,
-    struct: _SingleStructure | None = None,
-    offsets: np.ndarray | None = None,
-    trig: tuple | None = None,
-) -> None:
+def _alpha_copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray) -> None:
     """Exact elementwise minimizer of the relaxation over the alpha copies.
 
-    offsets are the struct.offsets of state.xi and trig the _angle_trig of
-    the state when the caller already has them.
+    The x row couples the cos copy and the y row the sin copy, each through
+    its lateral semi-axis times d sin(beta).  offsets are struct.offsets of
+    state.xi.
     """
-    if problem.n_o == 0:
-        return
-    struct = struct or _SingleStructure(problem)
-    dx, dy = (struct.offsets(state.xi) if offsets is None else offsets)[:2]
-    cos_alpha, sin_alpha = (trig or _angle_trig(state))[:2]
+    planar, rho, rho_o = _planar_scale(state), state.rho, state.rho_o
+    copies = []
+    for semi, unit, lam, lam_pos, delta in zip(
+        struct.lateral, state.unit_a, (state.lam_cos_a, state.lam_sin_a), state.lam_pos, offsets
+    ):
+        coef = semi * planar
+        copies.append((rho * unit - lam + coef * (lam_pos + rho_o * delta)) / (rho + rho_o * coef**2))
+    state.cos_a, state.sin_a = copies
+
+
+def _beta_copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray) -> None:
+    """Exact elementwise minimizer over the beta copies (3-D); offsets as in _alpha_copy_step."""
+    dx, dy, dz = offsets
     a, b = struct.a, struct.b
     rho, rho_o = state.rho, state.rho_o
-    if problem.dim == 3:
-        # x couples cos, y couples sin, both through a*d*sin(beta)
-        coef = a * state.d * state.sin_b
-        den = rho + rho_o * coef**2
-        state.cos_a = (rho * cos_alpha - state.lam_cos_a + coef * (state.lam_pos[0] + rho_o * dx)) / den
-        state.sin_a = (rho * sin_alpha - state.lam_sin_a + coef * (state.lam_pos[1] + rho_o * dy)) / den
-    else:
-        coef_x = a * state.d
-        coef_y = b * state.d
-        state.cos_a = (rho * cos_alpha - state.lam_cos_a + coef_x * (state.lam_pos[0] + rho_o * dx)) / (
-            rho + rho_o * coef_x**2
-        )
-        state.sin_a = (rho * sin_alpha - state.lam_sin_a + coef_y * (state.lam_pos[1] + rho_o * dy)) / (
-            rho + rho_o * coef_y**2
-        )
-
-
-def _alpha_extract(state: SingleState, problem: SingleProblem) -> None:
-    if problem.n_o:
-        state.alpha = np.arctan2(state.sin_a, state.cos_a)
-
-
-def _beta_copy_step(
-    state: SingleState,
-    problem: SingleProblem,
-    struct: _SingleStructure | None = None,
-    offsets: np.ndarray | None = None,
-    trig: tuple | None = None,
-) -> None:
-    """Exact elementwise minimizer over the beta copies; offsets and trig as in _alpha_copy_step."""
-    if problem.n_o == 0 or problem.dim != 3:
-        return
-    struct = struct or _SingleStructure(problem)
-    dx, dy, dz = struct.offsets(state.xi) if offsets is None else offsets
-    cos_beta, sin_beta = (trig or _angle_trig(state))[2:]
-    a, b = struct.a, struct.b
-    rho, rho_o = state.rho, state.rho_o
+    cos_beta, sin_beta = state.unit_b
     coef_cb = b * state.d
     state.cos_b = (rho * cos_beta - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho_o * dz)) / (
         rho + rho_o * coef_cb**2
@@ -382,20 +326,11 @@ def _beta_copy_step(
     state.sin_b = num / den_sb
 
 
-def _beta_extract(state: SingleState, problem: SingleProblem) -> None:
-    if problem.n_o and problem.dim == 3:
-        state.beta = np.arctan2(state.sin_b, state.cos_b)
-
-
-def _d_step(
-    state: SingleState, problem: SingleProblem, struct: _SingleStructure | None = None, offsets: np.ndarray | None = None
-) -> None:
-    """Analytic line-of-sight update from the freshly solved positions."""
-    if problem.n_o == 0:
-        return
-    struct = struct or _SingleStructure(problem)
-    offsets = struct.offsets(state.xi) if offsets is None else offsets
-    state.d = los_scale(offsets, struct.a, struct.b)
+def _angle_step(state: SingleState) -> None:
+    """Set each angle's unit pair to the projection of its copy pair onto the unit circle."""
+    state.unit_a = unit_pair(state.cos_a, state.sin_a)
+    if state.unit_b is not None:
+        state.unit_b = unit_pair(state.cos_b, state.sin_b)
 
 
 def equality_residuals(
@@ -409,32 +344,17 @@ def equality_residuals(
     offsets are the struct.offsets of state.xi when the caller already has
     them; they are computed from the state otherwise.
     """
-    res: dict[str, np.ndarray] = {}
-    if problem.n_o:
-        struct = struct or _SingleStructure(problem)
-        deltas = struct.offsets(state.xi) if offsets is None else offsets
-        a, b = struct.a, struct.b
-        cos_alpha, sin_alpha, cos_beta, sin_beta = _angle_trig(state)
-        if problem.dim == 3:
-            res["coll_x"] = deltas[0] - a * state.d * state.cos_a * state.sin_b
-            res["coll_y"] = deltas[1] - a * state.d * state.sin_a * state.sin_b
-            res["coll_z"] = deltas[2] - b * state.d * state.cos_b
-            res["copy_cos_b"] = state.cos_b - cos_beta
-            res["copy_sin_b"] = state.sin_b - sin_beta
-        else:
-            res["coll_x"] = deltas[0] - a * state.d * state.cos_a
-            res["coll_y"] = deltas[1] - b * state.d * state.sin_a
-        res["copy_cos_a"] = state.cos_a - cos_alpha
-        res["copy_sin_a"] = state.sin_a - sin_alpha
+    if not problem.n_o:
+        return {}
+    struct = struct or _SingleStructure(problem)
+    offsets = struct.offsets(state.xi) if offsets is None else offsets
+    res = dict(zip(_COLL, offsets - _reconstruction(state, struct)))
+    if problem.dim == 3:
+        res["copy_cos_b"] = state.cos_b - state.unit_b[0]
+        res["copy_sin_b"] = state.sin_b - state.unit_b[1]
+    res["copy_cos_a"] = state.cos_a - state.unit_a[0]
+    res["copy_sin_a"] = state.sin_a - state.unit_a[1]
     return res
-
-
-def residual_report(state: SingleState, problem: SingleProblem) -> dict:
-    """Norm and max-abs element per residual family."""
-    return {
-        name: {"norm": float(np.linalg.norm(r)), "max_abs": float(np.max(np.abs(r))) if r.size else 0.0}
-        for name, r in equality_residuals(state, problem).items()
-    }
 
 
 def _residual_extremes(res: dict) -> tuple[float, float]:
@@ -442,23 +362,6 @@ def _residual_extremes(res: dict) -> tuple[float, float]:
         return 0.0, 0.0
     stacked = np.concatenate([r.ravel() for r in res.values()])
     return float(np.linalg.norm(stacked)), float(np.max(np.abs(stacked)))
-
-
-def _multiplier_step(
-    state: SingleState, problem: SingleProblem, struct: _SingleStructure | None = None, offsets: np.ndarray | None = None
-) -> None:
-    # the multipliers do not enter the residuals, so they stay those of the sweep
-    res = state.residuals = equality_residuals(state, problem, offsets, struct)
-    if not res:
-        return
-    state.lam_pos[0] += state.rho_o * res["coll_x"]
-    state.lam_pos[1] += state.rho_o * res["coll_y"]
-    state.lam_cos_a += state.rho * res["copy_cos_a"]
-    state.lam_sin_a += state.rho * res["copy_sin_a"]
-    if problem.dim == 3:
-        state.lam_pos[2] += state.rho_o * res["coll_z"]
-        state.lam_cos_b += state.rho * res["copy_cos_b"]
-        state.lam_sin_b += state.rho * res["copy_sin_b"]
 
 
 def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStructure | None = None) -> SingleState:
@@ -470,19 +373,28 @@ def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStru
     if struct is None:
         struct = _SingleStructure(problem)
         _check_state(state, problem, struct)
-    trig = None
     if struct.n_o:
-        # the copies restart at the angles, whose cos/sin also anchor the copy steps
-        trig = _angle_trig(state)
-        state.cos_a, state.sin_a, state.cos_b, state.sin_b = trig
-    _position_step(state, problem, struct)
-    offsets = struct.offsets(state.xi)
-    _alpha_copy_step(state, problem, struct, offsets, trig)
-    _alpha_extract(state, problem)
-    _beta_copy_step(state, problem, struct, offsets, trig)
-    _beta_extract(state, problem)
-    _d_step(state, problem, struct, offsets)
-    _multiplier_step(state, problem, struct, offsets)
+        # the copies restart at the unit pairs, which also anchor the copy steps
+        state.cos_a, state.sin_a = state.unit_a
+        if struct.dim == 3:
+            state.cos_b, state.sin_b = state.unit_b
+    _position_step(state, struct)
+    state.residuals = {}
+    if struct.n_o:
+        offsets = struct.offsets(state.xi)
+        _alpha_copy_step(state, struct, offsets)
+        if struct.dim == 3:
+            _beta_copy_step(state, struct, offsets)
+        _angle_step(state)
+        state.d = los_scale(offsets, struct.a, struct.b)
+        # the multipliers do not enter the residuals, so they stay those of the sweep
+        res = state.residuals = equality_residuals(state, problem, offsets, struct)
+        for k, name in enumerate(_COLL[: struct.dim]):
+            state.lam_pos[k] += state.rho_o * res[name]
+        copies = ("cos_a", "sin_a", "cos_b", "sin_b") if struct.dim == 3 else ("cos_a", "sin_a")
+        for name in copies:
+            lam = getattr(state, f"lam_{name}")
+            lam += state.rho * res[f"copy_{name}"]
     state.iteration += 1
     return state
 
@@ -518,7 +430,6 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
             state.rho = min(state.rho * params.rho_growth, params.rho_cap)
             state.rho_o = min(state.rho_o * params.rho_growth, params.rho_cap)
             last_change = state.iteration
-
     traj = sample_trajectory(problem.basis, state.xi.T)
     if not history:
         norm, max_abs = _residual_extremes(equality_residuals(state, problem, struct=struct))

@@ -19,6 +19,7 @@ from trajopt.geometry import (
     radial_target,
     scaled_sq_norm,
     stalled,
+    unit_pair,
 )
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
@@ -299,10 +300,25 @@ class TestRadialClamp:
             np.testing.assert_allclose(np.stack([g[:, o] for g in got], axis=-1), ref, rtol=1e-12, atol=1e-12)
 
 
+class TestUnitPair:
+    def test_unit_radial_clamp_target_and_trig_of_arctan2(self):
+        rng = np.random.default_rng(3)
+        c, s = rng.normal(size=(2, 3, 40)) * np.array([1e-3, 1.0, 1e3])[:, None]
+        c[:, :2] = s[:, :2] = 0.0  # the origin takes arctan2(0, 0) = 0
+        got = unit_pair(c, s)
+        target = [x - res for x, res in zip((c, s), radial_clamp((c, s), 1.0, 1.0, 1.0, 1.0))]
+        np.testing.assert_allclose(got, target, rtol=0, atol=1e-12)
+        angle = np.arctan2(s, c)
+        np.testing.assert_allclose(got, [np.cos(angle), np.sin(angle)], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got[:, :, :2], np.broadcast_to([[[1.0]], [[0.0]]], (2, 3, 2)))
+
+
 class TestShapeValidation:
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)]
+    )
     def test_invalid_semi_axes(self, a, b):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="semi-axes"):
             EllipsoidShape(a=a, b=b)
 
 

@@ -607,6 +607,35 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             make_problem(offsets=offsets)
 
+    @pytest.mark.parametrize("a,b", [(float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5), (0.5, float("inf"))])
+    def test_non_finite_semi_axes_rejected(self, a, b):
+        # accepted, they made every member's residual_max non-finite
+        with pytest.raises(ValueError, match="semi-axes"):
+            make_problem(obstacles=[_static_obstacle([5.0, 1.0], a, b)])
+
+
+class TestParamsValidation:
+    """Bad schedule values are rejected when the params are built, not partway through a solve."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(rho_start=0.0),  # was a FactorizationError at the first xi-step
+            dict(rho_start=float("nan")),  # was "Q must be symmetric" mid-solve
+            dict(rho_growth=float("nan")),  # likewise, once rho first grew
+            dict(stall_window=0),  # warned "Mean of empty slice" and never grew rho
+            dict(rho_cap=-1.0),
+        ],
+        ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
+    )
+    def test_rejected(self, change):
+        with pytest.raises(ValueError, match=next(iter(change))):
+            BatchParams(**change)
+
+    def test_defaults_and_boundary_values_accepted(self):
+        BatchParams()
+        BatchParams(rho_start=2.0, rho_cap=2.0, rho_growth=1.0, max_iter=0, stall_window=1, tol=0.0)
+
 
 class TestWarmState:
     def _solved_state(self, prob, iters=3):

@@ -531,6 +531,12 @@ class TestSetupValidation:
         with pytest.raises(ValueError):
             make_setup_2d(obstacles=[self._obstacle(centers)])
 
+    @pytest.mark.parametrize("a,b", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, np.inf)])
+    def test_non_finite_semi_axes_rejected(self, a, b):
+        # accepted, they made project return NaN residuals
+        with pytest.raises(ValueError, match="semi-axes"):
+            make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], a, b)])
+
     def test_non_finite_boundary_values_rejected(self):
         basis = build_basis(0.0, 8.0, N_P, 8)
         with pytest.raises(ValueError):

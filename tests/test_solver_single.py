@@ -11,15 +11,16 @@ from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
     _alpha_copy_step,
-    _alpha_extract,
+    _angle_step,
     _beta_copy_step,
     _cost_blocks,
-    _d_step,
     _position_step,
+    _reconstruction,
+    _residual_extremes,
+    _SingleStructure,
     am_iteration,
     equality_residuals,
     init_state,
-    residual_report,
     solve_single,
 )
 
@@ -71,15 +72,19 @@ def boundary_qp_oracle(problem):
 
 
 class _Reference:
-    """The single-solver sweep as first written: the cost blocks, boundary
-    rows and stacked obstacle tracks rebuilt in every step, the positions
-    P @ xi.T evaluated four times, cos/sin of the same angles taken in the
-    sweep start, the copy steps and the residuals, and the cached factor
-    keyed on rho_o alone.  Its state is an ordinary SingleState.
+    """The single-solver sweep as first written: the angles themselves kept
+    (here, beside the state), recovered from the copies by arctan2 and
+    expanded by cos/sin in the sweep start, the copy steps and the
+    residuals; the cost blocks, boundary rows and stacked obstacle tracks
+    rebuilt in every step, the positions P @ xi.T evaluated four times, and
+    the cached factor keyed on rho_o alone.  Its state is an ordinary
+    SingleState, whose unit pairs it writes as cos/sin of its angles.
     """
 
-    def __init__(self, problem):
+    def __init__(self, problem, state):
         self.problem = problem
+        self.alpha = np.arctan2(state.unit_a[1], state.unit_a[0])
+        self.beta = None if state.unit_b is None else np.arctan2(state.unit_b[1], state.unit_b[0])
 
     def deltas(self, positions):
         tracks = np.stack([obs.centers for obs in self.problem.obstacles])
@@ -127,14 +132,14 @@ class _Reference:
         if problem.dim == 3:
             coef = a * state.d * state.sin_b
             den = rho + rho_o * coef**2
-            state.cos_a = (rho * np.cos(state.alpha) - state.lam_cos_a + coef * (state.lam_pos[0] + rho_o * dx)) / den
-            state.sin_a = (rho * np.sin(state.alpha) - state.lam_sin_a + coef * (state.lam_pos[1] + rho_o * dy)) / den
+            state.cos_a = (rho * np.cos(self.alpha) - state.lam_cos_a + coef * (state.lam_pos[0] + rho_o * dx)) / den
+            state.sin_a = (rho * np.sin(self.alpha) - state.lam_sin_a + coef * (state.lam_pos[1] + rho_o * dy)) / den
         else:
             coef_x, coef_y = a * state.d, b * state.d
-            state.cos_a = (rho * np.cos(state.alpha) - state.lam_cos_a + coef_x * (state.lam_pos[0] + rho_o * dx)) / (
+            state.cos_a = (rho * np.cos(self.alpha) - state.lam_cos_a + coef_x * (state.lam_pos[0] + rho_o * dx)) / (
                 rho + rho_o * coef_x**2
             )
-            state.sin_a = (rho * np.sin(state.alpha) - state.lam_sin_a + coef_y * (state.lam_pos[1] + rho_o * dy)) / (
+            state.sin_a = (rho * np.sin(self.alpha) - state.lam_sin_a + coef_y * (state.lam_pos[1] + rho_o * dy)) / (
                 rho + rho_o * coef_y**2
             )
 
@@ -144,12 +149,12 @@ class _Reference:
         rho, rho_o = state.rho, state.rho_o
         dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
         coef_cb = b * state.d
-        state.cos_b = (rho * np.cos(state.beta) - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho_o * dz)) / (
+        state.cos_b = (rho * np.cos(self.beta) - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho_o * dz)) / (
             rho + rho_o * coef_cb**2
         )
         coef_sb = a * state.d
         num = (
-            rho * np.sin(state.beta)
+            rho * np.sin(self.beta)
             - state.lam_sin_b
             + coef_sb * (state.cos_a * (state.lam_pos[0] + rho_o * dx) + state.sin_a * (state.lam_pos[1] + rho_o * dy))
         )
@@ -164,27 +169,29 @@ class _Reference:
             res["coll_x"] = deltas[:, :, 0] - a * state.d * state.cos_a * state.sin_b
             res["coll_y"] = deltas[:, :, 1] - a * state.d * state.sin_a * state.sin_b
             res["coll_z"] = deltas[:, :, 2] - b * state.d * state.cos_b
-            res["copy_cos_b"] = state.cos_b - np.cos(state.beta)
-            res["copy_sin_b"] = state.sin_b - np.sin(state.beta)
+            res["copy_cos_b"] = state.cos_b - np.cos(self.beta)
+            res["copy_sin_b"] = state.sin_b - np.sin(self.beta)
         else:
             res["coll_x"] = deltas[:, :, 0] - a * state.d * state.cos_a
             res["coll_y"] = deltas[:, :, 1] - b * state.d * state.sin_a
-        res["copy_cos_a"] = state.cos_a - np.cos(state.alpha)
-        res["copy_sin_a"] = state.sin_a - np.sin(state.alpha)
+        res["copy_cos_a"] = state.cos_a - np.cos(self.alpha)
+        res["copy_sin_a"] = state.sin_a - np.sin(self.alpha)
         return res
 
     def sweep(self, state):
         """One parent sweep on a problem with obstacles; mutates the state."""
         problem = self.problem
-        state.cos_a, state.sin_a = np.cos(state.alpha), np.sin(state.alpha)
+        state.cos_a, state.sin_a = np.cos(self.alpha), np.sin(self.alpha)
         if problem.dim == 3:
-            state.cos_b, state.sin_b = np.cos(state.beta), np.sin(state.beta)
+            state.cos_b, state.sin_b = np.cos(self.beta), np.sin(self.beta)
         self.position_step(state)
         self.alpha_copy_step(state)
-        state.alpha = np.arctan2(state.sin_a, state.cos_a)
+        self.alpha = np.arctan2(state.sin_a, state.cos_a)
+        state.unit_a = np.stack([np.cos(self.alpha), np.sin(self.alpha)])
         if problem.dim == 3:
             self.beta_copy_step(state)
-            state.beta = np.arctan2(state.sin_b, state.cos_b)
+            self.beta = np.arctan2(state.sin_b, state.cos_b)
+            state.unit_b = np.stack([np.cos(self.beta), np.sin(self.beta)])
         deltas = self.deltas(problem.basis.P @ state.xi.T)
         state.d = los_scale(np.moveaxis(deltas, -1, 0), *self.semi_axes())
         res = state.residuals = self.residuals(state)
@@ -237,10 +244,10 @@ class TestDStep:
         (a, b), offsets, expected = self.CASES[dim]
         obstacles = [_static_obstacle(-np.asarray(o), EllipsoidShape(a, b), 50) for o in offsets]
         prob = make_problem_2d(n_p=50, obstacles=obstacles) if dim == 2 else make_problem_3d(obstacles=obstacles)
-        state = init_state(prob)
-        state.xi = np.zeros_like(state.xi)
-        _d_step(state, prob)
-        np.testing.assert_allclose(state.d, np.repeat(np.asarray(expected)[:, None], 50, axis=1), rtol=1e-12)
+        struct = _SingleStructure(prob)
+        # the sweep's d step on the structure's offsets and semi-axes
+        d = los_scale(struct.offsets(np.zeros_like(init_state(prob).xi)), struct.a, struct.b)
+        np.testing.assert_allclose(d, np.repeat(np.asarray(expected)[:, None], 50, axis=1), rtol=1e-12)
 
 
 class TestInitState:
@@ -256,13 +263,13 @@ class TestInitState:
         prob = make_problem_2d()
         state = init_state(prob)
         assert state.d.shape == (0, 60)
-        assert state.alpha.shape == (0, 60)
+        assert state.unit_a.shape == (2, 0, 60)
 
     def test_same_seed_identical_states(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
         s1, s2 = init_state(prob, seed=7), init_state(prob, seed=7)
         np.testing.assert_array_equal(s1.xi, s2.xi)
-        np.testing.assert_array_equal(s1.alpha, s2.alpha)
+        np.testing.assert_array_equal(s1.unit_a, s2.unit_a)
         np.testing.assert_array_equal(s1.d, s2.d)
 
 
@@ -286,18 +293,17 @@ class TestAmIteration:
         positions = prob.basis.P @ state.xi.T
         deltas = positions[None, :, :] - obstacle.centers[None, :, :]
         alpha, beta = angles3d(np.moveaxis(deltas[0], -1, 0), obstacle.shape.a, obstacle.shape.b)
-        state.alpha, state.beta = alpha[None, :], beta[None, :]
-        state.cos_a, state.sin_a = np.cos(state.alpha), np.sin(state.alpha)
-        state.cos_b, state.sin_b = np.cos(state.beta), np.sin(state.beta)
-        _d_step(state, prob)
+        state.unit_a = np.stack([np.cos(alpha), np.sin(alpha)])[:, None, :]
+        state.unit_b = np.stack([np.cos(beta), np.sin(beta)])[:, None, :]
+        state.cos_a, state.sin_a = state.unit_a
+        state.cos_b, state.sin_b = state.unit_b
+        state.d = los_scale(np.moveaxis(deltas, -1, 0), obstacle.shape.a, obstacle.shape.b)
 
-        res0 = residual_report(state, prob)
-        for fam in res0.values():
-            assert fam["max_abs"] < 1e-9
+        for res in equality_residuals(state, prob).values():
+            assert np.max(np.abs(res)) < 1e-9
         am_iteration(state, prob)
-        res1 = residual_report(state, prob)
-        for fam in res1.values():
-            assert fam["max_abs"] < 1e-8
+        for res in equality_residuals(state, prob).values():
+            assert np.max(np.abs(res)) < 1e-8
 
     def test_residual_trend_on_cluttered_problem(self):
         rng = np.random.default_rng(0)
@@ -321,14 +327,14 @@ class TestAmIteration:
         # first sweep makes the iterate boundary-feasible; the constrained
         # position block is a descent step only within the feasible set
         am_iteration(state, prob)
+        struct = _SingleStructure(prob)
         for sweep in range(12):
-            state.cos_a = np.cos(state.alpha)
-            state.sin_a = np.sin(state.alpha)
+            state.cos_a, state.sin_a = state.unit_a
             before = augmented_lagrangian(state, prob)
-            _position_step(state, prob)
+            _position_step(state, struct)
             after_pos = augmented_lagrangian(state, prob)
             assert after_pos <= before + 1e-9 * max(1.0, abs(before))
-            _alpha_copy_step(state, prob)
+            _alpha_copy_step(state, struct, struct.offsets(state.xi))
             after_copies = augmented_lagrangian(state, prob)
             assert after_copies <= after_pos + 1e-9 * max(1.0, abs(after_pos))
             am_iteration(state, prob)  # finish the sweep (angles, d, multipliers)
@@ -338,14 +344,17 @@ class TestAmIteration:
         prob = make_problem_3d(obstacles=[obstacle])
         state = init_state(prob)
         am_iteration(state, prob)
+        struct = _SingleStructure(prob)
         for sweep in range(10):
-            state.cos_a, state.sin_a = np.cos(state.alpha), np.sin(state.alpha)
-            state.cos_b, state.sin_b = np.cos(state.beta), np.sin(state.beta)
-            _position_step(state, prob)
-            _alpha_copy_step(state, prob)
-            _alpha_extract(state, prob)
+            state.cos_a, state.sin_a = state.unit_a
+            state.cos_b, state.sin_b = state.unit_b
+            _position_step(state, struct)
+            offsets = struct.offsets(state.xi)
+            _alpha_copy_step(state, struct, offsets)
+            # the new alpha unit pair, with the beta pair still the anchor
+            state.unit_a = np.stack([state.cos_a, state.sin_a]) / np.hypot(state.cos_a, state.sin_a)
             before_beta = augmented_lagrangian(state, prob)
-            _beta_copy_step(state, prob)
+            _beta_copy_step(state, struct, offsets)
             after_beta = augmented_lagrangian(state, prob)
             assert after_beta <= before_beta + 1e-9 * max(1.0, abs(before_beta))
             am_iteration(state, prob)
@@ -456,14 +465,10 @@ class TestInvariants:
 
         Q, q = _cost_blocks(prob)
         # reconstruct the per-axis linear terms exactly as the position step
-        from trajopt.solver_single import _position_targets
-
+        # (the initial copies are the unit pairs the sweep restarts them at)
         state2 = init_state(prob)
-        state2.cos_a = np.cos(state2.alpha)
-        state2.sin_a = np.sin(state2.alpha)
-        state2.cos_b = np.cos(state2.beta)
-        state2.sin_b = np.sin(state2.beta)
-        targets = _position_targets(prob, state2)
+        struct = _SingleStructure(prob)
+        targets = struct.tracks + _reconstruction(state2, struct)
         A = boundary_matrix(prob.basis)
         D = Q + state2.rho_o * prob.n_o * (prob.basis.P.T @ prob.basis.P)
         factor = qpcore.factorize(D, A)
@@ -476,11 +481,13 @@ class TestInvariants:
 
 
 class TestResidualReport:
+    """equality_residuals, the report of every relaxed equality family."""
+
     def test_exact_state_reports_zero(self):
         prob = make_problem_2d()
         state = init_state(prob)
-        report = residual_report(state, prob)
-        assert report == {}
+        assert equality_residuals(state, prob) == {}
+        assert _residual_extremes({}) == (0.0, 0.0)
 
     def test_matches_brute_force_formula(self):
         obstacle = _static_obstacle([4.0, 0.3], EllipsoidShape(0.6, 0.9), 60)
@@ -489,7 +496,8 @@ class TestResidualReport:
         rng = np.random.default_rng(5)
         state.xi = rng.normal(size=state.xi.shape)
         state.d = 1.0 + rng.uniform(size=state.d.shape)
-        state.alpha = rng.uniform(-np.pi, np.pi, size=state.alpha.shape)
+        alpha = rng.uniform(-np.pi, np.pi, size=state.d.shape)
+        state.unit_a = np.stack([np.cos(alpha), np.sin(alpha)])
         state.cos_a = rng.normal(size=state.cos_a.shape)
         state.sin_a = rng.normal(size=state.sin_a.shape)
 
@@ -499,16 +507,12 @@ class TestResidualReport:
         dy = pos[:, 1] - obstacle.centers[:, 1]
         np.testing.assert_allclose(res["coll_x"][0], dx - 0.6 * state.d[0] * state.cos_a[0], atol=1e-12)
         np.testing.assert_allclose(res["coll_y"][0], dy - 0.9 * state.d[0] * state.sin_a[0], atol=1e-12)
-        np.testing.assert_allclose(res["copy_cos_a"][0], state.cos_a[0] - np.cos(state.alpha[0]), atol=1e-12)
-
-        report = residual_report(state, prob)
-        for name, fam in report.items():
-            assert fam["norm"] == pytest.approx(float(np.linalg.norm(res[name])))
-            assert fam["max_abs"] <= fam["norm"] + 1e-15
+        np.testing.assert_allclose(res["copy_cos_a"][0], state.cos_a[0] - np.cos(alpha[0]), atol=1e-12)
+        np.testing.assert_allclose(res["copy_sin_a"][0], state.sin_a[0] - np.sin(alpha[0]), atol=1e-12)
 
 
 STATE_FIELDS = (
-    "xi", "d", "alpha", "beta", "cos_a", "sin_a", "cos_b", "sin_b",
+    "xi", "d", "unit_a", "unit_b", "cos_a", "sin_a", "cos_b", "sin_b",
     "lam_pos", "lam_cos_a", "lam_sin_a", "lam_cos_b", "lam_sin_b",
 )
 
@@ -553,9 +557,9 @@ class TestMatchesReference:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_cold_sweeps_match(self, dim):
         prob = _mixed_problem(dim)
-        ref = _Reference(prob)
         state = init_state(prob)
         ref_state = copy.deepcopy(state)
+        ref = _Reference(prob, ref_state)
         for sweep in range(30):
             if sweep in (10, 20):  # a penalty step makes both refactor
                 for s in (state, ref_state):
@@ -570,8 +574,8 @@ class TestMatchesReference:
         # the receding-horizon case: same saddle, obstacles and boundary moved
         state = solve_single(_mixed_problem(dim), SingleParams(max_iter=40)).state
         prob = _mixed_problem(dim, shift=0.3)
-        ref = _Reference(prob)
         ref_state = copy.deepcopy(state)
+        ref = _Reference(prob, ref_state)
         struct = solver_single._SingleStructure(prob)
         for _ in range(15):
             am_iteration(state, prob, struct)
@@ -583,7 +587,8 @@ class TestMatchesReference:
         # a cold solve is the reference sweep under the same schedule
         prob = _mixed_problem(3)
         sol = solve_single(prob, SingleParams(max_iter=60, tol=0.0))
-        ref, ref_state = _Reference(prob), init_state(prob)
+        ref_state = init_state(prob)
+        ref = _Reference(prob, ref_state)
         for h in sol.residual_history:
             ref_state.rho = ref_state.rho_o = h["rho_o"]
             ref.sweep(ref_state)
@@ -605,25 +610,39 @@ class TestOnePassPerSweep:
         structure = solver_single._SingleStructure
         monkeypatch.setattr(structure, "__init__", counted("structure", structure.__init__))
         monkeypatch.setattr(structure, "offsets", counted("offsets", structure.offsets))
-        monkeypatch.setattr(solver_single, "_angle_trig", counted("trig", solver_single._angle_trig))
         monkeypatch.setattr(solver_single, "equality_residuals", counted("residuals", solver_single.equality_residuals))
-        for name in ("cos", "sin"):
+        for name in ("arctan2", "cos", "sin"):
             monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
         sol = solve_single(_mixed_problem(3), SingleParams(max_iter=12, tol=0.0))
         assert sol.iterations == 12
-        # the initial state's straight line takes one more offset evaluation.
-        # _angle_trig runs at the initial state, in each residual step (on
-        # the new angles) and at each sweep start, which reuses the residual
-        # step's result: so cos and sin pass once over alpha and once over
-        # beta per sweep, plus once each for the initial angles
-        assert counts == {
-            "structure": 1,
-            "offsets": 13,
-            "trig": 1 + 2 * 12,
-            "residuals": 12,
-            "cos": 2 * (1 + 12),
-            "sin": 2 * (1 + 12),
-        }
+        # the initial state's straight line takes one more offset evaluation,
+        # and its angles (alpha through angle2d, beta) the only arctan2, cos
+        # and sin: the sweeps project the copy pairs onto the unit circle
+        assert counts == {"structure": 1, "offsets": 13, "residuals": 12, "arctan2": 2, "cos": 2, "sin": 2}
+
+
+class TestAngleStep:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_copy_pair_at_origin_projects_to_unit_x(self, dim):
+        # (cos, sin) of arctan2(0, 0) = 0; elsewhere the pair is scaled to unit length
+        obstacles = [_static_obstacle([3.0, 0.4, 1.1][:dim], EllipsoidShape(0.8, 0.6), 50)]
+        prob = make_problem_2d(n_p=50, obstacles=obstacles) if dim == 2 else make_problem_3d(obstacles=obstacles)
+        state = init_state(prob)
+        pair = np.zeros((2, 1, 50))
+        pair[:, 0, 1:] = np.random.default_rng(dim).normal(size=(2, 49))
+        state.cos_a, state.sin_a = pair
+        if dim == 3:
+            state.cos_b, state.sin_b = pair[::-1]
+        _angle_step(state)
+        angle = np.arctan2(pair[1], pair[0])
+        np.testing.assert_array_equal(state.unit_a[:, 0, 0], [1.0, 0.0])
+        np.testing.assert_allclose(state.unit_a, np.stack([np.cos(angle), np.sin(angle)]), rtol=0, atol=1e-15)
+        if dim == 3:
+            angle = np.arctan2(pair[0], pair[1])
+            np.testing.assert_array_equal(state.unit_b[:, 0, 0], [1.0, 0.0])
+            np.testing.assert_allclose(state.unit_b, np.stack([np.cos(angle), np.sin(angle)]), rtol=0, atol=1e-15)
+        else:
+            assert state.unit_b is None
 
 
 class TestWarmState:
@@ -647,7 +666,7 @@ class TestWarmState:
         state = self._solved_state(make_problem_3d(degree=8))
         self._assert_rejected_untouched(make_problem_3d(degree=10), state, "warm state xi")
 
-    @pytest.mark.parametrize("name", ["d", "alpha", "lam_pos", "lam_cos_a", "lam_sin_b"])
+    @pytest.mark.parametrize("name", ["d", "unit_a", "unit_b", "lam_pos", "lam_cos_a", "lam_sin_b"])
     def test_polar_shape_mismatch_rejected(self, name):
         obstacles = [_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)]
         state = self._solved_state(make_problem_3d(obstacles=obstacles))
@@ -663,14 +682,14 @@ class TestWarmState:
     def test_beta_set_on_planar_problem_rejected(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
         state = self._solved_state(prob)
-        state.beta = np.zeros_like(state.alpha)
-        self._assert_rejected_untouched(prob, state, "warm state beta")
+        state.unit_b = np.zeros_like(state.unit_a)
+        self._assert_rejected_untouched(prob, state, "warm state unit_b")
 
     def test_beta_unset_on_spatial_problem_rejected(self):
         prob = make_problem_3d(obstacles=[_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)])
         state = self._solved_state(prob)
-        state.beta = None
-        self._assert_rejected_untouched(prob, state, "warm state beta")
+        state.unit_b = None
+        self._assert_rejected_untouched(prob, state, "warm state unit_b")
 
     @pytest.mark.parametrize("change", ["horizon", "w_smooth"])
     def test_changed_saddle_matrix_is_refactored(self, change):
@@ -731,8 +750,8 @@ class TestProblemValidation:
             dict(boundary=(AxisBoundary(p0=0.0, p1=8.0),)),
             dict(centers=np.full((60, 2), float("nan"))),
             dict(centers=np.zeros((60, 3))),
-            dict(shape=EllipsoidShape(float("nan"), 0.5)),
-            dict(shape=EllipsoidShape(0.5, float("inf"))),
+            dict(semi_axes=(float("nan"), 0.5)),
+            dict(semi_axes=(0.5, float("inf"))),
             dict(w_smooth=float("nan")),
             dict(w_track=float("inf")),
             dict(w_smooth=-1.0),
@@ -750,10 +769,10 @@ class TestProblemValidation:
             desired[7, 1] = np.nan
         kwargs["desired"] = desired
         centers = change.pop("centers", prob.obstacles[0].centers)
-        shape = change.pop("shape", prob.obstacles[0].shape)
-        kwargs["obstacles"] = [ObstacleTrack(centers=centers, shape=shape)]
+        semi_axes = change.pop("semi_axes", (0.5, 0.5))
         kwargs.update(change)
         with pytest.raises(ValueError):
+            kwargs["obstacles"] = [ObstacleTrack(centers=centers, shape=EllipsoidShape(*semi_axes))]
             SingleProblem(**kwargs)
 
 

@@ -245,6 +245,31 @@ def _gen_dynamic_flow(params, seed) -> Scenario:
     )
 
 
+def _square_perimeter(n_agents: int, side: float) -> list[tuple[float, float]]:
+    """n_agents points evenly spaced around the square perimeter, centered at the origin."""
+    perim = 4.0 * side
+    points = []
+    for k in range(n_agents):
+        s = (k / n_agents) * perim
+        edge, off = int(s // side), s % side
+        if edge == 0:
+            points.append((-side / 2 + off, -side / 2))
+        elif edge == 1:
+            points.append((side / 2, -side / 2 + off))
+        elif edge == 2:
+            points.append((side / 2 - off, side / 2))
+        else:
+            points.append((-side / 2, side / 2 - off))
+    return points
+
+
+def _min_gap(points) -> float:
+    """Smallest distance between two of the points (inf for fewer than two)."""
+    xy = np.asarray(points, dtype=float)
+    gaps = np.linalg.norm(xy[:, None] - xy[None], axis=-1)[np.triu_indices(len(xy), 1)]
+    return float(gaps.min()) if gaps.size else np.inf
+
+
 def _gen_square_antipodal(params, seed) -> Scenario:
     rng = np.random.default_rng(seed)
     n_agents = int(params.get("n_agents", 8))
@@ -253,21 +278,20 @@ def _gen_square_antipodal(params, seed) -> Scenario:
     z_level = float(params.get("z", 1.0))
     jitter = float(params.get("jitter", 0.05))
 
-    # evenly spaced around the square perimeter, centered at the origin
-    perim = 4.0 * side
-    starts = []
-    for k in range(n_agents):
-        s = (k / n_agents) * perim
-        edge, off = int(s // side), s % side
-        if edge == 0:
-            p = (-side / 2 + off, -side / 2)
-        elif edge == 1:
-            p = (side / 2, -side / 2 + off)
-        elif edge == 2:
-            p = (side / 2 - off, side / 2)
-        else:
-            p = (-side / 2, side / 2 - off)
-        starts.append(np.array([p[0], p[1], z_level]) + np.array([rng.uniform(-jitter, jitter), rng.uniform(-jitter, jitter), 0.0]))
+    starts = [
+        np.array([x, y, z_level]) + np.array([rng.uniform(-jitter, jitter), rng.uniform(-jitter, jitter), 0.0])
+        for x, y in _square_perimeter(n_agents, side)
+    ]
+    gap = _min_gap([start[:2] for start in starts])
+    if gap < 2.0 * radius:
+        # the layout scales with the side; each start's jitter can close a
+        # gap by up to sqrt(2) * jitter
+        fits = (2.0 * radius + 2.0 * np.sqrt(2.0) * jitter) / _min_gap(_square_perimeter(n_agents, 1.0))
+        fits = np.ceil(fits * 100.0) / 100.0
+        raise ValueError(
+            f"square-antipodal: {n_agents} agents on a {side} m square start {gap:.3f} m apart, inside two agent "
+            f"radii ({2.0 * radius} m); the smallest side that fits at every seed is {fits:.2f} m"
+        )
 
     goals = [np.array([-s[0], -s[1], z_level]) for s in starts]  # antipodal through the center
     center = np.array([0.0, 0.0, z_level])

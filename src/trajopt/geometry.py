@@ -150,6 +150,15 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
     deltas, a and b are as in scaled_sq_norm.  Returns the list of per-axis
     residuals, each shaped as the offsets broadcast against a and b.  At
     a = b = lower = upper = 1 in 2-D the target is unit_pair.
+
+    Zero band: the residual is exactly zero (possibly -0.0) wherever the
+    squared norm q = scaled_sq_norm(deltas, a, b) satisfies
+    lower**2 <= q <= upper**2, with lower and upper such that lower**2 and
+    upper**2 are exact (1 and D_CAP**2, 0 and 1).  sqrt is monotone and
+    exact at those squares, so r = sqrt(q) lies in [lower, upper], the clamp
+    leaves it unchanged and r / r == 1; at r = lower = 0 the origin
+    convention puts the target at the offset.  Callers may skip such
+    entries.
     """
     r = scaled_sq_norm(deltas, a, b)
     np.sqrt(r, out=r)

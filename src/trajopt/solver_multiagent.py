@@ -64,6 +64,10 @@ def _positive_finite(value) -> bool:
     return bool(np.isfinite(value) and value > 0)
 
 
+def _non_negative_finite(value) -> bool:
+    return bool(np.isfinite(value) and value >= 0)
+
+
 @dataclass(frozen=True)
 class StaticSphere:
     center: np.ndarray
@@ -92,7 +96,7 @@ class MultiAgentProblem:
             center = np.asarray(sphere.center, dtype=float)
             if center.shape != (3,) or not np.all(np.isfinite(center)):
                 raise ValueError(f"static sphere centres must be finite (3,) points, got {sphere.center!r}")
-            if not (np.isfinite(sphere.radius) and sphere.radius >= 0):
+            if not _non_negative_finite(sphere.radius):
                 raise ValueError(f"static sphere radius must be non-negative and finite, got {sphere.radius}")
 
 
@@ -120,6 +124,9 @@ class JointParams:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
         if self.stall_window < 1:
             raise ValueError(f"stall_window must be at least 1, got {self.stall_window}")
+        for name in ("inflation_factor", "typical_residual"):
+            if not _non_negative_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -149,8 +156,8 @@ class JointSolution:
 
 def inflate_radius(radius: float, typical_residual: float, factor: float) -> float:
     """Planning radius absorbing the expected terminal constraint residual."""
-    if radius < 0 or typical_residual < 0 or factor < 0:
-        raise ValueError("inflation inputs must be non-negative")
+    if not all(_non_negative_finite(v) for v in (radius, typical_residual, factor)):
+        raise ValueError("inflation inputs must be non-negative and finite")
     return radius + factor * typical_residual
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,30 @@ class TestGenScenario:
         center = 0.5 * (np.asarray(scenario.boundary.start) + np.asarray(scenario.boundary.goal))
         for start, goal in roster:
             np.testing.assert_allclose(goal, 2.0 * center - start, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_agents,seed,digest",
+        [
+            (8, 0, "85bfd5dfc7e4cce0f5597c684698b10c07b73add55e183b95675e844bee3e6bb"),
+            (8, 7, "4fee3744df5ec59c699f4b99a3ef18407899ebe38e6165b6017b4baa48c2e6ac"),
+            (10, 0, "8e36cc38ea3ff73b61b4bfe11f5ff5b926050354dc9a83df65b73125d2f52201"),
+            (10, 7, "2dfad8531069c70a2cbf5d2cb5c9bb8689d3aade4cdfc599b19ce3c4c24be548"),
+        ],
+    )
+    def test_square_antipodal_layout_pinned(self, n_agents, seed, digest):
+        # recorded before the start-gap check; the benchmark's swarm strata
+        scenario = gen_scenario("square-antipodal", {"n_agents": n_agents}, seed=seed)
+        assert hashlib.sha256(to_json(scenario).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_agents,side", [(32, 6.0), (2, 0.5)])
+    def test_square_antipodal_overlapping_starts_rejected(self, n_agents, side):
+        # 32 agents on the 6 m square start about 0.75 m apart, inside two
+        # 0.4 m radii; the message names a side that fits, and that side does
+        with pytest.raises(ValueError, match="smallest side that fits") as info:
+            gen_scenario("square-antipodal", {"n_agents": n_agents, "side": side}, seed=0)
+        fits = float(re.search(r"is ([0-9.]+) m$", str(info.value)).group(1))
+        for seed in range(5):
+            gen_scenario("square-antipodal", {"n_agents": n_agents, "side": fits}, seed=seed)
 
     def test_seed_repetition_identical(self):
         a = gen_scenario("corridor", seed=5)

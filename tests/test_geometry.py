@@ -300,6 +300,68 @@ class TestRadialClamp:
             np.testing.assert_allclose(np.stack([g[:, o] for g in got], axis=-1), ref, rtol=1e-12, atol=1e-12)
 
 
+# Offsets (x, y) at unit semi-axes whose squared norm lands exactly on a band
+# edge or on the double next to it: (1, 2**-26) gives 1 + 2**-52, and
+# (1 - 2**-53, 1.2 * 2**-27) gives 1 - 2**-53.
+_NEXT_ABOVE_ONE = (1.0, 2.0**-26)
+_NEXT_BELOW_ONE = (1.0 - 2.0**-53, 1.2 * 2.0**-27)
+
+
+class TestZeroBand:
+    """radial_clamp's residual is exactly zero wherever lower**2 <= q <= upper**2.
+
+    The priest projection relies on it to skip those collision entries.
+    """
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "xy,q,lower,upper",
+        [
+            ((1.0, 0.0), 1.0, 1.0, D_CAP),
+            (_NEXT_ABOVE_ONE, np.nextafter(1.0, np.inf), 1.0, D_CAP),
+            ((D_CAP, 0.0), D_CAP**2, 1.0, D_CAP),
+            ((0.0, 0.0), 0.0, 0.0, 1.0),
+            (_NEXT_BELOW_ONE, np.nextafter(1.0, -np.inf), 0.0, 1.0),
+            ((1.0, 0.0), 1.0, 0.0, 1.0),
+        ],
+    )
+    def test_zero_at_band_edges(self, dim, xy, q, lower, upper):
+        deltas = [np.array([xy[0]]), *[np.zeros(1)] * (dim - 2), np.array([xy[1]])]
+        assert scaled_sq_norm(deltas, 1.0, 1.0)[0] == q
+        assert np.array_equal(radial_clamp(deltas, 1.0, 1.0, lower=lower, upper=upper), np.zeros((dim, 1)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "xy,q", [(_NEXT_BELOW_ONE, np.nextafter(1.0, -np.inf)), ((D_CAP, 0.011), np.nextafter(D_CAP**2, np.inf))]
+    )
+    def test_nonzero_next_to_the_collision_band(self, dim, xy, q):
+        # the band is tight: one double outside it the clamp moves the offset
+        deltas = [np.array([xy[0]]), *[np.zeros(1)] * (dim - 2), np.array([xy[1]])]
+        assert scaled_sq_norm(deltas, 1.0, 1.0)[0] == q
+        assert radial_clamp(deltas, 1.0, 1.0)[0][0] != 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        direction=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3),
+        fraction=st.floats(0.0, 1.2),
+        a=st.floats(1e-3, 1e3),
+        b=st.floats(1e-3, 1e3),
+        band=st.sampled_from([(1.0, D_CAP), (0.0, 1.0)]),
+    )
+    def test_zero_inside_band(self, dim, direction, fraction, a, b, band):
+        lower, upper = band
+        unit = np.array(direction[:dim])[:, None]
+        norm = np.sqrt(scaled_sq_norm(unit, a, b))
+        if not norm > 0:
+            unit, norm = np.eye(dim)[:, :1] * a, 1.0
+        deltas = unit / norm * (fraction * upper)
+        q = scaled_sq_norm(deltas, a, b)[0]
+        res = np.array(radial_clamp(deltas, a, b, lower=lower, upper=upper))
+        if lower**2 <= q <= upper**2:
+            assert np.array_equal(res, np.zeros_like(res))
+
+
 class TestUnitPair:
     def test_unit_radial_clamp_target_and_trig_of_arctan2(self):
         rng = np.random.default_rng(3)

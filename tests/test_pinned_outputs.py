@@ -14,7 +14,7 @@ moved to the eigenbasis of E'E (see test_joint_square_antipodal).
 import numpy as np
 import pytest
 
-from trajopt import solver_batch, solver_multiagent, solver_single
+from trajopt import solver_batch, solver_multiagent, solver_priest, solver_single
 from trajopt.basis import build_basis
 from trajopt.bench import gen_scenario, runner
 
@@ -94,6 +94,32 @@ def test_batch_dynamic_flow():
     )
     assert ranked.residual_max.sum() == pytest.approx(24.804641293551576, abs=ATOL)
     assert (ranked.iterations, int(ranked.feasible.sum()), ranked.best_index, ranked.n_factorizations) == (20, 0, None, 6)
+
+
+def test_priest_barn_one_outer_iteration():
+    """One outer iteration is one draw from the initial distribution, so this
+    holds the projection and the elite choice whatever the sampler's later
+    draws do."""
+    scenario = gen_scenario("barn-like", seed=0)
+    basis = _basis(scenario)
+    res = solver_priest.priest_optimize(
+        runner.priest_setup_from_scenario(scenario, basis),
+        runner._barn_c1(scenario),
+        runner.default_sampling_distribution(scenario, basis),
+        solver_priest.PriestParams(n_outer=1),
+    )
+    assert np.linalg.norm(res.best.projected) == pytest.approx(19.904170139910388, abs=ATOL)
+    np.testing.assert_allclose(
+        res.best.trajectory.pos[SAMPLES],
+        [
+            [0.3031310140809702, 0.019987924127540743],
+            [5.227369130759851, -0.11986695850005485],
+            [9.05682478374452, -0.10755944244422752],
+        ],
+        rtol=0,
+        atol=ATOL,
+    )
+    assert res.best.residual == pytest.approx(0.0, abs=ATOL)
 
 
 def test_joint_square_antipodal():

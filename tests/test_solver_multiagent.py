@@ -252,6 +252,14 @@ class TestInflateRadius:
         with pytest.raises(ValueError):
             inflate_radius(-0.1, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "args", [(np.nan, 0.01, 4.0), (0.3, np.nan, 4.0), (0.3, 0.01, np.nan), (0.3, np.inf, 4.0), (np.inf, 0.0, 1.0)]
+    )
+    def test_non_finite_rejected(self, args):
+        # NaN < 0 is False, so a sign test alone let NaN through
+        with pytest.raises(ValueError, match="finite"):
+            inflate_radius(*args)
+
 
 class TestSingleAgent:
     def test_stationary_agent(self):
@@ -717,6 +725,12 @@ class TestParamsValidation:
             dict(rho_levels=0),
             dict(max_iter=-1),
             dict(stall_window=0),
+            dict(inflation_factor=np.nan),
+            dict(inflation_factor=np.inf),
+            dict(inflation_factor=-1.0),
+            dict(typical_residual=np.inf),
+            dict(typical_residual=np.nan),
+            dict(typical_residual=-0.01),
         ],
     )
     def test_rejected_before_any_factorization(self, kwargs):

@@ -5,7 +5,7 @@ from trajopt import qpcore, solver_priest
 from trajopt.basis import AxisBoundary, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario
 from trajopt.bench.runner import _barn_c1, default_sampling_distribution, priest_setup_from_scenario
-from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack
+from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack, radial_clamp
 from trajopt.solver_priest import (
     CemParams,
     PriestParams,
@@ -18,9 +18,10 @@ from trajopt.solver_priest import (
     priest_optimize,
     project,
     residual_score,
+    residual_scores,
     update_distribution,
 )
-from trajopt.solver_priest import _cem_penalty
+from trajopt.solver_priest import _cem_penalty, _ObstacleRows, _residuals
 
 N_P = 40
 
@@ -480,6 +481,85 @@ class TestProjectMatchesReference:
         ref = priest_optimize(setup, _barn_c1(scenario), dist, params)
         assert np.max(np.abs(got.best.projected - ref.best.projected)) <= 1e-9 * np.max(np.abs(ref.best.projected))
         np.testing.assert_allclose(got.best.trajectory.pos, ref.best.trajectory.pos, rtol=0, atol=1e-9)
+
+
+def _assert_sums_bit_equal(setup, xis):
+    """Check the active-set pass against the collision rows as first written
+    on the kernel, radial_clamp over every (sample, obstacle, time) offset.
+
+    Returns the most active obstacles at one (sample, time) cell."""
+    pos = setup.pva_samples(xis)[:, :, 0]
+    dense = radial_clamp(setup.obstacle_offsets(pos), setup.obs_a[:, None], setup.obs_b[:, None])
+    sums, sq = _ObstacleRows(setup, xis.shape[0]).residuals(pos)
+    assert np.array_equal(sums, np.stack([r.sum(axis=1) for r in dense]))
+    expected = sum(np.einsum("nij,nij->n", r, r) for r in dense)
+    np.testing.assert_allclose(sq, expected, rtol=1e-13, atol=0)
+    return int(np.count_nonzero(np.any(np.stack(dense) != 0.0, axis=0), axis=1).max())
+
+
+class TestActiveObstacleRows:
+    @pytest.mark.parametrize("kind,params", [("barn-like", None), ("random-static", {"dim": 3})])
+    def test_sums_bit_equal_to_dense_clamp(self, kind, params):
+        _, setup, dist = _scenario_setup(kind, params, seed=5)
+        raw = np.random.default_rng(0).multivariate_normal(dist.mu, dist.sigma_mat, size=24, method="svd")
+        # raw draws cut deep into the obstacles, projected ones graze them
+        projected = np.stack([p.projected for p in project(setup, raw, n_inner=5)])
+        for xis in (raw, projected):
+            assert _assert_sums_bit_equal(setup, xis) >= 1
+
+    @pytest.mark.parametrize("make,dim", [(make_setup_2d, 2), (make_setup_3d, 3)])
+    def test_sums_bit_equal_where_obstacles_overlap(self, make, dim):
+        # the scenarios above never put two active obstacles on one cell;
+        # here three overlap, so the order of the sum over obstacles shows
+        centre = np.r_[4.0, np.zeros(dim - 2), 0.0 if dim == 2 else 1.0]
+        obstacles = [_static_obstacle(centre + 0.1 * k, 0.9 + 0.2 * k, 0.7 + 0.3 * k) for k in range(3)]
+        setup = make(obstacles=obstacles)
+        assert _assert_sums_bit_equal(setup, _noisy_line_samples(setup, 8, seed=6, scale=0.3)) == 3
+
+    def test_nan_position_stays_active(self):
+        # a NaN offset fails both 1 <= q and q <= D_CAP**2; written as
+        # (q < 1) | (q > D_CAP**2) the mask would drop it and score 0
+        setup = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.0, 1.0)], v_max=None, a_max=None, bounds=False)
+        xis = np.stack([_line_sample(setup)] * 2)
+        xis[1, 3] = np.nan
+        pva = setup.pva_samples(xis)
+        assert np.isnan(pva[1, 0, 0]).any() and not np.isnan(pva[0]).any()
+        obstacle, _, sq = _residuals(setup, pva, _ObstacleRows(setup, 2))
+        assert np.isnan(obstacle[:, 1][np.isnan(pva[1, :, 0])]).all()
+        assert not np.isnan(obstacle[:, 0]).any()
+        scores = residual_scores(setup, xis)
+        assert np.isnan(sq[1]) and np.isnan(scores[1])
+        assert np.isfinite(scores[0])
+
+
+class TestOnePassPerIterate:
+    @pytest.mark.parametrize("n_inner", [1, 7])
+    def test_obstacle_and_sample_passes(self, monkeypatch, n_inner):
+        setup = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.2], 0.8, 0.8)])
+        samples = _noisy_line_samples(setup, 6, seed=4)
+        calls = {"rows": 0, "pva": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(_ObstacleRows, "residuals", counting("rows", _ObstacleRows.residuals))
+        monkeypatch.setattr(ProjectionSetup, "pva_samples", counting("pva", ProjectionSetup.pva_samples))
+        outs = {}
+        for with_history in (False, True):
+            calls.update(rows=0, pva=0)
+            history = [] if with_history else None
+            outs[with_history] = project(setup, samples, n_inner=n_inner, residual_history=history)
+            assert calls == {"rows": n_inner + 1, "pva": n_inner + 1}
+        assert len(history) == n_inner
+        np.testing.assert_array_equal(history[-1], [p.residual for p in outs[True]])
+        for plain, logged in zip(outs[False], outs[True]):
+            assert np.array_equal(plain.projected, logged.projected)
+            assert plain.residual == logged.residual
+            assert np.array_equal(plain.trajectory.pos, logged.trajectory.pos)
 
 
 class TestSetupValidation:

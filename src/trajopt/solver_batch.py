@@ -8,24 +8,32 @@ constraints are polar equalities F xi = g; per axis (x with the cos copy)
 the rows are Pdot xi_x = t_v, Pddot xi_x = t_a, P xi_x + r_c P xi_c =
 centre_o + t_coll for every circle c and obstacle o, and P xi_c = cos(psi).
 
-polar_step sets every target by the radial clamp (geometry.radial_clamp) of
-its offset, with no angles; collision targets are kept relative to the
-obstacle centre, so a warm start follows a moved obstacle.  F and g are
-never built: per axis, g @ F is one product per family,
+Each target is the closed-form polar projection of its offset, and
+geometry.radial_clamp gives the residual offset - target with no angles.
+The solver works in residual form: F, g and the targets are never stored.
+polar_step, the one residual pass per iterate, takes per axis the residuals
 
-    x columns:     (sum_c sum_o (centre_o + t_coll)) @ P + t_v @ Pdot + t_a @ Pddot
-    copy columns:  (sum_c r_c sum_o (centre_o + t_coll) + cos psi) @ P
+    velocity, acceleration:  radial_clamp of Pdot xi_x, Pddot xi_x
+    collision:               radial_clamp of x + r_c cos psi - centre_o, plus r_c (P xi_c - cos psi)
+    copy:                    P xi_c - cos psi
 
-and F'F is one closed-form (2m, 2m) block per axis,
+and residual @ F as one product per family,
+
+    x columns:     (sum_c sum_o res_coll) @ P + res_v @ Pdot + res_a @ Pddot
+    copy columns:  (sum_c r_c sum_o res_coll + res_copy) @ P
+
+F'F is one closed-form (2m, 2m) block per axis,
 
     [[Pdot'Pdot + Pddot'Pddot + n_c n_o P'P,  (sum r) n_o P'P          ],
      [(sum r) n_o P'P,                         ((sum r^2) n_o + 1) P'P ]]
 
-So the xi-step KKT matrix Q + rho F'F is factorized once per rho value and
-applied to the whole batch in one shot, the multiplier step uses
-residual @ F = xi @ F'F - g @ F, and residuals are taken family by family in
-sample space.  The heading block is fit to arctan2(sin-copy, cos-copy)
-targets (a convex surrogate).
+So the xi-step KKT matrix Q + rho F'F is factorized once per penalty value
+and applied to the whole batch in one shot.  From the same pass the
+multiplier step reads residual @ F, the next xi step g @ F = xi F'F -
+residual @ F, and the ranking each member's residual max and norm.  The
+obstacle centres enter g @ F linearly, so a warm start on moved obstacles
+adds the products of the centre displacement once.  The heading block is
+fit to arctan2(sin-copy, cos-copy) targets (a convex surrogate).
 """
 
 from __future__ import annotations
@@ -115,10 +123,13 @@ class BatchState:
     xi: np.ndarray  # (N_b, 4m): [xi_x | xi_c | xi_y | xi_s]
     xi_psi: np.ndarray  # (N_b, m)
     psi: np.ndarray  # (N_b, n_p) samples of the current heading fit
-    # polar targets per axis; collision targets relative to the obstacle centre
-    t_coll: np.ndarray  # (2, N_b, n_c, n_o, n_p)
-    t_v: np.ndarray  # (2, N_b, n_p)
-    t_a: np.ndarray  # (2, N_b, n_p)
+    # the last residual pass: g @ F and the per-member max and norm of F xi - g
+    target_products: np.ndarray  # (N_b, 4m)
+    residual_max: np.ndarray  # (N_b,)
+    residual_norm: np.ndarray  # (N_b,)
+    # the layout target_products were formed on
+    centres: np.ndarray  # (2, n_o, n_p) obstacle centres
+    offsets: np.ndarray  # (n_c,) footprint circle offsets
     lam: np.ndarray  # (N_b, 4m)
     lam_psi: np.ndarray  # (N_b, m)
     rho: float
@@ -127,8 +138,9 @@ class BatchState:
     n_factorizations: int = 0
     _factor_xi: qpcore.KKTFactor | None = field(default=None, repr=False)
     _factor_psi: qpcore.KKTFactor | None = field(default=None, repr=False)
-    # the (Q, A) pairs the two factors were built from
+    # the (Q, A) pairs the two factors were built from, and their (rho, rho_psi)
     _factor_key: tuple | None = field(default=None, repr=False)
+    _factor_rho: tuple | None = field(default=None, repr=False)
     _psi_targets: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -203,16 +215,15 @@ class _Structure:
         self.obs_a = np.array([o.shape.a for o in problem.obstacles])
         self.obs_b = np.array([o.shape.b for o in problem.obstacles])
 
+    def saddles(self, rho: float, rho_psi: float) -> tuple:
+        """The (Q, A) pairs of the xi and heading factors at these penalties."""
+        return self.Q + rho * self.FtF, self.A, self.Q_psi_smooth + rho_psi * self.PtP, self.A_psi
 
-def _footprint_deltas(problem, struct, x, y, psi):
-    """Circle-center offsets to every obstacle, shape (N_b, n_c, n_o, n_p)."""
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+
+def _footprint_deltas(struct, pos, trig):
+    """Circle-center offsets to every obstacle per axis, (N_b, n_c, n_o, n_p); trig is (cos psi, sin psi)."""
     r = struct.r[None, :, None, None]
-    cx = x[:, None, None, :] + r * cos_psi[:, None, None, :]
-    cy = y[:, None, None, :] + r * sin_psi[:, None, None, :]
-    dx = cx - struct.obs[0][None, None, :, :]
-    dy = cy - struct.obs[1][None, None, :, :]
-    return dx, dy
+    return [p[:, None, None, :] + r * t[:, None, None, :] - struct.obs[k] for k, (p, t) in enumerate(zip(pos, trig))]
 
 
 def _split(xi, m):
@@ -222,9 +233,9 @@ def _split(xi, m):
 def init_state(problem: BatchProblem, samples: np.ndarray, params: BatchParams | None = None) -> BatchState:
     """State from position-coefficient samples (N_b, 2m): [xi_x | xi_y].
 
-    The heading is seeded from the desired-path direction; copies and polar
-    targets are made consistent with the sampled geometry; multipliers
-    start at zero.
+    The heading is seeded from the desired-path direction; copies are made
+    consistent with it and the first residual pass is taken at the sampled
+    geometry; multipliers start at zero.
     """
     params = params or BatchParams()
     struct = _Structure(problem)
@@ -244,59 +255,66 @@ def init_state(problem: BatchProblem, samples: np.ndarray, params: BatchParams |
     xi_s_one, *_ = np.linalg.lstsq(basis.P, np.sin(psi_des), rcond=None)
     xi = np.hstack([samples[:, :m], np.tile(xi_c_one, (n_b, 1)), samples[:, m:], np.tile(xi_s_one, (n_b, 1))])
 
-    # the polar targets are set by polar_step below
-    state = BatchState(xi, xi_psi, psi, None, None, None, lam=np.zeros((n_b, 4 * m)), lam_psi=np.zeros((n_b, m)),
-                       rho=params.rho_start, rho_psi=params.rho_start)
+    # the products and residuals are set by polar_step below
+    state = BatchState(xi, xi_psi, psi, None, None, None, struct.obs, struct.r, lam=np.zeros((n_b, 4 * m)),
+                       lam_psi=np.zeros((n_b, m)), rho=params.rho_start, rho_psi=params.rho_start)
     polar_step(state, problem, struct)
     return state
 
 
 def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
-    """Reject a warm state whose arrays do not fit this problem."""
-    n_b, m, n_p, n_c = state.xi.shape[0], struct.m, problem.basis.n_p, problem.footprint.n_c
-    shapes = {"xi": (n_b, 4 * m), "t_coll": (2, n_b, n_c, problem.n_o, n_p), "t_v": (2, n_b, n_p), "t_a": (2, n_b, n_p)}
+    """Reject a warm state whose arrays do not fit this problem.
+
+    Cached factors of other saddle matrices are dropped, so the first iteration factors afresh.
+    """
+    n_b, m, n_p = state.xi.shape[0], struct.m, problem.basis.n_p
+    shapes = {"xi": (n_b, 4 * m), "xi_psi": (n_b, m), "psi": (n_b, n_p), "lam": (n_b, 4 * m), "lam_psi": (n_b, m),
+              "target_products": (n_b, 4 * m), "residual_max": (n_b,), "residual_norm": (n_b,),
+              "centres": struct.obs.shape, "offsets": struct.r.shape}
     for name, shape in shapes.items():
         got = np.shape(getattr(state, name))
         if got != shape:
             raise ValueError(f"warm state {name} has shape {got}, expected {shape} for this problem")
+    if state._factor_xi is not None:
+        key = struct.saddles(*state._factor_rho)
+        if not all(np.array_equal(new, old) for new, old in zip(key, state._factor_key)):
+            state._factor_xi = state._factor_psi = None
 
 
-def _ensure_factors(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
-    """Factor both saddle matrices unless the cached factors were built from the same ones."""
-    Q_bar = struct.Q + state.rho * struct.FtF
-    Q_psi = struct.Q_psi_smooth + state.rho_psi * struct.PtP
-    key = (Q_bar, struct.A, Q_psi, struct.A_psi)
-    if state._factor_key is not None and all(np.array_equal(new, old) for new, old in zip(key, state._factor_key)):
+def _recentre(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
+    """Move a warm state's collision targets, relative to the centres, onto this problem's centres."""
+
+    def centre_products(offsets, centres):  # every circle's collision rows target the centre
+        x, y = centres.sum(axis=1) @ problem.basis.P
+        return np.concatenate([offsets.size * x, offsets.sum() * x, offsets.size * y, offsets.sum() * y])
+
+    shift = centre_products(struct.r, struct.obs) - centre_products(state.offsets, state.centres)
+    state.target_products = state.target_products + shift
+    state.centres, state.offsets = struct.obs, struct.r
+
+
+def _ensure_factors(state: BatchState, struct: _Structure) -> None:
+    """Factor both saddle matrices unless the cached factors are at the current penalties."""
+    if state._factor_xi is not None and state._factor_rho == (state.rho, state.rho_psi):
         return
-    state._factor_xi = qpcore.factorize(Q_bar, struct.A)
-    state._factor_psi = qpcore.factorize(Q_psi, struct.A_psi)
-    state._factor_key = key
+    key = struct.saddles(state.rho, state.rho_psi)
+    state._factor_xi = qpcore.factorize(*key[:2])
+    state._factor_psi = qpcore.factorize(*key[2:])
+    state._factor_key, state._factor_rho = key, (state.rho, state.rho_psi)
     state.n_factorizations += 2
-
-
-def _target_products(state: BatchState, problem: BatchProblem, struct: _Structure) -> np.ndarray:
-    """g @ F, (N_b, 4m), as one product per constraint family and axis."""
-    basis = problem.basis
-    copies = (np.cos(state.psi), np.sin(state.psi))
-    out = []
-    for k in range(2):
-        coll = (struct.obs[k] + state.t_coll[k]).sum(axis=2)  # (N_b, n_c, n_p), summed over obstacles
-        out.append(coll.sum(axis=1) @ basis.P + state.t_v[k] @ basis.Pdot + state.t_a[k] @ basis.Pddot)
-        out.append((np.tensordot(struct.r, coll, axes=(0, 1)) + copies[k]) @ basis.P)
-    return np.hstack(out)
 
 
 def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Shared-factor QP update of every member's stacked coefficients."""
-    _ensure_factors(state, problem, struct)
-    q_lin = struct.q[None, :] - state.lam - state.rho * _target_products(state, problem, struct)
+    _ensure_factors(state, struct)
+    q_lin = struct.q[None, :] - state.lam - state.rho * state.target_products
     bs = np.tile(struct.b, (state.xi.shape[0], 1))
     state.xi, _ = qpcore.solve_batch(state._factor_xi, qpcore.BatchRHS(qs=q_lin, bs=bs))
 
 
 def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Fit the heading block to unwrapped arctan2 targets from the copies."""
-    _ensure_factors(state, problem, struct)
+    _ensure_factors(state, struct)
     basis = problem.basis
     _, xi_c, _, xi_s = _split(state.xi, struct.m)
     raw = np.arctan2(xi_s @ basis.P.T, xi_c @ basis.P.T)
@@ -309,51 +327,42 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure) -
     state._psi_targets = targets
 
 
-def _targets(deltas, a, b, lower, upper):
-    """Per-axis polar targets, stacked: each offset minus its radial-clamp residual."""
-    return np.stack([d - res for d, res in zip(deltas, radial_clamp(deltas, a, b, lower, upper))])
+def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> np.ndarray:
+    """The residual pass at the current iterate, family by family in sample space.
 
-
-def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
-    """Closed-form polar targets of every collision, velocity and acceleration offset."""
-    basis, m = problem.basis, struct.m
-    xi_x, _, xi_y, _ = _split(state.xi, m)
-    deltas = _footprint_deltas(problem, struct, xi_x @ basis.P.T, xi_y @ basis.P.T, state.psi)
-    state.t_coll = _targets(deltas, struct.obs_a[:, None], struct.obs_b[:, None], 1.0, D_CAP)
-    vel = (xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
-    state.t_v = _targets(vel, problem.v_max, problem.v_max, 0.0, 1.0)
-    acc = (xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T)
-    state.t_a = _targets(acc, problem.a_max, problem.a_max, 0.0, 1.0)
-
-
-def _residual_stats(state: BatchState, problem: BatchProblem, struct: _Structure):
-    """Per-member max |F xi - g| and its norm, taken family by family in sample space."""
+    Returns residual @ F, (N_b, 4m), and sets the state's residual_max,
+    residual_norm and target products g @ F = xi F'F - residual @ F.
+    """
     basis, n_b = problem.basis, state.xi.shape[0]
     xi_x, xi_c, xi_y, xi_s = _split(state.xi, struct.m)
-    res_max, sq = np.zeros(n_b), np.zeros(n_b)
-    for k, (xi_p, xi_q, trig) in enumerate(((xi_x, xi_c, np.cos(state.psi)), (xi_y, xi_s, np.sin(state.psi)))):
-        pos, q = xi_p @ basis.P.T, xi_q @ basis.P.T
-        circles = pos[:, None, None, :] + struct.r[None, :, None, None] * q[:, None, None, :]
-        for res in (
-            xi_p @ basis.Pdot.T - state.t_v[k],
-            xi_p @ basis.Pddot.T - state.t_a[k],
-            circles - struct.obs[k] - state.t_coll[k],
-            q - trig,
-        ):
+    trig = (np.cos(state.psi), np.sin(state.psi))
+    coll = radial_clamp(_footprint_deltas(struct, (xi_x @ basis.P.T, xi_y @ basis.P.T), trig),
+                        struct.obs_a[:, None], struct.obs_b[:, None], 1.0, D_CAP)
+    vel = radial_clamp((xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T), problem.v_max, problem.v_max, 0.0, 1.0)
+    acc = radial_clamp((xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T), problem.a_max, problem.a_max, 0.0, 1.0)
+    res_max, sq, products = np.zeros(n_b), np.zeros(n_b), []
+    for k, xi_q in enumerate((xi_c, xi_s)):
+        copy = xi_q @ basis.P.T - trig[k]
+        # the collision rows read the copy P xi_c where the clamped offsets read cos psi
+        coll[k] += struct.r[None, :, None, None] * copy[:, None, None, :]
+        for res in (vel[k], acc[k], coll[k], copy):
             flat = res.reshape(n_b, -1)
             res_max = np.maximum(res_max, np.abs(flat).max(axis=1, initial=0.0))
             sq += np.einsum("ij,ij->i", flat, flat)
-    return res_max, np.sqrt(sq)
+        per_circle = coll[k].sum(axis=2)  # (N_b, n_c, n_p), summed over obstacles
+        products.append(per_circle.sum(axis=1) @ basis.P + vel[k] @ basis.Pdot + acc[k] @ basis.Pddot)
+        products.append((np.tensordot(struct.r, per_circle, axes=(0, 1)) + copy) @ basis.P)
+    residual_products = np.hstack(products)
+    state.target_products = state.xi @ struct.FtF - residual_products
+    state.residual_max, state.residual_norm = res_max, np.sqrt(sq)
+    return residual_products
 
 
 def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure) -> BatchState:
     batch_xi_step(state, problem, struct)
     heading_step(state, problem, struct)
-    polar_step(state, problem, struct)
-    # residual @ F = xi @ F'F - g @ F
-    state.lam = state.lam - state.rho * (state.xi @ struct.FtF - _target_products(state, problem, struct))
-    psi_res = state.psi - state._psi_targets
-    state.lam_psi = state.lam_psi - state.rho_psi * (psi_res @ problem.basis.P)
+    state.lam = state.lam - state.rho * polar_step(state, problem, struct)
+    state.lam_psi = state.lam_psi - state.rho_psi * ((state.psi - state._psi_targets) @ problem.basis.P)
     state.iteration += 1
     return state
 
@@ -376,7 +385,7 @@ def check_raw_feasibility(state, problem, struct, d_margin, kin_margin):
     x, y = xi_x @ basis.P.T, xi_y @ basis.P.T
     ok = np.ones(x.shape[0], dtype=bool)
     if problem.n_o:
-        dx, dy = _footprint_deltas(problem, struct, x, y, state.psi)
+        dx, dy = _footprint_deltas(struct, (x, y), (np.cos(state.psi), np.sin(state.psi)))
         dist = np.sqrt(scaled_sq_norm((dx, dy), struct.obs_a[:, None], struct.obs_b[:, None]))
         ok &= dist.min(axis=(1, 2, 3)) >= 1.0 - d_margin
     speed = np.hypot(xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
@@ -410,38 +419,35 @@ def solve_batch_opt(
 
     if state is None:
         if samples is None:
+            bx, by = problem.boundary
             if mean is None:
-                bx, by = problem.boundary
                 mean = straight_line_coeffs(basis, [bx.p0, by.p0], [bx.p1, by.p1]).ravel()
             if covariance is None:
-                bx, by = problem.boundary
                 scale = max(np.hypot(bx.p1 - bx.p0, by.p1 - by.p0) / 10.0, 0.5)
                 covariance = np.eye(2 * m) * scale**2
             samples = sample_initializations(mean, covariance, problem.n_batch, seed)
         state = init_state(problem, samples, params)
     else:
         _check_state(state, problem, struct)
+        _recentre(state, problem, struct)
 
     best_history = []
     last_change = 0
     maxabs_hist: list[float] = []
-    residual_max = residual_norm = None
     for _ in range(params.max_iter):
         batch_iteration(state, problem, struct)
-        residual_max, residual_norm = _residual_stats(state, problem, struct)
-        best_idx = int(np.argmin(residual_norm))
+        best_idx = int(np.argmin(state.residual_norm))
         best_history.append(
-            {"norm": float(residual_norm[best_idx]), "max_abs": float(residual_max[best_idx]), "rho": state.rho}
+            {"norm": float(state.residual_norm[best_idx]), "max_abs": float(state.residual_max[best_idx]), "rho": state.rho}
         )
-        maxabs_hist.append(float(residual_max.min()))
+        maxabs_hist.append(float(state.residual_max.min()))
         since_change = state.iteration - last_change
         if stalled(maxabs_hist, since_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
             state.rho = min(state.rho * params.rho_growth, params.rho_cap)
             state.rho_psi = min(state.rho_psi * params.rho_growth, params.rho_cap)
             last_change = state.iteration
 
-    if residual_max is None:
-        residual_max, residual_norm = _residual_stats(state, problem, struct)
+    residual_max, residual_norm = state.residual_max, state.residual_norm
     feasible = (residual_max <= params.tol) & check_raw_feasibility(
         state, problem, struct, params.d_margin, params.kin_margin
     )
@@ -454,15 +460,7 @@ def solve_batch_opt(
         sample_trajectory(basis, np.column_stack([xi_x[i], xi_y[i]]), psi=state.psi[i]) for i in range(state.xi.shape[0])
     ]
     return RankedSolutions(
-        trajectories=trajectories,
-        costs=costs,
-        aug_costs=aug_costs,
-        residual_max=residual_max,
-        residual_norm=residual_norm,
-        feasible=feasible,
-        best_index=best_index,
-        best_history=best_history,
-        iterations=state.iteration,
-        n_factorizations=state.n_factorizations,
-        state=state,
+        trajectories=trajectories, costs=costs, aug_costs=aug_costs, residual_max=residual_max,
+        residual_norm=residual_norm, feasible=feasible, best_index=best_index, best_history=best_history,
+        iterations=state.iteration, n_factorizations=state.n_factorizations, state=state,
     )

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from trajopt import qpcore
+from trajopt import qpcore, solver_batch
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario, receding_horizon_run, runner
 from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack, stalled
@@ -337,95 +337,102 @@ class TestHeadingStep:
         np.testing.assert_allclose(psi[:, -1], prob.psi_boundary[1], atol=1e-8)
 
 
-def _scaled_angle(t, a, b):
-    """Polar angle of a stacked (2, ...) collision target on the (a, b) ellipse."""
-    return np.arctan2(t[1] / b, t[0] / a)
+def _assert_pass_matches_reference(prob, state):
+    """polar_step at the state's iterate against the reference's dense residual F xi - g.
+
+    The pass returns residual @ F and sets the per-member max and norm of
+    the residual and g @ F.  Returns the reference's angles and scales, so a
+    case can show which branch of the projection its input takes.
+    """
+    ref = _Reference(prob)
+    polar = ref.polar(state.xi, state.psi)
+    g = ref.g(polar, state.psi)
+    res = state.xi @ ref.F.T - g
+    residual_products = polar_step(state, prob, _Structure(prob))
+    scale = np.max(np.abs(g @ ref.F))
+    np.testing.assert_allclose(residual_products, res @ ref.F, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(state.target_products, g @ ref.F, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(state.residual_max, np.abs(res).max(axis=1), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(state.residual_norm, np.linalg.norm(res, axis=1), rtol=0, atol=1e-13)
+    return polar
+
+
+def _diagonal_state(prob, seed, goal):
+    """A member moving at constant velocity along the line from the origin to goal."""
+    state = _sample_state(prob, seed=seed, spread=0.0)
+    m = prob.basis.n_var
+    line = straight_line_coeffs(prob.basis, [0.0, 0.0], goal)
+    state.xi[:, :m] = line[0]
+    state.xi[:, 2 * m : 3 * m] = line[1]
+    return state
 
 
 class TestAlphaStep:
-    """Directions of the polar targets set by polar_step (the former angle step)."""
+    """Directions of the polar targets (the former angle step), as inputs of the residual pass."""
 
     def test_circle_offset_along_x_gives_zero_angle(self):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)], n_batch=1, offsets=(0.3,))
         state = _sample_state(prob, seed=7, spread=0.0)
-        struct = _Structure(prob)
-        # heading 0: the circle sits at x + 0.3; pick the timesteps where the
-        # circle center is right of the obstacle on the x axis
-        polar_step(state, prob, struct)
+        # heading 0: the circle sits at x + 0.3; the timesteps where the
+        # circle center is right of the obstacle on the x axis take angle 0
+        polar = _assert_pass_matches_reference(prob, state)
         pos_x = state.xi[:, : prob.basis.n_var] @ prob.basis.P.T
-        circle_x = pos_x[0] + 0.3 * np.cos(state.psi[0])
-        right = circle_x > 5.0
-        np.testing.assert_allclose(_scaled_angle(state.t_coll[:, 0, 0, 0, right], 0.5, 0.5), 0.0, atol=1e-6)
+        right = pos_x[0] + 0.3 * np.cos(state.psi[0]) > 5.0
+        assert right.any()
+        np.testing.assert_allclose(polar["alpha_coll"][0, 0, 0, right], 0.0, atol=1e-6)
 
     def test_velocity_angle_45_degrees(self):
         prob = make_problem(obstacles=[], n_batch=1)
-        state = _sample_state(prob, seed=8, spread=0.0)
-        m = prob.basis.n_var
-        # coefficients of a diagonal line: velocity (1, 1) everywhere
-        diag = straight_line_coeffs(prob.basis, [0.0, 0.0], [10.0, 10.0])
-        state.xi[:, :m] = diag[0]
-        state.xi[:, 2 * m : 3 * m] = diag[1]
-        struct = _Structure(prob)
-        polar_step(state, prob, struct)
-        np.testing.assert_allclose(np.arctan2(state.t_v[1, 0], state.t_v[0, 0]), np.pi / 4, atol=1e-9)
+        state = _diagonal_state(prob, 8, [10.0, 10.0])  # velocity (1, 1) everywhere
+        polar = _assert_pass_matches_reference(prob, state)
+        np.testing.assert_allclose(polar["alpha_v"], np.pi / 4, atol=1e-9)
 
     def test_alpha_update_reduces_collision_residual_term(self):
+        # the input is an iterate whose targets are stale: the pass projects
+        # afresh, so its residual is below the one on the previous targets
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.3], 0.6, 0.6)], n_batch=4)
         state = _sample_state(prob, seed=9)
         struct = _Structure(prob)
+        ref = _Reference(prob)
+        stale = ref.g(ref.polar(state.xi, state.psi), state.psi)
         batch_xi_step(state, prob, struct)
         heading_step(state, prob, struct)
-
-        m = prob.basis.n_var
-        xi_x, _, xi_y, _ = _split(state.xi, m)
-        dx, dy = _footprint_deltas(prob, struct, xi_x @ prob.basis.P.T, xi_y @ prob.basis.P.T, state.psi)
-
-        def sq_residual(t):
-            return (dx - t[0]) ** 2 + (dy - t[1]) ** 2
-
-        before = sq_residual(state.t_coll)
-        polar_step(state, prob, struct)
-        after = sq_residual(state.t_coll)
-        assert after.sum() <= before.sum() + 1e-12
+        before = np.linalg.norm(state.xi @ ref.F.T - stale, axis=1)
+        _assert_pass_matches_reference(prob, state)
+        assert np.all(state.residual_norm <= before)
 
 
 class TestDStep:
-    """Scales of the polar targets set by polar_step (the former scale step)."""
+    """Scales of the polar targets (the former scale step), as inputs of the residual pass."""
 
     def test_velocity_half_of_limit(self):
         prob = make_problem(obstacles=[], n_batch=1, v_max=2.0)
-        state = _sample_state(prob, seed=10, spread=0.0)
-        m = prob.basis.n_var
-        diag = straight_line_coeffs(prob.basis, [0.0, 0.0], [10.0, 0.0])  # speed 1.0 = v_max/2
-        state.xi[:, :m] = diag[0]
-        state.xi[:, 2 * m : 3 * m] = diag[1]
-        struct = _Structure(prob)
-        polar_step(state, prob, struct)
-        np.testing.assert_allclose(np.hypot(*state.t_v[:, 0]) / prob.v_max, 0.5, atol=1e-9)
+        state = _diagonal_state(prob, 10, [10.0, 0.0])  # speed 1.0 = v_max/2
+        polar = _assert_pass_matches_reference(prob, state)
+        np.testing.assert_allclose(polar["d_v"], 0.5, atol=1e-9)
 
     def test_velocity_over_limit_clamped(self):
         prob = make_problem(obstacles=[], n_batch=1, v_max=0.5)
-        state = _sample_state(prob, seed=11, spread=0.0)
-        m = prob.basis.n_var
-        diag = straight_line_coeffs(prob.basis, [0.0, 0.0], [10.0, 0.0])  # speed 1.0 = 2 v_max
-        state.xi[:, :m] = diag[0]
-        state.xi[:, 2 * m : 3 * m] = diag[1]
-        struct = _Structure(prob)
-        polar_step(state, prob, struct)
-        np.testing.assert_allclose(np.hypot(*state.t_v[:, 0]) / prob.v_max, 1.0, atol=1e-12)
+        state = _diagonal_state(prob, 11, [10.0, 0.0])  # speed 1.0 = 2 v_max
+        polar = _assert_pass_matches_reference(prob, state)
+        np.testing.assert_array_equal(polar["d_v"], 1.0)
+        # the velocity rows miss their targets by speed - v_max = 0.5
+        assert state.residual_max[0] >= 0.5 - 1e-12
 
     def test_collision_scale_matches_grid_search(self):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.3], 0.7, 1.1)], n_batch=2)
         state = _sample_state(prob, seed=12)
         struct = _Structure(prob)
         batch_iteration(state, prob, struct)
+        polar = _assert_pass_matches_reference(prob, state)
 
+        # the reference's closed-form scale minimizes the residual along its angle
         m = prob.basis.n_var
         xi_x, _, xi_y, _ = _split(state.xi, m)
-        dx, dy = _footprint_deltas(prob, struct, xi_x @ prob.basis.P.T, xi_y @ prob.basis.P.T, state.psi)
+        trig = (np.cos(state.psi), np.sin(state.psi))
+        dx, dy = _footprint_deltas(struct, (xi_x @ prob.basis.P.T, xi_y @ prob.basis.P.T), trig)
         a, b = 0.7, 1.1
-        t = state.t_coll[:, 0, 0, 0]
-        alpha, d = _scaled_angle(t, a, b), np.hypot(t[0] / a, t[1] / b)
+        alpha, d = polar["alpha_coll"][0, 0, 0], polar["d_coll"][0, 0, 0]
         grid = np.linspace(1.0, 20.0, 1_900_001)
         for k in (0, N_P // 2, N_P - 1):
             cost = (dx[0, 0, 0, k] - a * grid * np.cos(alpha[k])) ** 2 + (dy[0, 0, 0, k] - b * grid * np.sin(alpha[k])) ** 2
@@ -433,14 +440,18 @@ class TestDStep:
             assert abs(d[k] - d_grid) < 1e-4  # grid resolution limited
 
     def test_d_bounds_hold_after_every_iteration(self):
+        # every iteration ends on the pass at its own iterate, and that pass
+        # matches the reference's targets, whose scales are clipped to their
+        # bounds
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.8, 0.8)], n_batch=4)
         state = _sample_state(prob, seed=13)
         struct = _Structure(prob)
         for _ in range(10):
             batch_iteration(state, prob, struct)
-            assert np.all(np.hypot(*state.t_coll) / 0.8 >= 1.0 - 1e-12)
-            assert np.all(np.hypot(*state.t_v) <= prob.v_max * (1.0 + 1e-12))
-            assert np.all(np.hypot(*state.t_a) <= prob.a_max * (1.0 + 1e-12))
+            stored = (state.target_products, state.residual_max, state.residual_norm)
+            _assert_pass_matches_reference(prob, state)
+            for old, new in zip(stored, (state.target_products, state.residual_max, state.residual_norm)):
+                np.testing.assert_array_equal(old, new)
 
 
 class TestPolarStep:
@@ -450,24 +461,44 @@ class TestPolarStep:
         # the targets take the origin convention, (a, 0) and (0, 0)
         prob = make_problem(obstacles=[_static_obstacle([0.0, 0.0], 0.6, 0.9)], n_batch=1, offsets=(0.0,))
         state = init_state(prob, np.zeros((1, 2 * prob.basis.n_var)))
-        np.testing.assert_array_equal(state.t_coll[:, 0, 0, 0], np.tile([[0.6], [0.0]], (1, N_P)))
-        np.testing.assert_array_equal(state.t_v, 0.0)
-        np.testing.assert_array_equal(state.t_a, 0.0)
+        polar = _assert_pass_matches_reference(prob, state)
+        for name in ("alpha_coll", "alpha_v", "d_v", "alpha_a", "d_a"):
+            np.testing.assert_array_equal(polar[name], 0.0)
+        np.testing.assert_array_equal(polar["d_coll"], 1.0)
+        # the collision rows miss their target (0.6, 0) by its full length
+        assert state.residual_max[0] >= 0.6
 
     def test_targets_match_trig_reference(self):
         prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
-        state = _sample_state(prob, seed=21)
-        ref = _Reference(prob)
-        g = ref.g(ref.polar(state.xi, state.psi), state.psi)
-        # rows of g: per axis velocity, acceleration, collisions, copy
-        n_b, n_coll = 6, len(OFFSETS) * prob.n_o * N_P
-        g = g.reshape(n_b, 2, -1)
-        for k in range(2):
-            np.testing.assert_allclose(state.t_v[k], g[:, k, :N_P], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state.t_a[k], g[:, k, N_P : 2 * N_P], rtol=0, atol=1e-12)
-            centres = (ref.obs_x, ref.obs_y)[k]
-            coll = (centres + state.t_coll[k]).reshape(n_b, -1)
-            np.testing.assert_allclose(coll, g[:, k, 2 * N_P : 2 * N_P + n_coll], rtol=0, atol=1e-12)
+        _assert_pass_matches_reference(prob, _sample_state(prob, seed=21))
+
+
+class TestOnePassPerIteration:
+    def test_one_trig_and_three_radial_clamps_per_iteration(self, monkeypatch):
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("arctan2", "cos", "sin"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        monkeypatch.setattr(solver_batch, "radial_clamp", counted("radial_clamp", solver_batch.radial_clamp))
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
+        per_solve = []
+        for iters in (12, 2):
+            counts.clear()
+            ranked = solve_batch_opt(prob, BatchParams(max_iter=iters), seed=0)
+            assert ranked.iterations == iters
+            per_solve.append(dict(counts))
+        # the solves share their start and their ranking; each iteration makes
+        # one residual pass (cos, sin, a radial clamp per family) and takes
+        # the heading targets' arctan2
+        per_iteration = {name: (per_solve[0][name] - per_solve[1].get(name, 0)) / 10 for name in per_solve[0]}
+        assert per_iteration == {"arctan2": 1, "cos": 1, "sin": 1, "radial_clamp": 3}
 
 
 class TestSolveBatchOpt:
@@ -637,6 +668,19 @@ class TestParamsValidation:
         BatchParams(rho_start=2.0, rho_cap=2.0, rho_growth=1.0, max_iter=0, stall_window=1, tol=0.0)
 
 
+def _assert_rejected_untouched(state, prob, match):
+    """A warm solve of prob raises before its first iteration and leaves the state as it was."""
+    before, factors = copy.deepcopy(state), (state._factor_xi, state._factor_psi)
+    with pytest.raises(ValueError, match=match):
+        solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
+    assert state._factor_xi is factors[0] and state._factor_psi is factors[1]
+    for name, value in vars(before).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
+        elif name not in ("_factor_xi", "_factor_psi", "_factor_key"):
+            assert getattr(state, name) == value, name
+
+
 class TestWarmState:
     def _solved_state(self, prob, iters=3):
         return solve_batch_opt(prob, BatchParams(max_iter=iters), seed=0).state
@@ -645,12 +689,25 @@ class TestWarmState:
         # a warm state from a one-obstacle problem must not reach a
         # three-obstacle problem's iterations through its cached factor
         state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)]))
-        before = (state.iteration, state.n_factorizations, state.xi.copy())
         prob = make_problem(obstacles=[_static_obstacle([5.0, y], 0.5, 0.5) for y in (-2.0, 0.0, 2.0)])
-        with pytest.raises(ValueError, match="warm state t_coll"):
-            solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-        assert (state.iteration, state.n_factorizations) == before[:2]
-        np.testing.assert_array_equal(state.xi, before[2])
+        _assert_rejected_untouched(state, prob, "warm state centres")
+
+    def test_circle_count_mismatch_rejected_before_iterating(self):
+        obstacle = [_static_obstacle([5.0, 0.0], 0.5, 0.5)]
+        state = self._solved_state(make_problem(obstacles=obstacle, offsets=(0.3, -0.3)))
+        _assert_rejected_untouched(state, make_problem(obstacles=obstacle, offsets=(0.3, 0.0, -0.3)), "warm state offsets")
+
+    def test_grid_mismatch_rejected_before_iterating(self):
+        # the same degree on 60 samples: every coefficient block fits, the
+        # heading samples do not
+        def problem(n_p):
+            basis = build_basis(0.0, 10.0, n_p, 10)
+            line = np.column_stack([np.linspace(0.0, 10.0, n_p), np.zeros(n_p)])
+            obstacle = ObstacleTrack(centers=np.tile([5.0, 0.0], (n_p, 1)), shape=EllipsoidShape(0.5, 0.5))
+            return BatchProblem(**{**vars(make_problem()), "basis": basis, "desired": line, "obstacles": [obstacle]})
+
+        state = self._solved_state(problem(60))
+        _assert_rejected_untouched(state, problem(50), "warm state psi")
 
     def test_basis_mismatch_rejected(self):
         state = self._solved_state(make_problem())
@@ -683,6 +740,22 @@ class TestWarmState:
         n_before = state.n_factorizations
         warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
         assert warm.n_factorizations == n_before
+
+    def test_moved_obstacle_warm_solve_pinned(self):
+        # the problem above: the warm targets stay relative to the obstacle
+        # centre and follow it from (5, 0.5) to (6, -0.5); values recorded
+        # with the stored per-entry targets
+        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
+        prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
+        prob = BatchProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=1.0, p1=10.0), AxisBoundary(p0=0.2, p1=0.0))})
+        xi = solve_batch_opt(prob, BatchParams(max_iter=3), state=state).state.xi
+        norms = [24.335009045841435, 24.49512914672759, 25.47831446853059, 23.924272379995468,
+                 24.214394032636733, 24.907460014790704, 24.126876827622688, 24.140943820426287]
+        np.testing.assert_allclose(np.linalg.norm(xi, axis=1), norms, rtol=0, atol=1e-9)
+        m = prob.basis.n_var
+        entries = [[4.727468929154744, -1.3876956531646956, -4.8042177940658135, 3.325082543496408],
+                   [4.6787483765436715, -0.7377290631806538, -5.215954750741569, 4.638606931375757]]
+        np.testing.assert_allclose(xi[[0, 5]][:, [3, m + 4, 2 * m + 5, 3 * m + 6]], entries, rtol=0, atol=1e-9)
 
     def test_receding_horizon_batch_factorizes_once(self):
         # every control loop builds a problem with the same saddle matrices;

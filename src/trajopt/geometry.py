@@ -17,6 +17,8 @@ The kernel, the only place this math is written:
 - scaled_sq_norm: squared ellipsoidal norm r**2 of per-axis offsets;
 - los_scale: the closed-form scale d = clip(r, lower, upper);
 - radial_clamp: residual of the closed-form polar projection, with no angles;
+- ObstacleRows: the collision rows of many points on their active set, the
+  one residual pass over obstacles of the batch and priest solvers;
 - unit_pair: the projection onto the unit circle, (cos, sin) of an angle
   without the angle;
 - radial_target: the closed-form spheroid scale and target for targets
@@ -29,7 +31,7 @@ The kernel, the only place this math is written:
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
 one call covers every timestep, obstacle and batch member.  All functions
-are pure.
+are pure; ObstacleRows owns a workspace.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import numpy as np
 __all__ = [
     "D_CAP",
     "EllipsoidShape",
+    "ObstacleRows",
     "ObstacleTrack",
     "angle2d",
     "angles3d",
@@ -174,6 +177,113 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
             res[centre] = 0.0
         out[axis][centre] = -lower * np.broadcast_to(semi, r.shape)[centre]
     return out
+
+
+class ObstacleRows:
+    """The collision rows of n points against n_o obstacles, taken on their active set.
+
+    centres is the (dim, n_o, n_p) obstacle track, stacked axis-major, and
+    a, b the (n_o,) semi-axes, read as in scaled_sq_norm.  The workspace is
+    allocated once per solve and reused by every residual pass.  Its
+    buffers are obstacle-major, (n_o, n, n_p), so a flat index splits into
+    (obstacle, point, time); a (point, time) pair is a cell.  See residuals
+    for why only a few entries take the clamp.
+    """
+
+    def __init__(self, centres, a, b, n: int):
+        self.centres = centres
+        self.a, self.b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        dim, n_o, n_p = centres.shape
+        self.n = n
+        shape = (n_o, n, n_p)
+        self.q = np.empty(shape)
+        self.scaled = np.empty(shape)
+        self.in_band = np.empty(shape, dtype=bool)
+        self.below_cap = np.empty(shape, dtype=bool)
+        self.sums = np.empty((dim, n, n_p))
+        # scaled_sq_norm scales every axis but the last by 1/a, the last by 1/b
+        inv_a, inv_b = (1.0 / semi[:, None, None] for semi in (self.a, self.b))
+        self.inv = [inv_a] * (dim - 1) + [inv_b]
+
+    def sq_norms(self, pos):
+        """Squared scaled norms q of the offsets of the (n, dim, n_p) points
+        pos from every obstacle, (n_o, n, n_p).
+
+        q is formed in place with scaled_sq_norm's arithmetic, in the
+        workspace that the next call overwrites.
+        """
+        q, scaled = self.q, self.scaled
+        for k, inv in enumerate(self.inv):
+            out = q if k == 0 else scaled
+            np.subtract(pos[None, :, k], self.centres[k][:, None], out=out)
+            np.multiply(out, inv, out=out)
+            np.multiply(out, out, out=out)
+            if k:
+                np.add(q, scaled, out=q)
+        return q
+
+    def residuals(self, pos, bias=None):
+        """Collision residuals of the (n, dim, n_p) points pos against every obstacle.
+
+        Each obstacle's residual is radial_clamp's at lower = 1, upper =
+        D_CAP, plus bias, a (dim, n, n_p) term shared by every obstacle of a
+        cell (the batch solver's copy coupling), if given.  Returns
+        (sums, sq, peak): sums is the (dim, n, n_p) sum over obstacles of
+        the per-axis residuals, a view of the workspace that the next pass
+        overwrites; sq and peak are the (n,) per-point sum of squares and
+        largest absolute value of the residual entries.
+
+        radial_clamp's residual is exactly zero wherever the squared scaled
+        norm q (sq_norms) lies in [1, D_CAP**2], so only the other entries
+        (NaN included) go through the clamp; every other entry is the bias
+        alone.  Each cell's sum is built in obstacle order.  Without a bias
+        the active terms are added onto zeros, and the skipped terms are
+        exact zeros.  With one, every obstacle adds the bias, except that an
+        active obstacle adds its own term.  The sums are therefore bit for
+        bit those of the clamp of every entry summed in obstacle order, and
+        peak is that array's largest entry; sq is formed in another order.
+        """
+        centres, q = self.centres, self.sq_norms(pos)
+        dim, n_o, n_p = centres.shape
+        in_band, below_cap = self.in_band, self.below_cap
+        np.greater_equal(q, 1.0, out=in_band)
+        np.less_equal(q, D_CAP**2, out=below_cap)
+        np.logical_and(in_band, below_cap, out=in_band)
+        # the complement of the band, not (q < 1) | (q > D_CAP**2), so that NaN stays active
+        active = np.flatnonzero(np.logical_not(in_band, out=in_band))
+
+        o, cell = np.divmod(active, self.n * n_p)
+        point, t = np.divmod(cell, n_p)
+        res = radial_clamp([pos[point, k, t] - centres[k, o, t] for k in range(dim)], self.a[o], self.b[o])
+        sums = self.sums.reshape(dim, -1)
+        sums.fill(0.0)
+        if bias is None:
+            # the active entries come in obstacle order, and the skipped terms are exact zeros
+            for k, r in enumerate(res):
+                np.add.at(sums[k], cell, r)
+        else:
+            bias = bias.reshape(dim, -1)
+            res = np.asarray(res) + bias[:, cell]
+            # obstacle by obstacle, every cell adds the bias, and a cell where
+            # the obstacle is active adds its term instead; within one
+            # obstacle each cell comes once
+            bounds = np.searchsorted(o, np.arange(n_o + 1))
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                before = sums[:, cell[lo:hi]]
+                sums += bias
+                sums[:, cell[lo:hi]] = before + res[:, lo:hi]
+        sq, peak = np.zeros(self.n), np.zeros(self.n)
+        np.add.at(sq, point, sum(r * r for r in res))
+        with np.errstate(invalid="ignore"):  # a NaN residual makes its point's peak NaN
+            np.maximum.at(peak, point, np.max(np.abs(res), axis=0))
+        if bias is not None:
+            # each inactive obstacle of a cell adds one entry equal to the bias
+            inactive = (n_o - np.bincount(cell, minlength=sums.shape[1])).reshape(self.n, n_p)
+            sq += np.einsum("kit,it->i", (bias * bias).reshape(dim, self.n, n_p), inactive)
+            bias_peak = np.max(np.abs(bias), axis=0).reshape(self.n, n_p)
+            bias_peak[inactive == 0] = 0.0
+            np.maximum(peak, bias_peak.max(axis=1, initial=0.0), out=peak)
+        return self.sums, sq, peak
 
 
 def unit_pair(c, s):

@@ -22,6 +22,20 @@ and residual @ F as one product per family,
     x columns:     (sum_c sum_o res_coll) @ P + res_v @ Pdot + res_a @ Pddot
     copy columns:  (sum_c r_c sum_o res_coll + res_copy) @ P
 
+The collision rows are taken on their active set by geometry.ObstacleRows,
+the pass the priest projection shares.  Every footprint circle is one
+point of that pass.  The clamp's residual is exactly zero wherever the
+squared scaled norm q of an offset lies in [1, D_CAP**2], and in
+dynamic-flow plans 0.06-1.2% of the (member, circle, obstacle, time)
+entries fall outside it in any iteration, so only those (NaN included) are
+clamped.  Every other entry is the copy coupling
+r_c (P xi_c - cos psi) alone, so each sum over obstacles is built in
+obstacle order from that bias: added n_o times, and at the cells with an
+active obstacle, in sequence with the active terms in their places.  The
+sums equal the dense sum over obstacles taken in obstacle order bit for
+bit, and so do residual @ F, g @ F and the per-member residual max; the
+per-member norm sums its squares in another order.
+
 F'F is one closed-form (2m, 2m) block per axis,
 
     [[Pdot'Pdot + Pddot'Pddot + n_c n_o P'P,  (sum r) n_o P'P          ],
@@ -44,7 +58,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import D_CAP, ObstacleTrack, check_schedule, radial_clamp, scaled_sq_norm, stalled
+from .geometry import ObstacleRows, ObstacleTrack, check_schedule, radial_clamp, stalled
 
 
 @dataclass(frozen=True)
@@ -169,6 +183,8 @@ def sample_initializations(mean: np.ndarray, covariance: np.ndarray, n_batch: in
     covariance = np.asarray(covariance, dtype=float)
     if covariance.shape != (mean.size, mean.size):
         raise ValueError("covariance shape does not match mean")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(covariance))):
+        raise ValueError("mean and covariance must be finite")
     if not np.allclose(covariance, covariance.T, atol=1e-10):
         raise ValueError("covariance must be symmetric")
     eigs = np.linalg.eigvalsh(covariance)
@@ -214,36 +230,56 @@ class _Structure:
         self.obs = np.stack(centres, axis=1) if n_o else np.zeros((2, 0, n_p))  # (2, n_o, n_p)
         self.obs_a = np.array([o.shape.a for o in problem.obstacles])
         self.obs_b = np.array([o.shape.b for o in problem.obstacles])
+        self._rows = None
+
+    def obstacle_rows(self, n_b: int) -> ObstacleRows:
+        """The collision pass's workspace for n_b members, allocated at its first use in a solve."""
+        if self._rows is None or self._rows.n != n_b * self.r.size:
+            self._rows = ObstacleRows(self.obs, self.obs_a, self.obs_b, n_b * self.r.size)
+        return self._rows
 
     def saddles(self, rho: float, rho_psi: float) -> tuple:
         """The (Q, A) pairs of the xi and heading factors at these penalties."""
         return self.Q + rho * self.FtF, self.A, self.Q_psi_smooth + rho_psi * self.PtP, self.A_psi
 
 
-def _footprint_deltas(struct, pos, trig):
-    """Circle-center offsets to every obstacle per axis, (N_b, n_c, n_o, n_p); trig is (cos psi, sin psi)."""
-    r = struct.r[None, :, None, None]
-    return [p[:, None, None, :] + r * t[:, None, None, :] - struct.obs[k] for k, (p, t) in enumerate(zip(pos, trig))]
+def _circles(struct, basis, xi, trig):
+    """Footprint circle centres as points of the collision pass, (N_b * n_c, 2, n_p).
+
+    trig is (cos psi, sin psi); the circles are member-major.
+    """
+    xi_x, _, xi_y, _ = _split(xi, struct.m)
+    r = struct.r[None, :, None]
+    circles = [(xi_p @ basis.P.T)[:, None, :] + r * t[:, None, :] for xi_p, t in zip((xi_x, xi_y), trig)]
+    return np.stack(circles, axis=2).reshape(-1, 2, basis.n_p)
 
 
 def _split(xi, m):
     return xi[:, :m], xi[:, m : 2 * m], xi[:, 2 * m : 3 * m], xi[:, 3 * m :]
 
 
-def init_state(problem: BatchProblem, samples: np.ndarray, params: BatchParams | None = None) -> BatchState:
+def init_state(
+    problem: BatchProblem,
+    samples: np.ndarray,
+    params: BatchParams | None = None,
+    struct: _Structure | None = None,
+) -> BatchState:
     """State from position-coefficient samples (N_b, 2m): [xi_x | xi_y].
 
     The heading is seeded from the desired-path direction; copies are made
     consistent with it and the first residual pass is taken at the sampled
-    geometry; multipliers start at zero.
+    geometry; multipliers start at zero.  Samples must be finite, with at
+    least one member.
     """
     params = params or BatchParams()
-    struct = _Structure(problem)
+    struct = struct or _Structure(problem)
     basis, m = problem.basis, struct.m
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] != 2 * m:
+        raise ValueError(f"expected samples of shape (N_b, {2 * m}) with N_b >= 1, got {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     n_b = samples.shape[0]
-    if samples.shape != (n_b, 2 * m):
-        raise ValueError(f"expected samples of shape (N_b, {2 * m})")
 
     path_dir = np.gradient(problem.desired, axis=0)
     psi_des = np.unwrap(np.arctan2(path_dir[:, 1], path_dir[:, 0]))
@@ -333,23 +369,24 @@ def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> 
     Returns residual @ F, (N_b, 4m), and sets the state's residual_max,
     residual_norm and target products g @ F = xi F'F - residual @ F.
     """
-    basis, n_b = problem.basis, state.xi.shape[0]
+    basis, n_b, n_c = problem.basis, state.xi.shape[0], struct.r.size
     xi_x, xi_c, xi_y, xi_s = _split(state.xi, struct.m)
     trig = (np.cos(state.psi), np.sin(state.psi))
-    coll = radial_clamp(_footprint_deltas(struct, (xi_x @ basis.P.T, xi_y @ basis.P.T), trig),
-                        struct.obs_a[:, None], struct.obs_b[:, None], 1.0, D_CAP)
+    copies = [xi_q @ basis.P.T - t for xi_q, t in zip((xi_c, xi_s), trig)]
+    # the collision rows read the copy P xi_c where the clamped offsets read cos psi
+    bias = np.stack([struct.r[None, :, None] * copy[:, None, :] for copy in copies])
+    sums, coll_sq, coll_peak = struct.obstacle_rows(n_b).residuals(
+        _circles(struct, basis, state.xi, trig), bias.reshape(2, n_b * n_c, -1)
+    )
+    res_max, sq = coll_peak.reshape(n_b, n_c).max(axis=1), coll_sq.reshape(n_b, n_c).sum(axis=1)
     vel = radial_clamp((xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T), problem.v_max, problem.v_max, 0.0, 1.0)
     acc = radial_clamp((xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T), problem.a_max, problem.a_max, 0.0, 1.0)
-    res_max, sq, products = np.zeros(n_b), np.zeros(n_b), []
-    for k, xi_q in enumerate((xi_c, xi_s)):
-        copy = xi_q @ basis.P.T - trig[k]
-        # the collision rows read the copy P xi_c where the clamped offsets read cos psi
-        coll[k] += struct.r[None, :, None, None] * copy[:, None, None, :]
-        for res in (vel[k], acc[k], coll[k], copy):
-            flat = res.reshape(n_b, -1)
-            res_max = np.maximum(res_max, np.abs(flat).max(axis=1, initial=0.0))
-            sq += np.einsum("ij,ij->i", flat, flat)
-        per_circle = coll[k].sum(axis=2)  # (N_b, n_c, n_p), summed over obstacles
+    products = []
+    for k, copy in enumerate(copies):
+        for res in (vel[k], acc[k], copy):
+            res_max = np.maximum(res_max, np.abs(res).max(axis=1))
+            sq += np.einsum("ij,ij->i", res, res)
+        per_circle = sums[k].reshape(n_b, n_c, -1)  # summed over obstacles
         products.append(per_circle.sum(axis=1) @ basis.P + vel[k] @ basis.Pdot + acc[k] @ basis.Pddot)
         products.append((np.tensordot(struct.r, per_circle, axes=(0, 1)) + copy) @ basis.P)
     residual_products = np.hstack(products)
@@ -380,14 +417,14 @@ def _member_costs(state, problem, struct):
 
 def check_raw_feasibility(state, problem, struct, d_margin, kin_margin):
     """Direct evaluation of the original quadratic constraints per member."""
-    basis, m = problem.basis, struct.m
+    basis, m, n_b = problem.basis, struct.m, state.xi.shape[0]
     xi_x, _, xi_y, _ = _split(state.xi, m)
-    x, y = xi_x @ basis.P.T, xi_y @ basis.P.T
-    ok = np.ones(x.shape[0], dtype=bool)
+    ok = np.ones(n_b, dtype=bool)
     if problem.n_o:
-        dx, dy = _footprint_deltas(struct, (x, y), (np.cos(state.psi), np.sin(state.psi)))
-        dist = np.sqrt(scaled_sq_norm((dx, dy), struct.obs_a[:, None], struct.obs_b[:, None]))
-        ok &= dist.min(axis=(1, 2, 3)) >= 1.0 - d_margin
+        circles = _circles(struct, basis, state.xi, (np.cos(state.psi), np.sin(state.psi)))
+        q = struct.obstacle_rows(n_b).sq_norms(circles).min(axis=(0, 2))
+        # sqrt is monotone, so the least distance is the root of the least q
+        ok &= np.sqrt(q.reshape(n_b, -1).min(axis=1)) >= 1.0 - d_margin
     speed = np.hypot(xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
     ok &= speed.max(axis=1) <= problem.v_max * (1.0 + kin_margin)
     accel = np.hypot(xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T)
@@ -426,7 +463,7 @@ def solve_batch_opt(
                 scale = max(np.hypot(bx.p1 - bx.p0, by.p1 - by.p0) / 10.0, 0.5)
                 covariance = np.eye(2 * m) * scale**2
             samples = sample_initializations(mean, covariance, problem.n_batch, seed)
-        state = init_state(problem, samples, params)
+        state = init_state(problem, samples, params, struct)
     else:
         _check_state(state, problem, struct)
         _recentre(state, problem, struct)

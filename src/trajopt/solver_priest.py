@@ -28,14 +28,16 @@ n_o P'P + Pdot'Pdot + Pddot'Pddot + 2 P'P, and the saddle matrix of the
 coefficient step, built from I + rho F'F, does not depend on the sample, so
 one cached factor serves the whole batch for every inner iteration.
 
-The collision rows are taken on their active set.  A collision residual is
-exactly zero wherever the squared scaled norm q of its offset lies in
-[1, D_CAP**2] (the zero band of radial_clamp), and in practice under 1% of
-the (sample, obstacle, time) entries fall outside it.  Each residual pass
-forms q in place, in an obstacle-major workspace allocated once per project
-call, and sends only the entries outside the band (NaN included) through
-radial_clamp; their residuals are scattered into the per-axis sums over
-obstacles, which equal the dense sums bit for bit.  Each iterate gets one
+The collision rows are taken on their active set by geometry.ObstacleRows,
+the pass the batch solver shares.  A collision residual is exactly zero
+wherever the squared scaled norm q of its offset lies in [1, D_CAP**2] (the
+zero band of radial_clamp), and in practice under 1% of the (sample,
+obstacle, time) entries fall outside it.  Each residual pass forms q in
+place, in an obstacle-major workspace allocated once per project call, and
+sends only the entries outside the band (NaN included) through
+radial_clamp.  The projection adds no bias to the obstacle terms, so each
+per-axis sum over obstacles is the active residuals added in obstacle
+order, and equals the dense sum bit for bit.  Each iterate gets one
 residual pass, shared by the next step, the residual history and the final
 scores and trajectories.
 
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import D_CAP, ObstacleTrack, radial_clamp, scaled_sq_norm
+from .geometry import ObstacleRows, ObstacleTrack, radial_clamp, scaled_sq_norm
 
 _SPEED_EPS = 1e-6
 
@@ -223,72 +225,12 @@ class ProjectionSetup:
         """Per-axis offsets from every obstacle centre: (N, dim, n_p) -> dim x (N, n_o, n_p)."""
         return [pos[:, k, None, :] - self._obs_axes[k] for k in range(self.dim)]
 
-
-class _ObstacleRows:
-    """Workspace of the collision rows for a batch of n samples.
-
-    Allocated once per project call and reused by every residual pass.  The
-    buffers are obstacle-major, (n_o, n, n_p), so a flat index splits into
-    (obstacle, sample, time).  See residuals for why only a few entries take
-    the clamp.
-    """
-
-    def __init__(self, setup: ProjectionSetup, n: int):
-        self.setup = setup
-        shape = (setup.n_o, n, setup.basis.n_p)
-        self.q = np.empty(shape)
-        self.scaled = np.empty(shape)
-        self.in_band = np.empty(shape, dtype=bool)
-        self.below_cap = np.empty(shape, dtype=bool)
-        self.sums = np.empty((setup.dim, n, setup.basis.n_p))
-        # scaled_sq_norm scales every axis but the last by 1/a, the last by 1/b
-        inv_a, inv_b = (1.0 / semi[:, None, None] for semi in (setup.obs_a, setup.obs_b))
-        self.inv = [inv_a] * (setup.dim - 1) + [inv_b]
-
-    def residuals(self, pos: np.ndarray):
-        """Collision residuals at the (n, dim, n_p) positions pos.
-
-        Returns (sums, sq): sums is the (dim, n, n_p) sum over obstacles of
-        the per-axis residuals, a view of the workspace that the next pass
-        overwrites; sq is the (n,) per-sample sum of their squares.
-
-        radial_clamp's residual is exactly zero wherever the squared scaled
-        norm q lies in [1, D_CAP**2], so q is formed in place with
-        scaled_sq_norm's arithmetic and only the other entries (NaN
-        included) go through the clamp.  They are scattered in obstacle
-        order, the order of the dense sum over obstacles, whose skipped terms
-        are exact zeros, so the sums are bit for bit the dense ones.
-        """
-        setup, q, scaled = self.setup, self.q, self.scaled
-        obs = setup._obs_axes
-        for k, inv in enumerate(self.inv):
-            out = q if k == 0 else scaled
-            np.subtract(pos[None, :, k], obs[k][:, None], out=out)
-            np.multiply(out, inv, out=out)
-            np.multiply(out, out, out=out)
-            if k:
-                np.add(q, scaled, out=q)
-        in_band, below_cap = self.in_band, self.below_cap
-        np.greater_equal(q, 1.0, out=in_band)
-        np.less_equal(q, D_CAP**2, out=below_cap)
-        np.logical_and(in_band, below_cap, out=in_band)
-        # the complement of the band, not (q < 1) | (q > D_CAP**2), so that NaN stays active
-        active = np.flatnonzero(np.logical_not(in_band, out=in_band))
-
-        _, n, n_p = q.shape
-        o, cell = np.divmod(active, n * n_p)
-        sample, t = np.divmod(cell, n_p)
-        deltas = [pos[sample, k, t] - obs[k, o, t] for k in range(setup.dim)]
-        res = radial_clamp(deltas, setup.obs_a[o], setup.obs_b[o])
-        self.sums.fill(0.0)
-        for k, r in enumerate(res):
-            np.add.at(self.sums[k].reshape(-1), cell, r)
-        sq = np.zeros(n)
-        np.add.at(sq, sample, sum(r * r for r in res))
-        return self.sums, sq
+    def obstacle_rows(self, n: int) -> ObstacleRows:
+        """A workspace of the collision rows for a batch of n samples."""
+        return ObstacleRows(self._obs_axes, self.obs_a, self.obs_b, n)
 
 
-def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: _ObstacleRows):
+def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
     """Residuals x - e of every constraint family, in sample space.
 
     pva holds the (N, dim, 3, n_p) samples and rows the obstacle workspace
@@ -299,7 +241,7 @@ def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: _ObstacleRows):
     is the (N,) squared norm of all residuals per sample.
     """
     pos = pva[:, :, 0]
-    obstacle, sq = rows.residuals(pos)
+    obstacle, sq, _ = rows.residuals(pos)
     families = []
     if setup.s_min is not None:
         box = np.maximum(0.0, pos - setup.s_max[:, None]) - np.maximum(0.0, setup.s_min[:, None] - pos)
@@ -338,7 +280,7 @@ def project(
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     n = samples.shape[0]
-    rows = _ObstacleRows(setup, n)
+    rows = setup.obstacle_rows(n)
     xi_bar = samples.copy()
     lam = np.zeros_like(samples)
     bs = np.tile(setup.b_eq, (n, 1))
@@ -378,7 +320,7 @@ def residual_scores(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
     """Constraint-violation score per sample: L2 norm of the stacked
     reformulated-equality residuals and clipped affine violations."""
     pva = setup.pva_samples(xis)
-    _, _, sq = _residuals(setup, pva, _ObstacleRows(setup, pva.shape[0]))
+    _, _, sq = _residuals(setup, pva, setup.obstacle_rows(pva.shape[0]))
     return np.sqrt(sq)
 
 

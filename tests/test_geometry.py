@@ -12,6 +12,7 @@ from trajopt import geometry
 from trajopt.geometry import (
     D_CAP,
     EllipsoidShape,
+    ObstacleRows,
     angle2d,
     angles3d,
     los_scale,
@@ -360,6 +361,66 @@ class TestZeroBand:
         res = np.array(radial_clamp(deltas, a, b, lower=lower, upper=upper))
         if lower**2 <= q <= upper**2:
             assert np.array_equal(res, np.zeros_like(res))
+
+
+def _dense_rows(centres, a, b, pos, bias):
+    """ObstacleRows.residuals with the clamp over every (obstacle, point, time) entry."""
+    dim, n_o = centres.shape[:2]
+    res = radial_clamp([pos[None, :, k] - centres[k][:, None] for k in range(dim)], a[:, None, None], b[:, None, None])
+    res = np.stack(res) if bias is None else np.stack([r + bk for r, bk in zip(res, bias)])
+    sums = np.zeros((dim, *pos[:, 0].shape))
+    for o in range(n_o):  # in obstacle order
+        sums = sums + res[:, o]
+    sq = (res * res).sum(axis=(0, 1, 3))
+    peak = np.abs(res).transpose(2, 0, 1, 3).reshape(pos.shape[0], -1).max(axis=1, initial=0.0)
+    return sums, sq, peak
+
+
+class TestObstacleRows:
+    """The active-set pass against the clamp of every entry: sums and peak bit for bit."""
+
+    def _check(self, centres, a, b, pos, bias=None):
+        rows = ObstacleRows(centres, a, b, pos.shape[0])
+        got = rows.residuals(pos, bias)
+        sums, sq, peak = _dense_rows(centres, np.asarray(a), np.asarray(b), pos, bias)
+        np.testing.assert_array_equal(got[0], sums)
+        np.testing.assert_allclose(got[1], sq, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(got[2], peak)
+        return got
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_random_points_and_overlapping_obstacles(self, dim, with_bias):
+        rng = np.random.default_rng(dim)
+        n_o, n, n_p = 9, 5, 30
+        centres = rng.uniform(-1.0, 1.0, size=(dim, n_o, n_p))
+        a, b = rng.uniform(0.3, 1.5, size=(2, n_o))
+        pos = rng.uniform(-2.0, 2.0, size=(n, dim, n_p))
+        bias = rng.normal(scale=0.1, size=(dim, n, n_p)) if with_bias else None
+        self._check(centres, a, b, pos, bias)
+
+    def test_cell_where_every_obstacle_is_active(self):
+        # both obstacles hold the point at t = 0, where the bias is largest:
+        # no entry of that cell is the bias alone, so the peak is below it
+        centres = np.zeros((2, 2, 2))
+        centres[0, :, 1] = 10.0
+        pos = np.array([[[0.3, 0.0], [0.0, 0.0]]])
+        bias = np.array([[[5.0, 0.1]], [[0.0, 0.0]]])
+        _, _, peak = self._check(centres, np.array([1.0, 0.8]), np.array([1.0, 0.8]), pos, bias)
+        assert peak[0] < 5.0
+
+    def test_no_obstacles(self):
+        pos = np.ones((3, 2, 4))
+        sums, sq, peak = self._check(np.zeros((2, 0, 4)), np.zeros(0), np.zeros(0), pos, np.full((2, 3, 4), 0.5))
+        assert not sums.any() and not sq.any() and not peak.any()
+
+    def test_nan_point_stays_active(self):
+        centres = np.zeros((2, 3, 4))
+        pos = np.full((2, 2, 4), 3.0)
+        pos[1, 0, 2] = np.nan
+        sums, sq, peak = self._check(centres, np.ones(3), np.ones(3), pos, np.full((2, 2, 4), 0.1))
+        assert np.isnan(sums[:, 1, 2]).all() and np.isnan(sq[1]) and np.isnan(peak[1])
+        assert np.isfinite(sums[:, 0]).all() and np.isfinite(sq[0]) and np.isfinite(peak[0])
 
 
 class TestUnitPair:

@@ -4,15 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from trajopt import qpcore, solver_batch
+from trajopt import geometry, qpcore, solver_batch
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario, receding_horizon_run, runner
-from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack, stalled
+from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack, radial_clamp, scaled_sq_norm, stalled
 from trajopt.solver_batch import (
     BatchParams,
     BatchProblem,
     FootprintSpec,
-    _footprint_deltas,
+    _circles,
     _member_costs,
     _Structure,
     _split,
@@ -427,10 +427,7 @@ class TestDStep:
         polar = _assert_pass_matches_reference(prob, state)
 
         # the reference's closed-form scale minimizes the residual along its angle
-        m = prob.basis.n_var
-        xi_x, _, xi_y, _ = _split(state.xi, m)
-        trig = (np.cos(state.psi), np.sin(state.psi))
-        dx, dy = _footprint_deltas(struct, (xi_x @ prob.basis.P.T, xi_y @ prob.basis.P.T), trig)
+        dx, dy = _footprint_deltas(struct, prob, state.xi, (np.cos(state.psi), np.sin(state.psi)))
         a, b = 0.7, 1.1
         alpha, d = polar["alpha_coll"][0, 0, 0], polar["d_coll"][0, 0, 0]
         grid = np.linspace(1.0, 20.0, 1_900_001)
@@ -473,6 +470,110 @@ class TestPolarStep:
         _assert_pass_matches_reference(prob, _sample_state(prob, seed=21))
 
 
+def _footprint_deltas(struct, prob, xi, trig):
+    """Circle-centre offsets to every obstacle per axis, (N_b, n_c, n_o, n_p); trig is (cos psi, sin psi)."""
+    circles = _circles(struct, prob.basis, xi, trig).reshape(xi.shape[0], struct.r.size, 2, -1)
+    return [circles[:, :, k, None, :] - struct.obs[k] for k in range(2)]
+
+
+def _dense_pass(state, prob, struct):
+    """polar_step with the collision clamp over every (member, circle,
+    obstacle, time) entry, as it was first written in residual form.
+
+    The sum over obstacles is taken in obstacle order, one term at a time;
+    numpy's sum over an axis picks its order from the memory layout, and
+    sums pairwise when that axis is innermost.  Returns residual @ F, g @ F
+    and the per-member residual max and norm.
+    """
+    basis, n_b = prob.basis, state.xi.shape[0]
+    xi_x, xi_c, xi_y, xi_s = _split(state.xi, struct.m)
+    trig = (np.cos(state.psi), np.sin(state.psi))
+    coll = radial_clamp(_footprint_deltas(struct, prob, state.xi, trig),
+                        struct.obs_a[:, None], struct.obs_b[:, None])
+    vel = radial_clamp((xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T), prob.v_max, prob.v_max, 0.0, 1.0)
+    acc = radial_clamp((xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T), prob.a_max, prob.a_max, 0.0, 1.0)
+    res_max, sq, products = np.zeros(n_b), np.zeros(n_b), []
+    for k, xi_q in enumerate((xi_c, xi_s)):
+        copy = xi_q @ basis.P.T - trig[k]
+        coll[k] += struct.r[None, :, None, None] * copy[:, None, None, :]
+        for res in (vel[k], acc[k], coll[k], copy):
+            flat = res.reshape(n_b, -1)
+            res_max = np.maximum(res_max, np.abs(flat).max(axis=1, initial=0.0))
+            sq += np.einsum("ij,ij->i", flat, flat)
+        per_circle = np.zeros((n_b, struct.r.size, basis.n_p))
+        for o in range(prob.n_o):
+            per_circle = per_circle + coll[k][:, :, o]
+        products.append(per_circle.sum(axis=1) @ basis.P + vel[k] @ basis.Pdot + acc[k] @ basis.Pddot)
+        products.append((np.tensordot(struct.r, per_circle, axes=(0, 1)) + copy) @ basis.P)
+    residual_products = np.hstack(products)
+    return residual_products, state.xi @ struct.FtF - residual_products, res_max, np.sqrt(sq)
+
+
+def _assert_pass_matches_dense(prob, state, struct=None):
+    """polar_step on the active obstacle set against the dense pass: the
+    sums, and so residual @ F and g @ F, and the residual max bit for bit;
+    the norm, whose squares are summed in another order, to 1e-15."""
+    struct = struct or _Structure(prob)
+    residual_products, target_products, res_max, res_norm = _dense_pass(state, prob, struct)
+    np.testing.assert_array_equal(polar_step(state, prob, struct), residual_products)
+    np.testing.assert_array_equal(state.target_products, target_products)
+    np.testing.assert_array_equal(state.residual_max, res_max)
+    np.testing.assert_allclose(state.residual_norm, res_norm, rtol=1e-15, atol=0)
+
+
+def _collision_q(prob, state):
+    """Squared scaled norm of every (member, circle, obstacle, time) offset."""
+    struct = _Structure(prob)
+    deltas = _footprint_deltas(struct, prob, state.xi, (np.cos(state.psi), np.sin(state.psi)))
+    return scaled_sq_norm(deltas, struct.obs_a[:, None], struct.obs_b[:, None])
+
+
+class TestActivePassMatchesDense:
+    def test_cell_where_every_obstacle_is_active(self):
+        # three overlapping obstacles on the path: where both circles pass
+        # through their common part, no obstacle adds the copy coupling alone
+        centres = [(5.0, 0.0), (5.1, 0.05), (4.9, -0.05)]
+        prob = make_problem(obstacles=[_static_obstacle(c, 0.8 + 0.1 * k, 0.9) for k, c in enumerate(centres)],
+                            n_batch=3)
+        state = _diagonal_state(prob, 30, [10.0, 0.0])
+        state.xi[:, prob.basis.n_var : 2 * prob.basis.n_var] *= 1.1  # copies off the heading: a nonzero coupling
+        assert (_collision_q(prob, state) < 1.0).all(axis=2).any()
+        _assert_pass_matches_dense(prob, state)
+
+    def test_two_circles_with_signed_offsets(self):
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=(0.3, -0.3))
+        _assert_pass_matches_dense(prob, _sample_state(prob, seed=31))
+
+    def test_circle_on_an_obstacle_centre(self):
+        # a member standing at the origin puts its 0.1 circle on the centre
+        # of the obstacle passing through (0.1, 0) at the middle timestep
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=1, offsets=OFFSETS)
+        state = init_state(prob, np.zeros((1, 2 * prob.basis.n_var)))
+        assert (_collision_q(prob, state) == 0.0).any()
+        _assert_pass_matches_dense(prob, state)
+
+    def test_obstacle_beyond_the_scale_cap(self):
+        # scaled distance above D_CAP: the clamp leaves the zero band from above
+        far = _static_obstacle([5.0, 3.0], 1e-6, 2e-6)
+        prob = make_problem(obstacles=[far, _static_obstacle([5.0, 0.2], 0.7, 0.6)], n_batch=4)
+        state = _sample_state(prob, seed=32)
+        assert (_collision_q(prob, state)[:, :, 0] > D_CAP**2).all()
+        _assert_pass_matches_dense(prob, state)
+
+    def test_no_obstacles(self):
+        prob = make_problem(obstacles=[], n_batch=4)
+        _assert_pass_matches_dense(prob, _sample_state(prob, seed=33))
+
+    def test_every_iterate_of_a_solve(self):
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
+        struct = _Structure(prob)
+        state = init_state(prob, _default_samples(prob, seed=34), struct=struct)
+        _assert_pass_matches_dense(prob, state, struct)
+        for _ in range(10):
+            batch_iteration(state, prob, struct)
+            _assert_pass_matches_dense(prob, state, struct)
+
+
 class TestOnePassPerIteration:
     def test_one_trig_and_three_radial_clamps_per_iteration(self, monkeypatch):
         counts = {}
@@ -486,7 +587,9 @@ class TestOnePassPerIteration:
 
         for name in ("arctan2", "cos", "sin"):
             monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
-        monkeypatch.setattr(solver_batch, "radial_clamp", counted("radial_clamp", solver_batch.radial_clamp))
+        # the velocity and acceleration clamps, and the clamp of the shared collision pass
+        for module in (solver_batch, geometry):
+            monkeypatch.setattr(module, "radial_clamp", counted("radial_clamp", geometry.radial_clamp))
         prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
         per_solve = []
         for iters in (12, 2):
@@ -563,6 +666,53 @@ class TestSolveBatchOpt:
         ranked = solve_batch_opt(prob, BatchParams(max_iter=100), samples=samples)
         assert ranked.residual_max[0] < 1e-9
         assert ranked.feasible[0] and ranked.best_index == 0
+
+
+    def test_cold_solve_builds_one_structure(self, monkeypatch):
+        built = []
+        init = _Structure.__init__
+
+        def counting(self, problem):
+            built.append(problem)
+            init(self, problem)
+
+        monkeypatch.setattr(_Structure, "__init__", counting)
+        solve_batch_opt(make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.8, 0.8)]), BatchParams(max_iter=2))
+        assert len(built) == 1
+
+
+class TestBadSamplesRejected:
+    """Samples and sampling moments that no pass can use are rejected before the first one."""
+
+    def _solve(self, **kwargs):
+        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.8, 0.8)], n_batch=4)
+        return solve_batch_opt(prob, BatchParams(max_iter=2), **kwargs)
+
+    def _line_samples(self, n=4):
+        line = straight_line_coeffs(make_problem().basis, [0.0, 0.0], [10.0, 0.0]).ravel()
+        return np.tile(line, (n, 1))
+
+    def test_nan_sample(self):
+        samples = self._line_samples()
+        samples[1, 3] = np.nan
+        with pytest.raises(ValueError, match="samples must be finite"):
+            self._solve(samples=samples)
+
+    def test_nan_mean(self):
+        mean = self._line_samples(1)[0]
+        mean[2] = np.nan
+        with pytest.raises(ValueError, match="mean and covariance must be finite"):
+            self._solve(mean=mean)
+
+    def test_infinite_sample(self):
+        samples = self._line_samples()
+        samples[2, 5] = np.inf
+        with pytest.raises(ValueError, match="samples must be finite"):
+            self._solve(samples=samples)
+
+    def test_no_members(self):
+        with pytest.raises(ValueError, match="N_b >= 1"):
+            self._solve(samples=self._line_samples(0))
 
 
 class TestMatchesReference:

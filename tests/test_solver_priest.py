@@ -5,7 +5,7 @@ from trajopt import qpcore, solver_priest
 from trajopt.basis import AxisBoundary, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario
 from trajopt.bench.runner import _barn_c1, default_sampling_distribution, priest_setup_from_scenario
-from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack, radial_clamp
+from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleRows, ObstacleTrack, radial_clamp
 from trajopt.solver_priest import (
     CemParams,
     PriestParams,
@@ -21,7 +21,7 @@ from trajopt.solver_priest import (
     residual_scores,
     update_distribution,
 )
-from trajopt.solver_priest import _cem_penalty, _ObstacleRows, _residuals
+from trajopt.solver_priest import _cem_penalty, _residuals
 
 N_P = 40
 
@@ -490,7 +490,7 @@ def _assert_sums_bit_equal(setup, xis):
     Returns the most active obstacles at one (sample, time) cell."""
     pos = setup.pva_samples(xis)[:, :, 0]
     dense = radial_clamp(setup.obstacle_offsets(pos), setup.obs_a[:, None], setup.obs_b[:, None])
-    sums, sq = _ObstacleRows(setup, xis.shape[0]).residuals(pos)
+    sums, sq, _ = setup.obstacle_rows(xis.shape[0]).residuals(pos)
     assert np.array_equal(sums, np.stack([r.sum(axis=1) for r in dense]))
     expected = sum(np.einsum("nij,nij->n", r, r) for r in dense)
     np.testing.assert_allclose(sq, expected, rtol=1e-13, atol=0)
@@ -524,7 +524,7 @@ class TestActiveObstacleRows:
         xis[1, 3] = np.nan
         pva = setup.pva_samples(xis)
         assert np.isnan(pva[1, 0, 0]).any() and not np.isnan(pva[0]).any()
-        obstacle, _, sq = _residuals(setup, pva, _ObstacleRows(setup, 2))
+        obstacle, _, sq = _residuals(setup, pva, setup.obstacle_rows(2))
         assert np.isnan(obstacle[:, 1][np.isnan(pva[1, :, 0])]).all()
         assert not np.isnan(obstacle[:, 0]).any()
         scores = residual_scores(setup, xis)
@@ -546,7 +546,7 @@ class TestOnePassPerIterate:
 
             return wrapper
 
-        monkeypatch.setattr(_ObstacleRows, "residuals", counting("rows", _ObstacleRows.residuals))
+        monkeypatch.setattr(ObstacleRows, "residuals", counting("rows", ObstacleRows.residuals))
         monkeypatch.setattr(ProjectionSetup, "pva_samples", counting("pva", ProjectionSetup.pva_samples))
         outs = {}
         for with_history in (False, True):

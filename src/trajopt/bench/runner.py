@@ -23,6 +23,9 @@ from .scenarios import Scenario, agent_boundaries, predict_obstacles
 
 SOLVERS = ("single", "batch", "priest", "cem", "multiagent")
 
+# inflation of every obstacle's semi-axes for planning (meters)
+PLAN_MARGIN = 0.05
+
 RESULTS_COLUMNS = (
     "scenario_id",
     "solver",
@@ -85,32 +88,29 @@ def _barn_c1(scenario: Scenario):
     return c1
 
 
-def _inflated_tracks(scenario: Scenario, timestamps, plan_margin: float, t_now: float = 0.0):
-    """Obstacle tracks inflated for planning.
+def _inflated_tracks(scenario: Scenario, timestamps, t_now: float = 0.0):
+    """Obstacle tracks inflated by PLAN_MARGIN for planning.
 
     The solvers converge onto the constraint boundary to within residual
     tolerance; a small inflation makes the returned trajectories clear the
     raw scenario geometry strictly.
     """
-    tracks = predict_obstacles(scenario, timestamps, t_now=t_now)
-    if plan_margin == 0.0:
-        return tracks
     return [
-        ObstacleTrack(centers=t.centers, shape=EllipsoidShape(t.shape.a + plan_margin, t.shape.b + plan_margin))
-        for t in tracks
+        ObstacleTrack(centers=t.centers, shape=EllipsoidShape(t.shape.a + PLAN_MARGIN, t.shape.b + PLAN_MARGIN))
+        for t in predict_obstacles(scenario, timestamps, t_now=t_now)
     ]
 
 
-def single_problem_from_scenario(scenario: Scenario, basis, plan_margin: float = 0.05):
+def single_problem_from_scenario(scenario: Scenario, basis):
     return solver_single.SingleProblem(
         basis=basis,
         boundary=_point_boundaries(scenario),
         desired=_desired_line(scenario, basis),
-        obstacles=_inflated_tracks(scenario, basis.grid.timestamps, plan_margin),
+        obstacles=_inflated_tracks(scenario, basis.grid.timestamps),
     )
 
 
-def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, plan_margin: float = 0.05):
+def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100):
     if scenario.dim != 2:
         raise ValueError("the batch solver is planar")
     offsets = tuple(scenario.robot.footprint_offsets) or (0.0,)
@@ -121,7 +121,7 @@ def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, p
         boundary=_point_boundaries(scenario),
         psi_boundary=(heading, heading),
         desired=_desired_line(scenario, basis),
-        obstacles=_inflated_tracks(scenario, basis.grid.timestamps, plan_margin),
+        obstacles=_inflated_tracks(scenario, basis.grid.timestamps),
         footprint=solver_batch.FootprintSpec(offsets=offsets),
         v_max=scenario.robot.v_max,
         a_max=scenario.robot.a_max,
@@ -129,12 +129,12 @@ def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, p
     )
 
 
-def priest_setup_from_scenario(scenario: Scenario, basis, rho: float = 1.0, plan_margin: float = 0.05):
+def priest_setup_from_scenario(scenario: Scenario, basis, rho: float = 1.0):
     s_min, s_max = _workspace_box(scenario)
     return solver_priest.ProjectionSetup(
         basis=basis,
         boundary=_point_boundaries(scenario),
-        obstacles=_inflated_tracks(scenario, basis.grid.timestamps, plan_margin),
+        obstacles=_inflated_tracks(scenario, basis.grid.timestamps),
         v_max=scenario.robot.v_max,
         a_max=scenario.robot.a_max,
         s_min=s_min,
@@ -353,7 +353,7 @@ def receding_horizon_run(
     for step in range(n_steps):
         if collided or reached:
             break
-        tracks = _inflated_tracks(scenario, basis.grid.timestamps, plan_margin=0.05, t_now=t_abs)
+        tracks = _inflated_tracks(scenario, basis.grid.timestamps, t_now=t_abs)
         boundary = tuple(
             AxisBoundary(p0=pos[k], v0=vel[k], a0=acc[k], p1=goal[k]) for k in range(scenario.dim)
         )

@@ -27,7 +27,9 @@ The kernel, the only place this math is written:
   single solver's unit pairs (its sweeps project with unit_pair);
 - stalled: the windowed stall test behind every penalty schedule;
 - check_schedule: the parameter checks of the geometric penalty schedule
-  that the single and batch solvers share.
+  that the single and batch solvers share;
+- check_gaussian: the checks of a sampling mean and covariance that the
+  batch and priest/CEM solvers share.
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
 one call covers every timestep, obstacle and batch member.  All functions
@@ -47,6 +49,7 @@ __all__ = [
     "ObstacleTrack",
     "angle2d",
     "angles3d",
+    "check_gaussian",
     "check_schedule",
     "los_scale",
     "radial_clamp",
@@ -374,3 +377,21 @@ def check_schedule(params):
     for name in ("tol", "stall_improvement"):
         if np.isnan(getattr(params, name)):
             raise ValueError(f"{name} must not be NaN")
+
+
+def check_gaussian(mean: np.ndarray, covariance: np.ndarray) -> None:
+    """Reject a sampling distribution N(mean, covariance) that cannot be drawn from.
+
+    mean must be a finite vector and covariance a finite, symmetric, positive
+    semi-definite matrix of its size (to 1e-10, relative for the spectrum).
+    Raises ValueError.
+    """
+    if mean.ndim != 1 or covariance.shape != (mean.size, mean.size):
+        raise ValueError(f"covariance of shape {covariance.shape} does not match a mean of shape {mean.shape}")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(covariance))):
+        raise ValueError("mean and covariance must be finite")
+    if not np.allclose(covariance, covariance.T, atol=1e-10):
+        raise ValueError("covariance must be symmetric")
+    eigs = np.linalg.eigvalsh(covariance)
+    if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
+        raise ValueError("covariance must be positive semi-definite")

@@ -24,6 +24,13 @@ A stack of Hessians Q (k, n, n) that share A is factored in one call; each
 block has its own guard, and solve_batch applies block i to the i-th stack
 of right-hand sides.
 
+The solvers' saddles are Q + rho * M on fixed rows A, with a penalty rho
+that grows during a solve.  FactorCache holds the one rule for when a
+factor still applies: it is rebuilt only when rho, or the value of Q, M or
+A, differs from the last factored one.  The single and batch solvers keep
+their caches in their states, so a warm start on equal matrices reuses the
+factor and one on other matrices refactors.
+
 KKTFactor is immutable after construction; solve/solve_batch are reentrant.
 """
 
@@ -34,6 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _factorization_count = 0
+# the largest reduced-Hessian condition number factorize accepts
+_COND_LIMIT = 1e12
 
 
 def factorization_count() -> int:
@@ -95,12 +104,12 @@ class KKTFactor:
         return self.n_v + self.n_eq
 
 
-def factorize(Q: np.ndarray, A: np.ndarray, *, cond_limit: float = 1e12) -> KKTFactor:
+def factorize(Q: np.ndarray, A: np.ndarray) -> KKTFactor:
     """Factorize the saddle matrix once for repeated solves.
 
     Q is (n_v, n_v), or (k, n_v, n_v) for k Hessians sharing A.  Raises
     FactorizationError when A is row rank-deficient or the condition number
-    of a reduced Hessian N'QN exceeds cond_limit (penalty schedules can
+    of a reduced Hessian N'QN exceeds 1e12 (penalty schedules can
     degrade conditioning; fail loudly rather than return garbage).
     """
     global _factorization_count
@@ -134,7 +143,7 @@ def factorize(Q: np.ndarray, A: np.ndarray, *, cond_limit: float = 1e12) -> KKTF
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = magnitude.max(axis=-1) / magnitude.min(axis=-1)
     worst = float(np.max(cond))
-    if not np.isfinite(worst) or worst > cond_limit:
+    if not np.isfinite(worst) or worst > _COND_LIMIT:
         raise FactorizationError(f"reduced Hessian N'QN is near-singular (cond estimate {worst:.3e})")
 
     G = N @ U
@@ -150,6 +159,31 @@ def factorize(Q: np.ndarray, A: np.ndarray, *, cond_limit: float = 1e12) -> KKTF
         b_map=np.swapaxes(C, -1, -2),
         dual_map=dual_map,
     )
+
+
+class FactorCache:
+    """The factor of Q + rho * M on rows A, rebuilt only when one of them changes.
+
+    get refactors when rho differs from the last call's, or when Q, M or A
+    differs in value from the array last passed; an argument that is that
+    very array is not compared again, so the arrays must not be edited in
+    place between calls.  count is the number of factorizations made.
+    """
+
+    def __init__(self):
+        self.factor: KKTFactor | None = None
+        self.count = 0
+        self._key: tuple | None = None  # (Q, M, A, rho) of the last call
+
+    def get(self, Q: np.ndarray, M: np.ndarray, A: np.ndarray, rho: float) -> KKTFactor:
+        arrays = (Q, M, A)
+        if self._key is None or rho != self._key[3] or not all(
+            new is old or np.array_equal(new, old) for new, old in zip(arrays, self._key)
+        ):
+            self.factor = factorize(Q + rho * M, A)
+            self.count += 1
+        self._key = (*arrays, rho)
+        return self.factor
 
 
 def solve(factor: KKTFactor, q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

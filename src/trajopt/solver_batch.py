@@ -42,12 +42,14 @@ F'F is one closed-form (2m, 2m) block per axis,
      [(sum r) n_o P'P,                         ((sum r^2) n_o + 1) P'P ]]
 
 So the xi-step KKT matrix Q + rho F'F is factorized once per penalty value
-and applied to the whole batch in one shot.  From the same pass the
-multiplier step reads residual @ F, the next xi step g @ F = xi F'F -
-residual @ F, and the ranking each member's residual max and norm.  The
-obstacle centres enter g @ F linearly, so a warm start on moved obstacles
-adds the products of the centre displacement once.  The heading block is
-fit to arctan2(sin-copy, cos-copy) targets (a convex surrogate).
+and applied to the whole batch in one shot; the state keeps it, and the
+heading block's Q_psi + rho_psi P'P, in a qpcore.FactorCache each.  From
+the same pass the multiplier step reads residual @ F, the next xi step
+g @ F = xi F'F - residual @ F, and the ranking each member's residual max
+and norm.  The obstacle centres enter g @ F linearly, so a warm start on
+moved obstacles adds the products of the centre displacement once.  The
+heading block is fit to arctan2(sin-copy, cos-copy) targets (a convex
+surrogate).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleRows, ObstacleTrack, check_schedule, radial_clamp, stalled
+from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, check_schedule, radial_clamp, stalled
 
 
 @dataclass(frozen=True)
@@ -149,12 +151,9 @@ class BatchState:
     rho: float
     rho_psi: float
     iteration: int = 0
-    n_factorizations: int = 0
-    _factor_xi: qpcore.KKTFactor | None = field(default=None, repr=False)
-    _factor_psi: qpcore.KKTFactor | None = field(default=None, repr=False)
-    # the (Q, A) pairs the two factors were built from, and their (rho, rho_psi)
-    _factor_key: tuple | None = field(default=None, repr=False)
-    _factor_rho: tuple | None = field(default=None, repr=False)
+    # the KKT factors of the xi and heading steps
+    xi_factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
+    psi_factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
     _psi_targets: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -181,15 +180,7 @@ def sample_initializations(mean: np.ndarray, covariance: np.ndarray, n_batch: in
     """Draw coefficient samples from N(mean, covariance), deterministic per seed."""
     mean = np.asarray(mean, dtype=float)
     covariance = np.asarray(covariance, dtype=float)
-    if covariance.shape != (mean.size, mean.size):
-        raise ValueError("covariance shape does not match mean")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(covariance))):
-        raise ValueError("mean and covariance must be finite")
-    if not np.allclose(covariance, covariance.T, atol=1e-10):
-        raise ValueError("covariance must be symmetric")
-    eigs = np.linalg.eigvalsh(covariance)
-    if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
-        raise ValueError("covariance must be positive semi-definite")
+    check_gaussian(mean, covariance)
     rng = np.random.default_rng(seed)
     return rng.multivariate_normal(mean, covariance, size=n_batch, method="svd")
 
@@ -231,16 +222,15 @@ class _Structure:
         self.obs_a = np.array([o.shape.a for o in problem.obstacles])
         self.obs_b = np.array([o.shape.b for o in problem.obstacles])
         self._rows = None
+        # the factor caches compare these by identity first
+        for keyed in (self.Q, self.FtF, self.A, self.Q_psi_smooth, self.PtP, self.A_psi):
+            keyed.setflags(write=False)
 
     def obstacle_rows(self, n_b: int) -> ObstacleRows:
         """The collision pass's workspace for n_b members, allocated at its first use in a solve."""
         if self._rows is None or self._rows.n != n_b * self.r.size:
             self._rows = ObstacleRows(self.obs, self.obs_a, self.obs_b, n_b * self.r.size)
         return self._rows
-
-    def saddles(self, rho: float, rho_psi: float) -> tuple:
-        """The (Q, A) pairs of the xi and heading factors at these penalties."""
-        return self.Q + rho * self.FtF, self.A, self.Q_psi_smooth + rho_psi * self.PtP, self.A_psi
 
 
 def _circles(struct, basis, xi, trig):
@@ -301,7 +291,8 @@ def init_state(
 def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Reject a warm state whose arrays do not fit this problem.
 
-    Cached factors of other saddle matrices are dropped, so the first iteration factors afresh.
+    Its factor caches are left as they are: the first iteration refactors
+    the saddles of this problem that differ from the ones they hold.
     """
     n_b, m, n_p = state.xi.shape[0], struct.m, problem.basis.n_p
     shapes = {"xi": (n_b, 4 * m), "xi_psi": (n_b, m), "psi": (n_b, n_p), "lam": (n_b, 4 * m), "lam_psi": (n_b, m),
@@ -311,10 +302,6 @@ def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -
         got = np.shape(getattr(state, name))
         if got != shape:
             raise ValueError(f"warm state {name} has shape {got}, expected {shape} for this problem")
-    if state._factor_xi is not None:
-        key = struct.saddles(*state._factor_rho)
-        if not all(np.array_equal(new, old) for new, old in zip(key, state._factor_key)):
-            state._factor_xi = state._factor_psi = None
 
 
 def _recentre(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
@@ -329,28 +316,17 @@ def _recentre(state: BatchState, problem: BatchProblem, struct: _Structure) -> N
     state.centres, state.offsets = struct.obs, struct.r
 
 
-def _ensure_factors(state: BatchState, struct: _Structure) -> None:
-    """Factor both saddle matrices unless the cached factors are at the current penalties."""
-    if state._factor_xi is not None and state._factor_rho == (state.rho, state.rho_psi):
-        return
-    key = struct.saddles(state.rho, state.rho_psi)
-    state._factor_xi = qpcore.factorize(*key[:2])
-    state._factor_psi = qpcore.factorize(*key[2:])
-    state._factor_key, state._factor_rho = key, (state.rho, state.rho_psi)
-    state.n_factorizations += 2
-
-
 def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Shared-factor QP update of every member's stacked coefficients."""
-    _ensure_factors(state, struct)
+    factor = state.xi_factors.get(struct.Q, struct.FtF, struct.A, state.rho)
     q_lin = struct.q[None, :] - state.lam - state.rho * state.target_products
     bs = np.tile(struct.b, (state.xi.shape[0], 1))
-    state.xi, _ = qpcore.solve_batch(state._factor_xi, qpcore.BatchRHS(qs=q_lin, bs=bs))
+    state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
 
 
 def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Fit the heading block to unwrapped arctan2 targets from the copies."""
-    _ensure_factors(state, struct)
+    factor = state.psi_factors.get(struct.Q_psi_smooth, struct.PtP, struct.A_psi, state.rho_psi)
     basis = problem.basis
     _, xi_c, _, xi_s = _split(state.xi, struct.m)
     raw = np.arctan2(xi_s @ basis.P.T, xi_c @ basis.P.T)
@@ -358,7 +334,7 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure) -
     targets = raw + 2.0 * np.pi * np.round((state.psi - raw) / (2.0 * np.pi))
     q_lin = -state.lam_psi - state.rho_psi * (targets @ basis.P)
     bs = np.tile(struct.b_psi, (state.xi.shape[0], 1))
-    state.xi_psi, _ = qpcore.solve_batch(state._factor_psi, qpcore.BatchRHS(qs=q_lin, bs=bs))
+    state.xi_psi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
     state.psi = state.xi_psi @ basis.P.T
     state._psi_targets = targets
 
@@ -499,5 +475,5 @@ def solve_batch_opt(
     return RankedSolutions(
         trajectories=trajectories, costs=costs, aug_costs=aug_costs, residual_max=residual_max,
         residual_norm=residual_norm, feasible=feasible, best_index=best_index, best_history=best_history,
-        iterations=state.iteration, n_factorizations=state.n_factorizations, state=state,
+        iterations=state.iteration, n_factorizations=state.xi_factors.count + state.psi_factors.count, state=state,
     )

@@ -127,6 +127,9 @@ class JointParams:
         for name in ("inflation_factor", "typical_residual"):
             if not _non_negative_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
+        for name in ("tol_norm", "stall_improvement"):
+            if np.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
 
 
 @dataclass

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import ObstacleRows, ObstacleTrack, radial_clamp, scaled_sq_norm
+from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, radial_clamp, scaled_sq_norm
 
 _SPEED_EPS = 1e-6
 
@@ -71,12 +71,17 @@ class PriestParams:
     seed: int | None = 0
 
     def __post_init__(self):
+        for name in ("n_outer", "n_inner", "n_elite"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (self.n_elite <= self.n_constraint_elite <= self.n_batch):
             raise ValueError("need n_elite <= n_constraint_elite <= n_batch")
         if not (0.0 < self.sigma <= 1.0):
             raise ValueError("learning rate sigma must lie in (0, 1]")
-        if self.gamma == 0.0:
-            raise ValueError("gamma must be nonzero")
+        if not (np.isfinite(self.gamma) and self.gamma != 0.0):
+            raise ValueError(f"gamma must be finite and nonzero, got {self.gamma}")
+        if not np.isfinite(self.residual_weight):
+            raise ValueError(f"residual_weight must be finite, got {self.residual_weight}")
 
 
 @dataclass
@@ -88,8 +93,13 @@ class CemParams:
     penalty_weight: float = 1.0
 
     def __post_init__(self):
+        for name in ("iterations", "n_elite"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.n_elite > self.n_batch:
             raise ValueError("need n_elite <= n_batch")
+        if not np.isfinite(self.penalty_weight):
+            raise ValueError(f"penalty_weight must be finite, got {self.penalty_weight}")
 
 
 @dataclass
@@ -100,8 +110,7 @@ class SamplingDistribution:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
         self.sigma_mat = np.asarray(self.sigma_mat, dtype=float)
-        if not np.allclose(self.sigma_mat, self.sigma_mat.T, atol=1e-10):
-            raise ValueError("covariance must be symmetric")
+        check_gaussian(self.mu, self.sigma_mat)
 
 
 @dataclass

@@ -28,12 +28,11 @@ positions and their obstacle offsets once, right after the position step;
 the copy, d and residual steps all read those offsets.
 
 The KKT matrix of the position step is Q + rho_o * n_o * P'P; its size does
-not depend on the obstacle count.  The state caches its factor with the
-(saddle, A) pair it factors, so the factor is reused while that saddle is
-unchanged: within a solve it is rebuilt only when rho_o changes, and a warm
-state whose factor came from other matrices (another basis, weights or
-obstacle count) is refactored on its first sweep.  Works in 2-D (planar
-ellipses, no beta block) and 3-D.
+not depend on the obstacle count.  The state holds a qpcore.FactorCache for
+it, keyed on Q, P'P, A and the penalty rho_o * n_o: within a solve the
+factor is rebuilt only when rho_o changes, and a warm state on other
+matrices (another basis, weights or obstacle count) refactors on its first
+sweep.  Works in 2-D (planar ellipses, no beta block) and 3-D.
 """
 
 from __future__ import annotations
@@ -121,12 +120,8 @@ class SingleState:
     iteration: int = 0
     # equality residuals of the last sweep, as equality_residuals returns them
     residuals: dict = field(default_factory=dict, repr=False)
-    # cached KKT factor for the position QP, the (saddle, A) pair it factors
-    # and the rho_o that saddle was built at
-    _factor: qpcore.KKTFactor | None = field(default=None, repr=False)
-    _factor_key: tuple | None = field(default=None, repr=False)
-    _factor_rho_o: float | None = field(default=None, repr=False)
-    n_factorizations: int = 0
+    # the position step's KKT factor
+    factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
 
 
 @dataclass
@@ -161,6 +156,9 @@ class _SingleStructure:
         self.Q, self.q = _cost_blocks(problem)
         self.PtP = basis.P.T @ basis.P
         self.A = boundary_matrix(basis)
+        # the factor cache compares these by identity first
+        for keyed in (self.Q, self.PtP, self.A):
+            keyed.setflags(write=False)
         self.bs = np.stack([bc.values() for bc in problem.boundary])  # (dim, 6)
         # obstacle tracks axis-major, (dim, n_o, n_p), and semi-axes (n_o, 1)
         self.tracks = np.zeros((problem.dim, 0, basis.n_p))
@@ -171,20 +169,16 @@ class _SingleStructure:
         # semi-axes of the x and y rows, which carry cos(alpha) and sin(alpha)
         self.lateral = (self.a, self.a if problem.dim == 3 else self.b)
 
-    def saddle(self, rho_o: float) -> np.ndarray:
-        """The position-step KKT block Q + rho_o * n_o * P'P."""
-        return self.Q + rho_o * self.n_o * self.PtP if self.n_o else self.Q
-
     def offsets(self, xi: np.ndarray) -> np.ndarray:
         """Robot-to-obstacle offsets per axis, (dim, n_o, n_p)."""
         return (self.P @ xi.T).T[:, None, :] - self.tracks
 
 
-def _check_state(state: SingleState, problem: SingleProblem, struct: _SingleStructure) -> None:
+def _check_state(state: SingleState, problem: SingleProblem) -> None:
     """Reject a warm state whose arrays do not fit this problem.
 
-    A cached factor built from other matrices than this problem's saddle at
-    the same rho_o is dropped, so the first sweep factors afresh.
+    Its factor cache is left as it is: the first sweep refactors when this
+    problem's saddle differs from the one it holds.
     """
     dim, n_o, n_p = problem.dim, problem.n_o, problem.basis.n_p
     polar = (n_o, n_p)
@@ -199,10 +193,6 @@ def _check_state(state: SingleState, problem: SingleProblem, struct: _SingleStru
         got = None if value is None else np.shape(value)
         if got != shape:
             raise ValueError(f"warm state {name} has shape {got}, expected {shape} for this {dim}-D problem")
-    if state._factor is not None:
-        key = (struct.saddle(state._factor_rho_o), struct.A)
-        if not all(np.array_equal(new, old) for new, old in zip(key, state._factor_key)):
-            state._factor = None
 
 
 def init_state(
@@ -272,19 +262,13 @@ def _reconstruction(state: SingleState, struct: _SingleStructure) -> np.ndarray:
 
 
 def _position_step(state: SingleState, struct: _SingleStructure) -> None:
-    if state._factor is None or state._factor_rho_o != state.rho_o:
-        saddle = struct.saddle(state.rho_o)
-        state._factor = qpcore.factorize(saddle, struct.A)
-        state._factor_key = (saddle, struct.A)
-        state._factor_rho_o = state.rho_o
-        state.n_factorizations += 1
-
+    factor = state.factors.get(struct.Q, struct.PtP, struct.A, state.rho_o * struct.n_o)
     q_lin = struct.q
     if struct.n_o:
         targets = struct.tracks + _reconstruction(state, struct)  # (dim, n_o, n_p)
         lam_sum = state.lam_pos.sum(axis=1)  # (dim, n_p)
         q_lin = struct.q + lam_sum @ struct.P - state.rho_o * targets.sum(axis=1) @ struct.P
-    state.xi, _ = qpcore.solve_batch(state._factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
+    state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
 
 
 def _alpha_copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray) -> None:
@@ -367,12 +351,12 @@ def _residual_extremes(res: dict) -> tuple[float, float]:
 def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStructure | None = None) -> SingleState:
     """One alternating-minimization sweep; mutates and returns the state.
 
-    Without a struct one is built, and the state is checked against it as a
-    warm state is.
+    Without a struct one is built, and the state is checked against the
+    problem as a warm state is.
     """
     if struct is None:
         struct = _SingleStructure(problem)
-        _check_state(state, problem, struct)
+        _check_state(state, problem)
     if struct.n_o:
         # the copies restart at the unit pairs, which also anchor the copy steps
         state.cos_a, state.sin_a = state.unit_a
@@ -412,7 +396,7 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
     if state is None:
         state = init_state(problem, params=params, struct=struct)
     else:
-        _check_state(state, problem, struct)
+        _check_state(state, problem)
     history: list[dict] = []
     max_hist: list[float] = []
     last_change = 0
@@ -444,6 +428,6 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
         residual_history=history,
         smoothness_cost=smooth,
         tracking_cost=track,
-        n_factorizations=state.n_factorizations,
+        n_factorizations=state.factors.count,
         state=state,
     )

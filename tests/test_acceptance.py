@@ -102,7 +102,7 @@ def _median_iteration_time(n_o, iters=250):
         start = time.perf_counter()
         solver_single.am_iteration(state, problem)
         times.append(time.perf_counter() - start)
-    return float(np.median(times)), state._factor.size
+    return float(np.median(times)), state.factors.factor.size
 
 
 def test_criterion_04_sublinear_per_iteration_scaling():

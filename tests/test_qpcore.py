@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajopt import qpcore
-from trajopt.qpcore import BatchRHS, FactorizationError, factorization_count, factorize, solve, solve_batch
+from trajopt.qpcore import BatchRHS, FactorCache, FactorizationError, factorization_count, factorize, solve, solve_batch
 
 
 def _random_instance(rng, n_v, n_eq):
@@ -211,6 +211,63 @@ def _graded_hessians(rng, k, n_v, decades):
         Q = U @ np.diag(np.logspace(0.0, -decades, n_v)) @ U.T
         out.append(0.5 * (Q + Q.T))
     return np.stack(out)
+
+
+class TestFactorCache:
+    @staticmethod
+    def _matrices(seed=0):
+        rng = np.random.default_rng(seed)
+        Q, _, A, _ = _random_instance(rng, 6, 2)
+        F = rng.normal(size=(4, 6))
+        return Q, F.T @ F, A
+
+    def test_repeated_gets_reuse_the_factor(self):
+        Q, M, A = self._matrices()
+        cache = FactorCache()
+        before = factorization_count()
+        first = cache.get(Q, M, A, 2.0)
+        assert all(cache.get(Q, M, A, 2.0) is first for _ in range(3))
+        assert factorization_count() == before + 1
+
+    def test_rho_change_refactors(self):
+        Q, M, A = self._matrices()
+        cache = FactorCache()
+        first = cache.get(Q, M, A, 2.0)
+        second = cache.get(Q, M, A, 3.0)
+        assert second is not first
+        np.testing.assert_array_equal(second.q_map, factorize(Q + 3.0 * M, A).q_map)
+
+    @pytest.mark.parametrize("changed", [0, 1, 2], ids=["Q", "M", "A"])
+    def test_value_change_refactors(self, changed):
+        arrays = self._matrices()
+        cache = FactorCache()
+        first = cache.get(*arrays, 2.0)
+        edited = [a.copy() for a in arrays]
+        edited[changed][0, 0] += 0.5
+        if changed < 2:  # keep Q and M symmetric
+            edited[changed][1, 1] += 0.5
+        second = cache.get(*edited, 2.0)
+        assert second is not first
+        np.testing.assert_array_equal(second.q_map, factorize(edited[0] + 2.0 * edited[1], edited[2]).q_map)
+
+    def test_equal_new_arrays_reuse_the_factor(self):
+        # a warm start builds its matrices afresh, with the same values
+        arrays = self._matrices()
+        cache = FactorCache()
+        first = cache.get(*arrays, 2.0)
+        assert cache.get(*[a.copy() for a in arrays], 2.0) is first
+
+    def test_count(self):
+        Q, M, A = self._matrices()
+        cache = FactorCache()
+        assert cache.count == 0 and cache.factor is None
+        for rho in (1.0, 1.0, 2.0, 2.0, 1.0):
+            cache.get(Q, M, A, rho)
+        assert cache.count == 3
+        cache.get(Q.copy(), M, A, 1.0)
+        assert cache.count == 3
+        cache.get(*self._matrices(seed=1), 1.0)
+        assert cache.count == 4
 
 
 class TestStackedFactor:

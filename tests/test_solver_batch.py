@@ -820,14 +820,17 @@ class TestParamsValidation:
 
 def _assert_rejected_untouched(state, prob, match):
     """A warm solve of prob raises before its first iteration and leaves the state as it was."""
-    before, factors = copy.deepcopy(state), (state._factor_xi, state._factor_psi)
+    caches = (state.xi_factors, state.psi_factors)
+    factors = [(cache.factor, cache.count) for cache in caches]
+    before = copy.deepcopy(state)
     with pytest.raises(ValueError, match=match):
         solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-    assert state._factor_xi is factors[0] and state._factor_psi is factors[1]
+    assert (state.xi_factors, state.psi_factors) == caches
+    assert all(cache.factor is factor and cache.count == count for cache, (factor, count) in zip(caches, factors))
     for name, value in vars(before).items():
         if isinstance(value, np.ndarray):
             np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
-        elif name not in ("_factor_xi", "_factor_psi", "_factor_key"):
+        elif name not in ("xi_factors", "psi_factors"):
             assert getattr(state, name) == value, name
 
 
@@ -869,17 +872,27 @@ class TestWarmState:
 
     def test_changed_saddle_matrix_is_refactored(self):
         # same shapes, different footprint offsets: F'F changes, so the
-        # cached factors must not be reused
+        # cached xi factor must not be reused; the heading saddle is the
+        # same, so its factor is
         obstacle = [_static_obstacle([5.0, 0.5], 0.5, 0.5)]
         state = self._solved_state(make_problem(obstacles=obstacle, offsets=(0.3,)))
         fresh = copy.deepcopy(state)
-        fresh._factor_xi = fresh._factor_psi = fresh._factor_key = None
+        fresh.xi_factors, fresh.psi_factors = qpcore.FactorCache(), qpcore.FactorCache()
         prob = make_problem(obstacles=obstacle, offsets=(0.6,))
-        n_before = state.n_factorizations
+        n_before, psi_factor = state.xi_factors.count + state.psi_factors.count, state.psi_factors.factor
         warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
         expected = solve_batch_opt(prob, BatchParams(max_iter=3), state=fresh)
-        assert warm.n_factorizations == n_before + 2
+        assert warm.n_factorizations == n_before + 1
+        assert warm.state.psi_factors.factor is psi_factor
         np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
+
+    def test_keyed_matrices_are_read_only(self):
+        # the factor caches take an identical array as unchanged, so an
+        # in-place edit must fail rather than leave a stale factor
+        struct = solver_batch._Structure(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
+        for keyed in (struct.Q, struct.FtF, struct.A, struct.Q_psi_smooth, struct.PtP, struct.A_psi):
+            with pytest.raises(ValueError, match="read-only"):
+                keyed[0, 0] = 1.0
 
     def test_same_structure_reuses_the_factor(self):
         # moved obstacle, new boundary and desired path: the saddle matrices
@@ -887,7 +900,7 @@ class TestWarmState:
         state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
         prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
         prob = BatchProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=1.0, p1=10.0), AxisBoundary(p0=0.2, p1=0.0))})
-        n_before = state.n_factorizations
+        n_before = state.xi_factors.count + state.psi_factors.count
         warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
         assert warm.n_factorizations == n_before
 

@@ -731,6 +731,8 @@ class TestParamsValidation:
             dict(typical_residual=np.inf),
             dict(typical_residual=np.nan),
             dict(typical_residual=-0.01),
+            dict(tol_norm=np.nan),  # accepted, a solve then never converged
+            dict(stall_improvement=np.nan),
         ],
     )
     def test_rejected_before_any_factorization(self, kwargs):

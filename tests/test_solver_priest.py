@@ -4,7 +4,7 @@ import pytest
 from trajopt import qpcore, solver_priest
 from trajopt.basis import AxisBoundary, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario
-from trajopt.bench.runner import _barn_c1, default_sampling_distribution, priest_setup_from_scenario
+from trajopt.bench.runner import _barn_c1, default_sampling_distribution, priest_setup_from_scenario, run_scenario
 from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleRows, ObstacleTrack, radial_clamp
 from trajopt.solver_priest import (
     CemParams,
@@ -632,6 +632,49 @@ class TestSetupValidation:
                 project(setup, bad[None, :], n_inner=2)
         with pytest.raises(ValueError, match="samples must"):
             project(setup, np.stack([xi, xi])[None], n_inner=2)
+
+
+class TestSamplerValidation:
+    """Bad priest and CEM inputs are rejected when they are built."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_outer=0),  # run_scenario then failed on a missing best sample
+            dict(n_inner=0),
+            dict(n_elite=0),
+            dict(gamma=np.nan),  # an SVD failed to converge at outer iteration 2
+            dict(residual_weight=np.nan),
+        ],
+    )
+    def test_bad_priest_params_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            PriestParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(iterations=0), dict(n_elite=0), dict(penalty_weight=np.nan)])
+    def test_bad_cem_params_rejected(self, kwargs):
+        # iterations=0 and a NaN penalty_weight (every cost NaN, so no best
+        # sample) failed in a reshape, n_elite=0 took the mean of an empty slice
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            CemParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "mu,sigma_mat,match",
+        [
+            (np.array([0.0, np.nan, 1.0]), np.eye(3), "finite"),
+            (np.zeros(4), np.eye(3), "does not match"),
+            (np.zeros(3), -np.eye(3), "semi-definite"),
+        ],
+        ids=["nan-mean", "size-mismatch", "negative-definite"],
+    )
+    def test_bad_distribution_rejected(self, mu, sigma_mat, match):
+        with pytest.raises(ValueError, match=match):
+            SamplingDistribution(mu=mu, sigma_mat=sigma_mat)
+
+    @pytest.mark.parametrize("solver,name", [("priest", "n_outer"), ("cem", "iterations")])
+    def test_zero_iteration_run_rejected(self, solver, name):
+        with pytest.raises(ValueError, match=name):
+            run_scenario(gen_scenario("barn-like", seed=0), solver, 0, 0)
 
 
 class TestCemPenalty:

@@ -77,8 +77,9 @@ class _Reference:
     expanded by cos/sin in the sweep start, the copy steps and the
     residuals; the cost blocks, boundary rows and stacked obstacle tracks
     rebuilt in every step, the positions P @ xi.T evaluated four times, and
-    the cached factor keyed on rho_o alone.  Its state is an ordinary
-    SingleState, whose unit pairs it writes as cos/sin of its angles.
+    the factor taken from the state's cache on those rebuilt matrices.  Its
+    state is an ordinary SingleState, whose unit pairs it writes as cos/sin
+    of its angles.
     """
 
     def __init__(self, problem, state):
@@ -101,11 +102,7 @@ class _Reference:
         Q, q = _cost_blocks(problem)
         A = boundary_matrix(basis)
         bs = np.stack([bc.values() for bc in problem.boundary])
-        if state._factor is None or state._factor_rho_o != state.rho_o:
-            D = Q + state.rho_o * problem.n_o * (basis.P.T @ basis.P) if problem.n_o else Q
-            state._factor = qpcore.factorize(D, A)
-            state._factor_rho_o = state.rho_o
-            state.n_factorizations += 1
+        factor = state.factors.get(Q, basis.P.T @ basis.P, A, state.rho_o * problem.n_o)
         if problem.n_o:
             a, b = self.semi_axes()
             tracks = np.stack([obs.centers for obs in problem.obstacles])
@@ -121,7 +118,7 @@ class _Reference:
             q_lin = q + lam_sum @ basis.P - state.rho_o * targets.sum(axis=1) @ basis.P
         else:
             q_lin = q
-        state.xi, _ = qpcore.solve_batch(state._factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+        state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
 
     def alpha_copy_step(self, state):
         problem = self.problem
@@ -445,7 +442,7 @@ class TestInvariants:
             prob = make_problem_2d(obstacles=obstacles)
             state = init_state(prob)
             am_iteration(state, prob)
-            shapes.append(state._factor.size)
+            shapes.append(state.factors.factor.size)
         assert len(set(shapes)) == 1
 
     def test_factor_rebuilt_only_on_rho_change(self):
@@ -567,7 +564,7 @@ class TestMatchesReference:
             am_iteration(state, prob)
             ref.sweep(ref_state)
             _assert_states_match(state, ref_state)
-        assert state.n_factorizations == ref_state.n_factorizations == 3
+        assert state.factors.count == ref_state.factors.count == 3
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_warm_state_on_moved_obstacles_matches(self, dim):
@@ -581,7 +578,7 @@ class TestMatchesReference:
             am_iteration(state, prob, struct)
             ref.sweep(ref_state)
             _assert_states_match(state, ref_state)
-        assert state.n_factorizations == ref_state.n_factorizations
+        assert state.factors.count == ref_state.factors.count
 
     def test_solve_matches_reference_sweeps(self):
         # a cold solve is the reference sweep under the same schedule
@@ -593,7 +590,7 @@ class TestMatchesReference:
             ref_state.rho = ref_state.rho_o = h["rho_o"]
             ref.sweep(ref_state)
         _assert_states_match(sol.state, ref_state)
-        assert sol.n_factorizations == ref_state.n_factorizations
+        assert sol.n_factorizations == ref_state.factors.count
 
 
 class TestOnePassPerSweep:
@@ -650,12 +647,12 @@ class TestWarmState:
         return solve_single(prob, SingleParams(max_iter=iters)).state
 
     def _assert_rejected_untouched(self, prob, state, match):
-        before = (state.iteration, state.n_factorizations, state.xi.copy(), qpcore.factorization_count())
+        before = (state.iteration, state.factors.count, state.factors.factor, state.xi.copy(), qpcore.factorization_count())
         with pytest.raises(ValueError, match=match):
             solve_single(prob, SingleParams(max_iter=3), state=state)
-        assert (state.iteration, state.n_factorizations) == before[:2]
-        np.testing.assert_array_equal(state.xi, before[2])
-        assert qpcore.factorization_count() == before[3]
+        assert (state.iteration, state.factors.count) == before[:2] and state.factors.factor is before[2]
+        np.testing.assert_array_equal(state.xi, before[3])
+        assert qpcore.factorization_count() == before[4]
 
     def test_dimension_mismatch_rejected(self):
         obstacle = [_static_obstacle([4.0, 0.5, 1.0], EllipsoidShape(0.5, 0.5), 50)]
@@ -702,12 +699,21 @@ class TestWarmState:
         else:
             prob = SingleProblem(**{**vars(make_problem_2d(obstacles=obstacles, tf=10.0)), "w_smooth": 10.0})
         fresh = copy.deepcopy(state)
-        fresh._factor = fresh._factor_key = fresh._factor_rho_o = None
-        n_before = state.n_factorizations
+        fresh.factors = qpcore.FactorCache()
+        n_before = state.factors.count
         warm = solve_single(prob, SingleParams(max_iter=3), state=state)
         expected = solve_single(prob, SingleParams(max_iter=3), state=fresh)
-        assert warm.n_factorizations == expected.n_factorizations == n_before + 1
+        assert warm.n_factorizations == n_before + 1 and expected.n_factorizations == 1
         np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
+
+    def test_keyed_matrices_are_read_only(self):
+        # the factor cache takes an identical array as unchanged, so an
+        # in-place edit must fail rather than leave a stale factor
+        prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
+        struct = solver_single._SingleStructure(prob)
+        for keyed in (struct.Q, struct.PtP, struct.A):
+            with pytest.raises(ValueError, match="read-only"):
+                keyed[0, 0] = 1.0
 
     def test_same_saddle_reuses_the_factor(self):
         # moved obstacle, new boundary and desired path: the saddle is
@@ -715,9 +721,9 @@ class TestWarmState:
         state = self._solved_state(make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)]))
         prob = make_problem_2d(obstacles=[_static_obstacle([5.0, -0.5], EllipsoidShape(0.5, 0.5), 60)])
         prob = SingleProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=0.5, p1=8.0), AxisBoundary(p0=0.2, p1=0.0))})
-        n_before = state.n_factorizations
+        n_before, factor = state.factors.count, state.factors.factor
         warm = solve_single(prob, SingleParams(max_iter=3), state=state)
-        assert warm.n_factorizations == n_before
+        assert warm.n_factorizations == n_before and warm.state.factors.factor is factor
 
     def test_receding_horizon_factorizes_once_per_rho(self, monkeypatch):
         # each control loop builds a problem with the same saddle, so the

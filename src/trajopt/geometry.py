@@ -17,8 +17,9 @@ The kernel, the only place this math is written:
 - scaled_sq_norm: squared ellipsoidal norm r**2 of per-axis offsets;
 - los_scale: the closed-form scale d = clip(r, lower, upper);
 - radial_clamp: residual of the closed-form polar projection, with no angles;
-- ObstacleRows: the collision rows of many points on their active set, the
-  one residual pass over obstacles of the batch and priest solvers;
+- ObstacleRows: the collision rows of many points on their active set,
+  found by a broad phase over time windows, the one residual pass over
+  obstacles of the batch and priest solvers;
 - unit_pair: the projection onto the unit circle, (cos, sin) of an angle
   without the angle;
 - radial_target: the closed-form spheroid scale and target for targets
@@ -33,7 +34,9 @@ The kernel, the only place this math is written:
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
 one call covers every timestep, obstacle and batch member.  All functions
-are pure; ObstacleRows owns a workspace.
+are pure.  ObstacleRows owns the buffer of its sums, and forms offsets only
+where its broad phase, per-window boxes of the obstacle tracks, cannot
+show the clamp's residual to be zero.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ __all__ = [
 
 # Numerical cap standing in for the +inf upper bound on collision scales.
 D_CAP = 1e6
+
+# Time samples per window of ObstacleRows' broad phase.
+_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -186,44 +192,92 @@ class ObstacleRows:
     """The collision rows of n points against n_o obstacles, taken on their active set.
 
     centres is the (dim, n_o, n_p) obstacle track, stacked axis-major, and
-    a, b the (n_o,) semi-axes, read as in scaled_sq_norm.  The workspace is
-    allocated once per solve and reused by every residual pass.  Its
-    buffers are obstacle-major, (n_o, n, n_p), so a flat index splits into
-    (obstacle, point, time); a (point, time) pair is a cell.  See residuals
-    for why only a few entries take the clamp.
+    a, b the (n_o,) semi-axes, read as in scaled_sq_norm.  An entry is one
+    (obstacle, point, time) triple, and a (point, time) pair is a cell.
+
+    radial_clamp's residual is exactly zero wherever the squared scaled norm
+    q of an offset lies in [1, D_CAP**2], and a broad phase forms q only
+    where an entry can leave that band.  Time is cut into windows of
+    _WINDOW samples, the last one possibly short.  Per obstacle, window and
+    axis, the box of the track is kept, widened by that axis's semi-axis
+    times (1 + 1e-9).  A pass takes each point's per-window range of
+    positions and forms q only on the entries of the (obstacle, point,
+    window) blocks whose ranges meet the box on every axis.
+
+    A skipped entry has q >= 1 exactly, since rounding is monotone.  Say the
+    axis that misses has pmin > fl(cmax + h), h the widened semi-axis.  The
+    float pmin then lies above the real cmax + h, so fl(p - c) >=
+    fl(pmin - cmax) >= h, which gives fl(p - c) * (1 / a) >= 1 and q >= 1;
+    below the box, fl(p - c) = -fl(c - p).  The upper end of the band holds
+    for every entry while max|pos| + max|centre| stays below
+    D_CAP * min(a, b) / sqrt(dim) * (1 - 1e-9).  When it does not (NaN and
+    inf points included), every block is taken.  The buffers of the sums
+    and of the windowed positions are allocated once per solve and reused
+    by every residual pass.
     """
 
     def __init__(self, centres, a, b, n: int):
-        self.centres = centres
+        self.centres = np.ascontiguousarray(centres, dtype=float)
         self.a, self.b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         dim, n_o, n_p = centres.shape
         self.n = n
-        shape = (n_o, n, n_p)
-        self.q = np.empty(shape)
-        self.scaled = np.empty(shape)
-        self.in_band = np.empty(shape, dtype=bool)
-        self.below_cap = np.empty(shape, dtype=bool)
         self.sums = np.empty((dim, n, n_p))
-        # scaled_sq_norm scales every axis but the last by 1/a, the last by 1/b
-        inv_a, inv_b = (1.0 / semi[:, None, None] for semi in (self.a, self.b))
-        self.inv = [inv_a] * (dim - 1) + [inv_b]
+        n_w = -(-n_p // _WINDOW)
+        # the positions, time-major and padded to whole windows, and their
+        # per-window ranges, stacked as (min, -max) per axis
+        self.windows = np.empty((dim, n_w * _WINDOW, n))
+        self.ranges = np.empty((2 * dim, n, n_w))
+        # scaled_sq_norm scales every axis but the last by a, the last by b
+        semi = np.stack([self.a] * (dim - 1) + [self.b])[:, :, None]
+        starts = np.arange(0, n_p, _WINDOW)
+        lo = np.minimum.reduceat(self.centres, starts, axis=2) - semi * (1.0 + 1e-9)
+        hi = np.maximum.reduceat(self.centres, starts, axis=2) + semi * (1.0 + 1e-9)
+        # the boxes as bounds on the ranges, (max, -min) per axis, for every point
+        boxes = np.concatenate([hi, -lo])[:, :, None]
+        self.boxes = np.ascontiguousarray(np.broadcast_to(boxes, (2 * dim, n_o, n, n_w)))
+        self.centre_reach = np.abs(centres).max(initial=0.0)
+        self.cap_reach = D_CAP * semi.min(initial=np.inf) / np.sqrt(dim) * (1.0 - 1e-9)
 
-    def sq_norms(self, pos):
-        """Squared scaled norms q of the offsets of the (n, dim, n_p) points
-        pos from every obstacle, (n_o, n, n_p).
+    def _broad_phase(self, pos):
+        """The entries of the (n, dim, n_p) points pos whose q may leave [1, D_CAP**2].
 
-        q is formed in place with scaled_sq_norm's arithmetic, in the
-        workspace that the next call overwrites.
+        Returns (o, point, t, deltas, q) of those entries, in flat (obstacle,
+        point, time) order: their obstacle, point and time indices, the
+        per-axis offsets pos - centre, and q formed from them with
+        scaled_sq_norm's arithmetic.  Every other entry has q in the band.
         """
-        q, scaled = self.q, self.scaled
-        for k, inv in enumerate(self.inv):
-            out = q if k == 0 else scaled
-            np.subtract(pos[None, :, k], self.centres[k][:, None], out=out)
-            np.multiply(out, inv, out=out)
-            np.multiply(out, out, out=out)
-            if k:
-                np.add(q, scaled, out=q)
-        return q
+        dim, _, n_p = self.centres.shape
+        windows, ranges = self.windows, self.ranges
+        windows[:, :n_p] = pos.transpose(1, 2, 0)
+        windows[:, n_p:] = windows[:, n_p - 1 : n_p]  # the last sample fills a short last window
+        split = windows.reshape(dim, -1, _WINDOW, self.n)
+        ranges[:dim] = split.min(axis=2).transpose(0, 2, 1)
+        ranges[dim:] = split.max(axis=2).transpose(0, 2, 1)
+        np.negative(ranges[dim:], out=ranges[dim:])
+        # -ranges.min() is max|pos|; NaN and inf fail the comparison and keep every block
+        if -ranges.min(initial=0.0) + self.centre_reach < self.cap_reach:
+            blocks = np.all(ranges[:, None] <= self.boxes, axis=0)
+        else:
+            blocks = np.ones(self.boxes.shape[1:], dtype=bool)
+        ow, w = np.divmod(np.flatnonzero(blocks), ranges.shape[2])
+        t = (w * _WINDOW)[:, None] + np.arange(_WINDOW)
+        inside = t < n_p
+        ow, t = np.broadcast_to(ow[:, None], t.shape)[inside], t[inside]
+        o, point = np.divmod(ow, self.n)
+        at, cell = o * n_p + t, t * self.n + point
+        deltas = [np.take(windows[k], cell) - np.take(self.centres[k], at) for k in range(dim)]
+        return o, point, t, deltas, scaled_sq_norm(deltas, self.a[o], self.b[o])
+
+    def least_sq_norms(self, pos):
+        """The least q of each of the (n, dim, n_p) points pos, +inf where the broad phase takes none.
+
+        Every entry it skips has q >= 1, so the value is exact wherever it
+        is below 1, and at least 1 elsewhere.
+        """
+        _, point, _, _, q = self._broad_phase(pos)
+        least = np.full(self.n, np.inf)
+        np.minimum.at(least, point, q)
+        return least
 
     def residuals(self, pos, bias=None):
         """Collision residuals of the (n, dim, n_p) points pos against every obstacle.
@@ -237,27 +291,22 @@ class ObstacleRows:
         largest absolute value of the residual entries.
 
         radial_clamp's residual is exactly zero wherever the squared scaled
-        norm q (sq_norms) lies in [1, D_CAP**2], so only the other entries
-        (NaN included) go through the clamp; every other entry is the bias
-        alone.  Each cell's sum is built in obstacle order.  Without a bias
-        the active terms are added onto zeros, and the skipped terms are
-        exact zeros.  With one, every obstacle adds the bias, except that an
+        norm q lies in [1, D_CAP**2], so of the entries the broad phase
+        takes, only those outside the band (NaN included) go through the
+        clamp, in flat (obstacle, point, time) order; every other entry is
+        the bias alone.  Each cell's sum is built in obstacle order.
+        Without a bias the active terms are added onto zeros, and the
+        skipped terms are exact zeros.  With one, every obstacle adds the bias, except that an
         active obstacle adds its own term.  The sums are therefore bit for
         bit those of the clamp of every entry summed in obstacle order, and
         peak is that array's largest entry; sq is formed in another order.
         """
-        centres, q = self.centres, self.sq_norms(pos)
-        dim, n_o, n_p = centres.shape
-        in_band, below_cap = self.in_band, self.below_cap
-        np.greater_equal(q, 1.0, out=in_band)
-        np.less_equal(q, D_CAP**2, out=below_cap)
-        np.logical_and(in_band, below_cap, out=in_band)
+        dim, n_o, n_p = self.centres.shape
+        o, point, t, deltas, q = self._broad_phase(pos)
         # the complement of the band, not (q < 1) | (q > D_CAP**2), so that NaN stays active
-        active = np.flatnonzero(np.logical_not(in_band, out=in_band))
-
-        o, cell = np.divmod(active, self.n * n_p)
-        point, t = np.divmod(cell, n_p)
-        res = radial_clamp([pos[point, k, t] - centres[k, o, t] for k in range(dim)], self.a[o], self.b[o])
+        active = ~((q >= 1.0) & (q <= D_CAP**2))
+        o, point, cell = o[active], point[active], point[active] * n_p + t[active]
+        res = radial_clamp([d[active] for d in deltas], self.a[o], self.b[o])
         sums = self.sums.reshape(dim, -1)
         sums.fill(0.0)
         if bias is None:

@@ -28,13 +28,14 @@ point of that pass.  The clamp's residual is exactly zero wherever the
 squared scaled norm q of an offset lies in [1, D_CAP**2], and in
 dynamic-flow plans 0.06-1.2% of the (member, circle, obstacle, time)
 entries fall outside it in any iteration, so only those (NaN included) are
-clamped.  Every other entry is the copy coupling
-r_c (P xi_c - cos psi) alone, so each sum over obstacles is built in
-obstacle order from that bias: added n_o times, and at the cells with an
-active obstacle, in sequence with the active terms in their places.  The
-sums equal the dense sum over obstacles taken in obstacle order bit for
-bit, and so do residual @ F, g @ F and the per-member residual max; the
-per-member norm sums its squares in another order.
+clamped; q itself is formed only on the time windows where a circle can
+come near an obstacle (the pass's broad phase).  Every other entry is the
+copy coupling r_c (P xi_c - cos psi) alone, so each sum over obstacles is
+built in obstacle order from that bias: added n_o times, and at the cells
+with an active obstacle, in sequence with the active terms in their
+places.  The sums equal the dense sum over obstacles taken in obstacle
+order bit for bit, and so do residual @ F, g @ F and the per-member
+residual max; the per-member norm sums its squares in another order.
 
 F'F is one closed-form (2m, 2m) block per axis,
 
@@ -43,7 +44,7 @@ F'F is one closed-form (2m, 2m) block per axis,
 
 So the xi-step KKT matrix Q + rho F'F is factorized once per penalty value
 and applied to the whole batch in one shot; the state keeps it, and the
-heading block's Q_psi + rho_psi P'P, in a qpcore.FactorCache each.  From
+heading block's Q_psi + rho P'P, in a qpcore.FactorCache each.  From
 the same pass the multiplier step reads residual @ F, the next xi step
 g @ F = xi F'F - residual @ F, and the ranking each member's residual max
 and norm.  The obstacle centres enter g @ F linearly, so a warm start on
@@ -132,6 +133,10 @@ class BatchParams:
 
     def __post_init__(self):
         check_schedule(self)
+        if not (np.isfinite(self.d_margin) and 0.0 <= self.d_margin < 1.0):
+            raise ValueError(f"d_margin must lie in [0, 1), got {self.d_margin}")
+        if not (np.isfinite(self.kin_margin) and self.kin_margin >= 0.0):
+            raise ValueError(f"kin_margin must be non-negative and finite, got {self.kin_margin}")
 
 
 @dataclass
@@ -148,8 +153,7 @@ class BatchState:
     offsets: np.ndarray  # (n_c,) footprint circle offsets
     lam: np.ndarray  # (N_b, 4m)
     lam_psi: np.ndarray  # (N_b, m)
-    rho: float
-    rho_psi: float
+    rho: float  # the penalty of the xi and heading steps
     iteration: int = 0
     # the KKT factors of the xi and heading steps
     xi_factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
@@ -283,7 +287,7 @@ def init_state(
 
     # the products and residuals are set by polar_step below
     state = BatchState(xi, xi_psi, psi, None, None, None, struct.obs, struct.r, lam=np.zeros((n_b, 4 * m)),
-                       lam_psi=np.zeros((n_b, m)), rho=params.rho_start, rho_psi=params.rho_start)
+                       lam_psi=np.zeros((n_b, m)), rho=params.rho_start)
     polar_step(state, problem, struct)
     return state
 
@@ -326,13 +330,13 @@ def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) 
 
 def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Fit the heading block to unwrapped arctan2 targets from the copies."""
-    factor = state.psi_factors.get(struct.Q_psi_smooth, struct.PtP, struct.A_psi, state.rho_psi)
+    factor = state.psi_factors.get(struct.Q_psi_smooth, struct.PtP, struct.A_psi, state.rho)
     basis = problem.basis
     _, xi_c, _, xi_s = _split(state.xi, struct.m)
     raw = np.arctan2(xi_s @ basis.P.T, xi_c @ basis.P.T)
     # nearest-branch unwrapping against the previous heading iterate
     targets = raw + 2.0 * np.pi * np.round((state.psi - raw) / (2.0 * np.pi))
-    q_lin = -state.lam_psi - state.rho_psi * (targets @ basis.P)
+    q_lin = -state.lam_psi - state.rho * (targets @ basis.P)
     bs = np.tile(struct.b_psi, (state.xi.shape[0], 1))
     state.xi_psi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
     state.psi = state.xi_psi @ basis.P.T
@@ -375,7 +379,7 @@ def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure
     batch_xi_step(state, problem, struct)
     heading_step(state, problem, struct)
     state.lam = state.lam - state.rho * polar_step(state, problem, struct)
-    state.lam_psi = state.lam_psi - state.rho_psi * ((state.psi - state._psi_targets) @ problem.basis.P)
+    state.lam_psi = state.lam_psi - state.rho * ((state.psi - state._psi_targets) @ problem.basis.P)
     state.iteration += 1
     return state
 
@@ -392,13 +396,19 @@ def _member_costs(state, problem, struct):
 
 
 def check_raw_feasibility(state, problem, struct, d_margin, kin_margin):
-    """Direct evaluation of the original quadratic constraints per member."""
+    """Direct evaluation of the original quadratic constraints per member.
+
+    A member is feasible when every circle keeps a scaled distance of at
+    least 1 - d_margin from every obstacle, and its speed and acceleration
+    stay within (1 + kin_margin) of their limits; d_margin lies in [0, 1).
+    """
     basis, m, n_b = problem.basis, struct.m, state.xi.shape[0]
     xi_x, _, xi_y, _ = _split(state.xi, m)
     ok = np.ones(n_b, dtype=bool)
     if problem.n_o:
         circles = _circles(struct, basis, state.xi, (np.cos(state.psi), np.sin(state.psi)))
-        q = struct.obstacle_rows(n_b).sq_norms(circles).min(axis=(0, 2))
+        # exact here: an entry the broad phase skips has q >= 1, and d_margin >= 0
+        q = struct.obstacle_rows(n_b).least_sq_norms(circles)
         # sqrt is monotone, so the least distance is the root of the least q
         ok &= np.sqrt(q.reshape(n_b, -1).min(axis=1)) >= 1.0 - d_margin
     speed = np.hypot(xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
@@ -457,7 +467,6 @@ def solve_batch_opt(
         since_change = state.iteration - last_change
         if stalled(maxabs_hist, since_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
             state.rho = min(state.rho * params.rho_growth, params.rho_cap)
-            state.rho_psi = min(state.rho_psi * params.rho_growth, params.rho_cap)
             last_change = state.iteration
 
     residual_max, residual_norm = state.residual_max, state.residual_norm

@@ -15,7 +15,7 @@ in polar form.  Their closed-form alpha/beta/d sub-steps need no angles:
 since cos(arctan2(y, x)) = x / r, the target of an offset delta is
 delta * clip(r, lower, upper) / r, a radial clamp of its scaled norm r
 (geometry.radial_clamp).  The workspace rows take a clipped slack, so
-their residual is max(0, pos - s_max) - max(0, s_min - pos).
+their residual is pos - clip(pos, s_min, s_max).
 
 Each inner iteration works in sample space per axis and returns to
 coefficient space with one small product per family:
@@ -32,14 +32,17 @@ The collision rows are taken on their active set by geometry.ObstacleRows,
 the pass the batch solver shares.  A collision residual is exactly zero
 wherever the squared scaled norm q of its offset lies in [1, D_CAP**2] (the
 zero band of radial_clamp), and in practice under 1% of the (sample,
-obstacle, time) entries fall outside it.  Each residual pass forms q in
-place, in an obstacle-major workspace allocated once per project call, and
-sends only the entries outside the band (NaN included) through
-radial_clamp.  The projection adds no bias to the obstacle terms, so each
-per-axis sum over obstacles is the active residuals added in obstacle
-order, and equals the dense sum bit for bit.  Each iterate gets one
-residual pass, shared by the next step, the residual history and the final
-scores and trajectories.
+obstacle, time) entries fall outside it.  The pass's broad phase cuts time
+into windows and forms q only where a sample's range over a window meets
+an obstacle's box, widened by its semi-axes, on every axis: about 1% of the
+entries in barn-like plans.  Only the entries outside the band (NaN
+included) go through radial_clamp.  The projection adds no bias to the
+obstacle terms, so each per-axis sum over obstacles is the active residuals
+added in obstacle order, and equals the dense sum bit for bit.  The
+velocity and acceleration rows are clamped only where their q exceeds 1
+(their zero band is [0, 1]) or is NaN.  Each iterate gets one residual
+pass, shared by the next step, the residual history and the final scores
+and trajectories.
 
 The cost functional is treated as a black box evaluated pointwise on sampled
 trajectories; nothing here differentiates it.
@@ -239,6 +242,22 @@ class ProjectionSetup:
         return ObstacleRows(self._obs_axes, self.obs_a, self.obs_b, n)
 
 
+def _norm_clamp(samples: np.ndarray, limit: float) -> np.ndarray:
+    """radial_clamp of the (N, dim, n_p) samples at a = b = limit, lower = 0, upper = 1.
+
+    The residual is zero wherever the squared scaled norm q lies in [0, 1]
+    (radial_clamp's zero band), so only the entries with q > 1 or NaN go
+    through the clamp.
+    """
+    deltas = samples.transpose(1, 0, 2)
+    active = ~(scaled_sq_norm(deltas, limit, limit) <= 1.0)
+    res = np.zeros_like(samples)
+    clamped = radial_clamp([d[active] for d in deltas], limit, limit, lower=0.0, upper=1.0)
+    for k, r in enumerate(clamped):
+        res[:, k][active] = r
+    return res
+
+
 def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
     """Residuals x - e of every constraint family, in sample space.
 
@@ -253,12 +272,12 @@ def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
     obstacle, sq, _ = rows.residuals(pos)
     families = []
     if setup.s_min is not None:
-        box = np.maximum(0.0, pos - setup.s_max[:, None]) - np.maximum(0.0, setup.s_min[:, None] - pos)
+        # max(0, pos - s_max) - max(0, s_min - pos) value for value, as fl(s - p) = -fl(p - s)
+        box = pos - np.clip(pos, setup.s_min[:, None], setup.s_max[:, None])
         families.append((box, setup.basis.P))
     for order, limit, mat in ((1, setup.v_max, setup.basis.Pdot), (2, setup.a_max, setup.basis.Pddot)):
         if limit is not None:
-            res = radial_clamp(pva[:, :, order].transpose(1, 0, 2), limit, limit, lower=0.0, upper=1.0)
-            families.append((np.stack(res, axis=1), mat))
+            families.append((_norm_clamp(pva[:, :, order], limit), mat))
     for res, _ in families:
         sq += np.einsum("nij,nij->n", res, res)
     return obstacle, families, sq

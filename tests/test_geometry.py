@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import trajopt
 from trajopt import geometry
@@ -376,17 +378,21 @@ def _dense_rows(centres, a, b, pos, bias):
     return sums, sq, peak
 
 
+def _check_rows(centres, a, b, pos, bias=None):
+    """The active-set pass against the clamp of every entry: sums and peak bit for bit."""
+    rows = ObstacleRows(centres, a, b, pos.shape[0])
+    got = rows.residuals(pos, bias)
+    sums, sq, peak = _dense_rows(centres, np.asarray(a, dtype=float), np.asarray(b, dtype=float), pos, bias)
+    np.testing.assert_array_equal(got[0], sums)
+    np.testing.assert_allclose(got[1], sq, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(got[2], peak)
+    return got
+
+
 class TestObstacleRows:
     """The active-set pass against the clamp of every entry: sums and peak bit for bit."""
 
-    def _check(self, centres, a, b, pos, bias=None):
-        rows = ObstacleRows(centres, a, b, pos.shape[0])
-        got = rows.residuals(pos, bias)
-        sums, sq, peak = _dense_rows(centres, np.asarray(a), np.asarray(b), pos, bias)
-        np.testing.assert_array_equal(got[0], sums)
-        np.testing.assert_allclose(got[1], sq, rtol=1e-14, atol=0)
-        np.testing.assert_array_equal(got[2], peak)
-        return got
+    _check = staticmethod(_check_rows)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("with_bias", [False, True])
@@ -421,6 +427,184 @@ class TestObstacleRows:
         sums, sq, peak = self._check(centres, np.ones(3), np.ones(3), pos, np.full((2, 2, 4), 0.1))
         assert np.isnan(sums[:, 1, 2]).all() and np.isnan(sq[1]) and np.isnan(peak[1])
         assert np.isfinite(sums[:, 0]).all() and np.isfinite(sq[0]) and np.isfinite(peak[0])
+
+
+def _check_broad_phase(centres, a, b, pos):
+    """The broad phase against q formed densely over every (obstacle, point, time) entry.
+
+    The entries it takes come in flat order, carry the dense q bit for bit,
+    and include every entry outside [1, D_CAP**2] (NaN included), so that
+    the active index array is the dense one; least_sq_norms is exact below 1.
+    Returns the number of entries taken.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    dim, n_o, n_p = centres.shape
+    rows = ObstacleRows(centres, a, b, pos.shape[0])
+    with np.errstate(invalid="ignore"):
+        q = scaled_sq_norm([pos[None, :, k] - centres[k][:, None] for k in range(dim)], a[:, None, None], b[:, None, None])
+        o, point, t, _, q_taken = rows._broad_phase(pos)
+        least = rows.least_sq_norms(pos)
+    taken = (o * pos.shape[0] + point) * n_p + t
+    assert np.all(np.diff(taken) > 0)
+    np.testing.assert_array_equal(q_taken, q.ravel()[taken])
+    outside = ~((q >= 1.0) & (q <= D_CAP**2)).ravel()
+    np.testing.assert_array_equal(taken[outside[taken]], np.flatnonzero(outside))
+    dense_least = q.min(axis=(0, 2), initial=np.inf)
+    below = ~(dense_least >= 1.0)
+    np.testing.assert_array_equal(least[below], dense_least[below])
+    assert np.all(least[~below] >= 1.0)
+    return taken.size
+
+
+class TestBroadPhase:
+    """The window-box broad phase: the entries it skips all lie in the zero band."""
+
+    def _check(self, centres, a, b, pos):
+        """The broad phase's entries, and the pass's sums and peak with and without a bias."""
+        n_taken = _check_broad_phase(centres, a, b, pos)
+        bias = np.random.default_rng(0).normal(scale=0.1, size=(centres.shape[0], *pos[:, 0].shape))
+        for with_bias in (None, bias):
+            _check_rows(centres, a, b, pos, with_bias)
+        return n_taken
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_p", [1, 7, 37])
+    def test_short_and_partial_windows(self, dim, n_p):
+        rng = np.random.default_rng(n_p + dim)
+        n_o, n = 6, 4
+        centres = rng.uniform(-3.0, 3.0, size=(dim, n_o, 1)) + rng.normal(scale=0.2, size=(dim, n_o, n_p)).cumsum(axis=2)
+        a, b = rng.uniform(0.3, 1.2, size=(2, n_o))
+        pos = rng.uniform(-4.0, 4.0, size=(n, dim, 1)) + rng.normal(scale=0.3, size=(n, dim, n_p)).cumsum(axis=2)
+        n_taken = self._check(centres, a, b, pos)
+        assert n_taken < n_o * n * n_p or n_p == 1
+
+    def test_obstacles_sweeping_metres_inside_one_window(self):
+        # 3 m per sample: one window spans 30 m, and the box spans the whole sweep
+        n_p = 25
+        t = np.arange(n_p, dtype=float)
+        centres = np.stack([np.stack([-30.0 + 3.0 * t, 30.0 - 2.5 * t]), np.stack([np.full(n_p, 0.3), -0.1 * t])])
+        pos = np.stack([np.stack([0.5 * t - 6.0, np.full(n_p, 0.3)]), np.stack([2.0 * t - 20.0, 0.05 * t])])
+        a, b = np.array([1.6, 1.1]), np.array([0.5, 0.9])
+        rows = ObstacleRows(centres, a, b, 2)
+        assert rows.residuals(pos)[1].any()  # the sweep crosses a point
+        self._check(centres, a, b, pos)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_points_on_and_just_beyond_the_widened_semi_axis(self, dim):
+        a, b = np.array([0.7, 0.3]), np.array([0.45, 1.9])
+        centres = np.zeros((dim, 2, 12))
+        centres[:, 1] = 2.3
+        semi = np.stack([a] * (dim - 1) + [b])  # (dim, n_o)
+        points = []
+        for o in range(2):
+            for k in range(dim):
+                for sign in (1.0, -1.0):
+                    for reach in (semi[k, o], semi[k, o] * (1.0 + 1e-9)):
+                        for step in (-1, 0, 1):  # one float below, on and one above
+                            p = centres[:, o, 0].copy()
+                            edge = p[k] + sign * reach
+                            p[k] = edge if step == 0 else np.nextafter(edge, sign * step * np.inf)
+                            points.append(np.repeat(p[:, None], 12, axis=1))
+        pos = np.stack(points)
+        self._check(centres, a, b, pos)
+
+    @pytest.mark.parametrize("a,c", [(3.6745331488215927, -3.2241339939692635), (1.6201851902388829, -1.7852964842917505)])
+    def test_the_widening_covers_a_times_its_inverse_below_one(self, a, c):
+        # a point one float beyond fl(c + a) still has fl(p - c) = a, and
+        # a * (1 / a) rounds below 1: q < 1, so the box must reach past c + a
+        p = np.nextafter(c + a, np.inf)
+        assert p - c == a and ((p - c) * (1.0 / a)) ** 2 < 1.0
+        centres = np.zeros((2, 1, 3))
+        centres[0] = c
+        pos = np.zeros((1, 2, 3))
+        pos[0, 0] = p
+        self._check(centres, [a], [2.0], pos)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-4])
+    def test_tiny_semi_axes(self, scale):
+        # semi-axes of 1e-9: near 1e3 the cap check takes every block (D_CAP
+        # * a is 1e-3), near 1e-4 the boxes decide
+        rng = np.random.default_rng(7)
+        centres = scale + rng.integers(-2, 3, size=(2, 3, 1)) * 0.5e-9 + np.zeros(15)
+        centres[:, 2, 5:] += 0.5e-9  # one obstacle steps
+        a = b = np.full(3, 1e-9)
+        pos = scale + rng.integers(-8, 9, size=(5, 2, 1)) * 0.5e-9 + np.zeros(15)
+        pos[0] = centres[:, 0]  # exactly on a centre: q = 0
+        # a standing obstacle, and points exactly on its box's edges
+        centres[:, 1] = scale
+        pos[1:3] = scale
+        pos[1, 0] = scale + 1e-9 * (1.0 + 1e-9)
+        pos[2, 1] = scale - 1e-9 * (1.0 + 1e-9)
+        n_taken = self._check(centres, a, b, pos)
+        assert n_taken > 0
+        if scale < 1.0:
+            assert n_taken < 3 * 5 * 15
+
+    @pytest.mark.parametrize(
+        "offset",
+        [(1e4, 0.0), (-3e3, 0.0), (900.0, 900.0), (600.0, 600.0, 600.0)],
+        ids=["far", "far-negative", "diagonal-2d", "diagonal-3d"],
+    )
+    def test_offsets_beyond_the_cap_stay_active(self, offset):
+        # scaled offsets above D_CAP leave the band from above; on the
+        # diagonals no axis alone reaches D_CAP * a
+        dim = len(offset)
+        centres = np.zeros((dim, 2, 20))
+        centres[0, 1] = 5.0
+        a, b = np.array([1e-3, 0.5]), np.array([1e-3, 0.5])
+        pos = np.zeros((2, dim, 20))
+        pos[0] = np.asarray(offset)[:, None]
+        pos[1, 0] = 5.1
+        q = scaled_sq_norm(list(pos[0]), a[0], b[0])
+        assert (q > D_CAP**2).all()
+        self._check(centres, a, b, pos)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points(self, value):
+        rng = np.random.default_rng(11)
+        centres = rng.uniform(-2.0, 2.0, size=(3, 4, 23))
+        a, b = rng.uniform(0.2, 0.6, size=(2, 4))
+        pos = rng.uniform(-3.0, 3.0, size=(3, 3, 23))
+        pos[1, 2, 17] = value
+        pos[2, 0, 3] = value
+        with np.errstate(invalid="ignore"):
+            self._check(centres, a, b, pos)
+
+    def test_no_obstacles(self):
+        pos = np.ones((3, 2, 13))
+        assert self._check(np.zeros((2, 0, 13)), np.zeros(0), np.zeros(0), pos) == 0
+        np.testing.assert_array_equal(ObstacleRows(np.zeros((2, 0, 13)), [], [], 3).least_sq_norms(pos), np.inf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]), n_o=st.integers(0, 4), n=st.integers(1, 3), n_p=st.integers(1, 25))
+    def test_random_tracks(self, data, dim, n_o, n, n_p):
+        coords = st.floats(-6.0, 6.0, allow_nan=False)
+        centres = data.draw(hnp.arrays(float, (dim, n_o, 1), elements=coords))
+        velocity = data.draw(hnp.arrays(float, (dim, n_o, 1), elements=st.floats(-1.0, 1.0)))
+        centres = centres + velocity * np.arange(n_p)
+        a = data.draw(hnp.arrays(float, n_o, elements=st.floats(0.05, 3.0)))
+        b = data.draw(hnp.arrays(float, n_o, elements=st.floats(0.05, 3.0)))
+        pos = data.draw(hnp.arrays(float, (n, dim, n_p), elements=st.floats(-10.0, 10.0)))
+        self._check(centres, a, b, pos)
+
+    def test_no_dense_array_is_kept_or_allocated(self):
+        # one (n_o, n, n_p) float array would be 3.2 MB here; the pass keeps
+        # no such workspace and allocates nothing near its size
+        rng = np.random.default_rng(2)
+        n_o, n, n_p = 40, 100, 100
+        centres = rng.uniform(-20.0, 20.0, size=(2, n_o, 1)) + np.zeros((2, n_o, n_p))
+        pos = rng.uniform(-20.0, 20.0, size=(n, 2, 1)) + np.linspace(0.0, 3.0, n_p)
+        rows = ObstacleRows(centres, np.full(n_o, 0.5), np.full(n_o, 0.5), n)
+        rows.residuals(pos)
+        tracemalloc.start()
+        try:
+            rows.residuals(pos, np.zeros((2, n, n_p)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_o * n * n_p * 8 / 2
+        assert max(np.size(v) for v in vars(rows).values()) < n_o * n * n_p
+        assert not hasattr(rows, "sq_norms")
 
 
 class TestUnitPair:

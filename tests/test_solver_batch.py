@@ -111,7 +111,8 @@ class _Reference:
         prob, struct, P = self.problem, self.struct, self.problem.basis.P
         s = init_state(prob, samples, params)  # the unchanged start: xi, heading, zero multipliers
         st = SimpleNamespace(xi=s.xi, xi_psi=s.xi_psi, psi=s.psi, lam=s.lam, lam_psi=s.lam_psi, rho=s.rho)
-        st.rho_psi, st.factor_rho, st.n_factorizations, st.iteration = s.rho_psi, None, 0, 0
+        # the reference keeps its own heading penalty, grown beside rho; the state has one field
+        st.rho_psi, st.factor_rho, st.n_factorizations, st.iteration = s.rho, None, 0, 0
         polar = self.polar(st.xi, st.psi)
         n_b = st.xi.shape[0]
         maxabs_hist, last_change, res = [], 0, None
@@ -316,11 +317,11 @@ class TestHeadingStep:
         _, xi_c, _, xi_s = _split(state.xi, m)
         raw = np.arctan2(xi_s @ prob.basis.P.T, xi_c @ prob.basis.P.T)
         targets = raw + 2.0 * np.pi * np.round((state.psi - raw) / (2.0 * np.pi))
-        Q_psi = prob.basis.Pddot.T @ prob.basis.Pddot + state.rho_psi * prob.basis.P.T @ prob.basis.P
+        Q_psi = prob.basis.Pddot.T @ prob.basis.Pddot + state.rho * prob.basis.P.T @ prob.basis.P
         factor = qpcore.factorize(Q_psi, struct.A_psi)
         expected = np.stack(
             [
-                qpcore.solve(factor, -state.lam_psi[i] - state.rho_psi * prob.basis.P.T @ targets[i], struct.b_psi)[0]
+                qpcore.solve(factor, -state.lam_psi[i] - state.rho * prob.basis.P.T @ targets[i], struct.b_psi)[0]
                 for i in range(5)
             ]
         )
@@ -526,6 +527,22 @@ def _collision_q(prob, state):
     struct = _Structure(prob)
     deltas = _footprint_deltas(struct, prob, state.xi, (np.cos(state.psi), np.sin(state.psi)))
     return scaled_sq_norm(deltas, struct.obs_a[:, None], struct.obs_b[:, None])
+
+
+class TestRawFeasibilityMatchesDense:
+    @pytest.mark.parametrize("d_margin", [0.0, 0.01, 0.5, 0.999])
+    def test_least_q_from_the_broad_phase(self, d_margin):
+        # the members graze, cross and miss the obstacles; every entry the
+        # broad phase skips has q >= 1, so the verdicts are the dense ones
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=12, offsets=OFFSETS)
+        state = _sample_state(prob, seed=33, spread=0.8)
+        m = prob.basis.n_var
+        state.xi[:4, 2 * m : 3 * m] += 6.0  # four members pass well clear
+        struct = _Structure(prob)
+        least = np.sqrt(_collision_q(prob, state).min(axis=(1, 2, 3)))
+        got = check_raw_feasibility(state, prob, struct, d_margin, np.inf)  # no kinematic verdict
+        np.testing.assert_array_equal(got, least >= 1.0 - d_margin)
+        assert (least < 0.5).any() and (least >= 1.0).any()
 
 
 class TestActivePassMatchesDense:
@@ -816,6 +833,25 @@ class TestParamsValidation:
     def test_defaults_and_boundary_values_accepted(self):
         BatchParams()
         BatchParams(rho_start=2.0, rho_cap=2.0, rho_growth=1.0, max_iter=0, stall_window=1, tol=0.0)
+        BatchParams(d_margin=0.0, kin_margin=0.0)
+        BatchParams(d_margin=0.999, kin_margin=10.0)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            # NaN margins marked no member feasible, silently
+            ("d_margin", float("nan")),
+            ("d_margin", float("inf")),
+            ("d_margin", -0.1),
+            ("d_margin", 1.0),
+            ("kin_margin", float("nan")),
+            ("kin_margin", float("inf")),
+            ("kin_margin", -1e-3),
+        ],
+    )
+    def test_margins_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            BatchParams(**{name: value})
 
 
 def _assert_rejected_untouched(state, prob, match):

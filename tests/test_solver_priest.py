@@ -532,6 +532,41 @@ class TestActiveObstacleRows:
         assert np.isfinite(scores[0])
 
 
+class TestFamiliesOnTheirActiveSet:
+    """The box, velocity and acceleration residuals against the dense expressions they replace."""
+
+    @pytest.mark.parametrize("make", [make_setup_2d, make_setup_3d])
+    def test_equal_to_dense_clamp_and_box(self, make):
+        setup = make()
+        dim, n_p = setup.dim, setup.basis.n_p
+        rng = np.random.default_rng(dim)
+        pva = rng.normal(scale=3.0, size=(5, dim, 3, n_p))
+        pos = pva[:, :, 0]
+        pos[0, :, :2] = setup.s_min[:, None]  # on the bounds
+        pos[0, :, 2:4] = setup.s_max[:, None]
+        pos[1] += 8.0  # beyond the upper bounds
+        for order, limit in ((1, setup.v_max), (2, setup.a_max)):
+            kin = pva[:, :, order]
+            kin[2, :, :6] = 0.0  # zero velocity (the clamp's origin convention) up to t = 3
+            kin[2, 0, 3] = limit  # exactly at the limit: q = 1
+            kin[2, -1, 4] = -limit
+            kin[2, 0, 5] = np.nextafter(limit, np.inf)  # one float beyond
+            kin[2, :2, 6] = [0.6 * limit, 0.8 * limit]
+        pva[3, 0, :, 7] = np.nan
+        with np.errstate(invalid="ignore"):
+            _, families, _ = _residuals(setup, pva, setup.obstacle_rows(5))
+        box = np.maximum(0.0, pos - setup.s_max[:, None]) - np.maximum(0.0, setup.s_min[:, None] - pos)
+        dense = [box] + [
+            np.stack(radial_clamp(pva[:, :, order].transpose(1, 0, 2), limit, limit, lower=0.0, upper=1.0), axis=1)
+            for order, limit in ((1, setup.v_max), (2, setup.a_max))
+        ]
+        assert len(families) == 3
+        for (got, _), expected in zip(families, dense):
+            np.testing.assert_array_equal(got, expected)
+        assert all(np.isnan(got[3, 0, 7]) for got, _ in families)
+        assert all(got[:, :, 10:].any() for got, _ in families)  # some rows active in every family
+
+
 class TestOnePassPerIterate:
     @pytest.mark.parametrize("n_inner", [1, 7])
     def test_obstacle_and_sample_passes(self, monkeypatch, n_inner):

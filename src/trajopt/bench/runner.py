@@ -367,7 +367,7 @@ def receding_horizon_run(
             if warm_state is not None:
                 warm_state.iteration = 0
             sol = solver_single.solve_single(problem, params, state=warm_state)
-            warm_state = sol.state
+            warm_state, iters = sol.state, sol.iterations
             traj = sol.trajectory
             residual = sol.residual_norm
         else:
@@ -388,7 +388,7 @@ def receding_horizon_run(
             if warm_state is not None:
                 warm_state.iteration = 0
             ranked = solver_batch.solve_batch_opt(problem, params, seed=seed, state=warm_state)
-            warm_state = ranked.state
+            warm_state, iters = ranked.state, ranked.iterations
             idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
             traj = ranked.trajectories[idx]
             residual = float(ranked.residual_norm[idx])
@@ -410,7 +410,7 @@ def receding_horizon_run(
                 break
 
         metrics = eval_metrics(traj, scenario, desired)
-        metrics.iters = step_budget
+        metrics.iters = iters
         metrics.residual_final = residual
         metrics.wall_time_ms = wall_ms
         metrics.success = reached and not collided

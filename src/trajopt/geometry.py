@@ -17,6 +17,8 @@ The kernel, the only place this math is written:
 - scaled_sq_norm: squared ellipsoidal norm r**2 of per-axis offsets;
 - los_scale: the closed-form scale d = clip(r, lower, upper);
 - radial_clamp: residual of the closed-form polar projection, with no angles;
+- norm_clamp: radial_clamp of velocity or acceleration samples against
+  their norm bound, taken only where the bound is exceeded;
 - ObstacleRows: the collision rows of many points on their active set,
   found by a broad phase over time windows, the one residual pass over
   obstacles of the batch and priest solvers;
@@ -55,6 +57,7 @@ __all__ = [
     "check_gaussian",
     "check_schedule",
     "los_scale",
+    "norm_clamp",
     "radial_clamp",
     "radial_target",
     "scaled_sq_norm",
@@ -194,6 +197,9 @@ class ObstacleRows:
     centres is the (dim, n_o, n_p) obstacle track, stacked axis-major, and
     a, b the (n_o,) semi-axes, read as in scaled_sq_norm.  An entry is one
     (obstacle, point, time) triple, and a (point, time) pair is a cell.
+    An entry's residual is radial_clamp of its own offset, point minus
+    centre, and nothing else: the priest samples and the batch footprint
+    circles, placed by the heading copies, take the same pass.
 
     radial_clamp's residual is exactly zero wherever the squared scaled norm
     q of an offset lies in [1, D_CAP**2], and a broad phase forms q only
@@ -279,29 +285,25 @@ class ObstacleRows:
         np.minimum.at(least, point, q)
         return least
 
-    def residuals(self, pos, bias=None):
+    def residuals(self, pos):
         """Collision residuals of the (n, dim, n_p) points pos against every obstacle.
 
         Each obstacle's residual is radial_clamp's at lower = 1, upper =
-        D_CAP, plus bias, a (dim, n, n_p) term shared by every obstacle of a
-        cell (the batch solver's copy coupling), if given.  Returns
-        (sums, sq, peak): sums is the (dim, n, n_p) sum over obstacles of
-        the per-axis residuals, a view of the workspace that the next pass
-        overwrites; sq and peak are the (n,) per-point sum of squares and
-        largest absolute value of the residual entries.
+        D_CAP.  Returns (sums, sq, peak): sums is the (dim, n, n_p) sum over
+        obstacles of the per-axis residuals, a view of the workspace that
+        the next pass overwrites; sq and peak are the (n,) per-point sum of
+        squares and largest absolute value of the residual entries.
 
         radial_clamp's residual is exactly zero wherever the squared scaled
         norm q lies in [1, D_CAP**2], so of the entries the broad phase
         takes, only those outside the band (NaN included) go through the
-        clamp, in flat (obstacle, point, time) order; every other entry is
-        the bias alone.  Each cell's sum is built in obstacle order.
-        Without a bias the active terms are added onto zeros, and the
-        skipped terms are exact zeros.  With one, every obstacle adds the bias, except that an
-        active obstacle adds its own term.  The sums are therefore bit for
-        bit those of the clamp of every entry summed in obstacle order, and
-        peak is that array's largest entry; sq is formed in another order.
+        clamp, in flat (obstacle, point, time) order, and each cell's sum
+        adds them onto zeros in obstacle order.  The skipped terms are exact
+        zeros, so the sums are bit for bit those of the clamp of every entry
+        summed in obstacle order, and peak is that array's largest entry; sq
+        is formed in another order.
         """
-        dim, n_o, n_p = self.centres.shape
+        dim, _, n_p = self.centres.shape
         o, point, t, deltas, q = self._broad_phase(pos)
         # the complement of the band, not (q < 1) | (q > D_CAP**2), so that NaN stays active
         active = ~((q >= 1.0) & (q <= D_CAP**2))
@@ -309,33 +311,30 @@ class ObstacleRows:
         res = radial_clamp([d[active] for d in deltas], self.a[o], self.b[o])
         sums = self.sums.reshape(dim, -1)
         sums.fill(0.0)
-        if bias is None:
-            # the active entries come in obstacle order, and the skipped terms are exact zeros
-            for k, r in enumerate(res):
-                np.add.at(sums[k], cell, r)
-        else:
-            bias = bias.reshape(dim, -1)
-            res = np.asarray(res) + bias[:, cell]
-            # obstacle by obstacle, every cell adds the bias, and a cell where
-            # the obstacle is active adds its term instead; within one
-            # obstacle each cell comes once
-            bounds = np.searchsorted(o, np.arange(n_o + 1))
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                before = sums[:, cell[lo:hi]]
-                sums += bias
-                sums[:, cell[lo:hi]] = before + res[:, lo:hi]
+        for k, r in enumerate(res):
+            np.add.at(sums[k], cell, r)
         sq, peak = np.zeros(self.n), np.zeros(self.n)
         np.add.at(sq, point, sum(r * r for r in res))
         with np.errstate(invalid="ignore"):  # a NaN residual makes its point's peak NaN
             np.maximum.at(peak, point, np.max(np.abs(res), axis=0))
-        if bias is not None:
-            # each inactive obstacle of a cell adds one entry equal to the bias
-            inactive = (n_o - np.bincount(cell, minlength=sums.shape[1])).reshape(self.n, n_p)
-            sq += np.einsum("kit,it->i", (bias * bias).reshape(dim, self.n, n_p), inactive)
-            bias_peak = np.max(np.abs(bias), axis=0).reshape(self.n, n_p)
-            bias_peak[inactive == 0] = 0.0
-            np.maximum(peak, bias_peak.max(axis=1, initial=0.0), out=peak)
         return self.sums, sq, peak
+
+
+def norm_clamp(samples: np.ndarray, limit: float) -> np.ndarray:
+    """radial_clamp of the (N, dim, n_p) samples at a = b = limit, lower = 0, upper = 1.
+
+    The velocity and acceleration rows of the batch and priest solvers.  The
+    residual is zero wherever the squared scaled norm q lies in [0, 1]
+    (radial_clamp's zero band), so only the entries with q > 1 or NaN go
+    through the clamp.  Returns the (N, dim, n_p) residuals.
+    """
+    deltas = samples.transpose(1, 0, 2)
+    active = ~(scaled_sq_norm(deltas, limit, limit) <= 1.0)
+    res = np.zeros_like(samples)
+    clamped = radial_clamp([d[active] for d in deltas], limit, limit, lower=0.0, upper=1.0)
+    for k, r in enumerate(clamped):
+        res[:, k][active] = r
+    return res
 
 
 def unit_pair(c, s):

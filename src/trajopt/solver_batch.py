@@ -8,13 +8,13 @@ constraints are polar equalities F xi = g; per axis (x with the cos copy)
 the rows are Pdot xi_x = t_v, Pddot xi_x = t_a, P xi_x + r_c P xi_c =
 centre_o + t_coll for every circle c and obstacle o, and P xi_c = cos(psi).
 
-Each target is the closed-form polar projection of its offset, and
-geometry.radial_clamp gives the residual offset - target with no angles.
+Each target is the closed-form polar projection of its row's own value,
+and geometry.radial_clamp gives the residual value - target with no angles.
 The solver works in residual form: F, g and the targets are never stored.
 polar_step, the one residual pass per iterate, takes per axis the residuals
 
     velocity, acceleration:  radial_clamp of Pdot xi_x, Pddot xi_x
-    collision:               radial_clamp of x + r_c cos psi - centre_o, plus r_c (P xi_c - cos psi)
+    collision:               radial_clamp of P xi_x + r_c P xi_c - centre_o
     copy:                    P xi_c - cos psi
 
 and residual @ F as one product per family,
@@ -22,20 +22,22 @@ and residual @ F as one product per family,
     x columns:     (sum_c sum_o res_coll) @ P + res_v @ Pdot + res_a @ Pddot
     copy columns:  (sum_c r_c sum_o res_coll + res_copy) @ P
 
-The collision rows are taken on their active set by geometry.ObstacleRows,
-the pass the priest projection shares.  Every footprint circle is one
-point of that pass.  The clamp's residual is exactly zero wherever the
-squared scaled norm q of an offset lies in [1, D_CAP**2], and in
-dynamic-flow plans 0.06-1.2% of the (member, circle, obstacle, time)
-entries fall outside it in any iteration, so only those (NaN included) are
-clamped; q itself is formed only on the time windows where a circle can
-come near an obstacle (the pass's broad phase).  Every other entry is the
-copy coupling r_c (P xi_c - cos psi) alone, so each sum over obstacles is
-built in obstacle order from that bias: added n_o times, and at the cells
-with an active obstacle, in sequence with the active terms in their
-places.  The sums equal the dense sum over obstacles taken in obstacle
-order bit for bit, and so do residual @ F, g @ F and the per-member
-residual max; the per-member norm sums its squares in another order.
+The collision rows place each footprint circle by the copies, as the rows
+F xi read it, so their values are the circles the xi step moves; the true
+circles at cos psi serve only the raw feasibility check.  At a fixed point
+P xi_c = cos psi and the two coincide.  The rows are taken on their active
+set by geometry.ObstacleRows, the pass the priest projection shares, with
+every footprint circle one point of that pass.  The clamp's residual is
+exactly zero wherever the squared scaled norm q of an offset lies in
+[1, D_CAP**2], and in dynamic-flow plans 0.06-1.2% of the (member, circle,
+obstacle, time) entries fall outside it in any iteration, so only those
+(NaN included) are clamped; q itself is formed only on the time windows
+where a circle can come near an obstacle (the pass's broad phase).  The
+sums over obstacles add the active terms in obstacle order and equal the
+dense sum bit for bit, and so do residual @ F, g @ F and the per-member
+residual max; the per-member norm sums its squares in another order.  The
+velocity and acceleration rows go through geometry.norm_clamp, which
+clamps only the samples beyond their bound.
 
 F'F is one closed-form (2m, 2m) block per axis,
 
@@ -61,7 +63,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, check_schedule, radial_clamp, stalled
+from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, check_schedule, norm_clamp, stalled
 
 
 @dataclass(frozen=True)
@@ -237,14 +239,16 @@ class _Structure:
         return self._rows
 
 
-def _circles(struct, basis, xi, trig):
+def _circles(struct, basis, xi, heading):
     """Footprint circle centres as points of the collision pass, (N_b * n_c, 2, n_p).
 
-    trig is (cos psi, sin psi); the circles are member-major.
+    heading is the (N_b, n_p) pair placing the circles along the body
+    x-axis: the copies (P xi_c, P xi_s) in the residual pass, (cos psi,
+    sin psi) for the true circles.  The circles are member-major.
     """
     xi_x, _, xi_y, _ = _split(xi, struct.m)
     r = struct.r[None, :, None]
-    circles = [(xi_p @ basis.P.T)[:, None, :] + r * t[:, None, :] for xi_p, t in zip((xi_x, xi_y), trig)]
+    circles = [(xi_p @ basis.P.T)[:, None, :] + r * h[:, None, :] for xi_p, h in zip((xi_x, xi_y), heading)]
     return np.stack(circles, axis=2).reshape(-1, 2, basis.n_p)
 
 
@@ -351,23 +355,20 @@ def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> 
     """
     basis, n_b, n_c = problem.basis, state.xi.shape[0], struct.r.size
     xi_x, xi_c, xi_y, xi_s = _split(state.xi, struct.m)
-    trig = (np.cos(state.psi), np.sin(state.psi))
-    copies = [xi_q @ basis.P.T - t for xi_q, t in zip((xi_c, xi_s), trig)]
-    # the collision rows read the copy P xi_c where the clamped offsets read cos psi
-    bias = np.stack([struct.r[None, :, None] * copy[:, None, :] for copy in copies])
-    sums, coll_sq, coll_peak = struct.obstacle_rows(n_b).residuals(
-        _circles(struct, basis, state.xi, trig), bias.reshape(2, n_b * n_c, -1)
-    )
+    placed = [xi_q @ basis.P.T for xi_q in (xi_c, xi_s)]  # the copies P xi_c, P xi_s
+    copies = [p - t for p, t in zip(placed, (np.cos(state.psi), np.sin(state.psi)))]
+    # each collision row's value is its circle placed by the copies, less the centre
+    sums, coll_sq, coll_peak = struct.obstacle_rows(n_b).residuals(_circles(struct, basis, state.xi, placed))
     res_max, sq = coll_peak.reshape(n_b, n_c).max(axis=1), coll_sq.reshape(n_b, n_c).sum(axis=1)
-    vel = radial_clamp((xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T), problem.v_max, problem.v_max, 0.0, 1.0)
-    acc = radial_clamp((xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T), problem.a_max, problem.a_max, 0.0, 1.0)
+    vel = norm_clamp(np.stack([xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T], axis=1), problem.v_max)
+    acc = norm_clamp(np.stack([xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T], axis=1), problem.a_max)
     products = []
     for k, copy in enumerate(copies):
-        for res in (vel[k], acc[k], copy):
+        for res in (vel[:, k], acc[:, k], copy):
             res_max = np.maximum(res_max, np.abs(res).max(axis=1))
             sq += np.einsum("ij,ij->i", res, res)
         per_circle = sums[k].reshape(n_b, n_c, -1)  # summed over obstacles
-        products.append(per_circle.sum(axis=1) @ basis.P + vel[k] @ basis.Pdot + acc[k] @ basis.Pddot)
+        products.append(per_circle.sum(axis=1) @ basis.P + vel[:, k] @ basis.Pdot + acc[:, k] @ basis.Pddot)
         products.append((np.tensordot(struct.r, per_circle, axes=(0, 1)) + copy) @ basis.P)
     residual_products = np.hstack(products)
     state.target_products = state.xi @ struct.FtF - residual_products

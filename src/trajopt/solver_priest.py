@@ -36,11 +36,11 @@ obstacle, time) entries fall outside it.  The pass's broad phase cuts time
 into windows and forms q only where a sample's range over a window meets
 an obstacle's box, widened by its semi-axes, on every axis: about 1% of the
 entries in barn-like plans.  Only the entries outside the band (NaN
-included) go through radial_clamp.  The projection adds no bias to the
-obstacle terms, so each per-axis sum over obstacles is the active residuals
-added in obstacle order, and equals the dense sum bit for bit.  The
-velocity and acceleration rows are clamped only where their q exceeds 1
-(their zero band is [0, 1]) or is NaN.  Each iterate gets one residual
+included) go through radial_clamp.  Each per-axis sum over obstacles is
+the active residuals added in obstacle order, and equals the dense sum bit
+for bit.  The velocity and acceleration rows go through geometry.norm_clamp,
+the batch solver's too, which clamps only where their q exceeds 1 (their
+zero band is [0, 1]) or is NaN.  Each iterate gets one residual
 pass, shared by the next step, the residual history and the final scores
 and trajectories.
 
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, radial_clamp, scaled_sq_norm
+from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, norm_clamp, scaled_sq_norm
 
 _SPEED_EPS = 1e-6
 
@@ -242,22 +242,6 @@ class ProjectionSetup:
         return ObstacleRows(self._obs_axes, self.obs_a, self.obs_b, n)
 
 
-def _norm_clamp(samples: np.ndarray, limit: float) -> np.ndarray:
-    """radial_clamp of the (N, dim, n_p) samples at a = b = limit, lower = 0, upper = 1.
-
-    The residual is zero wherever the squared scaled norm q lies in [0, 1]
-    (radial_clamp's zero band), so only the entries with q > 1 or NaN go
-    through the clamp.
-    """
-    deltas = samples.transpose(1, 0, 2)
-    active = ~(scaled_sq_norm(deltas, limit, limit) <= 1.0)
-    res = np.zeros_like(samples)
-    clamped = radial_clamp([d[active] for d in deltas], limit, limit, lower=0.0, upper=1.0)
-    for k, r in enumerate(clamped):
-        res[:, k][active] = r
-    return res
-
-
 def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
     """Residuals x - e of every constraint family, in sample space.
 
@@ -277,7 +261,7 @@ def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
         families.append((box, setup.basis.P))
     for order, limit, mat in ((1, setup.v_max, setup.basis.Pdot), (2, setup.a_max, setup.basis.Pddot)):
         if limit is not None:
-            families.append((_norm_clamp(pva[:, :, order], limit), mat))
+            families.append((norm_clamp(pva[:, :, order], limit), mat))
     for res, _ in families:
         sq += np.einsum("nij,nij->n", res, res)
     return obstacle, families, sq

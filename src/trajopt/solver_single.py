@@ -27,10 +27,10 @@ P'P, the obstacle tracks and the semi-axes.  Each sweep evaluates the
 positions and their obstacle offsets once, right after the position step;
 the copy, d and residual steps all read those offsets.
 
-The KKT matrix of the position step is Q + rho_o * n_o * P'P; its size does
+The KKT matrix of the position step is Q + rho * n_o * P'P; its size does
 not depend on the obstacle count.  The state holds a qpcore.FactorCache for
-it, keyed on Q, P'P, A and the penalty rho_o * n_o: within a solve the
-factor is rebuilt only when rho_o changes, and a warm state on other
+it, keyed on Q, P'P, A and the penalty rho * n_o: within a solve the
+factor is rebuilt only when rho changes, and a warm state on other
 matrices (another basis, weights or obstacle count) refactors on its first
 sweep.  Works in 2-D (planar ellipses, no beta block) and 3-D.
 """
@@ -115,8 +115,7 @@ class SingleState:
     lam_sin_a: np.ndarray
     lam_cos_b: np.ndarray | None
     lam_sin_b: np.ndarray | None
-    rho: float
-    rho_o: float
+    rho: float  # the one penalty of the position, copy and multiplier steps
     iteration: int = 0
     # equality residuals of the last sweep, as equality_residuals returns them
     residuals: dict = field(default_factory=dict, repr=False)
@@ -239,7 +238,6 @@ def init_state(
         lam_cos_b=zeros.copy() if dim == 3 else None,
         lam_sin_b=zeros.copy() if dim == 3 else None,
         rho=params.rho_start,
-        rho_o=params.rho_start,
     )
 
 
@@ -262,12 +260,12 @@ def _reconstruction(state: SingleState, struct: _SingleStructure) -> np.ndarray:
 
 
 def _position_step(state: SingleState, struct: _SingleStructure) -> None:
-    factor = state.factors.get(struct.Q, struct.PtP, struct.A, state.rho_o * struct.n_o)
+    factor = state.factors.get(struct.Q, struct.PtP, struct.A, state.rho * struct.n_o)
     q_lin = struct.q
     if struct.n_o:
         targets = struct.tracks + _reconstruction(state, struct)  # (dim, n_o, n_p)
         lam_sum = state.lam_pos.sum(axis=1)  # (dim, n_p)
-        q_lin = struct.q + lam_sum @ struct.P - state.rho_o * targets.sum(axis=1) @ struct.P
+        q_lin = struct.q + lam_sum @ struct.P - state.rho * targets.sum(axis=1) @ struct.P
     state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
 
 
@@ -278,13 +276,13 @@ def _alpha_copy_step(state: SingleState, struct: _SingleStructure, offsets: np.n
     its lateral semi-axis times d sin(beta).  offsets are struct.offsets of
     state.xi.
     """
-    planar, rho, rho_o = _planar_scale(state), state.rho, state.rho_o
+    planar, rho = _planar_scale(state), state.rho
     copies = []
     for semi, unit, lam, lam_pos, delta in zip(
         struct.lateral, state.unit_a, (state.lam_cos_a, state.lam_sin_a), state.lam_pos, offsets
     ):
         coef = semi * planar
-        copies.append((rho * unit - lam + coef * (lam_pos + rho_o * delta)) / (rho + rho_o * coef**2))
+        copies.append((rho * unit - lam + coef * (lam_pos + rho * delta)) / (rho + rho * coef**2))
     state.cos_a, state.sin_a = copies
 
 
@@ -292,11 +290,11 @@ def _beta_copy_step(state: SingleState, struct: _SingleStructure, offsets: np.nd
     """Exact elementwise minimizer over the beta copies (3-D); offsets as in _alpha_copy_step."""
     dx, dy, dz = offsets
     a, b = struct.a, struct.b
-    rho, rho_o = state.rho, state.rho_o
+    rho = state.rho
     cos_beta, sin_beta = state.unit_b
     coef_cb = b * state.d
-    state.cos_b = (rho * cos_beta - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho_o * dz)) / (
-        rho + rho_o * coef_cb**2
+    state.cos_b = (rho * cos_beta - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho * dz)) / (
+        rho + rho * coef_cb**2
     )
     # sin(beta) appears in both the x and y reconstruction rows; keeping
     # both couplings makes this the exact block minimizer
@@ -304,9 +302,9 @@ def _beta_copy_step(state: SingleState, struct: _SingleStructure, offsets: np.nd
     num = (
         rho * sin_beta
         - state.lam_sin_b
-        + coef_sb * (state.cos_a * (state.lam_pos[0] + rho_o * dx) + state.sin_a * (state.lam_pos[1] + rho_o * dy))
+        + coef_sb * (state.cos_a * (state.lam_pos[0] + rho * dx) + state.sin_a * (state.lam_pos[1] + rho * dy))
     )
-    den_sb = rho + rho_o * coef_sb**2 * (state.cos_a**2 + state.sin_a**2)
+    den_sb = rho + rho * coef_sb**2 * (state.cos_a**2 + state.sin_a**2)
     state.sin_b = num / den_sb
 
 
@@ -374,7 +372,7 @@ def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStru
         # the multipliers do not enter the residuals, so they stay those of the sweep
         res = state.residuals = equality_residuals(state, problem, offsets, struct)
         for k, name in enumerate(_COLL[: struct.dim]):
-            state.lam_pos[k] += state.rho_o * res[name]
+            state.lam_pos[k] += state.rho * res[name]
         copies = ("cos_a", "sin_a", "cos_b", "sin_b") if struct.dim == 3 else ("cos_a", "sin_a")
         for name in copies:
             lam = getattr(state, f"lam_{name}")
@@ -404,7 +402,7 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
     for _ in range(params.max_iter):
         am_iteration(state, problem, struct)
         norm, max_abs = _residual_extremes(state.residuals)
-        history.append({"norm": norm, "max_abs": max_abs, "rho_o": state.rho_o})
+        history.append({"norm": norm, "max_abs": max_abs, "rho": state.rho})
         max_hist.append(max_abs)
         if max_abs <= params.tol:
             converged = True
@@ -412,7 +410,6 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
         since_change = state.iteration - last_change
         if stalled(max_hist, since_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
             state.rho = min(state.rho * params.rho_growth, params.rho_cap)
-            state.rho_o = min(state.rho_o * params.rho_growth, params.rho_cap)
             last_change = state.iteration
     traj = sample_trajectory(problem.basis, state.xi.T)
     if not history:

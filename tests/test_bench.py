@@ -325,6 +325,13 @@ class TestRecedingHorizon:
         assert len(result.records) >= 1
         assert result.records[-1].metrics.success
 
+    def test_step_records_report_the_sweeps_run(self):
+        # with no obstacle every step's solve converges in its first sweep,
+        # well inside the step budget of 40
+        result = receding_horizon_run(empty_scenario(n_p=40), solver="single", step_budget=40, n_steps=3)
+        assert len(result.records) == 3
+        assert [r.metrics.iters for r in result.records] == [1, 1, 1]
+
     def test_start_in_collision_fails_immediately(self):
         scenario = empty_scenario(n_p=40)
         scenario.obstacles = [ScenarioObstacle(a=1.0, b=1.0, center=[0.0, 0.0], velocity=[0.0, 0.0])]

@@ -365,11 +365,11 @@ class TestZeroBand:
             assert np.array_equal(res, np.zeros_like(res))
 
 
-def _dense_rows(centres, a, b, pos, bias):
+def _dense_rows(centres, a, b, pos):
     """ObstacleRows.residuals with the clamp over every (obstacle, point, time) entry."""
     dim, n_o = centres.shape[:2]
-    res = radial_clamp([pos[None, :, k] - centres[k][:, None] for k in range(dim)], a[:, None, None], b[:, None, None])
-    res = np.stack(res) if bias is None else np.stack([r + bk for r, bk in zip(res, bias)])
+    deltas = [pos[None, :, k] - centres[k][:, None] for k in range(dim)]
+    res = np.stack(radial_clamp(deltas, a[:, None, None], b[:, None, None]))
     sums = np.zeros((dim, *pos[:, 0].shape))
     for o in range(n_o):  # in obstacle order
         sums = sums + res[:, o]
@@ -378,11 +378,11 @@ def _dense_rows(centres, a, b, pos, bias):
     return sums, sq, peak
 
 
-def _check_rows(centres, a, b, pos, bias=None):
+def _check_rows(centres, a, b, pos):
     """The active-set pass against the clamp of every entry: sums and peak bit for bit."""
     rows = ObstacleRows(centres, a, b, pos.shape[0])
-    got = rows.residuals(pos, bias)
-    sums, sq, peak = _dense_rows(centres, np.asarray(a, dtype=float), np.asarray(b, dtype=float), pos, bias)
+    got = rows.residuals(pos)
+    sums, sq, peak = _dense_rows(centres, np.asarray(a, dtype=float), np.asarray(b, dtype=float), pos)
     np.testing.assert_array_equal(got[0], sums)
     np.testing.assert_allclose(got[1], sq, rtol=1e-14, atol=0)
     np.testing.assert_array_equal(got[2], peak)
@@ -395,36 +395,33 @@ class TestObstacleRows:
     _check = staticmethod(_check_rows)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("with_bias", [False, True])
-    def test_random_points_and_overlapping_obstacles(self, dim, with_bias):
+    def test_random_points_and_overlapping_obstacles(self, dim):
         rng = np.random.default_rng(dim)
         n_o, n, n_p = 9, 5, 30
         centres = rng.uniform(-1.0, 1.0, size=(dim, n_o, n_p))
         a, b = rng.uniform(0.3, 1.5, size=(2, n_o))
         pos = rng.uniform(-2.0, 2.0, size=(n, dim, n_p))
-        bias = rng.normal(scale=0.1, size=(dim, n, n_p)) if with_bias else None
-        self._check(centres, a, b, pos, bias)
+        self._check(centres, a, b, pos)
 
     def test_cell_where_every_obstacle_is_active(self):
-        # both obstacles hold the point at t = 0, where the bias is largest:
-        # no entry of that cell is the bias alone, so the peak is below it
+        # both obstacles hold the point at t = 0, and the cell adds both
+        # terms; at t = 1 they are 10 m away and the cell is exactly zero
         centres = np.zeros((2, 2, 2))
         centres[0, :, 1] = 10.0
         pos = np.array([[[0.3, 0.0], [0.0, 0.0]]])
-        bias = np.array([[[5.0, 0.1]], [[0.0, 0.0]]])
-        _, _, peak = self._check(centres, np.array([1.0, 0.8]), np.array([1.0, 0.8]), pos, bias)
-        assert peak[0] < 5.0
+        sums, _, _ = self._check(centres, np.array([1.0, 0.8]), np.array([1.0, 0.8]), pos)
+        assert sums[0, 0, 0] < -0.3 and not sums[:, 0, 1].any()
 
     def test_no_obstacles(self):
         pos = np.ones((3, 2, 4))
-        sums, sq, peak = self._check(np.zeros((2, 0, 4)), np.zeros(0), np.zeros(0), pos, np.full((2, 3, 4), 0.5))
+        sums, sq, peak = self._check(np.zeros((2, 0, 4)), np.zeros(0), np.zeros(0), pos)
         assert not sums.any() and not sq.any() and not peak.any()
 
     def test_nan_point_stays_active(self):
         centres = np.zeros((2, 3, 4))
         pos = np.full((2, 2, 4), 3.0)
         pos[1, 0, 2] = np.nan
-        sums, sq, peak = self._check(centres, np.ones(3), np.ones(3), pos, np.full((2, 2, 4), 0.1))
+        sums, sq, peak = self._check(centres, np.ones(3), np.ones(3), pos)
         assert np.isnan(sums[:, 1, 2]).all() and np.isnan(sq[1]) and np.isnan(peak[1])
         assert np.isfinite(sums[:, 0]).all() and np.isfinite(sq[0]) and np.isfinite(peak[0])
 
@@ -460,11 +457,9 @@ class TestBroadPhase:
     """The window-box broad phase: the entries it skips all lie in the zero band."""
 
     def _check(self, centres, a, b, pos):
-        """The broad phase's entries, and the pass's sums and peak with and without a bias."""
+        """The broad phase's entries, and the pass's sums and peak."""
         n_taken = _check_broad_phase(centres, a, b, pos)
-        bias = np.random.default_rng(0).normal(scale=0.1, size=(centres.shape[0], *pos[:, 0].shape))
-        for with_bias in (None, bias):
-            _check_rows(centres, a, b, pos, with_bias)
+        _check_rows(centres, a, b, pos)
         return n_taken
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -598,7 +593,7 @@ class TestBroadPhase:
         rows.residuals(pos)
         tracemalloc.start()
         try:
-            rows.residuals(pos, np.zeros((2, n, n_p)))
+            rows.residuals(pos)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -96,6 +96,29 @@ def test_batch_dynamic_flow():
     assert (ranked.iterations, int(ranked.feasible.sum()), ranked.best_index, ranked.n_factorizations) == (20, 0, None, 6)
 
 
+def test_batch_two_circles_dynamic_flow():
+    """A footprint of two circles off the body centre: its collision rows
+    place the circles by the heading copies, so this pins what the centred
+    footprint above cannot.  Recorded when the rows were so placed."""
+    scenario = gen_scenario("dynamic-flow", seed=0)
+    scenario.robot.footprint_offsets = [0.3, -0.3]
+    problem = runner.batch_problem_from_scenario(scenario, _basis(scenario))
+    ranked = solver_batch.solve_batch_opt(problem, solver_batch.BatchParams(max_iter=40), seed=0)
+    assert np.linalg.norm(ranked.state.xi) == pytest.approx(298.2330199028967, abs=ATOL)
+    np.testing.assert_allclose(
+        ranked.best.pos[SAMPLES],
+        [
+            [0.508860302433727, -0.012447599238327604],
+            [6.043877416697465, -0.5053240742931244],
+            [11.612782499020135, -0.05947722490739695],
+        ],
+        rtol=0,
+        atol=ATOL,
+    )
+    assert ranked.residual_max.sum() == pytest.approx(8.143240194871195, abs=ATOL)
+    assert (ranked.iterations, int(ranked.feasible.sum()), ranked.best_index, ranked.n_factorizations) == (40, 26, 18, 6)
+
+
 def test_priest_barn_one_outer_iteration():
     """One outer iteration is one draw from the initial distribution, so this
     holds the projection and the elite choice whatever the sampler's later

@@ -52,7 +52,9 @@ def make_problem(obstacles=(), n_batch=8, v_max=3.0, a_max=3.0, offsets=(0.3, -0
 class _Reference:
     """The batch solver as first written: the dense stacked constraint matrix
     F, targets g(alpha, d, psi) through arctan2/cos/sin, separate angle and
-    scale steps, and factors cached on rho alone.
+    scale steps, and factors cached on rho alone.  Its collision angles and
+    scales are those of each row's own value, the circles placed by the
+    copies (P xi_c, P xi_s) as the rows F xi read them.
 
     Only the unchanged constants (cost, boundary rows) come from _Structure.
     """
@@ -75,13 +77,13 @@ class _Reference:
         self.b = np.array([o.shape.b for o in problem.obstacles])[None, None, :, None]
         self.r = np.asarray(problem.footprint.offsets, dtype=float)[None, :, None, None]
 
-    def polar(self, xi, psi):
+    def polar(self, xi):
         """Angles and scales of every collision, velocity and acceleration offset."""
         basis, prob = self.problem.basis, self.problem
-        xi_x, _, xi_y, _ = _split(xi, self.m)
+        xi_x, xi_c, xi_y, xi_s = _split(xi, self.m)
         x, y = (xi_x @ basis.P.T)[:, None, None, :], (xi_y @ basis.P.T)[:, None, None, :]
-        dx = x + self.r * np.cos(psi)[:, None, None, :] - self.obs_x
-        dy = y + self.r * np.sin(psi)[:, None, None, :] - self.obs_y
+        dx = x + self.r * (xi_c @ basis.P.T)[:, None, None, :] - self.obs_x
+        dy = y + self.r * (xi_s @ basis.P.T)[:, None, None, :] - self.obs_y
         out = dict(
             alpha_coll=np.arctan2(dy / self.b, dx / self.a),
             d_coll=np.clip(np.hypot(dx / self.a, dy / self.b), 1.0, D_CAP),
@@ -113,7 +115,7 @@ class _Reference:
         st = SimpleNamespace(xi=s.xi, xi_psi=s.xi_psi, psi=s.psi, lam=s.lam, lam_psi=s.lam_psi, rho=s.rho)
         # the reference keeps its own heading penalty, grown beside rho; the state has one field
         st.rho_psi, st.factor_rho, st.n_factorizations, st.iteration = s.rho, None, 0, 0
-        polar = self.polar(st.xi, st.psi)
+        polar = self.polar(st.xi)
         n_b = st.xi.shape[0]
         maxabs_hist, last_change, res = [], 0, None
         for _ in range(params.max_iter):
@@ -129,7 +131,7 @@ class _Reference:
             q_psi = -st.lam_psi - st.rho_psi * (targets @ P)
             st.xi_psi, _ = qpcore.solve_batch(f_psi, qpcore.BatchRHS(qs=q_psi, bs=np.tile(struct.b_psi, (n_b, 1))))
             st.psi = st.xi_psi @ P.T
-            polar = self.polar(st.xi, st.psi)
+            polar = self.polar(st.xi)
             res = st.xi @ self.F.T - self.g(polar, st.psi)
             st.lam = st.lam - st.rho * (res @ self.F)
             st.lam_psi = st.lam_psi - st.rho_psi * ((st.psi - targets) @ P)
@@ -157,7 +159,7 @@ OFFSETS = (0.45, 0.1, -0.2)
 def _moving_elliptical_obstacles():
     """Three a != b obstacles: one crossing the path, one passing through
     (0.1, 0) at the middle timestep, where a member standing at the origin
-    puts its 0.1 circle exactly on the centre, and one static."""
+    puts its 0.1 circle within rounding of the centre, and one static."""
     t = np.linspace(0.0, 10.0, N_P)
     crossing = np.column_stack([3.0 + 0.3 * t, -2.0 + 0.4 * t])
     through = np.column_stack([np.full(N_P, 0.1), 0.8 * (t - t[N_P // 2])])
@@ -242,7 +244,7 @@ class TestBatchXiStep:
         state = _sample_state(prob, seed=1)
         struct = _Structure(prob)
         ref = _Reference(prob)
-        g = ref.g(ref.polar(state.xi, state.psi), state.psi)
+        g = ref.g(ref.polar(state.xi), state.psi)
         q_lin = struct.q[None, :] - state.lam - state.rho * (g @ ref.F)
         factor = qpcore.factorize(struct.Q + state.rho * ref.FtF, struct.A)
         expected = np.stack([qpcore.solve(factor, q_lin[i], struct.b)[0] for i in range(6)])
@@ -346,7 +348,7 @@ def _assert_pass_matches_reference(prob, state):
     case can show which branch of the projection its input takes.
     """
     ref = _Reference(prob)
-    polar = ref.polar(state.xi, state.psi)
+    polar = ref.polar(state.xi)
     g = ref.g(polar, state.psi)
     res = state.xi @ ref.F.T - g
     residual_products = polar_step(state, prob, _Structure(prob))
@@ -374,11 +376,12 @@ class TestAlphaStep:
     def test_circle_offset_along_x_gives_zero_angle(self):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)], n_batch=1, offsets=(0.3,))
         state = _sample_state(prob, seed=7, spread=0.0)
-        # heading 0: the circle sits at x + 0.3; the timesteps where the
-        # circle center is right of the obstacle on the x axis take angle 0
+        # heading 0: the copies place the circle at x + 0.3 P xi_c, within
+        # rounding of x + 0.3; the timesteps where the circle center is
+        # right of the obstacle on the x axis take angle 0
         polar = _assert_pass_matches_reference(prob, state)
         pos_x = state.xi[:, : prob.basis.n_var] @ prob.basis.P.T
-        right = pos_x[0] + 0.3 * np.cos(state.psi[0]) > 5.0
+        right = pos_x[0] + 0.3 * _copies(prob, state.xi)[0][0] > 5.0
         assert right.any()
         np.testing.assert_allclose(polar["alpha_coll"][0, 0, 0, right], 0.0, atol=1e-6)
 
@@ -395,7 +398,7 @@ class TestAlphaStep:
         state = _sample_state(prob, seed=9)
         struct = _Structure(prob)
         ref = _Reference(prob)
-        stale = ref.g(ref.polar(state.xi, state.psi), state.psi)
+        stale = ref.g(ref.polar(state.xi), state.psi)
         batch_xi_step(state, prob, struct)
         heading_step(state, prob, struct)
         before = np.linalg.norm(state.xi @ ref.F.T - stale, axis=1)
@@ -428,7 +431,7 @@ class TestDStep:
         polar = _assert_pass_matches_reference(prob, state)
 
         # the reference's closed-form scale minimizes the residual along its angle
-        dx, dy = _footprint_deltas(struct, prob, state.xi, (np.cos(state.psi), np.sin(state.psi)))
+        dx, dy = _footprint_deltas(struct, prob, state.xi, _copies(prob, state.xi))
         a, b = 0.7, 1.1
         alpha, d = polar["alpha_coll"][0, 0, 0], polar["d_coll"][0, 0, 0]
         grid = np.linspace(1.0, 20.0, 1_900_001)
@@ -471,32 +474,49 @@ class TestPolarStep:
         _assert_pass_matches_reference(prob, _sample_state(prob, seed=21))
 
 
-def _footprint_deltas(struct, prob, xi, trig):
-    """Circle-centre offsets to every obstacle per axis, (N_b, n_c, n_o, n_p); trig is (cos psi, sin psi)."""
-    circles = _circles(struct, prob.basis, xi, trig).reshape(xi.shape[0], struct.r.size, 2, -1)
+def _trig(state):
+    return np.cos(state.psi), np.sin(state.psi)
+
+
+def _copies(prob, xi):
+    """The heading copies (P xi_c, P xi_s), which place the circles of the collision rows."""
+    _, xi_c, _, xi_s = _split(xi, prob.basis.n_var)
+    return xi_c @ prob.basis.P.T, xi_s @ prob.basis.P.T
+
+
+def _footprint_deltas(struct, prob, xi, heading):
+    """Circle-centre offsets to every obstacle per axis, (N_b, n_c, n_o, n_p).
+
+    heading places the circles: the copies for the collision rows, (cos psi,
+    sin psi) for the true circles.
+    """
+    circles = _circles(struct, prob.basis, xi, heading).reshape(xi.shape[0], struct.r.size, 2, -1)
     return [circles[:, :, k, None, :] - struct.obs[k] for k in range(2)]
 
 
-def _dense_pass(state, prob, struct):
-    """polar_step with the collision clamp over every (member, circle,
-    obstacle, time) entry, as it was first written in residual form.
+def _dense_pass(state, prob, struct, coupled=False):
+    """polar_step with every clamp over every entry, and the collision sum
+    over obstacles taken in obstacle order, one term at a time.
 
-    The sum over obstacles is taken in obstacle order, one term at a time;
     numpy's sum over an axis picks its order from the memory layout, and
-    sums pairwise when that axis is innermost.  Returns residual @ F, g @ F
-    and the per-member residual max and norm.
+    sums pairwise when that axis is innermost.  coupled gives the pass as
+    first written in residual form: the collision clamp at the true circles
+    (cos psi, sin psi), and every obstacle's term plus the copy coupling
+    r_c (P xi_c - cos psi).  Returns residual @ F, g @ F and the per-member
+    residual max and norm.
     """
     basis, n_b = prob.basis, state.xi.shape[0]
-    xi_x, xi_c, xi_y, xi_s = _split(state.xi, struct.m)
-    trig = (np.cos(state.psi), np.sin(state.psi))
-    coll = radial_clamp(_footprint_deltas(struct, prob, state.xi, trig),
+    xi_x, _, xi_y, _ = _split(state.xi, struct.m)
+    trig, placed = _trig(state), _copies(prob, state.xi)
+    coll = radial_clamp(_footprint_deltas(struct, prob, state.xi, trig if coupled else placed),
                         struct.obs_a[:, None], struct.obs_b[:, None])
     vel = radial_clamp((xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T), prob.v_max, prob.v_max, 0.0, 1.0)
     acc = radial_clamp((xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T), prob.a_max, prob.a_max, 0.0, 1.0)
     res_max, sq, products = np.zeros(n_b), np.zeros(n_b), []
-    for k, xi_q in enumerate((xi_c, xi_s)):
-        copy = xi_q @ basis.P.T - trig[k]
-        coll[k] += struct.r[None, :, None, None] * copy[:, None, None, :]
+    for k in range(2):
+        copy = placed[k] - trig[k]
+        if coupled:
+            coll[k] += struct.r[None, :, None, None] * copy[:, None, None, :]
         for res in (vel[k], acc[k], coll[k], copy):
             flat = res.reshape(n_b, -1)
             res_max = np.maximum(res_max, np.abs(flat).max(axis=1, initial=0.0))
@@ -510,22 +530,22 @@ def _dense_pass(state, prob, struct):
     return residual_products, state.xi @ struct.FtF - residual_products, res_max, np.sqrt(sq)
 
 
-def _assert_pass_matches_dense(prob, state, struct=None):
+def _assert_pass_matches_dense(prob, state, struct=None, coupled=False):
     """polar_step on the active obstacle set against the dense pass: the
     sums, and so residual @ F and g @ F, and the residual max bit for bit;
     the norm, whose squares are summed in another order, to 1e-15."""
     struct = struct or _Structure(prob)
-    residual_products, target_products, res_max, res_norm = _dense_pass(state, prob, struct)
+    residual_products, target_products, res_max, res_norm = _dense_pass(state, prob, struct, coupled)
     np.testing.assert_array_equal(polar_step(state, prob, struct), residual_products)
     np.testing.assert_array_equal(state.target_products, target_products)
     np.testing.assert_array_equal(state.residual_max, res_max)
     np.testing.assert_allclose(state.residual_norm, res_norm, rtol=1e-15, atol=0)
 
 
-def _collision_q(prob, state):
-    """Squared scaled norm of every (member, circle, obstacle, time) offset."""
+def _collision_q(prob, state, heading):
+    """Squared scaled norm of every (member, circle, obstacle, time) offset, the circles placed by heading."""
     struct = _Structure(prob)
-    deltas = _footprint_deltas(struct, prob, state.xi, (np.cos(state.psi), np.sin(state.psi)))
+    deltas = _footprint_deltas(struct, prob, state.xi, heading)
     return scaled_sq_norm(deltas, struct.obs_a[:, None], struct.obs_b[:, None])
 
 
@@ -539,7 +559,7 @@ class TestRawFeasibilityMatchesDense:
         m = prob.basis.n_var
         state.xi[:4, 2 * m : 3 * m] += 6.0  # four members pass well clear
         struct = _Structure(prob)
-        least = np.sqrt(_collision_q(prob, state).min(axis=(1, 2, 3)))
+        least = np.sqrt(_collision_q(prob, state, _trig(state)).min(axis=(1, 2, 3)))
         got = check_raw_feasibility(state, prob, struct, d_margin, np.inf)  # no kinematic verdict
         np.testing.assert_array_equal(got, least >= 1.0 - d_margin)
         assert (least < 0.5).any() and (least >= 1.0).any()
@@ -548,13 +568,13 @@ class TestRawFeasibilityMatchesDense:
 class TestActivePassMatchesDense:
     def test_cell_where_every_obstacle_is_active(self):
         # three overlapping obstacles on the path: where both circles pass
-        # through their common part, no obstacle adds the copy coupling alone
+        # through their common part, every obstacle adds an active term
         centres = [(5.0, 0.0), (5.1, 0.05), (4.9, -0.05)]
         prob = make_problem(obstacles=[_static_obstacle(c, 0.8 + 0.1 * k, 0.9) for k, c in enumerate(centres)],
                             n_batch=3)
         state = _diagonal_state(prob, 30, [10.0, 0.0])
-        state.xi[:, prob.basis.n_var : 2 * prob.basis.n_var] *= 1.1  # copies off the heading: a nonzero coupling
-        assert (_collision_q(prob, state) < 1.0).all(axis=2).any()
+        state.xi[:, prob.basis.n_var : 2 * prob.basis.n_var] *= 1.1  # copies off the heading: the rows' circles are not the true ones
+        assert (_collision_q(prob, state, _copies(prob, state.xi)) < 1.0).all(axis=2).any()
         _assert_pass_matches_dense(prob, state)
 
     def test_two_circles_with_signed_offsets(self):
@@ -562,11 +582,15 @@ class TestActivePassMatchesDense:
         _assert_pass_matches_dense(prob, _sample_state(prob, seed=31))
 
     def test_circle_on_an_obstacle_centre(self):
-        # a member standing at the origin puts its 0.1 circle on the centre
-        # of the obstacle passing through (0.1, 0) at the middle timestep
+        # a member standing at the origin; the obstacle passing through
+        # (0.1, 0) at the middle timestep is moved there onto the member's
+        # 0.1 circle, as the copies place it (P xi_c rounds off 1 there)
         prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=1, offsets=OFFSETS)
+        xi = init_state(prob, np.zeros((1, 2 * prob.basis.n_var))).xi
+        circles = _circles(_Structure(prob), prob.basis, xi, _copies(prob, xi))
+        prob.obstacles[1].centers[N_P // 2] = circles[1, :, N_P // 2]
         state = init_state(prob, np.zeros((1, 2 * prob.basis.n_var)))
-        assert (_collision_q(prob, state) == 0.0).any()
+        assert (_collision_q(prob, state, _copies(prob, state.xi)) == 0.0).any()
         _assert_pass_matches_dense(prob, state)
 
     def test_obstacle_beyond_the_scale_cap(self):
@@ -574,12 +598,35 @@ class TestActivePassMatchesDense:
         far = _static_obstacle([5.0, 3.0], 1e-6, 2e-6)
         prob = make_problem(obstacles=[far, _static_obstacle([5.0, 0.2], 0.7, 0.6)], n_batch=4)
         state = _sample_state(prob, seed=32)
-        assert (_collision_q(prob, state)[:, :, 0] > D_CAP**2).all()
+        assert (_collision_q(prob, state, _copies(prob, state.xi))[:, :, 0] > D_CAP**2).all()
         _assert_pass_matches_dense(prob, state)
 
     def test_no_obstacles(self):
         prob = make_problem(obstacles=[], n_batch=4)
         _assert_pass_matches_dense(prob, _sample_state(prob, seed=33))
+
+    @pytest.mark.parametrize("offsets", [(0.0,), (0.0, 0.0)])
+    def test_centred_footprint_matches_the_coupled_pass(self, offsets):
+        # with every offset 0, r_c P xi_c and r_c cos psi are both zeros and
+        # so is the coupling: placing the circles by the copies changes nothing
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=offsets)
+        struct = _Structure(prob)
+        state = init_state(prob, _default_samples(prob, seed=35), struct=struct)
+        _assert_pass_matches_dense(prob, state, struct, coupled=True)
+        for _ in range(10):
+            batch_iteration(state, prob, struct)
+            _assert_pass_matches_dense(prob, state, struct, coupled=True)
+
+    def test_centred_dynamic_flow_matches_the_coupled_pass(self):
+        scenario = gen_scenario("dynamic-flow", seed=0)
+        h = scenario.horizon
+        prob = runner.batch_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10))
+        assert not np.any(prob.footprint.offsets)
+        struct = _Structure(prob)
+        state = init_state(prob, _default_samples(prob, seed=0), struct=struct)
+        for _ in range(5):
+            batch_iteration(state, prob, struct)
+        _assert_pass_matches_dense(prob, state, struct, coupled=True)
 
     def test_every_iterate_of_a_solve(self):
         prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
@@ -604,9 +651,10 @@ class TestOnePassPerIteration:
 
         for name in ("arctan2", "cos", "sin"):
             monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
-        # the velocity and acceleration clamps, and the clamp of the shared collision pass
-        for module in (solver_batch, geometry):
-            monkeypatch.setattr(module, "radial_clamp", counted("radial_clamp", geometry.radial_clamp))
+        # the clamps of the shared collision pass and of the velocity and
+        # acceleration rows, which norm_clamp takes on their active samples
+        monkeypatch.setattr(geometry, "radial_clamp", counted("radial_clamp", geometry.radial_clamp))
+        monkeypatch.setattr(solver_batch, "norm_clamp", counted("norm_clamp", geometry.norm_clamp))
         prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
         per_solve = []
         for iters in (12, 2):
@@ -615,10 +663,10 @@ class TestOnePassPerIteration:
             assert ranked.iterations == iters
             per_solve.append(dict(counts))
         # the solves share their start and their ranking; each iteration makes
-        # one residual pass (cos, sin, a radial clamp per family) and takes
-        # the heading targets' arctan2
+        # one residual pass (cos, sin, a radial clamp per family, two of them
+        # through norm_clamp) and takes the heading targets' arctan2
         per_iteration = {name: (per_solve[0][name] - per_solve[1].get(name, 0)) / 10 for name in per_solve[0]}
-        assert per_iteration == {"arctan2": 1, "cos": 1, "sin": 1, "radial_clamp": 3}
+        assert per_iteration == {"arctan2": 1, "cos": 1, "sin": 1, "radial_clamp": 3, "norm_clamp": 2}
 
 
 class TestSolveBatchOpt:
@@ -753,7 +801,7 @@ class TestMatchesReference:
 
     def test_multi_circle_elliptical_scene(self):
         # the first member stands still at the origin: zero velocity, and a
-        # circle on an obstacle centre at the middle timestep
+        # circle within rounding of an obstacle centre at the middle timestep
         problem = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=8, offsets=OFFSETS)
         samples = _default_samples(problem, 3)
         samples[0] = 0.0
@@ -943,17 +991,18 @@ class TestWarmState:
     def test_moved_obstacle_warm_solve_pinned(self):
         # the problem above: the warm targets stay relative to the obstacle
         # centre and follow it from (5, 0.5) to (6, -0.5); values recorded
-        # with the stored per-entry targets
+        # with the stored per-entry targets, and again when the collision
+        # rows placed the (0.3, -0.3) circles by the copies
         state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
         prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
         prob = BatchProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=1.0, p1=10.0), AxisBoundary(p0=0.2, p1=0.0))})
         xi = solve_batch_opt(prob, BatchParams(max_iter=3), state=state).state.xi
-        norms = [24.335009045841435, 24.49512914672759, 25.47831446853059, 23.924272379995468,
-                 24.214394032636733, 24.907460014790704, 24.126876827622688, 24.140943820426287]
+        norms = [24.674368843213255, 25.58257644090108, 25.91945145544691, 24.370835116420093,
+                 24.77660931527571, 25.18424163182749, 24.632068367680716, 24.634153886336858]
         np.testing.assert_allclose(np.linalg.norm(xi, axis=1), norms, rtol=0, atol=1e-9)
         m = prob.basis.n_var
-        entries = [[4.727468929154744, -1.3876956531646956, -4.8042177940658135, 3.325082543496408],
-                   [4.6787483765436715, -0.7377290631806538, -5.215954750741569, 4.638606931375757]]
+        entries = [[4.728632181947775, -1.5716559813318909, -4.807116062138728, 4.087519235863331],
+                   [4.678978337697481, -0.8262405492185098, -5.216091367654591, 5.160012612085491]]
         np.testing.assert_allclose(xi[[0, 5]][:, [3, m + 4, 2 * m + 5, 3 * m + 6]], entries, rtol=0, atol=1e-9)
 
     def test_receding_horizon_batch_factorizes_once(self):

@@ -102,7 +102,7 @@ class _Reference:
         Q, q = _cost_blocks(problem)
         A = boundary_matrix(basis)
         bs = np.stack([bc.values() for bc in problem.boundary])
-        factor = state.factors.get(Q, basis.P.T @ basis.P, A, state.rho_o * problem.n_o)
+        factor = state.factors.get(Q, basis.P.T @ basis.P, A, state.rho * problem.n_o)
         if problem.n_o:
             a, b = self.semi_axes()
             tracks = np.stack([obs.centers for obs in problem.obstacles])
@@ -115,7 +115,7 @@ class _Reference:
             else:
                 targets = np.stack([tracks[:, :, 0] + a * state.d * state.cos_a, tracks[:, :, 1] + b * state.d * state.sin_a])
             lam_sum = state.lam_pos.sum(axis=1)
-            q_lin = q + lam_sum @ basis.P - state.rho_o * targets.sum(axis=1) @ basis.P
+            q_lin = q + lam_sum @ basis.P - state.rho * targets.sum(axis=1) @ basis.P
         else:
             q_lin = q
         state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
@@ -124,38 +124,38 @@ class _Reference:
         problem = self.problem
         deltas = self.deltas(problem.basis.P @ state.xi.T)
         a, b = self.semi_axes()
-        rho, rho_o = state.rho, state.rho_o
+        rho = state.rho
         dx, dy = deltas[:, :, 0], deltas[:, :, 1]
         if problem.dim == 3:
             coef = a * state.d * state.sin_b
-            den = rho + rho_o * coef**2
-            state.cos_a = (rho * np.cos(self.alpha) - state.lam_cos_a + coef * (state.lam_pos[0] + rho_o * dx)) / den
-            state.sin_a = (rho * np.sin(self.alpha) - state.lam_sin_a + coef * (state.lam_pos[1] + rho_o * dy)) / den
+            den = rho + rho * coef**2
+            state.cos_a = (rho * np.cos(self.alpha) - state.lam_cos_a + coef * (state.lam_pos[0] + rho * dx)) / den
+            state.sin_a = (rho * np.sin(self.alpha) - state.lam_sin_a + coef * (state.lam_pos[1] + rho * dy)) / den
         else:
             coef_x, coef_y = a * state.d, b * state.d
-            state.cos_a = (rho * np.cos(self.alpha) - state.lam_cos_a + coef_x * (state.lam_pos[0] + rho_o * dx)) / (
-                rho + rho_o * coef_x**2
+            state.cos_a = (rho * np.cos(self.alpha) - state.lam_cos_a + coef_x * (state.lam_pos[0] + rho * dx)) / (
+                rho + rho * coef_x**2
             )
-            state.sin_a = (rho * np.sin(self.alpha) - state.lam_sin_a + coef_y * (state.lam_pos[1] + rho_o * dy)) / (
-                rho + rho_o * coef_y**2
+            state.sin_a = (rho * np.sin(self.alpha) - state.lam_sin_a + coef_y * (state.lam_pos[1] + rho * dy)) / (
+                rho + rho * coef_y**2
             )
 
     def beta_copy_step(self, state):
         deltas = self.deltas(self.problem.basis.P @ state.xi.T)
         a, b = self.semi_axes()
-        rho, rho_o = state.rho, state.rho_o
+        rho = state.rho
         dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
         coef_cb = b * state.d
-        state.cos_b = (rho * np.cos(self.beta) - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho_o * dz)) / (
-            rho + rho_o * coef_cb**2
+        state.cos_b = (rho * np.cos(self.beta) - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho * dz)) / (
+            rho + rho * coef_cb**2
         )
         coef_sb = a * state.d
         num = (
             rho * np.sin(self.beta)
             - state.lam_sin_b
-            + coef_sb * (state.cos_a * (state.lam_pos[0] + rho_o * dx) + state.sin_a * (state.lam_pos[1] + rho_o * dy))
+            + coef_sb * (state.cos_a * (state.lam_pos[0] + rho * dx) + state.sin_a * (state.lam_pos[1] + rho * dy))
         )
-        state.sin_b = num / (rho + rho_o * coef_sb**2 * (state.cos_a**2 + state.sin_a**2))
+        state.sin_b = num / (rho + rho * coef_sb**2 * (state.cos_a**2 + state.sin_a**2))
 
     def residuals(self, state):
         problem = self.problem
@@ -193,7 +193,7 @@ class _Reference:
         state.d = los_scale(np.moveaxis(deltas, -1, 0), *self.semi_axes())
         res = state.residuals = self.residuals(state)
         for k, name in enumerate(("coll_x", "coll_y", "coll_z")[: problem.dim]):
-            state.lam_pos[k] += state.rho_o * res[name]
+            state.lam_pos[k] += state.rho * res[name]
         state.lam_cos_a += state.rho * res["copy_cos_a"]
         state.lam_sin_a += state.rho * res["copy_sin_a"]
         if problem.dim == 3:
@@ -218,7 +218,7 @@ def augmented_lagrangian(state, problem):
         return value
     for axis_idx, name in enumerate(("coll_x", "coll_y", "coll_z")[: problem.dim]):
         r = res[name]
-        value += float(np.sum(state.lam_pos[axis_idx] * r)) + 0.5 * state.rho_o * float(np.sum(r**2))
+        value += float(np.sum(state.lam_pos[axis_idx] * r)) + 0.5 * state.rho * float(np.sum(r**2))
     copies = [("copy_cos_a", state.lam_cos_a), ("copy_sin_a", state.lam_sin_a)]
     if problem.dim == 3:
         copies += [("copy_cos_b", state.lam_cos_b), ("copy_sin_b", state.lam_sin_b)]
@@ -427,7 +427,7 @@ class TestSolveSingle:
         prob = make_problem_2d(obstacles=[obstacle])
         sol = solve_single(prob, SingleParams(max_iter=400))
         assert not sol.converged
-        assert sol.state.rho_o <= SingleParams().rho_cap + 1e-9
+        assert sol.state.rho <= SingleParams().rho_cap + 1e-9
 
 
 class TestInvariants:
@@ -449,7 +449,7 @@ class TestInvariants:
         obstacle = _static_obstacle([4.0, 0.0], EllipsoidShape(1.0, 1.0), 60)
         prob = make_problem_2d(obstacles=[obstacle])
         sol = solve_single(prob, SingleParams(max_iter=150, tol=0.0))
-        distinct_rhos = len({h["rho_o"] for h in sol.residual_history})
+        distinct_rhos = len({h["rho"] for h in sol.residual_history})
         assert sol.n_factorizations == distinct_rhos
 
     def test_axis_updates_decoupled(self):
@@ -467,12 +467,12 @@ class TestInvariants:
         struct = _SingleStructure(prob)
         targets = struct.tracks + _reconstruction(state2, struct)
         A = boundary_matrix(prob.basis)
-        D = Q + state2.rho_o * prob.n_o * (prob.basis.P.T @ prob.basis.P)
+        D = Q + state2.rho * prob.n_o * (prob.basis.P.T @ prob.basis.P)
         factor = qpcore.factorize(D, A)
         for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
             xi_seq = np.empty_like(batch_xi)
             for k in order:
-                q_lin = q[k] + state2.lam_pos[k].sum(axis=0) @ prob.basis.P - state2.rho_o * targets[k].sum(axis=0) @ prob.basis.P
+                q_lin = q[k] + state2.lam_pos[k].sum(axis=0) @ prob.basis.P - state2.rho * targets[k].sum(axis=0) @ prob.basis.P
                 xi_seq[k], _ = qpcore.solve(factor, q_lin, prob.boundary[k].values())
             np.testing.assert_allclose(xi_seq, batch_xi, atol=1e-12)
 
@@ -560,7 +560,7 @@ class TestMatchesReference:
         for sweep in range(30):
             if sweep in (10, 20):  # a penalty step makes both refactor
                 for s in (state, ref_state):
-                    s.rho, s.rho_o = 1.4 * s.rho, 1.4 * s.rho_o
+                    s.rho = 1.4 * s.rho
             am_iteration(state, prob)
             ref.sweep(ref_state)
             _assert_states_match(state, ref_state)
@@ -587,7 +587,7 @@ class TestMatchesReference:
         ref_state = init_state(prob)
         ref = _Reference(prob, ref_state)
         for h in sol.residual_history:
-            ref_state.rho = ref_state.rho_o = h["rho_o"]
+            ref_state.rho = h["rho"]
             ref.sweep(ref_state)
         _assert_states_match(sol.state, ref_state)
         assert sol.n_factorizations == ref_state.factors.count
@@ -727,7 +727,7 @@ class TestWarmState:
 
     def test_receding_horizon_factorizes_once_per_rho(self, monkeypatch):
         # each control loop builds a problem with the same saddle, so the
-        # warm factor is rebuilt only when rho_o changes
+        # warm factor is rebuilt only when rho changes
         runs = []
         original = solver_single.solve_single
 
@@ -739,7 +739,7 @@ class TestWarmState:
         monkeypatch.setattr(solver_single, "solve_single", recording)
         result = receding_horizon_run(gen_scenario("barn-like", seed=0), solver="single", n_steps=4)
         assert len(result.records) == len(runs) >= 2
-        rhos = [h["rho_o"] for sol in runs for h in sol.residual_history]
+        rhos = [h["rho"] for sol in runs for h in sol.residual_history]
         changes = sum(1 for before, after in zip(rhos, rhos[1:]) if before != after)
         assert runs[-1].n_factorizations == 1 + changes
 

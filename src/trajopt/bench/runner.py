@@ -82,8 +82,8 @@ def _barn_c1(scenario: Scenario):
     start = np.asarray(scenario.boundary.start, dtype=float)
     goal = np.asarray(scenario.boundary.goal, dtype=float)
 
-    def c1(traj: Trajectory) -> float:
-        return solver_priest.barn_cost(traj.pos, traj.vel, traj.acc, start, goal)
+    def c1(pva: np.ndarray) -> np.ndarray:
+        return solver_priest.barn_cost(*solver_priest.pos_vel_acc(pva), start, goal)
 
     return c1
 
@@ -210,7 +210,7 @@ def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir
             result = solver_priest.cem_optimize(setup, c1, dist, params)
             wall_ms = 1000.0 * (time.perf_counter() - t_start)
             traj = result.best_trajectory
-            residual = float(solver_priest.residual_score(setup, result.best_xi))
+            residual = float(solver_priest.residual_scores(setup, result.best_xi[None])[0])
             iterations = params.iterations
         ok, _ = check_collision_free(traj, scenario, margin=0.0)
         success = bool(ok)

@@ -42,9 +42,9 @@ for bit.  The velocity and acceleration rows go through geometry.norm_clamp,
 the batch solver's too, which clamps only where their q exceeds 1 (their
 zero band is [0, 1]) or is NaN.  Each iterate gets one residual
 pass, shared by the next step, the residual history and the final scores
-and trajectories.
+and samples.
 
-The cost functional is treated as a black box evaluated pointwise on sampled
+The cost functional is a black box evaluated on a stack of sampled
 trajectories; nothing here differentiates it.
 """
 
@@ -118,11 +118,10 @@ class SamplingDistribution:
 
 @dataclass
 class ProjectedSample:
-    original: np.ndarray
     projected: np.ndarray
     residual: float
     trajectory: Trajectory
-    aug_cost: float | None = None
+    aug_cost: float
 
 
 class ProjectionSetup:
@@ -230,7 +229,7 @@ class ProjectionSetup:
         return self._trajectory(self.pva_samples(xi)[0])
 
     def _trajectory(self, pva: np.ndarray) -> Trajectory:
-        pos, vel, acc = pva.transpose(1, 2, 0)
+        pos, vel, acc = pos_vel_acc(pva)
         return Trajectory(t=self.basis.grid.timestamps, pos=pos, vel=vel, acc=acc)
 
     def obstacle_offsets(self, pos: np.ndarray) -> list[np.ndarray]:
@@ -240,6 +239,11 @@ class ProjectionSetup:
     def obstacle_rows(self, n: int) -> ObstacleRows:
         """A workspace of the collision rows for a batch of n samples."""
         return ObstacleRows(self._obs_axes, self.obs_a, self.obs_b, n)
+
+
+def pos_vel_acc(pva: np.ndarray) -> np.ndarray:
+    """Position, velocity and acceleration of (..., dim, 3, n_p) samples: a (3, ..., n_p, dim) view."""
+    return np.moveaxis(pva, -2, 0).swapaxes(-1, -2)
 
 
 def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
@@ -272,7 +276,7 @@ def project(
     samples: np.ndarray,
     n_inner: int = 30,
     residual_history: list | None = None,
-) -> list[ProjectedSample]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project each sampled coefficient vector toward the feasible set.
 
     All samples share the cached saddle factor; each inner iteration takes
@@ -280,8 +284,10 @@ def project(
     with one product per family, ascends the multipliers, and makes one
     batched coefficient solve.  Each iterate gets one residual pass, which
     serves the next iteration, the history and, for the last iterate, the
-    scores and trajectories.  Pass a list as residual_history to collect
-    the per-inner-iteration residual scores (shape (N_s,) each).
+    returned scores.  Returns (xi_bar, scores, pva): the (N, dim*m)
+    projected coefficients, their (N,) residual scores and their
+    (N, dim, 3, n_p) samples.  Pass a list as residual_history to collect
+    the per-inner-iteration residual scores (shape (N,) each).
     """
     if n_inner < 1:
         raise ValueError("n_inner must be at least 1")
@@ -316,16 +322,7 @@ def project(
         if residual_history is not None:
             residual_history.append(np.sqrt(sq))
 
-    scores = np.sqrt(sq)
-    return [
-        ProjectedSample(
-            original=samples[i],
-            projected=xi_bar[i],
-            residual=float(scores[i]),
-            trajectory=setup._trajectory(pva[i]),
-        )
-        for i in range(n)
-    ]
+    return xi_bar, np.sqrt(sq), pva
 
 
 def residual_scores(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
@@ -334,10 +331,6 @@ def residual_scores(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
     pva = setup.pva_samples(xis)
     _, _, sq = _residuals(setup, pva, setup.obstacle_rows(pva.shape[0]))
     return np.sqrt(sq)
-
-
-def residual_score(setup: ProjectionSetup, xi_bar: np.ndarray) -> float:
-    return float(residual_scores(setup, xi_bar)[0])
 
 
 @dataclass
@@ -368,6 +361,13 @@ def update_distribution(mu, sigma_mat, elite_xi, elite_costs, sigma, gamma):
     return new_mu, new_sigma
 
 
+def _batch_costs(c1, pva: np.ndarray) -> np.ndarray:
+    costs = np.asarray(c1(pva), dtype=float)
+    if costs.shape != (pva.shape[0],):
+        raise ValueError(f"c1 must return one cost per sample, shape ({pva.shape[0]},), got {costs.shape}")
+    return costs
+
+
 def priest_optimize(
     setup: ProjectionSetup,
     c1,
@@ -376,45 +376,38 @@ def priest_optimize(
 ) -> PriestResult:
     """Projection-guided sampling loop.
 
-    c1 is any callable Trajectory -> float (pointwise evaluation only).  The
-    returned sample is the lowest-augmented-cost member of the final elite
-    set; per-iteration bests are kept in the history.
+    c1 is any callable that maps a stack of (N, dim, 3, n_p) pva samples (see
+    pos_vel_acc) to their (N,) costs, called once per outer iteration on the
+    n_constraint_elite lowest-residual samples; a stable argsort ranks the
+    costs, NaN last.  The returned sample is the lowest-augmented-cost member
+    of the final elite set; per-iteration bests are kept in the history.
     """
     params = params or PriestParams()
     rng = np.random.default_rng(params.seed)
     mu = distribution.mu.copy()
     sigma_mat = distribution.sigma_mat.copy()
     history = []
-    best: ProjectedSample | None = None
     for _ in range(params.n_outer):
         samples = rng.multivariate_normal(mu, sigma_mat, size=params.n_batch, method="svd")
-        projected = project(setup, samples, n_inner=params.n_inner)
-        residuals = np.array([p.residual for p in projected])
+        xi_bar, residuals, pva = project(setup, samples, n_inner=params.n_inner)
         keep = np.argsort(residuals, kind="stable")[: params.n_constraint_elite]
-        for i in keep:
-            p = projected[i]
-            p.aug_cost = float(c1(p.trajectory)) + params.residual_weight * p.residual
-        scored = sorted((projected[i] for i in keep), key=lambda p: p.aug_cost)
-        elites = scored[: params.n_elite]
-
-        mu, sigma_mat = update_distribution(
-            mu,
-            sigma_mat,
-            np.stack([p.projected for p in elites]),
-            np.array([p.aug_cost for p in elites]),
-            params.sigma,
-            params.gamma,
-        )
-
-        best = elites[0]
+        aug_costs = _batch_costs(c1, pva[keep]) + params.residual_weight * residuals[keep]
+        order = np.argsort(aug_costs, kind="stable")[: params.n_elite]
+        elites = keep[order]
+        mu, sigma_mat = update_distribution(mu, sigma_mat, xi_bar[elites], aug_costs[order], params.sigma, params.gamma)
+        best, best_cost = elites[0], float(aug_costs[order[0]])
         history.append(
             {
-                "best_aug_cost": float(elites[0].aug_cost),
-                "best_residual": float(elites[0].residual),
+                "best_aug_cost": best_cost,
+                "best_residual": float(residuals[best]),
                 "min_residual": float(residuals.min()),
             }
         )
-    return PriestResult(best=best, mu=mu, sigma_mat=sigma_mat, history=history, params=params)
+    trajectory = setup._trajectory(pva[best])
+    best_sample = ProjectedSample(
+        projected=xi_bar[best], residual=float(residuals[best]), trajectory=trajectory, aug_cost=best_cost
+    )
+    return PriestResult(best=best_sample, mu=mu, sigma_mat=sigma_mat, history=history, params=params)
 
 
 @dataclass
@@ -428,9 +421,9 @@ class CemResult:
     params: CemParams
 
 
-def _cem_penalty(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
-    """Linear max(0, g) penalties of the raw inequality constraints."""
-    pva = setup.pva_samples(xis)
+def _cem_penalty(setup: ProjectionSetup, pva: np.ndarray) -> np.ndarray:
+    """Linear max(0, g) penalties of the raw inequality constraints on the
+    (N, dim, 3, n_p) samples pva."""
     pos, vel, acc = pva[:, :, 0], pva[:, :, 1], pva[:, :, 2]
     total = np.zeros(pva.shape[0])
     if setup.n_o:
@@ -453,7 +446,8 @@ def cem_optimize(
     params: CemParams | None = None,
 ) -> CemResult:
     """Plain cross-entropy baseline: no projection, penalty-based evaluation,
-    unweighted elite mean/covariance refit."""
+    unweighted elite mean/covariance refit.  c1 is as in priest_optimize,
+    called once per iteration on every raw sample."""
     params = params or CemParams()
     rng = np.random.default_rng(params.seed)
     mu = distribution.mu.copy()
@@ -462,8 +456,8 @@ def cem_optimize(
     best_xi, best_cost = None, np.inf
     for _ in range(params.iterations):
         samples = rng.multivariate_normal(mu, sigma_mat, size=params.n_batch, method="svd")
-        costs = np.array([float(c1(setup.trajectory_of(x))) for x in samples])
-        costs = costs + params.penalty_weight * _cem_penalty(setup, samples)
+        pva = setup.pva_samples(samples)
+        costs = _batch_costs(c1, pva) + params.penalty_weight * _cem_penalty(setup, pva)
         order = np.argsort(costs, kind="stable")
         elites = samples[order[: params.n_elite]]
         mu = elites.mean(axis=0)
@@ -485,41 +479,42 @@ def cem_optimize(
 
 
 def flatness_car(vel: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward speed and curvature of a planar trajectory.
+    """Forward speed and curvature of planar trajectories.
 
     Curvature is undefined (NaN) where the speed is below threshold.
-    vel/acc have shape (n_p, 2).
+    vel/acc have shape (..., n_p, 2); speed and curvature (..., n_p).
     """
     vel = np.asarray(vel, dtype=float)
     acc = np.asarray(acc, dtype=float)
-    speed = np.hypot(vel[:, 0], vel[:, 1])
+    speed = np.hypot(vel[..., 0], vel[..., 1])
     kappa = np.full_like(speed, np.nan)
     ok = speed > _SPEED_EPS
-    kappa[ok] = (acc[ok, 1] * vel[ok, 0] - acc[ok, 0] * vel[ok, 1]) / speed[ok] ** 3
+    kappa[ok] = (acc[..., 1] * vel[..., 0] - acc[..., 0] * vel[..., 1])[ok] / speed[ok] ** 3
     return speed, kappa
 
 
-def barn_cost(pos: np.ndarray, vel: np.ndarray, acc: np.ndarray, line_start, line_end) -> float:
+def barn_cost(pos: np.ndarray, vel: np.ndarray, acc: np.ndarray, line_start, line_end):
     """Clutter-navigation cost: squared accelerations, squared curvature, and
     squared orthogonal distance to the straight start-goal line.
 
+    pos/vel/acc have shape (..., n_p, dim); the cost has the leading shape.
     Curvature terms are skipped at samples with near-zero speed.
     """
     pos = np.asarray(pos, dtype=float)
     acc = np.asarray(acc, dtype=float)
-    smooth = float(np.sum(acc[:, 0] ** 2 + acc[:, 1] ** 2))
+    smooth = np.sum(acc[..., 0] ** 2 + acc[..., 1] ** 2, axis=-1)
     _, kappa = flatness_car(vel, acc)
-    c_kappa = float(np.nansum(kappa**2))
+    c_kappa = np.nansum(kappa**2, axis=-1)
     start = np.asarray(line_start, dtype=float)[:2]
     end = np.asarray(line_end, dtype=float)[:2]
     axis = end - start
     length = np.linalg.norm(axis)
-    rel = pos[:, :2] - start
+    rel = pos[..., :2] - start
     if length < 1e-12:
-        dist2 = (rel**2).sum(axis=1)
+        dist2 = (rel**2).sum(axis=-1)
     else:
         u = axis / length
         along = rel @ u
-        dist2 = (rel**2).sum(axis=1) - along**2
-    c_p = float(np.sum(np.maximum(dist2, 0.0)))
+        dist2 = (rel**2).sum(axis=-1) - along**2
+    c_p = np.sum(np.maximum(dist2, 0.0), axis=-1)
     return smooth + c_kappa + c_p

@@ -204,16 +204,15 @@ def test_criterion_08_projection_guarantees():
     rng = np.random.default_rng(0)
     mean = straight_line_coeffs(basis, scenario.boundary.start, scenario.boundary.goal).ravel()
     samples = mean[None, :] + rng.normal(scale=0.6, size=(40, mean.size))
-    outs = solver_priest.project(setup, samples, n_inner=30)
-    boundary_ok = all(np.max(np.abs(setup.A @ o.projected - setup.b_eq)) <= 1e-8 for o in outs)
+    projected, scores, _ = solver_priest.project(setup, samples, n_inner=30)
+    boundary_ok = all(np.max(np.abs(setup.A @ xi - setup.b_eq)) <= 1e-8 for xi in projected)
 
     # feasible inputs are fixed points: take a strictly feasible projected
     # trajectory and push it through again
-    scores = np.array([o.residual for o in outs])
     feas_idx = int(np.argmin(scores))
-    fixed_in = outs[feas_idx].projected
-    fixed_out = solver_priest.project(setup, fixed_in[None, :], n_inner=10)[0]
-    fixed_ok = outs[feas_idx].residual < 1e-9 and np.max(np.abs(fixed_out.projected - fixed_in)) <= 1e-9
+    fixed_in = projected[feas_idx]
+    fixed_out, _, _ = solver_priest.project(setup, fixed_in[None, :], n_inner=10)
+    fixed_ok = scores[feas_idx] < 1e-9 and np.max(np.abs(fixed_out[0] - fixed_in)) <= 1e-9
 
     no_refactor = qpcore.factorization_count() - before == factorizations == 1
     elapsed = time.perf_counter() - t0

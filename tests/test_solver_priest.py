@@ -9,15 +9,14 @@ from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleRows, ObstacleTrack,
 from trajopt.solver_priest import (
     CemParams,
     PriestParams,
-    ProjectedSample,
     ProjectionSetup,
     SamplingDistribution,
     barn_cost,
     cem_optimize,
     flatness_car,
+    pos_vel_acc,
     priest_optimize,
     project,
-    residual_score,
     residual_scores,
     update_distribution,
 )
@@ -159,24 +158,28 @@ def _noisy_line_samples(setup, n, seed, scale=1.0):
     return _line_sample(setup)[None, :] + rng.normal(scale=scale, size=(n, setup.A.shape[1]))
 
 
+def _acc_cost(pva):
+    return np.sum(pos_vel_acc(pva)[2] ** 2, axis=(1, 2))
+
+
 class TestProject:
     def test_feasible_sample_is_fixed_point(self):
         obstacle = _static_obstacle([4.0, 3.5], 0.5, 0.5)  # off the path
         setup = make_setup_2d(obstacles=[obstacle])
         xi = _line_sample(setup)
-        out = project(setup, xi[None, :], n_inner=20)[0]
-        assert out.residual < 1e-9
-        np.testing.assert_allclose(out.projected, xi, atol=1e-9)
+        projected, scores, _ = project(setup, xi[None, :], n_inner=20)
+        assert scores[0] < 1e-9
+        np.testing.assert_allclose(projected[0], xi, atol=1e-9)
 
     def test_empty_constraint_set_is_equality_projection(self):
         setup = make_setup_2d(obstacles=[], v_max=None, a_max=None, bounds=False)
         rng = np.random.default_rng(0)
         xi = rng.normal(size=setup.A.shape[1])
-        out = project(setup, xi[None, :], n_inner=3)[0]
+        projected, _, _ = project(setup, xi[None, :], n_inner=3)
         # oracle: min ||z - xi||^2 s.t. A z = b  via the KKT system
         factor = qpcore.factorize(np.eye(xi.size), setup.A)
         expected, _ = qpcore.solve(factor, -xi, setup.b_eq)
-        np.testing.assert_allclose(out.projected, expected, atol=1e-9)
+        np.testing.assert_allclose(projected[0], expected, atol=1e-9)
 
     def test_infeasible_sample_residual_trend(self):
         obstacle = _static_obstacle([4.0, 0.0], 1.2, 1.2)  # blocks the line
@@ -194,19 +197,19 @@ class TestProject:
         setup = make_setup_2d(obstacles=[obstacle])
         rng = np.random.default_rng(1)
         samples = _line_sample(setup)[None, :] + rng.normal(scale=1.0, size=(12, setup.A.shape[1]))
-        outs = project(setup, samples, n_inner=15)
-        for out in outs:
-            np.testing.assert_allclose(setup.A @ out.projected, setup.b_eq, atol=1e-8)
+        projected, _, _ = project(setup, samples, n_inner=15)
+        for xi in projected:
+            np.testing.assert_allclose(setup.A @ xi, setup.b_eq, atol=1e-8)
 
     def test_batch_matches_per_sample_projection(self):
         obstacle = _static_obstacle([4.0, 0.2], 0.8, 0.8)
         setup = make_setup_2d(obstacles=[obstacle])
         rng = np.random.default_rng(2)
         samples = _line_sample(setup)[None, :] + rng.normal(scale=1.0, size=(6, setup.A.shape[1]))
-        batch = project(setup, samples, n_inner=10)
+        batch, _, _ = project(setup, samples, n_inner=10)
         for i in range(6):
-            single = project(setup, samples[i][None, :], n_inner=10)[0]
-            assert np.max(np.abs(batch[i].projected - single.projected)) <= 1e-10
+            single, _, _ = project(setup, samples[i][None, :], n_inner=10)
+            assert np.max(np.abs(batch[i] - single[0])) <= 1e-10
 
     def test_setup_factorizes_once(self):
         obstacle = _static_obstacle([4.0, 0.2], 0.8, 0.8)
@@ -226,9 +229,9 @@ class TestProject:
         obstacle = _static_obstacle([4.0, 0.0, 1.0], 1.0, 0.8)
         setup = make_setup_3d(obstacles=[obstacle])
         xi = _line_sample(setup)
-        out = project(setup, xi[None, :], n_inner=150)[0]
-        assert out.residual < 1e-3
-        pos = out.trajectory.pos
+        _, scores, pva = project(setup, xi[None, :], n_inner=150)
+        assert scores[0] < 1e-3
+        pos = pos_vel_acc(pva[0])[0]
         delta = pos - obstacle.centers
         scaled = np.sqrt(delta[:, 0] ** 2 / 1.0 + delta[:, 1] ** 2 / 1.0 + delta[:, 2] ** 2 / 0.8**2)
         assert scaled.min() >= 1.0 - 5e-3
@@ -237,7 +240,7 @@ class TestProject:
 class TestResidualScore:
     def test_feasible_trajectory_scores_zero(self):
         setup = make_setup_2d(obstacles=[_static_obstacle([4.0, 3.0], 0.5, 0.5)])
-        assert residual_score(setup, _line_sample(setup)) == pytest.approx(0.0, abs=1e-12)
+        assert residual_scores(setup, _line_sample(setup)[None])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_bound_violation_formula(self):
         # constant y = s_max_y + 0.5 violates only the upper y bound
@@ -252,7 +255,7 @@ class TestResidualScore:
             s_max=np.array([10.0, 5.0]),
         )
         coeffs = straight_line_coeffs(basis, [0.0, 5.5], [8.0, 5.5]).ravel()
-        r = residual_score(setup, coeffs)
+        r = residual_scores(setup, coeffs[None])[0]
         assert r == pytest.approx(0.5 * np.sqrt(N_P), rel=1e-9)
 
     def test_doubled_violation_scores_strictly_larger(self):
@@ -269,7 +272,7 @@ class TestResidualScore:
                 s_max=np.array([10.0, 5.0]),
             )
             coeffs = straight_line_coeffs(basis, [0.0, 5.0 + offset], [8.0, 5.0 + offset]).ravel()
-            return residual_score(setup, coeffs)
+            return residual_scores(setup, coeffs[None])[0]
 
         assert make(1.0) > make(0.5)
 
@@ -290,11 +293,11 @@ class TestPriestOptimize:
         setup = make_setup_2d(obstacles=[])
         mu = _line_sample(setup)
 
-        def c1(traj):
+        def c1(pva):
             # squared deviation from the straight line: the sampling mean is
             # the unconstrained optimum with value 0
             line = np.column_stack([np.linspace(0.0, 8.0, N_P), np.zeros(N_P)])
-            return float(np.sum((traj.pos - line) ** 2))
+            return np.sum((pos_vel_acc(pva)[0] - line) ** 2, axis=(1, 2))
 
         dist = SamplingDistribution(mu=mu, sigma_mat=0.01 * np.eye(mu.size))
         res = priest_optimize(setup, c1, dist, PriestParams(n_outer=20, seed=0))
@@ -305,13 +308,9 @@ class TestPriestOptimize:
         setup = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.0, 1.0)])
         mu = _line_sample(setup)
         dist = SamplingDistribution(mu=mu, sigma_mat=0.2 * np.eye(mu.size))
-
-        def c1(traj):
-            return float(np.sum(traj.acc**2))
-
         p = PriestParams(n_outer=3, n_batch=20, n_constraint_elite=15, n_elite=5, seed=11)
-        r1 = priest_optimize(setup, c1, dist, p)
-        r2 = priest_optimize(setup, c1, dist, p)
+        r1 = priest_optimize(setup, _acc_cost, dist, p)
+        r2 = priest_optimize(setup, _acc_cost, dist, p)
         np.testing.assert_array_equal(r1.best.projected, r2.best.projected)
         np.testing.assert_array_equal(r1.mu, r2.mu)
 
@@ -354,7 +353,7 @@ class TestCem:
         rng = np.random.default_rng(6)
         samples = rng.multivariate_normal(dist.mu, dist.sigma_mat, size=16, method="svd")
         params = CemParams(n_batch=16, n_elite=16, iterations=1, seed=6)
-        res = cem_optimize(setup, lambda t: 0.0, dist, params)
+        res = cem_optimize(setup, lambda pva: np.zeros(len(pva)), dist, params)
         # same rng sequence reproduces the samples the optimizer drew
         np.testing.assert_allclose(res.mu, samples.mean(axis=0), atol=1e-12)
 
@@ -362,7 +361,7 @@ class TestCem:
         setup = make_setup_2d(obstacles=[])
         mu = _line_sample(setup)
         dist = SamplingDistribution(mu=mu, sigma_mat=np.zeros((mu.size, mu.size)))
-        res = cem_optimize(setup, lambda t: float(np.sum(t.acc**2)), dist, CemParams(n_batch=8, n_elite=4, iterations=3, seed=7))
+        res = cem_optimize(setup, _acc_cost, dist, CemParams(n_batch=8, n_elite=4, iterations=3, seed=7))
         np.testing.assert_allclose(res.mu, mu, atol=1e-12)
         np.testing.assert_allclose(res.sigma_mat, 0.0, atol=1e-12)
 
@@ -384,8 +383,8 @@ class TestCem:
         m = basis.n_var
         target_pos = np.column_stack([basis.P @ target[:m], basis.P @ target[m:]])
 
-        def c1_track(traj):
-            return float(np.sum((traj.pos - target_pos) ** 2))
+        def c1_track(pva):
+            return np.sum((pos_vel_acc(pva)[0] - target_pos) ** 2, axis=(1, 2))
 
         initial_distance = float(np.linalg.norm(mu0 - target))
         dist = SamplingDistribution(mu=mu0, sigma_mat=0.5 * np.eye(mu0.size))
@@ -429,13 +428,46 @@ class TestFlatnessAndBarnCost:
         expected = n * h**2
         assert barn_cost(pos, vel, acc, [0.0, 0.0], [10.0, 0.0]) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("same_ends", [False, True], ids=["line", "start-is-goal"])
+    def test_batched_cost_bit_equal_to_per_sample_formula(self, same_ends):
+        scenario, setup, dist = _scenario_setup("barn-like", None, seed=1)
+        start = np.asarray(scenario.boundary.start, dtype=float)
+        goal = start if same_ends else np.asarray(scenario.boundary.goal, dtype=float)
+        raw = np.random.default_rng(2).multivariate_normal(dist.mu, dist.sigma_mat, size=12, method="svd")
+        pva = setup.pva_samples(np.vstack([raw, project(setup, raw, n_inner=5)[0]]))
+        pva[0, :, 1, 3:9] = 0.0  # at rest: NaN curvature, skipped
+        pva[1, :, 1, 10] = 1e-7  # below the speed threshold
+        _, kappa = flatness_car(*pos_vel_acc(pva)[1:])
+        assert np.isnan(kappa[0, 3:9]).all() and np.isnan(kappa[1, 10])
+        costs = barn_cost(*pos_vel_acc(pva), start, goal)
+        assert costs.shape == (24,)
+        expected = [_barn_cost_reference(*pos_vel_acc(p), start, goal) for p in pva]
+        assert np.array_equal(costs, expected)
+
+
+def _barn_cost_reference(pos, vel, acc, line_start, line_end):
+    """barn_cost as first written, on one (n_p, dim) trajectory."""
+    smooth = float(np.sum(acc[:, 0] ** 2 + acc[:, 1] ** 2))
+    speed = np.hypot(vel[:, 0], vel[:, 1])
+    kappa = np.full_like(speed, np.nan)
+    ok = speed > 1e-6
+    kappa[ok] = (acc[ok, 1] * vel[ok, 0] - acc[ok, 0] * vel[ok, 1]) / speed[ok] ** 3
+    c_kappa = float(np.nansum(kappa**2))
+    start, end = np.asarray(line_start)[:2], np.asarray(line_end)[:2]
+    axis = end - start
+    length = np.linalg.norm(axis)
+    rel = pos[:, :2] - start
+    if length < 1e-12:
+        dist2 = (rel**2).sum(axis=1)
+    else:
+        along = rel @ (axis / length)
+        dist2 = (rel**2).sum(axis=1) - along**2
+    return smooth + c_kappa + float(np.sum(np.maximum(dist2, 0.0)))
+
 
 def _reference_samples(setup, samples, n_inner=30):
     xi, scores = _reference_projection(setup, samples, n_inner)
-    return [
-        ProjectedSample(original=s, projected=x, residual=float(r), trajectory=setup.trajectory_of(x))
-        for s, x, r in zip(samples, xi, scores)
-    ]
+    return xi, scores, setup.pva_samples(xi)
 
 
 def _scenario_setup(kind, params, seed):
@@ -446,11 +478,11 @@ def _scenario_setup(kind, params, seed):
 
 
 def _assert_matches_reference(setup, samples, n_inner):
-    outs = project(setup, samples, n_inner=n_inner)
+    projected, scores, _ = project(setup, samples, n_inner=n_inner)
     ref_xi, ref_scores = _reference_projection(setup, samples, n_inner)
-    for out, xi, score in zip(outs, ref_xi, ref_scores):
-        assert np.max(np.abs(out.projected - xi)) <= 1e-9 * np.max(np.abs(xi))
-        assert abs(out.residual - score) <= 1e-12
+    for got, xi, got_score, score in zip(projected, ref_xi, scores, ref_scores):
+        assert np.max(np.abs(got - xi)) <= 1e-9 * np.max(np.abs(xi))
+        assert abs(got_score - score) <= 1e-12
 
 
 class TestProjectMatchesReference:
@@ -503,7 +535,7 @@ class TestActiveObstacleRows:
         _, setup, dist = _scenario_setup(kind, params, seed=5)
         raw = np.random.default_rng(0).multivariate_normal(dist.mu, dist.sigma_mat, size=24, method="svd")
         # raw draws cut deep into the obstacles, projected ones graze them
-        projected = np.stack([p.projected for p in project(setup, raw, n_inner=5)])
+        projected, _, _ = project(setup, raw, n_inner=5)
         for xis in (raw, projected):
             assert _assert_sums_bit_equal(setup, xis) >= 1
 
@@ -590,11 +622,75 @@ class TestOnePassPerIterate:
             outs[with_history] = project(setup, samples, n_inner=n_inner, residual_history=history)
             assert calls == {"rows": n_inner + 1, "pva": n_inner + 1}
         assert len(history) == n_inner
-        np.testing.assert_array_equal(history[-1], [p.residual for p in outs[True]])
+        np.testing.assert_array_equal(history[-1], outs[True][1])
         for plain, logged in zip(outs[False], outs[True]):
-            assert np.array_equal(plain.projected, logged.projected)
-            assert plain.residual == logged.residual
-            assert np.array_equal(plain.trajectory.pos, logged.trajectory.pos)
+            assert np.array_equal(plain, logged)
+
+
+class TestBatchedCost:
+    """c1 scores a stack of samples: one call per outer iteration, one cost per row."""
+
+    def _run(self, solver, c1):
+        setup = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.0, 1.0)])
+        mu = _line_sample(setup)
+        dist = SamplingDistribution(mu=mu, sigma_mat=0.2 * np.eye(mu.size))
+        if solver == "priest":
+            params = PriestParams(n_outer=3, n_batch=20, n_constraint_elite=15, n_elite=5, n_inner=5, seed=1)
+            return priest_optimize(setup, c1, dist, params)
+        return cem_optimize(setup, c1, dist, CemParams(n_batch=20, n_elite=5, iterations=3, seed=1))
+
+    def test_priest_scores_the_constraint_elites_once_per_outer_iteration(self):
+        shapes = []
+
+        def c1(pva):
+            shapes.append(pva.shape)
+            return _acc_cost(pva)
+
+        self._run("priest", c1)
+        assert shapes == [(15, 2, 3, N_P)] * 3
+
+    def test_cem_forms_its_samples_once_per_iteration(self, monkeypatch):
+        shapes, calls = [], []
+        pva_samples = ProjectionSetup.pva_samples
+
+        def counting(setup, xis):
+            calls.append(np.atleast_2d(xis).shape[0])
+            return pva_samples(setup, xis)
+
+        def c1(pva):
+            shapes.append(pva.shape)
+            return _acc_cost(pva)
+
+        monkeypatch.setattr(ProjectionSetup, "pva_samples", counting)
+        self._run("cem", c1)
+        assert shapes == [(20, 2, 3, N_P)] * 3
+        assert calls == [20, 20, 20, 1]  # the last forms the returned best
+
+    @pytest.mark.parametrize("solver", ["priest", "cem"])
+    @pytest.mark.parametrize(
+        "c1",
+        [lambda pva: 0.0, lambda pva: np.zeros((len(pva), 1)), lambda pva: np.zeros(len(pva) - 1)],
+        ids=["scalar", "column", "short"],
+    )
+    def test_cost_of_wrong_shape_rejected(self, solver, c1):
+        with pytest.raises(ValueError, match=r"c1 must return .* shape \(\d+,\), got"):
+            self._run(solver, c1)
+
+    @pytest.mark.parametrize("solver", ["priest", "cem"])
+    def test_nan_costs_rank_last(self, solver):
+        def with_every_other(fill):
+            def c1(pva):
+                costs = _acc_cost(pva)
+                costs[1::2] = fill
+                return costs
+
+            return c1
+
+        # at least 7 finite costs for the 5 elites: NaN ranks as +inf would
+        nan, inf = self._run(solver, with_every_other(np.nan)), self._run(solver, with_every_other(np.inf))
+        assert np.isfinite(nan.mu).all() and np.isfinite(nan.sigma_mat).all()
+        np.testing.assert_array_equal(nan.mu, inf.mu)
+        np.testing.assert_array_equal(nan.sigma_mat, inf.sigma_mat)
 
 
 class TestSetupValidation:
@@ -719,8 +815,8 @@ class TestCemPenalty:
         s2 = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.2, 0.9), _static_obstacle([6.0, 1.0], 0.7, 1.1)])
         x2 = _line_sample(s2)[None, :] + np.random.default_rng(8).normal(scale=1.5, size=(4, s2.A.shape[1]))
         np.testing.assert_allclose(
-            _cem_penalty(s2, x2), [9.138142420076484, 97.93144900718406, 1.0253246112348724, 136.17507851754567], rtol=1e-12
+            _cem_penalty(s2, s2.pva_samples(x2)), [9.138142420076484, 97.93144900718406, 1.0253246112348724, 136.17507851754567], rtol=1e-12
         )
         s3 = make_setup_3d(obstacles=[_static_obstacle([4.0, 0.0, 1.0], 1.0, 0.8)])
         x3 = _line_sample(s3)[None, :] + np.random.default_rng(9).normal(scale=1.5, size=(3, s3.A.shape[1]))
-        np.testing.assert_allclose(_cem_penalty(s3, x3), [103.08846544930357, 34.16351275469579, 3.070211144049175], rtol=1e-12)
+        np.testing.assert_allclose(_cem_penalty(s3, s3.pva_samples(x3)), [103.08846544930357, 34.16351275469579, 3.070211144049175], rtol=1e-12)

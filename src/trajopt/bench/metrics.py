@@ -24,11 +24,15 @@ class RunMetrics:
     wall_time_ms: float
 
 
-def eval_metrics(trajectory: Trajectory, scenario: Scenario, desired: np.ndarray | None = None) -> RunMetrics:
-    """Smoothness / tracking / arc-length metrics of a sampled trajectory.
+def eval_metrics(
+    trajectory: Trajectory, scenario: Scenario, desired: np.ndarray | None = None, t_now: float = 0.0
+) -> RunMetrics:
+    """Smoothness / tracking / arc-length / clearance metrics of a sampled trajectory.
 
-    Solver-specific fields (success, iters, residual, wall time) are filled
-    by the runner; they default to zero here.
+    The clearance is taken against the obstacles predicted from time t_now
+    on, as for clearance_lower_bound.  Solver-specific fields (success,
+    iters, residual, wall time) are filled by the runner; they default to
+    zero here.
     """
     acc = trajectory.acc
     smoothness = float(np.sum(acc**2))
@@ -39,8 +43,7 @@ def eval_metrics(trajectory: Trajectory, scenario: Scenario, desired: np.ndarray
         tracking = float(np.sum((trajectory.pos - desired) ** 2))
     seg = np.diff(trajectory.pos, axis=0)
     arc_length = float(np.sum(np.linalg.norm(seg, axis=1)))
-    _, worst = check_collision_free(trajectory, scenario, margin=0.0)
-    min_clear = clearance_lower_bound(trajectory, scenario)
+    min_clear = clearance_lower_bound(trajectory, scenario, t_now)
     return RunMetrics(
         smoothness=smoothness,
         tracking=tracking,
@@ -53,9 +56,10 @@ def eval_metrics(trajectory: Trajectory, scenario: Scenario, desired: np.ndarray
     )
 
 
-def _scaled_distances(trajectory: Trajectory, scenario: Scenario) -> np.ndarray:
-    """Ellipsoidal distance (1 on the boundary) per obstacle and sample."""
-    tracks = predict_obstacles(scenario, trajectory.t)
+def _scaled_distances(trajectory: Trajectory, scenario: Scenario, t_now: float = 0.0) -> np.ndarray:
+    """Ellipsoidal distance (1 on the boundary) per obstacle and sample,
+    the trajectory's first sample taken at time t_now."""
+    tracks = predict_obstacles(scenario, trajectory.t, t_now=t_now)
     deltas = trajectory.pos[None, :, :] - np.stack([track.centers for track in tracks])
     a = np.array([[track.shape.a] for track in tracks])
     b = np.array([[track.shape.b] for track in tracks])
@@ -77,14 +81,15 @@ def check_collision_free(trajectory: Trajectory, scenario: Scenario, margin: flo
     return worst <= 0.0, worst
 
 
-def clearance_lower_bound(trajectory: Trajectory, scenario: Scenario) -> float:
+def clearance_lower_bound(trajectory: Trajectory, scenario: Scenario, t_now: float = 0.0) -> float:
     """Conservative metric clearance in meters.
 
     (scaled distance - 1) * min(a, b) is exact for spheres and a lower bound
-    for ellipsoids; returns +inf with no obstacles.
+    for ellipsoids; returns +inf with no obstacles.  The trajectory starts
+    at time t_now of the obstacles' motion.
     """
     if not scenario.obstacles:
         return math.inf
-    dists = _scaled_distances(trajectory, scenario)
+    dists = _scaled_distances(trajectory, scenario, t_now)
     semi = np.array([[min(o.a, o.b)] for o in scenario.obstacles])
     return float(np.min((dists - 1.0) * semi))

@@ -304,14 +304,21 @@ def read_results_csv(path) -> list:
     return out
 
 
-def _in_collision_now(scenario: Scenario, pos: np.ndarray, t_abs: float) -> bool:
+def _collision_check(scenario: Scenario):
+    """in_collision(pos, t_abs): whether pos lies inside an obstacle at its true
+    position at time t_abs.  The obstacle arrays are built once, here."""
     obstacles = scenario.obstacles
-    if not obstacles:
-        return False
-    centers = np.array([obs.center for obs in obstacles]) + np.array([obs.velocity for obs in obstacles]) * t_abs
+    centers = np.array([obs.center for obs in obstacles])
+    velocities = np.array([obs.velocity for obs in obstacles])
     a = np.array([obs.a for obs in obstacles])
     b = np.array([obs.b for obs in obstacles])
-    return bool(np.any(scaled_sq_norm((pos - centers).T, a, b) < 1.0))
+
+    def in_collision(pos: np.ndarray, t_abs: float) -> bool:
+        if not obstacles:
+            return False
+        return bool(np.any(scaled_sq_norm((pos - (centers + velocities * t_abs)).T, a, b) < 1.0))
+
+    return in_collision
 
 
 def receding_horizon_run(
@@ -346,7 +353,8 @@ def receding_horizon_run(
     records: list[RunRecord] = []
     executed_pos = [pos.copy()]
     executed_t = [0.0]
-    collided = _in_collision_now(scenario, pos, t_abs)
+    in_collision = _collision_check(scenario)
+    collided = in_collision(pos, t_abs)
     reached = False
     warm_state = None
 
@@ -360,6 +368,7 @@ def receding_horizon_run(
         frac = np.linspace(0.0, 1.0, basis.n_p)[:, None]
         desired = pos[None, :] + frac * (goal - pos)[None, :]
 
+        t_step = t_abs
         t_start = time.perf_counter()
         if solver == "single":
             problem = solver_single.SingleProblem(basis=basis, boundary=boundary, desired=desired, obstacles=tracks)
@@ -402,14 +411,15 @@ def receding_horizon_run(
             t_abs += dt
             executed_pos.append(pos.copy())
             executed_t.append(t_abs)
-            if _in_collision_now(scenario, pos, t_abs):
+            if in_collision(pos, t_abs):
                 collided = True
                 break
             if np.linalg.norm(pos - goal) <= goal_radius:
                 reached = True
                 break
 
-        metrics = eval_metrics(traj, scenario, desired)
+        # the plan is scored against the obstacles as predicted for its own times
+        metrics = eval_metrics(traj, scenario, desired, t_now=t_step)
         metrics.iters = iters
         metrics.residual_final = residual
         metrics.wall_time_ms = wall_ms

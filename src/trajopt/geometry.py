@@ -396,9 +396,20 @@ def stalled(history, since_change, window, improvement, floor):
     """
     if len(history) < 2 * window or since_change < window:
         return False
-    recent = np.mean(history[-window:])
-    previous = np.mean(history[-2 * window : -window])
+    recent = _window_mean(history[-window:])
+    previous = _window_mean(history[-2 * window : -window])
     return bool(previous > floor and (previous - recent) / previous < improvement)
+
+
+def _window_mean(values):
+    """np.mean of a list of floats, bit for bit, without building an array for short lists.
+
+    numpy adds fewer than 8 entries one after another from 0, as sum does;
+    from 8 entries on it sums pairwise, so longer windows keep np.mean.
+    """
+    if len(values) < 8:
+        return sum(values) / len(values)
+    return np.mean(values)
 
 
 def check_schedule(params):

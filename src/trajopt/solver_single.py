@@ -18,8 +18,17 @@ which is (cos, sin) of arctan2(s, c), and to (1, 0) at the origin, as
 arctan2(0, 0) = 0 (geometry.unit_pair, the radial clamp's target at unit
 semi-axes and scale).  Only init_state takes angles, of the straight-line
 offsets, once per solve.  A 2-D problem is the 3-D one with sin(beta) = 1
-and lateral semi-axes (a, b) in place of (a, a), so the reconstruction and
-the alpha copy step are written once.
+and lateral semi-axes (a, b) in place of (a, a).
+
+The state stacks the unit pairs, their copies and the copy multipliers as
+(k, n_o, n_p) arrays in the rows cos(alpha), sin(alpha)[, cos(beta),
+sin(beta)], k = 2 in 2-D and 4 in 3-D, so each step is one expression over
+the stack: the polar points, coefficient rows times stack[:dim]; the copy
+step of the rows each polar row holds one of, cos(alpha), sin(alpha)[,
+cos(beta)] (sin(beta), in both the x and y rows, keeps its own formula);
+one unit_pair pass over every pair; and the multiplier ascent from one
+residual block, (dim + k, n_o, n_p), whose norm and max need no
+concatenation.
 
 What the sweep reads from the problem is built once per solve in a
 _SingleStructure: the cost blocks Q and q, the boundary rows A and values,
@@ -37,6 +46,7 @@ sweep.  Works in 2-D (planar ellipses, no beta block) and 3-D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,22 +113,17 @@ class SingleParams:
 class SingleState:
     xi: np.ndarray  # (dim, n_var)
     d: np.ndarray  # (n_o, n_p)
-    # the angles as unit pairs (cos, sin), (2, n_o, n_p); unit_b is None in 2-D
-    unit_a: np.ndarray
-    unit_b: np.ndarray | None
-    cos_a: np.ndarray
-    sin_a: np.ndarray
-    cos_b: np.ndarray | None
-    sin_b: np.ndarray | None
+    # the angles as unit pairs stacked (k, n_o, n_p) in the rows cos(alpha),
+    # sin(alpha)[, cos(beta), sin(beta)]: k = 2 in 2-D and 4 in 3-D
+    unit: np.ndarray
+    copies: np.ndarray  # the copies of the unit pairs, (k, n_o, n_p)
     lam_pos: np.ndarray  # (dim, n_o, n_p)
-    lam_cos_a: np.ndarray
-    lam_sin_a: np.ndarray
-    lam_cos_b: np.ndarray | None
-    lam_sin_b: np.ndarray | None
+    lam_copies: np.ndarray  # (k, n_o, n_p)
+    # equality residuals of the last sweep, (dim + k, n_o, n_p), as
+    # equality_residuals writes them
+    residuals: np.ndarray = field(repr=False)
     rho: float  # the one penalty of the position, copy and multiplier steps
     iteration: int = 0
-    # equality residuals of the last sweep, as equality_residuals returns them
-    residuals: dict = field(default_factory=dict, repr=False)
     # the position step's KKT factor
     factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
 
@@ -165,12 +170,17 @@ class _SingleStructure:
             self.tracks = np.stack([np.asarray(obs.centers, dtype=float).T for obs in problem.obstacles], axis=1)
         self.a = np.array([obs.shape.a for obs in problem.obstacles], dtype=float)[:, None]
         self.b = np.array([obs.shape.b for obs in problem.obstacles], dtype=float)[:, None]
-        # semi-axes of the x and y rows, which carry cos(alpha) and sin(alpha)
-        self.lateral = (self.a, self.a if problem.dim == 3 else self.b)
+        # semi-axis of each polar row x, y[, z], (dim, n_o, 1)
+        self.semi = np.stack((self.a, self.a, self.b) if problem.dim == 3 else (self.a, self.b))
 
     def offsets(self, xi: np.ndarray) -> np.ndarray:
         """Robot-to-obstacle offsets per axis, (dim, n_o, n_p)."""
         return (self.P @ xi.T).T[:, None, :] - self.tracks
+
+
+def _pairs(stack: np.ndarray) -> np.ndarray:
+    """A stack of rows viewed as its (cos, sin) pairs, (k // 2, 2, n_o, n_p)."""
+    return stack.reshape(len(stack) // 2, 2, *stack.shape[1:])
 
 
 def _check_state(state: SingleState, problem: SingleProblem) -> None:
@@ -180,16 +190,12 @@ def _check_state(state: SingleState, problem: SingleProblem) -> None:
     problem's saddle differs from the one it holds.
     """
     dim, n_o, n_p = problem.dim, problem.n_o, problem.basis.n_p
-    polar = (n_o, n_p)
-    shapes = {"xi": (dim, problem.basis.n_var), "d": polar, "unit_a": (2, *polar)}
-    shapes.update(dict.fromkeys(("cos_a", "sin_a", "lam_cos_a", "lam_sin_a"), polar))
-    shapes["lam_pos"] = (dim, *polar)
-    # the beta block exists in 3-D only
-    shapes["unit_b"] = (2, *polar) if dim == 3 else None
-    shapes.update(dict.fromkeys(("cos_b", "sin_b", "lam_cos_b", "lam_sin_b"), polar if dim == 3 else None))
+    k = 2 * (dim - 1)  # the beta pair exists in 3-D only
+    shapes = {"xi": (dim, problem.basis.n_var), "d": (n_o, n_p), "lam_pos": (dim, n_o, n_p)}
+    shapes.update(dict.fromkeys(("unit", "copies", "lam_copies"), (k, n_o, n_p)))
+    shapes["residuals"] = (dim + k, n_o, n_p)
     for name, shape in shapes.items():
-        value = getattr(state, name)
-        got = None if value is None else np.shape(value)
+        got = np.shape(getattr(state, name))
         if got != shape:
             raise ValueError(f"warm state {name} has shape {got}, expected {shape} for this {dim}-D problem")
 
@@ -214,105 +220,70 @@ def init_state(
     xi = straight_line_coeffs(problem.basis, start, goal)
 
     deltas = struct.offsets(xi)
-    unit_b = None
     if dim == 3:
-        alpha, beta = angles3d(deltas, struct.a, struct.b)
-        unit_b = np.stack([np.cos(beta), np.sin(beta)])
+        angles = angles3d(deltas, struct.a, struct.b)
     else:
-        alpha = angle2d(deltas[0] / struct.a, deltas[1] / struct.b)
-    unit_a = np.stack([np.cos(alpha), np.sin(alpha)])
-
-    zeros = np.zeros((n_o, n_p))
+        angles = (angle2d(deltas[0] / struct.a, deltas[1] / struct.b),)
+    unit = np.stack([trig(angle) for angle in angles for trig in (np.cos, np.sin)])
     return SingleState(
         xi=xi,
         d=np.ones((n_o, n_p)),
-        unit_a=unit_a,
-        unit_b=unit_b,
-        cos_a=unit_a[0],
-        sin_a=unit_a[1],
-        cos_b=None if unit_b is None else unit_b[0],
-        sin_b=None if unit_b is None else unit_b[1],
+        unit=unit,
+        copies=unit.copy(),
         lam_pos=np.zeros((dim, n_o, n_p)),
-        lam_cos_a=zeros.copy(),
-        lam_sin_a=zeros.copy(),
-        lam_cos_b=zeros.copy() if dim == 3 else None,
-        lam_sin_b=zeros.copy() if dim == 3 else None,
+        lam_copies=np.zeros_like(unit),
+        residuals=np.zeros((dim + len(unit), n_o, n_p)),
         rho=params.rho_start,
     )
 
 
-def _planar_scale(state: SingleState) -> np.ndarray:
-    """d sin(beta), the scale of the x and y rows; sin(beta) = 1 in 2-D."""
-    return state.d if state.sin_b is None else state.d * state.sin_b
+def _row_coefs(struct: _SingleStructure, d: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """What multiplies each polar row's trig factor, (dim, n_o, n_p).
 
-
-def _reconstruction(state: SingleState, struct: _SingleStructure) -> np.ndarray:
-    """The polar points of the copies, (dim, n_o, n_p).
-
-    x = a d cos(alpha) sin(beta), y = a d sin(alpha) sin(beta), z = b d cos(beta);
-    in 2-D sin(beta) = 1 and y takes the semi-axis b.
+    x = a d sin(beta) cos(alpha), y = a d sin(beta) sin(alpha) and
+    z = b d cos(beta), so the rows take the semi-axes times d sin(beta),
+    d sin(beta) and d, sin(beta) read from the stack; in 2-D sin(beta) = 1
+    and y takes the semi-axis b.  The polar points are these times stack[:dim].
     """
-    (ax, ay), planar = struct.lateral, _planar_scale(state)
-    rows = [ax * planar * state.cos_a, ay * planar * state.sin_a]
-    if struct.dim == 3:
-        rows.append(struct.b * state.d * state.cos_b)
-    return np.array(rows)
+    if struct.dim == 2:
+        return struct.semi * d
+    return np.concatenate((struct.semi[:2] * (d * stack[3]), struct.semi[2:] * d))
 
 
-def _position_step(state: SingleState, struct: _SingleStructure) -> None:
+def _position_step(state: SingleState, struct: _SingleStructure, coefs: np.ndarray) -> None:
+    """The positions minimizing the relaxation, the polar points at the unit pairs (coefs of state.unit)."""
     factor = state.factors.get(struct.Q, struct.PtP, struct.A, state.rho * struct.n_o)
     q_lin = struct.q
     if struct.n_o:
-        targets = struct.tracks + _reconstruction(state, struct)  # (dim, n_o, n_p)
+        targets = struct.tracks + coefs * state.unit[: struct.dim]  # (dim, n_o, n_p)
         lam_sum = state.lam_pos.sum(axis=1)  # (dim, n_p)
         q_lin = struct.q + lam_sum @ struct.P - state.rho * targets.sum(axis=1) @ struct.P
     state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
 
 
-def _alpha_copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray) -> None:
-    """Exact elementwise minimizer of the relaxation over the alpha copies.
+def _copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray, coefs: np.ndarray) -> None:
+    """Exact elementwise minimizer of the relaxation over the copies.
 
-    The x row couples the cos copy and the y row the sin copy, each through
-    its lateral semi-axis times d sin(beta).  offsets are struct.offsets of
-    state.xi.
+    The copies of cos(alpha), sin(alpha)[, cos(beta)] each enter one polar
+    row, x, y[, z], through that row's coefficient (coefs, taken at the unit
+    pairs the copies are anchored to).  sin(beta) enters both the x and y
+    rows; keeping both couplings makes its step the exact block minimizer.
+    offsets are struct.offsets of state.xi.
     """
-    planar, rho = _planar_scale(state), state.rho
-    copies = []
-    for semi, unit, lam, lam_pos, delta in zip(
-        struct.lateral, state.unit_a, (state.lam_cos_a, state.lam_sin_a), state.lam_pos, offsets
-    ):
-        coef = semi * planar
-        copies.append((rho * unit - lam + coef * (lam_pos + rho * delta)) / (rho + rho * coef**2))
-    state.cos_a, state.sin_a = copies
-
-
-def _beta_copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray) -> None:
-    """Exact elementwise minimizer over the beta copies (3-D); offsets as in _alpha_copy_step."""
-    dx, dy, dz = offsets
-    a, b = struct.a, struct.b
-    rho = state.rho
-    cos_beta, sin_beta = state.unit_b
-    coef_cb = b * state.d
-    state.cos_b = (rho * cos_beta - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho * dz)) / (
-        rho + rho * coef_cb**2
-    )
-    # sin(beta) appears in both the x and y reconstruction rows; keeping
-    # both couplings makes this the exact block minimizer
-    coef_sb = a * state.d
-    num = (
-        rho * sin_beta
-        - state.lam_sin_b
-        + coef_sb * (state.cos_a * (state.lam_pos[0] + rho * dx) + state.sin_a * (state.lam_pos[1] + rho * dy))
-    )
-    den_sb = rho + rho * coef_sb**2 * (state.cos_a**2 + state.sin_a**2)
-    state.sin_b = num / den_sb
+    dim, rho, copies = struct.dim, state.rho, state.copies
+    pulled = state.lam_pos + rho * offsets
+    copies[:dim] = (rho * state.unit[:dim] - state.lam_copies[:dim] + coefs * pulled) / (rho + rho * coefs**2)
+    if dim == 3:
+        cos_a, sin_a = copies[:2]
+        coef = struct.a * state.d
+        num = rho * state.unit[3] - state.lam_copies[3] + coef * (cos_a * pulled[0] + sin_a * pulled[1])
+        copies[3] = num / (rho + rho * coef**2 * (cos_a**2 + sin_a**2))
 
 
 def _angle_step(state: SingleState) -> None:
-    """Set each angle's unit pair to the projection of its copy pair onto the unit circle."""
-    state.unit_a = unit_pair(state.cos_a, state.sin_a)
-    if state.unit_b is not None:
-        state.unit_b = unit_pair(state.cos_b, state.sin_b)
+    """Set every unit pair to the projection of its copy pair onto the unit circle."""
+    copies = state.copies
+    state.unit = unit_pair(copies[0::2], copies[1::2]).swapaxes(0, 1).reshape(copies.shape)
 
 
 def equality_residuals(
@@ -320,30 +291,31 @@ def equality_residuals(
     problem: SingleProblem,
     offsets: np.ndarray | None = None,
     struct: _SingleStructure | None = None,
-) -> dict:
-    """Raw residual arrays of every relaxed equality family.
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Residuals of every relaxed equality, (dim + k, n_o, n_p).
 
-    offsets are the struct.offsets of state.xi when the caller already has
-    them; they are computed from the state otherwise.
+    The rows are the polar rows x, y[, z], offset minus polar point, then
+    each copy minus its unit pair, the beta pair (3-D) before the alpha
+    pair: the residual norm sums them in this order.  offsets are the
+    struct.offsets of state.xi when the caller already has them; they are
+    computed from the state otherwise.  Written into out when given.
     """
-    if not problem.n_o:
-        return {}
     struct = struct or _SingleStructure(problem)
+    dim = struct.dim
+    if out is None:
+        out = np.empty((dim + len(state.unit), *state.d.shape))
     offsets = struct.offsets(state.xi) if offsets is None else offsets
-    res = dict(zip(_COLL, offsets - _reconstruction(state, struct)))
-    if problem.dim == 3:
-        res["copy_cos_b"] = state.cos_b - state.unit_b[0]
-        res["copy_sin_b"] = state.sin_b - state.unit_b[1]
-    res["copy_cos_a"] = state.cos_a - state.unit_a[0]
-    res["copy_sin_a"] = state.sin_a - state.unit_a[1]
-    return res
+    np.subtract(offsets, _row_coefs(struct, state.d, state.copies) * state.copies[:dim], out=out[:dim])
+    np.subtract(_pairs(state.copies), _pairs(state.unit), out=_pairs(out[dim:])[::-1])
+    return out
 
 
-def _residual_extremes(res: dict) -> tuple[float, float]:
-    if not res:
+def _residual_extremes(res: np.ndarray) -> tuple[float, float]:
+    if not res.size:
         return 0.0, 0.0
-    stacked = np.concatenate([r.ravel() for r in res.values()])
-    return float(np.linalg.norm(stacked)), float(np.max(np.abs(stacked)))
+    flat = res.ravel()  # np.linalg.norm's own sum of squares, without its checks
+    return math.sqrt(flat.dot(flat)), float(np.abs(flat).max())
 
 
 def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStructure | None = None) -> SingleState:
@@ -355,28 +327,20 @@ def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStru
     if struct is None:
         struct = _SingleStructure(problem)
         _check_state(state, problem)
-    if struct.n_o:
-        # the copies restart at the unit pairs, which also anchor the copy steps
-        state.cos_a, state.sin_a = state.unit_a
-        if struct.dim == 3:
-            state.cos_b, state.sin_b = state.unit_b
-    _position_step(state, struct)
-    state.residuals = {}
+    # the position and copy steps both read the polar rows at the unit pairs
+    coefs = _row_coefs(struct, state.d, state.unit)
+    _position_step(state, struct, coefs)
     if struct.n_o:
         offsets = struct.offsets(state.xi)
-        _alpha_copy_step(state, struct, offsets)
-        if struct.dim == 3:
-            _beta_copy_step(state, struct, offsets)
+        _copy_step(state, struct, offsets, coefs)
         _angle_step(state)
         state.d = los_scale(offsets, struct.a, struct.b)
         # the multipliers do not enter the residuals, so they stay those of the sweep
-        res = state.residuals = equality_residuals(state, problem, offsets, struct)
-        for k, name in enumerate(_COLL[: struct.dim]):
-            state.lam_pos[k] += state.rho * res[name]
-        copies = ("cos_a", "sin_a", "cos_b", "sin_b") if struct.dim == 3 else ("cos_a", "sin_a")
-        for name in copies:
-            lam = getattr(state, f"lam_{name}")
-            lam += state.rho * res[f"copy_{name}"]
+        res = equality_residuals(state, problem, offsets, struct, out=state.residuals)
+        state.lam_pos += state.rho * res[: struct.dim]
+        # the block holds the beta pair before the alpha pair
+        lam_copies = _pairs(state.lam_copies)
+        lam_copies += state.rho * _pairs(res[struct.dim :])[::-1]
     state.iteration += 1
     return state
 

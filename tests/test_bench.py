@@ -28,7 +28,8 @@ from trajopt.bench import (
     to_json,
     write_results_csv,
 )
-from trajopt.bench.runner import _in_collision_now
+from trajopt import solver_single
+from trajopt.bench.runner import _collision_check
 
 
 def _trajectory_from_positions(t, pos):
@@ -238,10 +239,10 @@ class TestInCollisionNow:
             ScenarioObstacle(a=0.5, b=0.5, center=far, velocity=[0.0] * dim),
             ScenarioObstacle(a=2.0, b=0.5, center=[1.0] + [0.0] * (dim - 1), velocity=[1.0] + [0.0] * (dim - 1)),
         ]
-        assert _in_collision_now(scenario, np.asarray(pos), t_abs=2.0) is inside
+        assert _collision_check(scenario)(np.asarray(pos), 2.0) is inside
 
     def test_no_obstacles(self):
-        assert _in_collision_now(empty_scenario(), np.zeros(2), t_abs=0.0) is False
+        assert _collision_check(empty_scenario())(np.zeros(2), 0.0) is False
 
 
 class TestPredictObstacles:
@@ -339,6 +340,32 @@ class TestRecedingHorizon:
         assert not result.success
         assert result.collided
         assert result.records == []
+
+    def test_step_clearance_is_taken_at_the_step_times(self, monkeypatch):
+        # each step's plan starts where the last one's execution ended, so
+        # its min_clearance is scored against the moving obstacles from the
+        # step's own start time on, not from the episode start
+        plans = []
+        solve = solver_single.solve_single
+
+        def recording(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            plans.append(sol.trajectory)
+            return sol
+
+        monkeypatch.setattr(solver_single, "solve_single", recording)
+        scenario = gen_scenario("dynamic-flow", seed=1)
+        result = receding_horizon_run(scenario, solver="single", n_steps=3)
+        assert len(result.records) == len(plans) == 3
+        n_exec = (len(result.executed.t) - 1) // 3  # no step stopped early
+        for step, (record, plan) in enumerate(zip(result.records, plans)):
+            t = result.executed.t[step * n_exec] + plan.t - plan.t[0]
+            clearances = []
+            for obs in scenario.obstacles:
+                centers = np.asarray(obs.center) + t[:, None] * np.asarray(obs.velocity)
+                scaled = np.hypot(*((plan.pos - centers) / [obs.a, obs.b]).T)
+                clearances.append((scaled - 1.0) * min(obs.a, obs.b))
+            assert record.metrics.min_clearance == pytest.approx(np.min(clearances), abs=1e-9)
 
     def test_dynamic_flow_success_rate_definition(self):
         seeds = range(3)

@@ -643,6 +643,23 @@ class TestStalled:
     def test_table(self, history, since_change, floor, expected):
         assert stalled(history, since_change, 2, 0.1, floor) is expected
 
+    @pytest.mark.parametrize("window", range(1, 13))
+    def test_decisions_match_numpy_means(self, window):
+        # the window means are np.mean's bit for bit, short windows summed in
+        # order and windows of 8 or more pairwise as numpy sums them
+        rng = np.random.default_rng(window)
+        for _ in range(300):
+            scales = 10.0 ** rng.integers(-8, 3, size=2 * window)
+            history = (rng.uniform(0.0, 1.0, size=2 * window) * scales).tolist()
+            recent, previous = history[-window:], history[:window]
+            assert geometry._window_mean(recent) == np.mean(recent)
+            assert geometry._window_mean(previous) == np.mean(previous)
+            # the improvement threshold set just at the history's own ratio
+            improvement = float((np.mean(previous) - np.mean(recent)) / np.mean(previous))
+            for threshold in (improvement, np.nextafter(improvement, np.inf)):
+                expected = bool(np.mean(previous) > 0.0 and improvement < threshold)
+                assert stalled(history, window, window, threshold, 0.0) is expected
+
 
 def test_public_names_are_used_by_the_package():
     # geometry exports only the kernel: every public name has a caller in

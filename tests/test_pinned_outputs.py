@@ -173,3 +173,54 @@ def test_joint_square_antipodal():
     assert sol.min_pair_distance == pytest.approx(0.8754878281290885, abs=ATOL)
     assert sol.min_pair_distance >= 2.0 * scenario.robot.shape[0]
     assert (sol.iterations, sol.converged) == (97, True)
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed,pinned",
+    [
+        (
+            "random-static",
+            {"dim": 3},
+            1,
+            dict(
+                n_exec=101,
+                pos_norm=45.82708981021588,
+                pos=[
+                    [0.5125836079239926, -0.01579133770639735, 0.05549604002461492],
+                    [4.8660135831312585, -0.294123263828603, 0.7805590159683856],
+                    [5.947179515893605, -0.34252915394336353, 0.8617321053395717],
+                ],
+                iters=[40, 40, 40, 40, 40, 40, 40, 19, 7, 4],
+                collided=False,
+            ),
+        ),
+        (
+            "dynamic-flow",
+            None,
+            0,
+            dict(
+                n_exec=52,
+                pos_norm=31.67247485201253,
+                pos=[
+                    [0.6637028183871975, 0.03313258683520869],
+                    [3.2558804336661797, 0.22595794428721983],
+                    [8.411255237808014, 0.18555185046111627],
+                ],
+                iters=[40, 40, 40, 40, 40, 40],
+                collided=True,
+            ),
+        ),
+    ],
+)
+def test_receding_horizon_single(kind, params, seed, pinned):
+    """The receding-horizon loop on the single solver: each step warm-starts
+    from the last one's state, so this holds the warm sweeps over a whole
+    episode.  Executed positions to 1e-9, step count and sweeps per step
+    exactly."""
+    result = runner.receding_horizon_run(gen_scenario(kind, params, seed=seed), solver="single", n_steps=10)
+    pos = result.executed.pos
+    assert len(pos) == pinned["n_exec"]
+    assert np.linalg.norm(pos) == pytest.approx(pinned["pos_norm"], abs=ATOL)
+    np.testing.assert_allclose(pos[[10, len(pos) // 2, -1]], pinned["pos"], rtol=0, atol=ATOL)
+    assert [rec.metrics.iters for rec in result.records] == pinned["iters"]
+    assert (result.collided, result.reached_goal) == (pinned["collided"], False)

@@ -1,4 +1,5 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,17 +7,16 @@ import pytest
 from trajopt import qpcore, solver_single
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
 from trajopt.bench import gen_scenario, receding_horizon_run
-from trajopt.geometry import EllipsoidShape, ObstacleTrack, angles3d, los_scale
+from trajopt.geometry import EllipsoidShape, ObstacleTrack, angles3d, los_scale, unit_pair
 from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
-    _alpha_copy_step,
     _angle_step,
-    _beta_copy_step,
+    _copy_step,
     _cost_blocks,
     _position_step,
-    _reconstruction,
     _residual_extremes,
+    _row_coefs,
     _SingleStructure,
     am_iteration,
     equality_residuals,
@@ -78,8 +78,8 @@ class _Reference:
     residuals; the cost blocks, boundary rows and stacked obstacle tracks
     rebuilt in every step, the positions P @ xi.T evaluated four times, and
     the factor taken from the state's cache on those rebuilt matrices.  Its
-    state is an ordinary SingleState, whose unit pairs it writes as cos/sin
-    of its angles.
+    state holds one array per angle family, as _per_family makes it from a
+    SingleState, and it writes the unit pairs as cos/sin of its angles.
     """
 
     def __init__(self, problem, state):
@@ -202,6 +202,123 @@ class _Reference:
         state.iteration += 1
 
 
+_FAMILIES = ("cos_a", "sin_a", "cos_b", "sin_b")
+
+
+def _family_residuals(block, dim):
+    """A residual block as the per-family report: coll_x, coll_y[, coll_z],
+    then copy_cos_b, copy_sin_b (3-D), copy_cos_a, copy_sin_a; {} without obstacles."""
+    beta = ["copy_cos_b", "copy_sin_b"] if dim == 3 else []
+    names = ["coll_x", "coll_y", "coll_z"][:dim] + beta + ["copy_cos_a", "copy_sin_a"]
+    return {name: row.copy() for name, row in zip(names, block)} if block.shape[1] else {}
+
+
+def _per_family(state):
+    """A copy of a SingleState with one array per angle family: unit_a,
+    unit_b, cos_a ... sin_b and lam_cos_a ... lam_sin_b, the beta ones None
+    in 2-D, and the residuals as a per-family dict."""
+    dim, k = state.xi.shape[0], len(state.unit)
+    fam = SimpleNamespace(
+        xi=state.xi.copy(),
+        d=state.d.copy(),
+        lam_pos=state.lam_pos.copy(),
+        rho=state.rho,
+        iteration=state.iteration,
+        factors=copy.deepcopy(state.factors),
+        residuals=_family_residuals(state.residuals, dim),
+        unit_a=state.unit[:2].copy(),
+        unit_b=state.unit[2:].copy() if k == 4 else None,
+    )
+    for i, name in enumerate(_FAMILIES):
+        setattr(fam, name, state.copies[i].copy() if i < k else None)
+        setattr(fam, f"lam_{name}", state.lam_copies[i].copy() if i < k else None)
+    return fam
+
+
+class _PerFamilySweep:
+    """The stacked sweep as written one angle family and axis at a time.
+
+    It sweeps a per-family state (see _per_family): the copies restart at
+    the unit pairs, the alpha copy step loops over its two rows, the beta
+    copy step is written out, each angle takes its own unit_pair pass and
+    the residuals are reported per family, in the order the residual norm
+    concatenates them.  Each entry's arithmetic is the stacked sweep's, so
+    the two must agree bit for bit.
+    """
+
+    def __init__(self, problem):
+        self.struct = struct = _SingleStructure(problem)
+        self.lateral = (struct.a, struct.a if problem.dim == 3 else struct.b)
+
+    def planar(self, state):
+        return state.d if state.sin_b is None else state.d * state.sin_b
+
+    def reconstruction(self, state):
+        (ax, ay), planar = self.lateral, self.planar(state)
+        rows = [ax * planar * state.cos_a, ay * planar * state.sin_a]
+        if self.struct.dim == 3:
+            rows.append(self.struct.b * state.d * state.cos_b)
+        return np.array(rows)
+
+    def residuals(self, state, offsets):
+        res = dict(zip(("coll_x", "coll_y", "coll_z"), offsets - self.reconstruction(state)))
+        if self.struct.dim == 3:
+            res["copy_cos_b"] = state.cos_b - state.unit_b[0]
+            res["copy_sin_b"] = state.sin_b - state.unit_b[1]
+        res["copy_cos_a"] = state.cos_a - state.unit_a[0]
+        res["copy_sin_a"] = state.sin_a - state.unit_a[1]
+        return res
+
+    def sweep(self, state):
+        struct, rho = self.struct, state.rho
+        factor = state.factors.get(struct.Q, struct.PtP, struct.A, rho * struct.n_o)
+        q_lin = struct.q
+        if struct.n_o:
+            state.cos_a, state.sin_a = state.unit_a
+            if struct.dim == 3:
+                state.cos_b, state.sin_b = state.unit_b
+            targets = struct.tracks + self.reconstruction(state)
+            q_lin = struct.q + state.lam_pos.sum(axis=1) @ struct.P - rho * targets.sum(axis=1) @ struct.P
+        state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
+        state.residuals = {}
+        state.iteration += 1
+        if not struct.n_o:
+            return
+        offsets = struct.offsets(state.xi)
+        planar, copies = self.planar(state), []
+        lams = (state.lam_cos_a, state.lam_sin_a)
+        for semi, unit, lam, lam_pos, delta in zip(self.lateral, state.unit_a, lams, state.lam_pos, offsets):
+            coef = semi * planar
+            copies.append((rho * unit - lam + coef * (lam_pos + rho * delta)) / (rho + rho * coef**2))
+        state.cos_a, state.sin_a = copies
+        if struct.dim == 3:
+            dx, dy, dz = offsets
+            coef_cb = struct.b * state.d
+            num = rho * state.unit_b[0] - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho * dz)
+            state.cos_b = num / (rho + rho * coef_cb**2)
+            coef_sb = struct.a * state.d
+            pulled = state.cos_a * (state.lam_pos[0] + rho * dx) + state.sin_a * (state.lam_pos[1] + rho * dy)
+            num = rho * state.unit_b[1] - state.lam_sin_b + coef_sb * pulled
+            state.sin_b = num / (rho + rho * coef_sb**2 * (state.cos_a**2 + state.sin_a**2))
+            state.unit_b = unit_pair(state.cos_b, state.sin_b)
+        state.unit_a = unit_pair(state.cos_a, state.sin_a)
+        state.d = los_scale(offsets, struct.a, struct.b)
+        res = state.residuals = self.residuals(state, offsets)
+        for k, name in enumerate(("coll_x", "coll_y", "coll_z")[: struct.dim]):
+            state.lam_pos[k] += rho * res[name]
+        for name in _FAMILIES[: 2 * struct.dim - 2]:
+            lam = getattr(state, f"lam_{name}")
+            lam += rho * res[f"copy_{name}"]
+
+
+def _concatenated_extremes(res):
+    """Norm and max of the per-family residuals, concatenated in report order."""
+    if not res:
+        return 0.0, 0.0
+    stacked = np.concatenate([r.ravel() for r in res.values()])
+    return float(np.linalg.norm(stacked)), float(np.max(np.abs(stacked)))
+
+
 def augmented_lagrangian(state, problem):
     """Objective plus multiplier and quadratic penalty terms (fixed multipliers).
 
@@ -213,19 +330,12 @@ def augmented_lagrangian(state, problem):
     acc = basis.Pddot @ state.xi.T
     pos = basis.P @ state.xi.T
     value = problem.w_smooth * float(np.sum(acc**2)) + problem.w_track * float(np.sum((pos - problem.desired) ** 2))
-    res = equality_residuals(state, problem)
-    if not res:
+    if not problem.n_o:
         return value
-    for axis_idx, name in enumerate(("coll_x", "coll_y", "coll_z")[: problem.dim]):
-        r = res[name]
-        value += float(np.sum(state.lam_pos[axis_idx] * r)) + 0.5 * state.rho * float(np.sum(r**2))
-    copies = [("copy_cos_a", state.lam_cos_a), ("copy_sin_a", state.lam_sin_a)]
-    if problem.dim == 3:
-        copies += [("copy_cos_b", state.lam_cos_b), ("copy_sin_b", state.lam_sin_b)]
-    for name, lam in copies:
-        r = res[name]
-        value += 0.5 * state.rho * float(np.sum((r + lam / state.rho) ** 2))
-    return value
+    coll = equality_residuals(state, problem)[: problem.dim]
+    value += float(np.sum(state.lam_pos * coll)) + 0.5 * state.rho * float(np.sum(coll**2))
+    copy_res = state.copies - state.unit
+    return value + 0.5 * state.rho * float(np.sum((copy_res + state.lam_copies / state.rho) ** 2))
 
 
 class TestDStep:
@@ -252,21 +362,21 @@ class TestInitState:
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
         state = init_state(prob)
         assert np.all(state.lam_pos == 0.0)
-        assert np.all(state.lam_cos_a == 0.0)
-        assert np.all(state.lam_sin_a == 0.0)
+        assert np.all(state.lam_copies == 0.0)
         assert np.all(state.d == 1.0)
 
     def test_zero_obstacles_gives_empty_polar_arrays(self):
         prob = make_problem_2d()
         state = init_state(prob)
         assert state.d.shape == (0, 60)
-        assert state.unit_a.shape == (2, 0, 60)
+        assert state.unit.shape == state.copies.shape == (2, 0, 60)
+        assert state.residuals.shape == (4, 0, 60)
 
     def test_same_seed_identical_states(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
         s1, s2 = init_state(prob, seed=7), init_state(prob, seed=7)
         np.testing.assert_array_equal(s1.xi, s2.xi)
-        np.testing.assert_array_equal(s1.unit_a, s2.unit_a)
+        np.testing.assert_array_equal(s1.unit, s2.unit)
         np.testing.assert_array_equal(s1.d, s2.d)
 
 
@@ -290,17 +400,13 @@ class TestAmIteration:
         positions = prob.basis.P @ state.xi.T
         deltas = positions[None, :, :] - obstacle.centers[None, :, :]
         alpha, beta = angles3d(np.moveaxis(deltas[0], -1, 0), obstacle.shape.a, obstacle.shape.b)
-        state.unit_a = np.stack([np.cos(alpha), np.sin(alpha)])[:, None, :]
-        state.unit_b = np.stack([np.cos(beta), np.sin(beta)])[:, None, :]
-        state.cos_a, state.sin_a = state.unit_a
-        state.cos_b, state.sin_b = state.unit_b
+        state.unit = np.stack([np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)])[:, None, :]
+        state.copies = state.unit.copy()
         state.d = los_scale(np.moveaxis(deltas, -1, 0), obstacle.shape.a, obstacle.shape.b)
 
-        for res in equality_residuals(state, prob).values():
-            assert np.max(np.abs(res)) < 1e-9
+        assert np.max(np.abs(equality_residuals(state, prob))) < 1e-9
         am_iteration(state, prob)
-        for res in equality_residuals(state, prob).values():
-            assert np.max(np.abs(res)) < 1e-8
+        assert np.max(np.abs(equality_residuals(state, prob))) < 1e-8
 
     def test_residual_trend_on_cluttered_problem(self):
         rng = np.random.default_rng(0)
@@ -326,12 +432,13 @@ class TestAmIteration:
         am_iteration(state, prob)
         struct = _SingleStructure(prob)
         for sweep in range(12):
-            state.cos_a, state.sin_a = state.unit_a
+            state.copies[:] = state.unit  # the copies' anchor, where the sweep reads the polar rows
+            coefs = _row_coefs(struct, state.d, state.unit)
             before = augmented_lagrangian(state, prob)
-            _position_step(state, struct)
+            _position_step(state, struct, coefs)
             after_pos = augmented_lagrangian(state, prob)
             assert after_pos <= before + 1e-9 * max(1.0, abs(before))
-            _alpha_copy_step(state, struct, struct.offsets(state.xi))
+            _copy_step(state, struct, struct.offsets(state.xi), coefs)  # the alpha pair only in 2-D
             after_copies = augmented_lagrangian(state, prob)
             assert after_copies <= after_pos + 1e-9 * max(1.0, abs(after_pos))
             am_iteration(state, prob)  # finish the sweep (angles, d, multipliers)
@@ -343,15 +450,16 @@ class TestAmIteration:
         am_iteration(state, prob)
         struct = _SingleStructure(prob)
         for sweep in range(10):
-            state.cos_a, state.sin_a = state.unit_a
-            state.cos_b, state.sin_b = state.unit_b
-            _position_step(state, struct)
-            offsets = struct.offsets(state.xi)
-            _alpha_copy_step(state, struct, offsets)
-            # the new alpha unit pair, with the beta pair still the anchor
-            state.unit_a = np.stack([state.cos_a, state.sin_a]) / np.hypot(state.cos_a, state.sin_a)
+            coefs = _row_coefs(struct, state.d, state.unit)
+            _position_step(state, struct, coefs)
+            _copy_step(state, struct, struct.offsets(state.xi), coefs)
+            # the beta copies, taken at the new alpha copies, against the
+            # beta pair left at its anchor, with the alpha unit pair moved on
+            beta = state.copies[2:].copy()
+            state.copies[2:] = state.unit[2:]
+            state.unit[:2] = state.copies[:2] / np.hypot(*state.copies[:2])
             before_beta = augmented_lagrangian(state, prob)
-            _beta_copy_step(state, struct, offsets)
+            state.copies[2:] = beta
             after_beta = augmented_lagrangian(state, prob)
             assert after_beta <= before_beta + 1e-9 * max(1.0, abs(before_beta))
             am_iteration(state, prob)
@@ -465,7 +573,7 @@ class TestInvariants:
         # (the initial copies are the unit pairs the sweep restarts them at)
         state2 = init_state(prob)
         struct = _SingleStructure(prob)
-        targets = struct.tracks + _reconstruction(state2, struct)
+        targets = struct.tracks + _row_coefs(struct, state2.d, state2.unit) * state2.unit[:3]
         A = boundary_matrix(prob.basis)
         D = Q + state2.rho * prob.n_o * (prob.basis.P.T @ prob.basis.P)
         factor = qpcore.factorize(D, A)
@@ -483,8 +591,8 @@ class TestResidualReport:
     def test_exact_state_reports_zero(self):
         prob = make_problem_2d()
         state = init_state(prob)
-        assert equality_residuals(state, prob) == {}
-        assert _residual_extremes({}) == (0.0, 0.0)
+        assert equality_residuals(state, prob).shape == (4, 0, 60)
+        assert _residual_extremes(equality_residuals(state, prob)) == (0.0, 0.0)
 
     def test_matches_brute_force_formula(self):
         obstacle = _static_obstacle([4.0, 0.3], EllipsoidShape(0.6, 0.9), 60)
@@ -494,36 +602,61 @@ class TestResidualReport:
         state.xi = rng.normal(size=state.xi.shape)
         state.d = 1.0 + rng.uniform(size=state.d.shape)
         alpha = rng.uniform(-np.pi, np.pi, size=state.d.shape)
-        state.unit_a = np.stack([np.cos(alpha), np.sin(alpha)])
-        state.cos_a = rng.normal(size=state.cos_a.shape)
-        state.sin_a = rng.normal(size=state.sin_a.shape)
+        state.unit = np.stack([np.cos(alpha), np.sin(alpha)])
+        state.copies = rng.normal(size=state.unit.shape)
+        cos_a, sin_a = state.copies[:, 0]
 
-        res = equality_residuals(state, prob)
+        coll_x, coll_y, copy_cos_a, copy_sin_a = equality_residuals(state, prob)[:, 0]
         pos = prob.basis.P @ state.xi.T
         dx = pos[:, 0] - obstacle.centers[:, 0]
         dy = pos[:, 1] - obstacle.centers[:, 1]
-        np.testing.assert_allclose(res["coll_x"][0], dx - 0.6 * state.d[0] * state.cos_a[0], atol=1e-12)
-        np.testing.assert_allclose(res["coll_y"][0], dy - 0.9 * state.d[0] * state.sin_a[0], atol=1e-12)
-        np.testing.assert_allclose(res["copy_cos_a"][0], state.cos_a[0] - np.cos(alpha[0]), atol=1e-12)
-        np.testing.assert_allclose(res["copy_sin_a"][0], state.sin_a[0] - np.sin(alpha[0]), atol=1e-12)
+        np.testing.assert_allclose(coll_x, dx - 0.6 * state.d[0] * cos_a, atol=1e-12)
+        np.testing.assert_allclose(coll_y, dy - 0.9 * state.d[0] * sin_a, atol=1e-12)
+        np.testing.assert_allclose(copy_cos_a, cos_a - np.cos(alpha[0]), atol=1e-12)
+        np.testing.assert_allclose(copy_sin_a, sin_a - np.sin(alpha[0]), atol=1e-12)
+
+    def test_3d_rows_put_the_beta_pair_first(self):
+        # polar rows x, y, z, then the beta copy pair before the alpha pair
+        obstacle = _static_obstacle([3.0, 0.4, 1.1], EllipsoidShape(0.6, 0.9), 50)
+        prob = make_problem_3d(obstacles=[obstacle])
+        state = init_state(prob)
+        rng = np.random.default_rng(6)
+        state.d = 1.0 + rng.uniform(size=state.d.shape)
+        state.copies = rng.normal(size=state.copies.shape)
+        cos_a, sin_a, cos_b, sin_b = state.copies
+        res = equality_residuals(state, prob)
+        deltas = np.moveaxis(prob.basis.P @ state.xi.T - obstacle.centers, -1, 0)[:, None, :]
+        polar = [0.6 * state.d * sin_b * cos_a, 0.6 * state.d * sin_b * sin_a, 0.9 * state.d * cos_b]
+        np.testing.assert_allclose(res[:3], deltas - np.array(polar), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(res[3:5], state.copies[2:] - state.unit[2:])
+        np.testing.assert_array_equal(res[5:], state.copies[:2] - state.unit[:2])
 
 
-STATE_FIELDS = (
+FAMILY_FIELDS = (
     "xi", "d", "unit_a", "unit_b", "cos_a", "sin_a", "cos_b", "sin_b",
     "lam_pos", "lam_cos_a", "lam_sin_a", "lam_cos_b", "lam_sin_b",
 )
 
 
-def _assert_states_match(got, ref):
-    for name in STATE_FIELDS:
-        g, r = getattr(got, name), getattr(ref, name)
+def _assert_states_match(got, ref, exact=False):
+    """A SingleState against a per-family state, to 1e-12 or bit for bit."""
+    fam = _per_family(got)
+
+    def check(g, r, name):
+        if exact:
+            assert np.array_equal(g, r), name
+        else:
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+
+    for name in FAMILY_FIELDS:
+        g, r = getattr(fam, name), getattr(ref, name)
         if r is None:
             assert g is None, name
         else:
-            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
-    assert got.residuals.keys() == ref.residuals.keys()
+            check(g, r, name)
+    assert fam.residuals.keys() == ref.residuals.keys()
     for name, r in ref.residuals.items():
-        np.testing.assert_allclose(got.residuals[name], r, rtol=0, atol=1e-12, err_msg=name)
+        check(fam.residuals[name], r, name)
 
 
 def _moving_obstacle(start, velocity, shape, n_p, tf=6.0):
@@ -555,7 +688,7 @@ class TestMatchesReference:
     def test_cold_sweeps_match(self, dim):
         prob = _mixed_problem(dim)
         state = init_state(prob)
-        ref_state = copy.deepcopy(state)
+        ref_state = _per_family(state)
         ref = _Reference(prob, ref_state)
         for sweep in range(30):
             if sweep in (10, 20):  # a penalty step makes both refactor
@@ -571,7 +704,7 @@ class TestMatchesReference:
         # the receding-horizon case: same saddle, obstacles and boundary moved
         state = solve_single(_mixed_problem(dim), SingleParams(max_iter=40)).state
         prob = _mixed_problem(dim, shift=0.3)
-        ref_state = copy.deepcopy(state)
+        ref_state = _per_family(state)
         ref = _Reference(prob, ref_state)
         struct = solver_single._SingleStructure(prob)
         for _ in range(15):
@@ -584,7 +717,7 @@ class TestMatchesReference:
         # a cold solve is the reference sweep under the same schedule
         prob = _mixed_problem(3)
         sol = solve_single(prob, SingleParams(max_iter=60, tol=0.0))
-        ref_state = init_state(prob)
+        ref_state = _per_family(init_state(prob))
         ref = _Reference(prob, ref_state)
         for h in sol.residual_history:
             ref_state.rho = h["rho"]
@@ -593,8 +726,51 @@ class TestMatchesReference:
         assert sol.n_factorizations == ref_state.factors.count
 
 
+def _centred_problem(dim):
+    """One obstacle moving along the straight line the initial state starts
+    on, so that every first offset is zero: the angles take their origin
+    convention and d its lower clamp."""
+    base = make_problem_2d(n_p=50) if dim == 2 else make_problem_3d()
+    path = base.basis.P @ init_state(base).xi.T
+    obstacle = ObstacleTrack(centers=path, shape=EllipsoidShape(0.8, 0.6))
+    return SingleProblem(**{**vars(base), "obstacles": [obstacle]})
+
+
+class TestMatchesPerFamilySweep:
+    """Every stacked sweep is _PerFamilySweep's, bit for bit: the whole
+    state, the residual report and its norm and max."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("case", ["cold", "warm", "no-obstacles", "centred"])
+    def test_state_after_every_sweep(self, case, dim):
+        state = None
+        if case == "no-obstacles":
+            prob = make_problem_2d() if dim == 2 else make_problem_3d()
+        elif case == "centred":
+            prob = _centred_problem(dim)
+        else:
+            prob = _mixed_problem(dim, shift=0.3 if case == "warm" else 0.0)
+        if case == "warm":
+            # the receding-horizon case: a solved state on moved obstacles
+            state = solve_single(_mixed_problem(dim), SingleParams(max_iter=40)).state
+        state = state or init_state(prob)
+        fam = _per_family(state)
+        ref = _PerFamilySweep(prob)
+        struct = _SingleStructure(prob)
+        for sweep in range(25):
+            if sweep in (10, 20):  # a penalty step makes both refactor
+                state.rho = fam.rho = 1.4 * state.rho
+            am_iteration(state, prob, struct)
+            ref.sweep(fam)
+            _assert_states_match(state, fam, exact=True)
+            assert _residual_extremes(state.residuals) == _concatenated_extremes(fam.residuals)
+        assert (state.iteration, state.factors.count) == (fam.iteration, fam.factors.count)
+
+
 class TestOnePassPerSweep:
     def test_one_structure_trig_offsets_and_residual_per_sweep(self, monkeypatch):
+        # one structure per solve, one offset evaluation, residual pass and
+        # unit_pair projection (over every angle's pair at once) per sweep
         counts = {}
 
         def counted(name, fn):
@@ -608,6 +784,7 @@ class TestOnePassPerSweep:
         monkeypatch.setattr(structure, "__init__", counted("structure", structure.__init__))
         monkeypatch.setattr(structure, "offsets", counted("offsets", structure.offsets))
         monkeypatch.setattr(solver_single, "equality_residuals", counted("residuals", solver_single.equality_residuals))
+        monkeypatch.setattr(solver_single, "unit_pair", counted("unit_pair", solver_single.unit_pair))
         for name in ("arctan2", "cos", "sin"):
             monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
         sol = solve_single(_mixed_problem(3), SingleParams(max_iter=12, tol=0.0))
@@ -615,7 +792,9 @@ class TestOnePassPerSweep:
         # the initial state's straight line takes one more offset evaluation,
         # and its angles (alpha through angle2d, beta) the only arctan2, cos
         # and sin: the sweeps project the copy pairs onto the unit circle
-        assert counts == {"structure": 1, "offsets": 13, "residuals": 12, "arctan2": 2, "cos": 2, "sin": 2}
+        assert counts == {
+            "structure": 1, "offsets": 13, "residuals": 12, "unit_pair": 12, "arctan2": 2, "cos": 2, "sin": 2
+        }
 
 
 class TestAngleStep:
@@ -627,19 +806,15 @@ class TestAngleStep:
         state = init_state(prob)
         pair = np.zeros((2, 1, 50))
         pair[:, 0, 1:] = np.random.default_rng(dim).normal(size=(2, 49))
-        state.cos_a, state.sin_a = pair
-        if dim == 3:
-            state.cos_b, state.sin_b = pair[::-1]
+        # the beta copy pair, in 3-D, is the alpha pair swapped
+        pairs = [pair, pair[::-1]][: dim - 1]
+        state.copies = np.concatenate(pairs)
         _angle_step(state)
-        angle = np.arctan2(pair[1], pair[0])
-        np.testing.assert_array_equal(state.unit_a[:, 0, 0], [1.0, 0.0])
-        np.testing.assert_allclose(state.unit_a, np.stack([np.cos(angle), np.sin(angle)]), rtol=0, atol=1e-15)
-        if dim == 3:
-            angle = np.arctan2(pair[0], pair[1])
-            np.testing.assert_array_equal(state.unit_b[:, 0, 0], [1.0, 0.0])
-            np.testing.assert_allclose(state.unit_b, np.stack([np.cos(angle), np.sin(angle)]), rtol=0, atol=1e-15)
-        else:
-            assert state.unit_b is None
+        assert state.unit.shape == state.copies.shape
+        for unit, (c, s) in zip(solver_single._pairs(state.unit), pairs):
+            angle = np.arctan2(s, c)
+            np.testing.assert_array_equal(unit[:, 0, 0], [1.0, 0.0])
+            np.testing.assert_allclose(unit, np.stack([np.cos(angle), np.sin(angle)]), rtol=0, atol=1e-15)
 
 
 class TestWarmState:
@@ -663,7 +838,7 @@ class TestWarmState:
         state = self._solved_state(make_problem_3d(degree=8))
         self._assert_rejected_untouched(make_problem_3d(degree=10), state, "warm state xi")
 
-    @pytest.mark.parametrize("name", ["d", "unit_a", "unit_b", "lam_pos", "lam_cos_a", "lam_sin_b"])
+    @pytest.mark.parametrize("name", ["d", "unit", "copies", "lam_pos", "lam_copies", "residuals"])
     def test_polar_shape_mismatch_rejected(self, name):
         obstacles = [_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)]
         state = self._solved_state(make_problem_3d(obstacles=obstacles))
@@ -676,17 +851,18 @@ class TestWarmState:
         more = [_static_obstacle([x, 0.5], EllipsoidShape(0.5, 0.5), 60) for x in (2.0, 4.0, 6.0)]
         self._assert_rejected_untouched(make_problem_2d(obstacles=more), state, "warm state d")
 
+    # a stack of the wrong height: a beta pair on a planar problem, or none on a spatial one
     def test_beta_set_on_planar_problem_rejected(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
         state = self._solved_state(prob)
-        state.unit_b = np.zeros_like(state.unit_a)
-        self._assert_rejected_untouched(prob, state, "warm state unit_b")
+        state.unit = np.concatenate([state.unit, state.unit])
+        self._assert_rejected_untouched(prob, state, r"warm state unit has shape \(4, 1, 60\), expected \(2, 1, 60\)")
 
     def test_beta_unset_on_spatial_problem_rejected(self):
         prob = make_problem_3d(obstacles=[_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)])
         state = self._solved_state(prob)
-        state.unit_b = None
-        self._assert_rejected_untouched(prob, state, "warm state unit_b")
+        state.copies = state.copies[:2]
+        self._assert_rejected_untouched(prob, state, r"warm state copies has shape \(2, 1, 50\), expected \(4, 1, 50\)")
 
     @pytest.mark.parametrize("change", ["horizon", "w_smooth"])
     def test_changed_saddle_matrix_is_refactored(self, change):

@@ -1,9 +1,13 @@
 """One-shot scenario runs, receding-horizon driving, and results files.
 
-Wall time covers solver iterations only; scenario generation and file writes
-are excluded.  Floats are written with repr so identical runs produce
-byte-identical rows (wall_time_ms is the one column exempt from that
-guarantee).
+The single and batch problem builders take the robot's boundary state and
+the time t_now its obstacles are predicted from; their defaults are the
+scenario's rest-to-rest boundary at t_now = 0, which run_scenario plans, and
+receding_horizon_run passes each control step's state and time.  In both
+entry points wall_time_ms covers the solve only: scenario generation,
+problem construction, metrics and file writes are excluded.  Floats are
+written with repr so identical runs produce byte-identical rows
+(wall_time_ms is the one column exempt from that guarantee).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .. import solver_batch, solver_multiagent, solver_priest, solver_single
 from ..basis import AxisBoundary, Trajectory, build_basis, straight_line_coeffs
 from ..geometry import EllipsoidShape, ObstacleTrack, scaled_sq_norm
-from .metrics import RunMetrics, check_collision_free, eval_metrics
+from .metrics import RunMetrics, eval_metrics
 from .scenarios import Scenario, agent_boundaries, predict_obstacles
 
 SOLVERS = ("single", "batch", "priest", "cem", "multiagent")
@@ -59,9 +63,13 @@ class MpcResult:
     executed: Trajectory | None
 
 
-def _desired_line(scenario: Scenario, basis):
-    start = np.asarray(scenario.boundary.start, dtype=float)
-    goal = np.asarray(scenario.boundary.goal, dtype=float)
+def _endpoints(boundary):
+    """Start and goal positions of per-axis boundaries."""
+    return np.array([bc.p0 for bc in boundary], dtype=float), np.array([bc.p1 for bc in boundary], dtype=float)
+
+
+def _desired_line(boundary, basis):
+    start, goal = _endpoints(boundary)
     frac = np.linspace(0.0, 1.0, basis.n_p)[:, None]
     return start[None, :] + frac * (goal - start)[None, :]
 
@@ -101,27 +109,34 @@ def _inflated_tracks(scenario: Scenario, timestamps, t_now: float = 0.0):
     ]
 
 
-def single_problem_from_scenario(scenario: Scenario, basis):
+def single_problem_from_scenario(scenario: Scenario, basis, *, boundary=None, t_now: float = 0.0):
+    """The single problem from boundary (default: the scenario's start and
+    goal at rest) against the obstacles predicted from time t_now; it tracks
+    the straight line from the boundary's start to its goal."""
+    boundary = _point_boundaries(scenario) if boundary is None else boundary
     return solver_single.SingleProblem(
         basis=basis,
-        boundary=_point_boundaries(scenario),
-        desired=_desired_line(scenario, basis),
-        obstacles=_inflated_tracks(scenario, basis.grid.timestamps),
+        boundary=boundary,
+        desired=_desired_line(boundary, basis),
+        obstacles=_inflated_tracks(scenario, basis.grid.timestamps, t_now=t_now),
     )
 
 
-def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100):
+def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, *, boundary=None, t_now: float = 0.0):
+    """The batch problem from boundary and t_now, as single_problem_from_scenario;
+    the heading starts and ends along the line from start to goal."""
     if scenario.dim != 2:
         raise ValueError("the batch solver is planar")
+    boundary = _point_boundaries(scenario) if boundary is None else boundary
     offsets = tuple(scenario.robot.footprint_offsets) or (0.0,)
-    goal_dir = np.asarray(scenario.boundary.goal) - np.asarray(scenario.boundary.start)
-    heading = float(np.arctan2(goal_dir[1], goal_dir[0]))
+    start, goal = _endpoints(boundary)
+    heading = float(np.arctan2(goal[1] - start[1], goal[0] - start[0]))
     return solver_batch.BatchProblem(
         basis=basis,
-        boundary=_point_boundaries(scenario),
+        boundary=boundary,
         psi_boundary=(heading, heading),
-        desired=_desired_line(scenario, basis),
-        obstacles=_inflated_tracks(scenario, basis.grid.timestamps),
+        desired=_desired_line(boundary, basis),
+        obstacles=_inflated_tracks(scenario, basis.grid.timestamps, t_now=t_now),
         footprint=solver_batch.FootprintSpec(offsets=offsets),
         v_max=scenario.robot.v_max,
         a_max=scenario.robot.a_max,
@@ -161,84 +176,85 @@ def default_sampling_distribution(scenario: Scenario, basis, spread: float = 0.6
     return solver_priest.SamplingDistribution(mu=mean, sigma_mat=cov)
 
 
+def _timed(solve, *args, **kwargs):
+    """solve(*args, **kwargs) and its wall time in milliseconds."""
+    t_start = time.perf_counter()
+    out = solve(*args, **kwargs)
+    return out, 1000.0 * (time.perf_counter() - t_start)
+
+
+def _plan(solver: str, problem, max_iter: int, seed: int, state=None):
+    """Solve a single or batch problem, from a warm state if one is given.
+
+    Returns (trajectory, residual_norm, iterations, state, wall_ms).  A batch
+    run returns its best feasible member, else its least-residual one.
+    """
+    if state is not None:
+        state.iteration = 0
+    if solver == "single":
+        params = solver_single.SingleParams(max_iter=max_iter)
+        sol, wall_ms = _timed(solver_single.solve_single, problem, params, state=state)
+        return sol.trajectory, sol.residual_norm, sol.iterations, sol.state, wall_ms
+    params = solver_batch.BatchParams(max_iter=max_iter)
+    ranked, wall_ms = _timed(solver_batch.solve_batch_opt, problem, params, seed=seed, state=state)
+    idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
+    return ranked.trajectories[idx], float(ranked.residual_norm[idx]), ranked.iterations, ranked.state, wall_ms
+
+
 def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir=None) -> RunRecord:
-    """Solve one scenario with one solver and assemble a RunRecord."""
+    """Solve one scenario with one solver and assemble a RunRecord.
+
+    success is the direct geometric check, min_clearance >= 0 against the
+    raw obstacles (for multiagent, the least pair distance against the agent
+    diameter); convergence is reported separately through residual_final.
+    """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     h = scenario.horizon
     basis = build_basis(h.t0, h.tf, h.n_p, degree=10)
-    desired = _desired_line(scenario, basis)
 
-    # success is the direct geometric check (a run with no collisions);
-    # convergence is reported separately through residual_final
-    psi = None
-    if solver == "single":
-        problem = single_problem_from_scenario(scenario, basis)
-        t_start = time.perf_counter()
-        sol = solver_single.solve_single(problem, solver_single.SingleParams(max_iter=iters))
-        wall_ms = 1000.0 * (time.perf_counter() - t_start)
-        traj = sol.trajectory
-        residual = sol.residual_norm
-        iterations = sol.iterations
-        success, _ = check_collision_free(traj, scenario, margin=0.0)
-    elif solver == "batch":
-        problem = batch_problem_from_scenario(scenario, basis)
-        t_start = time.perf_counter()
-        ranked = solver_batch.solve_batch_opt(problem, solver_batch.BatchParams(max_iter=iters), seed=seed)
-        wall_ms = 1000.0 * (time.perf_counter() - t_start)
-        idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
-        traj = ranked.trajectories[idx]
-        psi = traj.psi
-        residual = float(ranked.residual_norm[idx])
-        iterations = ranked.iterations
-        success, _ = check_collision_free(traj, scenario, margin=0.0)
+    if solver in ("single", "batch"):
+        build = single_problem_from_scenario if solver == "single" else batch_problem_from_scenario
+        traj, residual, iterations, _, wall_ms = _plan(solver, build(scenario, basis), iters, seed)
     elif solver in ("priest", "cem"):
         setup = priest_setup_from_scenario(scenario, basis)
         dist = default_sampling_distribution(scenario, basis)
         c1 = _barn_c1(scenario)
         if solver == "priest":
             params = solver_priest.PriestParams(n_outer=iters, seed=seed)
-            t_start = time.perf_counter()
-            result = solver_priest.priest_optimize(setup, c1, dist, params)
-            wall_ms = 1000.0 * (time.perf_counter() - t_start)
+            result, wall_ms = _timed(solver_priest.priest_optimize, setup, c1, dist, params)
             traj = result.best.trajectory
             residual = float(result.best.residual)
             iterations = params.n_outer
         else:
             params = solver_priest.CemParams(iterations=iters, seed=seed)
-            t_start = time.perf_counter()
-            result = solver_priest.cem_optimize(setup, c1, dist, params)
-            wall_ms = 1000.0 * (time.perf_counter() - t_start)
+            result, wall_ms = _timed(solver_priest.cem_optimize, setup, c1, dist, params)
             traj = result.best_trajectory
             residual = float(solver_priest.residual_scores(setup, result.best_xi[None])[0])
             iterations = params.iterations
-        ok, _ = check_collision_free(traj, scenario, margin=0.0)
-        success = bool(ok)
     else:  # multiagent
         problem = multiagent_problem_from_scenario(scenario, basis)
-        shape = problem.agent_shape
-        t_start = time.perf_counter()
-        sol = solver_multiagent.solve_joint(problem, solver_multiagent.JointParams(max_iter=iters))
-        wall_ms = 1000.0 * (time.perf_counter() - t_start)
+        sol, wall_ms = _timed(solver_multiagent.solve_joint, problem, solver_multiagent.JointParams(max_iter=iters))
         traj = sol.trajectories[0]
         residual = sol.residual_norm
         iterations = sol.iterations
-        success = bool(sol.min_pair_distance >= 2.0 * shape.a)
 
-    metrics = eval_metrics(traj, scenario, desired)
-    metrics.success = success
+    metrics = eval_metrics(traj, scenario, _desired_line(_point_boundaries(scenario), basis))
     metrics.iters = iterations
     metrics.residual_final = residual
     metrics.wall_time_ms = wall_ms
     if solver == "multiagent":
-        metrics.min_clearance = sol.min_pair_distance - 2.0 * shape.a
+        metrics.min_clearance = sol.min_pair_distance - 2.0 * problem.agent_shape.a
+        metrics.success = bool(sol.min_pair_distance >= 2.0 * problem.agent_shape.a)
+    else:
+        metrics.success = metrics.min_clearance >= 0.0
 
     record = RunRecord(scenario_id=scenario.scenario_id, solver=solver, seed=seed, metrics=metrics)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         dump = out_dir / f"{scenario.scenario_id}_{solver}_{seed}_traj.csv"
-        write_trajectory_csv(dump, traj, dim=scenario.dim, psi=psi)
+        write_trajectory_csv(dump, traj, dim=scenario.dim, psi=traj.psi)
         record.trajectory_path = str(dump)
         write_results_csv(out_dir / "results.csv", [record])
     return record
@@ -333,9 +349,12 @@ def receding_horizon_run(
     """Receding-horizon loop: re-predict obstacles, warm-start multipliers,
     execute the first trajectory segment.
 
-    step_budget caps solver iterations per control loop.  Terminates on goal
-    proximity or collision of the executed path; failures are recorded, not
-    raised.
+    Each control step builds its problem with single_problem_from_scenario
+    or batch_problem_from_scenario (50 members) from the robot's executed
+    state and the current time, and warm-starts from the last step's state.
+    step_budget caps solver iterations per control loop; a step's
+    wall_time_ms covers its solve only.  Terminates on goal proximity or
+    collision of the executed path; failures are recorded, not raised.
     """
     if solver not in ("single", "batch"):
         raise ValueError("receding-horizon driving supports the single and batch solvers")
@@ -361,47 +380,19 @@ def receding_horizon_run(
     for step in range(n_steps):
         if collided or reached:
             break
-        tracks = _inflated_tracks(scenario, basis.grid.timestamps, t_now=t_abs)
         boundary = tuple(
             AxisBoundary(p0=pos[k], v0=vel[k], a0=acc[k], p1=goal[k]) for k in range(scenario.dim)
         )
-        frac = np.linspace(0.0, 1.0, basis.n_p)[:, None]
-        desired = pos[None, :] + frac * (goal - pos)[None, :]
-
-        t_step = t_abs
-        t_start = time.perf_counter()
         if solver == "single":
-            problem = solver_single.SingleProblem(basis=basis, boundary=boundary, desired=desired, obstacles=tracks)
-            params = solver_single.SingleParams(max_iter=step_budget)
-            if warm_state is not None:
-                warm_state.iteration = 0
-            sol = solver_single.solve_single(problem, params, state=warm_state)
-            warm_state, iters = sol.state, sol.iterations
-            traj = sol.trajectory
-            residual = sol.residual_norm
+            problem = single_problem_from_scenario(scenario, basis, boundary=boundary, t_now=t_abs)
         else:
-            offsets = tuple(scenario.robot.footprint_offsets) or (0.0,)
-            heading = float(np.arctan2(goal[1] - pos[1], goal[0] - pos[0]))
-            problem = solver_batch.BatchProblem(
-                basis=basis,
-                boundary=boundary,
-                psi_boundary=(heading, heading),
-                desired=desired,
-                obstacles=tracks,
-                footprint=solver_batch.FootprintSpec(offsets=offsets),
-                v_max=scenario.robot.v_max,
-                a_max=scenario.robot.a_max,
-                n_batch=50,
-            )
-            params = solver_batch.BatchParams(max_iter=step_budget)
-            if warm_state is not None:
-                warm_state.iteration = 0
-            ranked = solver_batch.solve_batch_opt(problem, params, seed=seed, state=warm_state)
-            warm_state, iters = ranked.state, ranked.iterations
-            idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
-            traj = ranked.trajectories[idx]
-            residual = float(ranked.residual_norm[idx])
-        wall_ms = 1000.0 * (time.perf_counter() - t_start)
+            problem = batch_problem_from_scenario(scenario, basis, n_batch=50, boundary=boundary, t_now=t_abs)
+        traj, residual, iters, warm_state, wall_ms = _plan(solver, problem, step_budget, seed, warm_state)
+        # the plan is scored against the obstacles as predicted for its own times
+        metrics = eval_metrics(traj, scenario, problem.desired, t_now=t_abs)
+        metrics.iters = iters
+        metrics.residual_final = residual
+        metrics.wall_time_ms = wall_ms
 
         # execute the first segment against the true obstacle motion
         for i in range(1, n_exec + 1):
@@ -418,11 +409,6 @@ def receding_horizon_run(
                 reached = True
                 break
 
-        # the plan is scored against the obstacles as predicted for its own times
-        metrics = eval_metrics(traj, scenario, desired, t_now=t_step)
-        metrics.iters = iters
-        metrics.residual_final = residual
-        metrics.wall_time_ms = wall_ms
         metrics.success = reached and not collided
         records.append(
             RunRecord(scenario_id=f"{scenario.scenario_id}#step{step}", solver=solver, seed=seed, metrics=metrics)

@@ -32,7 +32,8 @@ The kernel, the only place this math is written:
 - check_schedule: the parameter checks of the geometric penalty schedule
   that the single and batch solvers share;
 - check_gaussian: the checks of a sampling mean and covariance that the
-  batch and priest/CEM solvers share.
+  batch and priest/CEM solvers share;
+- draw_gaussian: the one draw from such a distribution.
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
 one call covers every timestep, obstacle and batch member.  All functions
@@ -56,6 +57,7 @@ __all__ = [
     "angles3d",
     "check_gaussian",
     "check_schedule",
+    "draw_gaussian",
     "los_scale",
     "norm_clamp",
     "radial_clamp",
@@ -454,3 +456,12 @@ def check_gaussian(mean: np.ndarray, covariance: np.ndarray) -> None:
     eigs = np.linalg.eigvalsh(covariance)
     if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
         raise ValueError("covariance must be positive semi-definite")
+
+
+def draw_gaussian(rng: np.random.Generator, mean: np.ndarray, covariance: np.ndarray, size: int) -> np.ndarray:
+    """Draw size samples of N(mean, covariance) from rng, one per row.
+
+    The one sampler of the batch and priest/CEM solvers: an SVD factor of
+    the covariance, so a semi-definite one draws.
+    """
+    return rng.multivariate_normal(mean, covariance, size=size, method="svd")

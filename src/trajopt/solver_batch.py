@@ -63,7 +63,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, check_schedule, norm_clamp, stalled
+from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, check_schedule, draw_gaussian, norm_clamp, stalled
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,7 @@ def sample_initializations(mean: np.ndarray, covariance: np.ndarray, n_batch: in
     mean = np.asarray(mean, dtype=float)
     covariance = np.asarray(covariance, dtype=float)
     check_gaussian(mean, covariance)
-    rng = np.random.default_rng(seed)
-    return rng.multivariate_normal(mean, covariance, size=n_batch, method="svd")
+    return draw_gaussian(np.random.default_rng(seed), mean, covariance, n_batch)
 
 
 class _Structure:

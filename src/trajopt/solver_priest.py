@@ -56,7 +56,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, norm_clamp, scaled_sq_norm
+from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, draw_gaussian, norm_clamp, scaled_sq_norm
 
 _SPEED_EPS = 1e-6
 
@@ -388,7 +388,7 @@ def priest_optimize(
     sigma_mat = distribution.sigma_mat.copy()
     history = []
     for _ in range(params.n_outer):
-        samples = rng.multivariate_normal(mu, sigma_mat, size=params.n_batch, method="svd")
+        samples = draw_gaussian(rng, mu, sigma_mat, params.n_batch)
         xi_bar, residuals, pva = project(setup, samples, n_inner=params.n_inner)
         keep = np.argsort(residuals, kind="stable")[: params.n_constraint_elite]
         aug_costs = _batch_costs(c1, pva[keep]) + params.residual_weight * residuals[keep]
@@ -455,7 +455,7 @@ def cem_optimize(
     history = []
     best_xi, best_cost = None, np.inf
     for _ in range(params.iterations):
-        samples = rng.multivariate_normal(mu, sigma_mat, size=params.n_batch, method="svd")
+        samples = draw_gaussian(rng, mu, sigma_mat, params.n_batch)
         pva = setup.pva_samples(samples)
         costs = _batch_costs(c1, pva) + params.penalty_weight * _cem_penalty(setup, pva)
         order = np.argsort(costs, kind="stable")

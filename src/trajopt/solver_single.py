@@ -202,14 +202,12 @@ def _check_state(state: SingleState, problem: SingleProblem) -> None:
 
 def init_state(
     problem: SingleProblem,
-    seed: int | None = None,
     params: SingleParams | None = None,
     struct: _SingleStructure | None = None,
 ) -> SingleState:
     """Initial AM state: d = 1, angles from the straight-line interpolant.
 
-    Deterministic; the seed is accepted for interface symmetry with the
-    sampling-based solvers and recorded nowhere.
+    Deterministic: the same problem gives the same state.
     """
     params = params or SingleParams()
     struct = struct or _SingleStructure(problem)

@@ -216,6 +216,58 @@ class TestCheckCollisionFree:
         assert clearance_lower_bound(traj, scenario) == pytest.approx((min(scaled) - 1.0) * 0.5, abs=1e-12)
 
 
+class TestClearanceSign:
+    """run_scenario takes success from the sign of clearance_lower_bound;
+    for positive semi-axes (d - 1) * min(a, b) >= 0 exactly when 1 - d <= 0,
+    so that sign is check_collision_free's verdict at zero margin."""
+
+    # (obstacles as (a, b, center), positions, verdict)
+    @pytest.mark.parametrize(
+        "obstacles,points,clear",
+        [
+            ([(0.5, 0.5, [2.5, 0.0])], [[0.0, 0.0], [2.5, 0.0], [5.0, 0.0]], False),  # through the centre
+            ([(0.5, 0.5, [2.5, -0.5])], [[0.0, 0.0], [2.5, 0.0], [5.0, 0.0]], True),  # scaled distance exactly 1
+            ([(0.5, 0.5, [2.5, -2.0])], [[0.0, 0.0], [2.5, 0.0], [5.0, 0.0]], True),
+            ([(0.5, 0.5, [2.5, -2.0])], [[0.0, 0.0], [np.nan, 0.0], [5.0, 0.0]], False),
+            ([(2.0, 0.5, [0.0, 0.0])], [[3.0, 0.0], [0.0, 0.6]], True),
+            ([(2.0, 0.5, [0.0, 0.0])], [[3.0, 0.0], [1.9, 0.0]], False),
+            ([(2.0, 0.5, [0.0, 0.0])], [[0.0, 0.5], [2.0, 0.0]], True),  # tangent on both axes
+            ([], [[0.0, 0.0], [np.nan, 0.0]], True),
+        ],
+    )
+    def test_sign_is_the_collision_verdict(self, obstacles, points, clear):
+        scenario = empty_scenario()
+        scenario.obstacles = [
+            ScenarioObstacle(a=a, b=b, center=center, velocity=[0.0, 0.0]) for a, b, center in obstacles
+        ]
+        pos = np.asarray(points, dtype=float)
+        zeros = np.zeros_like(pos)
+        traj = Trajectory(t=np.linspace(0.0, 1.0, len(pos)), pos=pos, vel=zeros, acc=zeros)
+        ok, _ = check_collision_free(traj, scenario, margin=0.0)
+        assert ok == clear
+        assert (clearance_lower_bound(traj, scenario) >= 0.0) == ok
+
+    @pytest.mark.parametrize(
+        "solver,kind,seed,iters",
+        [
+            ("single", "corridor", 0, 300),
+            ("single", "dynamic-flow", 0, 5),
+            ("batch", "barn-like", 0, 2),
+            ("priest", "barn-like", 0, 1),
+            ("priest", "barn-like", 2, 1),
+            ("cem", "barn-like", 0, 1),
+        ],
+    )
+    def test_run_success_is_the_collision_verdict(self, tmp_path, solver, kind, seed, iters):
+        scenario = gen_scenario(kind, seed=seed)
+        rec = run_scenario(scenario, solver=solver, seed=seed, iters=iters, out_dir=tmp_path)
+        # the dump writes floats with repr, so it reads back the exact plan
+        rows = np.genfromtxt(rec.trajectory_path, delimiter=",", skip_header=1)
+        t, pos = rows[:, 0], rows[:, 1 : 1 + scenario.dim]
+        traj = Trajectory(t=t, pos=pos, vel=np.zeros_like(pos), acc=np.zeros_like(pos))
+        assert rec.metrics.success == check_collision_free(traj, scenario, margin=0.0)[0]
+
+
 class TestInCollisionNow:
     # obstacle (a, b) = (2, 0.5) starting at (1, 0[, 0]) and moving +1 m/s
     # in x, so it is centred at x = 3 when t_abs = 2

@@ -224,3 +224,26 @@ def test_receding_horizon_single(kind, params, seed, pinned):
     np.testing.assert_allclose(pos[[10, len(pos) // 2, -1]], pinned["pos"], rtol=0, atol=ATOL)
     assert [rec.metrics.iters for rec in result.records] == pinned["iters"]
     assert (result.collided, result.reached_goal) == (pinned["collided"], False)
+
+
+def test_receding_horizon_batch():
+    """The receding-horizon loop on the batch solver: each step warm-starts
+    the batch from the last one's state and executes the member the runner
+    picks, so this holds that pick over an episode.  Executed positions to
+    1e-9, step count and iterations per step exactly."""
+    result = runner.receding_horizon_run(gen_scenario("dynamic-flow", seed=0), solver="batch", n_steps=4, step_budget=15)
+    pos = result.executed.pos
+    assert len(pos) == 41
+    assert np.linalg.norm(pos) == pytest.approx(11.420294400202266, abs=ATOL)
+    np.testing.assert_allclose(
+        pos[[10, len(pos) // 2, -1]],
+        [
+            [0.49063604036891917, -0.007237481713350088],
+            [1.583729374067933, -0.03928066212467173],
+            [3.0230104390524253, -0.0662844769530029],
+        ],
+        rtol=0,
+        atol=ATOL,
+    )
+    assert [rec.metrics.iters for rec in result.records] == [15, 15, 15, 15]
+    assert (result.collided, result.reached_goal) == (False, False)

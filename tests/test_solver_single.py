@@ -374,7 +374,7 @@ class TestInitState:
 
     def test_same_seed_identical_states(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
-        s1, s2 = init_state(prob, seed=7), init_state(prob, seed=7)
+        s1, s2 = init_state(prob), init_state(prob)
         np.testing.assert_array_equal(s1.xi, s2.xi)
         np.testing.assert_array_equal(s1.unit, s2.unit)
         np.testing.assert_array_equal(s1.d, s2.d)

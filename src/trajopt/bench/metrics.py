@@ -9,7 +9,7 @@ import numpy as np
 
 from ..basis import Trajectory
 from ..geometry import scaled_sq_norm
-from .scenarios import Scenario, predict_obstacles
+from .scenarios import Scenario, predict_centres
 
 
 @dataclass
@@ -59,10 +59,9 @@ def eval_metrics(
 def _scaled_distances(trajectory: Trajectory, scenario: Scenario, t_now: float = 0.0) -> np.ndarray:
     """Ellipsoidal distance (1 on the boundary) per obstacle and sample,
     the trajectory's first sample taken at time t_now."""
-    tracks = predict_obstacles(scenario, trajectory.t, t_now=t_now)
-    deltas = trajectory.pos[None, :, :] - np.stack([track.centers for track in tracks])
-    a = np.array([[track.shape.a] for track in tracks])
-    b = np.array([[track.shape.b] for track in tracks])
+    deltas = trajectory.pos[None, :, :] - predict_centres(scenario, trajectory.t, t_now)
+    a = np.array([[o.a] for o in scenario.obstacles], dtype=float)
+    b = np.array([[o.b] for o in scenario.obstacles], dtype=float)
     return np.sqrt(scaled_sq_norm(np.moveaxis(deltas, -1, 0), a, b))
 
 

@@ -79,6 +79,8 @@ class Scenario:
         for obs in self.obstacles:
             if len(obs.center) != self.dim or len(obs.velocity) != self.dim:
                 raise ValueError("obstacle center/velocity must match the scenario dimension")
+            if not all(np.isfinite(axis) and axis > 0 for axis in (obs.a, obs.b)):
+                raise ValueError(f"obstacle semi-axes must be positive and finite, got a={obs.a}, b={obs.b}")
         if len(self.boundary.start) != self.dim or len(self.boundary.goal) != self.dim:
             raise ValueError("boundary vectors must match the scenario dimension")
 
@@ -115,16 +117,24 @@ def load_scenario(path) -> Scenario:
         return from_json(fh.read())
 
 
-def predict_obstacles(scenario: Scenario, timestamps: np.ndarray, t_now: float = 0.0) -> list[ObstacleTrack]:
-    """Constant-velocity extrapolation of every obstacle onto the grid."""
+def predict_centres(scenario: Scenario, timestamps: np.ndarray, t_now: float = 0.0) -> np.ndarray:
+    """Constant-velocity extrapolation of every obstacle centre onto the grid.
+
+    The grid's first timestamp is time t_now of the obstacles' motion.
+    Returns the (n_o, n_p, dim) centres, formed in one broadcast.
+    """
     timestamps = np.asarray(timestamps, dtype=float)
-    tracks = []
-    for obs in scenario.obstacles:
-        center = np.asarray(obs.center, dtype=float)
-        vel = np.asarray(obs.velocity, dtype=float)
-        centers = center[None, :] + vel[None, :] * (t_now + timestamps - timestamps[0])[:, None]
-        tracks.append(ObstacleTrack(centers=centers, shape=EllipsoidShape(a=obs.a, b=obs.b)))
-    return tracks
+    centres = np.array([obs.center for obs in scenario.obstacles], dtype=float).reshape(-1, scenario.dim)
+    velocities = np.array([obs.velocity for obs in scenario.obstacles], dtype=float).reshape(-1, scenario.dim)
+    return centres[:, None] + velocities[:, None] * (t_now + timestamps - timestamps[0])[None, :, None]
+
+
+def predict_obstacles(scenario: Scenario, timestamps: np.ndarray, t_now: float = 0.0) -> list[ObstacleTrack]:
+    """The tracks of predict_centres, one ObstacleTrack per obstacle."""
+    return [
+        ObstacleTrack(centers=centres, shape=EllipsoidShape(a=obs.a, b=obs.b))
+        for centres, obs in zip(predict_centres(scenario, timestamps, t_now), scenario.obstacles)
+    ]
 
 
 def agent_boundaries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:

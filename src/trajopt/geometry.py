@@ -18,7 +18,9 @@ The kernel, the only place this math is written:
 - los_scale: the closed-form scale d = clip(r, lower, upper);
 - radial_clamp: residual of the closed-form polar projection, with no angles;
 - norm_clamp: radial_clamp of velocity or acceleration samples against
-  their norm bound, taken only where the bound is exceeded;
+  their norm bound, taken only where the bound is exceeded; a family with
+  no sample beyond its bound costs one pass over the squared norms and
+  yields None, so its solver adds nothing to its products;
 - ObstacleRows: the collision rows of many points on their active set,
   found by a broad phase over time windows, the one residual pass over
   obstacles of the batch and priest solvers;
@@ -322,21 +324,28 @@ class ObstacleRows:
         return self.sums, sq, peak
 
 
-def norm_clamp(samples: np.ndarray, limit: float) -> np.ndarray:
-    """radial_clamp of the (N, dim, n_p) samples at a = b = limit, lower = 0, upper = 1.
+def norm_clamp(deltas, limit: float):
+    """radial_clamp of per-axis samples at a = b = limit, lower = 0, upper = 1, on their active set.
 
-    The velocity and acceleration rows of the batch and priest solvers.  The
-    residual is zero wherever the squared scaled norm q lies in [0, 1]
-    (radial_clamp's zero band), so only the entries with q > 1 or NaN go
-    through the clamp.  Returns the (N, dim, n_p) residuals.
+    The velocity and acceleration rows of the batch and priest solvers.
+    deltas is a sequence of per-axis arrays of one shape, as in
+    scaled_sq_norm.  The residual is zero wherever the squared scaled norm q
+    lies in [0, 1] (radial_clamp's zero band), so q is formed once, with
+    scaled_sq_norm's arithmetic, and only the entries with q > 1 or NaN go
+    through the clamp.  Returns None when every q <= 1: the family has no
+    nonzero residual, and a caller adds nothing for it.  Otherwise returns
+    the list of per-axis residuals, zero but on the active entries, where
+    they equal radial_clamp's of every entry bit for bit.
     """
-    deltas = samples.transpose(1, 0, 2)
+    # the complement of the band, not q > 1, so that NaN stays active
     active = ~(scaled_sq_norm(deltas, limit, limit) <= 1.0)
-    res = np.zeros_like(samples)
+    if not active.any():
+        return None
     clamped = radial_clamp([d[active] for d in deltas], limit, limit, lower=0.0, upper=1.0)
-    for k, r in enumerate(clamped):
-        res[:, k][active] = r
-    return res
+    out = [np.zeros(active.shape) for _ in deltas]
+    for res, r in zip(out, clamped):
+        res[active] = r
+    return out
 
 
 def unit_pair(c, s):

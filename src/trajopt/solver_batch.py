@@ -37,7 +37,11 @@ sums over obstacles add the active terms in obstacle order and equal the
 dense sum bit for bit, and so do residual @ F, g @ F and the per-member
 residual max; the per-member norm sums its squares in another order.  The
 velocity and acceleration rows go through geometry.norm_clamp, which
-clamps only the samples beyond their bound.
+clamps only the samples beyond their bound.  A family with no such sample
+costs one pass over its squared norms: norm_clamp returns None and the
+family adds nothing to the residual max, the norm or the products, whose
+terms would all be zero.  The copies P xi_c, P xi_s are formed once per
+iteration, for the heading step and the residual pass.
 
 F'F is one closed-form (2m, 2m) block per axis,
 
@@ -255,6 +259,12 @@ def _split(xi, m):
     return xi[:, :m], xi[:, m : 2 * m], xi[:, 2 * m : 3 * m], xi[:, 3 * m :]
 
 
+def _placed(xi, basis, m):
+    """The heading copies (P xi_c, P xi_s) of every member, (N_b, n_p) each."""
+    _, xi_c, _, xi_s = _split(xi, m)
+    return xi_c @ basis.P.T, xi_s @ basis.P.T
+
+
 def init_state(
     problem: BatchProblem,
     samples: np.ndarray,
@@ -291,7 +301,7 @@ def init_state(
     # the products and residuals are set by polar_step below
     state = BatchState(xi, xi_psi, psi, None, None, None, struct.obs, struct.r, lam=np.zeros((n_b, 4 * m)),
                        lam_psi=np.zeros((n_b, m)), rho=params.rho_start)
-    polar_step(state, problem, struct)
+    polar_step(state, problem, struct, _placed(state.xi, basis, m))
     return state
 
 
@@ -331,12 +341,11 @@ def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) 
     state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
 
 
-def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
-    """Fit the heading block to unwrapped arctan2 targets from the copies."""
+def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, placed: tuple) -> None:
+    """Fit the heading block to unwrapped arctan2 targets from the copies placed = (P xi_c, P xi_s)."""
     factor = state.psi_factors.get(struct.Q_psi_smooth, struct.PtP, struct.A_psi, state.rho)
     basis = problem.basis
-    _, xi_c, _, xi_s = _split(state.xi, struct.m)
-    raw = np.arctan2(xi_s @ basis.P.T, xi_c @ basis.P.T)
+    raw = np.arctan2(placed[1], placed[0])
     # nearest-branch unwrapping against the previous heading iterate
     targets = raw + 2.0 * np.pi * np.round((state.psi - raw) / (2.0 * np.pi))
     q_lin = -state.lam_psi - state.rho * (targets @ basis.P)
@@ -346,28 +355,37 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure) -
     state._psi_targets = targets
 
 
-def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> np.ndarray:
+def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure, placed: tuple) -> np.ndarray:
     """The residual pass at the current iterate, family by family in sample space.
 
+    placed is the pair of heading copies (P xi_c, P xi_s) at the iterate.
     Returns residual @ F, (N_b, 4m), and sets the state's residual_max,
-    residual_norm and target products g @ F = xi F'F - residual @ F.
+    residual_norm and target products g @ F = xi F'F - residual @ F.  A
+    kinematic family with no sample beyond its bound (norm_clamp's None)
+    adds nothing to the max, the norm or the products.
     """
     basis, n_b, n_c = problem.basis, state.xi.shape[0], struct.r.size
-    xi_x, xi_c, xi_y, xi_s = _split(state.xi, struct.m)
-    placed = [xi_q @ basis.P.T for xi_q in (xi_c, xi_s)]  # the copies P xi_c, P xi_s
+    xi_x, _, xi_y, _ = _split(state.xi, struct.m)
     copies = [p - t for p, t in zip(placed, (np.cos(state.psi), np.sin(state.psi)))]
     # each collision row's value is its circle placed by the copies, less the centre
     sums, coll_sq, coll_peak = struct.obstacle_rows(n_b).residuals(_circles(struct, basis, state.xi, placed))
     res_max, sq = coll_peak.reshape(n_b, n_c).max(axis=1), coll_sq.reshape(n_b, n_c).sum(axis=1)
-    vel = norm_clamp(np.stack([xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T], axis=1), problem.v_max)
-    acc = norm_clamp(np.stack([xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T], axis=1), problem.a_max)
+    kinematic = []  # the velocity and acceleration families with an active sample
+    for limit, mat in ((problem.v_max, basis.Pdot), (problem.a_max, basis.Pddot)):
+        res = norm_clamp([xi_x @ mat.T, xi_y @ mat.T], limit)
+        if res is not None:
+            kinematic.append((res, mat))
     products = []
     for k, copy in enumerate(copies):
-        for res in (vel[:, k], acc[:, k], copy):
-            res_max = np.maximum(res_max, np.abs(res).max(axis=1))
-            sq += np.einsum("ij,ij->i", res, res)
         per_circle = sums[k].reshape(n_b, n_c, -1)  # summed over obstacles
-        products.append(per_circle.sum(axis=1) @ basis.P + vel[:, k] @ basis.Pdot + acc[:, k] @ basis.Pddot)
+        x_columns = per_circle.sum(axis=1) @ basis.P
+        for res, mat in kinematic:
+            res_max = np.maximum(res_max, np.abs(res[k]).max(axis=1))
+            sq += np.einsum("ij,ij->i", res[k], res[k])
+            x_columns += res[k] @ mat
+        res_max = np.maximum(res_max, np.abs(copy).max(axis=1))
+        sq += np.einsum("ij,ij->i", copy, copy)
+        products.append(x_columns)
         products.append((np.tensordot(struct.r, per_circle, axes=(0, 1)) + copy) @ basis.P)
     residual_products = np.hstack(products)
     state.target_products = state.xi @ struct.FtF - residual_products
@@ -377,8 +395,9 @@ def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> 
 
 def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure) -> BatchState:
     batch_xi_step(state, problem, struct)
-    heading_step(state, problem, struct)
-    state.lam = state.lam - state.rho * polar_step(state, problem, struct)
+    placed = _placed(state.xi, problem.basis, struct.m)  # shared by the heading step and the residual pass
+    heading_step(state, problem, struct, placed)
+    state.lam = state.lam - state.rho * polar_step(state, problem, struct, placed)
     state.lam_psi = state.lam_psi - state.rho * ((state.psi - state._psi_targets) @ problem.basis.P)
     state.iteration += 1
     return state

@@ -40,9 +40,11 @@ included) go through radial_clamp.  Each per-axis sum over obstacles is
 the active residuals added in obstacle order, and equals the dense sum bit
 for bit.  The velocity and acceleration rows go through geometry.norm_clamp,
 the batch solver's too, which clamps only where their q exceeds 1 (their
-zero band is [0, 1]) or is NaN.  Each iterate gets one residual
-pass, shared by the next step, the residual history and the final scores
-and samples.
+zero band is [0, 1]) or is NaN.  A family with no sample beyond its bound
+costs one pass over its squared norms and adds nothing to the residual
+norm or the products; so does the workspace family when every sample lies
+inside the box.  Each iterate gets one residual pass, shared by the next
+step, the residual history and the final scores and samples.
 
 The cost functional is a black box evaluated on a stack of sampled
 trajectories; nothing here differentiates it.
@@ -254,7 +256,9 @@ def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
     (dim, N, n_p) sum over obstacles of the collision residuals; families
     pairs each other family's (N, dim, n_p) residual with the basis matrix
     it is sampled by, so that residual @ F is the sum of their products; sq
-    is the (N,) squared norm of all residuals per sample.
+    is the (N,) squared norm of all residuals per sample.  A workspace
+    family with every sample inside the box, or a kinematic one with none
+    beyond its bound, is left out of families: its residual is all zero.
     """
     pos = pva[:, :, 0]
     obstacle, sq, _ = rows.residuals(pos)
@@ -262,10 +266,13 @@ def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
     if setup.s_min is not None:
         # max(0, pos - s_max) - max(0, s_min - pos) value for value, as fl(s - p) = -fl(p - s)
         box = pos - np.clip(pos, setup.s_min[:, None], setup.s_max[:, None])
-        families.append((box, setup.basis.P))
+        if box.any():  # NaN counts as nonzero
+            families.append((box, setup.basis.P))
     for order, limit, mat in ((1, setup.v_max, setup.basis.Pdot), (2, setup.a_max, setup.basis.Pddot)):
         if limit is not None:
-            families.append((norm_clamp(pva[:, :, order], limit), mat))
+            res = norm_clamp([pva[:, k, order] for k in range(setup.dim)], limit)
+            if res is not None:
+                families.append((np.stack(res, axis=1), mat))
     for res, _ in families:
         sq += np.einsum("nij,nij->n", res, res)
     return obstacle, families, sq

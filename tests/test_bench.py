@@ -29,6 +29,7 @@ from trajopt.bench import (
     write_results_csv,
 )
 from trajopt import solver_single
+from trajopt.geometry import scaled_sq_norm
 from trajopt.bench.runner import _collision_check
 
 
@@ -216,6 +217,54 @@ class TestCheckCollisionFree:
         assert clearance_lower_bound(traj, scenario) == pytest.approx((min(scaled) - 1.0) * 0.5, abs=1e-12)
 
 
+def _track_distances(traj, scenario, t_now):
+    """Scaled distances with each obstacle's track extrapolated on its own."""
+    offsets = t_now + traj.t - traj.t[0]
+    tracks = [np.asarray(o.center, dtype=float) + np.asarray(o.velocity, dtype=float) * offsets[:, None]
+              for o in scenario.obstacles]
+    deltas = traj.pos[None, :, :] - np.stack(tracks)
+    a = np.array([[o.a] for o in scenario.obstacles])
+    b = np.array([[o.b] for o in scenario.obstacles])
+    return np.sqrt(scaled_sq_norm(np.moveaxis(deltas, -1, 0), a, b))
+
+
+class TestMovingObstacleDistances:
+    """The distance pass predicts every obstacle centre in one broadcast
+    (predict_centres); its values are those of the obstacles' tracks taken
+    one at a time, bit for bit, at any t_now."""
+
+    @pytest.mark.parametrize("kind,params,seed", [("dynamic-flow", None, 0), ("dynamic-flow", None, 3),
+                                                  ("random-static", {"dim": 3}, 1)])
+    @pytest.mark.parametrize("t_now", [0.0, 0.7, 2.35])
+    def test_equal_to_the_predicted_tracks(self, kind, params, seed, t_now):
+        scenario = gen_scenario(kind, params, seed=seed)
+        if kind == "random-static":  # give the 3-D obstacles some motion
+            for k, obs in enumerate(scenario.obstacles):
+                obs.velocity = [0.3 * (-1) ** k, -0.2, 0.1 * k]
+        assert any(np.any(obs.velocity) for obs in scenario.obstacles)
+        h = scenario.horizon
+        t = np.linspace(h.t0, h.tf, h.n_p) + 1.25  # a grid that starts after t = 0
+        start, goal = (np.asarray(p, dtype=float) for p in (scenario.boundary.start, scenario.boundary.goal))
+        pos = start + np.linspace(0.0, 1.0, h.n_p)[:, None] * (goal - start) + 0.4 * np.sin(t)[:, None]
+        traj = Trajectory(t=t, pos=pos, vel=np.zeros_like(pos), acc=np.zeros_like(pos))
+        dists = _track_distances(traj, scenario, t_now)
+        semi = np.array([[min(o.a, o.b)] for o in scenario.obstacles])
+        assert clearance_lower_bound(traj, scenario, t_now) == float(np.min((dists - 1.0) * semi))
+        assert eval_metrics(traj, scenario, t_now=t_now).min_clearance == float(np.min((dists - 1.0) * semi))
+        at_zero = _track_distances(traj, scenario, 0.0)
+        for margin in (0.0, 0.1):
+            worst = float(np.max(1.0 + margin - at_zero))
+            assert check_collision_free(traj, scenario, margin=margin) == (worst <= 0.0, worst)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.5), (0.5, -1.0), (np.nan, 0.5), (0.5, np.inf)])
+    def test_scenario_rejects_bad_semi_axes(self, a, b):
+        with pytest.raises(ValueError, match="semi-axes"):
+            Scenario(kind="random-static", dim=2, horizon=Horizon(t0=0.0, tf=5.0, n_p=50),
+                     robot=RobotSpec(shape=[0.0, 0.0], v_max=3.0, a_max=3.0),
+                     obstacles=[ScenarioObstacle(a=a, b=b, center=[1.0, 0.0], velocity=[0.0, 0.0])],
+                     boundary=Boundary(start=[0.0, 0.0], goal=[5.0, 0.0]), seed=0)
+
+
 class TestClearanceSign:
     """run_scenario takes success from the sign of clearance_lower_bound;
     for positive semi-axes (d - 1) * min(a, b) >= 0 exactly when 1 - d <= 0,
@@ -320,6 +369,9 @@ class TestPredictObstacles:
         tracks = predict_obstacles(scenario, ts, t_now=1.5)
         for i, t in enumerate(ts):
             np.testing.assert_allclose(tracks[0].centers[i], c + v * (1.5 + t), atol=1e-12)
+
+    def test_no_obstacles(self):
+        assert predict_obstacles(empty_scenario(dim=3), np.linspace(0, 4, 5)) == []
 
 
 class TestResultsCsv:

@@ -18,6 +18,7 @@ from trajopt.geometry import (
     angle2d,
     angles3d,
     los_scale,
+    norm_clamp,
     radial_clamp,
     radial_target,
     scaled_sq_norm,
@@ -363,6 +364,91 @@ class TestZeroBand:
         res = np.array(radial_clamp(deltas, a, b, lower=lower, upper=upper))
         if lower**2 <= q <= upper**2:
             assert np.array_equal(res, np.zeros_like(res))
+
+
+def _check_norm_clamp(deltas, limit):
+    """norm_clamp against radial_clamp at lower = 0, upper = 1 over every sample.
+
+    None exactly when every q <= 1 (NaN is not); otherwise the residuals
+    equal the dense clamp's bit for bit, signed zeros aside.  Returns the
+    result.
+    """
+    q = scaled_sq_norm(deltas, limit, limit)
+    with np.errstate(invalid="ignore"):
+        got = norm_clamp(deltas, limit)
+        dense = radial_clamp(deltas, limit, limit, lower=0.0, upper=1.0)
+    assert (got is None) == bool(np.all(q <= 1.0))
+    if got is None:
+        assert np.array_equal(dense, np.zeros_like(dense))
+    else:
+        assert len(got) == len(deltas)
+        assert np.array_equal(got, dense, equal_nan=True)
+    return got
+
+
+class TestNormClamp:
+    """norm_clamp: the velocity and acceleration rows, clamped on their active set."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_none_at_and_inside_the_bound(self, dim):
+        # q == 1 exactly, the double below it, and the origin
+        xs, ys = zip((1.0, 0.0), (0.0, 1.0), _NEXT_BELOW_ONE, (0.0, 0.0), (-1.0, -0.0))
+        deltas = [np.array(xs), *[np.zeros(len(xs))] * (dim - 2), np.array(ys)]
+        assert scaled_sq_norm(deltas, 1.0, 1.0).max() == 1.0
+        assert _check_norm_clamp(deltas, 1.0) is None
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_double_beyond_the_bound_is_active(self, dim):
+        xs, ys = zip((1.0, 0.0), _NEXT_ABOVE_ONE)
+        deltas = [np.array(xs), *[np.zeros(2)] * (dim - 2), np.array(ys)]
+        # q = 1 + 2**-52 takes the clamp, though sqrt(q) rounds to 1 and the
+        # residual to zero
+        assert scaled_sq_norm(deltas, 1.0, 1.0)[1] > 1.0
+        assert _check_norm_clamp(deltas, 1.0) is not None
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_active(self, dim, value):
+        deltas = [np.zeros((2, 3)) for _ in range(dim)]
+        deltas[-1][1, 2] = value
+        got = _check_norm_clamp(deltas, 2.5)
+        assert got is not None
+        assert not np.isfinite(got[-1][1, 2]) and not got[-1][0].any()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_active_entries_equal_the_dense_clamp(self, dim):
+        limit = 2.5
+        rng = np.random.default_rng(dim)
+        deltas = list(rng.normal(size=(dim, 6, 40)) * rng.uniform(0.0, 2.0 * limit, size=(6, 40)))
+        deltas[0][0, 0] = limit  # on the bound
+        got = _check_norm_clamp(deltas, limit)
+        active = ~(scaled_sq_norm(deltas, limit, limit) <= 1.0)
+        assert 0 < active.sum() < active.size
+        assert not any(res[~active].any() for res in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.sampled_from([2, 3]),
+        n=st.integers(1, 12),
+        limit=st.floats(1e-3, 1e3),
+        reach=st.sampled_from([0.5, 1.0, 1.5]),
+    )
+    def test_none_iff_every_sample_in_the_band(self, data, dim, n, limit, reach):
+        # unit directions scaled up to reach times the limit, some samples
+        # exactly on the bound and some not finite
+        direction = data.draw(hnp.arrays(float, (dim, n), elements=st.floats(-1.0, 1.0)))
+        norm = np.sqrt(scaled_sq_norm(direction, 1.0, 1.0))
+        direction = np.where(norm > 0, direction / np.where(norm > 0, norm, 1.0), np.eye(dim)[:, :1])
+        fraction = data.draw(hnp.arrays(float, n, elements=st.floats(0.0, reach)))
+        deltas = direction * (fraction * limit)
+        on_bound = data.draw(hnp.arrays(bool, n))
+        deltas[:, on_bound] = 0.0
+        deltas[-1, on_bound] = limit
+        special = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+        if special is not None:
+            deltas[data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, n - 1))] = special
+        _check_norm_clamp(list(deltas), limit)
 
 
 def _dense_rows(centres, a, b, pos):

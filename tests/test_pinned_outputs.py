@@ -145,6 +145,58 @@ def test_priest_barn_one_outer_iteration():
     assert res.best.residual == pytest.approx(0.0, abs=ATOL)
 
 
+def test_batch_dynamic_flow_tight_kinematic_limits():
+    """Speed and acceleration limits low enough that their rows bind: the
+    acceleration rows in every iteration, the speed rows in some, so the
+    residual pass runs its active kinematic branch as well as the skip of
+    an all-zero family."""
+    scenario = gen_scenario("dynamic-flow", {"v_max": 2.0, "a_max": 0.3}, seed=0)
+    problem = runner.batch_problem_from_scenario(scenario, _basis(scenario))
+    ranked = solver_batch.solve_batch_opt(problem, solver_batch.BatchParams(max_iter=20), seed=0)
+    assert np.linalg.norm(ranked.state.xi) == pytest.approx(262.0577003039869, abs=ATOL)
+    np.testing.assert_allclose(
+        ranked.trajectories[0].pos[SAMPLES],
+        [
+            [0.18383524427375303, 0.04089902748154102],
+            [6.100590898231734, 0.07427840259028393],
+            [11.855253517950674, -0.03222532389503634],
+        ],
+        rtol=0,
+        atol=ATOL,
+    )
+    assert ranked.residual_max.sum() == pytest.approx(30.968677911784038, abs=ATOL)
+    assert ranked.residual_norm.sum() == pytest.approx(206.0495751344471, abs=ATOL)
+    assert (ranked.iterations, int(ranked.feasible.sum()), ranked.best_index, ranked.n_factorizations) == (20, 0, None, 2)
+
+
+def test_priest_barn_tight_kinematic_limits():
+    """One outer iteration with speed and acceleration limits low enough that
+    their rows bind: the acceleration rows in every inner iteration, the
+    speed rows in some."""
+    scenario = gen_scenario("barn-like", {"v_max": 1.8, "a_max": 0.5}, seed=0)
+    basis = _basis(scenario)
+    res = solver_priest.priest_optimize(
+        runner.priest_setup_from_scenario(scenario, basis),
+        runner._barn_c1(scenario),
+        runner.default_sampling_distribution(scenario, basis),
+        solver_priest.PriestParams(n_outer=1),
+    )
+    assert np.linalg.norm(res.best.projected) == pytest.approx(19.179214342321078, abs=ATOL)
+    np.testing.assert_allclose(
+        res.best.trajectory.pos[SAMPLES],
+        [
+            [0.11320405439335769, 0.008752966876700288],
+            [4.575304723144513, -0.19959189419578416],
+            [9.101234108497893, 0.09234704032370335],
+        ],
+        rtol=0,
+        atol=ATOL,
+    )
+    assert res.best.residual == pytest.approx(0.145424093567487, abs=ATOL)
+    assert res.best.aug_cost == pytest.approx(29.005573194607432, abs=ATOL)
+    assert res.history[0]["min_residual"] == pytest.approx(0.07171948738255574, abs=ATOL)
+
+
 def test_joint_square_antipodal():
     """Pins the coefficient-space multi-agent arithmetic: the straight-line
     start from basis.straight_line_coeffs, reduced factors of the blocks

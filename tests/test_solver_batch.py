@@ -287,7 +287,7 @@ class TestHeadingStep:
         state.xi[:, 3 * m :] = coeffs_s
         state.psi = np.full((3, N_P), psi_bar)
         struct = _Structure(prob)
-        heading_step(state, prob, struct)
+        heading_step(state, prob, struct, _copies(prob, state.xi))
         np.testing.assert_allclose(state.psi, psi_bar, atol=1e-8)
         psi_acc = state.xi_psi @ prob.basis.Pddot.T
         assert np.max(np.abs(psi_acc)) < 1e-6
@@ -306,7 +306,7 @@ class TestHeadingStep:
         state.xi[:, 3 * m :] = coeffs_s
         state.psi = np.tile(ramp, (2, 1))
         struct = _Structure(prob)
-        heading_step(state, prob, struct)
+        heading_step(state, prob, struct, _copies(prob, state.xi))
         np.testing.assert_allclose(state.psi[0], ramp, atol=1e-5)
 
     def test_batch_matches_per_member_loop(self):
@@ -327,7 +327,7 @@ class TestHeadingStep:
                 for i in range(5)
             ]
         )
-        heading_step(state, prob, struct)
+        heading_step(state, prob, struct, _copies(prob, state.xi))
         assert np.max(np.abs(state.xi_psi - expected)) <= 1e-10
 
     def test_boundary_held(self):
@@ -351,7 +351,7 @@ def _assert_pass_matches_reference(prob, state):
     polar = ref.polar(state.xi)
     g = ref.g(polar, state.psi)
     res = state.xi @ ref.F.T - g
-    residual_products = polar_step(state, prob, _Structure(prob))
+    residual_products = polar_step(state, prob, _Structure(prob), _copies(prob, state.xi))
     scale = np.max(np.abs(g @ ref.F))
     np.testing.assert_allclose(residual_products, res @ ref.F, rtol=0, atol=1e-13 * scale)
     np.testing.assert_allclose(state.target_products, g @ ref.F, rtol=0, atol=1e-13 * scale)
@@ -400,7 +400,7 @@ class TestAlphaStep:
         ref = _Reference(prob)
         stale = ref.g(ref.polar(state.xi), state.psi)
         batch_xi_step(state, prob, struct)
-        heading_step(state, prob, struct)
+        heading_step(state, prob, struct, _copies(prob, state.xi))
         before = np.linalg.norm(state.xi @ ref.F.T - stale, axis=1)
         _assert_pass_matches_reference(prob, state)
         assert np.all(state.residual_norm <= before)
@@ -536,7 +536,7 @@ def _assert_pass_matches_dense(prob, state, struct=None, coupled=False):
     the norm, whose squares are summed in another order, to 1e-15."""
     struct = struct or _Structure(prob)
     residual_products, target_products, res_max, res_norm = _dense_pass(state, prob, struct, coupled)
-    np.testing.assert_array_equal(polar_step(state, prob, struct), residual_products)
+    np.testing.assert_array_equal(polar_step(state, prob, struct, _copies(prob, state.xi)), residual_products)
     np.testing.assert_array_equal(state.target_products, target_products)
     np.testing.assert_array_equal(state.residual_max, res_max)
     np.testing.assert_allclose(state.residual_norm, res_norm, rtol=1e-15, atol=0)
@@ -637,9 +637,28 @@ class TestActivePassMatchesDense:
             batch_iteration(state, prob, struct)
             _assert_pass_matches_dense(prob, state, struct)
 
+    def test_every_iterate_with_a_binding_acceleration_limit(self):
+        # the acceleration rows bind in the first iterates and not in the
+        # last, the speed rows in none: the pass skips the families
+        # norm_clamp finds inactive and adds the active ones as the dense
+        # pass does
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS, a_max=1.2)
+        struct = _Structure(prob)
+        state = init_state(prob, _default_samples(prob, seed=34), struct=struct)
+        binding = []
+        for _ in range(10):
+            batch_iteration(state, prob, struct)
+            xi_x, _, xi_y, _ = _split(state.xi, struct.m)
+            binding.append(np.hypot(xi_x @ prob.basis.Pddot.T, xi_y @ prob.basis.Pddot.T).max() > prob.a_max)
+            _assert_pass_matches_dense(prob, state, struct)
+        assert binding[0] and not binding[-1]
+
 
 class TestOnePassPerIteration:
-    def test_one_trig_and_three_radial_clamps_per_iteration(self, monkeypatch):
+    @staticmethod
+    def _calls_per_iteration(monkeypatch, prob):
+        """Calls per iteration of the trig functions, radial_clamp and norm_clamp,
+        from the difference of a 12- and a 2-iteration solve."""
         counts = {}
 
         def counted(name, fn):
@@ -655,17 +674,29 @@ class TestOnePassPerIteration:
         # acceleration rows, which norm_clamp takes on their active samples
         monkeypatch.setattr(geometry, "radial_clamp", counted("radial_clamp", geometry.radial_clamp))
         monkeypatch.setattr(solver_batch, "norm_clamp", counted("norm_clamp", geometry.norm_clamp))
-        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
         per_solve = []
         for iters in (12, 2):
             counts.clear()
             ranked = solve_batch_opt(prob, BatchParams(max_iter=iters), seed=0)
             assert ranked.iterations == iters
             per_solve.append(dict(counts))
-        # the solves share their start and their ranking; each iteration makes
-        # one residual pass (cos, sin, a radial clamp per family, two of them
-        # through norm_clamp) and takes the heading targets' arctan2
-        per_iteration = {name: (per_solve[0][name] - per_solve[1].get(name, 0)) / 10 for name in per_solve[0]}
+        # the solves share their start and their ranking
+        return {name: (per_solve[0][name] - per_solve[1].get(name, 0)) / 10 for name in per_solve[0]}
+
+    def test_one_trig_and_one_radial_clamp_per_iteration_within_limits(self, monkeypatch):
+        # every speed and acceleration sample within its limit: norm_clamp
+        # forms the squared norms and returns None, and only the collision
+        # pass clamps; each iteration makes one residual pass (cos, sin) and
+        # takes the heading targets' arctan2
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS)
+        per_iteration = self._calls_per_iteration(monkeypatch, prob)
+        assert per_iteration == {"arctan2": 1, "cos": 1, "sin": 1, "radial_clamp": 1, "norm_clamp": 2}
+
+    def test_one_trig_and_three_radial_clamps_per_iteration(self, monkeypatch):
+        # limits that bind in every iteration: a radial clamp per family,
+        # two of them through norm_clamp
+        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=6, offsets=OFFSETS, v_max=1.2, a_max=0.2)
+        per_iteration = self._calls_per_iteration(monkeypatch, prob)
         assert per_iteration == {"arctan2": 1, "cos": 1, "sin": 1, "radial_clamp": 3, "norm_clamp": 2}
 
 

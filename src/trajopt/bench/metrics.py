@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..basis import Trajectory
-from ..geometry import scaled_sq_norm
-from .scenarios import Scenario, predict_centres
+from ..geometry import Obstacles, scaled_sq_norm
+from .scenarios import Scenario, predict_obstacles
 
 
 @dataclass
@@ -56,13 +56,11 @@ def eval_metrics(
     )
 
 
-def _scaled_distances(trajectory: Trajectory, scenario: Scenario, t_now: float = 0.0) -> np.ndarray:
-    """Ellipsoidal distance (1 on the boundary) per obstacle and sample,
-    the trajectory's first sample taken at time t_now."""
-    deltas = trajectory.pos[None, :, :] - predict_centres(scenario, trajectory.t, t_now)
-    a = np.array([[o.a] for o in scenario.obstacles], dtype=float)
-    b = np.array([[o.b] for o in scenario.obstacles], dtype=float)
-    return np.sqrt(scaled_sq_norm(np.moveaxis(deltas, -1, 0), a, b))
+def _scaled_distances(trajectory: Trajectory, obstacles: Obstacles) -> np.ndarray:
+    """Ellipsoidal distance (1 on the boundary) per obstacle and sample of
+    the obstacles predicted on the trajectory's grid."""
+    deltas = trajectory.pos.T[:, None, :] - obstacles.centres
+    return np.sqrt(scaled_sq_norm(deltas, obstacles.a[:, None], obstacles.b[:, None]))
 
 
 def check_collision_free(trajectory: Trajectory, scenario: Scenario, margin: float = 0.0) -> tuple[bool, float]:
@@ -75,7 +73,7 @@ def check_collision_free(trajectory: Trajectory, scenario: Scenario, margin: flo
     """
     if not scenario.obstacles:
         return True, -math.inf
-    dists = _scaled_distances(trajectory, scenario)
+    dists = _scaled_distances(trajectory, predict_obstacles(scenario, trajectory.t))
     worst = float(np.max(1.0 + margin - dists))
     return worst <= 0.0, worst
 
@@ -89,6 +87,6 @@ def clearance_lower_bound(trajectory: Trajectory, scenario: Scenario, t_now: flo
     """
     if not scenario.obstacles:
         return math.inf
-    dists = _scaled_distances(trajectory, scenario, t_now)
-    semi = np.array([[min(o.a, o.b)] for o in scenario.obstacles])
-    return float(np.min((dists - 1.0) * semi))
+    obstacles = predict_obstacles(scenario, trajectory.t, t_now)
+    semi = np.minimum(obstacles.a, obstacles.b)[:, None]
+    return float(np.min((_scaled_distances(trajectory, obstacles) - 1.0) * semi))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import solver_batch, solver_multiagent, solver_priest, solver_single
 from ..basis import AxisBoundary, Trajectory, build_basis, straight_line_coeffs
-from ..geometry import EllipsoidShape, ObstacleTrack, scaled_sq_norm
+from ..geometry import EllipsoidShape, Obstacles, scaled_sq_norm
 from .metrics import RunMetrics, eval_metrics
 from .scenarios import Scenario, agent_boundaries, predict_obstacles
 
@@ -96,17 +96,12 @@ def _barn_c1(scenario: Scenario):
     return c1
 
 
-def _inflated_tracks(scenario: Scenario, timestamps, t_now: float = 0.0):
-    """Obstacle tracks inflated by PLAN_MARGIN for planning.
-
-    The solvers converge onto the constraint boundary to within residual
-    tolerance; a small inflation makes the returned trajectories clear the
-    raw scenario geometry strictly.
-    """
-    return [
-        ObstacleTrack(centers=t.centers, shape=EllipsoidShape(t.shape.a + PLAN_MARGIN, t.shape.b + PLAN_MARGIN))
-        for t in predict_obstacles(scenario, timestamps, t_now=t_now)
-    ]
+def _inflated_obstacles(scenario: Scenario, timestamps, t_now: float = 0.0) -> Obstacles:
+    """The predicted obstacles with semi-axes inflated by PLAN_MARGIN for planning: the solvers converge
+    onto the constraint boundary to within residual tolerance, and the inflation makes their plans clear
+    the raw scenario geometry strictly."""
+    obstacles = predict_obstacles(scenario, timestamps, t_now=t_now)
+    return Obstacles(obstacles.centres, obstacles.a + PLAN_MARGIN, obstacles.b + PLAN_MARGIN)
 
 
 def single_problem_from_scenario(scenario: Scenario, basis, *, boundary=None, t_now: float = 0.0):
@@ -118,7 +113,7 @@ def single_problem_from_scenario(scenario: Scenario, basis, *, boundary=None, t_
         basis=basis,
         boundary=boundary,
         desired=_desired_line(boundary, basis),
-        obstacles=_inflated_tracks(scenario, basis.grid.timestamps, t_now=t_now),
+        obstacles=_inflated_obstacles(scenario, basis.grid.timestamps, t_now=t_now),
     )
 
 
@@ -136,7 +131,7 @@ def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, *
         boundary=boundary,
         psi_boundary=(heading, heading),
         desired=_desired_line(boundary, basis),
-        obstacles=_inflated_tracks(scenario, basis.grid.timestamps, t_now=t_now),
+        obstacles=_inflated_obstacles(scenario, basis.grid.timestamps, t_now=t_now),
         footprint=solver_batch.FootprintSpec(offsets=offsets),
         v_max=scenario.robot.v_max,
         a_max=scenario.robot.a_max,
@@ -149,7 +144,7 @@ def priest_setup_from_scenario(scenario: Scenario, basis, rho: float = 1.0):
     return solver_priest.ProjectionSetup(
         basis=basis,
         boundary=_point_boundaries(scenario),
-        obstacles=_inflated_tracks(scenario, basis.grid.timestamps),
+        obstacles=_inflated_obstacles(scenario, basis.grid.timestamps),
         v_max=scenario.robot.v_max,
         a_max=scenario.robot.a_max,
         s_min=s_min,

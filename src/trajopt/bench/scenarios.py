@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..geometry import EllipsoidShape, ObstacleTrack
+from ..geometry import Obstacles
 
 KINDS = (
     "corridor",
@@ -117,24 +117,18 @@ def load_scenario(path) -> Scenario:
         return from_json(fh.read())
 
 
-def predict_centres(scenario: Scenario, timestamps: np.ndarray, t_now: float = 0.0) -> np.ndarray:
-    """Constant-velocity extrapolation of every obstacle centre onto the grid.
+def predict_obstacles(scenario: Scenario, timestamps: np.ndarray, t_now: float = 0.0) -> Obstacles:
+    """Constant-velocity extrapolation of every obstacle onto the grid.
 
-    The grid's first timestamp is time t_now of the obstacles' motion.
-    Returns the (n_o, n_p, dim) centres, formed in one broadcast.
+    The grid's first timestamp is time t_now of the obstacles' motion.  The
+    (dim, n_o, n_p) centres are formed in one broadcast.
     """
     timestamps = np.asarray(timestamps, dtype=float)
-    centres = np.array([obs.center for obs in scenario.obstacles], dtype=float).reshape(-1, scenario.dim)
-    velocities = np.array([obs.velocity for obs in scenario.obstacles], dtype=float).reshape(-1, scenario.dim)
-    return centres[:, None] + velocities[:, None] * (t_now + timestamps - timestamps[0])[None, :, None]
-
-
-def predict_obstacles(scenario: Scenario, timestamps: np.ndarray, t_now: float = 0.0) -> list[ObstacleTrack]:
-    """The tracks of predict_centres, one ObstacleTrack per obstacle."""
-    return [
-        ObstacleTrack(centers=centres, shape=EllipsoidShape(a=obs.a, b=obs.b))
-        for centres, obs in zip(predict_centres(scenario, timestamps, t_now), scenario.obstacles)
-    ]
+    obstacles = scenario.obstacles
+    centres = np.array([obs.center for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T
+    velocities = np.array([obs.velocity for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T
+    tracks = centres[:, :, None] + velocities[:, :, None] * (t_now + timestamps - timestamps[0])
+    return Obstacles(tracks, [obs.a for obs in obstacles], [obs.b for obs in obstacles])
 
 
 def agent_boundaries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -161,6 +155,14 @@ def _default_horizon(params) -> Horizon:
     )
 
 
+def _planar_scenario(kind, params, seed, obstacles, length, limit=3.0, horizon=None) -> Scenario:
+    """A planar point robot going from the origin to (length, 0); params may set v_max and a_max (default limit)."""
+    v_max, a_max = (float(params.get(name, limit)) for name in ("v_max", "a_max"))
+    return Scenario(kind=kind, dim=2, horizon=horizon or _default_horizon(params),
+                    robot=RobotSpec(shape=[0.0, 0.0], v_max=v_max, a_max=a_max), obstacles=obstacles,
+                    boundary=Boundary(start=[0.0, 0.0], goal=[length, 0.0]), seed=seed)
+
+
 def _gen_corridor(params, seed) -> Scenario:
     rng = np.random.default_rng(seed)
     length = float(params.get("length", 12.0))
@@ -182,15 +184,7 @@ def _gen_corridor(params, seed) -> Scenario:
         obstacles.append(
             ScenarioObstacle(a=r_obs, b=r_obs, center=[float(x), float(side * half_width)], velocity=[0.0, 0.0])
         )
-    return Scenario(
-        kind="corridor",
-        dim=2,
-        horizon=_default_horizon(params),
-        robot=RobotSpec(shape=[0.0, 0.0], v_max=float(params.get("v_max", 3.0)), a_max=float(params.get("a_max", 3.0))),
-        obstacles=obstacles,
-        boundary=Boundary(start=[0.0, 0.0], goal=[length, 0.0]),
-        seed=seed,
-    )
+    return _planar_scenario("corridor", params, seed, obstacles, length)
 
 
 def _gen_random_static(params, seed) -> Scenario:
@@ -244,15 +238,7 @@ def _gen_dynamic_flow(params, seed) -> Scenario:
                 velocity=[float(-speed * rng.uniform(0.5, 1.0)), float(rng.uniform(-0.05, 0.05))],
             )
         )
-    return Scenario(
-        kind="dynamic-flow",
-        dim=2,
-        horizon=_default_horizon(params),
-        robot=RobotSpec(shape=[0.0, 0.0], v_max=float(params.get("v_max", 3.0)), a_max=float(params.get("a_max", 3.0))),
-        obstacles=obstacles,
-        boundary=Boundary(start=[0.0, 0.0], goal=[length, 0.0]),
-        seed=seed,
-    )
+    return _planar_scenario("dynamic-flow", params, seed, obstacles, length)
 
 
 def _square_perimeter(n_agents: int, side: float) -> list[tuple[float, float]]:
@@ -344,15 +330,7 @@ def _gen_barn_like(params, seed) -> Scenario:
     obstacles = [
         ScenarioObstacle(a=r_obs, b=r_obs, center=[float(v) for v in c], velocity=[0.0, 0.0]) for c in centers
     ]
-    return Scenario(
-        kind="barn-like",
-        dim=2,
-        horizon=_default_horizon(params),
-        robot=RobotSpec(shape=[0.0, 0.0], v_max=float(params.get("v_max", 2.0)), a_max=float(params.get("a_max", 2.0))),
-        obstacles=obstacles,
-        boundary=Boundary(start=[0.0, 0.0], goal=[length, 0.0]),
-        seed=seed,
-    )
+    return _planar_scenario("barn-like", params, seed, obstacles, length, limit=2.0)
 
 
 def _gen_all_infeasible_probe(params, seed) -> Scenario:
@@ -372,15 +350,8 @@ def _gen_all_infeasible_probe(params, seed) -> Scenario:
                 velocity=[0.0, 0.0],
             )
         )
-    return Scenario(
-        kind="all-infeasible-probe",
-        dim=2,
-        horizon=Horizon(t0=0.0, tf=float(params.get("tf", 10.0)), n_p=int(params.get("n_p", 50))),
-        robot=RobotSpec(shape=[0.0, 0.0], v_max=float(params.get("v_max", 3.0)), a_max=float(params.get("a_max", 3.0))),
-        obstacles=obstacles,
-        boundary=Boundary(start=[0.0, 0.0], goal=[length, 0.0]),
-        seed=seed,
-    )
+    horizon = Horizon(t0=0.0, tf=float(params.get("tf", 10.0)), n_p=int(params.get("n_p", 50)))
+    return _planar_scenario("all-infeasible-probe", params, seed, obstacles, length, horizon=horizon)
 
 
 _GENERATORS = {

@@ -21,9 +21,12 @@ The kernel, the only place this math is written:
   their norm bound, taken only where the bound is exceeded; a family with
   no sample beyond its bound costs one pass over the squared norms and
   yields None, so its solver adds nothing to its products;
+- Obstacles: the one obstacle input of every solver, (dim, n_o, n_p) centre
+  tracks and (n_o,) semi-axes checked once when built, and check_obstacles,
+  their fit (None for none) to a problem's dimension and grid;
 - ObstacleRows: the collision rows of many points on their active set,
   found by a broad phase over time windows, the one residual pass over
-  obstacles of the batch and priest solvers;
+  obstacles of the batch and priest solvers, and of the CEM penalty;
 - unit_pair: the projection onto the unit circle, (cos, sin) of an angle
   without the angle;
 - radial_target: the closed-form spheroid scale and target for targets
@@ -54,10 +57,11 @@ __all__ = [
     "D_CAP",
     "EllipsoidShape",
     "ObstacleRows",
-    "ObstacleTrack",
+    "Obstacles",
     "angle2d",
     "angles3d",
     "check_gaussian",
+    "check_obstacles",
     "check_schedule",
     "draw_gaussian",
     "los_scale",
@@ -92,16 +96,55 @@ class EllipsoidShape:
             raise ValueError(f"semi-axes must be positive and finite, got a={self.a}, b={self.b}")
 
 
-@dataclass(frozen=True)
-class ObstacleTrack:
-    """Obstacle center positions sampled on the planning grid, plus shape.
+@dataclass(frozen=True, eq=False)
+class Obstacles:
+    """Obstacle centres sampled on the planning grid, and their semi-axes.
 
-    centers has shape (n_p, dim); constant-velocity obstacles are baked into
-    the track by the caller (see bench.predict_obstacles).
+    centres is the (dim, n_o, n_p) track of every obstacle, stacked axis-major
+    (bench.predict_obstacles bakes in constant-velocity motion); a and b are
+    the (n_o,) semi-axes, read as in scaled_sq_norm.  Every array is copied,
+    C-contiguous and read-only, and checked here, once for every solver.
     """
 
-    centers: np.ndarray
-    shape: EllipsoidShape
+    centres: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        centres = np.array(self.centres, dtype=float, order="C")
+        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
+        if centres.ndim != 3 or centres.shape[0] not in (2, 3):
+            raise ValueError(f"obstacle centres must be (dim, n_o, n_p) with dim 2 or 3, got shape {centres.shape}")
+        if a.shape != centres.shape[1:2] or b.shape != a.shape:
+            raise ValueError(f"semi-axes a and b must be {centres.shape[1:2]}, one per obstacle, got {a.shape}, {b.shape}")
+        if not np.all(np.isfinite(centres)):
+            raise ValueError("obstacle centres must be finite")
+        if not (np.all(np.isfinite(a) & (a > 0)) and np.all(np.isfinite(b) & (b > 0))):
+            raise ValueError(f"semi-axes must be positive and finite, got a={a}, b={b}")
+        for name, value in (("centres", centres), ("a", a), ("b", b)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self.centres.shape[0]
+
+    @property
+    def n_o(self) -> int:
+        return self.centres.shape[1]
+
+    @property
+    def n_p(self) -> int:
+        return self.centres.shape[2]
+
+
+def check_obstacles(obstacles: Obstacles | None, dim: int, n_p: int) -> Obstacles:
+    """The obstacles of a dim-D problem on n_p timesteps, None for none; ValueError for another dim or grid."""
+    if obstacles is None:
+        return Obstacles(np.zeros((dim, 0, n_p)), (), ())
+    if (obstacles.dim, obstacles.n_p) != (dim, n_p):
+        raise ValueError(f"obstacles are {obstacles.dim}-D on {obstacles.n_p} timesteps, the problem is {dim}-D on {n_p}")
+    return obstacles
 
 
 def angle2d(dx, dy):
@@ -198,8 +241,8 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
 class ObstacleRows:
     """The collision rows of n points against n_o obstacles, taken on their active set.
 
-    centres is the (dim, n_o, n_p) obstacle track, stacked axis-major, and
-    a, b the (n_o,) semi-axes, read as in scaled_sq_norm.  An entry is one
+    The obstacles' centres and semi-axes are read as in scaled_sq_norm; n
+    is the number of points a pass takes.  An entry is one
     (obstacle, point, time) triple, and a (point, time) pair is a cell.
     An entry's residual is radial_clamp of its own offset, point minus
     centre, and nothing else: the priest samples and the batch footprint
@@ -226,10 +269,9 @@ class ObstacleRows:
     by every residual pass.
     """
 
-    def __init__(self, centres, a, b, n: int):
-        self.centres = np.ascontiguousarray(centres, dtype=float)
-        self.a, self.b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        dim, n_o, n_p = centres.shape
+    def __init__(self, obstacles: Obstacles, n: int):
+        self.centres, self.a, self.b = obstacles.centres, obstacles.a, obstacles.b
+        dim, n_o, n_p = self.centres.shape
         self.n = n
         self.sums = np.empty((dim, n, n_p))
         n_w = -(-n_p // _WINDOW)
@@ -245,7 +287,7 @@ class ObstacleRows:
         # the boxes as bounds on the ranges, (max, -min) per axis, for every point
         boxes = np.concatenate([hi, -lo])[:, :, None]
         self.boxes = np.ascontiguousarray(np.broadcast_to(boxes, (2 * dim, n_o, n, n_w)))
-        self.centre_reach = np.abs(centres).max(initial=0.0)
+        self.centre_reach = np.abs(self.centres).max(initial=0.0)
         self.cap_reach = D_CAP * semi.min(initial=np.inf) / np.sqrt(dim) * (1.0 - 1e-9)
 
     def _broad_phase(self, pos):
@@ -288,6 +330,15 @@ class ObstacleRows:
         least = np.full(self.n, np.inf)
         np.minimum.at(least, point, q)
         return least
+
+    def penetrations(self, pos):
+        """The (n,) sum over obstacles and times of max(0, 1 - q) of each of the (n, dim, n_p) points pos.
+
+        An entry the broad phase skips has q >= 1 and adds zero; the others
+        are added in flat (obstacle, point, time) order, a NaN q making NaN.
+        """
+        _, point, _, _, q = self._broad_phase(pos)
+        return np.bincount(point, np.maximum(0.0, 1.0 - q), minlength=self.n)
 
     def residuals(self, pos):
         """Collision residuals of the (n, dim, n_p) points pos against every obstacle.

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, check_schedule, draw_gaussian, norm_clamp, stalled
+from .geometry import ObstacleRows, Obstacles, check_gaussian, check_obstacles, check_schedule, draw_gaussian, norm_clamp, stalled
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class BatchProblem:
     boundary: tuple[AxisBoundary, AxisBoundary]  # x, y
     psi_boundary: tuple[float, float]
     desired: np.ndarray  # (n_p, 2)
-    obstacles: list[ObstacleTrack]
+    obstacles: Obstacles | None  # None: no obstacles
     footprint: FootprintSpec
     v_max: float
     a_max: float
@@ -114,14 +114,11 @@ class BatchProblem:
         values = np.concatenate([bc.values() for bc in self.boundary] + [np.asarray(self.psi_boundary, dtype=float)])
         if values.shape != (2 * 6 + 2,) or not np.all(np.isfinite(values)):  # two axes of six, the heading pair
             raise ValueError("need two finite axis boundaries and a finite psi_boundary pair")
-        for i, o in enumerate(self.obstacles):
-            centers = np.asarray(o.centers, dtype=float)
-            if centers.shape != (n_p, 2) or not np.all(np.isfinite(centers)):
-                raise ValueError(f"obstacle {i} centres must be finite and {(n_p, 2)}, got shape {centers.shape}")
+        self.obstacles = check_obstacles(self.obstacles, 2, n_p)
 
     @property
     def n_o(self) -> int:
-        return len(self.obstacles)
+        return self.obstacles.n_o
 
 
 @dataclass
@@ -199,7 +196,7 @@ class _Structure:
 
     def __init__(self, problem: BatchProblem):
         basis = problem.basis
-        m, n_p, n_o = basis.n_var, basis.n_p, problem.n_o
+        m, n_o = basis.n_var, problem.n_o
         self.m = m
         P, Pdot, Pddot = basis.P, basis.Pdot, basis.Pddot
         self.PtP = PtP = P.T @ P
@@ -226,10 +223,7 @@ class _Structure:
         self.b_psi = np.asarray(problem.psi_boundary, dtype=float)
         self.Q_psi_smooth = Pddot.T @ Pddot
 
-        centres = [np.asarray(o.centers, dtype=float).T for o in problem.obstacles]
-        self.obs = np.stack(centres, axis=1) if n_o else np.zeros((2, 0, n_p))  # (2, n_o, n_p)
-        self.obs_a = np.array([o.shape.a for o in problem.obstacles])
-        self.obs_b = np.array([o.shape.b for o in problem.obstacles])
+        self.obstacles = problem.obstacles
         self._rows = None
         # the factor caches compare these by identity first
         for keyed in (self.Q, self.FtF, self.A, self.Q_psi_smooth, self.PtP, self.A_psi):
@@ -238,7 +232,7 @@ class _Structure:
     def obstacle_rows(self, n_b: int) -> ObstacleRows:
         """The collision pass's workspace for n_b members, allocated at its first use in a solve."""
         if self._rows is None or self._rows.n != n_b * self.r.size:
-            self._rows = ObstacleRows(self.obs, self.obs_a, self.obs_b, n_b * self.r.size)
+            self._rows = ObstacleRows(self.obstacles, n_b * self.r.size)
         return self._rows
 
 
@@ -299,7 +293,7 @@ def init_state(
     xi = np.hstack([samples[:, :m], np.tile(xi_c_one, (n_b, 1)), samples[:, m:], np.tile(xi_s_one, (n_b, 1))])
 
     # the products and residuals are set by polar_step below
-    state = BatchState(xi, xi_psi, psi, None, None, None, struct.obs, struct.r, lam=np.zeros((n_b, 4 * m)),
+    state = BatchState(xi, xi_psi, psi, None, None, None, struct.obstacles.centres, struct.r, lam=np.zeros((n_b, 4 * m)),
                        lam_psi=np.zeros((n_b, m)), rho=params.rho_start)
     polar_step(state, problem, struct, _placed(state.xi, basis, m))
     return state
@@ -314,7 +308,7 @@ def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -
     n_b, m, n_p = state.xi.shape[0], struct.m, problem.basis.n_p
     shapes = {"xi": (n_b, 4 * m), "xi_psi": (n_b, m), "psi": (n_b, n_p), "lam": (n_b, 4 * m), "lam_psi": (n_b, m),
               "target_products": (n_b, 4 * m), "residual_max": (n_b,), "residual_norm": (n_b,),
-              "centres": struct.obs.shape, "offsets": struct.r.shape}
+              "centres": struct.obstacles.centres.shape, "offsets": struct.r.shape}
     for name, shape in shapes.items():
         got = np.shape(getattr(state, name))
         if got != shape:
@@ -325,12 +319,14 @@ def _recentre(state: BatchState, problem: BatchProblem, struct: _Structure) -> N
     """Move a warm state's collision targets, relative to the centres, onto this problem's centres."""
 
     def centre_products(offsets, centres):  # every circle's collision rows target the centre
-        x, y = centres.sum(axis=1) @ problem.basis.P
+        # summed pairwise over a contiguous obstacle axis, (n_p, 2, n_o): the order warm outputs are recorded in
+        x, y = np.ascontiguousarray(centres.transpose(2, 0, 1)).sum(axis=2).T @ problem.basis.P
         return np.concatenate([offsets.size * x, offsets.sum() * x, offsets.size * y, offsets.sum() * y])
 
-    shift = centre_products(struct.r, struct.obs) - centre_products(state.offsets, state.centres)
+    centres = struct.obstacles.centres
+    shift = centre_products(struct.r, centres) - centre_products(state.offsets, state.centres)
     state.target_products = state.target_products + shift
-    state.centres, state.offsets = struct.obs, struct.r
+    state.centres, state.offsets = centres, struct.r
 
 
 def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:

@@ -44,7 +44,9 @@ zero band is [0, 1]) or is NaN.  A family with no sample beyond its bound
 costs one pass over its squared norms and adds nothing to the residual
 norm or the products; so does the workspace family when every sample lies
 inside the box.  Each iterate gets one residual pass, shared by the next
-step, the residual history and the final scores and samples.
+step, the residual history and the final scores and samples.  The CEM
+baseline's obstacle penalty, the sum of max(0, 1 - q), takes the same broad
+phase (ObstacleRows.penetrations).
 
 The cost functional is a black box evaluated on a stack of sampled
 trajectories; nothing here differentiates it.
@@ -58,7 +60,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import ObstacleRows, ObstacleTrack, check_gaussian, draw_gaussian, norm_clamp, scaled_sq_norm
+from .geometry import ObstacleRows, Obstacles, check_gaussian, check_obstacles, draw_gaussian, norm_clamp
 
 _SPEED_EPS = 1e-6
 
@@ -139,7 +141,7 @@ class ProjectionSetup:
         self,
         basis: BasisSet,
         boundary: tuple[AxisBoundary, ...],
-        obstacles: list[ObstacleTrack] | None = None,
+        obstacles: Obstacles | None = None,
         v_max: float | None = None,
         a_max: float | None = None,
         s_min=None,
@@ -151,26 +153,20 @@ class ProjectionSetup:
         self.basis = basis
         self.boundary = boundary
         self.dim = len(boundary)
-        self.obstacles = obstacles or []
         self.v_max = v_max
         self.a_max = a_max
         self.s_min = None if s_min is None else np.asarray(s_min, dtype=float)
         self.s_max = None if s_max is None else np.asarray(s_max, dtype=float)
         self.rho = rho
 
-        m, n_p, dim = basis.n_var, basis.n_p, self.dim
+        m, dim = basis.n_var, self.dim
         self.m = m
-        n_o = len(self.obstacles)
-        self.n_o = n_o
-
         self.b_eq = np.concatenate([bc.values(start_orders, end_orders) for bc in boundary])
         self._validate()
+        self.obstacles = check_obstacles(obstacles, dim, basis.n_p)
+        self.n_o = n_o = self.obstacles.n_o
 
         self.A = np.kron(np.eye(dim), boundary_matrix(basis, start_orders, end_orders))
-        self.obs_pos = np.stack([o.centers for o in self.obstacles]) if n_o else np.zeros((0, n_p, dim))
-        self.obs_a = np.array([o.shape.a for o in self.obstacles], dtype=float)
-        self.obs_b = np.array([o.shape.b for o in self.obstacles], dtype=float)
-        self._obs_axes = np.ascontiguousarray(self.obs_pos.transpose(2, 0, 1))  # (dim, n_o, n_p)
         # position, velocity and acceleration samples of one axis in one product
         self._pva = np.vstack([basis.P, basis.Pdot, basis.Pddot])
 
@@ -190,15 +186,11 @@ class ProjectionSetup:
         self.n_factorizations = 1
 
     def _validate(self):
-        dim, n_p = self.dim, self.basis.n_p
+        dim = self.dim
+        if dim not in (2, 3):
+            raise ValueError(f"need 2 or 3 axis boundaries, got {dim}")
         if not np.all(np.isfinite(self.b_eq)):
             raise ValueError("boundary values must be finite")
-        for i, o in enumerate(self.obstacles):
-            centers = np.asarray(o.centers)
-            if centers.shape != (n_p, dim):
-                raise ValueError(f"obstacle {i} centres have shape {centers.shape}, expected {(n_p, dim)}")
-            if not np.all(np.isfinite(centers)):
-                raise ValueError(f"obstacle {i} centres must be finite")
         for name, limit in (("v_max", self.v_max), ("a_max", self.a_max)):
             if limit is not None and not (np.isfinite(limit) and limit > 0):
                 raise ValueError(f"{name} must be positive and finite, got {limit}")
@@ -233,14 +225,6 @@ class ProjectionSetup:
     def _trajectory(self, pva: np.ndarray) -> Trajectory:
         pos, vel, acc = pos_vel_acc(pva)
         return Trajectory(t=self.basis.grid.timestamps, pos=pos, vel=vel, acc=acc)
-
-    def obstacle_offsets(self, pos: np.ndarray) -> list[np.ndarray]:
-        """Per-axis offsets from every obstacle centre: (N, dim, n_p) -> dim x (N, n_o, n_p)."""
-        return [pos[:, k, None, :] - self._obs_axes[k] for k in range(self.dim)]
-
-    def obstacle_rows(self, n: int) -> ObstacleRows:
-        """A workspace of the collision rows for a batch of n samples."""
-        return ObstacleRows(self._obs_axes, self.obs_a, self.obs_b, n)
 
 
 def pos_vel_acc(pva: np.ndarray) -> np.ndarray:
@@ -305,7 +289,7 @@ def project(
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     n = samples.shape[0]
-    rows = setup.obstacle_rows(n)
+    rows = ObstacleRows(setup.obstacles, n)
     xi_bar = samples.copy()
     lam = np.zeros_like(samples)
     bs = np.tile(setup.b_eq, (n, 1))
@@ -336,7 +320,7 @@ def residual_scores(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
     """Constraint-violation score per sample: L2 norm of the stacked
     reformulated-equality residuals and clipped affine violations."""
     pva = setup.pva_samples(xis)
-    _, _, sq = _residuals(setup, pva, setup.obstacle_rows(pva.shape[0]))
+    _, _, sq = _residuals(setup, pva, ObstacleRows(setup.obstacles, pva.shape[0]))
     return np.sqrt(sq)
 
 
@@ -354,10 +338,15 @@ def update_distribution(mu, sigma_mat, elite_xi, elite_costs, sigma, gamma):
 
     Weights exp((cost - min cost) / gamma) favor low cost for gamma < 0; the
     min-cost shift only stabilizes the exponentials (the normalized weights
-    are shift-invariant).
+    are shift-invariant).  Only the elites with a finite cost are weighed;
+    with none, (mu, sigma_mat) is returned unchanged.
     """
     elite_xi = np.asarray(elite_xi, dtype=float)
     costs = np.asarray(elite_costs, dtype=float)
+    finite = np.isfinite(costs)
+    if not finite.any():
+        return mu, sigma_mat
+    elite_xi, costs = elite_xi[finite], costs[finite]
     weights = np.exp((costs - costs.min()) / gamma)
     wsum = weights.sum()
     weighted_mean = (weights[:, None] * elite_xi).sum(axis=0) / wsum
@@ -428,14 +417,13 @@ class CemResult:
     params: CemParams
 
 
-def _cem_penalty(setup: ProjectionSetup, pva: np.ndarray) -> np.ndarray:
+def _cem_penalty(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows) -> np.ndarray:
     """Linear max(0, g) penalties of the raw inequality constraints on the
-    (N, dim, 3, n_p) samples pva."""
+    (N, dim, 3, n_p) samples pva; rows is the obstacle workspace for N samples."""
     pos, vel, acc = pva[:, :, 0], pva[:, :, 1], pva[:, :, 2]
     total = np.zeros(pva.shape[0])
     if setup.n_o:
-        quad = scaled_sq_norm(setup.obstacle_offsets(pos), setup.obs_a[:, None], setup.obs_b[:, None])
-        total += np.maximum(0.0, 1.0 - quad).sum(axis=(1, 2))
+        total += rows.penetrations(pos)
     if setup.v_max is not None:
         total += np.maximum(0.0, (vel**2).sum(axis=1) - setup.v_max**2).sum(axis=1)
     if setup.a_max is not None:
@@ -454,24 +442,28 @@ def cem_optimize(
 ) -> CemResult:
     """Plain cross-entropy baseline: no projection, penalty-based evaluation,
     unweighted elite mean/covariance refit.  c1 is as in priest_optimize,
-    called once per iteration on every raw sample."""
+    called once per iteration on every raw sample.  The best sample is the
+    first iteration's until a lower cost is drawn (a NaN one until any
+    number), so a cost that is never finite still returns one."""
     params = params or CemParams()
     rng = np.random.default_rng(params.seed)
     mu = distribution.mu.copy()
     sigma_mat = distribution.sigma_mat.copy()
+    rows = ObstacleRows(setup.obstacles, params.n_batch)
     history = []
     best_xi, best_cost = None, np.inf
     for _ in range(params.iterations):
         samples = draw_gaussian(rng, mu, sigma_mat, params.n_batch)
         pva = setup.pva_samples(samples)
-        costs = _batch_costs(c1, pva) + params.penalty_weight * _cem_penalty(setup, pva)
+        costs = _batch_costs(c1, pva) + params.penalty_weight * _cem_penalty(setup, pva, rows)
         order = np.argsort(costs, kind="stable")
         elites = samples[order[: params.n_elite]]
         mu = elites.mean(axis=0)
         centered = elites - mu[None, :]
         sigma_mat = (centered[:, :, None] * centered[:, None, :]).mean(axis=0)
-        if costs[order[0]] < best_cost:
-            best_cost = float(costs[order[0]])
+        top = costs[order[0]]  # NaN only when every cost is
+        if best_xi is None or top < best_cost or (np.isnan(best_cost) and not np.isnan(top)):
+            best_cost = float(top)
             best_xi = samples[order[0]].copy()
         history.append({"best_cost": float(costs[order[0]]), "mean_cost": float(costs.mean())})
     return CemResult(

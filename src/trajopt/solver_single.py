@@ -32,9 +32,9 @@ concatenation.
 
 What the sweep reads from the problem is built once per solve in a
 _SingleStructure: the cost blocks Q and q, the boundary rows A and values,
-P'P, the obstacle tracks and the semi-axes.  Each sweep evaluates the
-positions and their obstacle offsets once, right after the position step;
-the copy, d and residual steps all read those offsets.
+P'P, and the centres and semi-axes of the problem's Obstacles.  Each sweep
+evaluates the positions and their obstacle offsets once, right after the
+position step; the copy, d and residual steps all read those offsets.
 
 The KKT matrix of the position step is Q + rho * n_o * P'P; its size does
 not depend on the obstacle count.  The state holds a qpcore.FactorCache for
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleTrack, angle2d, angles3d, check_schedule, los_scale, stalled, unit_pair
+from .geometry import Obstacles, angle2d, angles3d, check_obstacles, check_schedule, los_scale, stalled, unit_pair
 
 _COLL = ("coll_x", "coll_y", "coll_z")
 
@@ -63,7 +63,7 @@ class SingleProblem:
     basis: BasisSet
     boundary: tuple[AxisBoundary, ...]
     desired: np.ndarray  # (n_p, dim)
-    obstacles: list[ObstacleTrack] = field(default_factory=list)
+    obstacles: Obstacles | None = None  # None: no obstacles
     w_smooth: float = 1.0
     w_track: float = 1.0
 
@@ -79,10 +79,7 @@ class SingleProblem:
         weights = np.array([self.w_smooth, self.w_track], dtype=float)
         if not np.all(np.isfinite(weights)) or np.any(weights < 0) or weights.sum() == 0:
             raise ValueError("need finite w_smooth, w_track >= 0 and not both zero")
-        for i, obs in enumerate(self.obstacles):
-            centers = np.asarray(obs.centers, dtype=float)
-            if centers.shape != (n_p, dim) or not np.all(np.isfinite(centers)):
-                raise ValueError(f"obstacle {i} centres must be finite and cover the grid, {(n_p, dim)}")
+        self.obstacles = check_obstacles(self.obstacles, dim, n_p)
 
     @property
     def dim(self) -> int:
@@ -90,7 +87,7 @@ class SingleProblem:
 
     @property
     def n_o(self) -> int:
-        return len(self.obstacles)
+        return self.obstacles.n_o
 
 
 @dataclass
@@ -164,18 +161,14 @@ class _SingleStructure:
         for keyed in (self.Q, self.PtP, self.A):
             keyed.setflags(write=False)
         self.bs = np.stack([bc.values() for bc in problem.boundary])  # (dim, 6)
-        # obstacle tracks axis-major, (dim, n_o, n_p), and semi-axes (n_o, 1)
-        self.tracks = np.zeros((problem.dim, 0, basis.n_p))
-        if problem.n_o:
-            self.tracks = np.stack([np.asarray(obs.centers, dtype=float).T for obs in problem.obstacles], axis=1)
-        self.a = np.array([obs.shape.a for obs in problem.obstacles], dtype=float)[:, None]
-        self.b = np.array([obs.shape.b for obs in problem.obstacles], dtype=float)[:, None]
+        obstacles = problem.obstacles  # centres (dim, n_o, n_p), and the semi-axes as (n_o, 1) columns
+        self.centres, self.a, self.b = obstacles.centres, obstacles.a[:, None], obstacles.b[:, None]
         # semi-axis of each polar row x, y[, z], (dim, n_o, 1)
         self.semi = np.stack((self.a, self.a, self.b) if problem.dim == 3 else (self.a, self.b))
 
     def offsets(self, xi: np.ndarray) -> np.ndarray:
         """Robot-to-obstacle offsets per axis, (dim, n_o, n_p)."""
-        return (self.P @ xi.T).T[:, None, :] - self.tracks
+        return (self.P @ xi.T).T[:, None, :] - self.centres
 
 
 def _pairs(stack: np.ndarray) -> np.ndarray:
@@ -253,7 +246,7 @@ def _position_step(state: SingleState, struct: _SingleStructure, coefs: np.ndarr
     factor = state.factors.get(struct.Q, struct.PtP, struct.A, state.rho * struct.n_o)
     q_lin = struct.q
     if struct.n_o:
-        targets = struct.tracks + coefs * state.unit[: struct.dim]  # (dim, n_o, n_p)
+        targets = struct.centres + coefs * state.unit[: struct.dim]  # (dim, n_o, n_p)
         lam_sum = state.lam_pos.sum(axis=1)  # (dim, n_p)
         q_lin = struct.q + lam_sum @ struct.P - state.rho * targets.sum(axis=1) @ struct.P
     state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))

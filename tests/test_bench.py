@@ -229,9 +229,9 @@ def _track_distances(traj, scenario, t_now):
 
 
 class TestMovingObstacleDistances:
-    """The distance pass predicts every obstacle centre in one broadcast
-    (predict_centres); its values are those of the obstacles' tracks taken
-    one at a time, bit for bit, at any t_now."""
+    """The distance pass reads the centres and semi-axes of predict_obstacles,
+    formed in one broadcast; its values are those of the obstacles' tracks
+    taken one at a time, bit for bit, at any t_now."""
 
     @pytest.mark.parametrize("kind,params,seed", [("dynamic-flow", None, 0), ("dynamic-flow", None, 3),
                                                   ("random-static", {"dim": 3}, 1)])
@@ -350,14 +350,16 @@ class TestPredictObstacles:
     def test_zero_velocity_constant(self):
         scenario = empty_scenario()
         scenario.obstacles = [ScenarioObstacle(a=0.5, b=0.5, center=[1.0, 2.0], velocity=[0.0, 0.0])]
-        tracks = predict_obstacles(scenario, np.linspace(0, 5, 11))
-        np.testing.assert_array_equal(tracks[0].centers, np.tile([1.0, 2.0], (11, 1)))
+        obstacles = predict_obstacles(scenario, np.linspace(0, 5, 11))
+        np.testing.assert_array_equal(obstacles.centres, np.tile([[[1.0]], [[2.0]]], (1, 1, 11)))
+        np.testing.assert_array_equal(obstacles.a, [0.5])
+        np.testing.assert_array_equal(obstacles.b, [0.5])
 
     def test_unit_velocity_advances(self):
         scenario = empty_scenario(dim=3)
         scenario.obstacles = [ScenarioObstacle(a=0.5, b=0.5, center=[0.0, 0.0, 0.0], velocity=[1.0, 0.0, 0.0])]
-        tracks = predict_obstacles(scenario, np.linspace(0, 4, 5))
-        np.testing.assert_allclose(tracks[0].centers[2], [2.0, 0.0, 0.0])
+        obstacles = predict_obstacles(scenario, np.linspace(0, 4, 5))
+        np.testing.assert_allclose(obstacles.centres[:, 0, 2], [2.0, 0.0, 0.0])
 
     def test_matches_hand_kinematics(self):
         rng = np.random.default_rng(0)
@@ -366,12 +368,22 @@ class TestPredictObstacles:
         scenario = empty_scenario()
         scenario.obstacles = [ScenarioObstacle(a=0.5, b=0.5, center=list(c), velocity=list(v))]
         ts = np.linspace(0.0, 5.0, 13)
-        tracks = predict_obstacles(scenario, ts, t_now=1.5)
+        obstacles = predict_obstacles(scenario, ts, t_now=1.5)
         for i, t in enumerate(ts):
-            np.testing.assert_allclose(tracks[0].centers[i], c + v * (1.5 + t), atol=1e-12)
+            np.testing.assert_allclose(obstacles.centres[:, 0, i], c + v * (1.5 + t), atol=1e-12)
+
+    def test_semi_axes_per_obstacle(self):
+        scenario = empty_scenario(dim=3)
+        scenario.obstacles = [ScenarioObstacle(a=0.5 + k, b=0.25 * k + 0.1, center=[k, 0.0, 0.0], velocity=[0.0] * 3)
+                              for k in range(3)]
+        obstacles = predict_obstacles(scenario, np.linspace(0, 4, 5))
+        assert (obstacles.dim, obstacles.n_o, obstacles.n_p) == (3, 3, 5)
+        np.testing.assert_array_equal(obstacles.a, [0.5, 1.5, 2.5])
+        np.testing.assert_array_equal(obstacles.b, [0.1, 0.35, 0.6])
 
     def test_no_obstacles(self):
-        assert predict_obstacles(empty_scenario(dim=3), np.linspace(0, 4, 5)) == []
+        obstacles = predict_obstacles(empty_scenario(dim=3), np.linspace(0, 4, 5))
+        assert obstacles.centres.shape == (3, 0, 5) and obstacles.a.shape == obstacles.b.shape == (0,)
 
 
 class TestResultsCsv:

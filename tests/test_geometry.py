@@ -15,6 +15,8 @@ from trajopt.geometry import (
     D_CAP,
     EllipsoidShape,
     ObstacleRows,
+    Obstacles,
+    check_obstacles,
     angle2d,
     angles3d,
     los_scale,
@@ -466,7 +468,7 @@ def _dense_rows(centres, a, b, pos):
 
 def _check_rows(centres, a, b, pos):
     """The active-set pass against the clamp of every entry: sums and peak bit for bit."""
-    rows = ObstacleRows(centres, a, b, pos.shape[0])
+    rows = ObstacleRows(Obstacles(centres, a, b), pos.shape[0])
     got = rows.residuals(pos)
     sums, sq, peak = _dense_rows(centres, np.asarray(a, dtype=float), np.asarray(b, dtype=float), pos)
     np.testing.assert_array_equal(got[0], sums)
@@ -517,16 +519,19 @@ def _check_broad_phase(centres, a, b, pos):
 
     The entries it takes come in flat order, carry the dense q bit for bit,
     and include every entry outside [1, D_CAP**2] (NaN included), so that
-    the active index array is the dense one; least_sq_norms is exact below 1.
+    the active index array is the dense one; least_sq_norms is exact below 1,
+    and penetrations are the dense sums of max(0, 1 - q) to rounding.
     Returns the number of entries taken.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     dim, n_o, n_p = centres.shape
-    rows = ObstacleRows(centres, a, b, pos.shape[0])
+    rows = ObstacleRows(Obstacles(centres, a, b), pos.shape[0])
     with np.errstate(invalid="ignore"):
         q = scaled_sq_norm([pos[None, :, k] - centres[k][:, None] for k in range(dim)], a[:, None, None], b[:, None, None])
         o, point, t, _, q_taken = rows._broad_phase(pos)
         least = rows.least_sq_norms(pos)
+        penetrations = rows.penetrations(pos)
+        dense_penetrations = np.maximum(0.0, 1.0 - q).sum(axis=(0, 2))
     taken = (o * pos.shape[0] + point) * n_p + t
     assert np.all(np.diff(taken) > 0)
     np.testing.assert_array_equal(q_taken, q.ravel()[taken])
@@ -536,6 +541,7 @@ def _check_broad_phase(centres, a, b, pos):
     below = ~(dense_least >= 1.0)
     np.testing.assert_array_equal(least[below], dense_least[below])
     assert np.all(least[~below] >= 1.0)
+    np.testing.assert_allclose(penetrations, dense_penetrations, rtol=1e-12, atol=0)
     return taken.size
 
 
@@ -566,7 +572,7 @@ class TestBroadPhase:
         centres = np.stack([np.stack([-30.0 + 3.0 * t, 30.0 - 2.5 * t]), np.stack([np.full(n_p, 0.3), -0.1 * t])])
         pos = np.stack([np.stack([0.5 * t - 6.0, np.full(n_p, 0.3)]), np.stack([2.0 * t - 20.0, 0.05 * t])])
         a, b = np.array([1.6, 1.1]), np.array([0.5, 0.9])
-        rows = ObstacleRows(centres, a, b, 2)
+        rows = ObstacleRows(Obstacles(centres, a, b), 2)
         assert rows.residuals(pos)[1].any()  # the sweep crosses a point
         self._check(centres, a, b, pos)
 
@@ -654,7 +660,9 @@ class TestBroadPhase:
     def test_no_obstacles(self):
         pos = np.ones((3, 2, 13))
         assert self._check(np.zeros((2, 0, 13)), np.zeros(0), np.zeros(0), pos) == 0
-        np.testing.assert_array_equal(ObstacleRows(np.zeros((2, 0, 13)), [], [], 3).least_sq_norms(pos), np.inf)
+        rows = ObstacleRows(Obstacles(np.zeros((2, 0, 13)), [], []), 3)
+        np.testing.assert_array_equal(rows.least_sq_norms(pos), np.inf)
+        np.testing.assert_array_equal(rows.penetrations(pos), 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([2, 3]), n_o=st.integers(0, 4), n=st.integers(1, 3), n_p=st.integers(1, 25))
@@ -675,7 +683,7 @@ class TestBroadPhase:
         n_o, n, n_p = 40, 100, 100
         centres = rng.uniform(-20.0, 20.0, size=(2, n_o, 1)) + np.zeros((2, n_o, n_p))
         pos = rng.uniform(-20.0, 20.0, size=(n, 2, 1)) + np.linspace(0.0, 3.0, n_p)
-        rows = ObstacleRows(centres, np.full(n_o, 0.5), np.full(n_o, 0.5), n)
+        rows = ObstacleRows(Obstacles(centres, np.full(n_o, 0.5), np.full(n_o, 0.5)), n)
         rows.residuals(pos)
         tracemalloc.start()
         try:
@@ -708,6 +716,70 @@ class TestShapeValidation:
     def test_invalid_semi_axes(self, a, b):
         with pytest.raises(ValueError, match="semi-axes"):
             EllipsoidShape(a=a, b=b)
+
+
+def _obstacle_case(centres=None, a=None, b=None):
+    """Two 2-D obstacles on 5 timesteps, with one field replaced."""
+    good = np.arange(20.0).reshape(2, 2, 5)
+    return (good if centres is None else centres), ([0.5, 0.7] if a is None else a), ([0.4, 0.9] if b is None else b)
+
+
+def _with(index, value):
+    centres = np.arange(20.0).reshape(2, 2, 5)
+    centres[index] = value
+    return centres
+
+
+class TestObstacles:
+    """Obstacles is the one check of obstacle input: every bad array is rejected when it is built."""
+
+    @pytest.mark.parametrize(
+        "case,match",
+        [
+            (_obstacle_case(centres=_with((0, 1, 3), np.nan)), "finite"),
+            (_obstacle_case(centres=_with((1, 0, 0), np.inf)), "finite"),
+            (_obstacle_case(centres=_with((1, 1, 4), -np.inf)), "finite"),
+            (_obstacle_case(centres=np.zeros((2, 5))), "dim, n_o, n_p"),
+            (_obstacle_case(centres=np.zeros((1, 2, 2, 5))), "dim, n_o, n_p"),
+            (_obstacle_case(centres=np.zeros((4, 2, 5))), "dim 2 or 3"),
+            (_obstacle_case(centres=np.zeros((1, 2, 5))), "dim 2 or 3"),
+            (_obstacle_case(a=[0.5]), "semi-axes"),
+            (_obstacle_case(b=[0.4, 0.9, 1.0]), "semi-axes"),
+            (_obstacle_case(a=[[0.5, 0.7]]), "semi-axes"),
+            (_obstacle_case(a=[0.0, 0.7]), "semi-axes"),
+            (_obstacle_case(b=[0.4, -0.9]), "semi-axes"),
+            (_obstacle_case(a=[0.5, np.nan]), "semi-axes"),
+            (_obstacle_case(b=[np.nan, 0.9]), "semi-axes"),
+            (_obstacle_case(a=[np.inf, 0.7]), "semi-axes"),
+        ],
+        ids=[
+            "centre-nan", "centre-inf", "centre-minus-inf", "ndim-2", "ndim-4", "dim-4", "dim-1", "a-short",
+            "b-long", "a-2d", "a-zero", "b-negative", "a-nan", "b-nan", "a-inf",
+        ],
+    )
+    def test_rejected(self, case, match):
+        with pytest.raises(ValueError, match=match):
+            Obstacles(*case)
+
+    def test_arrays_are_read_only_contiguous_copies(self):
+        centres = np.asfortranarray(np.arange(30.0).reshape(3, 2, 5))
+        a = np.array([0.5, 0.7])
+        obstacles = Obstacles(centres, a, [0.4, 0.9])
+        assert (obstacles.dim, obstacles.n_o, obstacles.n_p) == (3, 2, 5)
+        assert obstacles.centres.flags["C_CONTIGUOUS"]
+        for value in (obstacles.centres, obstacles.a, obstacles.b):
+            assert not value.flags["WRITEABLE"] and value.dtype == float
+        centres[0, 0, 0], a[0] = -1.0, 9.0  # the caller's arrays stay its own
+        assert obstacles.centres[0, 0, 0] == 0.0 and obstacles.a[0] == 0.5
+
+    def test_none_is_no_obstacles_of_the_problem(self):
+        obstacles = check_obstacles(None, 3, 7)
+        assert obstacles.centres.shape == (3, 0, 7) and obstacles.a.shape == obstacles.b.shape == (0,)
+
+    @pytest.mark.parametrize("dim,n_p", [(3, 5), (2, 6)])
+    def test_other_dimension_or_grid_rejected(self, dim, n_p):
+        with pytest.raises(ValueError, match="obstacles are 2-D on 5 timesteps"):
+            check_obstacles(Obstacles(*_obstacle_case()), dim, n_p)
 
 
 class TestStalled:

@@ -1,4 +1,5 @@
 import copy
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from trajopt import geometry, qpcore, solver_batch
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario, receding_horizon_run, runner
-from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleTrack, radial_clamp, scaled_sq_norm, stalled
+from trajopt.geometry import D_CAP, Obstacles, radial_clamp, scaled_sq_norm, stalled
 from trajopt.solver_batch import (
     BatchParams,
     BatchProblem,
@@ -29,8 +30,19 @@ from trajopt.solver_batch import (
 N_P = 50
 
 
+# one obstacle's (n_p, 2) centres and its semi-axes, as the tests build it
+Track = namedtuple("Track", "centers a b")
+
+
 def _static_obstacle(center, a, b):
-    return ObstacleTrack(centers=np.tile(np.asarray(center, dtype=float), (N_P, 1)), shape=EllipsoidShape(a, b))
+    return Track(np.tile(np.asarray(center, dtype=float), (N_P, 1)), a, b)
+
+
+def _stack(tracks):
+    """The Obstacles of a list of tracks, None for none."""
+    if not tracks:
+        return None
+    return Obstacles(np.stack([t.centers.T for t in tracks], axis=1), [t.a for t in tracks], [t.b for t in tracks])
 
 
 def make_problem(obstacles=(), n_batch=8, v_max=3.0, a_max=3.0, offsets=(0.3, -0.3)):
@@ -41,7 +53,7 @@ def make_problem(obstacles=(), n_batch=8, v_max=3.0, a_max=3.0, offsets=(0.3, -0
         boundary=(AxisBoundary(p0=0.0, p1=10.0), AxisBoundary(p0=0.0, p1=0.0)),
         psi_boundary=(0.0, 0.0),
         desired=line,
-        obstacles=list(obstacles),
+        obstacles=_stack(obstacles),
         footprint=FootprintSpec(offsets=offsets),
         v_max=v_max,
         a_max=a_max,
@@ -71,10 +83,10 @@ class _Reference:
         half_rows.append(np.hstack([zeros, P]))
         self.F = np.kron(np.eye(2), np.vstack(half_rows))
         self.FtF = self.F.T @ self.F
-        centers = np.stack([o.centers for o in problem.obstacles]) if problem.n_o else np.zeros((0, n_p, 2))
-        self.obs_x, self.obs_y = centers[None, None, :, :, 0], centers[None, None, :, :, 1]
-        self.a = np.array([o.shape.a for o in problem.obstacles])[None, None, :, None]
-        self.b = np.array([o.shape.b for o in problem.obstacles])[None, None, :, None]
+        obstacles = problem.obstacles
+        self.obs_x, self.obs_y = obstacles.centres[:, None, None]
+        self.a = obstacles.a[None, None, :, None]
+        self.b = obstacles.b[None, None, :, None]
         self.r = np.asarray(problem.footprint.offsets, dtype=float)[None, :, None, None]
 
     def polar(self, xi):
@@ -164,8 +176,8 @@ def _moving_elliptical_obstacles():
     crossing = np.column_stack([3.0 + 0.3 * t, -2.0 + 0.4 * t])
     through = np.column_stack([np.full(N_P, 0.1), 0.8 * (t - t[N_P // 2])])
     return [
-        ObstacleTrack(centers=crossing, shape=EllipsoidShape(0.6, 1.0)),
-        ObstacleTrack(centers=through, shape=EllipsoidShape(0.4, 0.7)),
+        Track(crossing, 0.6, 1.0),
+        Track(through, 0.4, 0.7),
         _static_obstacle([7.5, 0.3], 0.9, 0.5),
     ]
 
@@ -491,7 +503,7 @@ def _footprint_deltas(struct, prob, xi, heading):
     sin psi) for the true circles.
     """
     circles = _circles(struct, prob.basis, xi, heading).reshape(xi.shape[0], struct.r.size, 2, -1)
-    return [circles[:, :, k, None, :] - struct.obs[k] for k in range(2)]
+    return [circles[:, :, k, None, :] - struct.obstacles.centres[k] for k in range(2)]
 
 
 def _dense_pass(state, prob, struct, coupled=False):
@@ -509,7 +521,7 @@ def _dense_pass(state, prob, struct, coupled=False):
     xi_x, _, xi_y, _ = _split(state.xi, struct.m)
     trig, placed = _trig(state), _copies(prob, state.xi)
     coll = radial_clamp(_footprint_deltas(struct, prob, state.xi, trig if coupled else placed),
-                        struct.obs_a[:, None], struct.obs_b[:, None])
+                        struct.obstacles.a[:, None], struct.obstacles.b[:, None])
     vel = radial_clamp((xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T), prob.v_max, prob.v_max, 0.0, 1.0)
     acc = radial_clamp((xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T), prob.a_max, prob.a_max, 0.0, 1.0)
     res_max, sq, products = np.zeros(n_b), np.zeros(n_b), []
@@ -546,7 +558,7 @@ def _collision_q(prob, state, heading):
     """Squared scaled norm of every (member, circle, obstacle, time) offset, the circles placed by heading."""
     struct = _Structure(prob)
     deltas = _footprint_deltas(struct, prob, state.xi, heading)
-    return scaled_sq_norm(deltas, struct.obs_a[:, None], struct.obs_b[:, None])
+    return scaled_sq_norm(deltas, struct.obstacles.a[:, None], struct.obstacles.b[:, None])
 
 
 class TestRawFeasibilityMatchesDense:
@@ -585,10 +597,12 @@ class TestActivePassMatchesDense:
         # a member standing at the origin; the obstacle passing through
         # (0.1, 0) at the middle timestep is moved there onto the member's
         # 0.1 circle, as the copies place it (P xi_c rounds off 1 there)
-        prob = make_problem(obstacles=_moving_elliptical_obstacles(), n_batch=1, offsets=OFFSETS)
+        tracks = _moving_elliptical_obstacles()
+        prob = make_problem(obstacles=tracks, n_batch=1, offsets=OFFSETS)
         xi = init_state(prob, np.zeros((1, 2 * prob.basis.n_var))).xi
         circles = _circles(_Structure(prob), prob.basis, xi, _copies(prob, xi))
-        prob.obstacles[1].centers[N_P // 2] = circles[1, :, N_P // 2]
+        tracks[1].centers[N_P // 2] = circles[1, :, N_P // 2]
+        prob = make_problem(obstacles=tracks, n_batch=1, offsets=OFFSETS)
         state = init_state(prob, np.zeros((1, 2 * prob.basis.n_var)))
         assert (_collision_q(prob, state, _copies(prob, state.xi)) == 0.0).any()
         _assert_pass_matches_dense(prob, state)
@@ -876,11 +890,18 @@ class TestProblemValidation:
         if change.pop("desired_nan", False):
             desired[7, 1] = np.nan
         kwargs["desired"] = desired
-        if "centers" in change:
-            kwargs["obstacles"] = [ObstacleTrack(centers=change.pop("centers"), shape=EllipsoidShape(0.5, 0.5))]
+        centers = change.pop("centers", None)
         kwargs.update(change)
+        # the obstacle checks run when the Obstacles are built, the fit to the problem when it is
         with pytest.raises(ValueError):
+            if centers is not None:
+                kwargs["obstacles"] = Obstacles(centers.T[:, None], [0.5], [0.5])
             BatchProblem(**kwargs)
+
+    @pytest.mark.parametrize("centres", [np.ones((3, 1, N_P)), np.ones((2, 1, N_P - 1))], ids=["3d", "other-grid"])
+    def test_obstacles_of_another_problem_rejected(self, centres):
+        with pytest.raises(ValueError, match="obstacles are"):
+            BatchProblem(**{**vars(make_problem()), "obstacles": Obstacles(centres, [0.5], [0.5])})
 
     @pytest.mark.parametrize("offsets", [(0.3, float("nan")), (float("inf"),)])
     def test_non_finite_footprint_offsets_rejected(self, offsets):
@@ -974,8 +995,8 @@ class TestWarmState:
         def problem(n_p):
             basis = build_basis(0.0, 10.0, n_p, 10)
             line = np.column_stack([np.linspace(0.0, 10.0, n_p), np.zeros(n_p)])
-            obstacle = ObstacleTrack(centers=np.tile([5.0, 0.0], (n_p, 1)), shape=EllipsoidShape(0.5, 0.5))
-            return BatchProblem(**{**vars(make_problem()), "basis": basis, "desired": line, "obstacles": [obstacle]})
+            obstacle = Obstacles(np.tile([[[5.0]], [[0.0]]], (1, 1, n_p)), [0.5], [0.5])
+            return BatchProblem(**{**vars(make_problem()), "basis": basis, "desired": line, "obstacles": obstacle})
 
         state = self._solved_state(problem(60))
         _assert_rejected_untouched(state, problem(50), "warm state psi")

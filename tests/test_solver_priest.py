@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from trajopt import qpcore, solver_priest
 from trajopt.basis import AxisBoundary, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario
 from trajopt.bench.runner import _barn_c1, default_sampling_distribution, priest_setup_from_scenario, run_scenario
-from trajopt.geometry import D_CAP, EllipsoidShape, ObstacleRows, ObstacleTrack, radial_clamp
+from trajopt.geometry import D_CAP, ObstacleRows, Obstacles, radial_clamp
 from trajopt.solver_priest import (
     CemParams,
     PriestParams,
@@ -25,9 +27,19 @@ from trajopt.solver_priest import _cem_penalty, _residuals
 N_P = 40
 
 
+# one obstacle's (n_p, dim) centres and its semi-axes, as the tests build it
+Track = namedtuple("Track", "centers a b")
+
+
 def _static_obstacle(center, a, b):
-    dim = len(center)
-    return ObstacleTrack(centers=np.tile(np.asarray(center, dtype=float), (N_P, 1)), shape=EllipsoidShape(a, b))
+    return Track(np.tile(np.asarray(center, dtype=float), (N_P, 1)), a, b)
+
+
+def _stack(tracks):
+    """The Obstacles of a list of tracks, None for none."""
+    if not tracks:
+        return None
+    return Obstacles(np.stack([t.centers.T for t in tracks], axis=1), [t.a for t in tracks], [t.b for t in tracks])
 
 
 def make_setup_2d(obstacles=(), v_max=3.0, a_max=3.0, bounds=True, rho=1.0):
@@ -37,7 +49,7 @@ def make_setup_2d(obstacles=(), v_max=3.0, a_max=3.0, bounds=True, rho=1.0):
     return ProjectionSetup(
         basis=basis,
         boundary=(AxisBoundary(p0=0.0, v0=1.0, p1=8.0), AxisBoundary(p0=0.0, p1=0.0)),
-        obstacles=list(obstacles),
+        obstacles=_stack(obstacles),
         v_max=v_max,
         a_max=a_max,
         s_min=np.array([-2.0, -5.0]) if bounds else None,
@@ -55,7 +67,7 @@ def make_setup_3d(obstacles=()):
             AxisBoundary(p0=0.0, p1=0.0),
             AxisBoundary(p0=1.0, p1=1.0),
         ),
-        obstacles=list(obstacles),
+        obstacles=_stack(obstacles),
         v_max=4.0,
         a_max=4.0,
         s_min=np.array([-2.0, -5.0, -3.0]),
@@ -76,7 +88,7 @@ def _reference_projection(setup, samples, n_inner):
     Returns (projected coefficients, residual scores)."""
     basis, dim, m, n_p = setup.basis, setup.dim, setup.m, setup.basis.n_p
     obstacles = setup.obstacles
-    blocks = [np.tile(basis.P, (len(obstacles), 1))] if obstacles else []
+    blocks = [np.tile(basis.P, (obstacles.n_o, 1))] if obstacles.n_o else []
     if setup.v_max is not None:
         blocks.append(basis.Pdot)
     if setup.a_max is not None:
@@ -98,10 +110,10 @@ def _reference_projection(setup, samples, n_inner):
         n = xis.shape[0]
         pos, vel, acc = (per_axis(xis, mat) for mat in (basis.P, basis.Pdot, basis.Pddot))
         parts = [[] for _ in range(dim)]
-        if obstacles:
-            obs = np.stack([o.centers for o in obstacles]).transpose(0, 2, 1)[None]  # (1, n_o, dim, n_p)
-            a = np.array([o.shape.a for o in obstacles])[None, :, None]
-            b = np.array([o.shape.b for o in obstacles])[None, :, None]
+        if obstacles.n_o:
+            obs = obstacles.centres.transpose(1, 0, 2)[None]  # (1, n_o, dim, n_p)
+            a = obstacles.a[None, :, None]
+            b = obstacles.b[None, :, None]
             delta = pos[:, None] - obs
             dx, dy = delta[:, :, 0], delta[:, :, 1]
             if dim == 3:
@@ -248,7 +260,6 @@ class TestResidualScore:
         setup = ProjectionSetup(
             basis=basis,
             boundary=(AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=5.5, p1=5.5)),
-            obstacles=[],
             v_max=None,
             a_max=None,
             s_min=np.array([-2.0, -5.0]),
@@ -265,7 +276,6 @@ class TestResidualScore:
             setup = ProjectionSetup(
                 basis=basis,
                 boundary=(AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=5.0 + offset, p1=5.0 + offset)),
-                obstacles=[],
                 v_max=None,
                 a_max=None,
                 s_min=np.array([-2.0, -5.0]),
@@ -344,6 +354,24 @@ class TestDistributionUpdate:
         new_mu, _ = update_distribution(mu, sigma_mat, elites, costs, sigma=1.0, gamma=-1.0)
         assert new_mu[0] < 5.0  # pulled toward the cheap sample
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_only_finite_costs_are_weighed(self, bad):
+        rng = np.random.default_rng(6)
+        mu, sigma_mat, elites = rng.normal(size=3), np.eye(3), rng.normal(size=(5, 3))
+        costs = np.array([1.0, bad, 2.5, bad, 0.5])
+        got = update_distribution(mu, sigma_mat, elites, costs, sigma=0.7, gamma=-1.0)
+        finite = np.isfinite(costs)
+        expected = update_distribution(mu, sigma_mat, elites[finite], costs[finite], sigma=0.7, gamma=-1.0)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_no_finite_cost_keeps_the_distribution(self, bad):
+        mu, sigma_mat = np.arange(3.0), 2.0 * np.eye(3)
+        new_mu, new_sigma = update_distribution(mu, sigma_mat, np.ones((4, 3)), np.full(4, bad), sigma=0.7, gamma=-1.0)
+        np.testing.assert_array_equal(new_mu, mu)
+        np.testing.assert_array_equal(new_sigma, sigma_mat)
+
 
 class TestCem:
     def test_full_elite_set_is_plain_mean(self):
@@ -372,7 +400,6 @@ class TestCem:
         setup = ProjectionSetup(
             basis=basis,
             boundary=(AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=0.0, p1=0.0)),
-            obstacles=[],
             v_max=None,
             a_max=None,
             start_orders=(0,),
@@ -500,7 +527,7 @@ class TestProjectMatchesReference:
         # pinned start
         centers = np.full((N_P, dim), 20.0)
         centers[10:20] = 0.0
-        track = ObstacleTrack(centers=centers, shape=EllipsoidShape(1.0, 0.8))
+        track = Track(centers, 1.0, 0.8)
         setup = make(obstacles=[track, _static_obstacle(np.full(dim, 3.0), 0.6, 0.9)])
         samples = np.vstack([np.zeros(setup.A.shape[1]), _noisy_line_samples(setup, 5, seed=1)])
         _assert_matches_reference(setup, samples, n_inner=20)
@@ -520,9 +547,10 @@ def _assert_sums_bit_equal(setup, xis):
     on the kernel, radial_clamp over every (sample, obstacle, time) offset.
 
     Returns the most active obstacles at one (sample, time) cell."""
-    pos = setup.pva_samples(xis)[:, :, 0]
-    dense = radial_clamp(setup.obstacle_offsets(pos), setup.obs_a[:, None], setup.obs_b[:, None])
-    sums, sq, _ = setup.obstacle_rows(xis.shape[0]).residuals(pos)
+    pos, obstacles = setup.pva_samples(xis)[:, :, 0], setup.obstacles
+    offsets = [pos[:, k, None, :] - obstacles.centres[k] for k in range(setup.dim)]  # (N, n_o, n_p) each
+    dense = radial_clamp(offsets, obstacles.a[:, None], obstacles.b[:, None])
+    sums, sq, _ = ObstacleRows(setup.obstacles, xis.shape[0]).residuals(pos)
     assert np.array_equal(sums, np.stack([r.sum(axis=1) for r in dense]))
     expected = sum(np.einsum("nij,nij->n", r, r) for r in dense)
     np.testing.assert_allclose(sq, expected, rtol=1e-13, atol=0)
@@ -556,7 +584,7 @@ class TestActiveObstacleRows:
         xis[1, 3] = np.nan
         pva = setup.pva_samples(xis)
         assert np.isnan(pva[1, 0, 0]).any() and not np.isnan(pva[0]).any()
-        obstacle, _, sq = _residuals(setup, pva, setup.obstacle_rows(2))
+        obstacle, _, sq = _residuals(setup, pva, ObstacleRows(setup.obstacles, 2))
         assert np.isnan(obstacle[:, 1][np.isnan(pva[1, :, 0])]).all()
         assert not np.isnan(obstacle[:, 0]).any()
         scores = residual_scores(setup, xis)
@@ -586,7 +614,7 @@ class TestFamiliesOnTheirActiveSet:
             kin[2, :2, 6] = [0.6 * limit, 0.8 * limit]
         pva[3, 0, :, 7] = np.nan
         with np.errstate(invalid="ignore"):
-            _, families, _ = _residuals(setup, pva, setup.obstacle_rows(5))
+            _, families, _ = _residuals(setup, pva, ObstacleRows(setup.obstacles, 5))
         box = np.maximum(0.0, pos - setup.s_max[:, None]) - np.maximum(0.0, setup.s_min[:, None] - pos)
         dense = [box] + [
             np.stack(radial_clamp(pva[:, :, order].transpose(1, 0, 2), limit, limit, lower=0.0, upper=1.0), axis=1)
@@ -693,9 +721,50 @@ class TestBatchedCost:
         np.testing.assert_array_equal(nan.sigma_mat, inf.sigma_mat)
 
 
+class TestCostNeverFinite:
+    """A cost callback that is non-finite for every sample is reported through the
+    result, not raised: priest's update used to make its mean NaN (a LinAlgError at
+    the next draw), and CEM had no best sample to return."""
+
+    @pytest.mark.parametrize("fill", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_priest(self, fill):
+        scenario, setup, dist = _scenario_setup("barn-like", None, seed=0)
+        params = PriestParams(n_outer=2, n_batch=20, n_constraint_elite=15, n_elite=5, n_inner=5, seed=0)
+        result = priest_optimize(setup, lambda pva: np.full(len(pva), fill), dist, params)
+        np.testing.assert_array_equal(result.mu, dist.mu)
+        np.testing.assert_array_equal(result.sigma_mat, dist.sigma_mat)
+        assert np.array_equal(result.best.aug_cost, fill, equal_nan=True)
+        assert np.isfinite(result.best.projected).all() and np.isfinite(result.best.trajectory.pos).all()
+        assert len(result.history) == 2
+
+    @pytest.mark.parametrize("fill", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_cem_keeps_the_first_iterations_best(self, fill):
+        scenario, setup, dist = _scenario_setup("barn-like", None, seed=0)
+        params = CemParams(n_batch=20, n_elite=5, iterations=3, seed=0)
+        result = cem_optimize(setup, lambda pva: np.full(len(pva), fill), dist, params)
+        first = np.random.default_rng(0).multivariate_normal(dist.mu, dist.sigma_mat, size=20, method="svd")[0]
+        np.testing.assert_array_equal(result.best_xi, first)  # a stable sort of equal costs keeps sample 0
+        assert np.array_equal(result.best_cost, fill, equal_nan=True)
+        assert np.isfinite(result.best_trajectory.pos).all() and np.isfinite(result.mu).all()
+        assert len(result.history) == 3
+
+    def test_cem_takes_a_number_over_a_nan_best(self):
+        # every cost NaN at the first iteration, finite afterwards
+        scenario, setup, dist = _scenario_setup("barn-like", None, seed=0)
+        calls = []
+
+        def c1(pva):
+            calls.append(1)
+            return np.full(len(pva), np.nan) if len(calls) == 1 else _acc_cost(pva)
+
+        result = cem_optimize(setup, c1, dist, CemParams(n_batch=20, n_elite=5, iterations=2, seed=0))
+        assert np.isfinite(result.best_cost)
+        assert result.best_cost == result.history[1]["best_cost"]
+
+
 class TestSetupValidation:
     def _obstacle(self, centers):
-        return ObstacleTrack(centers=np.asarray(centers, dtype=float), shape=EllipsoidShape(0.5, 0.5))
+        return Obstacles(np.asarray(centers, dtype=float).T[:, None], [0.5], [0.5])
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -739,14 +808,29 @@ class TestSetupValidation:
         ],
     )
     def test_bad_obstacle_centres_rejected(self, centers):
+        # the obstacle checks run when the Obstacles are built, the fit to the setup when it is
+        basis = build_basis(0.0, 8.0, N_P, 8)
         with pytest.raises(ValueError):
-            make_setup_2d(obstacles=[self._obstacle(centers)])
+            ProjectionSetup(basis, (AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=0.0, p1=0.0)), self._obstacle(centers))
+
+    @pytest.mark.parametrize("centres", [np.ones((3, 1, N_P)), np.ones((2, 1, N_P + 1))], ids=["3d", "other-grid"])
+    def test_obstacles_of_another_problem_rejected(self, centres):
+        boundary = (AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=0.0, p1=0.0))
+        with pytest.raises(ValueError, match="obstacles are"):
+            ProjectionSetup(build_basis(0.0, 8.0, N_P, 8), boundary, Obstacles(centres, [0.5], [0.5]))
 
     @pytest.mark.parametrize("a,b", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, np.inf)])
     def test_non_finite_semi_axes_rejected(self, a, b):
         # accepted, they made project return NaN residuals
         with pytest.raises(ValueError, match="semi-axes"):
             make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], a, b)])
+
+    @pytest.mark.parametrize("n_axes", [1, 4])
+    def test_axis_count_other_than_two_or_three_rejected(self, n_axes):
+        # accepted without obstacles, although every constraint row is written for 2-D and 3-D
+        boundary = (AxisBoundary(p0=0.0, p1=8.0),) * n_axes
+        with pytest.raises(ValueError, match="need 2 or 3 axis boundaries"):
+            ProjectionSetup(build_basis(0.0, 8.0, N_P, 8), boundary, v_max=3.0)
 
     def test_non_finite_boundary_values_rejected(self):
         basis = build_basis(0.0, 8.0, N_P, 8)
@@ -815,8 +899,14 @@ class TestCemPenalty:
         s2 = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.2, 0.9), _static_obstacle([6.0, 1.0], 0.7, 1.1)])
         x2 = _line_sample(s2)[None, :] + np.random.default_rng(8).normal(scale=1.5, size=(4, s2.A.shape[1]))
         np.testing.assert_allclose(
-            _cem_penalty(s2, s2.pva_samples(x2)), [9.138142420076484, 97.93144900718406, 1.0253246112348724, 136.17507851754567], rtol=1e-12
+            _cem_penalty(s2, s2.pva_samples(x2), ObstacleRows(s2.obstacles, 4)),
+            [9.138142420076484, 97.93144900718406, 1.0253246112348724, 136.17507851754567],
+            rtol=1e-12,
         )
         s3 = make_setup_3d(obstacles=[_static_obstacle([4.0, 0.0, 1.0], 1.0, 0.8)])
         x3 = _line_sample(s3)[None, :] + np.random.default_rng(9).normal(scale=1.5, size=(3, s3.A.shape[1]))
-        np.testing.assert_allclose(_cem_penalty(s3, s3.pva_samples(x3)), [103.08846544930357, 34.16351275469579, 3.070211144049175], rtol=1e-12)
+        np.testing.assert_allclose(
+            _cem_penalty(s3, s3.pva_samples(x3), ObstacleRows(s3.obstacles, 3)),
+            [103.08846544930357, 34.16351275469579, 3.070211144049175],
+            rtol=1e-12,
+        )

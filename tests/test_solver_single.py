@@ -1,4 +1,5 @@
 import copy
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from trajopt import qpcore, solver_single
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
 from trajopt.bench import gen_scenario, receding_horizon_run
-from trajopt.geometry import EllipsoidShape, ObstacleTrack, angles3d, los_scale, unit_pair
+from trajopt.geometry import EllipsoidShape, Obstacles, angles3d, los_scale, unit_pair
 from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
@@ -30,8 +31,20 @@ def _line(start, goal, n_p):
     return np.asarray(start)[None, :] + frac * (np.asarray(goal) - np.asarray(start))[None, :]
 
 
+# one obstacle's (n_p, dim) centres and its semi-axes, as the tests build it
+Track = namedtuple("Track", "centers shape")
+
+
 def _static_obstacle(center, shape, n_p):
-    return ObstacleTrack(centers=np.tile(np.asarray(center, dtype=float), (n_p, 1)), shape=shape)
+    return Track(centers=np.tile(np.asarray(center, dtype=float), (n_p, 1)), shape=shape)
+
+
+def _stack(tracks):
+    """The Obstacles of a list of tracks, None for none."""
+    if not tracks:
+        return None
+    centres = np.stack([t.centers.T for t in tracks], axis=1)
+    return Obstacles(centres, [t.shape.a for t in tracks], [t.shape.b for t in tracks])
 
 
 def make_problem_2d(n_p=60, obstacles=(), w_track=1.0, tf=6.0):
@@ -40,7 +53,7 @@ def make_problem_2d(n_p=60, obstacles=(), w_track=1.0, tf=6.0):
         basis=basis,
         boundary=(AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=0.0, p1=0.0)),
         desired=_line([0.0, 0.0], [8.0, 0.0], n_p),
-        obstacles=list(obstacles),
+        obstacles=_stack(obstacles),
         w_track=w_track,
     )
 
@@ -55,7 +68,7 @@ def make_problem_3d(n_p=50, obstacles=(), degree=8):
             AxisBoundary(p0=1.0, p1=1.0),
         ),
         desired=_line([0.0, 0.0, 1.0], [6.0, 1.0, 1.0], n_p),
-        obstacles=list(obstacles),
+        obstacles=_stack(obstacles),
     )
 
 
@@ -87,14 +100,15 @@ class _Reference:
         self.alpha = np.arctan2(state.unit_a[1], state.unit_a[0])
         self.beta = None if state.unit_b is None else np.arctan2(state.unit_b[1], state.unit_b[0])
 
+    def tracks(self):
+        """The obstacle centres, (n_o, n_p, dim)."""
+        return self.problem.obstacles.centres.transpose(1, 2, 0)
+
     def deltas(self, positions):
-        tracks = np.stack([obs.centers for obs in self.problem.obstacles])
-        return positions[None, :, :] - tracks
+        return positions[None, :, :] - self.tracks()
 
     def semi_axes(self):
-        a = np.array([obs.shape.a for obs in self.problem.obstacles])[:, None]
-        b = np.array([obs.shape.b for obs in self.problem.obstacles])[:, None]
-        return a, b
+        return self.problem.obstacles.a[:, None], self.problem.obstacles.b[:, None]
 
     def position_step(self, state):
         problem = self.problem
@@ -105,7 +119,7 @@ class _Reference:
         factor = state.factors.get(Q, basis.P.T @ basis.P, A, state.rho * problem.n_o)
         if problem.n_o:
             a, b = self.semi_axes()
-            tracks = np.stack([obs.centers for obs in problem.obstacles])
+            tracks = self.tracks()
             if problem.dim == 3:
                 targets = np.stack([
                     tracks[:, :, 0] + a * state.d * state.cos_a * state.sin_b,
@@ -277,7 +291,7 @@ class _PerFamilySweep:
             state.cos_a, state.sin_a = state.unit_a
             if struct.dim == 3:
                 state.cos_b, state.sin_b = state.unit_b
-            targets = struct.tracks + self.reconstruction(state)
+            targets = struct.centres + self.reconstruction(state)
             q_lin = struct.q + state.lam_pos.sum(axis=1) @ struct.P - rho * targets.sum(axis=1) @ struct.P
         state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
         state.residuals = {}
@@ -573,7 +587,7 @@ class TestInvariants:
         # (the initial copies are the unit pairs the sweep restarts them at)
         state2 = init_state(prob)
         struct = _SingleStructure(prob)
-        targets = struct.tracks + _row_coefs(struct, state2.d, state2.unit) * state2.unit[:3]
+        targets = struct.centres + _row_coefs(struct, state2.d, state2.unit) * state2.unit[:3]
         A = boundary_matrix(prob.basis)
         D = Q + state2.rho * prob.n_o * (prob.basis.P.T @ prob.basis.P)
         factor = qpcore.factorize(D, A)
@@ -661,7 +675,7 @@ def _assert_states_match(got, ref, exact=False):
 
 def _moving_obstacle(start, velocity, shape, n_p, tf=6.0):
     t = np.linspace(0.0, tf, n_p)[:, None]
-    return ObstacleTrack(centers=np.asarray(start, dtype=float) + t * np.asarray(velocity, dtype=float), shape=shape)
+    return Track(centers=np.asarray(start, dtype=float) + t * np.asarray(velocity, dtype=float), shape=shape)
 
 
 def _mixed_problem(dim, shift=0.0):
@@ -732,8 +746,8 @@ def _centred_problem(dim):
     convention and d its lower clamp."""
     base = make_problem_2d(n_p=50) if dim == 2 else make_problem_3d()
     path = base.basis.P @ init_state(base).xi.T
-    obstacle = ObstacleTrack(centers=path, shape=EllipsoidShape(0.8, 0.6))
-    return SingleProblem(**{**vars(base), "obstacles": [obstacle]})
+    obstacle = Track(centers=path, shape=EllipsoidShape(0.8, 0.6))
+    return SingleProblem(**{**vars(base), "obstacles": _stack([obstacle])})
 
 
 class TestMatchesPerFamilySweep:
@@ -932,6 +946,7 @@ class TestProblemValidation:
             dict(boundary=(AxisBoundary(p0=0.0, p1=8.0),)),
             dict(centers=np.full((60, 2), float("nan"))),
             dict(centers=np.zeros((60, 3))),
+            dict(centers=np.zeros((50, 2))),
             dict(semi_axes=(float("nan"), 0.5)),
             dict(semi_axes=(0.5, float("inf"))),
             dict(w_smooth=float("nan")),
@@ -939,7 +954,7 @@ class TestProblemValidation:
             dict(w_smooth=-1.0),
         ],
         ids=[
-            "desired-nan", "goal-nan", "a0-inf", "one-axis", "centres-nan", "centres-3d",
+            "desired-nan", "goal-nan", "a0-inf", "one-axis", "centres-nan", "centres-3d", "centres-other-grid",
             "semi-axis-nan", "semi-axis-inf", "w_smooth-nan", "w_track-inf", "w_smooth-negative",
         ],
     )
@@ -950,12 +965,20 @@ class TestProblemValidation:
         if change.pop("desired_nan", False):
             desired[7, 1] = np.nan
         kwargs["desired"] = desired
-        centers = change.pop("centers", prob.obstacles[0].centers)
+        centers = change.pop("centers", np.tile([4.0, 0.5], (60, 1)))
         semi_axes = change.pop("semi_axes", (0.5, 0.5))
         kwargs.update(change)
+        # the obstacle checks run when the Obstacles are built, the fit to the problem when it is
         with pytest.raises(ValueError):
-            kwargs["obstacles"] = [ObstacleTrack(centers=centers, shape=EllipsoidShape(*semi_axes))]
+            kwargs["obstacles"] = Obstacles(centers.T[:, None], [semi_axes[0]], [semi_axes[1]])
             SingleProblem(**kwargs)
+
+
+    @pytest.mark.parametrize("centres", [np.ones((3, 1, 60)), np.ones((2, 1, 50))], ids=["3d", "other-grid"])
+    def test_obstacles_of_another_problem_rejected(self, centres):
+        prob = make_problem_2d()
+        with pytest.raises(ValueError, match="obstacles are"):
+            SingleProblem(**{**vars(prob), "obstacles": Obstacles(centres, [0.5], [0.5])})
 
 
 class TestParamsValidation:

@@ -40,10 +40,6 @@ class TimeGrid:
             raise ValueError(f"need at least two planning steps, got n_p={self.n_p}")
 
     @property
-    def duration(self) -> float:
-        return self.tf - self.t0
-
-    @property
     def dt(self) -> float:
         return (self.tf - self.t0) / (self.n_p - 1)
 
@@ -79,10 +75,6 @@ class Trajectory:
     vel: np.ndarray
     acc: np.ndarray
     psi: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.pos.shape[1]
 
 
 @dataclass(frozen=True)

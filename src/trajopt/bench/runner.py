@@ -3,11 +3,14 @@
 The single and batch problem builders take the robot's boundary state and
 the time t_now its obstacles are predicted from; their defaults are the
 scenario's rest-to-rest boundary at t_now = 0, which run_scenario plans, and
-receding_horizon_run passes each control step's state and time.  In both
-entry points wall_time_ms covers the solve only: scenario generation,
-problem construction, metrics and file writes are excluded.  Floats are
-written with repr so identical runs produce byte-identical rows
-(wall_time_ms is the one column exempt from that guarantee).
+receding_horizon_run passes each control step's state and time.  A step
+executes one slice of its plan (EXEC_FRACTION of it), checked in one pass
+against the true obstacle motion; a collision wins over GOAL_RADIUS on the
+same sample.  In both entry points wall_time_ms covers the solve only:
+scenario generation, problem construction, metrics and file writes are
+excluded.  Floats are written with repr so identical runs produce
+byte-identical rows (wall_time_ms is the one column exempt from that
+guarantee).
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ SOLVERS = ("single", "batch", "priest", "cem", "multiagent")
 
 # inflation of every obstacle's semi-axes for planning (meters)
 PLAN_MARGIN = 0.05
+# a receding-horizon episode reaches its goal within this distance (meters)
+GOAL_RADIUS = 0.5
+# share of the plan's samples that a receding-horizon step executes
+EXEC_FRACTION = 0.1
 
 RESULTS_COLUMNS = (
     "scenario_id",
@@ -139,7 +146,7 @@ def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, *
     )
 
 
-def priest_setup_from_scenario(scenario: Scenario, basis, rho: float = 1.0):
+def priest_setup_from_scenario(scenario: Scenario, basis):
     s_min, s_max = _workspace_box(scenario)
     return solver_priest.ProjectionSetup(
         basis=basis,
@@ -149,7 +156,6 @@ def priest_setup_from_scenario(scenario: Scenario, basis, rho: float = 1.0):
         a_max=scenario.robot.a_max,
         s_min=s_min,
         s_max=s_max,
-        rho=rho,
     )
 
 
@@ -162,12 +168,12 @@ def multiagent_problem_from_scenario(scenario: Scenario, basis):
     return solver_multiagent.MultiAgentProblem(basis=basis, boundaries=boundaries, agent_shape=shape)
 
 
-def default_sampling_distribution(scenario: Scenario, basis, spread: float = 0.6):
-    """Straight-line mean with isotropic coefficient covariance."""
+def default_sampling_distribution(scenario: Scenario, basis):
+    """Straight-line mean with isotropic coefficient covariance, 0.6 per coefficient."""
     start = np.asarray(scenario.boundary.start, dtype=float)
     goal = np.asarray(scenario.boundary.goal, dtype=float)
     mean = straight_line_coeffs(basis, start, goal).ravel()
-    cov = np.eye(mean.size) * spread**2
+    cov = np.eye(mean.size) * 0.6**2
     return solver_priest.SamplingDistribution(mu=mean, sigma_mat=cov)
 
 
@@ -277,11 +283,11 @@ def _format_value(key, value):
     return repr(float(value))
 
 
-def write_results_csv(path, records: list, append: bool = True) -> None:
+def write_results_csv(path, records: list) -> None:
+    """Append records to a results file, writing the header first if it is new."""
     path = Path(path)
-    fresh = not (append and path.exists())
-    mode = "w" if fresh else "a"
-    with open(path, mode, newline="") as fh:
+    fresh = not path.exists()
+    with open(path, "w" if fresh else "a", newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(RESULTS_COLUMNS)
@@ -315,21 +321,15 @@ def read_results_csv(path) -> list:
     return out
 
 
-def _collision_check(scenario: Scenario):
-    """in_collision(pos, t_abs): whether pos lies inside an obstacle at its true
-    position at time t_abs.  The obstacle arrays are built once, here."""
-    obstacles = scenario.obstacles
-    centers = np.array([obs.center for obs in obstacles])
-    velocities = np.array([obs.velocity for obs in obstacles])
-    a = np.array([obs.a for obs in obstacles])
-    b = np.array([obs.b for obs in obstacles])
+def _collides(scenario: Scenario, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Whether each sample pos[i] lies inside an obstacle at its true position at time t[i].
 
-    def in_collision(pos: np.ndarray, t_abs: float) -> bool:
-        if not obstacles:
-            return False
-        return bool(np.any(scaled_sq_norm((pos - (centers + velocities * t_abs)).T, a, b) < 1.0))
-
-    return in_collision
+    The obstacles are predicted at [0, t...] from time 0, so each sample's
+    offset is t[i] itself, and every sample is tested in one pass.
+    """
+    obstacles = predict_obstacles(scenario, np.concatenate(([0.0], t)))
+    deltas = pos.T[:, None, :] - obstacles.centres[:, :, 1:]
+    return np.any(scaled_sq_norm(deltas, obstacles.a[:, None], obstacles.b[:, None]) < 1.0, axis=0)
 
 
 def receding_horizon_run(
@@ -337,8 +337,6 @@ def receding_horizon_run(
     solver: str = "single",
     step_budget: int = 40,
     n_steps: int = 30,
-    goal_radius: float = 0.5,
-    exec_fraction: float = 0.1,
     seed: int = 0,
 ) -> MpcResult:
     """Receding-horizon loop: re-predict obstacles, warm-start multipliers,
@@ -348,27 +346,30 @@ def receding_horizon_run(
     or batch_problem_from_scenario (50 members) from the robot's executed
     state and the current time, and warm-starts from the last step's state.
     step_budget caps solver iterations per control loop; a step's
-    wall_time_ms covers its solve only.  Terminates on goal proximity or
-    collision of the executed path; failures are recorded, not raised.
+    wall_time_ms covers its solve only.  The executed segment is the plan's
+    next EXEC_FRACTION of samples, one slice, checked in one pass against
+    the true obstacle motion at the executed times.  It ends at its first
+    sample that collides or lies within GOAL_RADIUS of the goal, and the
+    episode with it; a collision wins over the goal on the same sample.
+    Failures are recorded, not raised.
     """
     if solver not in ("single", "batch"):
         raise ValueError("receding-horizon driving supports the single and batch solvers")
     h = scenario.horizon
     basis = build_basis(h.t0, h.tf, h.n_p, degree=10)
-    n_exec = max(1, int(round(exec_fraction * basis.n_p)))
+    n_exec = max(1, int(round(EXEC_FRACTION * basis.n_p)))
     dt = basis.grid.dt
 
     goal = np.asarray(scenario.boundary.goal, dtype=float)
-    pos = np.asarray(scenario.boundary.start, dtype=float).copy()
+    pos = np.asarray(scenario.boundary.start, dtype=float)
     vel = np.zeros(scenario.dim)
     acc = np.zeros(scenario.dim)
     t_abs = 0.0
 
     records: list[RunRecord] = []
-    executed_pos = [pos.copy()]
-    executed_t = [0.0]
-    in_collision = _collision_check(scenario)
-    collided = in_collision(pos, t_abs)
+    executed_pos = [pos[None]]
+    executed_t = [np.zeros(1)]
+    collided = bool(_collides(scenario, pos[None], np.zeros(1))[0])
     reached = False
     warm_state = None
 
@@ -389,33 +390,28 @@ def receding_horizon_run(
         metrics.residual_final = residual
         metrics.wall_time_ms = wall_ms
 
-        # execute the first segment against the true obstacle motion
-        for i in range(1, n_exec + 1):
-            pos = traj.pos[i].copy()
-            vel = traj.vel[i].copy()
-            acc = traj.acc[i].copy()
-            t_abs += dt
-            executed_pos.append(pos.copy())
-            executed_t.append(t_abs)
-            if in_collision(pos, t_abs):
-                collided = True
-                break
-            if np.linalg.norm(pos - goal) <= goal_radius:
-                reached = True
-                break
+        # execute the first segment against the true obstacle motion; cumsum
+        # adds dt to t_abs one sample at a time, as a running clock would
+        t = np.cumsum(np.r_[t_abs, np.full(n_exec, dt)])[1:]
+        segment = traj.pos[1 : n_exec + 1]
+        collides = _collides(scenario, segment, t)
+        near_goal = np.linalg.norm(segment - goal, axis=1) <= GOAL_RADIUS
+        stops = np.flatnonzero(collides | near_goal)
+        n = stops[0] + 1 if stops.size else n_exec
+        collided = bool(collides[n - 1])
+        reached = bool(near_goal[n - 1]) and not collided
+        pos, vel, acc, t_abs = traj.pos[n], traj.vel[n], traj.acc[n], float(t[n - 1])
+        executed_pos.append(segment[:n])
+        executed_t.append(t[:n])
 
-        metrics.success = reached and not collided
+        metrics.success = reached
         records.append(
             RunRecord(scenario_id=f"{scenario.scenario_id}#step{step}", solver=solver, seed=seed, metrics=metrics)
         )
 
-    success = reached and not collided
-    if records:
-        records[-1].metrics.success = success
     executed = None
-    if len(executed_pos) > 1:
-        p = np.vstack(executed_pos)
-        v = np.gradient(p, np.asarray(executed_t), axis=0)
-        a = np.gradient(v, np.asarray(executed_t), axis=0)
-        executed = Trajectory(t=np.asarray(executed_t), pos=p, vel=v, acc=a)
-    return MpcResult(records=records, success=success, reached_goal=reached, collided=collided, executed=executed)
+    if records:
+        p, t = np.concatenate(executed_pos), np.concatenate(executed_t)
+        v = np.gradient(p, t, axis=0)
+        executed = Trajectory(t=t, pos=p, vel=v, acc=np.gradient(v, t, axis=0))
+    return MpcResult(records=records, success=reached, reached_goal=reached, collided=collided, executed=executed)

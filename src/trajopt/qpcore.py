@@ -75,10 +75,6 @@ class BatchRHS:
         if self.qs.shape[-2] < 1:
             raise ValueError("empty batch")
 
-    @property
-    def size(self) -> int:
-        return self.qs.shape[-2]
-
 
 @dataclass(frozen=True)
 class KKTFactor:

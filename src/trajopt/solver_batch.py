@@ -82,10 +82,6 @@ class FootprintSpec:
         if not np.all(np.isfinite(np.asarray(self.offsets, dtype=float))):
             raise ValueError("footprint offsets must be finite")
 
-    @property
-    def n_c(self) -> int:
-        return len(self.offsets)
-
 
 @dataclass
 class BatchProblem:

@@ -184,10 +184,8 @@ class _JointStructure:
         self.n_pairs = len(self.pair_i)
         self.static = self.pair_j < 0
         radii = np.array([sphere.radius for sphere in problem.static_obstacles], dtype=float)
-        self.pair_a = np.concatenate([np.full(len(agent_i), 2.0 * a_inf), np.repeat(a_inf + radii, n_a)])
-        self.pair_b = np.concatenate([np.full(len(agent_i), 2.0 * b_inf), np.repeat(b_inf + radii, n_a)])
-        self.pa = self.pair_a[:, None]
-        self.pb = self.pair_b[:, None]
+        self.pa = np.concatenate([np.full(len(agent_i), 2.0 * a_inf), np.repeat(a_inf + radii, n_a)])[:, None]
+        self.pb = np.concatenate([np.full(len(agent_i), 2.0 * b_inf), np.repeat(b_inf + radii, n_a)])[:, None]
         # (3, n_pairs, 1) centre of each pair's static partner, zero for agent pairs
         centers = np.array([sphere.center for sphere in problem.static_obstacles], dtype=float).reshape(n_s, 3)
         self.static_centers = np.zeros((3, self.n_pairs, 1))

@@ -79,7 +79,7 @@ class TestEvalTrajectory:
         np.testing.assert_array_equal(out.pos, np.zeros((9, 2)))
         np.testing.assert_array_equal(out.vel, np.zeros((9, 2)))
         np.testing.assert_array_equal(out.t, b.grid.timestamps)
-        assert out.dim == 2 and out.psi is None
+        assert out.psi is None
 
     def test_agrees_with_direct_polynomial_evaluation(self):
         # oracle: convert Bernstein coefficients to the power basis and

@@ -30,7 +30,7 @@ from trajopt.bench import (
 )
 from trajopt import solver_single
 from trajopt.geometry import scaled_sq_norm
-from trajopt.bench.runner import _collision_check
+from trajopt.bench.runner import _collides
 
 
 def _trajectory_from_positions(t, pos):
@@ -340,10 +340,17 @@ class TestInCollisionNow:
             ScenarioObstacle(a=0.5, b=0.5, center=far, velocity=[0.0] * dim),
             ScenarioObstacle(a=2.0, b=0.5, center=[1.0] + [0.0] * (dim - 1), velocity=[1.0] + [0.0] * (dim - 1)),
         ]
-        assert _collision_check(scenario)(np.asarray(pos), 2.0) is inside
+        assert _collides(scenario, np.array([pos]), np.array([2.0])).tolist() == [inside]
+
+    def test_each_sample_at_its_own_time(self):
+        # x = 3 is the obstacle's centre at t = 2 only; 2 m off it at t = 0 and t = 4
+        scenario = empty_scenario()
+        scenario.obstacles = [ScenarioObstacle(a=2.0, b=0.5, center=[1.0, 0.0], velocity=[1.0, 0.0])]
+        pos = np.array([[3.0, 0.0], [3.0, 0.0], [3.0, 0.0]])
+        assert _collides(scenario, pos, np.array([0.0, 2.0, 4.0])).tolist() == [False, True, False]
 
     def test_no_obstacles(self):
-        assert _collision_check(empty_scenario())(np.zeros(2), 0.0) is False
+        assert _collides(empty_scenario(), np.zeros((1, 2)), np.zeros(1)).tolist() == [False]
 
 
 class TestPredictObstacles:
@@ -433,6 +440,24 @@ class TestRunScenario:
         assert m1 == m2
 
 
+def _straight_plans(monkeypatch, step):
+    """Make every single plan the +x line from the origin in steps of `step`,
+    stopped at empty_scenario's goal x = 5, so a test fixes which samples
+    execute; returns the list the plans are appended to."""
+    solve = solver_single.solve_single
+    plans = []
+
+    def straight(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.trajectory.pos[:] = 0.0
+        sol.trajectory.pos[:, 0] = np.minimum(step * np.arange(len(sol.trajectory.t)), 5.0)
+        plans.append(sol.trajectory)
+        return sol
+
+    monkeypatch.setattr(solver_single, "solve_single", straight)
+    return plans
+
+
 class TestRecedingHorizon:
     def test_empty_world_reaches_goal(self):
         scenario = empty_scenario(n_p=40)
@@ -456,6 +481,30 @@ class TestRecedingHorizon:
         assert not result.success
         assert result.collided
         assert result.records == []
+
+    def test_step_ends_at_its_first_colliding_sample(self, monkeypatch):
+        # n_p = 40 executes 4 samples a step; samples 2 and 3 (x = 1, 1.5) collide
+        plans = _straight_plans(monkeypatch, 0.5)
+        scenario = empty_scenario(n_p=40)
+        scenario.obstacles = [
+            ScenarioObstacle(a=0.1, b=0.1, center=[x, 0.0], velocity=[0.0, 0.0]) for x in (1.0, 1.5)
+        ]
+        result = receding_horizon_run(scenario, solver="single", step_budget=5, n_steps=5)
+        assert result.collided and not result.reached_goal and not result.success
+        assert len(result.records) == len(plans) == 1
+        np.testing.assert_array_equal(result.executed.pos, plans[0].pos[:3])
+        np.testing.assert_array_equal(result.executed.t, plans[0].t[:3])
+
+    def test_collision_wins_over_the_goal_on_the_same_sample(self, monkeypatch):
+        # sample 4 is the goal itself, the first sample within the goal
+        # radius, and lies inside an obstacle
+        plans = _straight_plans(monkeypatch, 1.25)
+        scenario = empty_scenario(n_p=40)
+        scenario.obstacles = [ScenarioObstacle(a=0.1, b=0.1, center=[5.0, 0.0], velocity=[0.0, 0.0])]
+        result = receding_horizon_run(scenario, solver="single", step_budget=5, n_steps=5)
+        assert result.collided and not result.reached_goal and not result.success
+        assert not result.records[-1].metrics.success
+        np.testing.assert_array_equal(result.executed.pos, plans[0].pos[:5])
 
     def test_step_clearance_is_taken_at_the_step_times(self, monkeypatch):
         # each step's plan starts where the last one's execution ended, so

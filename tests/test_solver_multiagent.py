@@ -413,7 +413,7 @@ class TestPairwiseResiduals:
             res = pairwise_residuals_arrays(struct, state)
             positions = struct.agent_positions(state.xi)
             delta = positions[:, 0] - positions[:, 1]
-            a, b = struct.pair_a[0], struct.pair_b[0]
+            a, b = struct.pa[0, 0], struct.pb[0, 0]
             alpha, beta = angles3d(delta, a, b)
             d = state.d[0]
             sb = np.sin(beta)

@@ -41,10 +41,13 @@ The kernel, the only place this math is written:
 - draw_gaussian: the one draw from such a distribution.
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
-one call covers every timestep, obstacle and batch member.  All functions
-are pure.  ObstacleRows owns the buffer of its sums, and forms offsets only
-where its broad phase, per-window boxes of the obstacle tracks, cannot
-show the clamp's residual to be zero.
+one call covers every timestep, obstacle and batch member.  The functions
+are pure but for their out arguments: scaled_sq_norm, los_scale and
+unit_pair write their result into out when one is given (the single
+solver's sweep passes its state's own arrays), and return it.
+ObstacleRows owns the buffer of its sums, and forms offsets only where its
+broad phase, per-window boxes of the obstacle tracks, cannot show the
+clamp's residual to be zero.
 """
 
 from __future__ import annotations
@@ -171,17 +174,21 @@ def angles3d(deltas, a, b):
     return alpha, beta
 
 
-def scaled_sq_norm(deltas, a, b):
+def scaled_sq_norm(deltas, a, b, out=None, inverse=False):
     """Squared ellipsoidal norm of per-axis offsets.
 
     deltas is a sequence of per-axis arrays of one shape: (dx, dy) for the
     planar ellipse with semi-axes (a, b), or (dx, dy, dz) for the (a, a, b)
     spheroid.  Every axis but the last is scaled by a, the last by b.  a and
     b broadcast against the offsets, so one call covers many obstacles.
+    With inverse, a and b are given as 1 / a and 1 / b, formed once by a
+    caller that scales many offsets by the same semi-axes.  Written into
+    out when given.
     """
-    inv_a, inv_b = 1.0 / np.asarray(a, dtype=float), 1.0 / np.asarray(b, dtype=float)
-    *lateral, last = deltas
-    quad, *rest = [d * inv_a for d in lateral] + [last * inv_b]
+    inv_a, inv_b = (a, b) if inverse else (1.0 / np.asarray(a, dtype=float), 1.0 / np.asarray(b, dtype=float))
+    first, *others = deltas
+    quad = np.multiply(first, inv_a, out=out)
+    rest = [d * inv_a for d in others[:-1]] + [others[-1] * inv_b]
     quad *= quad
     for scaled in rest:
         scaled *= scaled
@@ -189,13 +196,16 @@ def scaled_sq_norm(deltas, a, b):
     return quad
 
 
-def los_scale(deltas, a, b, lower=1.0, upper=D_CAP):
+def los_scale(deltas, a, b, lower=1.0, upper=D_CAP, out=None, inverse=False):
     """Closed-form line-of-sight scale: the scaled norm clamped to [lower, upper].
 
     This is the d minimizing the polar equality residual when the angles are
-    those of the offset itself.  deltas, a and b are as in scaled_sq_norm.
+    those of the offset itself.  deltas, a, b, inverse and out are as in
+    scaled_sq_norm.  The clamp is np.maximum then np.minimum, which give
+    np.clip's values, NaN included.
     """
-    return np.clip(np.sqrt(scaled_sq_norm(deltas, a, b)), lower, upper)
+    r = np.sqrt(scaled_sq_norm(deltas, a, b, out=out, inverse=inverse), out=out)
+    return np.minimum(np.maximum(r, lower, out=out), upper, out=out)
 
 
 def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
@@ -399,20 +409,24 @@ def norm_clamp(deltas, limit: float):
     return out
 
 
-def unit_pair(c, s):
+def unit_pair(c, s, out=None):
     """(c, s) / hypot(c, s), stacked as (2, ...): (cos, sin) of arctan2(s, c), no angle taken.
 
     This is the radial_clamp target at a = b = lower = upper = 1, the
     nearest point of the unit circle.  The origin maps to (1, 0), the
-    convention of arctan2(0, 0) = 0.
+    convention of arctan2(0, 0) = 0.  Written into out, a (2, ...) array
+    that shares no memory with c or s, when given.
     """
-    r = np.hypot(c, s)
-    out = np.array([c, s], dtype=float)
+    if out is None:
+        out = np.empty((2, *np.broadcast_shapes(np.shape(c), np.shape(s))))
+    cos, sin = out[0, ...], out[1, ...]
+    r = np.hypot(c, s, out=cos)  # the cos row holds the radius until it is divided
     centre = r == 0.0
     with np.errstate(invalid="ignore"):
-        out /= r
+        np.divide(s, r, out=sin)
+        np.divide(c, r, out=cos)
     if centre.any():
-        out[0][centre], out[1][centre] = 1.0, 0.0
+        cos[centre], sin[centre] = 1.0, 0.0
     return out
 
 

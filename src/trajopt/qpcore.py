@@ -15,7 +15,8 @@ saddle inverse are then formed once,
     xi = M q + C b,    nu = -C' q - Pb'Q C b,
 
 with M = -N (N'QN)^-1 N' and C = (I + M Q) Pb, so every solve is a few
-GEMMs on the stacked right-hand sides.  Solving in null(A) keeps the
+GEMMs on the stacked right-hand sides.  solve_primal forms xi alone, two
+GEMMs; solve_batch adds nu.  Solving in null(A) keeps the
 factored matrix at the scale of Q: a penalty term rho * F'F grows the
 reduced Hessian's condition number, not the one of the whole saddle, where
 it is set against the unit rows of A.
@@ -31,7 +32,8 @@ A, differs from the last factored one.  The single and batch solvers keep
 their caches in their states, so a warm start on equal matrices reuses the
 factor and one on other matrices refactors.
 
-KKTFactor is immutable after construction; solve/solve_batch are reentrant.
+KKTFactor is immutable after construction; solve, solve_batch and
+solve_primal are reentrant.
 """
 
 from __future__ import annotations
@@ -195,13 +197,13 @@ def solve(factor: KKTFactor, q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
     return xis[..., 0, :], nus[..., 0, :]
 
 
-def solve_batch(factor: KKTFactor, rhs: BatchRHS) -> tuple[np.ndarray, np.ndarray]:
-    """Solve all batch instances in one shot.
+def solve_primal(factor: KKTFactor, rhs: BatchRHS) -> np.ndarray:
+    """The primal part of solve_batch: xis = qs @ q_map + bs @ b_map, no duals.
 
-    The stacked right-hand sides go through the cached maps as GEMMs; row i
-    matches solve(factor, qs[i], bs[i]).  Returns (xis, nus) with shapes
-    (N_b, n_v) and (N_b, n_eq), with the block axis first for a stacked
-    factor.
+    The one apply of a cached factor: the xis of solve_batch bit for bit,
+    row i matching solve(factor, qs[i], bs[i])'s xi.  The solvers read no
+    multiplier of the equality rows and call this.  Returns (N_b, n_v), with
+    the block axis first for a stacked factor.
     """
     if rhs.qs.shape[-1] != factor.n_v:
         raise ValueError(f"qs have length {rhs.qs.shape[-1]}, expected {factor.n_v}")
@@ -209,6 +211,17 @@ def solve_batch(factor: KKTFactor, rhs: BatchRHS) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"bs have length {rhs.bs.shape[-1]}, expected {factor.n_eq}")
     if rhs.qs.shape[:-2] != factor.q_map.shape[:-2]:
         raise ValueError(f"right-hand sides stacked as {rhs.qs.shape[:-2]}, factor as {factor.q_map.shape[:-2]}")
-    xis = rhs.qs @ factor.q_map + rhs.bs @ factor.b_map
+    return rhs.qs @ factor.q_map + rhs.bs @ factor.b_map
+
+
+def solve_batch(factor: KKTFactor, rhs: BatchRHS) -> tuple[np.ndarray, np.ndarray]:
+    """Solve all batch instances in one shot: solve_primal and the duals.
+
+    The stacked right-hand sides go through the cached maps as GEMMs; row i
+    matches solve(factor, qs[i], bs[i]).  Returns (xis, nus) with shapes
+    (N_b, n_v) and (N_b, n_eq), with the block axis first for a stacked
+    factor.
+    """
+    xis = solve_primal(factor, rhs)
     nus = rhs.bs @ factor.dual_map - rhs.qs @ np.swapaxes(factor.b_map, -1, -2)
     return xis, nus

@@ -298,17 +298,24 @@ def init_state(
 def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Reject a warm state whose arrays do not fit this problem.
 
-    Its factor caches are left as they are: the first iteration refactors
-    the saddles of this problem that differ from the ones they hold.
+    Every array must have this problem's shape, and those the solve reads
+    (all but the residual max and norm of the last pass, which the first
+    iteration overwrites), and rho, must be finite (rho positive).  Its
+    factor caches are left as they are: the first iteration refactors the
+    saddles of this problem that differ from the ones they hold.
     """
     n_b, m, n_p = state.xi.shape[0], struct.m, problem.basis.n_p
     shapes = {"xi": (n_b, 4 * m), "xi_psi": (n_b, m), "psi": (n_b, n_p), "lam": (n_b, 4 * m), "lam_psi": (n_b, m),
-              "target_products": (n_b, 4 * m), "residual_max": (n_b,), "residual_norm": (n_b,),
-              "centres": struct.obstacles.centres.shape, "offsets": struct.r.shape}
-    for name, shape in shapes.items():
+              "target_products": (n_b, 4 * m), "centres": struct.obstacles.centres.shape, "offsets": struct.r.shape}
+    for name, shape in {**shapes, "residual_max": (n_b,), "residual_norm": (n_b,)}.items():
         got = np.shape(getattr(state, name))
         if got != shape:
             raise ValueError(f"warm state {name} has shape {got}, expected {shape} for this problem")
+    for name in shapes:
+        if not np.isfinite(getattr(state, name)).all():
+            raise ValueError(f"warm state {name} is not finite")
+    if not (np.isfinite(state.rho) and state.rho > 0):
+        raise ValueError(f"warm state rho must be positive and finite, got {state.rho}")
 
 
 def _recentre(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
@@ -330,7 +337,7 @@ def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) 
     factor = state.xi_factors.get(struct.Q, struct.FtF, struct.A, state.rho)
     q_lin = struct.q[None, :] - state.lam - state.rho * state.target_products
     bs = np.tile(struct.b, (state.xi.shape[0], 1))
-    state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+    state.xi = qpcore.solve_primal(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
 
 
 def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, placed: tuple) -> None:
@@ -342,7 +349,7 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, p
     targets = raw + 2.0 * np.pi * np.round((state.psi - raw) / (2.0 * np.pi))
     q_lin = -state.lam_psi - state.rho * (targets @ basis.P)
     bs = np.tile(struct.b_psi, (state.xi.shape[0], 1))
-    state.xi_psi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+    state.xi_psi = qpcore.solve_primal(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
     state.psi = state.xi_psi @ basis.P.T
     state._psi_targets = targets
 

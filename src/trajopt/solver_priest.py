@@ -307,7 +307,7 @@ def project(
         # e @ F = xi @ F'F - residual @ F
         e_f = (xi_bar.reshape(n * dim, m) @ setup.FtF).reshape(n, dim * m) - res_f
         q_lin = -(samples + lam + rho * e_f)
-        xi_bar, _ = qpcore.solve_batch(setup.factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+        xi_bar = qpcore.solve_primal(setup.factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
         pva = setup.pva_samples(xi_bar)
         obstacle, families, sq = _residuals(setup, pva, rows)
         if residual_history is not None:

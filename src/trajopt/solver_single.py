@@ -32,9 +32,19 @@ concatenation.
 
 What the sweep reads from the problem is built once per solve in a
 _SingleStructure: the cost blocks Q and q, the boundary rows A and values,
-P'P, and the centres and semi-axes of the problem's Obstacles.  Each sweep
-evaluates the positions and their obstacle offsets once, right after the
-position step; the copy, d and residual steps all read those offsets.
+P'P, and the centres, semi-axes and inverse semi-axes of the problem's
+Obstacles.  Each sweep evaluates the positions and their obstacle offsets
+once, right after the position step; the copy, d and residual steps all
+read those offsets.
+
+A sweep writes in place: the copies, unit pairs, scales d, residuals and
+both multiplier blocks are the state's own arrays, and the position
+targets, offsets and other intermediates go to a workspace the structure
+allocates once per solve.  Each in-place step keeps the arithmetic of the
+expression it replaces, operation for operation, and the position step
+applies the cached factor primal-only (qpcore.solve_primal).  A warm state
+is checked before the first sweep: shapes, finite values and a writeable
+float64 array for everything a sweep writes.
 
 The KKT matrix of the position step is Q + rho * n_o * P'P; its size does
 not depend on the obstacle count.  The state holds a qpcore.FactorCache for
@@ -46,6 +56,7 @@ sweep.  Works in 2-D (planar ellipses, no beta block) and 3-D.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -163,12 +174,20 @@ class _SingleStructure:
         self.bs = np.stack([bc.values() for bc in problem.boundary])  # (dim, 6)
         obstacles = problem.obstacles  # centres (dim, n_o, n_p), and the semi-axes as (n_o, 1) columns
         self.centres, self.a, self.b = obstacles.centres, obstacles.a[:, None], obstacles.b[:, None]
+        # their inverses, as los_scale would form them on every call
+        self.inv_a, self.inv_b = 1.0 / self.a, 1.0 / self.b
         # semi-axis of each polar row x, y[, z], (dim, n_o, 1)
         self.semi = np.stack((self.a, self.a, self.b) if problem.dim == 3 else (self.a, self.b))
+        # the sweep's workspace, (dim, n_o, n_p) each: the polar row
+        # coefficients at the unit pairs, the offsets, the offsets pulled by
+        # the multipliers and one block for intermediates; and rho times the residuals
+        rows = self.centres.shape
+        self.coefs, self.deltas, self.pulled, self.work = (np.empty(rows) for _ in range(4))
+        self.scaled = np.empty((problem.dim + 2 * (problem.dim - 1), *rows[1:]))
 
-    def offsets(self, xi: np.ndarray) -> np.ndarray:
-        """Robot-to-obstacle offsets per axis, (dim, n_o, n_p)."""
-        return (self.P @ xi.T).T[:, None, :] - self.centres
+    def offsets(self, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Robot-to-obstacle offsets per axis, (dim, n_o, n_p), written into out when given."""
+        return np.subtract((self.P @ xi.T).T[:, None, :], self.centres, out=out)
 
 
 def _pairs(stack: np.ndarray) -> np.ndarray:
@@ -176,11 +195,18 @@ def _pairs(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack) // 2, 2, *stack.shape[1:])
 
 
-def _check_state(state: SingleState, problem: SingleProblem) -> None:
-    """Reject a warm state whose arrays do not fit this problem.
+# the state arrays a sweep writes in place
+_IN_PLACE = ("d", "unit", "copies", "lam_pos", "lam_copies", "residuals")
 
-    Its factor cache is left as it is: the first sweep refactors when this
-    problem's saddle differs from the one it holds.
+
+def _check_state(state: SingleState, problem: SingleProblem) -> None:
+    """Reject a warm state that does not fit this problem or cannot be swept.
+
+    Every array must have this problem's shape; those the solve reads, and
+    rho, must be finite (rho positive); and those a sweep writes in place
+    must be writeable float64 arrays that share no memory.  Its factor
+    cache is left as it is: the first sweep refactors when this problem's
+    saddle differs from the one it holds.
     """
     dim, n_o, n_p = problem.dim, problem.n_o, problem.basis.n_p
     k = 2 * (dim - 1)  # the beta pair exists in 3-D only
@@ -191,6 +217,21 @@ def _check_state(state: SingleState, problem: SingleProblem) -> None:
         got = np.shape(getattr(state, name))
         if got != shape:
             raise ValueError(f"warm state {name} has shape {got}, expected {shape} for this {dim}-D problem")
+    written = [getattr(state, name) for name in _IN_PLACE]
+    for name, value in zip(_IN_PLACE, written):
+        if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+            raise ValueError(f"warm state {name} must be a float64 array")
+        if not value.flags.writeable:
+            raise ValueError(f"warm state {name} is read-only; a sweep writes it in place")
+    for i, j in itertools.combinations(range(len(written)), 2):
+        if np.may_share_memory(written[i], written[j]):
+            raise ValueError(f"warm state {_IN_PLACE[i]} and {_IN_PLACE[j]} share memory; a sweep writes both in place")
+    # the residual block is only written; xi is read when no sweep runs (max_iter = 0)
+    for name in ("xi", *_IN_PLACE[:-1]):
+        if not np.isfinite(getattr(state, name)).all():
+            raise ValueError(f"warm state {name} is not finite")
+    if not (math.isfinite(state.rho) and state.rho > 0):
+        raise ValueError(f"warm state rho must be positive and finite, got {state.rho}")
 
 
 def init_state(
@@ -228,8 +269,8 @@ def init_state(
     )
 
 
-def _row_coefs(struct: _SingleStructure, d: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """What multiplies each polar row's trig factor, (dim, n_o, n_p).
+def _row_coefs(struct: _SingleStructure, d: np.ndarray, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """What multiplies each polar row's trig factor, (dim, n_o, n_p), written into out when given.
 
     x = a d sin(beta) cos(alpha), y = a d sin(beta) sin(alpha) and
     z = b d cos(beta), so the rows take the semi-axes times d sin(beta),
@@ -237,8 +278,13 @@ def _row_coefs(struct: _SingleStructure, d: np.ndarray, stack: np.ndarray) -> np
     and y takes the semi-axis b.  The polar points are these times stack[:dim].
     """
     if struct.dim == 2:
-        return struct.semi * d
-    return np.concatenate((struct.semi[:2] * (d * stack[3]), struct.semi[2:] * d))
+        return np.multiply(struct.semi, d, out=out)
+    if out is None:
+        out = np.empty((3, *d.shape))
+    np.multiply(d, stack[3], out=out[2])
+    np.multiply(struct.semi[:2], out[2], out=out[:2])
+    np.multiply(struct.semi[2], d, out=out[2])
+    return out
 
 
 def _position_step(state: SingleState, struct: _SingleStructure, coefs: np.ndarray) -> None:
@@ -246,10 +292,15 @@ def _position_step(state: SingleState, struct: _SingleStructure, coefs: np.ndarr
     factor = state.factors.get(struct.Q, struct.PtP, struct.A, state.rho * struct.n_o)
     q_lin = struct.q
     if struct.n_o:
-        targets = struct.centres + coefs * state.unit[: struct.dim]  # (dim, n_o, n_p)
-        lam_sum = state.lam_pos.sum(axis=1)  # (dim, n_p)
-        q_lin = struct.q + lam_sum @ struct.P - state.rho * targets.sum(axis=1) @ struct.P
-    state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
+        # q + lam_sum @ P - rho * targets_sum @ P, the targets centres + coefs * unit
+        targets = np.multiply(coefs, state.unit[: struct.dim], out=struct.work)
+        targets += struct.centres
+        pull = targets.sum(axis=1)  # (dim, n_p)
+        pull *= state.rho
+        q_lin = state.lam_pos.sum(axis=1) @ struct.P
+        q_lin += struct.q
+        q_lin -= pull @ struct.P
+    state.xi = qpcore.solve_primal(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
 
 
 def _copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray, coefs: np.ndarray) -> None:
@@ -261,20 +312,41 @@ def _copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray
     rows; keeping both couplings makes its step the exact block minimizer.
     offsets are struct.offsets of state.xi.
     """
-    dim, rho, copies = struct.dim, state.rho, state.copies
-    pulled = state.lam_pos + rho * offsets
-    copies[:dim] = (rho * state.unit[:dim] - state.lam_copies[:dim] + coefs * pulled) / (rho + rho * coefs**2)
+    dim, rho, copies, work = struct.dim, state.rho, state.copies, struct.work
+    # pulled = lam_pos + rho * offsets
+    pulled = np.multiply(offsets, rho, out=struct.pulled)
+    pulled += state.lam_pos
+    # copies = (rho * unit - lam_copies + coefs * pulled) / (rho + rho * coefs**2)
+    head = np.multiply(state.unit[:dim], rho, out=copies[:dim])
+    head -= state.lam_copies[:dim]
+    head += np.multiply(coefs, pulled, out=work)
+    np.square(coefs, out=work)
+    work *= rho
+    work += rho
+    head /= work
     if dim == 3:
+        # sin(beta) = (rho * unit - lam_copies + coef * (cos_a * pulled_x + sin_a * pulled_y))
+        #             / (rho + rho * coef**2 * (cos_a**2 + sin_a**2)), coef = a * d
         cos_a, sin_a = copies[:2]
-        coef = struct.a * state.d
-        num = rho * state.unit[3] - state.lam_copies[3] + coef * (cos_a * pulled[0] + sin_a * pulled[1])
-        copies[3] = num / (rho + rho * coef**2 * (cos_a**2 + sin_a**2))
+        coef, pull, den = work
+        np.multiply(struct.a, state.d, out=coef)
+        np.multiply(cos_a, pulled[0], out=pull)
+        pull += np.multiply(sin_a, pulled[1], out=den)
+        pull *= coef
+        num = np.multiply(state.unit[3], rho, out=copies[3])
+        num -= state.lam_copies[3]
+        num += pull
+        np.square(coef, out=den)
+        den *= rho
+        den *= np.add(np.square(cos_a, out=coef), np.square(sin_a, out=pull), out=coef)
+        den += rho
+        num /= den
 
 
 def _angle_step(state: SingleState) -> None:
-    """Set every unit pair to the projection of its copy pair onto the unit circle."""
+    """Set every unit pair, in place, to the projection of its copy pair onto the unit circle."""
     copies = state.copies
-    state.unit = unit_pair(copies[0::2], copies[1::2]).swapaxes(0, 1).reshape(copies.shape)
+    unit_pair(copies[0::2], copies[1::2], out=_pairs(state.unit).swapaxes(0, 1))
 
 
 def equality_residuals(
@@ -297,7 +369,10 @@ def equality_residuals(
     if out is None:
         out = np.empty((dim + len(state.unit), *state.d.shape))
     offsets = struct.offsets(state.xi) if offsets is None else offsets
-    np.subtract(offsets, _row_coefs(struct, state.d, state.copies) * state.copies[:dim], out=out[:dim])
+    # offsets minus the polar points, the row coefficients at the copies times copies[:dim]
+    points = _row_coefs(struct, state.d, state.copies, out=out[:dim])
+    points *= state.copies[:dim]
+    np.subtract(offsets, points, out=points)
     np.subtract(_pairs(state.copies), _pairs(state.unit), out=_pairs(out[dim:])[::-1])
     return out
 
@@ -319,19 +394,20 @@ def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStru
         struct = _SingleStructure(problem)
         _check_state(state, problem)
     # the position and copy steps both read the polar rows at the unit pairs
-    coefs = _row_coefs(struct, state.d, state.unit)
+    coefs = _row_coefs(struct, state.d, state.unit, out=struct.coefs)
     _position_step(state, struct, coefs)
     if struct.n_o:
-        offsets = struct.offsets(state.xi)
+        offsets = struct.offsets(state.xi, out=struct.deltas)
         _copy_step(state, struct, offsets, coefs)
         _angle_step(state)
-        state.d = los_scale(offsets, struct.a, struct.b)
+        los_scale(offsets, struct.inv_a, struct.inv_b, out=state.d, inverse=True)
         # the multipliers do not enter the residuals, so they stay those of the sweep
         res = equality_residuals(state, problem, offsets, struct, out=state.residuals)
-        state.lam_pos += state.rho * res[: struct.dim]
+        scaled = np.multiply(res, state.rho, out=struct.scaled)
+        state.lam_pos += scaled[: struct.dim]
         # the block holds the beta pair before the alpha pair
         lam_copies = _pairs(state.lam_copies)
-        lam_copies += state.rho * _pairs(res[struct.dim :])[::-1]
+        lam_copies += _pairs(scaled[struct.dim :])[::-1]
     state.iteration += 1
     return state
 
@@ -340,9 +416,10 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
     """Run the AM loop until residual tolerance or max_iter.
 
     Non-convergence is reported through the flag, never raised.  Passing a
-    state warm-starts from a previous solve (receding-horizon use); its
-    shapes must fit the problem, and its cached factor is reused only while
-    the saddle matrix it factors is unchanged.
+    state warm-starts from a previous solve (receding-horizon use); it must
+    fit the problem (_check_state raises ValueError before the first sweep
+    otherwise), the sweeps write its arrays in place, and its cached factor
+    is reused only while the saddle matrix it factors is unchanged.
     """
     params = params or SingleParams()
     struct = _SingleStructure(problem)

@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajopt import qpcore
-from trajopt.qpcore import BatchRHS, FactorCache, FactorizationError, factorization_count, factorize, solve, solve_batch
+from trajopt.qpcore import (
+    BatchRHS,
+    FactorCache,
+    FactorizationError,
+    factorization_count,
+    factorize,
+    solve,
+    solve_batch,
+    solve_primal,
+)
 
 
 def _random_instance(rng, n_v, n_eq):
@@ -201,6 +210,28 @@ class TestSolveBatch:
         f = factorize(Q, A)
         with pytest.raises(ValueError):
             solve_batch(f, BatchRHS(qs=np.zeros((3, 4)), bs=np.zeros((3, 2))))
+
+
+class TestSolvePrimal:
+    @pytest.mark.parametrize("blocks", [(), (3,)])
+    def test_equals_solve_batch_xis_bit_for_bit(self, blocks):
+        # the solvers' apply drops the duals and nothing else
+        rng = np.random.default_rng(11)
+        Q = _graded_hessians(rng, 3, 10, 3.0)
+        A = rng.normal(size=(4, 10))
+        f = factorize(Q if blocks else Q[0], A)
+        rhs = BatchRHS(qs=rng.normal(size=(*blocks, 6, 10)), bs=rng.normal(size=(*blocks, 6, 4)))
+        xis = solve_primal(f, rhs)
+        assert xis.shape == (*blocks, 6, 10)
+        np.testing.assert_array_equal(xis, solve_batch(f, rhs)[0])
+        np.testing.assert_array_equal(xis, rhs.qs @ f.q_map + rhs.bs @ f.b_map)
+
+    def test_dimension_mismatch(self):
+        f = factorize(np.eye(5), np.eye(2, 5))
+        for qs, bs in ((np.zeros((3, 4)), np.zeros((3, 2))), (np.zeros((3, 5)), np.zeros((3, 1))),
+                       (np.zeros((2, 3, 5)), np.zeros((2, 3, 2)))):
+            with pytest.raises(ValueError):
+                solve_primal(f, BatchRHS(qs=qs, bs=bs))
 
 
 def _graded_hessians(rng, k, n_v, decades):

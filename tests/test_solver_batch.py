@@ -970,7 +970,7 @@ def _assert_rejected_untouched(state, prob, match):
         if isinstance(value, np.ndarray):
             np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
         elif name not in ("xi_factors", "psi_factors"):
-            assert getattr(state, name) == value, name
+            np.testing.assert_equal(getattr(state, name), value, err_msg=name)  # NaN rho included
 
 
 class TestWarmState:
@@ -1000,6 +1000,35 @@ class TestWarmState:
 
         state = self._solved_state(problem(60))
         _assert_rejected_untouched(state, problem(50), "warm state psi")
+
+    @pytest.mark.parametrize("name", ["xi", "xi_psi", "psi", "lam", "lam_psi", "target_products", "centres"])
+    def test_non_finite_array_rejected_before_iterating(self, name):
+        # a NaN multiplier used to turn its member NaN partway through the solve
+        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
+        state = self._solved_state(prob)
+        value = np.array(getattr(state, name))
+        value.flat[3] = np.nan
+        setattr(state, name, value)
+        _assert_rejected_untouched(state, prob, f"warm state {name} is not finite")
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_penalty_rejected_before_iterating(self, rho):
+        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
+        state = self._solved_state(prob)
+        state.rho = rho
+        _assert_rejected_untouched(state, prob, "warm state rho")
+
+    def test_non_finite_residual_report_accepted(self):
+        # the last pass's residual max and norm are overwritten, never read
+        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
+        state = self._solved_state(prob)
+        clean = copy.deepcopy(state)
+        state.residual_max = np.full_like(state.residual_max, np.nan)
+        state.residual_norm = np.full_like(state.residual_norm, np.inf)
+        warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
+        expected = solve_batch_opt(prob, BatchParams(max_iter=3), state=clean)
+        np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
+        np.testing.assert_array_equal(warm.residual_norm, expected.residual_norm)
 
     def test_basis_mismatch_rejected(self):
         state = self._solved_state(make_problem())

@@ -811,6 +811,24 @@ class TestOnePassPerSweep:
         }
 
 
+class TestInPlaceSweep:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sweeps_write_the_state_arrays_in_place(self, dim):
+        # no step hands the state a new array: a per-sweep temporary
+        # taking the place of one of these would fail here
+        prob = _mixed_problem(dim)
+        struct = _SingleStructure(prob)
+        state = init_state(prob, struct=struct)
+        names = ("d", "unit", "copies", "lam_pos", "lam_copies", "residuals")
+        arrays = {name: getattr(state, name) for name in names}
+        before = {name: value.copy() for name, value in arrays.items()}
+        for _ in range(3):
+            am_iteration(state, prob, struct)
+        for name, value in arrays.items():
+            assert getattr(state, name) is value, name
+            assert not np.array_equal(value, before[name]), name
+
+
 class TestAngleStep:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_copy_pair_at_origin_projects_to_unit_x(self, dim):
@@ -877,6 +895,59 @@ class TestWarmState:
         state = self._solved_state(prob)
         state.copies = state.copies[:2]
         self._assert_rejected_untouched(prob, state, r"warm state copies has shape \(2, 1, 50\), expected \(4, 1, 50\)")
+
+    def _obstacle_problem_3d(self):
+        return make_problem_3d(obstacles=[_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)])
+
+    @pytest.mark.parametrize("name", ["xi", "d", "unit", "copies", "lam_pos", "lam_copies"])
+    def test_non_finite_array_rejected(self, name):
+        # a NaN multiplier used to be swept in and come back as NaN
+        # coefficients, reported unconverged
+        prob = self._obstacle_problem_3d()
+        state = self._solved_state(prob)
+        value = getattr(state, name).copy()
+        value.flat[7] = np.nan
+        setattr(state, name, value)
+        self._assert_rejected_untouched(prob, state, f"warm state {name} is not finite")
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_penalty_rejected(self, rho):
+        prob = self._obstacle_problem_3d()
+        state = self._solved_state(prob)
+        state.rho = rho
+        self._assert_rejected_untouched(prob, state, "warm state rho")
+
+    def test_non_finite_residual_block_accepted(self):
+        # the residual block is only written by a sweep, never read
+        prob = self._obstacle_problem_3d()
+        state = self._solved_state(prob)
+        clean = copy.deepcopy(state)
+        state.residuals[...] = np.nan
+        warm = solve_single(prob, SingleParams(max_iter=3), state=state)
+        expected = solve_single(prob, SingleParams(max_iter=3), state=clean)
+        np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
+        np.testing.assert_array_equal(warm.state.residuals, expected.state.residuals)
+
+    @pytest.mark.parametrize("name", ["d", "unit", "copies", "lam_pos", "lam_copies", "residuals"])
+    def test_read_only_array_rejected(self, name):
+        # a sweep writes these in place; a read-only one used to fail
+        # partway through the first sweep, or not at all
+        prob = self._obstacle_problem_3d()
+        state = self._solved_state(prob)
+        getattr(state, name).setflags(write=False)
+        self._assert_rejected_untouched(prob, state, f"warm state {name} is read-only")
+
+    def test_array_of_another_dtype_rejected(self):
+        prob = self._obstacle_problem_3d()
+        state = self._solved_state(prob)
+        state.unit = state.unit.astype(np.float32)
+        self._assert_rejected_untouched(prob, state, "warm state unit must be a float64 array")
+
+    def test_arrays_sharing_memory_rejected(self):
+        prob = self._obstacle_problem_3d()
+        state = self._solved_state(prob)
+        state.copies = state.unit
+        self._assert_rejected_untouched(prob, state, "warm state unit and copies share memory")
 
     @pytest.mark.parametrize("change", ["horizon", "w_smooth"])
     def test_changed_saddle_matrix_is_refactored(self, change):

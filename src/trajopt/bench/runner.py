@@ -190,8 +190,6 @@ def _plan(solver: str, problem, max_iter: int, seed: int, state=None):
     Returns (trajectory, residual_norm, iterations, state, wall_ms).  A batch
     run returns its best feasible member, else its least-residual one.
     """
-    if state is not None:
-        state.iteration = 0
     if solver == "single":
         params = solver_single.SingleParams(max_iter=max_iter)
         sol, wall_ms = _timed(solver_single.solve_single, problem, params, state=state)

@@ -36,6 +36,8 @@ The kernel, the only place this math is written:
 - stalled: the windowed stall test behind every penalty schedule;
 - check_schedule: the parameter checks of the geometric penalty schedule
   that the single and batch solvers share;
+- check_count: the check of one integer count (iterations, windows, batch
+  sizes, seeds) that every params class and the batch problem share;
 - check_gaussian: the checks of a sampling mean and covariance that the
   batch and priest/CEM solvers share;
 - draw_gaussian: the one draw from such a distribution.
@@ -52,6 +54,7 @@ clamp's residual to be zero.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +66,7 @@ __all__ = [
     "Obstacles",
     "angle2d",
     "angles3d",
+    "check_count",
     "check_gaussian",
     "check_obstacles",
     "check_schedule",
@@ -505,13 +509,23 @@ def check_schedule(params):
         raise ValueError(f"rho_cap {params.rho_cap} is below rho_start {params.rho_start}")
     if not (np.isfinite(params.rho_growth) and params.rho_growth >= 1):
         raise ValueError(f"rho_growth must be finite and at least 1, got {params.rho_growth}")
-    if params.max_iter < 0:
-        raise ValueError(f"max_iter must be non-negative, got {params.max_iter}")
-    if params.stall_window < 1:
-        raise ValueError(f"stall_window must be at least 1, got {params.stall_window}")
+    check_count(params, 0, "max_iter")
+    check_count(params, 1, "stall_window")
     for name in ("tol", "stall_improvement"):
         if np.isnan(getattr(params, name)):
             raise ValueError(f"{name} must not be NaN")
+
+
+def check_count(owner, lower, *names):
+    """Reject each named count of owner unless it is an integer of at least lower; a float, even a whole one, is not."""
+    for name in names:
+        value = getattr(owner, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if value < lower:
+            raise ValueError(f"{name} must be at least {lower}, got {value}")
 
 
 def check_gaussian(mean: np.ndarray, covariance: np.ndarray) -> None:

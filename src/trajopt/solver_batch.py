@@ -53,10 +53,10 @@ and applied to the whole batch in one shot; the state keeps it, and the
 heading block's Q_psi + rho P'P, in a qpcore.FactorCache each.  From
 the same pass the multiplier step reads residual @ F, the next xi step
 g @ F = xi F'F - residual @ F, and the ranking each member's residual max
-and norm.  The obstacle centres enter g @ F linearly, so a warm start on
-moved obstacles adds the products of the centre displacement once.  The
-heading block is fit to arctan2(sin-copy, cos-copy) targets (a convex
-surrogate).
+and norm.  A warm start takes that pass at its own iterate on the new
+problem, as init_state does at the samples, so nothing of the last
+problem's targets is carried over.  The heading block is fit to
+arctan2(sin-copy, cos-copy) targets (a convex surrogate).
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleRows, Obstacles, check_gaussian, check_obstacles, check_schedule, draw_gaussian, norm_clamp, stalled
+from .geometry import (ObstacleRows, Obstacles, check_count, check_gaussian, check_obstacles, check_schedule, draw_gaussian,
+                       norm_clamp, stalled)
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,7 @@ class BatchProblem:
         for name, limit in (("v_max", self.v_max), ("a_max", self.a_max)):
             if not (np.isfinite(limit) and limit > 0):
                 raise ValueError(f"{name} must be positive and finite, got {limit}")
-        if self.n_batch < 1:
-            raise ValueError("batch size must be at least 1")
+        check_count(self, 1, "n_batch")
         if self.desired.shape != (n_p, 2) or not np.all(np.isfinite(self.desired)):
             raise ValueError("desired trajectory must be finite and (n_p, 2)")
         values = np.concatenate([bc.values() for bc in self.boundary] + [np.asarray(self.psi_boundary, dtype=float)])
@@ -142,22 +142,19 @@ class BatchParams:
 class BatchState:
     xi: np.ndarray  # (N_b, 4m): [xi_x | xi_c | xi_y | xi_s]
     xi_psi: np.ndarray  # (N_b, m)
-    psi: np.ndarray  # (N_b, n_p) samples of the current heading fit
-    # the last residual pass: g @ F and the per-member max and norm of F xi - g
-    target_products: np.ndarray  # (N_b, 4m)
-    residual_max: np.ndarray  # (N_b,)
-    residual_norm: np.ndarray  # (N_b,)
-    # the layout target_products were formed on
-    centres: np.ndarray  # (2, n_o, n_p) obstacle centres
-    offsets: np.ndarray  # (n_c,) footprint circle offsets
     lam: np.ndarray  # (N_b, 4m)
     lam_psi: np.ndarray  # (N_b, m)
     rho: float  # the penalty of the xi and heading steps
+    # set by the residual pass at the iterate, which every solve takes first: heading
+    # samples (N_b, n_p), g @ F (N_b, 4m), per-member max and norm of F xi - g (N_b,)
+    psi: np.ndarray | None = None
+    target_products: np.ndarray | None = None
+    residual_max: np.ndarray | None = None
+    residual_norm: np.ndarray | None = None
     iteration: int = 0
     # the KKT factors of the xi and heading steps
     xi_factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
     psi_factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
-    _psi_targets: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -282,54 +279,40 @@ def init_state(
     psi_des = np.unwrap(np.arctan2(path_dir[:, 1], path_dir[:, 0]))
     xi_psi_one, *_ = np.linalg.lstsq(basis.P, psi_des, rcond=None)
     xi_psi = np.tile(xi_psi_one, (n_b, 1))
-    psi = xi_psi @ basis.P.T
 
     xi_c_one, *_ = np.linalg.lstsq(basis.P, np.cos(psi_des), rcond=None)
     xi_s_one, *_ = np.linalg.lstsq(basis.P, np.sin(psi_des), rcond=None)
     xi = np.hstack([samples[:, :m], np.tile(xi_c_one, (n_b, 1)), samples[:, m:], np.tile(xi_s_one, (n_b, 1))])
 
-    # the products and residuals are set by polar_step below
-    state = BatchState(xi, xi_psi, psi, None, None, None, struct.obstacles.centres, struct.r, lam=np.zeros((n_b, 4 * m)),
-                       lam_psi=np.zeros((n_b, m)), rho=params.rho_start)
-    polar_step(state, problem, struct, _placed(state.xi, basis, m))
+    state = BatchState(xi, xi_psi, lam=np.zeros((n_b, 4 * m)), lam_psi=np.zeros((n_b, m)), rho=params.rho_start)
+    return _first_pass(state, problem, struct)
+
+
+def _first_pass(state: BatchState, problem: BatchProblem, struct: _Structure) -> BatchState:
+    """Set the heading samples of xi_psi and take the residual pass at the state's iterate on this problem."""
+    state.psi = state.xi_psi @ problem.basis.P.T
+    polar_step(state, problem, struct, _placed(state.xi, problem.basis, struct.m))
     return state
 
 
-def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
-    """Reject a warm state whose arrays do not fit this problem.
+def _check_state(state: BatchState, struct: _Structure) -> None:
+    """Reject a warm state whose coefficients, multipliers or rho do not fit this problem.
 
-    Every array must have this problem's shape, and those the solve reads
-    (all but the residual max and norm of the last pass, which the first
-    iteration overwrites), and rho, must be finite (rho positive).  Its
-    factor caches are left as they are: the first iteration refactors the
-    saddles of this problem that differ from the ones they hold.
+    Those arrays must have this problem's shapes and be finite, and rho be
+    positive and finite; the first pass retakes the rest.  The factor caches
+    are left as they are: the first iteration refactors the saddles of this
+    problem that differ from the ones they hold.
     """
-    n_b, m, n_p = state.xi.shape[0], struct.m, problem.basis.n_p
-    shapes = {"xi": (n_b, 4 * m), "xi_psi": (n_b, m), "psi": (n_b, n_p), "lam": (n_b, 4 * m), "lam_psi": (n_b, m),
-              "target_products": (n_b, 4 * m), "centres": struct.obstacles.centres.shape, "offsets": struct.r.shape}
-    for name, shape in {**shapes, "residual_max": (n_b,), "residual_norm": (n_b,)}.items():
-        got = np.shape(getattr(state, name))
-        if got != shape:
-            raise ValueError(f"warm state {name} has shape {got}, expected {shape} for this problem")
-    for name in shapes:
-        if not np.isfinite(getattr(state, name)).all():
+    n_b, m = state.xi.shape[0], struct.m
+    shapes = {"xi": (n_b, 4 * m), "xi_psi": (n_b, m), "lam": (n_b, 4 * m), "lam_psi": (n_b, m)}
+    for name, shape in shapes.items():
+        value = getattr(state, name)
+        if np.shape(value) != shape:
+            raise ValueError(f"warm state {name} has shape {np.shape(value)}, expected {shape} for this problem")
+        if not np.isfinite(value).all():
             raise ValueError(f"warm state {name} is not finite")
     if not (np.isfinite(state.rho) and state.rho > 0):
         raise ValueError(f"warm state rho must be positive and finite, got {state.rho}")
-
-
-def _recentre(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
-    """Move a warm state's collision targets, relative to the centres, onto this problem's centres."""
-
-    def centre_products(offsets, centres):  # every circle's collision rows target the centre
-        # summed pairwise over a contiguous obstacle axis, (n_p, 2, n_o): the order warm outputs are recorded in
-        x, y = np.ascontiguousarray(centres.transpose(2, 0, 1)).sum(axis=2).T @ problem.basis.P
-        return np.concatenate([offsets.size * x, offsets.sum() * x, offsets.size * y, offsets.sum() * y])
-
-    centres = struct.obstacles.centres
-    shift = centre_products(struct.r, centres) - centre_products(state.offsets, state.centres)
-    state.target_products = state.target_products + shift
-    state.centres, state.offsets = centres, struct.r
 
 
 def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
@@ -341,7 +324,10 @@ def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) 
 
 
 def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, placed: tuple) -> None:
-    """Fit the heading block to unwrapped arctan2 targets from the copies placed = (P xi_c, P xi_s)."""
+    """Fit the heading block to unwrapped arctan2 targets from the copies placed = (P xi_c, P xi_s).
+
+    The heading multipliers then ascend on the fit's miss of those targets.
+    """
     factor = state.psi_factors.get(struct.Q_psi_smooth, struct.PtP, struct.A_psi, state.rho)
     basis = problem.basis
     raw = np.arctan2(placed[1], placed[0])
@@ -351,7 +337,7 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, p
     bs = np.tile(struct.b_psi, (state.xi.shape[0], 1))
     state.xi_psi = qpcore.solve_primal(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
     state.psi = state.xi_psi @ basis.P.T
-    state._psi_targets = targets
+    state.lam_psi = state.lam_psi - state.rho * ((state.psi - targets) @ basis.P)
 
 
 def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure, placed: tuple) -> np.ndarray:
@@ -397,7 +383,6 @@ def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure
     placed = _placed(state.xi, problem.basis, struct.m)  # shared by the heading step and the residual pass
     heading_step(state, problem, struct, placed)
     state.lam = state.lam - state.rho * polar_step(state, problem, struct, placed)
-    state.lam_psi = state.lam_psi - state.rho * ((state.psi - state._psi_targets) @ problem.basis.P)
     state.iteration += 1
     return state
 
@@ -451,8 +436,10 @@ def solve_batch_opt(
     Members are initialized from explicit coefficient samples, or drawn from
     N(mean, covariance) (defaults: straight-line mean, diagonal covariance
     scaled to the start-goal distance).  Passing state warm-starts; its
-    shapes must fit the problem, and its cached factors are reused only
-    while the saddle matrices they factor are unchanged.
+    coefficients and multipliers must fit the problem, its first residual
+    pass is taken on this problem, and its cached factors are reused only
+    while the saddle matrices they factor are unchanged.  iterations counts
+    the sweeps of this call.
     """
     params = params or BatchParams()
     struct = _Structure(problem)
@@ -469,11 +456,11 @@ def solve_batch_opt(
             samples = sample_initializations(mean, covariance, problem.n_batch, seed)
         state = init_state(problem, samples, params, struct)
     else:
-        _check_state(state, problem, struct)
-        _recentre(state, problem, struct)
+        _check_state(state, struct)
+        _first_pass(state, problem, struct)
 
     best_history = []
-    last_change = 0
+    start = last_change = state.iteration
     maxabs_hist: list[float] = []
     for _ in range(params.max_iter):
         batch_iteration(state, problem, struct)
@@ -502,5 +489,5 @@ def solve_batch_opt(
     return RankedSolutions(
         trajectories=trajectories, costs=costs, aug_costs=aug_costs, residual_max=residual_max,
         residual_norm=residual_norm, feasible=feasible, best_index=best_index, best_history=best_history,
-        iterations=state.iteration, n_factorizations=state.xi_factors.count + state.psi_factors.count, state=state,
+        iterations=state.iteration - start, n_factorizations=state.xi_factors.count + state.psi_factors.count, state=state,
     )

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import EllipsoidShape, radial_target, stalled
+from .geometry import EllipsoidShape, check_count, radial_target, stalled
 
 
 def _positive_finite(value) -> bool:
@@ -118,12 +118,8 @@ class JointParams:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.rho_final < self.rho_start:
             raise ValueError(f"rho_final {self.rho_final} is below rho_start {self.rho_start}")
-        if self.rho_levels < 1:
-            raise ValueError(f"rho_levels must be at least 1, got {self.rho_levels}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
-        if self.stall_window < 1:
-            raise ValueError(f"stall_window must be at least 1, got {self.stall_window}")
+        check_count(self, 1, "rho_levels", "stall_window")
+        check_count(self, 0, "max_iter")
         for name in ("inflation_factor", "typical_residual"):
             if not _non_negative_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")

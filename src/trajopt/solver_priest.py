@@ -60,7 +60,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import ObstacleRows, Obstacles, check_gaussian, check_obstacles, draw_gaussian, norm_clamp
+from .geometry import ObstacleRows, Obstacles, check_count, check_gaussian, check_obstacles, draw_gaussian, norm_clamp
 
 _SPEED_EPS = 1e-6
 
@@ -78,9 +78,9 @@ class PriestParams:
     seed: int | None = 0
 
     def __post_init__(self):
-        for name in ("n_outer", "n_inner", "n_elite"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_count(self, 1, "n_outer", "n_batch", "n_constraint_elite", "n_elite", "n_inner")
+        if self.seed is not None:
+            check_count(self, 0, "seed")
         if not (self.n_elite <= self.n_constraint_elite <= self.n_batch):
             raise ValueError("need n_elite <= n_constraint_elite <= n_batch")
         if not (0.0 < self.sigma <= 1.0):
@@ -100,9 +100,9 @@ class CemParams:
     penalty_weight: float = 1.0
 
     def __post_init__(self):
-        for name in ("iterations", "n_elite"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_count(self, 1, "iterations", "n_batch", "n_elite")
+        if self.seed is not None:
+            check_count(self, 0, "seed")
         if self.n_elite > self.n_batch:
             raise ValueError("need n_elite <= n_batch")
         if not np.isfinite(self.penalty_weight):

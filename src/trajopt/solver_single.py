@@ -420,6 +420,7 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
     fit the problem (_check_state raises ValueError before the first sweep
     otherwise), the sweeps write its arrays in place, and its cached factor
     is reused only while the saddle matrix it factors is unchanged.
+    iterations counts the sweeps of this call.
     """
     params = params or SingleParams()
     struct = _SingleStructure(problem)
@@ -429,7 +430,7 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
         _check_state(state, problem)
     history: list[dict] = []
     max_hist: list[float] = []
-    last_change = 0
+    start = last_change = state.iteration
     converged = False
     for _ in range(params.max_iter):
         am_iteration(state, problem, struct)
@@ -451,7 +452,7 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
     return SingleSolution(
         trajectory=traj,
         converged=converged,
-        iterations=state.iteration,
+        iterations=state.iteration - start,
         residual_norm=norm,
         residual_max=max_abs,
         residual_history=history,

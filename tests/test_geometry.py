@@ -11,6 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 import trajopt
 from trajopt import geometry
+from trajopt.basis import build_basis
+from trajopt.bench import gen_scenario, runner
 from trajopt.geometry import (
     D_CAP,
     EllipsoidShape,
@@ -27,6 +29,10 @@ from trajopt.geometry import (
     stalled,
     unit_pair,
 )
+from trajopt.solver_batch import BatchParams
+from trajopt.solver_multiagent import JointParams
+from trajopt.solver_priest import CemParams, PriestParams
+from trajopt.solver_single import SingleParams
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 
@@ -817,6 +823,54 @@ class TestStalled:
             for threshold in (improvement, np.nextafter(improvement, np.inf)):
                 expected = bool(np.mean(previous) > 0.0 and improvement < threshold)
                 assert stalled(history, window, window, threshold, 0.0) is expected
+
+
+class TestCheckCount:
+    """Every count of the params classes and of the batch problem is an integer, checked when built."""
+
+    # each of these used to build, then raise TypeError partway through the solve
+    @pytest.mark.parametrize(
+        "cls,name,value",
+        [
+            (SingleParams, "max_iter", 5.0),
+            (SingleParams, "stall_window", 2.5),
+            (BatchParams, "max_iter", 5.0),
+            (BatchParams, "stall_window", 2.5),
+            (JointParams, "max_iter", 5.0),
+            (JointParams, "stall_window", 2.5),
+            (JointParams, "rho_levels", 3.0),
+            (PriestParams, "n_outer", 2.0),
+            (PriestParams, "n_batch", 110.5),
+            (PriestParams, "seed", 1.5),
+            (CemParams, "iterations", 2.0),
+            (CemParams, "seed", 1.5),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_non_integer_rejected(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            cls(**{name: value})
+
+    def test_non_integer_batch_size_rejected(self):
+        scenario = gen_scenario("dynamic-flow", seed=0)
+        basis = build_basis(scenario.horizon.t0, scenario.horizon.tf, scenario.horizon.n_p, 10)
+        with pytest.raises(ValueError, match="n_batch must be an integer, got 2.5"):
+            runner.batch_problem_from_scenario(scenario, basis, n_batch=2.5)
+
+    @pytest.mark.parametrize(
+        "cls,name,lower",
+        [(SingleParams, "max_iter", 0), (JointParams, "rho_levels", 1), (PriestParams, "seed", 0), (CemParams, "n_batch", 1)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_below_lower_bound_rejected(self, cls, name, lower):
+        with pytest.raises(ValueError, match=f"{name} must be at least {lower}, got {lower - 1}"):
+            cls(**{name: lower - 1})
+
+    def test_integers_of_any_type_accepted(self):
+        assert SingleParams(max_iter=np.int64(5), stall_window=np.int32(2)).max_iter == 5
+        JointParams(rho_levels=np.uint8(3))
+        PriestParams(seed=None)
+        CemParams(iterations=np.int16(2), seed=np.int64(7))
 
 
 def test_public_names_are_used_by_the_package():

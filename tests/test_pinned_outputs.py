@@ -286,13 +286,13 @@ def test_receding_horizon_batch():
     result = runner.receding_horizon_run(gen_scenario("dynamic-flow", seed=0), solver="batch", n_steps=4, step_budget=15)
     pos = result.executed.pos
     assert len(pos) == 41
-    assert np.linalg.norm(pos) == pytest.approx(11.420294400202266, abs=ATOL)
+    assert np.linalg.norm(pos) == pytest.approx(11.971401325765815, abs=ATOL)
     np.testing.assert_allclose(
         pos[[10, len(pos) // 2, -1]],
         [
             [0.49063604036891917, -0.007237481713350088],
-            [1.583729374067933, -0.03928066212467173],
-            [3.0230104390524253, -0.0662844769530029],
+            [1.6173646718946397, -0.038794703967541096],
+            [3.2230658072434086, -0.058663519343559394],
         ],
         rtol=0,
         atol=ATOL,

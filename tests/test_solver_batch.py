@@ -977,21 +977,35 @@ class TestWarmState:
     def _solved_state(self, prob, iters=3):
         return solve_batch_opt(prob, BatchParams(max_iter=iters), seed=0).state
 
-    def test_obstacle_count_mismatch_rejected_before_iterating(self):
-        # a warm state from a one-obstacle problem must not reach a
-        # three-obstacle problem's iterations through its cached factor
+    def _assert_warm_solve_refactors(self, state, prob, n_refactored):
+        """A warm solve of prob runs its iterations on n_refactored new factors, as from fresh caches."""
+        fresh = copy.deepcopy(state)
+        fresh.xi_factors, fresh.psi_factors = qpcore.FactorCache(), qpcore.FactorCache()
+        n_before = state.xi_factors.count + state.psi_factors.count
+        warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
+        expected = solve_batch_opt(prob, BatchParams(max_iter=3), state=fresh)
+        assert (warm.iterations, warm.n_factorizations) == (3, n_before + n_refactored)
+        assert np.all(np.isfinite(warm.residual_norm))
+        np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
+        np.testing.assert_array_equal(warm.residual_max, expected.residual_max)
+
+    # the first pass of a warm solve is taken on the new problem, so a warm
+    # state carries over to another layout of the same coefficient width
+
+    def test_obstacle_count_change_runs_and_refactors(self):
+        # F'F scales with the obstacle count; the heading saddle does not
         state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)]))
         prob = make_problem(obstacles=[_static_obstacle([5.0, y], 0.5, 0.5) for y in (-2.0, 0.0, 2.0)])
-        _assert_rejected_untouched(state, prob, "warm state centres")
+        self._assert_warm_solve_refactors(state, prob, 1)
 
-    def test_circle_count_mismatch_rejected_before_iterating(self):
+    def test_circle_count_change_runs_and_refactors(self):
         obstacle = [_static_obstacle([5.0, 0.0], 0.5, 0.5)]
         state = self._solved_state(make_problem(obstacles=obstacle, offsets=(0.3, -0.3)))
-        _assert_rejected_untouched(state, make_problem(obstacles=obstacle, offsets=(0.3, 0.0, -0.3)), "warm state offsets")
+        self._assert_warm_solve_refactors(state, make_problem(obstacles=obstacle, offsets=(0.3, 0.0, -0.3)), 1)
 
-    def test_grid_mismatch_rejected_before_iterating(self):
-        # the same degree on 60 samples: every coefficient block fits, the
-        # heading samples do not
+    def test_grid_change_runs_and_refactors(self):
+        # the same degree on 60 samples: every coefficient block fits, and
+        # both saddles sum over the samples
         def problem(n_p):
             basis = build_basis(0.0, 10.0, n_p, 10)
             line = np.column_stack([np.linspace(0.0, 10.0, n_p), np.zeros(n_p)])
@@ -999,9 +1013,48 @@ class TestWarmState:
             return BatchProblem(**{**vars(make_problem()), "basis": basis, "desired": line, "obstacles": obstacle})
 
         state = self._solved_state(problem(60))
-        _assert_rejected_untouched(state, problem(50), "warm state psi")
+        self._assert_warm_solve_refactors(state, problem(50), 2)
 
-    @pytest.mark.parametrize("name", ["xi", "xi_psi", "psi", "lam", "lam_psi", "target_products", "centres"])
+    @pytest.mark.parametrize("max_iter", [0, 3])
+    def test_last_pass_is_not_read(self, max_iter):
+        # the heading samples and the last residual pass are retaken on the
+        # new problem, so no value of theirs reaches the outputs
+        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
+        prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
+        other = copy.deepcopy(state)
+        rng = np.random.default_rng(4)
+        for name in ("psi", "target_products", "residual_max", "residual_norm"):
+            setattr(other, name, rng.normal(size=np.shape(getattr(state, name))))
+        warm = solve_batch_opt(prob, BatchParams(max_iter=max_iter), state=other)
+        expected = solve_batch_opt(prob, BatchParams(max_iter=max_iter), state=state)
+        for name in ("costs", "aug_costs", "residual_max", "residual_norm", "feasible"):
+            np.testing.assert_array_equal(getattr(warm, name), getattr(expected, name), err_msg=name)
+        for name in ("xi", "xi_psi", "psi", "target_products", "lam", "lam_psi"):
+            np.testing.assert_array_equal(getattr(warm.state, name), getattr(expected.state, name), err_msg=name)
+        assert (warm.best_history, warm.iterations) == (expected.best_history, max_iter)
+
+    def test_zero_iteration_warm_solve_reports_the_new_problem(self):
+        # the last pass was the old problem's: with the obstacle moved onto
+        # the members' path, the report must show the new collision rows
+        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 3.0], 0.5, 0.5)], n_batch=6))
+        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)], n_batch=6)
+        ranked = solve_batch_opt(prob, BatchParams(max_iter=0), state=state)
+        ref = _Reference(prob)
+        xi, psi = ranked.state.xi, ranked.state.psi
+        res = xi @ ref.F.T - ref.g(ref.polar(xi), psi)
+        np.testing.assert_array_equal(psi, ranked.state.xi_psi @ prob.basis.P.T)
+        np.testing.assert_allclose(ranked.residual_max, np.abs(res).max(axis=1), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ranked.residual_norm, np.linalg.norm(res, axis=1), rtol=0, atol=1e-12)
+        assert ranked.residual_max.min() > 0.1
+
+    def test_iterations_count_the_call(self):
+        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
+        state = self._solved_state(prob)
+        state.iteration = 20
+        ranked = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
+        assert (ranked.iterations, ranked.state.iteration) == (3, 23)
+
+    @pytest.mark.parametrize("name", ["xi", "xi_psi", "lam", "lam_psi"])
     def test_non_finite_array_rejected_before_iterating(self, name):
         # a NaN multiplier used to turn its member NaN partway through the solve
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
@@ -1073,20 +1126,18 @@ class TestWarmState:
         assert warm.n_factorizations == n_before
 
     def test_moved_obstacle_warm_solve_pinned(self):
-        # the problem above: the warm targets stay relative to the obstacle
-        # centre and follow it from (5, 0.5) to (6, -0.5); values recorded
-        # with the stored per-entry targets, and again when the collision
-        # rows placed the (0.3, -0.3) circles by the copies
+        # the problem above: the obstacle moves from (5, 0.5) to (6, -0.5),
+        # and the warm solve's first pass is taken against it at (6, -0.5)
         state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
         prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
         prob = BatchProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=1.0, p1=10.0), AxisBoundary(p0=0.2, p1=0.0))})
         xi = solve_batch_opt(prob, BatchParams(max_iter=3), state=state).state.xi
-        norms = [24.674368843213255, 25.58257644090108, 25.91945145544691, 24.370835116420093,
-                 24.77660931527571, 25.18424163182749, 24.632068367680716, 24.634153886336858]
+        norms = [22.881839512792073, 22.82657960043405, 22.731744225776787, 22.518260382186188,
+                 22.797401308010897, 22.752350813112113, 22.664495897913238, 23.01606077730867]
         np.testing.assert_allclose(np.linalg.norm(xi, axis=1), norms, rtol=0, atol=1e-9)
         m = prob.basis.n_var
-        entries = [[4.728632181947775, -1.5716559813318909, -4.807116062138728, 4.087519235863331],
-                   [4.678978337697481, -0.8262405492185098, -5.216091367654591, 5.160012612085491]]
+        entries = [[3.268565212588337, 0.9890314985831685, -0.9747585630757233, 0.0738965514213067],
+                   [3.2120903951621926, 1.032553578675511, -1.358452720908128, 0.2618465403625013]]
         np.testing.assert_allclose(xi[[0, 5]][:, [3, m + 4, 2 * m + 5, 3 * m + 6]], entries, rtol=0, atol=1e-9)
 
     def test_receding_horizon_batch_factorizes_once(self):

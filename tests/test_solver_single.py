@@ -7,7 +7,7 @@ import pytest
 
 from trajopt import qpcore, solver_single
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
-from trajopt.bench import gen_scenario, receding_horizon_run
+from trajopt.bench import gen_scenario, receding_horizon_run, runner
 from trajopt.geometry import EllipsoidShape, Obstacles, angles3d, los_scale, unit_pair
 from trajopt.solver_single import (
     SingleParams,
@@ -927,6 +927,33 @@ class TestWarmState:
         expected = solve_single(prob, SingleParams(max_iter=3), state=clean)
         np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
         np.testing.assert_array_equal(warm.state.residuals, expected.state.residuals)
+
+    @pytest.mark.parametrize("kind,params", [("barn-like", None), ("random-static", {"dim": 3}), ("dynamic-flow", None)])
+    def test_swept_arrays_are_not_read(self, kind, params):
+        # a sweep writes xi (the position step), the copies and the residual
+        # block before it reads them, so their warm values reach no output
+        scenario = gen_scenario(kind, params, seed=0)
+        basis = build_basis(scenario.horizon.t0, scenario.horizon.tf, scenario.horizon.n_p, 10)
+        state = self._solved_state(runner.single_problem_from_scenario(scenario, basis), iters=5)
+        prob = runner.single_problem_from_scenario(scenario, basis, t_now=0.5)
+        other = copy.deepcopy(state)
+        rng = np.random.default_rng(2)
+        for name in ("xi", "copies", "residuals"):
+            setattr(other, name, rng.normal(size=getattr(state, name).shape))
+        warm = solve_single(prob, SingleParams(max_iter=3), state=other)
+        expected = solve_single(prob, SingleParams(max_iter=3), state=state)
+        assert (warm.iterations, warm.converged, warm.residual_history) == (
+            expected.iterations, expected.converged, expected.residual_history)
+        np.testing.assert_array_equal(warm.trajectory.pos, expected.trajectory.pos)
+        for name in ("xi", "d", "unit", "copies", "lam_pos", "lam_copies", "residuals"):
+            np.testing.assert_array_equal(getattr(warm.state, name), getattr(expected.state, name), err_msg=name)
+
+    def test_iterations_count_the_call(self):
+        prob = self._obstacle_problem_3d()
+        state = self._solved_state(prob)
+        state.iteration = 20
+        sol = solve_single(prob, SingleParams(max_iter=3, tol=0.0), state=state)
+        assert (sol.iterations, sol.state.iteration, len(sol.residual_history)) == (3, 23, 3)
 
     @pytest.mark.parametrize("name", ["d", "unit", "copies", "lam_pos", "lam_copies", "residuals"])
     def test_read_only_array_rejected(self, name):

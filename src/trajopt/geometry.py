@@ -44,9 +44,10 @@ The kernel, the only place this math is written:
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
 one call covers every timestep, obstacle and batch member.  The functions
-are pure but for their out arguments: scaled_sq_norm, los_scale and
-unit_pair write their result into out when one is given (the single
-solver's sweep passes its state's own arrays), and return it.
+are pure but for their out arguments: scaled_sq_norm, los_scale,
+unit_pair and radial_target write their result into out when one is given
+(the single solver's sweep and the multi-agent iteration pass their
+state's own arrays), and return it.
 ObstacleRows owns the buffer of its sums, and forms offsets only where its
 broad phase, per-window boxes of the obstacle tracks, cannot show the
 clamp's residual to be zero.
@@ -434,7 +435,7 @@ def unit_pair(c, s, out=None):
     return out
 
 
-def radial_target(deltas, a, b, shifted, lower=1.0, upper=D_CAP):
+def radial_target(deltas, a, b, shifted, lower=1.0, upper=D_CAP, out=None, inverse=None):
     """Closed-form (a, a, b) spheroid scale d and target for a shifted target.
 
     At the angles of the offset delta, d in [lower, upper] minimizes
@@ -447,17 +448,36 @@ def radial_target(deltas, a, b, shifted, lower=1.0, upper=D_CAP):
     the target is (0, 0, b d), d = clip(shifted_z / b).
 
     deltas and shifted are (3, ...) arrays; a and b broadcast against one
-    axis.  Returns d, shaped as one axis, and the (3, ...) target.
+    axis.  Returns d, shaped as one axis, and the (3, ...) target.  out, a
+    (d, target) pair sharing no memory with deltas or shifted, receives
+    them when given; the target's rows hold r and the dot products until
+    the target is formed, so such a call allocates only scaled_sq_norm's
+    rows and the mask of r = 0.  inverse, when given, is the pair
+    (1 / a, 1 / b), formed once by a caller with many offsets of the same
+    semi-axes.  The clamp is np.maximum then np.minimum, which give
+    np.clip's values, NaN included.
     """
-    r = scaled_sq_norm(deltas, a, b)
+    if inverse is None:
+        inverse = 1.0 / np.asarray(a, dtype=float), 1.0 / np.asarray(b, dtype=float)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(deltas[0]), np.shape(shifted[0]), np.shape(a), np.shape(b))
+        out = np.empty(shape), np.empty((len(deltas), *shape))
+    d, target = out
+    r, dot = target[0], target[1]
+    scaled_sq_norm(deltas, *inverse, out=r, inverse=True)
     np.sqrt(r, out=r)
-    dot = np.einsum("k...,k...->...", deltas, shifted)
+    np.einsum("k...,k...->...", deltas, shifted, out=dot)
     centre = r == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.clip(r * dot / np.einsum("k...,k...->...", deltas, deltas), lower, upper)
-        target = deltas * (d / r)
+        np.multiply(r, dot, out=d)
+        d /= np.einsum("k...,k...->...", deltas, deltas, out=dot)
+        np.minimum(np.maximum(d, lower, out=d), upper, out=d)
+        ratio = np.divide(d, r, out=r)
+        # the first row holds d / r until the others are formed
+        np.multiply(deltas[1:], ratio, out=target[1:])
+        np.multiply(deltas[0], ratio, out=target[0])
     if centre.any():
-        semi = np.broadcast_to(b, r.shape)[centre]
+        semi = np.broadcast_to(b, d.shape)[centre]
         d[centre] = np.clip(shifted[-1][centre] / semi, lower, upper)
         target[:, centre] = 0.0
         target[-1][centre] = semi * d[centre]

@@ -295,15 +295,16 @@ def _first_pass(state: BatchState, problem: BatchProblem, struct: _Structure) ->
     return state
 
 
-def _check_state(state: BatchState, struct: _Structure) -> None:
+def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Reject a warm state whose coefficients, multipliers or rho do not fit this problem.
 
-    Those arrays must have this problem's shapes and be finite, and rho be
-    positive and finite; the first pass retakes the rest.  The factor caches
-    are left as they are: the first iteration refactors the saddles of this
-    problem that differ from the ones they hold.
+    Those arrays must have this problem's shapes, n_batch members included,
+    and be finite, and rho be positive and finite; the first pass retakes
+    the rest.  The factor caches are left as they are: the first iteration
+    refactors the saddles of this problem that differ from the ones they
+    hold.
     """
-    n_b, m = state.xi.shape[0], struct.m
+    n_b, m = problem.n_batch, struct.m
     shapes = {"xi": (n_b, 4 * m), "xi_psi": (n_b, m), "lam": (n_b, 4 * m), "lam_psi": (n_b, m)}
     for name, shape in shapes.items():
         value = getattr(state, name)
@@ -435,7 +436,8 @@ def solve_batch_opt(
 
     Members are initialized from explicit coefficient samples, or drawn from
     N(mean, covariance) (defaults: straight-line mean, diagonal covariance
-    scaled to the start-goal distance).  Passing state warm-starts; its
+    scaled to the start-goal distance).  Explicit samples and a warm state
+    must have problem.n_batch members.  Passing state warm-starts; its
     coefficients and multipliers must fit the problem, its first residual
     pass is taken on this problem, and its cached factors are reused only
     while the saddle matrices they factor are unchanged.  iterations counts
@@ -455,8 +457,10 @@ def solve_batch_opt(
                 covariance = np.eye(2 * m) * scale**2
             samples = sample_initializations(mean, covariance, problem.n_batch, seed)
         state = init_state(problem, samples, params, struct)
+        if len(state.xi) != problem.n_batch:
+            raise ValueError(f"{len(state.xi)} samples given, expected n_batch = {problem.n_batch}")
     else:
-        _check_state(state, struct)
+        _check_state(state, problem, struct)
         _first_pass(state, problem, struct)
 
     best_history = []

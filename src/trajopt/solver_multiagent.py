@@ -39,6 +39,14 @@ axis-major (3, n_pairs, n_p) offsets, the reconstruction and the residual
 once; the reconstruction is the next iteration's target, since the polar
 variables do not change in between.
 
+An iteration writes in place: d, the reconstruction, the residual and the
+multipliers are the state's own arrays, and the multiplier shift, the
+targets, the offsets and the shifted offsets go to a workspace the
+structure allocates once per solve.  Each in-place step keeps the
+arithmetic of the expression it replaces, operation for operation, so the
+iterates are bit for bit those of the allocating loop; this solve amplifies
+rounding differences by about 1e13.
+
 Static obstacles enter as stationary pseudo-agents wrapped in circumscribing
 spheres: they contribute constraint rows against every real agent but no
 decision variables.
@@ -131,6 +139,7 @@ class JointParams:
 @dataclass
 class JointState:
     xi: np.ndarray  # (3, N_a * m)
+    # an iteration rewrites d, lam, recon and residual in place
     d: np.ndarray  # (n_pairs, n_p)
     lam: np.ndarray  # (3, n_pairs, n_p)
     recon: np.ndarray  # (3, n_pairs, n_p) reconstruction d * delta / r at the offsets of xi
@@ -186,6 +195,7 @@ class _JointStructure:
         centers = np.array([sphere.center for sphere in problem.static_obstacles], dtype=float).reshape(n_s, 3)
         self.static_centers = np.zeros((3, self.n_pairs, 1))
         self.static_centers[:, self.static, 0] = np.repeat(centers, n_a, axis=0).T
+        self.has_static = n_s > 0
 
         # signed pair-agent incidence: the pair rows are A_fo = E ⊗ P
         self.E = np.zeros((self.n_pairs, n_a))
@@ -229,34 +239,49 @@ class _JointStructure:
             self.particular.append(self.V @ eta)
         self.n_factorizations = len(self.factors)
 
+        # the iteration's workspace, (3, n_pairs, n_p) each: the targets
+        # b_fo, then the offsets; and the multiplier shift lam / rho, then
+        # the shifted offsets, then rho times the residual
+        pairs = (3, self.n_pairs, basis.n_p)
+        self.deltas, self.shifted = np.empty(pairs), np.empty(pairs)
+        # the inverse semi-axes, as radial_target would form them on every
+        # call, spread over the samples so that each product is one pass
+        self.inverse = tuple(np.broadcast_to(1.0 / semi, pairs[1:]).copy() for semi in (self.pa, self.pb))
+
     def agent_positions(self, xi: np.ndarray) -> np.ndarray:
         """(3, N_a, n_p) position samples from the stacked coefficients."""
         return xi.reshape(3, self.n_a, self.m) @ self.basis.P.T
 
-    def pair_deltas(self, xi: np.ndarray) -> np.ndarray:
+    def pair_deltas(self, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(3, n_pairs, n_p) offsets p_i - p_j (static partner uses its center).
 
         The incidence product is exact: its rows are +1, -1 and zeros.
+        Without static partners the centres are all +0.0, whose subtraction
+        changes no value or sign, so it is skipped.  Written into out when
+        given.
         """
-        return self.E @ self.agent_positions(xi) - self.static_centers
+        deltas = np.matmul(self.E, self.agent_positions(xi), out=out)
+        if self.has_static:
+            deltas -= self.static_centers
+        return deltas
 
 
-def pairwise_residuals_arrays(struct: _JointStructure, state: JointState, deltas=None) -> np.ndarray:
+def pairwise_residuals_arrays(struct: _JointStructure, state: JointState, deltas=None, out=None) -> np.ndarray:
     """(3, n_pairs, n_p) separation-equality residuals, offsets minus state.recon.
 
     deltas are the pair offsets of state.xi when the caller already has
-    them; they are evaluated otherwise.
+    them; they are evaluated otherwise.  Written into out when given.
     """
     if deltas is None:
         deltas = struct.pair_deltas(state.xi)
-    return deltas - state.recon
+    return np.subtract(deltas, state.recon, out=out)
 
 
 def _init_state(problem, struct) -> JointState:
     # one least-squares fit for every (axis, agent) straight line, axis-major
     ends = np.array([[(bc[k].p0, bc[k].p1) for bc in problem.boundaries] for k in range(3)])
     xi = straight_line_coeffs(struct.basis, ends[..., 0].ravel(), ends[..., 1].ravel()).reshape(3, -1)
-    deltas = struct.pair_deltas(xi)
+    deltas = struct.pair_deltas(xi, out=struct.deltas)
     d, recon = radial_target(deltas, struct.pa, struct.pb, deltas, upper=1.0)  # the unit-scale start d = 1
     return JointState(xi=xi, d=d, lam=np.zeros_like(deltas), recon=recon, residual=deltas - recon)
 
@@ -266,8 +291,13 @@ def _iterate(state: JointState, struct: _JointStructure) -> None:
 
     # incidence scatter A_fo' b = E' b P of the targets, all axes at once,
     # rotated into the modes, solved per mode group and rotated back
-    shift = state.lam / rho
-    b_fo = state.recon - shift + struct.static_centers
+    shift = np.divide(state.lam, rho, out=struct.shifted)
+    b_fo = np.subtract(state.recon, shift, out=struct.deltas)
+    # an agent-only problem adds no centres: they are all +0.0, which would
+    # only turn a -0.0 into 0.0, and a zero of either sign adds nothing to
+    # the incidence products, the only reader of b_fo
+    if struct.has_static:
+        b_fo += struct.static_centers
     q_modes = -rho * (struct.EVt @ b_fo @ struct.basis.P)  # (3, N_a, m)
     q_map = struct.factors[state.level].q_map
     eta = np.empty_like(q_modes)
@@ -276,15 +306,18 @@ def _iterate(state: JointState, struct: _JointStructure) -> None:
     state.xi = (struct.V @ eta + struct.particular[state.level]).reshape(3, -1)
 
     # the d targets are shifted by the multipliers, so d keeps the closed form
-    deltas = struct.pair_deltas(state.xi)
-    state.d, state.recon = radial_target(deltas, struct.pa, struct.pb, deltas + shift)
-    state.residual = pairwise_residuals_arrays(struct, state, deltas)
-    state.lam = state.lam + rho * state.residual
+    deltas = struct.pair_deltas(state.xi, out=struct.deltas)
+    shifted = np.add(deltas, shift, out=shift)
+    radial_target(deltas, struct.pa, struct.pb, shifted, out=(state.d, state.recon), inverse=struct.inverse)
+    pairwise_residuals_arrays(struct, state, deltas, out=state.residual)
+    state.lam += np.multiply(state.residual, rho, out=shifted)
     state.iteration += 1
 
 
 def _max_abs(res: np.ndarray) -> float:
-    return float(np.max(np.abs(res))) if res.size else 0.0
+    """max |res| with no np.abs temporary: the larger of max and -min, NaN
+    included; abs only turns a -0.0 of an all-zero res into 0.0."""
+    return float(abs(np.maximum(res.max(), -res.min()))) if res.size else 0.0
 
 
 def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -> JointSolution:
@@ -324,7 +357,7 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
         sample_trajectory(struct.basis, state.xi[:, i * struct.m : (i + 1) * struct.m].T) for i in range(struct.n_a)
     ]
 
-    gaps = np.linalg.norm(struct.pair_deltas(state.xi)[:, ~struct.static], axis=0)
+    gaps = np.linalg.norm(struct.pair_deltas(state.xi, out=struct.deltas)[:, ~struct.static], axis=0)
     return JointSolution(
         trajectories=trajectories,
         converged=converged,

@@ -245,6 +245,60 @@ class TestRadialTarget:
             np.testing.assert_array_equal(target[:, p], target_p)
 
 
+def _radial_target_allocating(deltas, a, b, shifted, lower, upper):
+    """radial_target as first written without out: np.clip and fresh arrays."""
+    r = np.sqrt(scaled_sq_norm(deltas, a, b))
+    dot = np.einsum("k...,k...->...", deltas, shifted)
+    centre = r == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.clip(r * dot / np.einsum("k...,k...->...", deltas, deltas), lower, upper)
+        target = deltas * (d / r)
+    semi = np.broadcast_to(b, r.shape)[centre]
+    d[centre] = np.clip(shifted[-1][centre] / semi, lower, upper)
+    target[:, centre] = 0.0
+    target[-1][centre] = semi * d[centre]
+    return d, target
+
+
+def _same_bits(got, expected):
+    """Equal bit for bit: values, signs of zero and NaN payloads."""
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestRadialTargetInPlace:
+    @pytest.mark.parametrize("per_pair", [False, True])
+    def test_out_and_inverse_match_the_allocating_call(self, per_pair):
+        # (3, n_pairs, n_p) offsets with entries at r = 0 (the origin
+        # convention), NaN, and shifted targets whose d is clamped at both ends
+        rng = np.random.default_rng(11)
+        n_pairs, n_p, lower, upper = 6, 40, 1.0, 2.5
+        delta = rng.normal(size=(3, n_pairs, n_p)) * rng.uniform(0.01, 3.0, size=(n_pairs, n_p))
+        shifted = delta * rng.uniform(0.2, 4.0, size=(n_pairs, n_p)) + rng.normal(scale=0.3, size=delta.shape)
+        delta[:, 1, :5] = 0.0
+        delta[:, 2, 7] = -0.0
+        delta[2, 3, 9] = np.nan
+        shifted[0, 4, 11] = np.nan
+        if per_pair:
+            a, b = rng.uniform(0.3, 1.5, size=(2, n_pairs, 1))
+            inverse = tuple(np.broadcast_to(1.0 / semi, (n_pairs, n_p)).copy() for semi in (a, b))
+        else:
+            a, b = 1.3, 0.6
+            inverse = (1.0 / a, 1.0 / b)
+        out = np.full((n_pairs, n_p), 7.0), np.full((3, n_pairs, n_p), 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, target = radial_target(delta, a, b, shifted, lower, upper, out=out, inverse=inverse)
+            d_alloc, target_alloc = radial_target(delta, a, b, shifted, lower, upper)
+        assert d is out[0] and target is out[1]
+        d_ref, target_ref = _radial_target_allocating(delta, a, b, shifted, lower, upper)
+        finite = np.isfinite(d_ref)
+        assert np.any(d_ref[finite] == lower) and np.any(d_ref[finite] == upper)
+        assert np.any((d_ref > lower) & (d_ref < upper)) and np.isnan(d_ref).sum() == 2
+        for got, expected in ((d, d_alloc), (target, target_alloc), (d, d_ref), (target, target_ref)):
+            _same_bits(got, expected)
+
+
 def _trig_residual(delta, shape, lower, upper):
     """delta - target through the angles and the closed-form scale."""
     if delta.shape[-1] == 2:

@@ -827,6 +827,12 @@ class TestBadSamplesRejected:
         with pytest.raises(ValueError, match="N_b >= 1"):
             self._solve(samples=self._line_samples(0))
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_member_count_other_than_n_batch(self, n):
+        # the problem has n_batch = 4; other counts used to run that many members
+        with pytest.raises(ValueError, match=f"{n} samples given, expected n_batch = 4"):
+            self._solve(samples=self._line_samples(n))
+
 
 class TestMatchesReference:
     """50 iterations of solve_batch_opt against the first-written solver."""
@@ -1082,6 +1088,13 @@ class TestWarmState:
         expected = solve_batch_opt(prob, BatchParams(max_iter=3), state=clean)
         np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
         np.testing.assert_array_equal(warm.residual_norm, expected.residual_norm)
+
+    @pytest.mark.parametrize("n_batch", [6, 50])
+    def test_member_count_mismatch_rejected(self, n_batch):
+        # a warm state of 8 members used to run 8 members on any n_batch
+        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
+        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)], n_batch=n_batch)
+        _assert_rejected_untouched(state, prob, rf"warm state xi has shape \(8, 44\), expected \({n_batch}, 44\)")
 
     def test_basis_mismatch_rejected(self):
         state = self._solved_state(make_problem())

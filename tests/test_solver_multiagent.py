@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -653,6 +654,82 @@ class TestOnePassPerIteration:
             for j in range(i + 1, len(positions)):
                 expected = min(expected, float(np.linalg.norm(positions[i] - positions[j], axis=1).min()))
         assert sol.min_pair_distance == expected
+
+
+class TestInPlaceIteration:
+    NAMES = ("d", "recon", "residual", "lam")
+
+    @pytest.mark.parametrize("name", ["offset two-agent swap", "three agents, two static spheres"])
+    def test_iterations_write_the_state_arrays_in_place(self, name):
+        # no iteration hands the state a new array: a per-iteration
+        # temporary taking the place of one of these would fail here
+        starts, goals, statics = NON_SYMMETRIC[name]
+        problem = make_problem(starts, goals, statics=statics)
+        struct = _JointStructure(problem, JointParams())
+        state = _init_state(problem, struct)
+        arrays = {name: getattr(state, name) for name in self.NAMES}
+        for _ in range(3):
+            before = {name: value.copy() for name, value in arrays.items()}
+            _iterate(state, struct)
+            for name, value in arrays.items():
+                assert getattr(state, name) is value, name
+                assert not np.array_equal(value, before[name]), name
+
+    def test_returned_state_shares_no_memory_with_the_workspace(self, monkeypatch):
+        structs = []
+        build = _JointStructure.__init__
+
+        def recording(self, problem, params):
+            structs.append(self)
+            build(self, problem, params)
+
+        monkeypatch.setattr(_JointStructure, "__init__", recording)
+        sol = solve_joint(_square_antipodal(4), JointParams(max_iter=20))
+        (struct,) = structs
+        workspace = (struct.deltas, struct.shifted, *struct.inverse)
+        for name in ("xi", *self.NAMES):
+            for array in workspace:
+                assert not np.shares_memory(getattr(sol.state, name), array), name
+
+    def test_iterations_allocate_less_than_one_pair_array(self):
+        # 10 agents: the pair arrays are (3, 45, 100), 108 kB each; the
+        # allocating iteration held several of them at once
+        problem = _square_antipodal(10)
+        struct = _JointStructure(problem, JointParams())
+        state = _init_state(problem, struct)
+        _iterate(state, struct)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                _iterate(state, struct)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.iteration == 21
+        assert peak - start < state.lam.nbytes
+
+    def test_negative_zero_targets_reach_no_output(self):
+        # without static spheres b_fo skips adding the all-zero centres,
+        # which turned a -0.0 of recon - lam / rho into 0.0; adding them on a
+        # copy of the structure gives the same iterate, signs of zero included
+        problem = _square_antipodal(4)
+        skip = _JointStructure(problem, JointParams())
+        add = copy.copy(skip)
+        add.has_static = True
+        state = _init_state(problem, skip)
+        for _ in range(5):
+            _iterate(state, skip)
+        state.lam[:, ::2] = 0.0
+        state.recon[:, ::2] = -0.0
+        assert np.signbit(state.recon - state.lam / skip.rho_levels[state.level]).any()
+        got, expected = copy.deepcopy(state), copy.deepcopy(state)
+        _iterate(got, skip)
+        _iterate(expected, add)
+        for name in ("xi", *self.NAMES):
+            bits = [getattr(s, name).view(np.int64) for s in (got, expected)]
+            np.testing.assert_array_equal(*bits, err_msg=name)
 
 
 def _shape_problem(shape):

@@ -34,6 +34,8 @@ The kernel, the only place this math is written:
 - angle2d, angles3d: the angles recovering an offset, which only seed the
   single solver's unit pairs (its sweeps project with unit_pair);
 - stalled: the windowed stall test behind every penalty schedule;
+- residual_extremes: the (norm, max |entry|) pair a solver reports of its
+  residual block;
 - check_schedule: the parameter checks of the geometric penalty schedule
   that the single and batch solvers share;
 - check_count: the check of one integer count (iterations, windows, batch
@@ -55,6 +57,7 @@ clamp's residual to be zero.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -76,6 +79,7 @@ __all__ = [
     "norm_clamp",
     "radial_clamp",
     "radial_target",
+    "residual_extremes",
     "scaled_sq_norm",
     "stalled",
     "unit_pair",
@@ -499,6 +503,20 @@ def stalled(history, since_change, window, improvement, floor):
     recent = _window_mean(history[-window:])
     previous = _window_mean(history[-2 * window : -window])
     return bool(previous > floor and (previous - recent) / previous < improvement)
+
+
+def residual_extremes(res: np.ndarray) -> tuple[float, float]:
+    """(2-norm, largest |entry|) of a residual block, (0, 0) for an empty one.
+
+    The norm is sqrt(flat . flat), np.linalg.norm's own sum of squares
+    without its checks, so on a C-contiguous block the two agree bit for
+    bit.  The largest |entry| is the larger of max and -min, with no abs
+    temporary; a NaN entry gives NaN.
+    """
+    if not res.size:
+        return 0.0, 0.0
+    flat = res.ravel()
+    return math.sqrt(flat.dot(flat)), float(abs(np.maximum(flat.max(), -flat.min())))
 
 
 def _window_mean(values):

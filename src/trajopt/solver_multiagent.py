@@ -65,7 +65,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import EllipsoidShape, check_count, radial_target, stalled
+from .geometry import EllipsoidShape, check_count, radial_target, residual_extremes, stalled
 
 
 def _positive_finite(value) -> bool:
@@ -314,12 +314,6 @@ def _iterate(state: JointState, struct: _JointStructure) -> None:
     state.iteration += 1
 
 
-def _max_abs(res: np.ndarray) -> float:
-    """max |res| with no np.abs temporary: the larger of max and -min, NaN
-    included; abs only turns a -0.0 of an all-zero res into 0.0."""
-    return float(abs(np.maximum(res.max(), -res.min()))) if res.size else 0.0
-
-
 def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -> JointSolution:
     """Run the joint AM loop over the staged penalty schedule.
 
@@ -336,8 +330,8 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
     converged = False
     for _ in range(params.max_iter):
         _iterate(state, struct)
-        norm = float(np.linalg.norm(state.residual))
-        history.append({"norm": norm, "max_abs": _max_abs(state.residual), "rho": struct.rho_levels[state.level]})
+        norm, max_abs = residual_extremes(state.residual)
+        history.append({"norm": norm, "max_abs": max_abs, "rho": struct.rho_levels[state.level]})
         norms.append(norm)
         if norm <= params.tol_norm:
             converged = True
@@ -358,12 +352,13 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
     ]
 
     gaps = np.linalg.norm(struct.pair_deltas(state.xi, out=struct.deltas)[:, ~struct.static], axis=0)
+    norm, max_abs = residual_extremes(state.residual)
     return JointSolution(
         trajectories=trajectories,
         converged=converged,
         iterations=state.iteration,
-        residual_norm=float(np.linalg.norm(state.residual)),
-        residual_max=_max_abs(state.residual),
+        residual_norm=norm,
+        residual_max=max_abs,
         residual_history=history,
         min_pair_distance=float(gaps.min()) if gaps.size else np.inf,
         inflated_radius=struct.inflated,

@@ -64,7 +64,17 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import Obstacles, angle2d, angles3d, check_obstacles, check_schedule, los_scale, stalled, unit_pair
+from .geometry import (
+    Obstacles,
+    angle2d,
+    angles3d,
+    check_obstacles,
+    check_schedule,
+    los_scale,
+    residual_extremes,
+    stalled,
+    unit_pair,
+)
 
 _COLL = ("coll_x", "coll_y", "coll_z")
 
@@ -377,13 +387,6 @@ def equality_residuals(
     return out
 
 
-def _residual_extremes(res: np.ndarray) -> tuple[float, float]:
-    if not res.size:
-        return 0.0, 0.0
-    flat = res.ravel()  # np.linalg.norm's own sum of squares, without its checks
-    return math.sqrt(flat.dot(flat)), float(np.abs(flat).max())
-
-
 def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStructure | None = None) -> SingleState:
     """One alternating-minimization sweep; mutates and returns the state.
 
@@ -434,7 +437,7 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
     converged = False
     for _ in range(params.max_iter):
         am_iteration(state, problem, struct)
-        norm, max_abs = _residual_extremes(state.residuals)
+        norm, max_abs = residual_extremes(state.residuals)
         history.append({"norm": norm, "max_abs": max_abs, "rho": state.rho})
         max_hist.append(max_abs)
         if max_abs <= params.tol:
@@ -446,7 +449,7 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
             last_change = state.iteration
     traj = sample_trajectory(problem.basis, state.xi.T)
     if not history:
-        norm, max_abs = _residual_extremes(equality_residuals(state, problem, struct=struct))
+        norm, max_abs = residual_extremes(equality_residuals(state, problem, struct=struct))
     smooth = float(np.sum(traj.acc**2))
     track = float(np.sum((traj.pos - problem.desired) ** 2))
     return SingleSolution(

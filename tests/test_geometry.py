@@ -25,6 +25,7 @@ from trajopt.geometry import (
     norm_clamp,
     radial_clamp,
     radial_target,
+    residual_extremes,
     scaled_sq_norm,
     stalled,
     unit_pair,
@@ -877,6 +878,20 @@ class TestStalled:
             for threshold in (improvement, np.nextafter(improvement, np.inf)):
                 expected = bool(np.mean(previous) > 0.0 and improvement < threshold)
                 assert stalled(history, window, window, threshold, 0.0) is expected
+
+
+class TestResidualExtremes:
+    @pytest.mark.parametrize("shape", [(7,), (3, 5, 11), (4, 0, 60)])
+    def test_matches_numpy(self, shape):
+        # np.linalg.norm and the largest |entry|, bit for bit on a C-contiguous block
+        res = np.random.default_rng(3).normal(size=shape)
+        expected = (float(np.linalg.norm(res)), float(np.max(np.abs(res)))) if res.size else (0.0, 0.0)
+        assert residual_extremes(res) == expected
+
+    def test_sign_and_nan(self):
+        assert residual_extremes(np.array([0.5, -2.0, 1.0])) == (np.sqrt(5.25), 2.0)
+        assert residual_extremes(np.array([-0.0, -0.0])) == (0.0, 0.0)
+        assert all(np.isnan(residual_extremes(np.array([1.0, np.nan, -3.0]))))
 
 
 class TestCheckCount:

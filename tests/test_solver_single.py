@@ -8,7 +8,7 @@ import pytest
 from trajopt import qpcore, solver_single
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
 from trajopt.bench import gen_scenario, receding_horizon_run, runner
-from trajopt.geometry import EllipsoidShape, Obstacles, angles3d, los_scale, unit_pair
+from trajopt.geometry import EllipsoidShape, Obstacles, angles3d, los_scale, residual_extremes, unit_pair
 from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
@@ -16,7 +16,6 @@ from trajopt.solver_single import (
     _copy_step,
     _cost_blocks,
     _position_step,
-    _residual_extremes,
     _row_coefs,
     _SingleStructure,
     am_iteration,
@@ -606,7 +605,7 @@ class TestResidualReport:
         prob = make_problem_2d()
         state = init_state(prob)
         assert equality_residuals(state, prob).shape == (4, 0, 60)
-        assert _residual_extremes(equality_residuals(state, prob)) == (0.0, 0.0)
+        assert residual_extremes(equality_residuals(state, prob)) == (0.0, 0.0)
 
     def test_matches_brute_force_formula(self):
         obstacle = _static_obstacle([4.0, 0.3], EllipsoidShape(0.6, 0.9), 60)
@@ -777,7 +776,7 @@ class TestMatchesPerFamilySweep:
             am_iteration(state, prob, struct)
             ref.sweep(fam)
             _assert_states_match(state, fam, exact=True)
-            assert _residual_extremes(state.residuals) == _concatenated_extremes(fam.residuals)
+            assert residual_extremes(state.residuals) == _concatenated_extremes(fam.residuals)
         assert (state.iteration, state.factors.count) == (fam.iteration, fam.factors.count)
 
 

@@ -167,6 +167,12 @@ def boundary_matrix(basis: BasisSet, start_orders=(0, 1, 2), end_orders=(0, 1, 2
     return np.vstack(rows)
 
 
+def check_boundary_basis(basis: BasisSet) -> None:
+    """Reject a basis below degree 5: boundary_matrix's six default rows are then rank-deficient."""
+    if basis.n_var < 6:
+        raise ValueError(f"a degree-{basis.degree} basis has {basis.n_var} coefficients per axis, fewer than the 6 boundary rows")
+
+
 def straight_line_coeffs(basis: BasisSet, start: np.ndarray, goal: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of the straight constant-speed path per axis.
 

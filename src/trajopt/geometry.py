@@ -34,8 +34,7 @@ The kernel, the only place this math is written:
 - angle2d, angles3d: the angles recovering an offset, which only seed the
   single solver's unit pairs (its sweeps project with unit_pair);
 - stalled: the windowed stall test behind every penalty schedule;
-- residual_extremes: the (norm, max |entry|) pair a solver reports of its
-  residual block;
+- residual_extremes: the (norm, max |entry|) a solver reports of a residual;
 - check_schedule: the parameter checks of the geometric penalty schedule
   that the single and batch solvers share;
 - check_count: the check of one integer count (iterations, windows, batch
@@ -508,10 +507,8 @@ def stalled(history, since_change, window, improvement, floor):
 def residual_extremes(res: np.ndarray) -> tuple[float, float]:
     """(2-norm, largest |entry|) of a residual block, (0, 0) for an empty one.
 
-    The norm is sqrt(flat . flat), np.linalg.norm's own sum of squares
-    without its checks, so on a C-contiguous block the two agree bit for
-    bit.  The largest |entry| is the larger of max and -min, with no abs
-    temporary; a NaN entry gives NaN.
+    sqrt(flat . flat) is np.linalg.norm's own sum of squares on a C-contiguous
+    block; the largest |entry| is the larger of max and -min, NaN included.
     """
     if not res.size:
         return 0.0, 0.0

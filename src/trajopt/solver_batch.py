@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, sample_trajectory, straight_line_coeffs
 from .geometry import (ObstacleRows, Obstacles, check_count, check_gaussian, check_obstacles, check_schedule, draw_gaussian,
                        norm_clamp, stalled)
 
@@ -101,6 +101,7 @@ class BatchProblem:
     def __post_init__(self):
         self.desired = np.asarray(self.desired, dtype=float)
         n_p = self.basis.n_p
+        check_boundary_basis(self.basis)
         for name, limit in (("v_max", self.v_max), ("a_max", self.a_max)):
             if not (np.isfinite(limit) and limit > 0):
                 raise ValueError(f"{name} must be positive and finite, got {limit}")

@@ -19,18 +19,15 @@ That saddle is never assembled either.  With E'E = V diag(lam) V', the
 modes eta = V' X of the (N_a, m) agent coefficients X decouple: mode k is
 the single-agent problem with Hessian Q_axis + rho * lam_k * P'P on the
 boundary rows B, its right-hand side is rotated by V (folded into the
-incidence as (E V)') and its boundary values are V' of the agents'.
-Modes of equal eigenvalues share one block; the complete pair graph with
-n_s static spheres has E'E = (N_a + n_s) I - 11', so two blocks, the mean
-trajectory and the deviations from it, whatever N_a is.  Each block is one
-reduced (null-space) factor of qpcore, all blocks of a rho level one
-stacked factorization, precomputed for a staged schedule of rho values: the
-whole solve performs exactly one factorization per schedule level no matter
-how many iterations run or how many pairwise constraints exist.  Since the
-boundary values never change, their part of the solution is precomputed
-per level too, and an iteration applies only each mode's small map.  In
-reduced coordinates the blocks stay near condition 7e3 at rho = 1e4 for any
-N_a, where the whole saddle passed 1e12 at 12 agents.
+incidence as (E V)') and its boundary values are V' of the agents'.  The
+N_a mode blocks of a rho level are one stacked reduced (null-space) factor
+of qpcore, precomputed for a staged schedule of rho values: the whole solve
+performs exactly one factorization per level no matter how many iterations
+run or how many pairwise constraints exist.  An iteration applies it
+through one qpcore.solve_primal call, a mode's x, y and z right-hand sides
+being its block's three rows.  In reduced coordinates the blocks stay near
+condition 7e3 at rho = 1e4 for any N_a, where the whole saddle passed 1e12
+at 12 agents.
 
 The polar blocks take no angles: the angles of a pair offset delta enter
 the d-step and the reconstruction only as delta / r (r its scaled norm), so
@@ -64,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, sample_trajectory, straight_line_coeffs
 from .geometry import EllipsoidShape, check_count, radial_target, residual_extremes, stalled
 
 
@@ -96,6 +93,7 @@ class MultiAgentProblem:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
+        check_boundary_basis(self.basis)
         if any(len(agent) != 3 for agent in self.boundaries):
             raise ValueError("every agent needs x, y and z boundaries")
         if not all(np.all(np.isfinite(bc.values())) for agent in self.boundaries for bc in agent):
@@ -171,8 +169,7 @@ def inflate_radius(radius: float, typical_residual: float, factor: float) -> flo
 
 class _JointStructure:
     def __init__(self, problem: MultiAgentProblem, params: JointParams):
-        basis = problem.basis
-        self.basis = basis
+        self.basis = basis = problem.basis
         m = basis.n_var
         n_a, n_s = problem.n_agents, len(problem.static_obstacles)
         self.m, self.n_a = m, n_a
@@ -206,37 +203,24 @@ class _JointStructure:
         # E'E = V diag(lam) V' makes the saddle block-diagonal in the modes
         # eta = V' X of the (N_a, m) agent coefficients X: mode k is the
         # single-agent problem Q_axis + rho * lam_k * P'P on the boundary
-        # rows B.  Modes whose eigenvalues agree to a relative 1e-9 (two
-        # groups for the complete pair graph) share one block of the factor.
+        # rows B, one block of the stacked factor
         lam, self.V = np.linalg.eigh(self.E.T @ self.E)
-        starts = [0]
-        for k in range(1, n_a):
-            if lam[k] - lam[starts[-1]] > 1e-9 * max(lam[-1], 1.0):
-                starts.append(k)
-        self.groups = [slice(s, e) for s, e in zip(starts, starts[1:] + [n_a])]
-        group_lam = [lam[modes].mean() for modes in self.groups]
         # the rotated incidence: V' E' b P is the modes' pair scatter
         self.EVt = (self.E @ self.V).T
+        # (N_a, 3, n_eq) boundary values of each mode, one row per axis
+        ends = np.array([[bc[k].values() for bc in problem.boundaries] for k in range(3)])
+        self.b_modes = np.swapaxes(self.V.T @ ends, 0, 1)
 
         if self.n_pairs:
             ratio = (params.rho_final / params.rho_start) ** (1.0 / max(params.rho_levels - 1, 1))
             self.rho_levels = [params.rho_start * ratio**k for k in range(params.rho_levels)]
         else:
             self.rho_levels = [params.rho_start]
-        # one stacked factorization per rho level, shared by the x/y/z steps,
-        # and the boundary values' part of the solution, which never changes
+        # one stacked factorization per rho level, shared by the x/y/z steps
         Q_axis = basis.Pddot.T @ basis.Pddot
         PtP = basis.P.T @ basis.P
         B = boundary_matrix(basis)
-        b_modes = self.V.T @ np.array([[bc[k].values() for bc in problem.boundaries] for k in range(3)])
-        self.factors, self.particular = [], []
-        for rho in self.rho_levels:
-            factor = qpcore.factorize(np.stack([Q_axis + rho * lam_g * PtP for lam_g in group_lam]), B)
-            eta = np.empty((3, n_a, m))
-            for g, modes in enumerate(self.groups):
-                eta[:, modes] = b_modes[:, modes] @ factor.b_map[g]
-            self.factors.append(factor)
-            self.particular.append(self.V @ eta)
+        self.factors = [qpcore.factorize(Q_axis + rho * lam[:, None, None] * PtP, B) for rho in self.rho_levels]
         self.n_factorizations = len(self.factors)
 
         # the iteration's workspace, (3, n_pairs, n_p) each: the targets
@@ -290,7 +274,7 @@ def _iterate(state: JointState, struct: _JointStructure) -> None:
     rho = struct.rho_levels[state.level]
 
     # incidence scatter A_fo' b = E' b P of the targets, all axes at once,
-    # rotated into the modes, solved per mode group and rotated back
+    # rotated into the modes, solved by each mode's block and rotated back
     shift = np.divide(state.lam, rho, out=struct.shifted)
     b_fo = np.subtract(state.recon, shift, out=struct.deltas)
     # an agent-only problem adds no centres: they are all +0.0, which would
@@ -299,11 +283,9 @@ def _iterate(state: JointState, struct: _JointStructure) -> None:
     if struct.has_static:
         b_fo += struct.static_centers
     q_modes = -rho * (struct.EVt @ b_fo @ struct.basis.P)  # (3, N_a, m)
-    q_map = struct.factors[state.level].q_map
-    eta = np.empty_like(q_modes)
-    for g, modes in enumerate(struct.groups):
-        eta[:, modes] = q_modes[:, modes] @ q_map[g]
-    state.xi = (struct.V @ eta + struct.particular[state.level]).reshape(3, -1)
+    rhs = qpcore.BatchRHS(qs=np.swapaxes(q_modes, 0, 1), bs=struct.b_modes)
+    eta = qpcore.solve_primal(struct.factors[state.level], rhs)  # (N_a, 3, m)
+    state.xi = (struct.V @ np.swapaxes(eta, 0, 1)).reshape(3, -1)
 
     # the d targets are shifted by the multipliers, so d keeps the closed form
     deltas = struct.pair_deltas(state.xi, out=struct.deltas)

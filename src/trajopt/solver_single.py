@@ -63,18 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, sample_trajectory, straight_line_coeffs
-from .geometry import (
-    Obstacles,
-    angle2d,
-    angles3d,
-    check_obstacles,
-    check_schedule,
-    los_scale,
-    residual_extremes,
-    stalled,
-    unit_pair,
-)
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, sample_trajectory, straight_line_coeffs
+from .geometry import Obstacles, angle2d, angles3d, check_obstacles, check_schedule, los_scale, residual_extremes, stalled, unit_pair
 
 _COLL = ("coll_x", "coll_y", "coll_z")
 
@@ -91,6 +81,7 @@ class SingleProblem:
     def __post_init__(self):
         self.desired = np.asarray(self.desired, dtype=float)
         n_p, dim = self.basis.n_p, self.dim
+        check_boundary_basis(self.basis)
         if dim not in (2, 3):
             raise ValueError(f"need 2 or 3 axis boundaries, got {dim}")
         if self.desired.shape != (n_p, dim) or not np.all(np.isfinite(self.desired)):

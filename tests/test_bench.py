@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trajopt.basis import Trajectory
+from trajopt.bench.runner import SOLVERS
 from trajopt.bench import (
     Boundary,
     Horizon,
@@ -431,13 +432,16 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(scenario, solver="nope", seed=0, iters=5)
 
-    def test_determinism_modulo_wall_time(self, tmp_path):
-        scenario = gen_scenario("random-static", {"n_o": 5, "n_p": 60}, seed=1)
-        r1 = run_scenario(scenario, solver="priest", seed=4, iters=3)
-        r2 = run_scenario(scenario, solver="priest", seed=4, iters=3)
-        m1, m2 = r1.metrics, r2.metrics
-        m1.wall_time_ms = m2.wall_time_ms = 0.0
-        assert m1 == m2
+    def test_determinism_modulo_wall_time(self):
+        # every solver, run twice on one (scenario, seed), differs in wall time only
+        planar = gen_scenario("random-static", {"n_o": 5, "n_p": 60}, seed=1)
+        swarm = gen_scenario("square-antipodal", seed=1)
+        runs = [("single", planar, 30), ("batch", planar, 5), ("priest", planar, 3), ("cem", planar, 3), ("multiagent", swarm, 60)]
+        assert sorted(solver for solver, _, _ in runs) == sorted(SOLVERS)
+        for solver, scenario, iters in runs:
+            m1, m2 = (run_scenario(scenario, solver=solver, seed=4, iters=iters).metrics for _ in range(2))
+            m1.wall_time_ms = m2.wall_time_ms = 0.0
+            assert m1 == m2, solver
 
 
 def _straight_plans(monkeypatch, step):
@@ -557,6 +561,27 @@ class TestCli:
         text = summary.read_text().splitlines()
         assert text[0].startswith("scenario_id,solver,runs")
         assert len(text) == 2
+
+    @pytest.mark.parametrize(
+        "kind,params,solver,iters,message",
+        [
+            ("corridor", None, "priest", 0, "n_outer must be at least 1"),
+            ("corridor", None, "multiagent", 5, "expects a square-antipodal scenario"),
+            ("random-static", {"dim": 3}, "batch", 5, "the batch solver is planar"),
+            (None, None, "single", 5, "No such file"),
+        ],
+    )
+    def test_rejected_input_is_one_error_line(self, tmp_path, capsys, kind, params, solver, iters, message):
+        # as argparse ends a usage error: status 2 and one stderr line, no traceback
+        from trajopt.bench.cli import main
+
+        scn = tmp_path / "scenario.json"
+        if kind is not None:
+            save_scenario(gen_scenario(kind, params, seed=0), scn)
+        args = ["run", "--scenario", str(scn), "--solver", solver, "--seed", "0", "--iters", str(iters)]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("trajopt: error: ") and message in err[0]
 
     def test_identical_invocations_byte_identical_modulo_wall(self, tmp_path):
         from trajopt.bench.cli import main

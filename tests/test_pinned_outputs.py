@@ -7,8 +7,9 @@ iteration counts and flags exactly.  The multi-agent square-antipodal solve
 amplifies a rounding-level change to about 1e-3 within 30 iterations (the
 agents cross at the centre), so passing there means bit-for-bit the same;
 its values were recorded again when the solver moved to coefficient space,
-when its polar step moved to the radial form and when its coefficient step
-moved to the eigenbasis of E'E (see test_joint_square_antipodal).
+when its polar step moved to the radial form, when its coefficient step
+moved to the eigenbasis of E'E and when each mode got its own factor block
+(see test_joint_square_antipodal).
 """
 
 import numpy as np
@@ -199,9 +200,11 @@ def test_priest_barn_tight_kinematic_limits():
 
 def test_joint_square_antipodal():
     """Pins the coefficient-space multi-agent arithmetic: the straight-line
-    start from basis.straight_line_coeffs, reduced factors of the blocks
-    Q_axis + rho * lam * P'P per eigenvalue lam of E'E, right-hand sides
-    -rho * (E V)' b P in the eigenbasis V, the radial-form polar step
+    start from basis.straight_line_coeffs, one stacked reduced factor per
+    rho level of the blocks Q_axis + rho * lam_k * P'P, one per mode k of
+    E'E, applied by qpcore.solve_primal to the right-hand sides
+    -rho * (E V)' b P and the boundary values in the eigenbasis V, the
+    radial-form polar step
     (geometry.radial_target) and the reconstruction reused as the next
     target.  The solve amplifies rounding by about 1e13 here, so this is
     bit-for-bit for that arithmetic; a change to its summation order moves
@@ -210,21 +213,21 @@ def test_joint_square_antipodal():
     """
     scenario = gen_scenario("square-antipodal", {"n_agents": 4}, seed=0)
     sol = solver_multiagent.solve_joint(runner.multiagent_problem_from_scenario(scenario, _basis(scenario)))
-    assert np.linalg.norm(sol.state.xi) == pytest.approx(33.07122202030355, abs=ATOL)
+    assert np.linalg.norm(sol.state.xi) == pytest.approx(32.538425007239056, abs=ATOL)
     np.testing.assert_allclose(
         sol.trajectories[0].pos[SAMPLES],
         [
-            [-2.9376175731079934, -2.9754606638240375, 0.984116469564474],
-            [-0.21913889914489074, 0.3889327181652901, 0.6915999146429558],
-            [2.949791153269689, 2.981018630756489, 0.987363467941089],
+            [-2.94861447267574, -2.97165803832065, 0.9827704246494966],
+            [-0.21998741071072067, 0.38907926092427964, 0.6931418935458364],
+            [2.9470243231627333, 2.9897002255863088, 0.9860378561577023],
         ],
         rtol=0,
         atol=ATOL,
     )
-    assert sol.residual_norm == pytest.approx(0.00956471627596344, abs=ATOL)
-    assert sol.min_pair_distance == pytest.approx(0.8754878281290885, abs=ATOL)
+    assert sol.residual_norm == pytest.approx(0.0035372649359267103, abs=ATOL)
+    assert sol.min_pair_distance == pytest.approx(0.8784955132791243, abs=ATOL)
     assert sol.min_pair_distance >= 2.0 * scenario.robot.shape[0]
-    assert (sol.iterations, sol.converged) == (97, True)
+    assert (sol.iterations, sol.converged) == (103, True)
 
 
 @pytest.mark.parametrize(

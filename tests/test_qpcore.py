@@ -97,9 +97,9 @@ class TestConditionEstimate:
 
     def test_multiagent_saddles(self):
         # square-antipodal, 4 agents: every level of the rho schedule and
-        # every mode group of E'E, Q_axis + rho * lam * P'P on the boundary
-        # rows; the full saddle reached 1.6e11 at the top level, its reduced
-        # blocks stay below 1e4
+        # every mode of E'E, Q_axis + rho * lam_k * P'P on the boundary rows;
+        # the full saddle reached 1.6e11 at the top level, its reduced blocks
+        # stay below 1e4
         from trajopt.basis import boundary_matrix, build_basis
         from trajopt.bench import gen_scenario, runner
         from trajopt.solver_multiagent import JointParams, _JointStructure
@@ -109,13 +109,13 @@ class TestConditionEstimate:
         basis = build_basis(h.t0, h.tf, h.n_p, 10)
         struct = _JointStructure(runner.multiagent_problem_from_scenario(scenario, basis), JointParams())
         lam = np.linalg.eigvalsh(struct.E.T @ struct.E)
-        assert len(struct.groups) == 2
         B = boundary_matrix(basis)
         for rho, factor in zip(struct.rho_levels, struct.factors):
-            for g, modes in enumerate(struct.groups):
-                block = basis.Pddot.T @ basis.Pddot + rho * lam[modes].mean() * basis.P.T @ basis.P
+            assert factor.cond_estimate.shape == (struct.n_a,)
+            for k in range(struct.n_a):
+                block = basis.Pddot.T @ basis.Pddot + rho * lam[k] * basis.P.T @ basis.P
                 expected = np.linalg.cond(_reduced(block, B))
-                assert factor.cond_estimate[g] == pytest.approx(expected, rel=1e-6), (rho, g)
+                assert factor.cond_estimate[k] == pytest.approx(expected, rel=1e-6), (rho, k)
         assert 1e3 < np.max(struct.factors[-1].cond_estimate) < 1e4
 
 

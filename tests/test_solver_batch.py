@@ -909,6 +909,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="obstacles are"):
             BatchProblem(**{**vars(make_problem()), "obstacles": Obstacles(centres, [0.5], [0.5])})
 
+    def test_basis_below_the_boundary_rows_rejected(self):
+        # accepted, it raised FactorizationError after the first residual pass
+        with pytest.raises(ValueError, match="degree-4 basis has 5 coefficients per axis"):
+            BatchProblem(**{**vars(make_problem()), "basis": build_basis(0.0, 10.0, N_P, 4)})
+
     @pytest.mark.parametrize("offsets", [(0.3, float("nan")), (float("inf"),)])
     def test_non_finite_footprint_offsets_rejected(self, offsets):
         with pytest.raises(ValueError):

@@ -348,15 +348,13 @@ class TestInvariants:
         q_agents = -rho * (struct.E.T @ (state2.recon - state2.lam / rho) @ struct.basis.P)  # (3, N_a, m)
         q_modes = struct.V.T @ q_agents
         b_modes = struct.V.T @ np.array([[bc[k].values() for bc in prob.boundaries] for k in range(3)])
-        group = np.concatenate([np.full(modes.stop - modes.start, g) for g, modes in enumerate(struct.groups)])
-        n_groups = len(struct.groups)
         eta = np.empty_like(q_modes)
         for k in (2, 1, 0):
             for j in reversed(range(struct.n_a)):
-                # every block solves this mode's right-hand side; its own group's is kept
-                q, b = np.tile(q_modes[k, j], (n_groups, 1)), np.tile(b_modes[k, j], (n_groups, 1))
+                # every block solves this mode's right-hand side; its own block's is kept
+                q, b = np.tile(q_modes[k, j], (struct.n_a, 1)), np.tile(b_modes[k, j], (struct.n_a, 1))
                 xi_blocks, _ = qpcore.solve(factor, q, b)
-                eta[k, j] = xi_blocks[group[j]]
+                eta[k, j] = xi_blocks[j]
         xi_rev = (struct.V @ eta).reshape(3, -1)
         np.testing.assert_allclose(xi_rev, state.xi, atol=1e-12)
 
@@ -572,12 +570,13 @@ class TestLargeSwarms:
         assert sol.min_pair_distance >= 2.0 * problem.agent_shape.a
 
     def test_complete_pair_graph_has_two_mode_groups(self):
-        # E'E = (N_a + n_s) I - 11': the mean trajectory and the deviations from it
+        # E'E = (N_a + n_s) I - 11': the mean trajectory and the deviations
+        # from it, each mode one block of the factor
         struct = _JointStructure(_square_antipodal(12), JointParams())
-        assert struct.groups == [slice(0, 1), slice(1, 12)]
+        np.testing.assert_allclose(np.linalg.eigvalsh(struct.E.T @ struct.E), [0.0] + [12.0] * 11, atol=1e-12)
         np.testing.assert_allclose(np.abs(struct.V[:, 0]), 1.0 / np.sqrt(12), rtol=1e-12)
         for factor in struct.factors:
-            assert factor.q_map.shape == (2, struct.m, struct.m)
+            assert factor.q_map.shape == (12, struct.m, struct.m)
 
 
 class TestOnePassPerIteration:
@@ -600,6 +599,28 @@ class TestOnePassPerIteration:
         sol = solve_joint(make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]]))
         # the initial state's reconstruction is the only one outside the loop
         assert calls == {"residual": sol.iterations, "recon": sol.iterations + 1}
+
+    def test_one_factor_apply_per_iteration(self, monkeypatch):
+        # every mode's block is applied by the one solve_primal call, and an
+        # iteration factorizes nothing
+        problem = _square_antipodal(8)
+        struct = _JointStructure(problem, JointParams())
+        state = _init_state(problem, struct)
+        calls = []
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("solve_primal", "solve_batch", "solve", "factorize"):
+            monkeypatch.setattr(qpcore, name, counting(name, getattr(qpcore, name)))
+        for level in (0, len(struct.rho_levels) - 1):
+            state.level = level
+            _iterate(state, struct)
+        assert calls == ["solve_primal", "solve_primal"]
 
     def test_iteration_takes_no_angles(self, monkeypatch):
         problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
@@ -781,6 +802,12 @@ class TestProblemValidation:
     def test_bad_static_sphere_rejected(self, center, radius):
         with pytest.raises(ValueError, match="static sphere"):
             make_problem([[-3.0, 0.0, 1.0]], [[3.0, 0.0, 1.0]], statics=[StaticSphere(np.array(center), radius)])
+
+    def test_basis_below_the_boundary_rows_rejected(self):
+        # accepted, it raised FactorizationError when the solve built its factors
+        prob = make_problem([[-3.0, 0.0, 1.0]], [[3.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="degree-4 basis has 5 coefficients per axis"):
+            MultiAgentProblem(**{**vars(prob), "basis": build_basis(0.0, 8.0, N_P, 4)})
 
     def test_zero_radius_static_sphere_accepted(self):
         sphere = StaticSphere(np.array([0.0, 0.0, 1.0]), 0.0)

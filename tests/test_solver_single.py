@@ -1078,6 +1078,17 @@ class TestProblemValidation:
             SingleProblem(**{**vars(prob), "obstacles": Obstacles(centres, [0.5], [0.5])})
 
 
+    def test_basis_below_the_boundary_rows_rejected(self):
+        # a degree-4 basis has 5 coefficients per axis for 6 boundary rows:
+        # it was accepted, and the first sweep raised FactorizationError
+        prob = make_problem_2d()
+        with pytest.raises(ValueError, match="degree-4 basis has 5 coefficients per axis"):
+            SingleProblem(**{**vars(prob), "basis": build_basis(0.0, 6.0, 60, 4)})
+        # degree 5 pins the six rows exactly: the straight line is the only path
+        sol = solve_single(SingleProblem(**{**vars(prob), "basis": build_basis(0.0, 6.0, 60, 5)}), SingleParams(max_iter=3))
+        np.testing.assert_allclose(sol.trajectory.pos[:, 1], 0.0, atol=1e-12)
+
+
 class TestParamsValidation:
     @pytest.mark.parametrize(
         "change",

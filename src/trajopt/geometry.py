@@ -508,12 +508,12 @@ def residual_extremes(res: np.ndarray) -> tuple[float, float]:
     """(2-norm, largest |entry|) of a residual block, (0, 0) for an empty one.
 
     sqrt(flat . flat) is np.linalg.norm's own sum of squares on a C-contiguous
-    block; the largest |entry| is the larger of max and -min, NaN included.
+    block; a NaN entry makes both NaN.
     """
     if not res.size:
         return 0.0, 0.0
     flat = res.ravel()
-    return math.sqrt(flat.dot(flat)), float(abs(np.maximum(flat.max(), -flat.min())))
+    return math.sqrt(flat.dot(flat)), float(np.abs(flat).max())
 
 
 def _window_mean(values):

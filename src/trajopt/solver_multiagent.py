@@ -334,7 +334,8 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
     ]
 
     gaps = np.linalg.norm(struct.pair_deltas(state.xi, out=struct.deltas)[:, ~struct.static], axis=0)
-    norm, max_abs = residual_extremes(state.residual)
+    if not history:
+        norm, max_abs = residual_extremes(state.residual)
     return JointSolution(
         trajectories=trajectories,
         converged=converged,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from trajopt.basis import Trajectory
-from trajopt.bench.runner import SOLVERS
 from trajopt.bench import (
     Boundary,
     Horizon,
@@ -29,6 +28,7 @@ from trajopt.bench import (
     to_json,
     write_results_csv,
 )
+from trajopt.bench.runner import SOLVERS
 from trajopt import solver_single
 from trajopt.geometry import scaled_sq_norm
 from trajopt.bench.runner import _collides

@@ -49,9 +49,10 @@ are pure but for their out arguments: scaled_sq_norm, los_scale,
 unit_pair and radial_target write their result into out when one is given
 (the single solver's sweep and the multi-agent iteration pass their
 state's own arrays), and return it.
-ObstacleRows owns the buffer of its sums, and forms offsets only where its
+ObstacleRows owns the buffer of its sums, forms offsets only where its
 broad phase, per-window boxes of the obstacle tracks, cannot show the
-clamp's residual to be zero.
+clamp's residual to be zero, and reduces per-point scores only when a
+caller asks for them.
 """
 
 from __future__ import annotations
@@ -191,14 +192,16 @@ def scaled_sq_norm(deltas, a, b, out=None, inverse=False):
     b broadcast against the offsets, so one call covers many obstacles.
     With inverse, a and b are given as 1 / a and 1 / b, formed once by a
     caller that scales many offsets by the same semi-axes.  Written into
-    out when given.
+    out when given; every axis after the first is squared in one temporary
+    row.
     """
     inv_a, inv_b = (a, b) if inverse else (1.0 / np.asarray(a, dtype=float), 1.0 / np.asarray(b, dtype=float))
     first, *others = deltas
     quad = np.multiply(first, inv_a, out=out)
-    rest = [d * inv_a for d in others[:-1]] + [others[-1] * inv_b]
     quad *= quad
-    for scaled in rest:
+    scaled = np.empty_like(quad)
+    for d, inv in zip(others, [inv_a] * (len(others) - 1) + [inv_b]):
+        np.multiply(d, inv, out=scaled)
         scaled *= scaled
         quad += scaled
     return quad
@@ -269,11 +272,17 @@ class ObstacleRows:
     radial_clamp's residual is exactly zero wherever the squared scaled norm
     q of an offset lies in [1, D_CAP**2], and a broad phase forms q only
     where an entry can leave that band.  Time is cut into windows of
-    _WINDOW samples, the last one possibly short.  Per obstacle, window and
-    axis, the box of the track is kept, widened by that axis's semi-axis
-    times (1 + 1e-9).  A pass takes each point's per-window range of
-    positions and forms q only on the entries of the (obstacle, point,
-    window) blocks whose ranges meet the box on every axis.
+    _WINDOW samples; a short last window is padded with repeats of the last
+    sample, in the positions and in the centre tracks alike, and no padded
+    entry reaches a result.  Per obstacle, window and axis, the box of the
+    track is kept, widened by that axis's semi-axis times (1 + 1e-9).  A
+    pass takes each point's per-window range of positions and keeps the
+    (obstacle, point, window) blocks whose ranges meet the box on every
+    axis.  Each kept block gathers its window of positions, from the
+    time-major windowed copy, and of the padded centre track, made once
+    here, as one row of _WINDOW offsets, and forms q on the row with the
+    block's 1 / a and 1 / b; only the entries that leave the band get a
+    cell index.
 
     A skipped entry has q >= 1 exactly, since rounding is monotone.  Say the
     axis that misses has pmin > fl(cmax + h), h the widened semi-axis.  The
@@ -282,9 +291,13 @@ class ObstacleRows:
     below the box, fl(p - c) = -fl(c - p).  The upper end of the band holds
     for every entry while max|pos| + max|centre| stays below
     D_CAP * min(a, b) / sqrt(dim) * (1 - 1e-9).  When it does not (NaN and
-    inf points included), every block is taken.  The buffers of the sums
-    and of the windowed positions are allocated once per solve and reused
-    by every residual pass.
+    inf points included), every block is taken.
+
+    A pass is split in two: residuals forms the per-cell sums and keeps the
+    active entries' residuals, and scores reduces those to per-point scores
+    for a caller that reads them.  The buffers of the sums and of the
+    windowed positions are allocated once per solve and reused by every
+    residual pass.
     """
 
     def __init__(self, obstacles: Obstacles, n: int):
@@ -293,10 +306,15 @@ class ObstacleRows:
         self.n = n
         self.sums = np.empty((dim, n, n_p))
         n_w = -(-n_p // _WINDOW)
+        self.pad = n_w * _WINDOW - n_p  # samples that pad the last window
         # the positions, time-major and padded to whole windows, and their
         # per-window ranges, stacked as (min, -max) per axis
         self.windows = np.empty((dim, n_w * _WINDOW, n))
         self.ranges = np.empty((2 * dim, n, n_w))
+        # the centre tracks padded as the positions are, one row per (obstacle, window)
+        tracks = np.concatenate([self.centres, np.repeat(self.centres[:, :, -1:], self.pad, axis=2)], axis=2)
+        self.tracks = tracks.reshape(dim, n_o, n_w, _WINDOW)
+        self.inv_a, self.inv_b = 1.0 / self.a, 1.0 / self.b
         # scaled_sq_norm scales every axis but the last by a, the last by b
         semi = np.stack([self.a] * (dim - 1) + [self.b])[:, :, None]
         starts = np.arange(0, n_p, _WINDOW)
@@ -307,14 +325,20 @@ class ObstacleRows:
         self.boxes = np.ascontiguousarray(np.broadcast_to(boxes, (2 * dim, n_o, n, n_w)))
         self.centre_reach = np.abs(self.centres).max(initial=0.0)
         self.cap_reach = D_CAP * semi.min(initial=np.inf) / np.sqrt(dim) * (1.0 - 1e-9)
+        # the active entries of the last pass: their points and per-axis residuals
+        self.points, self.clamped = np.zeros(0, dtype=np.intp), [np.zeros(0)] * dim
 
     def _broad_phase(self, pos):
-        """The entries of the (n, dim, n_p) points pos whose q may leave [1, D_CAP**2].
+        """The (obstacle, point, window) blocks of the (n, dim, n_p) points pos whose q may leave [1, D_CAP**2].
 
-        Returns (o, point, t, deltas, q) of those entries, in flat (obstacle,
-        point, time) order: their obstacle, point and time indices, the
-        per-axis offsets pos - centre, and q formed from them with
-        scaled_sq_norm's arithmetic.  Every other entry has q in the band.
+        Returns (o, point, w, deltas, q), the blocks in flat (obstacle,
+        point, window) order: their obstacle, point and window indices, the
+        per-axis offsets pos - centre of each block's samples, and q formed
+        from them with scaled_sq_norm's arithmetic, each (n_blocks,
+        _WINDOW).  Entry (i, j) is time w[i] * _WINDOW + j, so the rows read
+        in flat (obstacle, point, time) order; those of a short last window
+        end in self.pad repeats of the last sample.  Every entry outside the
+        blocks has q in the band.
         """
         dim, _, n_p = self.centres.shape
         windows, ranges = self.windows, self.ranges
@@ -330,42 +354,47 @@ class ObstacleRows:
         else:
             blocks = np.ones(self.boxes.shape[1:], dtype=bool)
         ow, w = np.divmod(np.flatnonzero(blocks), ranges.shape[2])
-        t = (w * _WINDOW)[:, None] + np.arange(_WINDOW)
-        inside = t < n_p
-        ow, t = np.broadcast_to(ow[:, None], t.shape)[inside], t[inside]
         o, point = np.divmod(ow, self.n)
-        at, cell = o * n_p + t, t * self.n + point
-        deltas = [np.take(windows[k], cell) - np.take(self.centres[k], at) for k in range(dim)]
-        return o, point, t, deltas, scaled_sq_norm(deltas, self.a[o], self.b[o])
+        deltas = [split[k][w, :, point] - self.tracks[k][o, w] for k in range(dim)]
+        return o, point, w, deltas, scaled_sq_norm(deltas, self.inv_a[o][:, None], self.inv_b[o][:, None], inverse=True)
+
+    def _unpad(self, w, values, fill):
+        """Set to fill the entries of the (n_blocks, _WINDOW) values of blocks in windows w that pad the last window."""
+        if self.pad:
+            values[w == self.ranges.shape[2] - 1, -self.pad :] = fill
 
     def least_sq_norms(self, pos):
         """The least q of each of the (n, dim, n_p) points pos, +inf where the broad phase takes none.
 
         Every entry it skips has q >= 1, so the value is exact wherever it
-        is below 1, and at least 1 elsewhere.
+        is below 1, and at least 1 elsewhere.  A padded entry repeats the
+        last sample of its own block, so the least q of a block is that of
+        its samples.
         """
         _, point, _, _, q = self._broad_phase(pos)
         least = np.full(self.n, np.inf)
-        np.minimum.at(least, point, q)
+        np.minimum.at(least, point, q.min(axis=1))
         return least
 
     def penetrations(self, pos):
         """The (n,) sum over obstacles and times of max(0, 1 - q) of each of the (n, dim, n_p) points pos.
 
         An entry the broad phase skips has q >= 1 and adds zero; the others
-        are added in flat (obstacle, point, time) order, a NaN q making NaN.
+        are added in flat (obstacle, point, time) order, a NaN q making NaN,
+        and the padded ones add zero.
         """
-        _, point, _, _, q = self._broad_phase(pos)
-        return np.bincount(point, np.maximum(0.0, 1.0 - q), minlength=self.n)
+        _, point, w, _, q = self._broad_phase(pos)
+        gaps = np.maximum(0.0, 1.0 - q)
+        self._unpad(w, gaps, 0.0)
+        return np.bincount(np.repeat(point, _WINDOW), gaps.ravel(), minlength=self.n)
 
     def residuals(self, pos):
-        """Collision residuals of the (n, dim, n_p) points pos against every obstacle.
+        """The (dim, n, n_p) collision residuals of the points pos, summed over obstacles.
 
-        Each obstacle's residual is radial_clamp's at lower = 1, upper =
-        D_CAP.  Returns (sums, sq, peak): sums is the (dim, n, n_p) sum over
-        obstacles of the per-axis residuals, a view of the workspace that
-        the next pass overwrites; sq and peak are the (n,) per-point sum of
-        squares and largest absolute value of the residual entries.
+        pos holds (n, dim, n_p) points.  Each obstacle's residual is
+        radial_clamp's at lower = 1, upper = D_CAP.  The sums are a view of
+        the workspace that the next pass overwrites; the active entries'
+        residuals are kept for scores.
 
         radial_clamp's residual is exactly zero wherever the squared scaled
         norm q lies in [1, D_CAP**2], so of the entries the broad phase
@@ -373,24 +402,46 @@ class ObstacleRows:
         clamp, in flat (obstacle, point, time) order, and each cell's sum
         adds them onto zeros in obstacle order.  The skipped terms are exact
         zeros, so the sums are bit for bit those of the clamp of every entry
-        summed in obstacle order, and peak is that array's largest entry; sq
-        is formed in another order.
+        summed in obstacle order.
         """
         dim, _, n_p = self.centres.shape
-        o, point, t, deltas, q = self._broad_phase(pos)
+        o, point, w, deltas, q = self._broad_phase(pos)
         # the complement of the band, not (q < 1) | (q > D_CAP**2), so that NaN stays active
         active = ~((q >= 1.0) & (q <= D_CAP**2))
-        o, point, cell = o[active], point[active], point[active] * n_p + t[active]
+        self._unpad(w, active, False)
+        block, j = np.nonzero(active)
+        o, point = o[block], point[block]
         res = radial_clamp([d[active] for d in deltas], self.a[o], self.b[o])
+        cell = point * n_p + w[block] * _WINDOW + j
         sums = self.sums.reshape(dim, -1)
         sums.fill(0.0)
         for k, r in enumerate(res):
             np.add.at(sums[k], cell, r)
+        self.points, self.clamped = point, res
+        return self.sums
+
+    def extremes(self):
+        """The (dim,) least and greatest coordinate on each axis of the points of the last pass.
+
+        Read from the broad phase's per-window ranges; a NaN coordinate
+        makes both of its axis's values NaN.
+        """
+        dim = self.centres.shape[0]
+        least = self.ranges.reshape(2 * dim, -1).min(axis=1)
+        return least[:dim], -least[dim:]
+
+    def scores(self):
+        """(sq, peak) of the last residuals pass: the (n,) per-point sum of squares and largest |entry| of the residuals.
+
+        peak is the largest entry of the clamp of every entry, a NaN
+        residual making its point's peak NaN; sq adds the active entries'
+        squares point by point in flat order.
+        """
         sq, peak = np.zeros(self.n), np.zeros(self.n)
-        np.add.at(sq, point, sum(r * r for r in res))
-        with np.errstate(invalid="ignore"):  # a NaN residual makes its point's peak NaN
-            np.maximum.at(peak, point, np.max(np.abs(res), axis=0))
-        return self.sums, sq, peak
+        np.add.at(sq, self.points, sum(r * r for r in self.clamped))
+        with np.errstate(invalid="ignore"):
+            np.maximum.at(peak, self.points, np.max(np.abs(self.clamped), axis=0))
+        return sq, peak
 
 
 def norm_clamp(deltas, limit: float):

@@ -355,7 +355,9 @@ def polar_step(state: BatchState, problem: BatchProblem, struct: _Structure, pla
     xi_x, _, xi_y, _ = _split(state.xi, struct.m)
     copies = [p - t for p, t in zip(placed, (np.cos(state.psi), np.sin(state.psi)))]
     # each collision row's value is its circle placed by the copies, less the centre
-    sums, coll_sq, coll_peak = struct.obstacle_rows(n_b).residuals(_circles(struct, basis, state.xi, placed))
+    rows = struct.obstacle_rows(n_b)
+    sums = rows.residuals(_circles(struct, basis, state.xi, placed))
+    coll_sq, coll_peak = rows.scores()
     res_max, sq = coll_peak.reshape(n_b, n_c).max(axis=1), coll_sq.reshape(n_b, n_c).sum(axis=1)
     kinematic = []  # the velocity and acceleration families with an active sample
     for limit, mat in ((problem.v_max, basis.Pdot), (problem.a_max, basis.Pddot)):

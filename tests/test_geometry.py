@@ -63,6 +63,23 @@ class TestLosDistance:
         else:
             assert d > 1.0
 
+    def test_later_axes_share_one_row(self):
+        # with out, a 3-axis call allocates one row, for the axes after the
+        # first, and keeps the arithmetic of one row per axis
+        n = 10_000
+        deltas = np.random.default_rng(0).normal(size=(3, n))
+        out = np.empty(n)
+        tracemalloc.start()
+        try:
+            got = scaled_sq_norm(deltas, 0.7, 1.3, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got is out
+        assert peak < 1.5 * out.nbytes
+        inv_a, inv_b = 1.0 / np.asarray(0.7), 1.0 / np.asarray(1.3)
+        np.testing.assert_array_equal(got, (deltas[0] * inv_a) ** 2 + (deltas[1] * inv_a) ** 2 + (deltas[2] * inv_b) ** 2)
+
     def test_planar_variant(self):
         assert los_scale(np.array([4.0, 0.0]), 2.0, 1.0) == pytest.approx(2.0)
         assert los_scale(np.array([0.0, 0.5]), 2.0, 1.0) == pytest.approx(1.0)
@@ -530,7 +547,7 @@ def _dense_rows(centres, a, b, pos):
 def _check_rows(centres, a, b, pos):
     """The active-set pass against the clamp of every entry: sums and peak bit for bit."""
     rows = ObstacleRows(Obstacles(centres, a, b), pos.shape[0])
-    got = rows.residuals(pos)
+    got = (rows.residuals(pos), *rows.scores())
     sums, sq, peak = _dense_rows(centres, np.asarray(a, dtype=float), np.asarray(b, dtype=float), pos)
     np.testing.assert_array_equal(got[0], sums)
     np.testing.assert_allclose(got[1], sq, rtol=1e-14, atol=0)
@@ -578,22 +595,27 @@ class TestObstacleRows:
 def _check_broad_phase(centres, a, b, pos):
     """The broad phase against q formed densely over every (obstacle, point, time) entry.
 
-    The entries it takes come in flat order, carry the dense q bit for bit,
-    and include every entry outside [1, D_CAP**2] (NaN included), so that
-    the active index array is the dense one; least_sq_norms is exact below 1,
-    and penetrations are the dense sums of max(0, 1 - q) to rounding.
-    Returns the number of entries taken.
+    The blocks it takes hold their entries in flat order, carry the dense q
+    bit for bit, and include every entry outside [1, D_CAP**2] (NaN
+    included), so that the active index array is the dense one; the entries
+    that pad a short last window repeat its last sample; least_sq_norms is
+    exact below 1, and penetrations are the dense sums of max(0, 1 - q) to
+    rounding.  Returns the number of entries taken.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     dim, n_o, n_p = centres.shape
     rows = ObstacleRows(Obstacles(centres, a, b), pos.shape[0])
     with np.errstate(invalid="ignore"):
         q = scaled_sq_norm([pos[None, :, k] - centres[k][:, None] for k in range(dim)], a[:, None, None], b[:, None, None])
-        o, point, t, _, q_taken = rows._broad_phase(pos)
+        o, point, w, _, q_blocks = rows._broad_phase(pos)
         least = rows.least_sq_norms(pos)
         penetrations = rows.penetrations(pos)
         dense_penetrations = np.maximum(0.0, 1.0 - q).sum(axis=(0, 2))
-    taken = (o * pos.shape[0] + point) * n_p + t
+    t = w[:, None] * geometry._WINDOW + np.arange(geometry._WINDOW)
+    inside = t < n_p
+    np.testing.assert_array_equal(q_blocks[~inside], np.broadcast_to(q[o, point, n_p - 1, None], t.shape)[~inside])
+    taken = ((o * pos.shape[0] + point)[:, None] * n_p + t)[inside]
+    q_taken = q_blocks[inside]
     assert np.all(np.diff(taken) > 0)
     np.testing.assert_array_equal(q_taken, q.ravel()[taken])
     outside = ~((q >= 1.0) & (q <= D_CAP**2)).ravel()
@@ -626,6 +648,34 @@ class TestBroadPhase:
         n_taken = self._check(centres, a, b, pos)
         assert n_taken < n_o * n * n_p or n_p == 1
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_padding_of_a_deep_last_sample_reaches_no_result(self, dim):
+        # n_p = 13 pads the second window with seven repeats of t = 12, where
+        # point 0 sits deep inside obstacle 0; a leaked repeat would add to
+        # its sq, peak and penetration, and its cells would spill onto
+        # point 1's first samples, which lie inside obstacle 1
+        n_p = 13
+        centres = np.zeros((dim, 2, n_p))
+        centres[0, 1] = 10.0
+        a, b = np.array([1.0, 0.8]), np.array([0.9, 1.2])
+        pos = np.full((2, dim, n_p), 5.0)
+        pos[0, :, 12] = 0.05
+        pos[1, :, :7] = centres[:, 1, :7] + 0.1
+        self._check(centres, a, b, pos)
+        rows = ObstacleRows(Obstacles(centres, a, b), 2)
+        o, point, w, _, q = rows._broad_phase(pos)
+        assert np.any((o == 0) & (point == 0) & (w == 1))  # the padded block is taken
+        q_last = scaled_sq_norm(list(pos[0, :, 12:]), a[0], b[0])[0]
+        assert q_last < 0.01
+        assert rows.penetrations(pos)[0] == 1.0 - q_last
+        assert rows.least_sq_norms(pos)[0] == q_last
+        sums = rows.residuals(pos)
+        sq, peak = rows.scores()
+        res = np.array(radial_clamp(list(pos[0, :, 12:]), a[0], b[0]))[:, 0]
+        assert sq[0] == sum(r * r for r in res) and peak[0] == np.abs(res).max()
+        np.testing.assert_array_equal(sums[:, 0, 12], res)
+        assert not sums[:, 0, :12].any() and not sums[:, 1, 7:].any()
+
     def test_obstacles_sweeping_metres_inside_one_window(self):
         # 3 m per sample: one window spans 30 m, and the box spans the whole sweep
         n_p = 25
@@ -634,7 +684,8 @@ class TestBroadPhase:
         pos = np.stack([np.stack([0.5 * t - 6.0, np.full(n_p, 0.3)]), np.stack([2.0 * t - 20.0, 0.05 * t])])
         a, b = np.array([1.6, 1.1]), np.array([0.5, 0.9])
         rows = ObstacleRows(Obstacles(centres, a, b), 2)
-        assert rows.residuals(pos)[1].any()  # the sweep crosses a point
+        rows.residuals(pos)
+        assert rows.scores()[0].any()  # the sweep crosses a point
         self._check(centres, a, b, pos)
 
     @pytest.mark.parametrize("dim", [2, 3])

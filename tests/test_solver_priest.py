@@ -235,6 +235,23 @@ class TestProject:
         assert qpcore.factorization_count() == before + 1
         assert setup.n_factorizations == 1
 
+    @pytest.mark.parametrize("kind,params", [("barn-like", None), ("random-static", {"dim": 3})])
+    def test_history_leaves_the_outputs_unchanged(self, kind, params):
+        # the scores are reduced only where they are read: after the last
+        # iterate, and for every iterate when a history is kept
+        _, setup, dist = _scenario_setup(kind, params, seed=3)
+        samples = np.random.default_rng(4).multivariate_normal(dist.mu, dist.sigma_mat, size=16, method="svd")
+        samples[:3] *= 4.0  # far outside the workspace box
+        _, families, _ = _residuals(setup, setup.pva_samples(samples), ObstacleRows(setup.obstacles, 16))
+        assert len(families) == 3  # the box, velocity and acceleration rows are all active
+        history = []
+        plain = project(setup, samples, n_inner=8)
+        logged = project(setup, samples, n_inner=8, residual_history=history)
+        for got, expected in zip(logged, plain):
+            np.testing.assert_array_equal(got, expected)
+        assert len(history) == 8
+        np.testing.assert_array_equal(history[-1], logged[1])
+
     def test_3d_projection_escapes_obstacle(self):
         # the sample runs through the obstacle center, the deepest possible
         # penetration; escaping it needs a long inner loop
@@ -550,7 +567,9 @@ def _assert_sums_bit_equal(setup, xis):
     pos, obstacles = setup.pva_samples(xis)[:, :, 0], setup.obstacles
     offsets = [pos[:, k, None, :] - obstacles.centres[k] for k in range(setup.dim)]  # (N, n_o, n_p) each
     dense = radial_clamp(offsets, obstacles.a[:, None], obstacles.b[:, None])
-    sums, sq, _ = ObstacleRows(setup.obstacles, xis.shape[0]).residuals(pos)
+    rows = ObstacleRows(setup.obstacles, xis.shape[0])
+    sums = rows.residuals(pos)
+    sq, _ = rows.scores()
     assert np.array_equal(sums, np.stack([r.sum(axis=1) for r in dense]))
     expected = sum(np.einsum("nij,nij->n", r, r) for r in dense)
     np.testing.assert_allclose(sq, expected, rtol=1e-13, atol=0)

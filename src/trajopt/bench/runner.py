@@ -206,6 +206,9 @@ def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir
     success is the direct geometric check, min_clearance >= 0 against the
     raw obstacles (for multiagent, the least pair distance against the agent
     diameter); convergence is reported separately through residual_final.
+    multiagent stops at its clearance certificate (JointParams.
+    stop_on_certificate), so its iters and residual_final are those of the
+    certified stop.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -233,7 +236,8 @@ def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir
             iterations = params.iterations
     else:  # multiagent
         problem = multiagent_problem_from_scenario(scenario, basis)
-        sol, wall_ms = _timed(solver_multiagent.solve_joint, problem, solver_multiagent.JointParams(max_iter=iters))
+        params = solver_multiagent.JointParams(max_iter=iters, stop_on_certificate=True)
+        sol, wall_ms = _timed(solver_multiagent.solve_joint, problem, params)
         traj = sol.trajectories[0]
         residual = sol.residual_norm
         iterations = sol.iterations

@@ -381,12 +381,13 @@ class ObstacleRows:
 
         An entry the broad phase skips has q >= 1 and adds zero; the others
         are added in flat (obstacle, point, time) order, a NaN q making NaN,
-        and the padded ones add zero.
+        and the padded ones add zero.  The sums are float64 even when no
+        entry is kept (np.bincount of no indices returns int64).
         """
         _, point, w, _, q = self._broad_phase(pos)
         gaps = np.maximum(0.0, 1.0 - q)
         self._unpad(w, gaps, 0.0)
-        return np.bincount(np.repeat(point, _WINDOW), gaps.ravel(), minlength=self.n)
+        return np.bincount(np.repeat(point, _WINDOW), gaps.ravel(), minlength=self.n).astype(float, copy=False)
 
     def residuals(self, pos):
         """The (dim, n, n_p) collision residuals of the points pos, summed over obstacles.

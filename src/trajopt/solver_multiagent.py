@@ -48,10 +48,27 @@ Static obstacles enter as stationary pseudo-agents wrapped in circumscribing
 spheres: they contribute constraint rows against every real agent but no
 decision variables.
 
-A practical inflation trick absorbs the non-zero terminal residual: the
-solver plans with agent radii enlarged by a multiple of the typical
-post-convergence residual, so approximate constraint satisfaction still
-yields true geometric clearance.
+The solver plans with agent radii enlarged by a multiple of the typical
+terminal residual (inflate_radius), and that margin turns the residual into
+a clearance certificate.  Take a pair with raw semi-axes (pa, pa, pb):
+2a, 2b for two agents, a + R, b + R against a static sphere of radius R;
+its inflated ones (pa_inf, pa_inf, pb_inf); and |.| the scaled norm at the
+raw ones.  The clamp d >= 1 puts the reconstruction at inflated scaled
+norm d >= 1, so |recon| >= kappa = min(pa_inf / pa, pb_inf / pb).  If every
+entry of the residual delta - recon is at most e, then
+|delta - recon| <= c e with c = sqrt(2 / pa^2 + 1 / pb^2), and the triangle
+inequality gives
+
+    |delta| >= kappa - c e >= 1    whenever    e <= e_p = (kappa - 1) / c,
+
+raw clearance at every sample.  For spheres, e_p = 2 (a_inf - a) / sqrt(3),
+0.0462 at the default inflation of 4 cm per agent.  The structure keeps e* = min_p e_p,
+shrunk by a relative 1e-9 so that rounding cannot push a certified offset
+inside the raw pair radius; a zero raw semi-axis gives e_p = 0.  At r = 0
+the residual holds pb_inf d > e_p, so a coincident pair never certifies,
+and neither does a NaN residual.  The solution reports whether its last
+residual certifies and by what margin; JointParams.stop_on_certificate
+ends the solve at the first iteration that does.
 """
 
 from __future__ import annotations
@@ -117,6 +134,10 @@ class JointParams:
     stall_improvement: float = 0.01
     inflation_factor: float = 4.0
     typical_residual: float = 0.01
+    # stop at the first iteration whose residual certifies raw clearance
+    # (largest entry <= e*, see the module docstring); converged still means
+    # residual norm <= tol_norm
+    stop_on_certificate: bool = False
 
     def __post_init__(self):
         for name in ("rho_start", "rho_final"):
@@ -155,6 +176,14 @@ class JointSolution:
     residual_max: float
     residual_history: list
     min_pair_distance: float
+    # the last residual's largest entry is at most e*: every pair clears its
+    # raw semi-axes at every sample
+    certified: bool
+    # least over pairs of c_p (e_p - residual_max), that is
+    # kappa_p - c_p residual_max - 1 less the 1e-9 allowance of e_p: the raw
+    # scaled clearance the last residual proves, >= 0 exactly when certified
+    # (+inf without pairs, NaN for a NaN residual)
+    certified_margin: float
     inflated_radius: tuple[float, float]
     n_factorizations: int
     state: JointState
@@ -167,6 +196,23 @@ def inflate_radius(radius: float, typical_residual: float, factor: float) -> flo
     return radius + factor * typical_residual
 
 
+def certificate_bounds(raw, inflated) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair residual bound e_p and scale c_p of the clearance certificate.
+
+    raw and inflated are (pa, pb) pairs of per-pair semi-axes.  e_p carries
+    the relative 1e-9 shrink, and c_p (e_p - e) is the raw scaled clearance
+    that a residual of largest entry e proves, beyond 1.  A pair with a raw
+    semi-axis of zero (or so small that c_p overflows) gets e_p = 0 and
+    c_p = 1: only an exactly zero residual certifies it.
+    """
+    (pa, pb), (pa_inf, pb_inf) = raw, inflated
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.sqrt(2.0 / pa**2 + 1.0 / pb**2)
+        bound = (np.minimum(pa_inf / pa, pb_inf / pb) - 1.0) / scale
+    finite = np.isfinite(scale)
+    return np.where(finite, bound * (1.0 - 1e-9), 0.0), np.where(finite, scale, 1.0)
+
+
 class _JointStructure:
     def __init__(self, problem: MultiAgentProblem, params: JointParams):
         self.basis = basis = problem.basis
@@ -174,8 +220,9 @@ class _JointStructure:
         n_a, n_s = problem.n_agents, len(problem.static_obstacles)
         self.m, self.n_a = m, n_a
 
-        a_inf = inflate_radius(problem.agent_shape.a, params.typical_residual, params.inflation_factor)
-        b_inf = inflate_radius(problem.agent_shape.b, params.typical_residual, params.inflation_factor)
+        a, b = problem.agent_shape.a, problem.agent_shape.b
+        a_inf = inflate_radius(a, params.typical_residual, params.inflation_factor)
+        b_inf = inflate_radius(b, params.typical_residual, params.inflation_factor)
         self.inflated = (a_inf, b_inf)
 
         # pairs: agent-agent pairs once each, then every agent against each
@@ -186,8 +233,16 @@ class _JointStructure:
         self.n_pairs = len(self.pair_i)
         self.static = self.pair_j < 0
         radii = np.array([sphere.radius for sphere in problem.static_obstacles], dtype=float)
-        self.pa = np.concatenate([np.full(len(agent_i), 2.0 * a_inf), np.repeat(a_inf + radii, n_a)])[:, None]
-        self.pb = np.concatenate([np.full(len(agent_i), 2.0 * b_inf), np.repeat(b_inf + radii, n_a)])[:, None]
+
+        def pair_axis(semi):
+            return np.concatenate([np.full(len(agent_i), 2.0 * semi), np.repeat(semi + radii, n_a)])
+
+        self.pa, self.pb = pair_axis(a_inf)[:, None], pair_axis(b_inf)[:, None]
+        # the clearance certificate: a residual of largest entry <= e*
+        # proves raw clearance (module docstring)
+        raw = pair_axis(a), pair_axis(b)
+        self.cert_bound, self.cert_scale = certificate_bounds(raw, (self.pa[:, 0], self.pb[:, 0]))
+        self.certificate = float(self.cert_bound.min()) if self.n_pairs else np.inf
         # (3, n_pairs, 1) centre of each pair's static partner, zero for agent pairs
         centers = np.array([sphere.center for sphere in problem.static_obstacles], dtype=float).reshape(n_s, 3)
         self.static_centers = np.zeros((3, self.n_pairs, 1))
@@ -300,7 +355,12 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
     """Run the joint AM loop over the staged penalty schedule.
 
     Non-convergence is flagged, not raised.  The schedule advances one level
-    whenever the windowed residual norm stalls.
+    whenever the windowed residual norm stalls.  The loop stops when the
+    residual norm reaches tol_norm (converged) or, with
+    params.stop_on_certificate, at the first iteration whose largest
+    residual entry is at most the certificate bound e* (certified; see the
+    module docstring).  Every solution reports whether its last residual
+    certifies raw clearance, and the margin it proves.
     """
     params = params or JointParams()
     struct = _JointStructure(problem, params)
@@ -317,6 +377,8 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
         norms.append(norm)
         if norm <= params.tol_norm:
             converged = True
+            break
+        if params.stop_on_certificate and max_abs <= struct.certificate:
             break
         # staged schedule: spread the precomputed levels across the run, and
         # advance early whenever the windowed residual stalls
@@ -344,6 +406,8 @@ def solve_joint(problem: MultiAgentProblem, params: JointParams | None = None) -
         residual_max=max_abs,
         residual_history=history,
         min_pair_distance=float(gaps.min()) if gaps.size else np.inf,
+        certified=max_abs <= struct.certificate,
+        certified_margin=float(np.min(struct.cert_scale * (struct.cert_bound - max_abs))) if struct.n_pairs else np.inf,
         inflated_radius=struct.inflated,
         n_factorizations=struct.n_factorizations,
         state=state,

@@ -289,6 +289,16 @@ def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
     return obstacle, families, _sq_norms(rows, families)
 
 
+def _check_samples(setup: ProjectionSetup, samples) -> np.ndarray:
+    """samples as an (N, dim*m) float array with N >= 1; any other shape is rejected."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    if samples.ndim != 2 or samples.shape[1] != setup.dim * setup.m:
+        raise ValueError(f"samples must have shape (N, {setup.dim * setup.m}), got {samples.shape}")
+    if not samples.shape[0]:
+        raise ValueError("samples must hold at least one sample, got 0")
+    return samples
+
+
 def project(
     setup: ProjectionSetup,
     samples: np.ndarray,
@@ -310,10 +320,8 @@ def project(
     """
     if n_inner < 1:
         raise ValueError("n_inner must be at least 1")
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = _check_samples(setup, samples)
     dim, m = setup.dim, setup.m
-    if samples.ndim != 2 or samples.shape[1] != dim * m:
-        raise ValueError(f"samples must have shape (N, {dim * m}), got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     n = samples.shape[0]
@@ -346,8 +354,11 @@ def project(
 
 def residual_scores(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
     """Constraint-violation score per sample: L2 norm of the stacked
-    reformulated-equality residuals and clipped affine violations."""
-    pva = setup.pva_samples(xis)
+    reformulated-equality residuals and clipped affine violations.
+
+    xis is an (N, dim*m) array with N >= 1; other shapes are rejected.
+    """
+    pva = setup.pva_samples(_check_samples(setup, xis))
     _, _, sq = _residuals(setup, pva, ObstacleRows(setup.obstacles, pva.shape[0]))
     return np.sqrt(sq)
 

@@ -776,6 +776,15 @@ class TestBroadPhase:
         np.testing.assert_array_equal(rows.least_sq_norms(pos), np.inf)
         np.testing.assert_array_equal(rows.penetrations(pos), 0.0)
 
+    def test_penetrations_are_float_when_no_block_is_kept(self):
+        # np.bincount of no indices returns int64, whatever the weights' dtype
+        centres = np.zeros((2, 1, 13))
+        far = np.full((3, 2, 13), 50.0)
+        for obstacles in (Obstacles(centres, [0.5], [0.5]), Obstacles(np.zeros((2, 0, 13)), [], [])):
+            gaps = ObstacleRows(obstacles, 3).penetrations(far)
+            assert gaps.dtype == np.float64
+            np.testing.assert_array_equal(gaps, 0.0)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([2, 3]), n_o=st.integers(0, 4), n=st.integers(1, 3), n_p=st.integers(1, 25))
     def test_random_tracks(self, data, dim, n_o, n, n_p):

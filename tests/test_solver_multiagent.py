@@ -17,6 +17,7 @@ from trajopt.solver_multiagent import (
     _init_state,
     _iterate,
     _JointStructure,
+    certificate_bounds,
     inflate_radius,
     pairwise_residuals_arrays,
     solve_joint,
@@ -577,6 +578,172 @@ class TestLargeSwarms:
         np.testing.assert_allclose(np.abs(struct.V[:, 0]), 1.0 / np.sqrt(12), rtol=1e-12)
         for factor in struct.factors:
             assert factor.q_map.shape == (12, struct.m, struct.m)
+
+
+def _raw_pair_axes(problem):
+    """Per-pair raw semi-axes (pa, pb) by hand, in the structure's pair order."""
+    a, b = problem.agent_shape.a, problem.agent_shape.b
+    n_a = problem.n_agents
+    pa = [2.0 * a] * (n_a * (n_a - 1) // 2) + [a + s.radius for s in problem.static_obstacles for _ in range(n_a)]
+    pb = [2.0 * b] * (n_a * (n_a - 1) // 2) + [b + s.radius for s in problem.static_obstacles for _ in range(n_a)]
+    return np.array(pa), np.array(pb)
+
+
+def _spheroid_problem(a, b, statics=()):
+    starts, goals = [[-3.0, 0.2, 1.0], [3.0, -0.4, 1.2]], [[3.0, -0.1, 1.1], [-3.0, 0.5, 0.8]]
+    return MultiAgentProblem(
+        basis=build_basis(0.0, 8.0, N_P, 10),
+        boundaries=[_axis_bounds(s, g) for s, g in zip(starts, goals)],
+        agent_shape=EllipsoidShape(a, b),
+        static_obstacles=list(statics),
+    )
+
+
+class TestCertificate:
+    def test_sphere_bound_is_two_margins_over_root_three(self):
+        problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
+        struct = _JointStructure(problem, JointParams())
+        margin = struct.inflated[0] - 0.3  # 4 x 0.01
+        assert struct.certificate == pytest.approx(2.0 * margin / np.sqrt(3.0) * (1.0 - 1e-9), rel=1e-13)
+        assert struct.certificate < 2.0 * margin / np.sqrt(3.0)
+        assert struct.certificate == pytest.approx(0.0462, abs=5e-5)
+
+    @pytest.mark.parametrize(
+        "a,b,statics",
+        [
+            (0.4, 0.4, ()),
+            (0.3, 0.5, ()),
+            (0.4, 0.4, (StaticSphere(np.array([0.0, 0.0, 1.0]), 1.0),)),
+            (0.3, 0.5, (StaticSphere(np.array([0.0, 0.0, 1.0]), 0.0),)),
+        ],
+    )
+    def test_residual_at_the_bound_keeps_raw_clearance(self, a, b, statics):
+        # recon on the inflated spheroid (scaled norm 1, the least the clamp
+        # d >= 1 allows), and the residual whose entries, each at most e*,
+        # pull the offset closest to the pair's centre: every pair keeps raw
+        # scaled norm >= 1
+        problem = _spheroid_problem(a, b, statics)
+        struct = _JointStructure(problem, JointParams())
+        raw_pa, raw_pb = _raw_pair_axes(problem)
+        e = struct.certificate
+        rng = np.random.default_rng(3)
+        diagonals = [[1.0, 1.0, -1.0], [1.0, -1.0, 0.0], [1.0, 1.0, 1.0]]
+        units = np.concatenate([rng.normal(size=(3, 400)), diagonals], axis=1)
+        units /= np.linalg.norm(units, axis=0)
+        axes = np.array([struct.pa[:, 0], struct.pa[:, 0], struct.pb[:, 0]])  # (3, n_pairs)
+        recon = axes[:, :, None] * units[:, None, :]
+        residual = -np.sign(recon) * np.minimum(np.abs(recon), e)
+        assert np.abs(residual).max() == e
+        deltas = recon + residual
+        raw = np.sqrt((deltas[0] ** 2 + deltas[1] ** 2) / raw_pa[:, None] ** 2 + deltas[2] ** 2 / raw_pb[:, None] ** 2)
+        assert raw.min() >= 1.0
+        if a == b and not statics:
+            # spheres: the diagonal is the tight direction, |delta| >= 2a
+            assert np.linalg.norm(deltas, axis=0).min() >= 2.0 * a
+            along = axes[:, :1, None] * np.full((3, 1, 1), 1.0 / np.sqrt(3.0))
+            beyond = np.sign(along) * (np.abs(along) - 1.001 * e)
+            assert np.linalg.norm(beyond) < 2.0 * a
+
+    def test_bound_per_pair_matches_the_triangle_inequality(self):
+        # agent pairs have raw semi-axes (2a, 2b); a static partner of radius
+        # R has (a + R, b + R), and its smaller relative margin sets e*
+        spheres = (StaticSphere(np.array([0.0, 0.0, 1.0]), 1.0), StaticSphere(np.array([0.0, 2.0, 1.0]), 0.0))
+        struct = _JointStructure(_spheroid_problem(0.3, 0.5, spheres), JointParams())
+        shrink = 1.0 - 1e-9
+        # (a, b) = (0.3, 0.5), inflated by 0.04: the agent pair's raw
+        # (0.6, 1.0) plans at (0.68, 1.08), so kappa = 1.08 on the z axis;
+        # R = 1 gives raw (1.3, 1.5) at (1.34, 1.54), kappa = 1.54 / 1.5;
+        # R = 0 gives raw (0.3, 0.5) at (0.34, 0.54), kappa = 1.08 again
+        expected = [
+            0.08 / np.sqrt(2.0 / 0.6**2 + 1.0 / 1.0**2),
+            (1.54 / 1.5 - 1.0) / np.sqrt(2.0 / 1.3**2 + 1.0 / 1.5**2),
+            0.08 / np.sqrt(2.0 / 0.3**2 + 1.0 / 0.5**2),
+        ]
+        np.testing.assert_allclose(struct.cert_bound, np.repeat(expected, [1, 2, 2]) * shrink, rtol=1e-13)
+        assert struct.certificate == struct.cert_bound.min() == pytest.approx(expected[2] * shrink, rel=1e-13)
+
+    def test_zero_raw_semi_axis_gives_zero_bound(self):
+        raw = np.array([0.0, 0.8, 1e-200]), np.array([0.8, 0.0, 0.8])
+        bound, scale = certificate_bounds(raw, (np.full(3, 0.88), np.full(3, 0.88)))
+        np.testing.assert_array_equal(bound, 0.0)
+        np.testing.assert_array_equal(scale, 1.0)
+
+    def test_zero_margin_never_stops_early(self):
+        # without inflation the raw and planning semi-axes agree and e* = 0:
+        # the certified stop never fires before the norm test
+        problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
+        params = JointParams(inflation_factor=0.0)
+        assert _JointStructure(problem, params).certificate == 0.0
+        plain = solve_joint(problem, params)
+        stopping = solve_joint(problem, JointParams(inflation_factor=0.0, stop_on_certificate=True))
+        assert stopping.iterations == plain.iterations
+        np.testing.assert_array_equal(stopping.state.xi, plain.state.xi)
+
+    def test_nan_residual_never_certifies(self, monkeypatch):
+        monkeypatch.setattr(solver_multiagent, "residual_extremes", lambda res: (np.nan, np.nan))
+        problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])
+        sol = solve_joint(problem, JointParams(max_iter=5, stop_on_certificate=True))
+        assert (sol.iterations, sol.converged, sol.certified) == (5, False, False)
+        assert np.isnan(sol.certified_margin)
+
+    def test_coincident_pair_never_certifies(self):
+        # at r = 0 the reconstruction is (0, 0, pb_inf d): the residual holds
+        # pb_inf d >= pb_inf, and every e_p lies below pb_inf - pb
+        problem = make_problem([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], [[2.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
+        struct = _JointStructure(problem, JointParams())
+        assert np.all(struct.cert_bound < struct.pb[:, 0] - 0.6)
+        sol = solve_joint(problem, JointParams(max_iter=0, stop_on_certificate=True))
+        assert sol.residual_max == struct.pb[0, 0]
+        assert not sol.certified and sol.certified_margin < 0.0
+
+    def test_stops_at_the_first_certified_iteration(self):
+        problem = _square_antipodal(4)
+        plain = solve_joint(problem)
+        sol = solve_joint(problem, JointParams(stop_on_certificate=True))
+        e = _JointStructure(problem, JointParams()).certificate
+        maxima = [entry["max_abs"] for entry in sol.residual_history]
+        assert sol.certified and not sol.converged and sol.iterations < plain.iterations
+        assert maxima[-1] <= e < min(maxima[:-1])
+        # the stop changes nothing before it
+        assert sol.residual_history == plain.residual_history[: sol.iterations]
+        assert sol.certified_margin >= 0.0
+        assert sol.min_pair_distance >= 2.0 * problem.agent_shape.a
+        assert sol.n_factorizations == JointParams().rho_levels
+
+    def test_default_solve_never_stops_on_the_certificate(self):
+        # criterion 9 and the pins count iterations to residual_norm <= tol_norm
+        sol = solve_joint(_square_antipodal(4))
+        e = _JointStructure(_square_antipodal(4), JointParams()).certificate
+        first = next(k for k, entry in enumerate(sol.residual_history) if entry["max_abs"] <= e)
+        assert first + 1 < sol.iterations == 103
+        assert sol.converged and sol.certified and sol.certified_margin > 0.0
+
+    def test_unconverged_solution_reports_an_uncertified_margin(self):
+        sol = solve_joint(_square_antipodal(4), JointParams(max_iter=10))
+        assert not sol.certified and sol.certified_margin < 0.0
+
+    def test_no_pairs_is_certified(self):
+        sol = solve_joint(make_problem([[0.0, 0.0, 1.0]], [[4.0, 1.0, 1.5]]), JointParams(stop_on_certificate=True))
+        assert sol.certified and sol.certified_margin == np.inf
+
+    @pytest.mark.parametrize("n_agents,side", [(24, 6.0), (32, 8.0)])
+    def test_large_swarms_certify_through_run_scenario(self, monkeypatch, n_agents, side):
+        # the benchmark's path: run_scenario stops multiagent at the certificate
+        solutions = []
+
+        def capture(*args, **kwargs):
+            solutions.append(solve_joint(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(solver_multiagent, "solve_joint", capture)
+        scenario = gen_scenario("square-antipodal", {"n_agents": n_agents, "side": side}, seed=0)
+        max_iter = JointParams().max_iter
+        record = runner.run_scenario(scenario, "multiagent", seed=0, iters=max_iter)
+        (sol,) = solutions
+        assert sol.certified and sol.iterations < max_iter
+        assert sol.min_pair_distance >= 2.0 * scenario.robot.shape[0]
+        assert record.metrics.success and record.metrics.iters == sol.iterations
+        assert record.metrics.residual_final == sol.residual_norm
 
 
 class TestOnePassPerIteration:

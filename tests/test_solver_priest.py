@@ -867,6 +867,16 @@ class TestSetupValidation:
         with pytest.raises(ValueError, match="samples must"):
             project(setup, np.stack([xi, xi])[None], n_inner=2)
 
+    def test_zero_samples_rejected_by_name(self):
+        # an empty (0, dim*m) batch passed the shape check and failed inside
+        # the broad phase with a reshape error
+        setup = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.0, 1.0)])
+        empty = np.empty((0, setup.dim * setup.m))
+        with pytest.raises(ValueError, match="samples must hold at least one sample"):
+            project(setup, empty, n_inner=2)
+        with pytest.raises(ValueError, match="samples must hold at least one sample"):
+            residual_scores(setup, empty)
+
 
 class TestSamplerValidation:
     """Bad priest and CEM inputs are rejected when they are built."""

@@ -18,26 +18,34 @@ solver instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .geometry import check_count
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform planning grid with n_p samples covering [t0, tf]."""
+    """Uniform planning grid with n_p samples covering [t0, tf], and its read-only timestamps.
+
+    The one check of a horizon: t0 and tf finite with tf > t0, and n_p an
+    integer of at least 2.  Raises ValueError.
+    """
 
     t0: float
     tf: float
     n_p: int
-    timestamps: np.ndarray
+    timestamps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tf <= self.t0:
-            raise ValueError(f"horizon must satisfy tf > t0, got [{self.t0}, {self.tf}]")
-        if self.n_p < 2:
-            raise ValueError(f"need at least two planning steps, got n_p={self.n_p}")
+        if not (math.isfinite(self.t0) and math.isfinite(self.tf) and self.tf > self.t0):
+            raise ValueError(f"horizon must be finite with tf > t0, got [{self.t0}, {self.tf}]")
+        check_count(self, 2, "n_p")
+        timestamps = np.linspace(self.t0, self.tf, self.n_p)
+        timestamps.setflags(write=False)
+        object.__setattr__(self, "timestamps", timestamps)
 
     @property
     def dt(self) -> float:
@@ -96,7 +104,7 @@ class AxisBoundary:
 
 def _bernstein_matrix(tau: np.ndarray, degree: int) -> np.ndarray:
     return np.stack(
-        [comb(degree, j) * tau**j * (1.0 - tau) ** (degree - j) for j in range(degree + 1)],
+        [math.comb(degree, j) * tau**j * (1.0 - tau) ** (degree - j) for j in range(degree + 1)],
         axis=1,
     )
 
@@ -111,17 +119,11 @@ def build_basis(t0: float, tf: float, n_p: int, degree: int) -> BasisSet:
     Basis functions are B(j, degree) on tau in [0, 1]; derivatives use the
     exact degree-reduction identities, rescaled to real time.
     """
-    if tf <= t0:
-        raise ValueError(f"horizon must satisfy tf > t0, got [{t0}, {tf}]")
-    if n_p < 2:
-        raise ValueError(f"need at least two planning steps, got n_p={n_p}")
+    grid = TimeGrid(t0=float(t0), tf=float(tf), n_p=n_p)
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
-
-    timestamps = np.linspace(t0, tf, n_p)
-    grid = TimeGrid(t0=float(t0), tf=float(tf), n_p=int(n_p), timestamps=timestamps)
-    duration = tf - t0
-    tau = (timestamps - t0) / duration
+    duration = grid.tf - grid.t0
+    tau = (grid.timestamps - grid.t0) / duration
     n = degree
 
     P = _bernstein_matrix(tau, n)
@@ -137,7 +139,7 @@ def build_basis(t0: float, tf: float, n_p: int, degree: int) -> BasisSet:
             Pddot[:, j] = (
                 n * (n - 1) * (_col(lower2, j - 2) - 2.0 * _col(lower2, j - 1) + _col(lower2, j)) / duration**2
             )
-    for m in (timestamps, P, Pdot, Pddot):
+    for m in (P, Pdot, Pddot):
         m.setflags(write=False)
     return BasisSet(grid=grid, degree=int(degree), P=P, Pdot=Pdot, Pddot=Pddot)
 
@@ -173,15 +175,24 @@ def check_boundary_basis(basis: BasisSet) -> None:
         raise ValueError(f"a degree-{basis.degree} basis has {basis.n_var} coefficients per axis, fewer than the 6 boundary rows")
 
 
-def straight_line_coeffs(basis: BasisSet, start: np.ndarray, goal: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of the straight constant-speed path per axis.
+def endpoints(boundary) -> tuple[np.ndarray, np.ndarray]:
+    """Start and goal positions of per-axis boundaries."""
+    return np.array([bc.p0 for bc in boundary], dtype=float), np.array([bc.p1 for bc in boundary], dtype=float)
+
+
+def straight_line(basis: BasisSet, start, goal) -> np.ndarray:
+    """Samples (n_p, dim) of the straight constant-speed path from start to goal on the basis grid."""
+    start = np.asarray(start, dtype=float)
+    goal = np.asarray(goal, dtype=float)
+    return start[None, :] + (goal - start)[None, :] * np.linspace(0.0, 1.0, basis.n_p)[:, None]
+
+
+def straight_line_coeffs(basis: BasisSet, start, goal) -> np.ndarray:
+    """Least-squares coefficients of straight_line per axis.
 
     Returns an array of shape (dim, n_var).  Exact for degree >= 1 since the
     line is affine in tau.
     """
-    start = np.asarray(start, dtype=float)
-    goal = np.asarray(goal, dtype=float)
-    line = start[None, :] + (goal - start)[None, :] * np.linspace(0.0, 1.0, basis.n_p)[:, None]
-    sol, *_ = np.linalg.lstsq(basis.P, line, rcond=None)
+    sol, *_ = np.linalg.lstsq(basis.P, straight_line(basis, start, goal), rcond=None)
     return sol.T
 

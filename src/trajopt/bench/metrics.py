@@ -56,11 +56,11 @@ def eval_metrics(
     )
 
 
-def _scaled_distances(trajectory: Trajectory, obstacles: Obstacles) -> np.ndarray:
-    """Ellipsoidal distance (1 on the boundary) per obstacle and sample of
-    the obstacles predicted on the trajectory's grid."""
-    deltas = trajectory.pos.T[:, None, :] - obstacles.centres
-    return np.sqrt(scaled_sq_norm(deltas, obstacles.a[:, None], obstacles.b[:, None]))
+def scaled_sq_distances(pos: np.ndarray, obstacles: Obstacles) -> np.ndarray:
+    """Squared ellipsoidal distance (1 on the boundary), (n_o, n), of the
+    (n, dim) samples pos to every obstacle on the last n samples of its track."""
+    deltas = pos.T[:, None, :] - obstacles.centres[:, :, -len(pos) :]
+    return scaled_sq_norm(deltas, obstacles.a[:, None], obstacles.b[:, None])
 
 
 def check_collision_free(trajectory: Trajectory, scenario: Scenario, margin: float = 0.0) -> tuple[bool, float]:
@@ -73,7 +73,7 @@ def check_collision_free(trajectory: Trajectory, scenario: Scenario, margin: flo
     """
     if not scenario.obstacles:
         return True, -math.inf
-    dists = _scaled_distances(trajectory, predict_obstacles(scenario, trajectory.t))
+    dists = np.sqrt(scaled_sq_distances(trajectory.pos, predict_obstacles(scenario, trajectory.t)))
     worst = float(np.max(1.0 + margin - dists))
     return worst <= 0.0, worst
 
@@ -89,4 +89,4 @@ def clearance_lower_bound(trajectory: Trajectory, scenario: Scenario, t_now: flo
         return math.inf
     obstacles = predict_obstacles(scenario, trajectory.t, t_now)
     semi = np.minimum(obstacles.a, obstacles.b)[:, None]
-    return float(np.min((_scaled_distances(trajectory, obstacles) - 1.0) * semi))
+    return float(np.min((np.sqrt(scaled_sq_distances(trajectory.pos, obstacles)) - 1.0) * semi))

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .. import solver_batch, solver_multiagent, solver_priest, solver_single
-from ..basis import AxisBoundary, Trajectory, build_basis, straight_line_coeffs
-from ..geometry import EllipsoidShape, Obstacles, scaled_sq_norm
-from .metrics import RunMetrics, eval_metrics
+from ..basis import AxisBoundary, Trajectory, build_basis, endpoints, straight_line, straight_line_coeffs
+from ..geometry import EllipsoidShape, Obstacles
+from .metrics import RunMetrics, eval_metrics, scaled_sq_distances
 from .scenarios import Scenario, agent_boundaries, predict_obstacles
 
 SOLVERS = ("single", "batch", "priest", "cem", "multiagent")
@@ -70,17 +70,6 @@ class MpcResult:
     executed: Trajectory | None
 
 
-def _endpoints(boundary):
-    """Start and goal positions of per-axis boundaries."""
-    return np.array([bc.p0 for bc in boundary], dtype=float), np.array([bc.p1 for bc in boundary], dtype=float)
-
-
-def _desired_line(boundary, basis):
-    start, goal = _endpoints(boundary)
-    frac = np.linspace(0.0, 1.0, basis.n_p)[:, None]
-    return start[None, :] + frac * (goal - start)[None, :]
-
-
 def _point_boundaries(scenario: Scenario):
     start = scenario.boundary.start
     goal = scenario.boundary.goal
@@ -94,11 +83,8 @@ def _workspace_box(scenario: Scenario, pad: float = 4.0):
 
 
 def _barn_c1(scenario: Scenario):
-    start = np.asarray(scenario.boundary.start, dtype=float)
-    goal = np.asarray(scenario.boundary.goal, dtype=float)
-
     def c1(pva: np.ndarray) -> np.ndarray:
-        return solver_priest.barn_cost(*solver_priest.pos_vel_acc(pva), start, goal)
+        return solver_priest.barn_cost(*solver_priest.pos_vel_acc(pva), scenario.boundary.start, scenario.boundary.goal)
 
     return c1
 
@@ -119,7 +105,7 @@ def single_problem_from_scenario(scenario: Scenario, basis, *, boundary=None, t_
     return solver_single.SingleProblem(
         basis=basis,
         boundary=boundary,
-        desired=_desired_line(boundary, basis),
+        desired=straight_line(basis, *endpoints(boundary)),
         obstacles=_inflated_obstacles(scenario, basis.grid.timestamps, t_now=t_now),
     )
 
@@ -131,13 +117,13 @@ def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, *
         raise ValueError("the batch solver is planar")
     boundary = _point_boundaries(scenario) if boundary is None else boundary
     offsets = tuple(scenario.robot.footprint_offsets) or (0.0,)
-    start, goal = _endpoints(boundary)
+    start, goal = endpoints(boundary)
     heading = float(np.arctan2(goal[1] - start[1], goal[0] - start[0]))
     return solver_batch.BatchProblem(
         basis=basis,
         boundary=boundary,
         psi_boundary=(heading, heading),
-        desired=_desired_line(boundary, basis),
+        desired=straight_line(basis, start, goal),
         obstacles=_inflated_obstacles(scenario, basis.grid.timestamps, t_now=t_now),
         footprint=solver_batch.FootprintSpec(offsets=offsets),
         v_max=scenario.robot.v_max,
@@ -170,9 +156,7 @@ def multiagent_problem_from_scenario(scenario: Scenario, basis):
 
 def default_sampling_distribution(scenario: Scenario, basis):
     """Straight-line mean with isotropic coefficient covariance, 0.6 per coefficient."""
-    start = np.asarray(scenario.boundary.start, dtype=float)
-    goal = np.asarray(scenario.boundary.goal, dtype=float)
-    mean = straight_line_coeffs(basis, start, goal).ravel()
+    mean = straight_line_coeffs(basis, scenario.boundary.start, scenario.boundary.goal).ravel()
     cov = np.eye(mean.size) * 0.6**2
     return solver_priest.SamplingDistribution(mu=mean, sigma_mat=cov)
 
@@ -242,7 +226,7 @@ def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir
         residual = sol.residual_norm
         iterations = sol.iterations
 
-    metrics = eval_metrics(traj, scenario, _desired_line(_point_boundaries(scenario), basis))
+    metrics = eval_metrics(traj, scenario, straight_line(basis, scenario.boundary.start, scenario.boundary.goal))
     metrics.iters = iterations
     metrics.residual_final = residual
     metrics.wall_time_ms = wall_ms
@@ -327,11 +311,11 @@ def _collides(scenario: Scenario, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Whether each sample pos[i] lies inside an obstacle at its true position at time t[i].
 
     The obstacles are predicted at [0, t...] from time 0, so each sample's
-    offset is t[i] itself, and every sample is tested in one pass.
+    offset is t[i] itself, and every sample is tested in one pass against
+    the last len(t) samples of the tracks.
     """
     obstacles = predict_obstacles(scenario, np.concatenate(([0.0], t)))
-    deltas = pos.T[:, None, :] - obstacles.centres[:, :, 1:]
-    return np.any(scaled_sq_norm(deltas, obstacles.a[:, None], obstacles.b[:, None]) < 1.0, axis=0)
+    return np.any(scaled_sq_distances(pos, obstacles) < 1.0, axis=0)
 
 
 def receding_horizon_run(

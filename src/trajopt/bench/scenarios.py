@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..geometry import Obstacles
+from ..basis import TimeGrid
+from ..geometry import EllipsoidShape, Obstacles
 
 KINDS = (
     "corridor",
@@ -76,11 +77,11 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
+        TimeGrid(self.horizon.t0, self.horizon.tf, self.horizon.n_p)  # the horizon check of build_basis
         for obs in self.obstacles:
             if len(obs.center) != self.dim or len(obs.velocity) != self.dim:
                 raise ValueError("obstacle center/velocity must match the scenario dimension")
-            if not all(np.isfinite(axis) and axis > 0 for axis in (obs.a, obs.b)):
-                raise ValueError(f"obstacle semi-axes must be positive and finite, got a={obs.a}, b={obs.b}")
+            EllipsoidShape(obs.a, obs.b)  # the semi-axes check of every obstacle
         if len(self.boundary.start) != self.dim or len(self.boundary.goal) != self.dim:
             raise ValueError("boundary vectors must match the scenario dimension")
 
@@ -94,16 +95,24 @@ def to_json(scenario: Scenario) -> str:
 
 
 def from_json(text: str) -> Scenario:
+    """The scenario of a JSON document; a malformed one raises ValueError, naming the key at fault where there is one."""
     raw = json.loads(text)
-    return Scenario(
-        kind=raw["kind"],
-        dim=raw["dim"],
-        horizon=Horizon(**raw["horizon"]),
-        robot=RobotSpec(**raw["robot"]),
-        obstacles=[ScenarioObstacle(**o) for o in raw["obstacles"]],
-        boundary=Boundary(**raw["boundary"]),
-        seed=raw["seed"],
-    )
+    if not isinstance(raw, dict):
+        raise ValueError(f"a scenario is a JSON object, got {type(raw).__name__}")
+    try:
+        return Scenario(
+            kind=raw["kind"],
+            dim=raw["dim"],
+            horizon=Horizon(**raw["horizon"]),
+            robot=RobotSpec(**raw["robot"]),
+            obstacles=[ScenarioObstacle(**o) for o in raw["obstacles"]],
+            boundary=Boundary(**raw["boundary"]),
+            seed=raw["seed"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"scenario has no key {exc}") from None
+    except TypeError as exc:  # a missing or unknown key of a block, or a value of the wrong type
+        raise ValueError(f"malformed scenario: {exc}") from None
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -155,12 +164,12 @@ def _default_horizon(params) -> Horizon:
     )
 
 
-def _planar_scenario(kind, params, seed, obstacles, length, limit=3.0, horizon=None) -> Scenario:
-    """A planar point robot going from the origin to (length, 0); params may set v_max and a_max (default limit)."""
+def _point_scenario(kind, params, seed, obstacles, length, limit=3.0, horizon=None, dim=2) -> Scenario:
+    """A point robot going from the origin to length along x; params may set v_max and a_max (default limit)."""
     v_max, a_max = (float(params.get(name, limit)) for name in ("v_max", "a_max"))
-    return Scenario(kind=kind, dim=2, horizon=horizon or _default_horizon(params),
+    return Scenario(kind=kind, dim=dim, horizon=horizon or _default_horizon(params),
                     robot=RobotSpec(shape=[0.0, 0.0], v_max=v_max, a_max=a_max), obstacles=obstacles,
-                    boundary=Boundary(start=[0.0, 0.0], goal=[length, 0.0]), seed=seed)
+                    boundary=Boundary(start=[0.0] * dim, goal=[length] + [0.0] * (dim - 1)), seed=seed)
 
 
 def _gen_corridor(params, seed) -> Scenario:
@@ -184,7 +193,7 @@ def _gen_corridor(params, seed) -> Scenario:
         obstacles.append(
             ScenarioObstacle(a=r_obs, b=r_obs, center=[float(x), float(side * half_width)], velocity=[0.0, 0.0])
         )
-    return _planar_scenario("corridor", params, seed, obstacles, length)
+    return _point_scenario("corridor", params, seed, obstacles, length)
 
 
 def _gen_random_static(params, seed) -> Scenario:
@@ -209,15 +218,7 @@ def _gen_random_static(params, seed) -> Scenario:
         if np.linalg.norm(c - start) < clear or np.linalg.norm(c - goal) < clear:
             continue  # rejection keeps start/goal discs free
         obstacles.append(ScenarioObstacle(a=r_obs, b=r_obs, center=[float(v) for v in c], velocity=[0.0] * dim))
-    return Scenario(
-        kind="random-static",
-        dim=dim,
-        horizon=_default_horizon(params),
-        robot=RobotSpec(shape=[0.0, 0.0], v_max=float(params.get("v_max", 3.0)), a_max=float(params.get("a_max", 3.0))),
-        obstacles=obstacles,
-        boundary=Boundary(start=[float(v) for v in start], goal=[float(v) for v in goal]),
-        seed=seed,
-    )
+    return _point_scenario("random-static", params, seed, obstacles, length, dim=dim)
 
 
 def _gen_dynamic_flow(params, seed) -> Scenario:
@@ -238,7 +239,7 @@ def _gen_dynamic_flow(params, seed) -> Scenario:
                 velocity=[float(-speed * rng.uniform(0.5, 1.0)), float(rng.uniform(-0.05, 0.05))],
             )
         )
-    return _planar_scenario("dynamic-flow", params, seed, obstacles, length)
+    return _point_scenario("dynamic-flow", params, seed, obstacles, length)
 
 
 def _square_perimeter(n_agents: int, side: float) -> list[tuple[float, float]]:
@@ -330,7 +331,7 @@ def _gen_barn_like(params, seed) -> Scenario:
     obstacles = [
         ScenarioObstacle(a=r_obs, b=r_obs, center=[float(v) for v in c], velocity=[0.0, 0.0]) for c in centers
     ]
-    return _planar_scenario("barn-like", params, seed, obstacles, length, limit=2.0)
+    return _point_scenario("barn-like", params, seed, obstacles, length, limit=2.0)
 
 
 def _gen_all_infeasible_probe(params, seed) -> Scenario:
@@ -351,7 +352,7 @@ def _gen_all_infeasible_probe(params, seed) -> Scenario:
             )
         )
     horizon = Horizon(t0=0.0, tf=float(params.get("tf", 10.0)), n_p=int(params.get("n_p", 50)))
-    return _planar_scenario("all-infeasible-probe", params, seed, obstacles, length, horizon=horizon)
+    return _point_scenario("all-infeasible-probe", params, seed, obstacles, length, horizon=horizon)
 
 
 _GENERATORS = {

@@ -34,9 +34,9 @@ The kernel, the only place this math is written:
 - angle2d, angles3d: the angles recovering an offset, which only seed the
   single solver's unit pairs (its sweeps project with unit_pair);
 - stalled: the windowed stall test behind every penalty schedule;
+- Schedule: the geometric penalty schedule that the single and batch
+  solvers' parameters extend, its checks, its stall test and its growth;
 - residual_extremes: the (norm, max |entry|) a solver reports of a residual;
-- check_schedule: the parameter checks of the geometric penalty schedule
-  that the single and batch solvers share;
 - check_count: the check of one integer count (iterations, windows, batch
   sizes, seeds) that every params class and the batch problem share;
 - check_gaussian: the checks of a sampling mean and covariance that the
@@ -68,12 +68,12 @@ __all__ = [
     "EllipsoidShape",
     "ObstacleRows",
     "Obstacles",
+    "Schedule",
     "angle2d",
     "angles3d",
     "check_count",
     "check_gaussian",
     "check_obstacles",
-    "check_schedule",
     "draw_gaussian",
     "los_scale",
     "norm_clamp",
@@ -579,28 +579,47 @@ def _window_mean(values):
     return np.mean(values)
 
 
-def check_schedule(params):
-    """Reject a geometric penalty schedule that cannot run.
+@dataclass
+class Schedule:
+    """The geometric penalty schedule of an augmented-Lagrangian loop, checked when built.
 
-    params carries max_iter, tol, rho_start, rho_growth, rho_cap,
-    stall_window and stall_improvement: rho starts positive and finite,
-    grows by a finite factor of at least 1 up to a finite cap at or above
-    its start, and stalls are judged over windows of at least one entry.
-    Raises ValueError naming the first bad field.
+    rho starts positive and finite, grows by a finite factor of at least 1
+    up to a finite cap at or above its start, and stalls are judged over
+    windows of at least one entry; a bad field raises ValueError naming it.
+    The loop stops at max_iter sweeps or once its residual max is at most tol.
     """
-    for name in ("rho_start", "rho_cap"):
-        value = getattr(params, name)
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if params.rho_cap < params.rho_start:
-        raise ValueError(f"rho_cap {params.rho_cap} is below rho_start {params.rho_start}")
-    if not (np.isfinite(params.rho_growth) and params.rho_growth >= 1):
-        raise ValueError(f"rho_growth must be finite and at least 1, got {params.rho_growth}")
-    check_count(params, 0, "max_iter")
-    check_count(params, 1, "stall_window")
-    for name in ("tol", "stall_improvement"):
-        if np.isnan(getattr(params, name)):
-            raise ValueError(f"{name} must not be NaN")
+
+    max_iter: int = 100
+    tol: float = 1e-2
+    rho_start: float = 1.0
+    rho_growth: float = 1.4
+    # cap keeps the saddle within the qp-core conditioning guard for degree-10 bases
+    rho_cap: float = 1e3
+    stall_window: int = 5
+    stall_improvement: float = 0.01
+
+    def __post_init__(self):
+        for name in ("rho_start", "rho_cap"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.rho_cap < self.rho_start:
+            raise ValueError(f"rho_cap {self.rho_cap} is below rho_start {self.rho_start}")
+        if not (np.isfinite(self.rho_growth) and self.rho_growth >= 1):
+            raise ValueError(f"rho_growth must be finite and at least 1, got {self.rho_growth}")
+        check_count(self, 0, "max_iter")
+        check_count(self, 1, "stall_window")
+        for name in ("tol", "stall_improvement"):
+            if np.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
+
+    def stalled(self, progress, since) -> bool:
+        """stalled() of the residual maxima in progress, since sweeps after the last growth, floored at tol."""
+        return stalled(progress, since, self.stall_window, self.stall_improvement, max(self.tol, 0.0))
+
+    def grown(self, rho: float) -> float:
+        """The penalty after rho stalls: one growth step, capped."""
+        return min(rho * self.rho_growth, self.rho_cap)
 
 
 def check_count(owner, lower, *names):

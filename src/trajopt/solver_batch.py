@@ -66,9 +66,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, sample_trajectory, straight_line_coeffs
-from .geometry import (ObstacleRows, Obstacles, check_count, check_gaussian, check_obstacles, check_schedule, draw_gaussian,
-                       norm_clamp, stalled)
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, endpoints, sample_trajectory, straight_line_coeffs
+from .geometry import ObstacleRows, Obstacles, Schedule, check_count, check_gaussian, check_obstacles, draw_gaussian, norm_clamp
 
 
 @dataclass(frozen=True)
@@ -119,20 +118,12 @@ class BatchProblem:
 
 
 @dataclass
-class BatchParams:
-    max_iter: int = 100
-    tol: float = 1e-2
-    rho_start: float = 1.0
-    rho_growth: float = 1.4
-    # cap keeps the shared saddle within the qp-core conditioning guard
-    rho_cap: float = 1e3
-    stall_window: int = 5
-    stall_improvement: float = 0.01
+class BatchParams(Schedule):
     d_margin: float = 1e-2
     kin_margin: float = 1e-2
 
     def __post_init__(self):
-        check_schedule(self)
+        super().__post_init__()
         if not (np.isfinite(self.d_margin) and 0.0 <= self.d_margin < 1.0):
             raise ValueError(f"d_margin must lie in [0, 1), got {self.d_margin}")
         if not (np.isfinite(self.kin_margin) and self.kin_margin >= 0.0):
@@ -454,7 +445,7 @@ def solve_batch_opt(
         if samples is None:
             bx, by = problem.boundary
             if mean is None:
-                mean = straight_line_coeffs(basis, [bx.p0, by.p0], [bx.p1, by.p1]).ravel()
+                mean = straight_line_coeffs(basis, *endpoints(problem.boundary)).ravel()
             if covariance is None:
                 scale = max(np.hypot(bx.p1 - bx.p0, by.p1 - by.p0) / 10.0, 0.5)
                 covariance = np.eye(2 * m) * scale**2
@@ -476,9 +467,8 @@ def solve_batch_opt(
             {"norm": float(state.residual_norm[best_idx]), "max_abs": float(state.residual_max[best_idx]), "rho": state.rho}
         )
         maxabs_hist.append(float(state.residual_max.min()))
-        since_change = state.iteration - last_change
-        if stalled(maxabs_hist, since_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
-            state.rho = min(state.rho * params.rho_growth, params.rho_cap)
+        if params.stalled(maxabs_hist, state.iteration - last_change):
+            state.rho = params.grown(state.rho)
             last_change = state.iteration
 
     residual_max, residual_norm = state.residual_max, state.residual_norm

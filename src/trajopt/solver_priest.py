@@ -283,12 +283,6 @@ def _sq_norms(rows: ObstacleRows, families: list) -> np.ndarray:
     return sq
 
 
-def _residuals(setup: ProjectionSetup, pva: np.ndarray, rows: ObstacleRows):
-    """_family_residuals' (obstacle, families), and their _sq_norms."""
-    obstacle, families = _family_residuals(setup, pva, rows)
-    return obstacle, families, _sq_norms(rows, families)
-
-
 def _check_samples(setup: ProjectionSetup, samples) -> np.ndarray:
     """samples as an (N, dim*m) float array with N >= 1; any other shape is rejected."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -359,8 +353,9 @@ def residual_scores(setup: ProjectionSetup, xis: np.ndarray) -> np.ndarray:
     xis is an (N, dim*m) array with N >= 1; other shapes are rejected.
     """
     pva = setup.pva_samples(_check_samples(setup, xis))
-    _, _, sq = _residuals(setup, pva, ObstacleRows(setup.obstacles, pva.shape[0]))
-    return np.sqrt(sq)
+    rows = ObstacleRows(setup.obstacles, pva.shape[0])
+    _, families = _family_residuals(setup, pva, rows)
+    return np.sqrt(_sq_norms(rows, families))
 
 
 @dataclass
@@ -479,7 +474,8 @@ def cem_optimize(
     params: CemParams | None = None,
 ) -> CemResult:
     """Plain cross-entropy baseline: no projection, penalty-based evaluation,
-    unweighted elite mean/covariance refit.  c1 is as in priest_optimize,
+    unweighted elite mean/covariance refit (update_distribution with equal
+    weights and learning rate 1).  c1 is as in priest_optimize,
     called once per iteration on every raw sample.  The best sample is the
     first iteration's until a lower cost is drawn (a NaN one until any
     number), so a cost that is never finite still returns one."""
@@ -496,9 +492,7 @@ def cem_optimize(
         costs = _batch_costs(c1, pva) + params.penalty_weight * _cem_penalty(setup, pva, rows)
         order = np.argsort(costs, kind="stable")
         elites = samples[order[: params.n_elite]]
-        mu = elites.mean(axis=0)
-        centered = elites - mu[None, :]
-        sigma_mat = (centered[:, :, None] * centered[:, None, :]).mean(axis=0)
+        mu, sigma_mat = update_distribution(mu, sigma_mat, elites, np.zeros(len(elites)), sigma=1.0, gamma=-1.0)
         top = costs[order[0]]  # NaN only when every cost is
         if best_xi is None or top < best_cost or (np.isnan(best_cost) and not np.isnan(top)):
             best_cost = float(top)

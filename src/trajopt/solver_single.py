@@ -63,8 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, sample_trajectory, straight_line_coeffs
-from .geometry import Obstacles, angle2d, angles3d, check_obstacles, check_schedule, los_scale, residual_extremes, stalled, unit_pair
+from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, endpoints, sample_trajectory, straight_line_coeffs
+from .geometry import Obstacles, Schedule, angle2d, angles3d, check_obstacles, los_scale, residual_extremes, unit_pair
 
 _COLL = ("coll_x", "coll_y", "coll_z")
 
@@ -103,19 +103,9 @@ class SingleProblem:
 
 
 @dataclass
-class SingleParams:
+class SingleParams(Schedule):
     max_iter: int = 300
     tol: float = 1e-3
-    rho_start: float = 1.0
-    rho_growth: float = 1.4
-    # cap keeps the position-step saddle within the qp-core conditioning
-    # guard for degree-10 bases
-    rho_cap: float = 1e3
-    stall_window: int = 5
-    stall_improvement: float = 0.01
-
-    def __post_init__(self):
-        check_schedule(self)
 
 
 @dataclass
@@ -248,9 +238,7 @@ def init_state(
     struct = struct or _SingleStructure(problem)
     n_o, n_p, dim = problem.n_o, problem.basis.n_p, problem.dim
 
-    start = np.array([bc.p0 for bc in problem.boundary])
-    goal = np.array([bc.p1 for bc in problem.boundary])
-    xi = straight_line_coeffs(problem.basis, start, goal)
+    xi = straight_line_coeffs(problem.basis, *endpoints(problem.boundary))
 
     deltas = struct.offsets(xi)
     if dim == 3:
@@ -434,9 +422,8 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
         if max_abs <= params.tol:
             converged = True
             break
-        since_change = state.iteration - last_change
-        if stalled(max_hist, since_change, params.stall_window, params.stall_improvement, max(params.tol, 0.0)):
-            state.rho = min(state.rho * params.rho_growth, params.rho_cap)
+        if params.stalled(max_hist, state.iteration - last_change):
+            state.rho = params.grown(state.rho)
             last_change = state.iteration
     traj = sample_trajectory(problem.basis, state.xi.T)
     if not history:

@@ -35,7 +35,22 @@ class TestBuildBasis:
         b = build_basis(0.0, 5.0, 20, 7)
         np.testing.assert_allclose(b.P.sum(axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("t0,tf,n_p,degree", [(1.0, 1.0, 10, 3), (2.0, 1.0, 10, 3), (0.0, 1.0, 1, 3), (0.0, 1.0, 10, -1)])
+    @pytest.mark.parametrize(
+        "t0,tf,n_p,degree",
+        [
+            (1.0, 1.0, 10, 3),
+            (2.0, 1.0, 10, 3),
+            (0.0, 1.0, 1, 3),
+            (0.0, 1.0, 10, -1),
+            # tf <= t0 is False for NaN: a NaN basis reached LAPACK
+            (0.0, np.nan, 10, 3),
+            (0.0, np.inf, 10, 3),
+            (np.nan, 1.0, 10, 3),
+            (-np.inf, 1.0, 10, 3),
+            (0.0, 1.0, 10.0, 3),
+            (0.0, 1.0, "10", 3),
+        ],
+    )
     def test_invalid_inputs(self, t0, tf, n_p, degree):
         with pytest.raises(ValueError):
             build_basis(t0, tf, n_p, degree)

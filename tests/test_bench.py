@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -51,6 +52,25 @@ def empty_scenario(dim=2, n_p=50):
         boundary=Boundary(start=[0.0] * dim, goal=[5.0] + [0.0] * (dim - 1)),
         seed=0,
     )
+
+
+# malformed scenario documents: the change to the corridor scenario's JSON,
+# and what the error must name; from_json raised KeyError or TypeError for
+# the first three, and a string n_p or an infinite tf reached build_basis
+MALFORMED = {
+    "no-seed": (lambda raw: {k: v for k, v in raw.items() if k != "seed"}, "'seed'"),
+    "extra-horizon-key": (lambda raw: {**raw, "horizon": {**raw["horizon"], "dt": 0.1}}, "'dt'"),
+    "obstacle-without-a": (lambda raw: {**raw, "obstacles": [{k: v for k, v in o.items() if k != "a"} for o in raw["obstacles"]]}, "'a'"),
+    "not-an-object": (lambda raw: [raw], "JSON object"),
+    "string-n_p": (lambda raw: {**raw, "horizon": {**raw["horizon"], "n_p": "100"}}, "n_p"),
+    "infinite-tf": (lambda raw: {**raw, "horizon": {**raw["horizon"], "tf": float("inf")}}, "horizon must be finite"),
+}
+
+
+def _malformed(name):
+    """The corridor scenario's JSON document with MALFORMED[name]'s change."""
+    change, _ = MALFORMED[name]
+    return json.dumps(change(json.loads(to_json(gen_scenario("corridor", seed=0)))))
 
 
 class TestGenScenario:
@@ -138,6 +158,11 @@ class TestScenarioJson:
         assert set(raw["boundary"]) == {"start", "goal"}
         for obs in raw["obstacles"]:
             assert set(obs) == {"a", "b", "center", "velocity"}
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_document_rejected_by_key(self, name):
+        with pytest.raises(ValueError, match=re.escape(MALFORMED[name][1])):
+            from_json(_malformed(name))
 
 
 class TestEvalMetrics:
@@ -264,6 +289,23 @@ class TestMovingObstacleDistances:
                      robot=RobotSpec(shape=[0.0, 0.0], v_max=3.0, a_max=3.0),
                      obstacles=[ScenarioObstacle(a=a, b=b, center=[1.0, 0.0], velocity=[0.0, 0.0])],
                      boundary=Boundary(start=[0.0, 0.0], goal=[5.0, 0.0]), seed=0)
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            (dict(kind="maze"), "unknown scenario kind"),
+            (dict(dim=4), "dim must be 2 or 3"),
+            (dict(obstacles=[ScenarioObstacle(a=0.5, b=0.5, center=[1.0, 0.0, 0.0], velocity=[0.0, 0.0])]), "center/velocity"),
+            (dict(obstacles=[ScenarioObstacle(a=0.5, b=0.5, center=[1.0, 0.0], velocity=[0.0])]), "center/velocity"),
+            (dict(boundary=Boundary(start=[0.0, 0.0], goal=[5.0])), "boundary vectors"),
+            (dict(horizon=Horizon(t0=0.0, tf=float("nan"), n_p=50)), "horizon must be finite"),
+            (dict(horizon=Horizon(t0=0.0, tf=5.0, n_p=1)), "n_p must be at least 2"),
+        ],
+        ids=["kind", "dim", "centre-length", "velocity-length", "goal-length", "nan-tf", "one-sample"],
+    )
+    def test_scenario_rejects_malformed_fields(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            Scenario(**{**vars(empty_scenario()), **change})
 
 
 class TestClearanceSign:
@@ -463,6 +505,10 @@ def _straight_plans(monkeypatch, step):
 
 
 class TestRecedingHorizon:
+    def test_other_solvers_rejected(self):
+        with pytest.raises(ValueError, match="single and batch solvers"):
+            receding_horizon_run(empty_scenario(), solver="priest")
+
     def test_empty_world_reaches_goal(self):
         scenario = empty_scenario(n_p=40)
         result = receding_horizon_run(scenario, solver="single", step_budget=20, n_steps=25)
@@ -582,6 +628,26 @@ class TestCli:
         assert main([*args, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("trajopt: error: ") and message in err[0]
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, name):
+        from trajopt.bench.cli import main
+
+        scn = tmp_path / "scenario.json"
+        scn.write_text(_malformed(name))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scn), "--solver", "single", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("trajopt: error: ") and MALFORMED[name][1] in err[0]
+        assert not out.exists()
+
+    def test_report_without_results_is_status_one(self, tmp_path, capsys):
+        from trajopt.bench.cli import main
+
+        summary = tmp_path / "summary.csv"
+        assert main(["report", "--in", str(tmp_path), "--out", str(summary)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"no results.csv found under {tmp_path}"]
+        assert not summary.exists()
 
     def test_identical_invocations_byte_identical_modulo_wall(self, tmp_path):
         from trajopt.bench.cli import main

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from trajopt.geometry import (
     EllipsoidShape,
     ObstacleRows,
     Obstacles,
+    Schedule,
     check_obstacles,
     angle2d,
     angles3d,
@@ -938,6 +940,28 @@ class TestStalled:
             for threshold in (improvement, np.nextafter(improvement, np.inf)):
                 expected = bool(np.mean(previous) > 0.0 and improvement < threshold)
                 assert stalled(history, window, window, threshold, 0.0) is expected
+
+
+class TestSchedule:
+    """The one penalty schedule that the single and batch params extend."""
+
+    def test_growth_is_capped(self):
+        schedule = Schedule(rho_growth=1.5, rho_cap=10.0)
+        assert [schedule.grown(rho) for rho in (2.0, 8.0, 10.0)] == [3.0, 10.0, 10.0]
+
+    @pytest.mark.parametrize("tol,expected", [(0.5, False), (0.0, True), (-1.0, True)])
+    def test_stall_is_floored_at_tol(self, tol, expected):
+        # a flat history at 0.4 stalls above a floor of max(tol, 0) only
+        schedule = Schedule(tol=tol, stall_window=2, stall_improvement=0.1)
+        assert schedule.stalled([0.4] * 4, 2) is expected
+        assert schedule.stalled([0.4] * 4, 1) is False  # inside the window after the last growth
+
+    def test_params_keep_its_fields_in_order(self):
+        names = [f.name for f in dataclasses.fields(Schedule)]
+        assert [f.name for f in dataclasses.fields(SingleParams)] == names
+        assert [f.name for f in dataclasses.fields(BatchParams)] == [*names, "d_margin", "kin_margin"]
+        assert (SingleParams().max_iter, SingleParams().tol) == (300, 1e-3)
+        assert (BatchParams().max_iter, BatchParams().tol) == (100, 1e-2)
 
 
 class TestResidualExtremes:

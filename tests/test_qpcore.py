@@ -46,6 +46,21 @@ class TestFactorize:
         with pytest.raises(ValueError, match="symmetric"):
             factorize(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "Q,A,match",
+        [
+            (np.zeros((2, 3)), np.zeros((1, 3)), "square"),
+            (np.zeros((2, 3, 2)), np.zeros((1, 2)), "square"),
+            (np.zeros(3), np.zeros((1, 3)), "square"),
+            (np.eye(3), np.zeros((1, 2)), "A has 2 columns, expected 3"),
+            (np.stack([np.eye(3)] * 2), np.zeros((1, 4)), "A has 4 columns, expected 3"),
+        ],
+        ids=["non-square", "stack-non-square", "vector", "A-width", "stack-A-width"],
+    )
+    def test_malformed_shapes_rejected(self, Q, A, match):
+        with pytest.raises(ValueError, match=match):
+            factorize(Q, A)
+
     def test_more_rows_than_variables_rejected(self):
         with pytest.raises(FactorizationError):
             factorize(np.eye(1), np.array([[1.0], [2.0]]))
@@ -203,6 +218,20 @@ class TestSolveBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             BatchRHS(qs=np.zeros((0, 3)), bs=np.zeros((0, 1)))
+
+    @pytest.mark.parametrize(
+        "qs,bs,match",
+        [
+            (np.zeros(3), np.zeros(1), "2-D arrays"),
+            (np.zeros((2, 3)), np.zeros((2, 2, 1)), "2-D arrays"),
+            (np.zeros((2, 3)), np.zeros((3, 1)), "same batch size"),
+            (np.zeros((2, 4, 3)), np.zeros((3, 4, 1)), "same batch size"),
+        ],
+        ids=["1-D", "ndim-mismatch", "batch-mismatch", "stack-mismatch"],
+    )
+    def test_malformed_right_hand_sides_rejected(self, qs, bs, match):
+        with pytest.raises(ValueError, match=match):
+            BatchRHS(qs=qs, bs=bs)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)

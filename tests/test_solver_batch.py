@@ -914,7 +914,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="degree-4 basis has 5 coefficients per axis"):
             BatchProblem(**{**vars(make_problem()), "basis": build_basis(0.0, 10.0, N_P, 4)})
 
-    @pytest.mark.parametrize("offsets", [(0.3, float("nan")), (float("inf"),)])
+    @pytest.mark.parametrize("offsets", [(0.3, float("nan")), (float("inf"),), ()])  # and an empty footprint
     def test_non_finite_footprint_offsets_rejected(self, offsets):
         with pytest.raises(ValueError):
             make_problem(offsets=offsets)

@@ -941,6 +941,10 @@ class TestProblemValidation:
                 agent_shape=EllipsoidShape(0.3, 0.3),
             )
 
+    def test_no_agents_rejected(self):
+        with pytest.raises(ValueError, match="at least one agent"):
+            MultiAgentProblem(basis=build_basis(0.0, 8.0, N_P, 10), boundaries=[], agent_shape=EllipsoidShape(0.3, 0.3))
+
     def test_agent_without_three_axes_rejected(self):
         with pytest.raises(ValueError, match="x, y and z"):
             MultiAgentProblem(

@@ -7,7 +7,7 @@ from trajopt import qpcore, solver_priest
 from trajopt.basis import AxisBoundary, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario
 from trajopt.bench.runner import _barn_c1, default_sampling_distribution, priest_setup_from_scenario, run_scenario
-from trajopt.geometry import D_CAP, ObstacleRows, Obstacles, radial_clamp
+from trajopt.geometry import D_CAP, ObstacleRows, Obstacles, draw_gaussian, radial_clamp
 from trajopt.solver_priest import (
     CemParams,
     PriestParams,
@@ -22,7 +22,7 @@ from trajopt.solver_priest import (
     residual_scores,
     update_distribution,
 )
-from trajopt.solver_priest import _cem_penalty, _residuals
+from trajopt.solver_priest import _cem_penalty, _family_residuals, _sq_norms
 
 N_P = 40
 
@@ -242,7 +242,7 @@ class TestProject:
         _, setup, dist = _scenario_setup(kind, params, seed=3)
         samples = np.random.default_rng(4).multivariate_normal(dist.mu, dist.sigma_mat, size=16, method="svd")
         samples[:3] *= 4.0  # far outside the workspace box
-        _, families, _ = _residuals(setup, setup.pva_samples(samples), ObstacleRows(setup.obstacles, 16))
+        _, families = _family_residuals(setup, setup.pva_samples(samples), ObstacleRows(setup.obstacles, 16))
         assert len(families) == 3  # the box, velocity and acceleration rows are all active
         history = []
         plain = project(setup, samples, n_inner=8)
@@ -382,6 +382,18 @@ class TestDistributionUpdate:
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g, e)
 
+    def test_equal_weights_and_unit_rate_are_the_plain_refit(self):
+        # cem_optimize's refit: the unweighted elite mean and covariance, bit for bit
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n, size = rng.integers(1, 30), rng.integers(1, 25)
+            mu, sigma_mat = rng.normal(size=size), np.eye(size)
+            elites = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, size))
+            new_mu, new_sigma = update_distribution(mu, sigma_mat, elites, np.zeros(n), sigma=1.0, gamma=-1.0)
+            centered = elites - elites.mean(axis=0)[None, :]
+            np.testing.assert_array_equal(new_mu, elites.mean(axis=0))
+            np.testing.assert_array_equal(new_sigma, (centered[:, :, None] * centered[:, None, :]).mean(axis=0))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_no_finite_cost_keeps_the_distribution(self, bad):
         mu, sigma_mat = np.arange(3.0), 2.0 * np.eye(3)
@@ -401,6 +413,33 @@ class TestCem:
         res = cem_optimize(setup, lambda pva: np.zeros(len(pva)), dist, params)
         # same rng sequence reproduces the samples the optimizer drew
         np.testing.assert_allclose(res.mu, samples.mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("obstacles", [[], [_static_obstacle([4.0, 0.0], 1.0, 0.8)]], ids=["free", "obstacle"])
+    def test_matches_the_plain_loop(self, obstacles):
+        # oracle: the CEM loop with its refit written out as the unweighted
+        # elite mean and covariance; mu, sigma_mat and the best sample agree bit for bit
+        setup = make_setup_2d(obstacles=obstacles)
+        mu0 = _line_sample(setup)
+        dist = SamplingDistribution(mu=mu0, sigma_mat=0.5 * np.eye(mu0.size))
+        params = CemParams(n_batch=24, n_elite=6, iterations=4, seed=3)
+        res = cem_optimize(setup, _acc_cost, dist, params)
+        rng, rows = np.random.default_rng(params.seed), ObstacleRows(setup.obstacles, params.n_batch)
+        mu, sigma_mat, best_xi, best_cost = dist.mu, dist.sigma_mat, None, np.inf
+        for _ in range(params.iterations):
+            samples = draw_gaussian(rng, mu, sigma_mat, params.n_batch)
+            pva = setup.pva_samples(samples)
+            costs = _acc_cost(pva) + _cem_penalty(setup, pva, rows)
+            order = np.argsort(costs, kind="stable")
+            elites = samples[order[: params.n_elite]]
+            mu = elites.mean(axis=0)
+            centered = elites - mu[None, :]
+            sigma_mat = (centered[:, :, None] * centered[:, None, :]).mean(axis=0)
+            if costs[order[0]] < best_cost:
+                best_xi, best_cost = samples[order[0]], costs[order[0]]
+        np.testing.assert_array_equal(res.mu, mu)
+        np.testing.assert_array_equal(res.sigma_mat, sigma_mat)
+        np.testing.assert_array_equal(res.best_xi, best_xi)
+        assert res.best_cost == best_cost
 
     def test_zero_covariance_is_stationary(self):
         setup = make_setup_2d(obstacles=[])
@@ -603,7 +642,9 @@ class TestActiveObstacleRows:
         xis[1, 3] = np.nan
         pva = setup.pva_samples(xis)
         assert np.isnan(pva[1, 0, 0]).any() and not np.isnan(pva[0]).any()
-        obstacle, _, sq = _residuals(setup, pva, ObstacleRows(setup.obstacles, 2))
+        rows = ObstacleRows(setup.obstacles, 2)
+        obstacle, families = _family_residuals(setup, pva, rows)
+        sq = _sq_norms(rows, families)
         assert np.isnan(obstacle[:, 1][np.isnan(pva[1, :, 0])]).all()
         assert not np.isnan(obstacle[:, 0]).any()
         scores = residual_scores(setup, xis)
@@ -633,7 +674,7 @@ class TestFamiliesOnTheirActiveSet:
             kin[2, :2, 6] = [0.6 * limit, 0.8 * limit]
         pva[3, 0, :, 7] = np.nan
         with np.errstate(invalid="ignore"):
-            _, families, _ = _residuals(setup, pva, ObstacleRows(setup.obstacles, 5))
+            _, families = _family_residuals(setup, pva, ObstacleRows(setup.obstacles, 5))
         box = np.maximum(0.0, pos - setup.s_max[:, None]) - np.maximum(0.0, setup.s_min[:, None] - pos)
         dense = [box] + [
             np.stack(radial_clamp(pva[:, :, order].transpose(1, 0, 2), limit, limit, lower=0.0, upper=1.0), axis=1)
@@ -867,6 +908,11 @@ class TestSetupValidation:
         with pytest.raises(ValueError, match="samples must"):
             project(setup, np.stack([xi, xi])[None], n_inner=2)
 
+    def test_zero_inner_iterations_rejected(self):
+        setup = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.0, 1.0)])
+        with pytest.raises(ValueError, match="n_inner must be at least 1"):
+            project(setup, _line_sample(setup)[None, :], n_inner=0)
+
     def test_zero_samples_rejected_by_name(self):
         # an empty (0, dim*m) batch passed the shape check and failed inside
         # the broad phase with a reshape error
@@ -887,6 +933,7 @@ class TestSamplerValidation:
             dict(n_outer=0),  # run_scenario then failed on a missing best sample
             dict(n_inner=0),
             dict(n_elite=0),
+            dict(sigma=0.0),
             dict(gamma=np.nan),  # an SVD failed to converge at outer iteration 2
             dict(residual_weight=np.nan),
         ],
@@ -895,7 +942,9 @@ class TestSamplerValidation:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             PriestParams(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [dict(iterations=0), dict(n_elite=0), dict(penalty_weight=np.nan)])
+    @pytest.mark.parametrize(
+        "kwargs", [dict(iterations=0), dict(n_elite=0), dict(n_elite=111), dict(penalty_weight=np.nan)]
+    )
     def test_bad_cem_params_rejected(self, kwargs):
         # iterations=0 and a NaN penalty_weight (every cost NaN, so no best
         # sample) failed in a reshape, n_elite=0 took the mean of an empty slice

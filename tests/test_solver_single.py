@@ -541,6 +541,16 @@ class TestSolveSingle:
         assert not sol.converged
         assert sol.iterations == 3
 
+    def test_zero_sweeps_report_the_start(self):
+        # max_iter = 0 runs no sweep: the report is the residual of the start state
+        prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.0], EllipsoidShape(1.0, 1.0), 60)])
+        sol = solve_single(prob, SingleParams(max_iter=0))
+        start = init_state(prob)
+        assert (sol.iterations, sol.converged, sol.residual_history, sol.n_factorizations) == (0, False, [], 0)
+        assert (sol.residual_norm, sol.residual_max) == residual_extremes(equality_residuals(start, prob))
+        assert sol.residual_max > 0.0
+        np.testing.assert_array_equal(sol.trajectory.pos, prob.basis.P @ start.xi.T)
+
     def test_penalty_cap_never_breaks_factorization(self):
         # goal buried inside the obstacle: the residual can never reach zero,
         # so the schedule climbs to the cap; the KKT guard must not trip

@@ -23,15 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_count
+from .geometry import check_count, check_real
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform planning grid with n_p samples covering [t0, tf], and its read-only timestamps.
 
-    The one check of a horizon: t0 and tf finite with tf > t0, and n_p an
-    integer of at least 2.  Raises ValueError.
+    The one check of a horizon: t0 and tf finite real numbers with tf > t0,
+    and n_p an integer of at least 2.  Raises ValueError.
     """
 
     t0: float
@@ -40,8 +40,9 @@ class TimeGrid:
     timestamps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.tf) and self.tf > self.t0):
-            raise ValueError(f"horizon must be finite with tf > t0, got [{self.t0}, {self.tf}]")
+        check_real(self, "finite", "t0", "tf", prefix="horizon ")
+        if not self.tf > self.t0:
+            raise ValueError(f"horizon needs tf > t0, got [{self.t0}, {self.tf}]")
         check_count(self, 2, "n_p")
         timestamps = np.linspace(self.t0, self.tf, self.n_p)
         timestamps.setflags(write=False)

@@ -16,12 +16,13 @@ boundary block).  agent_boundaries() reconstructs the full roster.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..basis import TimeGrid
-from ..geometry import EllipsoidShape, Obstacles
+from ..geometry import EllipsoidShape, Obstacles, check_real
 
 KINDS = (
     "corridor",
@@ -75,19 +76,28 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
+        if not (isinstance(self.dim, numbers.Integral) and self.dim in (2, 3)):  # 2.0 passes the membership test alone
+            raise ValueError(f"dim must be 2 or 3, got {self.dim!r}")
         TimeGrid(self.horizon.t0, self.horizon.tf, self.horizon.n_p)  # the horizon check of build_basis
+        check_real(self.robot, "positive and finite", "v_max", "a_max")
+        _check_vectors(self.robot, None, "shape", "footprint_offsets")
         for obs in self.obstacles:
-            if len(obs.center) != self.dim or len(obs.velocity) != self.dim:
-                raise ValueError("obstacle center/velocity must match the scenario dimension")
+            _check_vectors(obs, self.dim, "center", "velocity")
             EllipsoidShape(obs.a, obs.b)  # the semi-axes check of every obstacle
-        if len(self.boundary.start) != self.dim or len(self.boundary.goal) != self.dim:
-            raise ValueError("boundary vectors must match the scenario dimension")
+        _check_vectors(self.boundary, self.dim, "start", "goal")
 
     @property
     def scenario_id(self) -> str:
         return f"{self.kind}-{self.seed}"
+
+
+def _check_vectors(owner, size, *names):
+    """Reject each named field of owner unless it is a list (or tuple) of finite real numbers, size of them unless size is None."""
+    for name in names:
+        values = getattr(owner, name)
+        reals = isinstance(values, (list, tuple)) and all(isinstance(v, numbers.Real) for v in values)
+        if not (reals and size in (None, len(values)) and np.isfinite(values).all()):
+            raise ValueError(f"{name} must be a list of {size or 'any number of'} finite numbers, got {values!r}")
 
 
 def to_json(scenario: Scenario) -> str:
@@ -96,23 +106,28 @@ def to_json(scenario: Scenario) -> str:
 
 def from_json(text: str) -> Scenario:
     """The scenario of a JSON document; a malformed one raises ValueError, naming the key at fault where there is one."""
-    raw = json.loads(text)
-    if not isinstance(raw, dict):
-        raise ValueError(f"a scenario is a JSON object, got {type(raw).__name__}")
+    raw = _block(dict, "a scenario", json.loads(text))
     try:
         return Scenario(
             kind=raw["kind"],
             dim=raw["dim"],
-            horizon=Horizon(**raw["horizon"]),
-            robot=RobotSpec(**raw["robot"]),
-            obstacles=[ScenarioObstacle(**o) for o in raw["obstacles"]],
-            boundary=Boundary(**raw["boundary"]),
+            horizon=_block(Horizon, "horizon", raw["horizon"]),
+            robot=_block(RobotSpec, "robot", raw["robot"]),
+            obstacles=[_block(ScenarioObstacle, "obstacle", o) for o in raw["obstacles"]],
+            boundary=_block(Boundary, "boundary", raw["boundary"]),
             seed=raw["seed"],
         )
     except KeyError as exc:
         raise ValueError(f"scenario has no key {exc}") from None
     except TypeError as exc:  # a missing or unknown key of a block, or a value of the wrong type
         raise ValueError(f"malformed scenario: {exc}") from None
+
+
+def _block(cls, key, value):
+    """cls of the JSON object value of key; any other value raises ValueError naming key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return cls(**value)
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -39,6 +39,9 @@ The kernel, the only place this math is written:
 - residual_extremes: the (norm, max |entry|) a solver reports of a residual;
 - check_count: the check of one integer count (iterations, windows, batch
   sizes, seeds) that every params class and the batch problem share;
+- check_real: the check of one real-valued input (limits, weights, margins,
+  penalties, semi-axes, horizon ends) against one of a few named rules, that
+  every params, problem and scenario class shares;
 - check_gaussian: the checks of a sampling mean and covariance that the
   batch and priest/CEM solvers share;
 - draw_gaussian: the one draw from such a distribution.
@@ -58,6 +61,7 @@ caller asks for them.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -74,6 +78,7 @@ __all__ = [
     "check_count",
     "check_gaussian",
     "check_obstacles",
+    "check_real",
     "draw_gaussian",
     "los_scale",
     "norm_clamp",
@@ -104,8 +109,7 @@ class EllipsoidShape:
     b: float
 
     def __post_init__(self):
-        if not all(np.isfinite(axis) and axis > 0 for axis in (self.a, self.b)):
-            raise ValueError(f"semi-axes must be positive and finite, got a={self.a}, b={self.b}")
+        check_real(self, "positive and finite", "a", "b", prefix="semi-axes ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,19 +603,13 @@ class Schedule:
     stall_improvement: float = 0.01
 
     def __post_init__(self):
-        for name in ("rho_start", "rho_cap"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_real(self, "positive and finite", "rho_start", "rho_cap")
         if self.rho_cap < self.rho_start:
             raise ValueError(f"rho_cap {self.rho_cap} is below rho_start {self.rho_start}")
-        if not (np.isfinite(self.rho_growth) and self.rho_growth >= 1):
-            raise ValueError(f"rho_growth must be finite and at least 1, got {self.rho_growth}")
+        check_real(self, "finite and at least 1", "rho_growth")
         check_count(self, 0, "max_iter")
         check_count(self, 1, "stall_window")
-        for name in ("tol", "stall_improvement"):
-            if np.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must not be NaN")
+        check_real(self, "not NaN", "tol", "stall_improvement")
 
     def stalled(self, progress, since) -> bool:
         """stalled() of the residual maxima in progress, since sweeps after the last growth, floored at tol."""
@@ -632,6 +630,28 @@ def check_count(owner, lower, *names):
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if value < lower:
             raise ValueError(f"{name} must be at least {lower}, got {value}")
+
+
+# The rules of check_real, each named by what it asks of a value, as its error states it.
+_REAL_RULES = {
+    "positive and finite": lambda v: math.isfinite(v) and v > 0,
+    "non-negative and finite": lambda v: math.isfinite(v) and v >= 0,
+    "finite": math.isfinite,
+    "finite and at least 1": lambda v: math.isfinite(v) and v >= 1,
+    "not NaN": lambda v: not math.isnan(v),
+}
+
+
+def check_real(owner, rule, *names, prefix=""):
+    """Reject each named field of owner unless it is a real number (int or float, NumPy's too) that meets rule.
+
+    rule is a key of _REAL_RULES.  The ValueError names the field, after
+    prefix ("warm state ", say).
+    """
+    for name in names:
+        value = getattr(owner, name)
+        if not (isinstance(value, numbers.Real) and _REAL_RULES[rule](value)):
+            raise ValueError(f"{prefix}{name} must be a real number, {rule}, got {value!r}")
 
 
 def check_gaussian(mean: np.ndarray, covariance: np.ndarray) -> None:

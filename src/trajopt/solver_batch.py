@@ -67,7 +67,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, endpoints, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleRows, Obstacles, Schedule, check_count, check_gaussian, check_obstacles, draw_gaussian, norm_clamp
+from .geometry import ObstacleRows, Obstacles, Schedule, check_count, check_gaussian, check_obstacles, check_real, draw_gaussian, norm_clamp
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,7 @@ class BatchProblem:
         self.desired = np.asarray(self.desired, dtype=float)
         n_p = self.basis.n_p
         check_boundary_basis(self.basis)
-        for name, limit in (("v_max", self.v_max), ("a_max", self.a_max)):
-            if not (np.isfinite(limit) and limit > 0):
-                raise ValueError(f"{name} must be positive and finite, got {limit}")
+        check_real(self, "positive and finite", "v_max", "a_max")
         check_count(self, 1, "n_batch")
         if self.desired.shape != (n_p, 2) or not np.all(np.isfinite(self.desired)):
             raise ValueError("desired trajectory must be finite and (n_p, 2)")
@@ -124,10 +122,9 @@ class BatchParams(Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (np.isfinite(self.d_margin) and 0.0 <= self.d_margin < 1.0):
+        check_real(self, "non-negative and finite", "d_margin", "kin_margin")
+        if self.d_margin >= 1.0:
             raise ValueError(f"d_margin must lie in [0, 1), got {self.d_margin}")
-        if not (np.isfinite(self.kin_margin) and self.kin_margin >= 0.0):
-            raise ValueError(f"kin_margin must be non-negative and finite, got {self.kin_margin}")
 
 
 @dataclass
@@ -304,8 +301,7 @@ def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -
             raise ValueError(f"warm state {name} has shape {np.shape(value)}, expected {shape} for this problem")
         if not np.isfinite(value).all():
             raise ValueError(f"warm state {name} is not finite")
-    if not (np.isfinite(state.rho) and state.rho > 0):
-        raise ValueError(f"warm state rho must be positive and finite, got {state.rho}")
+    check_real(state, "positive and finite", "rho", prefix="warm state ")
 
 
 def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:

@@ -79,15 +79,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, sample_trajectory, straight_line_coeffs
-from .geometry import EllipsoidShape, check_count, radial_target, residual_extremes, stalled
-
-
-def _positive_finite(value) -> bool:
-    return bool(np.isfinite(value) and value > 0)
-
-
-def _non_negative_finite(value) -> bool:
-    return bool(np.isfinite(value) and value >= 0)
+from .geometry import EllipsoidShape, check_count, check_real, radial_target, residual_extremes, stalled
 
 
 @dataclass(frozen=True)
@@ -119,8 +111,7 @@ class MultiAgentProblem:
             center = np.asarray(sphere.center, dtype=float)
             if center.shape != (3,) or not np.all(np.isfinite(center)):
                 raise ValueError(f"static sphere centres must be finite (3,) points, got {sphere.center!r}")
-            if not _non_negative_finite(sphere.radius):
-                raise ValueError(f"static sphere radius must be non-negative and finite, got {sphere.radius}")
+            check_real(sphere, "non-negative and finite", "radius", prefix="static sphere ")
 
 
 @dataclass
@@ -140,19 +131,13 @@ class JointParams:
     stop_on_certificate: bool = False
 
     def __post_init__(self):
-        for name in ("rho_start", "rho_final"):
-            if not _positive_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        check_real(self, "positive and finite", "rho_start", "rho_final")
         if self.rho_final < self.rho_start:
             raise ValueError(f"rho_final {self.rho_final} is below rho_start {self.rho_start}")
         check_count(self, 1, "rho_levels", "stall_window")
         check_count(self, 0, "max_iter")
-        for name in ("inflation_factor", "typical_residual"):
-            if not _non_negative_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
-        for name in ("tol_norm", "stall_improvement"):
-            if np.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must not be NaN")
+        check_real(self, "non-negative and finite", "inflation_factor", "typical_residual")
+        check_real(self, "not NaN", "tol_norm", "stall_improvement")
 
 
 @dataclass
@@ -191,7 +176,7 @@ class JointSolution:
 
 def inflate_radius(radius: float, typical_residual: float, factor: float) -> float:
     """Planning radius absorbing the expected terminal constraint residual."""
-    if not all(_non_negative_finite(v) for v in (radius, typical_residual, factor)):
+    if not all(0 <= v < np.inf for v in (radius, typical_residual, factor)):
         raise ValueError("inflation inputs must be non-negative and finite")
     return radius + factor * typical_residual
 

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
-from .geometry import ObstacleRows, Obstacles, check_count, check_gaussian, check_obstacles, draw_gaussian, norm_clamp
+from .geometry import ObstacleRows, Obstacles, check_count, check_gaussian, check_obstacles, check_real, draw_gaussian, norm_clamp
 
 _SPEED_EPS = 1e-6
 
@@ -88,12 +88,12 @@ class PriestParams:
             check_count(self, 0, "seed")
         if not (self.n_elite <= self.n_constraint_elite <= self.n_batch):
             raise ValueError("need n_elite <= n_constraint_elite <= n_batch")
-        if not (0.0 < self.sigma <= 1.0):
-            raise ValueError("learning rate sigma must lie in (0, 1]")
-        if not (np.isfinite(self.gamma) and self.gamma != 0.0):
-            raise ValueError(f"gamma must be finite and nonzero, got {self.gamma}")
-        if not np.isfinite(self.residual_weight):
-            raise ValueError(f"residual_weight must be finite, got {self.residual_weight}")
+        check_real(self, "positive and finite", "sigma")
+        if self.sigma > 1.0:
+            raise ValueError(f"learning rate sigma must lie in (0, 1], got {self.sigma}")
+        check_real(self, "finite", "gamma", "residual_weight")
+        if self.gamma == 0.0:
+            raise ValueError("gamma must be nonzero")
 
 
 @dataclass
@@ -110,8 +110,7 @@ class CemParams:
             check_count(self, 0, "seed")
         if self.n_elite > self.n_batch:
             raise ValueError("need n_elite <= n_batch")
-        if not np.isfinite(self.penalty_weight):
-            raise ValueError(f"penalty_weight must be finite, got {self.penalty_weight}")
+        check_real(self, "finite", "penalty_weight")
 
 
 @dataclass
@@ -142,6 +141,9 @@ class ProjectionSetup:
     projection never starts on malformed scene data.
     """
 
+    # the projection's penalty, fixed as in PRIEST: one factor serves every inner iteration
+    rho = 1.0
+
     def __init__(
         self,
         basis: BasisSet,
@@ -151,7 +153,6 @@ class ProjectionSetup:
         a_max: float | None = None,
         s_min=None,
         s_max=None,
-        rho: float = 1.0,
         start_orders=(0, 1, 2),
         end_orders=(0,),
     ):
@@ -162,7 +163,6 @@ class ProjectionSetup:
         self.a_max = a_max
         self.s_min = None if s_min is None else np.asarray(s_min, dtype=float)
         self.s_max = None if s_max is None else np.asarray(s_max, dtype=float)
-        self.rho = rho
 
         m, dim = basis.n_var, self.dim
         self.m = m
@@ -187,7 +187,7 @@ class ProjectionSetup:
             FtF = FtF + 2.0 * PtP
         self.FtF = FtF
 
-        self.factor = qpcore.factorize(np.eye(dim * m) + rho * np.kron(np.eye(dim), FtF), self.A)
+        self.factor = qpcore.factorize(np.eye(dim * m) + self.rho * np.kron(np.eye(dim), FtF), self.A)
         self.n_factorizations = 1
 
     def _validate(self):
@@ -196,9 +196,7 @@ class ProjectionSetup:
             raise ValueError(f"need 2 or 3 axis boundaries, got {dim}")
         if not np.all(np.isfinite(self.b_eq)):
             raise ValueError("boundary values must be finite")
-        for name, limit in (("v_max", self.v_max), ("a_max", self.a_max)):
-            if limit is not None and not (np.isfinite(limit) and limit > 0):
-                raise ValueError(f"{name} must be positive and finite, got {limit}")
+        check_real(self, "positive and finite", *(name for name in ("v_max", "a_max") if getattr(self, name) is not None))
         if (self.s_min is None) != (self.s_max is None):
             raise ValueError("give both workspace bounds s_min and s_max, or neither")
         if self.s_min is not None:
@@ -208,8 +206,6 @@ class ProjectionSetup:
                 raise ValueError("workspace bounds must be finite")
             if np.any(self.s_min >= self.s_max):
                 raise ValueError("workspace bounds need s_min < s_max on every axis")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
     # -- sampling helpers ----------------------------------------------------
 

@@ -57,14 +57,13 @@ sweep.  Works in 2-D (planar ellipses, no beta block) and 3-D.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, endpoints, sample_trajectory, straight_line_coeffs
-from .geometry import Obstacles, Schedule, angle2d, angles3d, check_obstacles, los_scale, residual_extremes, unit_pair
+from .geometry import Obstacles, Schedule, angle2d, angles3d, check_obstacles, check_real, los_scale, residual_extremes, unit_pair
 
 _COLL = ("coll_x", "coll_y", "coll_z")
 
@@ -88,9 +87,9 @@ class SingleProblem:
             raise ValueError(f"desired trajectory must be finite and (n_p, {dim})")
         if not all(np.all(np.isfinite(bc.values())) for bc in self.boundary):
             raise ValueError("boundary values must be finite")
-        weights = np.array([self.w_smooth, self.w_track], dtype=float)
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or weights.sum() == 0:
-            raise ValueError("need finite w_smooth, w_track >= 0 and not both zero")
+        check_real(self, "non-negative and finite", "w_smooth", "w_track")
+        if self.w_smooth + self.w_track == 0:
+            raise ValueError("w_smooth and w_track must not both be zero")
         self.obstacles = check_obstacles(self.obstacles, dim, n_p)
 
     @property
@@ -221,8 +220,7 @@ def _check_state(state: SingleState, problem: SingleProblem) -> None:
     for name in ("xi", *_IN_PLACE[:-1]):
         if not np.isfinite(getattr(state, name)).all():
             raise ValueError(f"warm state {name} is not finite")
-    if not (math.isfinite(state.rho) and state.rho > 0):
-        raise ValueError(f"warm state rho must be positive and finite, got {state.rho}")
+    check_real(state, "positive and finite", "rho", prefix="warm state ")
 
 
 def init_state(

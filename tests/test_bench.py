@@ -63,7 +63,18 @@ MALFORMED = {
     "obstacle-without-a": (lambda raw: {**raw, "obstacles": [{k: v for k, v in o.items() if k != "a"} for o in raw["obstacles"]]}, "'a'"),
     "not-an-object": (lambda raw: [raw], "JSON object"),
     "string-n_p": (lambda raw: {**raw, "horizon": {**raw["horizon"], "n_p": "100"}}, "n_p"),
-    "infinite-tf": (lambda raw: {**raw, "horizon": {**raw["horizon"], "tf": float("inf")}}, "horizon must be finite"),
+    "infinite-tf": (lambda raw: {**raw, "horizon": {**raw["horizon"], "tf": float("inf")}}, "horizon tf must be a real number, finite"),
+    # the robot block went unchecked: batch and priest runs ended in a TypeError
+    # traceback, and a priest run with a null v_max planned with no velocity bound
+    "string-v_max": (lambda raw: {**raw, "robot": {**raw["robot"], "v_max": "3"}}, "v_max must be a real number, positive and finite, got '3'"),
+    "null-v_max": (lambda raw: {**raw, "robot": {**raw["robot"], "v_max": None}}, "v_max must be a real number, positive and finite, got None"),
+    "string-start": (lambda raw: {**raw, "boundary": {**raw["boundary"], "start": ["0", 0]}}, "start must be a list of 2 finite numbers"),
+    # these named no key
+    "string-t0": (lambda raw: {**raw, "horizon": {**raw["horizon"], "t0": "0"}}, "horizon t0 must be a real number"),
+    "scalar-center": (lambda raw: {**raw, "obstacles": [{**raw["obstacles"][0], "center": 5}]}, "center must be a list of 2 finite numbers, got 5"),
+    "list-horizon": (lambda raw: {**raw, "horizon": list(raw["horizon"].values())}, "horizon must be a JSON object, got list"),
+    # loaded, then ended in a TypeError traceback where the dimension sized a range
+    "float-dim": (lambda raw: {**raw, "dim": 2.0}, "dim must be 2 or 3, got 2.0"),
 }
 
 
@@ -295,10 +306,10 @@ class TestMovingObstacleDistances:
         [
             (dict(kind="maze"), "unknown scenario kind"),
             (dict(dim=4), "dim must be 2 or 3"),
-            (dict(obstacles=[ScenarioObstacle(a=0.5, b=0.5, center=[1.0, 0.0, 0.0], velocity=[0.0, 0.0])]), "center/velocity"),
-            (dict(obstacles=[ScenarioObstacle(a=0.5, b=0.5, center=[1.0, 0.0], velocity=[0.0])]), "center/velocity"),
-            (dict(boundary=Boundary(start=[0.0, 0.0], goal=[5.0])), "boundary vectors"),
-            (dict(horizon=Horizon(t0=0.0, tf=float("nan"), n_p=50)), "horizon must be finite"),
+            (dict(obstacles=[ScenarioObstacle(a=0.5, b=0.5, center=[1.0, 0.0, 0.0], velocity=[0.0, 0.0])]), "center must be a list of 2 finite numbers"),
+            (dict(obstacles=[ScenarioObstacle(a=0.5, b=0.5, center=[1.0, 0.0], velocity=[0.0])]), "velocity must be a list of 2 finite numbers"),
+            (dict(boundary=Boundary(start=[0.0, 0.0], goal=[5.0])), "goal must be a list of 2 finite numbers"),
+            (dict(horizon=Horizon(t0=0.0, tf=float("nan"), n_p=50)), "horizon tf must be a real number, finite"),
             (dict(horizon=Horizon(t0=0.0, tf=5.0, n_p=1)), "n_p must be at least 2"),
         ],
         ids=["kind", "dim", "centre-length", "velocity-length", "goal-length", "nan-tf", "one-sample"],

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import trajopt
 from trajopt import geometry
-from trajopt.basis import build_basis
+from trajopt.basis import AxisBoundary, TimeGrid, build_basis
 from trajopt.bench import gen_scenario, runner
 from trajopt.geometry import (
     D_CAP,
@@ -34,7 +35,7 @@ from trajopt.geometry import (
 )
 from trajopt.solver_batch import BatchParams
 from trajopt.solver_multiagent import JointParams
-from trajopt.solver_priest import CemParams, PriestParams
+from trajopt.solver_priest import CemParams, PriestParams, ProjectionSetup
 from trajopt.solver_single import SingleParams
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
@@ -1024,6 +1025,73 @@ class TestCheckCount:
         JointParams(rho_levels=np.uint8(3))
         PriestParams(seed=None)
         CemParams(iterations=np.int16(2), seed=np.int64(7))
+
+
+def _scenario_problem(kind):
+    """A corridor problem of the given kind ("single" or "batch"), to rebuild with one field replaced."""
+    scenario = gen_scenario("corridor", seed=0)
+    basis = build_basis(scenario.horizon.t0, scenario.horizon.tf, scenario.horizon.n_p, 10)
+    if kind == "single":
+        return runner.single_problem_from_scenario(scenario, basis)
+    return runner.batch_problem_from_scenario(scenario, basis, n_batch=2)
+
+
+def _projection_setup(**limits):
+    boundary = (AxisBoundary(p0=0.0, p1=8.0), AxisBoundary(p0=0.0, p1=0.0))
+    return ProjectionSetup(build_basis(0.0, 8.0, 20, 8), boundary, **limits)
+
+
+# the real fields with no rejection-by-name test in their own module; each
+# entry builds the field's owner with the field set to the value given
+_REAL_FIELDS = {
+    **{f"Schedule.{name}": (lambda v, name=name: Schedule(**{name: v})) for name in ("rho_start", "rho_cap", "rho_growth", "tol", "stall_improvement")},
+    "EllipsoidShape.a": lambda v: EllipsoidShape(a=v, b=1.0),
+    "EllipsoidShape.b": lambda v: EllipsoidShape(a=1.0, b=v),
+    "TimeGrid.t0": lambda v: TimeGrid(v, 1.0, 10),
+    "TimeGrid.tf": lambda v: TimeGrid(0.0, v, 10),
+    "SingleProblem.w_smooth": lambda v: dataclasses.replace(_scenario_problem("single"), w_smooth=v),
+    "SingleProblem.w_track": lambda v: dataclasses.replace(_scenario_problem("single"), w_track=v),
+    "BatchProblem.v_max": lambda v: dataclasses.replace(_scenario_problem("batch"), v_max=v),
+    "BatchProblem.a_max": lambda v: dataclasses.replace(_scenario_problem("batch"), a_max=v),
+    "ProjectionSetup.v_max": lambda v: _projection_setup(v_max=v),
+    "ProjectionSetup.a_max": lambda v: _projection_setup(a_max=v),
+}
+
+
+class TestCheckReal:
+    """Every real field of the params, problem and setup classes is a real number, checked when built."""
+
+    # each of these raised TypeError, or (a "1" weight) was taken as 1.0;
+    # None is ProjectionSetup's "no limit"
+    @pytest.mark.parametrize(
+        "field,value",
+        [(field, value) for field in _REAL_FIELDS for value in ("1", None) if not (value is None and field.startswith("Projection"))],
+    )
+    def test_wrong_type_rejected_by_name(self, field, value):
+        name = field.split(".")[1]
+        with pytest.raises(ValueError, match=rf"{name} must be a real number, .*, got {re.escape(repr(value))}$"):
+            _REAL_FIELDS[field](value)
+
+    @pytest.mark.parametrize(
+        "rule,good,bad",
+        [
+            ("positive and finite", [1e-300, 2, np.float32(0.5)], [0.0, -1.0, np.inf, np.nan]),
+            ("non-negative and finite", [0.0, 0, np.int64(3)], [-1e-300, np.inf, np.nan]),
+            ("finite", [-1.0, 0.0, np.float64(2.5)], [np.inf, -np.inf, np.nan]),
+            ("finite and at least 1", [1, 1.0, 7.5], [0.999, np.inf, np.nan]),
+            ("not NaN", [np.inf, -np.inf, 0.0, True], [np.nan, np.float32("nan")]),
+        ],
+    )
+    def test_rules(self, rule, good, bad):
+        for value in good:
+            geometry.check_real(SimpleNamespace(x=value), rule, "x")
+        for value in bad + ["1", None, np.array(1.0)]:
+            with pytest.raises(ValueError, match=rf"^x must be a real number, {rule}, got {re.escape(repr(value))}$"):
+                geometry.check_real(SimpleNamespace(x=value), rule, "x")
+
+    def test_prefix_leads_the_message(self):
+        with pytest.raises(ValueError, match=r"^warm state rho must be a real number, positive and finite, got 0\.0$"):
+            geometry.check_real(SimpleNamespace(rho=0.0), "positive and finite", "rho", prefix="warm state ")
 
 
 def test_public_names_are_used_by_the_package():

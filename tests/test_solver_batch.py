@@ -961,6 +961,11 @@ class TestParamsValidation:
             ("kin_margin", float("nan")),
             ("kin_margin", float("inf")),
             ("kin_margin", -1e-3),
+            # each raised TypeError
+            ("d_margin", "1"),
+            ("d_margin", None),
+            ("kin_margin", "1"),
+            ("kin_margin", None),
         ],
     )
     def test_margins_rejected(self, name, value):
@@ -1075,7 +1080,7 @@ class TestWarmState:
         setattr(state, name, value)
         _assert_rejected_untouched(state, prob, f"warm state {name} is not finite")
 
-    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0, "1", None])
     def test_bad_penalty_rejected_before_iterating(self, rho):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
         state = self._solved_state(prob)

@@ -968,6 +968,8 @@ class TestProblemValidation:
             ([0.0, 0.0, 1.0], -0.1),
             ([0.0, 0.0, 1.0], np.nan),
             ([0.0, 0.0, 1.0], np.inf),
+            ([0.0, 0.0, 1.0], "1"),
+            ([0.0, 0.0, 1.0], None),
         ],
     )
     def test_bad_static_sphere_rejected(self, center, radius):
@@ -1008,6 +1010,12 @@ class TestParamsValidation:
             dict(typical_residual=-0.01),
             dict(tol_norm=np.nan),  # accepted, a solve then never converged
             dict(stall_improvement=np.nan),
+            # each of these raised TypeError
+            *(
+                dict.fromkeys([name], value)
+                for name in ("rho_start", "rho_final", "inflation_factor", "typical_residual", "tol_norm", "stall_improvement")
+                for value in ("1", None)
+            ),
         ],
     )
     def test_rejected_before_any_factorization(self, kwargs):

@@ -42,7 +42,7 @@ def _stack(tracks):
     return Obstacles(np.stack([t.centers.T for t in tracks], axis=1), [t.a for t in tracks], [t.b for t in tracks])
 
 
-def make_setup_2d(obstacles=(), v_max=3.0, a_max=3.0, bounds=True, rho=1.0):
+def make_setup_2d(obstacles=(), v_max=3.0, a_max=3.0, bounds=True):
     # start velocity matches the straight-line sample so the line itself is
     # boundary-feasible
     basis = build_basis(0.0, 8.0, N_P, 8)
@@ -54,7 +54,6 @@ def make_setup_2d(obstacles=(), v_max=3.0, a_max=3.0, bounds=True, rho=1.0):
         a_max=a_max,
         s_min=np.array([-2.0, -5.0]) if bounds else None,
         s_max=np.array([10.0, 5.0]) if bounds else None,
-        rho=rho,
     )
 
 
@@ -833,8 +832,6 @@ class TestSetupValidation:
             {"v_max": -1.0},
             {"a_max": 0.0},
             {"a_max": float("nan")},
-            {"rho": 0.0},
-            {"rho": -2.0},
             {"s_min": np.array([-2.0, 5.0]), "s_max": np.array([10.0, 5.0])},
             {"s_min": np.array([-2.0, 6.0]), "s_max": np.array([10.0, 5.0])},
             {"s_min": np.array([-2.0]), "s_max": np.array([10.0])},
@@ -936,6 +933,8 @@ class TestSamplerValidation:
             dict(sigma=0.0),
             dict(gamma=np.nan),  # an SVD failed to converge at outer iteration 2
             dict(residual_weight=np.nan),
+            # each of these raised TypeError
+            *(dict.fromkeys([name], value) for name in ("sigma", "gamma", "residual_weight") for value in ("1", None)),
         ],
     )
     def test_bad_priest_params_rejected(self, kwargs):
@@ -943,7 +942,8 @@ class TestSamplerValidation:
             PriestParams(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(iterations=0), dict(n_elite=0), dict(n_elite=111), dict(penalty_weight=np.nan)]
+        "kwargs",
+        [dict(iterations=0), dict(n_elite=0), dict(n_elite=111), dict(penalty_weight=np.nan), dict(penalty_weight="1"), dict(penalty_weight=None)],
     )
     def test_bad_cem_params_rejected(self, kwargs):
         # iterations=0 and a NaN penalty_weight (every cost NaN, so no best

@@ -919,7 +919,7 @@ class TestWarmState:
         setattr(state, name, value)
         self._assert_rejected_untouched(prob, state, f"warm state {name} is not finite")
 
-    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0, "1", None])
     def test_bad_penalty_rejected(self, rho):
         prob = self._obstacle_problem_3d()
         state = self._solved_state(prob)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..basis import TimeGrid
-from ..geometry import EllipsoidShape, Obstacles, check_real
+from ..geometry import EllipsoidShape, Obstacles, check_count, check_real
 
 KINDS = (
     "corridor",
@@ -85,6 +85,7 @@ class Scenario:
             _check_vectors(obs, self.dim, "center", "velocity")
             EllipsoidShape(obs.a, obs.b)  # the semi-axes check of every obstacle
         _check_vectors(self.boundary, self.dim, "start", "goal")
+        check_count(self, 0, "seed")
 
     @property
     def scenario_id(self) -> str:
@@ -113,7 +114,7 @@ def from_json(text: str) -> Scenario:
             dim=raw["dim"],
             horizon=_block(Horizon, "horizon", raw["horizon"]),
             robot=_block(RobotSpec, "robot", raw["robot"]),
-            obstacles=[_block(ScenarioObstacle, "obstacle", o) for o in raw["obstacles"]],
+            obstacles=[_block(ScenarioObstacle, "obstacle", o) for o in _array("obstacles", raw["obstacles"])],
             boundary=_block(Boundary, "boundary", raw["boundary"]),
             seed=raw["seed"],
         )
@@ -128,6 +129,13 @@ def _block(cls, key, value):
     if not isinstance(value, dict):
         raise ValueError(f"{key} must be a JSON object, got {type(value).__name__}")
     return cls(**value)
+
+
+def _array(key, value):
+    """The JSON array value of key; any other value raises ValueError naming key."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON array, got {type(value).__name__}")
+    return value
 
 
 def save_scenario(scenario: Scenario, path) -> None:

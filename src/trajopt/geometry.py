@@ -96,6 +96,9 @@ D_CAP = 1e6
 # Time samples per window of ObstacleRows' broad phase.
 _WINDOW = 10
 
+# The smallest normal float: unit_pair's c*c + s*s below it is rounded as a subnormal.
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class EllipsoidShape:
@@ -474,23 +477,45 @@ def norm_clamp(deltas, limit: float):
 
 
 def unit_pair(c, s, out=None):
-    """(c, s) / hypot(c, s), stacked as (2, ...): (cos, sin) of arctan2(s, c), no angle taken.
+    """(c, s) / r, r = sqrt(c*c + s*s), stacked as (2, ...): (cos, sin) of arctan2(s, c), no angle taken.
 
     This is the radial_clamp target at a = b = lower = upper = 1, the
-    nearest point of the unit circle.  The origin maps to (1, 0), the
-    convention of arctan2(0, 0) = 0.  Written into out, a (2, ...) array
-    that shares no memory with c or s, when given.
+    nearest point of the unit circle.  Written into out, a (2, ...) array
+    that shares no memory with c or s, when given; the cos row holds
+    c*c + s*s and then r until it is divided.
+
+    The radius is sqrt(c*c + s*s), with no error state to set.  Where
+    c*c + s*s is not a normal finite number (zero, subnormal, overflowed
+    or NaN) its rounding is no longer hypot's to the ulp, so such entries
+    take np.hypot(c, s) in its place, and the origin maps to (1, 0), the
+    convention of arctan2(0, 0) = 0.  An overflowing square warns, as
+    scaled_sq_norm's do; the entry still takes hypot's pair.
     """
     if out is None:
         out = np.empty((2, *np.broadcast_shapes(np.shape(c), np.shape(s))))
     cos, sin = out[0, ...], out[1, ...]
-    r = np.hypot(c, s, out=cos)  # the cos row holds the radius until it is divided
+    r = np.multiply(c, c, out=cos)
+    r += np.multiply(s, s, out=sin)
+    # NaN fails both comparisons, so it takes the fallback too
+    if r.size and not (r.min() >= _TINY and r.max() < np.inf):
+        return _unit_pair_fallback(c, s, out)
+    np.sqrt(r, out=r)
+    np.divide(s, r, out=sin)
+    np.divide(c, r, out=cos)
+    return out
+
+
+def _unit_pair_fallback(c, s, out):
+    """unit_pair where some c*c + s*s, held in out[0], is not a normal finite number: those entries take hypot's radius."""
+    cos, sin = out[0, ...], out[1, ...]
+    off = ~(cos >= _TINY) | (cos == np.inf)
+    r = np.sqrt(cos, out=cos)
+    r[off] = np.broadcast_to(np.hypot(c, s), r.shape)[off]
     centre = r == 0.0
     with np.errstate(invalid="ignore"):
         np.divide(s, r, out=sin)
         np.divide(c, r, out=cos)
-    if centre.any():
-        cos[centre], sin[centre] = 1.0, 0.0
+    cos[centre], sin[centre] = 1.0, 0.0
     return out
 
 
@@ -646,11 +671,16 @@ def check_real(owner, rule, *names, prefix=""):
     """Reject each named field of owner unless it is a real number (int or float, NumPy's too) that meets rule.
 
     rule is a key of _REAL_RULES.  The ValueError names the field, after
-    prefix ("warm state ", say).
+    prefix ("warm state ", say).  An integer beyond the float range, which
+    the rules' math functions cannot take, is rejected as well.
     """
     for name in names:
         value = getattr(owner, name)
-        if not (isinstance(value, numbers.Real) and _REAL_RULES[rule](value)):
+        try:
+            ok = isinstance(value, numbers.Real) and _REAL_RULES[rule](value)
+        except OverflowError:
+            ok = False
+        if not ok:
             raise ValueError(f"{prefix}{name} must be a real number, {rule}, got {value!r}")
 
 

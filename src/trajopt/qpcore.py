@@ -15,11 +15,15 @@ saddle inverse are then formed once,
     xi = M q + C b,    nu = -C' q - Pb'Q C b,
 
 with M = -N (N'QN)^-1 N' and C = (I + M Q) Pb, so every solve is a few
-GEMMs on the stacked right-hand sides.  solve_primal forms xi alone, two
-GEMMs; solve_batch adds nu.  Solving in null(A) keeps the
-factored matrix at the scale of Q: a penalty term rho * F'F grows the
-reduced Hessian's condition number, not the one of the whole saddle, where
-it is set against the unit rows of A.
+GEMMs on the stacked right-hand sides.  The solvers read xi alone, and
+their boundary values b stay fixed while a factor serves, so apply_primal
+is their one apply: in row form xi = q @ q_map + (b @ b_map), with the
+boundary part b @ b_map formed once per factor by boundary_part and only
+added on each solve.  solve_primal forms both parts per call, and
+solve_batch adds nu.  Solving in null(A) keeps the factored matrix at the
+scale of Q: a penalty term rho * F'F grows the reduced Hessian's condition
+number, not the one of the whole saddle, where it is set against the unit
+rows of A.
 
 A stack of Hessians Q (k, n, n) that share A is factored in one call; each
 block has its own guard, and solve_batch applies block i to the i-th stack
@@ -28,12 +32,13 @@ of right-hand sides.
 The solvers' saddles are Q + rho * M on fixed rows A, with a penalty rho
 that grows during a solve.  FactorCache holds the one rule for when a
 factor still applies: it is rebuilt only when rho, or the value of Q, M or
-A, differs from the last factored one.  The single and batch solvers keep
-their caches in their states, so a warm start on equal matrices reuses the
-factor and one on other matrices refactors.
+A, differs from the last factored one, and it forms the boundary part
+again only for a new factor or another boundary array.  The single and
+batch solvers keep their caches in their states, so a warm start on equal
+matrices reuses the factor and one on other matrices refactors.
 
-KKTFactor is immutable after construction; solve, solve_batch and
-solve_primal are reentrant.
+KKTFactor is immutable after construction; solve, solve_batch,
+solve_primal, boundary_part and apply_primal are reentrant.
 """
 
 from __future__ import annotations
@@ -172,6 +177,7 @@ class FactorCache:
         self.factor: KKTFactor | None = None
         self.count = 0
         self._key: tuple | None = None  # (Q, M, A, rho) of the last call
+        self._boundary: tuple | None = None  # (factor, bs, boundary part) of the last boundary call
 
     def get(self, Q: np.ndarray, M: np.ndarray, A: np.ndarray, rho: float) -> KKTFactor:
         arrays = (Q, M, A)
@@ -182,6 +188,18 @@ class FactorCache:
             self.count += 1
         self._key = (*arrays, rho)
         return self.factor
+
+    def boundary(self, bs: np.ndarray) -> np.ndarray:
+        """boundary_part(self.factor, bs), formed again only after get refactors or for another bs array.
+
+        bs is compared by identity alone, as forming the part costs about
+        what comparing its values would, so it must not be edited in place
+        between calls.
+        """
+        last = self._boundary
+        if last is None or last[0] is not self.factor or last[1] is not bs:
+            last = self._boundary = (self.factor, bs, boundary_part(self.factor, bs))
+        return last[2]
 
 
 def solve(factor: KKTFactor, q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,21 +215,40 @@ def solve(factor: KKTFactor, q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
     return xis[..., 0, :], nus[..., 0, :]
 
 
+def boundary_part(factor: KKTFactor, bs: np.ndarray) -> np.ndarray:
+    """bs @ b_map: what the boundary values bs (N_b, n_eq) add to each primal solve, (N_b, n_v).
+
+    A stacked factor takes (k, N_b, n_eq) and gives (k, N_b, n_v).  A
+    caller whose boundary values stay fixed while a factor serves forms
+    this once per factor and hands it to apply_primal.
+    """
+    if bs.shape[-1] != factor.n_eq:
+        raise ValueError(f"bs have length {bs.shape[-1]}, expected {factor.n_eq}")
+    if bs.shape[:-2] != factor.b_map.shape[:-2]:
+        raise ValueError(f"right-hand sides stacked as {bs.shape[:-2]}, factor as {factor.b_map.shape[:-2]}")
+    return bs @ factor.b_map
+
+
+def apply_primal(factor: KKTFactor, qs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """The one apply of a cached factor: xis = qs @ q_map + boundary, no duals.
+
+    boundary is boundary_part(factor, bs), and qs must have its shape, so
+    this is solve_primal(factor, BatchRHS(qs, bs)) bit for bit: one GEMM and
+    one add per call.
+    """
+    if qs.shape != boundary.shape:
+        raise ValueError(f"qs have shape {qs.shape}, expected the boundary part's {boundary.shape}")
+    return qs @ factor.q_map + boundary
+
+
 def solve_primal(factor: KKTFactor, rhs: BatchRHS) -> np.ndarray:
     """The primal part of solve_batch: xis = qs @ q_map + bs @ b_map, no duals.
 
-    The one apply of a cached factor: the xis of solve_batch bit for bit,
-    row i matching solve(factor, qs[i], bs[i])'s xi.  The solvers read no
-    multiplier of the equality rows and call this.  Returns (N_b, n_v), with
-    the block axis first for a stacked factor.
+    apply_primal with the boundary part formed for this call: the xis of
+    solve_batch bit for bit, row i matching solve(factor, qs[i], bs[i])'s
+    xi.  Returns (N_b, n_v), with the block axis first for a stacked factor.
     """
-    if rhs.qs.shape[-1] != factor.n_v:
-        raise ValueError(f"qs have length {rhs.qs.shape[-1]}, expected {factor.n_v}")
-    if rhs.bs.shape[-1] != factor.n_eq:
-        raise ValueError(f"bs have length {rhs.bs.shape[-1]}, expected {factor.n_eq}")
-    if rhs.qs.shape[:-2] != factor.q_map.shape[:-2]:
-        raise ValueError(f"right-hand sides stacked as {rhs.qs.shape[:-2]}, factor as {factor.q_map.shape[:-2]}")
-    return rhs.qs @ factor.q_map + rhs.bs @ factor.b_map
+    return apply_primal(factor, rhs.qs, boundary_part(factor, rhs.bs))
 
 
 def solve_batch(factor: KKTFactor, rhs: BatchRHS) -> tuple[np.ndarray, np.ndarray]:

@@ -102,6 +102,9 @@ class BatchProblem:
         n_p = self.basis.n_p
         check_boundary_basis(self.basis)
         check_real(self, "positive and finite", "v_max", "a_max")
+        check_real(self, "non-negative and finite", "w_smooth", "w_track")
+        if self.w_smooth + self.w_track == 0:
+            raise ValueError("w_smooth and w_track must not both be zero")
         check_count(self, 1, "n_batch")
         if self.desired.shape != (n_p, 2) or not np.all(np.isfinite(self.desired)):
             raise ValueError("desired trajectory must be finite and (n_p, 2)")
@@ -207,6 +210,7 @@ class _Structure:
 
         self.obstacles = problem.obstacles
         self._rows = None
+        self._member_bs = None
         # the factor caches compare these by identity first
         for keyed in (self.Q, self.FtF, self.A, self.Q_psi_smooth, self.PtP, self.A_psi):
             keyed.setflags(write=False)
@@ -216,6 +220,16 @@ class _Structure:
         if self._rows is None or self._rows.n != n_b * self.r.size:
             self._rows = ObstacleRows(self.obstacles, n_b * self.r.size)
         return self._rows
+
+    def member_boundaries(self, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The boundary values of n_b members, (N_b, 12) and (N_b, 2), tiled once per member count.
+
+        The factor caches form their boundary parts from these arrays, and
+        compare them by identity first.
+        """
+        if self._member_bs is None or len(self._member_bs[0]) != n_b:
+            self._member_bs = np.tile(self.b, (n_b, 1)), np.tile(self.b_psi, (n_b, 1))
+        return self._member_bs
 
 
 def _circles(struct, basis, xi, heading):
@@ -306,10 +320,11 @@ def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -
 
 def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
     """Shared-factor QP update of every member's stacked coefficients."""
-    factor = state.xi_factors.get(struct.Q, struct.FtF, struct.A, state.rho)
+    factors = state.xi_factors
+    factor = factors.get(struct.Q, struct.FtF, struct.A, state.rho)
     q_lin = struct.q[None, :] - state.lam - state.rho * state.target_products
-    bs = np.tile(struct.b, (state.xi.shape[0], 1))
-    state.xi = qpcore.solve_primal(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+    bs, _ = struct.member_boundaries(state.xi.shape[0])
+    state.xi = qpcore.apply_primal(factor, q_lin, factors.boundary(bs))
 
 
 def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, placed: tuple) -> None:
@@ -317,14 +332,15 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, p
 
     The heading multipliers then ascend on the fit's miss of those targets.
     """
-    factor = state.psi_factors.get(struct.Q_psi_smooth, struct.PtP, struct.A_psi, state.rho)
+    factors = state.psi_factors
+    factor = factors.get(struct.Q_psi_smooth, struct.PtP, struct.A_psi, state.rho)
     basis = problem.basis
     raw = np.arctan2(placed[1], placed[0])
     # nearest-branch unwrapping against the previous heading iterate
     targets = raw + 2.0 * np.pi * np.round((state.psi - raw) / (2.0 * np.pi))
     q_lin = -state.lam_psi - state.rho * (targets @ basis.P)
-    bs = np.tile(struct.b_psi, (state.xi.shape[0], 1))
-    state.xi_psi = qpcore.solve_primal(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+    _, bs = struct.member_boundaries(state.xi.shape[0])
+    state.xi_psi = qpcore.apply_primal(factor, q_lin, factors.boundary(bs))
     state.psi = state.xi_psi @ basis.P.T
     state.lam_psi = state.lam_psi - state.rho * ((state.psi - targets) @ basis.P)
 

@@ -24,10 +24,11 @@ N_a mode blocks of a rho level are one stacked reduced (null-space) factor
 of qpcore, precomputed for a staged schedule of rho values: the whole solve
 performs exactly one factorization per level no matter how many iterations
 run or how many pairwise constraints exist.  An iteration applies it
-through one qpcore.solve_primal call, a mode's x, y and z right-hand sides
-being its block's three rows.  In reduced coordinates the blocks stay near
-condition 7e3 at rho = 1e4 for any N_a, where the whole saddle passed 1e12
-at 12 agents.
+through one qpcore.apply_primal call, a mode's x, y and z right-hand sides
+being its block's three rows; the boundary part that a level's iterations
+all add is formed with the level's factor.  In reduced coordinates the
+blocks stay near condition 7e3 at rho = 1e4 for any N_a, where the whole
+saddle passed 1e12 at 12 agents.
 
 The polar blocks take no angles: the angles of a pair offset delta enter
 the d-step and the reconstruction only as delta / r (r its scaled norm), so
@@ -262,6 +263,8 @@ class _JointStructure:
         B = boundary_matrix(basis)
         self.factors = [qpcore.factorize(Q_axis + rho * lam[:, None, None] * PtP, B) for rho in self.rho_levels]
         self.n_factorizations = len(self.factors)
+        # and its boundary part, the modes' boundary values through the level's maps
+        self.boundaries = [qpcore.boundary_part(factor, self.b_modes) for factor in self.factors]
 
         # the iteration's workspace, (3, n_pairs, n_p) each: the targets
         # b_fo, then the offsets; and the multiplier shift lam / rho, then
@@ -323,8 +326,8 @@ def _iterate(state: JointState, struct: _JointStructure) -> None:
     if struct.has_static:
         b_fo += struct.static_centers
     q_modes = -rho * (struct.EVt @ b_fo @ struct.basis.P)  # (3, N_a, m)
-    rhs = qpcore.BatchRHS(qs=np.swapaxes(q_modes, 0, 1), bs=struct.b_modes)
-    eta = qpcore.solve_primal(struct.factors[state.level], rhs)  # (N_a, 3, m)
+    qs = np.swapaxes(q_modes, 0, 1)
+    eta = qpcore.apply_primal(struct.factors[state.level], qs, struct.boundaries[state.level])  # (N_a, 3, m)
     state.xi = (struct.V @ np.swapaxes(eta, 0, 1)).reshape(3, -1)
 
     # the d targets are shifted by the multipliers, so d keeps the closed form

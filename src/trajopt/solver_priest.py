@@ -318,7 +318,8 @@ def project(
     rows = ObstacleRows(setup.obstacles, n)
     xi_bar = samples.copy()
     lam = np.zeros_like(samples)
-    bs = np.tile(setup.b_eq, (n, 1))
+    # the boundary values are the same for every sample and inner iteration
+    boundary = qpcore.boundary_part(setup.factor, np.tile(setup.b_eq, (n, 1)))
     rho = setup.rho
     pva = setup.pva_samples(xi_bar)
     obstacle, families = _family_residuals(setup, pva, rows)
@@ -333,7 +334,7 @@ def project(
         # e @ F = xi @ F'F - residual @ F
         e_f = (xi_bar.reshape(n * dim, m) @ setup.FtF).reshape(n, dim * m) - res_f
         q_lin = -(samples + lam + rho * e_f)
-        xi_bar = qpcore.solve_primal(setup.factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+        xi_bar = qpcore.apply_primal(setup.factor, q_lin, boundary)
         pva = setup.pva_samples(xi_bar)
         obstacle, families = _family_residuals(setup, pva, rows)
         if residual_history is not None:

@@ -13,10 +13,11 @@ Lagrangian and the blocks are swept in order:
 
 The angles enter the equalities only through their cos and sin, so the state
 keeps each angle as its unit pair (cos, sin) and no sweep forms an angle: the
-angle step sets the pair to (c, s) / hypot(c, s) for the copy pair (c, s),
-which is (cos, sin) of arctan2(s, c), and to (1, 0) at the origin, as
-arctan2(0, 0) = 0 (geometry.unit_pair, the radial clamp's target at unit
-semi-axes and scale).  Only init_state takes angles, of the straight-line
+angle step sets the pair to (c, s) / r, r = sqrt(c*c + s*s), for the copy
+pair (c, s), which is (cos, sin) of arctan2(s, c), and to (1, 0) at the
+origin, as arctan2(0, 0) = 0 (geometry.unit_pair, the radial clamp's target
+at unit semi-axes and scale, which takes hypot's radius only where c*c +
+s*s is not a normal number).  Only init_state takes angles, of the straight-line
 offsets, once per solve.  A 2-D problem is the 3-D one with sin(beta) = 1
 and lateral semi-axes (a, b) in place of (a, a).
 
@@ -40,11 +41,15 @@ read those offsets.
 A sweep writes in place: the copies, unit pairs, scales d, residuals and
 both multiplier blocks are the state's own arrays, and the position
 targets, offsets and other intermediates go to a workspace the structure
-allocates once per solve.  Each in-place step keeps the arithmetic of the
-expression it replaces, operation for operation, and the position step
-applies the cached factor primal-only (qpcore.solve_primal).  A warm state
-is checked before the first sweep: shapes, finite values and a writeable
-float64 array for everything a sweep writes.
+allocates once per solve.  So the views of the pair rows (the unit pairs,
+copies and copy multipliers as pairs, unit_pair's swapped out, the copy
+residuals in the pairs' order) are made once per solve too, in a
+_PairViews.  Each in-place step keeps the arithmetic of the expression it
+replaces, operation for operation, and the position step applies the
+cached factor primal-only (qpcore.apply_primal), with the boundary part
+the factor cache forms once per factor.  A warm state is checked before
+the first sweep: shapes, finite values and a writeable float64 array for
+everything a sweep writes.
 
 The KKT matrix of the position step is Q + rho * n_o * P'P; its size does
 not depend on the obstacle count.  The state holds a qpcore.FactorCache for
@@ -174,6 +179,8 @@ class _SingleStructure:
         rows = self.centres.shape
         self.coefs, self.deltas, self.pulled, self.work = (np.empty(rows) for _ in range(4))
         self.scaled = np.empty((problem.dim + 2 * (problem.dim - 1), *rows[1:]))
+        # its copy rows in the pairs' order: the block holds the beta pair first
+        self.scaled_copies = _pairs(self.scaled[problem.dim :])[::-1]
 
     def offsets(self, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Robot-to-obstacle offsets per axis, (dim, n_o, n_p), written into out when given."""
@@ -183,6 +190,26 @@ class _SingleStructure:
 def _pairs(stack: np.ndarray) -> np.ndarray:
     """A stack of rows viewed as its (cos, sin) pairs, (k // 2, 2, n_o, n_p)."""
     return stack.reshape(len(stack) // 2, 2, *stack.shape[1:])
+
+
+class _PairViews:
+    """The views of a state's pair rows that a sweep reads and writes.
+
+    The unit pairs, copies and copy multipliers as (cos, sin) pairs, the
+    cos and sin rows of the copies and the unit pairs as unit_pair's
+    (2, k // 2, n_o, n_p) out, and the copy rows of a residual block in
+    the pairs' order (the block holds the beta pair first): the state's
+    own residual block unless another is given.  A sweep writes these
+    arrays in place, so solve_single makes the views once per solve.
+    """
+
+    def __init__(self, state: SingleState, residuals: np.ndarray | None = None):
+        residuals = state.residuals if residuals is None else residuals
+        self.unit, self.copies, self.lam_copies = (_pairs(rows) for rows in (state.unit, state.copies, state.lam_copies))
+        self.cos, self.sin = state.copies[0::2], state.copies[1::2]
+        self.unit_out = self.unit.swapaxes(0, 1)
+        self.residuals = residuals
+        self.copy_residuals = _pairs(residuals[len(residuals) - len(state.unit) :])[::-1]
 
 
 # the state arrays a sweep writes in place
@@ -276,7 +303,8 @@ def _row_coefs(struct: _SingleStructure, d: np.ndarray, stack: np.ndarray, out: 
 
 def _position_step(state: SingleState, struct: _SingleStructure, coefs: np.ndarray) -> None:
     """The positions minimizing the relaxation, the polar points at the unit pairs (coefs of state.unit)."""
-    factor = state.factors.get(struct.Q, struct.PtP, struct.A, state.rho * struct.n_o)
+    factors = state.factors
+    factor = factors.get(struct.Q, struct.PtP, struct.A, state.rho * struct.n_o)
     q_lin = struct.q
     if struct.n_o:
         # q + lam_sum @ P - rho * targets_sum @ P, the targets centres + coefs * unit
@@ -287,7 +315,7 @@ def _position_step(state: SingleState, struct: _SingleStructure, coefs: np.ndarr
         q_lin = state.lam_pos.sum(axis=1) @ struct.P
         q_lin += struct.q
         q_lin -= pull @ struct.P
-    state.xi = qpcore.solve_primal(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
+    state.xi = qpcore.apply_primal(factor, q_lin, factors.boundary(struct.bs))
 
 
 def _copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray, coefs: np.ndarray) -> None:
@@ -330,10 +358,10 @@ def _copy_step(state: SingleState, struct: _SingleStructure, offsets: np.ndarray
         num /= den
 
 
-def _angle_step(state: SingleState) -> None:
+def _angle_step(state: SingleState, views: _PairViews | None = None) -> None:
     """Set every unit pair, in place, to the projection of its copy pair onto the unit circle."""
-    copies = state.copies
-    unit_pair(copies[0::2], copies[1::2], out=_pairs(state.unit).swapaxes(0, 1))
+    views = views or _PairViews(state)
+    unit_pair(views.cos, views.sin, out=views.unit_out)
 
 
 def equality_residuals(
@@ -341,7 +369,7 @@ def equality_residuals(
     problem: SingleProblem,
     offsets: np.ndarray | None = None,
     struct: _SingleStructure | None = None,
-    out: np.ndarray | None = None,
+    views: _PairViews | None = None,
 ) -> np.ndarray:
     """Residuals of every relaxed equality, (dim + k, n_o, n_p).
 
@@ -349,26 +377,34 @@ def equality_residuals(
     each copy minus its unit pair, the beta pair (3-D) before the alpha
     pair: the residual norm sums them in this order.  offsets are the
     struct.offsets of state.xi when the caller already has them; they are
-    computed from the state otherwise.  Written into out when given.
+    computed from the state otherwise.  Written into the residual block of
+    views, the state's _PairViews, when given (a sweep's: the state's own
+    block), into a new array otherwise.
     """
     struct = struct or _SingleStructure(problem)
     dim = struct.dim
-    if out is None:
-        out = np.empty((dim + len(state.unit), *state.d.shape))
+    views = views or _PairViews(state, np.empty((dim + len(state.unit), *state.d.shape)))
+    out = views.residuals
     offsets = struct.offsets(state.xi) if offsets is None else offsets
     # offsets minus the polar points, the row coefficients at the copies times copies[:dim]
     points = _row_coefs(struct, state.d, state.copies, out=out[:dim])
     points *= state.copies[:dim]
     np.subtract(offsets, points, out=points)
-    np.subtract(_pairs(state.copies), _pairs(state.unit), out=_pairs(out[dim:])[::-1])
+    np.subtract(views.copies, views.unit, out=views.copy_residuals)
     return out
 
 
-def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStructure | None = None) -> SingleState:
+def am_iteration(
+    state: SingleState,
+    problem: SingleProblem,
+    struct: _SingleStructure | None = None,
+    views: _PairViews | None = None,
+) -> SingleState:
     """One alternating-minimization sweep; mutates and returns the state.
 
     Without a struct one is built, and the state is checked against the
-    problem as a warm state is.
+    problem as a warm state is.  views are the state's _PairViews with its
+    residual block, made here when not given.
     """
     if struct is None:
         struct = _SingleStructure(problem)
@@ -378,16 +414,15 @@ def am_iteration(state: SingleState, problem: SingleProblem, struct: _SingleStru
     _position_step(state, struct, coefs)
     if struct.n_o:
         offsets = struct.offsets(state.xi, out=struct.deltas)
+        views = views or _PairViews(state)
         _copy_step(state, struct, offsets, coefs)
-        _angle_step(state)
+        _angle_step(state, views)
         los_scale(offsets, struct.inv_a, struct.inv_b, out=state.d, inverse=True)
         # the multipliers do not enter the residuals, so they stay those of the sweep
-        res = equality_residuals(state, problem, offsets, struct, out=state.residuals)
+        res = equality_residuals(state, problem, offsets, struct, views=views)
         scaled = np.multiply(res, state.rho, out=struct.scaled)
         state.lam_pos += scaled[: struct.dim]
-        # the block holds the beta pair before the alpha pair
-        lam_copies = _pairs(state.lam_copies)
-        lam_copies += _pairs(scaled[struct.dim :])[::-1]
+        views.lam_copies += struct.scaled_copies
     state.iteration += 1
     return state
 
@@ -408,12 +443,13 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
         state = init_state(problem, params=params, struct=struct)
     else:
         _check_state(state, problem)
+    views = _PairViews(state)
     history: list[dict] = []
     max_hist: list[float] = []
     start = last_change = state.iteration
     converged = False
     for _ in range(params.max_iter):
-        am_iteration(state, problem, struct)
+        am_iteration(state, problem, struct, views)
         norm, max_abs = residual_extremes(state.residuals)
         history.append({"norm": norm, "max_abs": max_abs, "rho": state.rho})
         max_hist.append(max_abs)

@@ -75,6 +75,12 @@ MALFORMED = {
     "list-horizon": (lambda raw: {**raw, "horizon": list(raw["horizon"].values())}, "horizon must be a JSON object, got list"),
     # loaded, then ended in a TypeError traceback where the dimension sized a range
     "float-dim": (lambda raw: {**raw, "dim": 2.0}, "dim must be 2 or 3, got 2.0"),
+    # loaded, and the scenario id was built from the string
+    "string-seed": (lambda raw: {**raw, "seed": "0"}, "seed must be an integer, got '0'"),
+    # read "malformed scenario: 'int' object is not iterable"
+    "scalar-obstacles": (lambda raw: {**raw, "obstacles": 5}, "obstacles must be a JSON array, got int"),
+    # json reads it as an int beyond the float range: an OverflowError traceback
+    "huge-v_max": (lambda raw: {**raw, "robot": {**raw["robot"], "v_max": 10**400}}, "v_max must be a real number, positive and finite, got 1000"),
 }
 
 

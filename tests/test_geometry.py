@@ -832,6 +832,42 @@ class TestUnitPair:
         np.testing.assert_allclose(got, [np.cos(angle), np.sin(angle)], rtol=0, atol=1e-15)
         np.testing.assert_array_equal(got[:, :, :2], np.broadcast_to([[[1.0]], [[0.0]]], (2, 3, 2)))
 
+    @staticmethod
+    def _hypot_pair(c, s):
+        """The pair as hypot arithmetic forms it: (c, s) / hypot(c, s), the origin at (1, 0)."""
+        r = np.hypot(c, s)
+        with np.errstate(invalid="ignore"):
+            pair = np.array([c / r, s / r])
+        return np.array([1.0, 0.0]) if r == 0.0 else pair
+
+    @pytest.mark.parametrize(
+        "c,s",
+        [(0.0, 0.0), (-0.0, 0.0), (3e-160, 0.0), (1e-170, 1e-170), (1e200, -1e200), (np.nan, 1.0), (0.5, np.nan)],
+        ids=["origin", "minus-zero", "subnormal-square", "underflowed-squares", "overflowed-squares", "nan-c", "nan-s"],
+    )
+    def test_fallback_is_the_hypot_arithmetic(self, c, s):
+        # where c*c + s*s is zero, subnormal, overflowed or NaN, sqrt of it
+        # would not round as hypot does; those entries take hypot's radius,
+        # alone or among entries of the sqrt path
+        expected = self._hypot_pair(c, s)
+        with np.errstate(over="ignore"):  # the squares of 1e200 overflow, as scaled_sq_norm's would
+            alone = unit_pair(c, s)
+            among = unit_pair(np.array([3.0, c, -1.0]), np.array([4.0, s, 2.0]))
+        np.testing.assert_array_equal(alone, expected)
+        np.testing.assert_array_equal(among[:, 1], expected)
+        np.testing.assert_array_equal(among[:, [0, 2]], [[0.6, -1.0 / np.sqrt(5.0)], [0.8, 2.0 / np.sqrt(5.0)]])
+        if c == 0.0 and s == 0.0:
+            assert alone.tolist() == [1.0, 0.0]
+
+    def test_normal_squares_take_sqrt_without_hypot(self):
+        rng = np.random.default_rng(4)
+        c, s = rng.normal(size=(2, 2, 16, 100))
+        out = np.empty((2, 2, 16, 100))
+        assert unit_pair(c, s, out=out) is out
+        np.testing.assert_array_equal(out, [c / np.sqrt(c * c + s * s), s / np.sqrt(c * c + s * s)])
+        # hypot rounds the radius once, sqrt(c*c + s*s) up to thrice: a few ulps apart
+        np.testing.assert_allclose(out, [c / np.hypot(c, s), s / np.hypot(c, s)], rtol=1e-15, atol=0)
+
 
 class TestShapeValidation:
     @pytest.mark.parametrize(
@@ -1085,7 +1121,8 @@ class TestCheckReal:
     def test_rules(self, rule, good, bad):
         for value in good:
             geometry.check_real(SimpleNamespace(x=value), rule, "x")
-        for value in bad + ["1", None, np.array(1.0)]:
+        # an integer beyond the float range, as a JSON document can hold, raised OverflowError
+        for value in bad + ["1", None, np.array(1.0), 10**400, -(10**400)]:
             with pytest.raises(ValueError, match=rf"^x must be a real number, {rule}, got {re.escape(repr(value))}$"):
                 geometry.check_real(SimpleNamespace(x=value), rule, "x")
 

@@ -9,6 +9,8 @@ from trajopt.qpcore import (
     BatchRHS,
     FactorCache,
     FactorizationError,
+    apply_primal,
+    boundary_part,
     factorization_count,
     factorize,
     solve,
@@ -261,6 +263,68 @@ class TestSolvePrimal:
                        (np.zeros((2, 3, 5)), np.zeros((2, 3, 2)))):
             with pytest.raises(ValueError):
                 solve_primal(f, BatchRHS(qs=qs, bs=bs))
+
+
+class TestApplyPrimal:
+    """apply_primal with a boundary part formed once is solve_primal, bit for bit."""
+
+    # (blocks, n_v, n_eq, N_b) as each solver applies its factor, m = 11
+    # coefficients per axis: single (dim, m), batch (N_b, 4m) and its
+    # heading (N_b, m), priest (N, dim * m), and a 10-agent multi-agent level
+    # (N_a, 3, m), whose right-hand sides are a swapped view
+    SHAPES = {
+        "single": ((), 11, 6, 3),
+        "batch": ((), 44, 12, 100),
+        "heading": ((), 11, 2, 100),
+        "priest": ((), 33, 12, 110),
+        "multiagent": ((10,), 11, 6, 3),
+    }
+
+    @pytest.mark.parametrize("solver", list(SHAPES))
+    def test_folded_apply_is_solve_primal(self, solver):
+        blocks, n_v, n_eq, n_b = self.SHAPES[solver]
+        rng = np.random.default_rng(sum(map(ord, solver)))
+        Q = _graded_hessians(rng, blocks[0] if blocks else 1, n_v, 3.0)
+        f = factorize(Q if blocks else Q[0], rng.normal(size=(n_eq, n_v)))
+        bs = rng.normal(size=(*blocks, n_b, n_eq))
+        boundary = boundary_part(f, bs)
+        for _ in range(3):  # the sweeps of a solve, on one boundary part
+            if blocks:
+                qs = np.swapaxes(rng.normal(size=(n_b, *blocks, n_v)), 0, 1)
+            else:
+                qs = rng.normal(size=(n_b, n_v))
+            xis = apply_primal(f, qs, boundary)
+            assert xis.shape == (*blocks, n_b, n_v)
+            np.testing.assert_array_equal(xis, solve_primal(f, BatchRHS(qs=qs, bs=bs)))
+            np.testing.assert_array_equal(xis, qs @ f.q_map + bs @ f.b_map)
+
+    def test_shape_mismatch(self):
+        f = factorize(np.eye(5), np.eye(2, 5))
+        with pytest.raises(ValueError, match="bs have length 3"):
+            boundary_part(f, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="stacked as"):
+            boundary_part(f, np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match="boundary part's"):
+            apply_primal(f, np.zeros((3, 5)), boundary_part(f, np.zeros((4, 2))))
+
+    def test_cache_refreshes_the_boundary_part_with_its_factor(self):
+        Q, M, A = TestFactorCache._matrices()
+        bs = np.random.default_rng(5).normal(size=(3, 2))
+        cache = FactorCache()
+        first = cache.get(Q, M, A, 2.0)
+        part = cache.boundary(bs)
+        np.testing.assert_array_equal(part, boundary_part(first, bs))
+        # the same factor and array: formed once
+        assert cache.boundary(bs) is part
+        assert cache.get(Q, M, A, 2.0) is first and cache.boundary(bs) is part
+        # another array, then a rho move's new factor
+        np.testing.assert_array_equal(cache.boundary(bs.copy()), part)
+        other = bs + 1.0
+        np.testing.assert_array_equal(cache.boundary(other), boundary_part(first, other))
+        second = cache.get(Q, M, A, 3.0)
+        fresh = cache.boundary(other)
+        np.testing.assert_array_equal(fresh, boundary_part(second, other))
+        assert not np.array_equal(fresh, boundary_part(first, other))
 
 
 def _graded_hessians(rng, k, n_v, decades):

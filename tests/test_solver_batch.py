@@ -886,8 +886,16 @@ class TestProblemValidation:
             dict(centers=np.zeros((N_P, 3))),
             dict(centers=np.zeros((N_P - 1, 2))),
             dict(centers=np.full((N_P, 2), float("nan"))),
+            # accepted, these failed at the first product, failed mid-solve, and solved
+            dict(w_smooth="1"),
+            dict(w_track=float("nan")),
+            dict(w_smooth=-1.0),
+            dict(w_smooth=0.0, w_track=0.0),
         ],
-        ids=["v_max-nan", "a_max-inf", "desired-nan", "goal-nan", "v0-inf", "psi-nan", "centres-3d", "centres-short", "centres-nan"],
+        ids=[
+            "v_max-nan", "a_max-inf", "desired-nan", "goal-nan", "v0-inf", "psi-nan", "centres-3d", "centres-short",
+            "centres-nan", "w_smooth-string", "w_track-nan", "w_smooth-negative", "weights-zero",
+        ],
     )
     def test_rejected(self, change):
         prob = make_problem(obstacles=[_static_obstacle([5.0, 1.0], 0.5, 0.5)])

@@ -768,8 +768,9 @@ class TestOnePassPerIteration:
         assert calls == {"residual": sol.iterations, "recon": sol.iterations + 1}
 
     def test_one_factor_apply_per_iteration(self, monkeypatch):
-        # every mode's block is applied by the one solve_primal call, and an
-        # iteration factorizes nothing
+        # every mode's block is applied by the one apply_primal call, with
+        # the level's boundary part formed with its factor: an iteration
+        # factorizes nothing and forms no boundary part
         problem = _square_antipodal(8)
         struct = _JointStructure(problem, JointParams())
         state = _init_state(problem, struct)
@@ -782,12 +783,12 @@ class TestOnePassPerIteration:
 
             return wrapper
 
-        for name in ("solve_primal", "solve_batch", "solve", "factorize"):
+        for name in ("apply_primal", "boundary_part", "solve_primal", "solve_batch", "solve", "factorize"):
             monkeypatch.setattr(qpcore, name, counting(name, getattr(qpcore, name)))
         for level in (0, len(struct.rho_levels) - 1):
             state.level = level
             _iterate(state, struct)
-        assert calls == ["solve_primal", "solve_primal"]
+        assert calls == ["apply_primal", "apply_primal"]
 
     def test_iteration_takes_no_angles(self, monkeypatch):
         problem = make_problem([[-2.0, 0.0, 1.0], [2.0, 0.3, 1.0]], [[2.0, 0.0, 1.0], [-2.0, 0.3, 1.0]])

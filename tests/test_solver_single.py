@@ -820,6 +820,29 @@ class TestOnePassPerSweep:
         }
 
 
+class TestSweepOverheads:
+    def test_sweeps_take_no_hypot_and_make_their_views_once(self, monkeypatch):
+        # the angle step forms its radii as sqrt(c*c + s*s) (hypot only where
+        # that is not a normal number), and the pair-row views are made once
+        # per solve, not once per sweep
+        prob = _mixed_problem(3)
+        state = init_state(prob)  # its beta angles take the one np.hypot of a cold solve
+        counts = {"hypot": 0, "views": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "hypot", counted("hypot", np.hypot))
+        monkeypatch.setattr(solver_single, "_PairViews", counted("views", solver_single._PairViews))
+        sol = solve_single(prob, SingleParams(max_iter=12, tol=0.0), state=state)
+        assert sol.iterations == 12
+        assert counts == {"hypot": 0, "views": 1}
+
+
 class TestInPlaceSweep:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_sweeps_write_the_state_arrays_in_place(self, dim):

@@ -331,6 +331,9 @@ def receding_horizon_run(
     Each control step builds its problem with single_problem_from_scenario
     or batch_problem_from_scenario (50 members) from the robot's executed
     state and the current time, and warm-starts from the last step's state.
+    The single solver's warm state is first shifted by the executed samples
+    (solver_single.shift_state), so each step starts from the rest of the
+    last plan; the batch state is handed on as it is.
     step_budget caps solver iterations per control loop; a step's
     wall_time_ms covers its solve only.  The executed segment is the plan's
     next EXEC_FRACTION of samples, one slice, checked in one pass against
@@ -389,6 +392,8 @@ def receding_horizon_run(
         pos, vel, acc, t_abs = traj.pos[n], traj.vel[n], traj.acc[n], float(t[n - 1])
         executed_pos.append(segment[:n])
         executed_t.append(t[:n])
+        if solver == "single" and not (collided or reached):  # a continuing step executes n_exec samples
+            solver_single.shift_state(warm_state, n)
 
         metrics.success = reached
         records.append(

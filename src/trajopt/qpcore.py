@@ -17,13 +17,14 @@ saddle inverse are then formed once,
 with M = -N (N'QN)^-1 N' and C = (I + M Q) Pb, so every solve is a few
 GEMMs on the stacked right-hand sides.  The solvers read xi alone, and
 their boundary values b stay fixed while a factor serves, so apply_primal
-is their one apply: in row form xi = q @ q_map + (b @ b_map), with the
+is the one apply: in row form xi = q @ q_map + (b @ b_map), with the
 boundary part b @ b_map formed once per factor by boundary_part and only
-added on each solve.  solve_primal forms both parts per call, and
-solve_batch adds nu.  Solving in null(A) keeps the factored matrix at the
-scale of Q: a penalty term rho * F'F grows the reduced Hessian's condition
-number, not the one of the whole saddle, where it is set against the unit
-rows of A.
+added on each solve.  Right-hand sides that share their boundary values
+share one row of it, which the add broadcasts over them; solve_batch forms
+the part per call and adds nu.  Solving in null(A) keeps the factored
+matrix at the scale of Q: a penalty term rho * F'F grows the reduced
+Hessian's condition number, not the one of the whole saddle, where it is
+set against the unit rows of A.
 
 A stack of Hessians Q (k, n, n) that share A is factored in one call; each
 block has its own guard, and solve_batch applies block i to the i-th stack
@@ -38,7 +39,7 @@ batch solvers keep their caches in their states, so a warm start on equal
 matrices reuses the factor and one on other matrices refactors.
 
 KKTFactor is immutable after construction; solve, solve_batch,
-solve_primal, boundary_part and apply_primal are reentrant.
+boundary_part and apply_primal are reentrant.
 """
 
 from __future__ import annotations
@@ -218,9 +219,10 @@ def solve(factor: KKTFactor, q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
 def boundary_part(factor: KKTFactor, bs: np.ndarray) -> np.ndarray:
     """bs @ b_map: what the boundary values bs (N_b, n_eq) add to each primal solve, (N_b, n_v).
 
-    A stacked factor takes (k, N_b, n_eq) and gives (k, N_b, n_v).  A
-    caller whose boundary values stay fixed while a factor serves forms
-    this once per factor and hands it to apply_primal.
+    A stacked factor takes (k, N_b, n_eq) and gives (k, N_b, n_v).  One row
+    bs (n_eq,) gives the one row (n_v,) that every right-hand side sharing
+    those values adds.  A caller whose boundary values stay fixed while a
+    factor serves forms this once per factor and hands it to apply_primal.
     """
     if bs.shape[-1] != factor.n_eq:
         raise ValueError(f"bs have length {bs.shape[-1]}, expected {factor.n_eq}")
@@ -232,33 +234,24 @@ def boundary_part(factor: KKTFactor, bs: np.ndarray) -> np.ndarray:
 def apply_primal(factor: KKTFactor, qs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
     """The one apply of a cached factor: xis = qs @ q_map + boundary, no duals.
 
-    boundary is boundary_part(factor, bs), and qs must have its shape, so
-    this is solve_primal(factor, BatchRHS(qs, bs)) bit for bit: one GEMM and
-    one add per call.
+    boundary is boundary_part(factor, bs), of qs's shape or of its trailing
+    axes: a row shared by every right-hand side, which the add broadcasts.
+    One GEMM and one add per call.  Returns qs's shape, (N_b, n_v) or with
+    the block axis first for a stacked factor.
     """
-    if qs.shape != boundary.shape:
-        raise ValueError(f"qs have shape {qs.shape}, expected the boundary part's {boundary.shape}")
+    if qs.shape[qs.ndim - boundary.ndim :] != boundary.shape:
+        raise ValueError(f"qs have shape {qs.shape}, which the boundary part's shape {boundary.shape} does not broadcast to")
     return qs @ factor.q_map + boundary
 
 
-def solve_primal(factor: KKTFactor, rhs: BatchRHS) -> np.ndarray:
-    """The primal part of solve_batch: xis = qs @ q_map + bs @ b_map, no duals.
-
-    apply_primal with the boundary part formed for this call: the xis of
-    solve_batch bit for bit, row i matching solve(factor, qs[i], bs[i])'s
-    xi.  Returns (N_b, n_v), with the block axis first for a stacked factor.
-    """
-    return apply_primal(factor, rhs.qs, boundary_part(factor, rhs.bs))
-
-
 def solve_batch(factor: KKTFactor, rhs: BatchRHS) -> tuple[np.ndarray, np.ndarray]:
-    """Solve all batch instances in one shot: solve_primal and the duals.
+    """Solve all batch instances in one shot: apply_primal and the duals.
 
     The stacked right-hand sides go through the cached maps as GEMMs; row i
     matches solve(factor, qs[i], bs[i]).  Returns (xis, nus) with shapes
     (N_b, n_v) and (N_b, n_eq), with the block axis first for a stacked
     factor.
     """
-    xis = solve_primal(factor, rhs)
+    xis = apply_primal(factor, rhs.qs, boundary_part(factor, rhs.bs))
     nus = rhs.bs @ factor.dual_map - rhs.qs @ np.swapaxes(factor.b_map, -1, -2)
     return xis, nus

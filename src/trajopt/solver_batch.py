@@ -50,7 +50,9 @@ F'F is one closed-form (2m, 2m) block per axis,
 
 So the xi-step KKT matrix Q + rho F'F is factorized once per penalty value
 and applied to the whole batch in one shot; the state keeps it, and the
-heading block's Q_psi + rho P'P, in a qpcore.FactorCache each.  From
+heading block's Q_psi + rho P'P, in a qpcore.FactorCache each.  Every
+member shares the problem's boundary values, so each step adds one shared
+boundary row, (4m,) and (m,), formed once per factor.  From
 the same pass the multiplier step reads residual @ F, the next xi step
 g @ F = xi F'F - residual @ F, and the ranking each member's residual max
 and norm.  A warm start takes that pass at its own iterate on the new
@@ -205,14 +207,13 @@ class _Structure:
         self.b = np.concatenate([problem.boundary[0].values(), problem.boundary[1].values()])
 
         self.A_psi = np.vstack([P[0], P[-1]])
-        self.b_psi = np.asarray(problem.psi_boundary, dtype=float)
+        self.b_psi = np.array(problem.psi_boundary, dtype=float)
         self.Q_psi_smooth = Pddot.T @ Pddot
 
         self.obstacles = problem.obstacles
         self._rows = None
-        self._member_bs = None
         # the factor caches compare these by identity first
-        for keyed in (self.Q, self.FtF, self.A, self.Q_psi_smooth, self.PtP, self.A_psi):
+        for keyed in (self.Q, self.FtF, self.A, self.b, self.Q_psi_smooth, self.PtP, self.A_psi, self.b_psi):
             keyed.setflags(write=False)
 
     def obstacle_rows(self, n_b: int) -> ObstacleRows:
@@ -220,16 +221,6 @@ class _Structure:
         if self._rows is None or self._rows.n != n_b * self.r.size:
             self._rows = ObstacleRows(self.obstacles, n_b * self.r.size)
         return self._rows
-
-    def member_boundaries(self, n_b: int) -> tuple[np.ndarray, np.ndarray]:
-        """The boundary values of n_b members, (N_b, 12) and (N_b, 2), tiled once per member count.
-
-        The factor caches form their boundary parts from these arrays, and
-        compare them by identity first.
-        """
-        if self._member_bs is None or len(self._member_bs[0]) != n_b:
-            self._member_bs = np.tile(self.b, (n_b, 1)), np.tile(self.b_psi, (n_b, 1))
-        return self._member_bs
 
 
 def _circles(struct, basis, xi, heading):
@@ -323,8 +314,7 @@ def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) 
     factors = state.xi_factors
     factor = factors.get(struct.Q, struct.FtF, struct.A, state.rho)
     q_lin = struct.q[None, :] - state.lam - state.rho * state.target_products
-    bs, _ = struct.member_boundaries(state.xi.shape[0])
-    state.xi = qpcore.apply_primal(factor, q_lin, factors.boundary(bs))
+    state.xi = qpcore.apply_primal(factor, q_lin, factors.boundary(struct.b))
 
 
 def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, placed: tuple) -> None:
@@ -339,8 +329,7 @@ def heading_step(state: BatchState, problem: BatchProblem, struct: _Structure, p
     # nearest-branch unwrapping against the previous heading iterate
     targets = raw + 2.0 * np.pi * np.round((state.psi - raw) / (2.0 * np.pi))
     q_lin = -state.lam_psi - state.rho * (targets @ basis.P)
-    _, bs = struct.member_boundaries(state.xi.shape[0])
-    state.xi_psi = qpcore.apply_primal(factor, q_lin, factors.boundary(bs))
+    state.xi_psi = qpcore.apply_primal(factor, q_lin, factors.boundary(struct.b_psi))
     state.psi = state.xi_psi @ basis.P.T
     state.lam_psi = state.lam_psi - state.rho * ((state.psi - targets) @ basis.P)
 

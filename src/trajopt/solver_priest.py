@@ -23,10 +23,13 @@ coefficient space with one small product per family:
     residual @ F = (sum_obstacles res + res_box) @ P + res_v @ Pdot + res_a @ Pddot
     e @ F        = xi @ F'F - residual @ F
 
-F is never built.  F'F is block diagonal with one (m, m) block per axis,
-n_o P'P + Pdot'Pdot + Pddot'Pddot + 2 P'P, and the saddle matrix of the
-coefficient step, built from I + rho F'F, does not depend on the sample, so
-one cached factor serves the whole batch for every inner iteration.
+F is never built.  F'F is block diagonal with the same (m, m) block for
+every axis, n_o P'P + Pdot'Pdot + Pddot'Pddot + 2 P'P, and the boundary rows
+A are per axis too, so the coefficient step splits into one saddle per
+axis, all on the block I + rho F'F and the one axis's boundary rows.  That
+block does not depend on the axis or the sample: one cached (m, m) factor
+serves every axis of every sample, applied to the (N * dim, m) axis rows of
+the batch in one product, for every inner iteration.
 
 The collision rows are taken on their active set by geometry.ObstacleRows,
 the pass the batch solver shares.  A collision residual is exactly zero
@@ -171,7 +174,8 @@ class ProjectionSetup:
         self.obstacles = check_obstacles(obstacles, dim, basis.n_p)
         self.n_o = n_o = self.obstacles.n_o
 
-        self.A = np.kron(np.eye(dim), boundary_matrix(basis, start_orders, end_orders))
+        B = boundary_matrix(basis, start_orders, end_orders)
+        self.A = np.kron(np.eye(dim), B)
         # position, velocity and acceleration samples of one axis in one product
         self._pva = np.vstack([basis.P, basis.Pdot, basis.Pddot])
 
@@ -187,7 +191,8 @@ class ProjectionSetup:
             FtF = FtF + 2.0 * PtP
         self.FtF = FtF
 
-        self.factor = qpcore.factorize(np.eye(dim * m) + self.rho * np.kron(np.eye(dim), FtF), self.A)
+        # the saddle of one axis; every axis of every sample shares it
+        self.factor = qpcore.factorize(np.eye(m) + self.rho * FtF, B)
         self.n_factorizations = 1
 
     def _validate(self):
@@ -317,24 +322,24 @@ def project(
     n = samples.shape[0]
     rows = ObstacleRows(setup.obstacles, n)
     xi_bar = samples.copy()
-    lam = np.zeros_like(samples)
-    # the boundary values are the same for every sample and inner iteration
-    boundary = qpcore.boundary_part(setup.factor, np.tile(setup.b_eq, (n, 1)))
+    # the coefficient step takes axis rows, (N * dim, m): row i * dim + k is axis k of sample i
+    lam = np.zeros((n * dim, m))
+    # the boundary values of each axis are the same for every sample and inner iteration
+    boundary = np.tile(qpcore.boundary_part(setup.factor, setup.b_eq.reshape(dim, -1)), (n, 1))
     rho = setup.rho
     pva = setup.pva_samples(xi_bar)
     obstacle, families = _family_residuals(setup, pva, rows)
     for _ in range(n_inner):
-        res_f = np.empty((n, dim, m))  # residual @ F, per axis
+        res_f = np.empty((n * dim, m))  # residual @ F
         for k in range(dim):
-            res_f[:, k] = obstacle[k] @ setup.basis.P
+            res_f[k::dim] = obstacle[k] @ setup.basis.P
         for res, mat in families:
-            res_f += (res.reshape(n * dim, -1) @ mat).reshape(n, dim, m)
-        res_f = res_f.reshape(n, dim * m)
+            res_f += res.reshape(n * dim, -1) @ mat
         lam = lam - rho * res_f
         # e @ F = xi @ F'F - residual @ F
-        e_f = (xi_bar.reshape(n * dim, m) @ setup.FtF).reshape(n, dim * m) - res_f
-        q_lin = -(samples + lam + rho * e_f)
-        xi_bar = qpcore.apply_primal(setup.factor, q_lin, boundary)
+        e_f = xi_bar.reshape(n * dim, m) @ setup.FtF - res_f
+        q_lin = -(samples.reshape(n * dim, m) + lam + rho * e_f)
+        xi_bar = qpcore.apply_primal(setup.factor, q_lin, boundary).reshape(n, dim * m)
         pva = setup.pva_samples(xi_bar)
         obstacle, families = _family_residuals(setup, pva, rows)
         if residual_history is not None:

@@ -57,6 +57,13 @@ it, keyed on Q, P'P, A and the penalty rho * n_o: within a solve the
 factor is rebuilt only when rho changes, and a warm state on other
 matrices (another basis, weights or obstacle count) refactors on its first
 sweep.  Works in 2-D (planar ellipses, no beta block) and 3-D.
+
+In receding-horizon use the robot executes the first samples of each plan
+before the next solve, so shift_state moves the warm state's time-indexed
+arrays (d, the unit pairs and both multiplier blocks) that many samples
+earlier and repeats the last one: the next solve starts from the rest of
+the last plan, at the times it now stands for (the shifted warm start of
+real-time iteration).
 """
 
 from __future__ import annotations
@@ -248,6 +255,22 @@ def _check_state(state: SingleState, problem: SingleProblem) -> None:
         if not np.isfinite(getattr(state, name)).all():
             raise ValueError(f"warm state {name} is not finite")
     check_real(state, "positive and finite", "rho", prefix="warm state ")
+
+
+def shift_state(state: SingleState, n: int) -> None:
+    """Shift the warm state n executed samples along time, in place, repeating the last sample.
+
+    d, unit, lam_pos and lam_copies take their values from n samples later,
+    and their last n samples all take the last one.  xi, the copies and the
+    residual block are left as they are: the first sweep writes them before
+    it reads them.  Raises ValueError unless 1 <= n < n_p.
+    """
+    n_p = state.d.shape[-1]
+    if not 1 <= n < n_p:
+        raise ValueError(f"shift must lie in [1, {n_p}), got {n}")
+    for rows in (state.d, state.unit, state.lam_pos, state.lam_copies):
+        rows[..., :-n] = rows[..., n:]
+        rows[..., -n:] = rows[..., -1:]
 
 
 def init_state(

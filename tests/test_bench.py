@@ -599,6 +599,21 @@ class TestRecedingHorizon:
                 clearances.append((scaled - 1.0) * min(obs.a, obs.b))
             assert record.metrics.min_clearance == pytest.approx(np.min(clearances), abs=1e-9)
 
+    def test_single_closed_loop_outcomes(self):
+        # five scene kinds x six seeds with the default step budget: with the
+        # warm state shifted by the executed samples, 6 of the 30 episodes
+        # collide and 19 reach the goal (18 and 1 when it was handed on
+        # unshifted)
+        kinds = [("corridor", None), ("random-static", None), ("random-static", {"dim": 3}), ("barn-like", None),
+                 ("dynamic-flow", None)]
+        collided = reached = 0
+        for kind, params in kinds:
+            for seed in range(6):
+                result = receding_horizon_run(gen_scenario(kind, params, seed=seed), solver="single", step_budget=40, n_steps=30)
+                collided += result.collided
+                reached += result.reached_goal
+        assert collided <= 6 and reached >= 19, (collided, reached)
+
     def test_dynamic_flow_success_rate_definition(self):
         seeds = range(3)
         outcomes = []

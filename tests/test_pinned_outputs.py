@@ -202,7 +202,7 @@ def test_joint_square_antipodal():
     """Pins the coefficient-space multi-agent arithmetic: the straight-line
     start from basis.straight_line_coeffs, one stacked reduced factor per
     rho level of the blocks Q_axis + rho * lam_k * P'P, one per mode k of
-    E'E, applied by qpcore.solve_primal to the right-hand sides
+    E'E, applied by qpcore.apply_primal to the right-hand sides
     -rho * (E V)' b P and the boundary values in the eigenbasis V, the
     radial-form polar step
     (geometry.radial_target) and the reconstruction reused as the next
@@ -239,13 +239,13 @@ def test_joint_square_antipodal():
             1,
             dict(
                 n_exec=101,
-                pos_norm=45.82708981021588,
+                pos_norm=50.53071485227205,
                 pos=[
-                    [0.5125836079239926, -0.01579133770639735, 0.05549604002461492],
-                    [4.8660135831312585, -0.294123263828603, 0.7805590159683856],
-                    [5.947179515893605, -0.34252915394336353, 0.8617321053395717],
+                    [0.5125836079238565, -0.015791337706439746, 0.055496040024687096],
+                    [4.963434047654586, -0.0858496111939344, 0.4185332956159865],
+                    [8.679836565153796, 0.007263928475989892, 0.006908355082212862],
                 ],
-                iters=[40, 40, 40, 40, 40, 40, 40, 19, 7, 4],
+                iters=[40, 40, 40, 40, 40, 14, 6, 40, 18, 4],
                 collided=False,
             ),
         ),
@@ -254,24 +254,24 @@ def test_joint_square_antipodal():
             None,
             0,
             dict(
-                n_exec=52,
-                pos_norm=31.67247485201253,
+                n_exec=101,
+                pos_norm=38.30947826026954,
                 pos=[
-                    [0.6637028183871975, 0.03313258683520869],
-                    [3.2558804336661797, 0.22595794428721983],
-                    [8.411255237808014, 0.18555185046111627],
+                    [0.6637028183872075, 0.03313258683520866],
+                    [4.689425137691452, 0.39436786736803103],
+                    [3.7986471660783865, -0.523379866608589],
                 ],
-                iters=[40, 40, 40, 40, 40, 40],
-                collided=True,
+                iters=[40, 40, 40, 40, 40, 40, 40, 40, 40, 38],
+                collided=False,
             ),
         ),
     ],
 )
 def test_receding_horizon_single(kind, params, seed, pinned):
     """The receding-horizon loop on the single solver: each step warm-starts
-    from the last one's state, so this holds the warm sweeps over a whole
-    episode.  Executed positions to 1e-9, step count and sweeps per step
-    exactly."""
+    from the last one's state, shifted by the executed samples, so this holds
+    the warm sweeps over a whole episode.  Executed positions to 1e-9, step
+    count and sweeps per step exactly."""
     result = runner.receding_horizon_run(gen_scenario(kind, params, seed=seed), solver="single", n_steps=10)
     pos = result.executed.pos
     assert len(pos) == pinned["n_exec"]

@@ -15,7 +15,6 @@ from trajopt.qpcore import (
     factorize,
     solve,
     solve_batch,
-    solve_primal,
 )
 
 
@@ -236,37 +235,15 @@ class TestSolveBatch:
             BatchRHS(qs=qs, bs=bs)
 
     def test_dimension_mismatch(self):
-        rng = np.random.default_rng(6)
-        Q, q, A, b = _random_instance(rng, 5, 2)
-        f = factorize(Q, A)
-        with pytest.raises(ValueError):
-            solve_batch(f, BatchRHS(qs=np.zeros((3, 4)), bs=np.zeros((3, 2))))
-
-
-class TestSolvePrimal:
-    @pytest.mark.parametrize("blocks", [(), (3,)])
-    def test_equals_solve_batch_xis_bit_for_bit(self, blocks):
-        # the solvers' apply drops the duals and nothing else
-        rng = np.random.default_rng(11)
-        Q = _graded_hessians(rng, 3, 10, 3.0)
-        A = rng.normal(size=(4, 10))
-        f = factorize(Q if blocks else Q[0], A)
-        rhs = BatchRHS(qs=rng.normal(size=(*blocks, 6, 10)), bs=rng.normal(size=(*blocks, 6, 4)))
-        xis = solve_primal(f, rhs)
-        assert xis.shape == (*blocks, 6, 10)
-        np.testing.assert_array_equal(xis, solve_batch(f, rhs)[0])
-        np.testing.assert_array_equal(xis, rhs.qs @ f.q_map + rhs.bs @ f.b_map)
-
-    def test_dimension_mismatch(self):
         f = factorize(np.eye(5), np.eye(2, 5))
         for qs, bs in ((np.zeros((3, 4)), np.zeros((3, 2))), (np.zeros((3, 5)), np.zeros((3, 1))),
                        (np.zeros((2, 3, 5)), np.zeros((2, 3, 2)))):
             with pytest.raises(ValueError):
-                solve_primal(f, BatchRHS(qs=qs, bs=bs))
+                solve_batch(f, BatchRHS(qs=qs, bs=bs))
 
 
 class TestApplyPrimal:
-    """apply_primal with a boundary part formed once is solve_primal, bit for bit."""
+    """apply_primal with a boundary part formed once is solve_batch's xis, bit for bit."""
 
     # (blocks, n_v, n_eq, N_b) as each solver applies its factor, m = 11
     # coefficients per axis: single (dim, m), batch (N_b, 4m) and its
@@ -295,8 +272,34 @@ class TestApplyPrimal:
                 qs = rng.normal(size=(n_b, n_v))
             xis = apply_primal(f, qs, boundary)
             assert xis.shape == (*blocks, n_b, n_v)
-            np.testing.assert_array_equal(xis, solve_primal(f, BatchRHS(qs=qs, bs=bs)))
+            np.testing.assert_array_equal(xis, solve_batch(f, BatchRHS(qs=qs, bs=bs))[0])
             np.testing.assert_array_equal(xis, qs @ f.q_map + bs @ f.b_map)
+
+    def test_shared_boundary_row_is_the_tiled_part(self):
+        # the solvers' own factors: batch's xi and heading saddles at several
+        # penalties, and priest's per-axis block with each axis's values; a
+        # boundary row shared by N_b right-hand sides adds what the part of
+        # the tiled values adds, bit for bit
+        from trajopt import solver_batch
+        from trajopt.basis import build_basis
+        from trajopt.bench import gen_scenario, runner
+
+        scenario = gen_scenario("dynamic-flow", seed=0)
+        h = scenario.horizon
+        basis = build_basis(h.t0, h.tf, h.n_p, 10)
+        struct = solver_batch._Structure(runner.batch_problem_from_scenario(scenario, basis))
+        cases = []
+        for rho in (1.0, 10.0, 100.0, 1000.0):
+            cases.append((factorize(struct.Q + rho * struct.FtF, struct.A), struct.b))
+            cases.append((factorize(struct.Q_psi_smooth + rho * struct.PtP, struct.A_psi), struct.b_psi))
+        setup = runner.priest_setup_from_scenario(gen_scenario("barn-like", seed=0), basis)
+        cases += [(setup.factor, row) for row in setup.b_eq.reshape(setup.dim, -1)]
+        rng = np.random.default_rng(12)
+        for f, row in cases:
+            for n_b in (1, 7, 50, 100, 110):
+                qs = rng.normal(size=(n_b, f.n_v))
+                shared = apply_primal(f, qs, boundary_part(f, row))
+                np.testing.assert_array_equal(shared, apply_primal(f, qs, boundary_part(f, np.tile(row, (n_b, 1)))))
 
     def test_shape_mismatch(self):
         f = factorize(np.eye(5), np.eye(2, 5))

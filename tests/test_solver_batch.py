@@ -1142,9 +1142,9 @@ class TestWarmState:
         # the factor caches take an identical array as unchanged, so an
         # in-place edit must fail rather than leave a stale factor
         struct = solver_batch._Structure(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
-        for keyed in (struct.Q, struct.FtF, struct.A, struct.Q_psi_smooth, struct.PtP, struct.A_psi):
+        for keyed in (struct.Q, struct.FtF, struct.A, struct.b, struct.Q_psi_smooth, struct.PtP, struct.A_psi, struct.b_psi):
             with pytest.raises(ValueError, match="read-only"):
-                keyed[0, 0] = 1.0
+                keyed[(0,) * keyed.ndim] = 1.0
 
     def test_same_structure_reuses_the_factor(self):
         # moved obstacle, new boundary and desired path: the saddle matrices

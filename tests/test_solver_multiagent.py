@@ -783,7 +783,7 @@ class TestOnePassPerIteration:
 
             return wrapper
 
-        for name in ("apply_primal", "boundary_part", "solve_primal", "solve_batch", "solve", "factorize"):
+        for name in ("apply_primal", "boundary_part", "solve_batch", "solve", "factorize"):
             monkeypatch.setattr(qpcore, name, counting(name, getattr(qpcore, name)))
         for level in (0, len(struct.rho_levels) - 1):
             state.level = level

@@ -567,7 +567,39 @@ def _assert_matches_reference(setup, samples, n_inner):
         assert abs(got_score - score) <= 1e-12
 
 
+def _stacked_projection(setup, samples, n_inner):
+    """project with one (dim * m) factor of I + rho * kron(I_dim, F'F) on the
+    stacked boundary rows A, applied to whole samples: the coefficient step
+    before it was split per axis.  Returns the projected coefficients."""
+    n, dim, m = samples.shape[0], setup.dim, setup.m
+    factor = qpcore.factorize(np.eye(dim * m) + setup.rho * np.kron(np.eye(dim), setup.FtF), setup.A)
+    boundary = qpcore.boundary_part(factor, np.tile(setup.b_eq, (n, 1)))
+    rows = ObstacleRows(setup.obstacles, n)
+    xi_bar, lam = samples.copy(), np.zeros_like(samples)
+    obstacle, families = _family_residuals(setup, setup.pva_samples(xi_bar), rows)
+    for _ in range(n_inner):
+        res_f = np.stack([obstacle[k] @ setup.basis.P for k in range(dim)], axis=1)
+        for res, mat in families:
+            res_f += (res.reshape(n * dim, -1) @ mat).reshape(n, dim, m)
+        res_f = res_f.reshape(n, dim * m)
+        lam = lam - setup.rho * res_f
+        e_f = (xi_bar.reshape(n * dim, m) @ setup.FtF).reshape(n, dim * m) - res_f
+        xi_bar = qpcore.apply_primal(factor, -(samples + lam + setup.rho * e_f), boundary)
+        obstacle, families = _family_residuals(setup, setup.pva_samples(xi_bar), rows)
+    return xi_bar
+
+
 class TestProjectMatchesReference:
+    @pytest.mark.parametrize("kind,params,seed", [("barn-like", None, 0), ("barn-like", None, 3), ("random-static", {"dim": 3}, 1)])
+    def test_per_axis_factor_matches_the_stacked_one(self, kind, params, seed):
+        # one (m, m) block per axis in place of the (dim * m) factor of its
+        # kron: the same saddle, so only rounding moves the projection
+        _, setup, dist = _scenario_setup(kind, params, seed=seed)
+        assert setup.factor.n_v == setup.m
+        samples = draw_gaussian(np.random.default_rng(seed), dist.mu, dist.sigma_mat, 110)
+        projected, _, _ = project(setup, samples, n_inner=30)
+        np.testing.assert_allclose(projected, _stacked_projection(setup, samples, 30), rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("kind,params", [("barn-like", None), ("random-static", {"dim": 3})])
     def test_scenario_samples(self, kind, params):
         _, setup, dist = _scenario_setup(kind, params, seed=5)

@@ -21,6 +21,7 @@ from trajopt.solver_single import (
     am_iteration,
     equality_residuals,
     init_state,
+    shift_state,
     solve_single,
 )
 
@@ -1062,6 +1063,54 @@ class TestWarmState:
         rhos = [h["rho"] for sol in runs for h in sol.residual_history]
         changes = sum(1 for before, after in zip(rhos, rhos[1:]) if before != after)
         assert runs[-1].n_factorizations == 1 + changes
+
+
+class TestShiftState:
+    _SHIFTED = ("d", "unit", "lam_pos", "lam_copies")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_time_indexed_arrays_move_and_repeat_their_last_sample(self, dim):
+        make = make_problem_2d if dim == 2 else make_problem_3d
+        shape = EllipsoidShape(0.5, 0.7)
+        prob = make(obstacles=[_static_obstacle(np.full(dim, 3.0), shape, 60 if dim == 2 else 50)])
+        state = solve_single(prob, SingleParams(max_iter=5)).state
+        before = copy.deepcopy(state)
+        arrays = {name: getattr(state, name) for name in vars(state)}
+        shift_state(state, 4)
+        for name in self._SHIFTED:
+            got, old = getattr(state, name), getattr(before, name)
+            assert got is arrays[name]  # in place
+            np.testing.assert_array_equal(got[..., :-4], old[..., 4:], err_msg=name)
+            np.testing.assert_array_equal(got[..., -4:], np.repeat(old[..., -1:], 4, axis=-1), err_msg=name)
+        for name in ("xi", "copies", "residuals"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(before, name), err_msg=name)
+
+    @pytest.mark.parametrize("n", [0, -1, 60, 61])
+    def test_shift_outside_the_horizon_rejected(self, n):
+        state = init_state(make_problem_2d(obstacles=[_static_obstacle([3.0, 0.0], EllipsoidShape(0.5, 0.5), 60)]))
+        with pytest.raises(ValueError, match=r"shift must lie in \[1, 60\)"):
+            shift_state(state, n)
+
+    def test_receding_horizon_hands_on_the_shifted_state(self, monkeypatch):
+        # the d a step starts from is the last step's d moved by the n_exec
+        # executed samples, its last column repeated
+        handed, returned = [], []
+        original = solver_single.solve_single
+
+        def recording(problem, params=None, state=None):
+            handed.append(None if state is None else state.d.copy())
+            sol = original(problem, params, state=state)
+            returned.append(sol.state.d.copy())
+            return sol
+
+        monkeypatch.setattr(solver_single, "solve_single", recording)
+        scenario = gen_scenario("barn-like", seed=0)
+        result = receding_horizon_run(scenario, solver="single", n_steps=4)
+        assert len(result.records) == len(handed) == 4 and handed[0] is None
+        n_exec = round(runner.EXEC_FRACTION * scenario.horizon.n_p)
+        for last, warm in zip(returned, handed[1:]):
+            np.testing.assert_array_equal(warm[:, :-n_exec], last[:, n_exec:])
+            np.testing.assert_array_equal(warm[:, -n_exec:], np.repeat(last[:, -1:], n_exec, axis=1))
 
 
 class TestProblemValidation:

@@ -242,6 +242,31 @@ class TestSolveBatch:
                 solve_batch(f, BatchRHS(qs=qs, bs=bs))
 
 
+class TestSolvePrimal:
+    """The primal-only solve, boundary_part then apply_primal, on one BatchRHS."""
+
+    @pytest.mark.parametrize("blocks", [(), (3,)])
+    def test_equals_solve_batch_xis_bit_for_bit(self, blocks):
+        # the solvers' apply drops the duals and nothing else
+        rng = np.random.default_rng(11)
+        Q = _graded_hessians(rng, 3, 10, 3.0)
+        A = rng.normal(size=(4, 10))
+        f = factorize(Q if blocks else Q[0], A)
+        rhs = BatchRHS(qs=rng.normal(size=(*blocks, 6, 10)), bs=rng.normal(size=(*blocks, 6, 4)))
+        xis = apply_primal(f, rhs.qs, boundary_part(f, rhs.bs))
+        assert xis.shape == (*blocks, 6, 10)
+        np.testing.assert_array_equal(xis, solve_batch(f, rhs)[0])
+        np.testing.assert_array_equal(xis, rhs.qs @ f.q_map + rhs.bs @ f.b_map)
+
+    def test_dimension_mismatch(self):
+        f = factorize(np.eye(5), np.eye(2, 5))
+        for qs, bs in ((np.zeros((3, 4)), np.zeros((3, 2))), (np.zeros((3, 5)), np.zeros((3, 1))),
+                       (np.zeros((2, 3, 5)), np.zeros((2, 3, 2)))):
+            rhs = BatchRHS(qs=qs, bs=bs)
+            with pytest.raises(ValueError):
+                apply_primal(f, rhs.qs, boundary_part(f, rhs.bs))
+
+
 class TestApplyPrimal:
     """apply_primal with a boundary part formed once is solve_batch's xis, bit for bit."""
 

@@ -36,6 +36,9 @@ PLAN_MARGIN = 0.05
 GOAL_RADIUS = 0.5
 # share of the plan's samples that a receding-horizon step executes
 EXEC_FRACTION = 0.1
+# further sweeps a receding-horizon single step may take past step_budget
+# while its plan is not clear of the raw predicted obstacles
+MPC_EXTRA_SWEEPS = 220
 
 RESULTS_COLUMNS = (
     "scenario_id",
@@ -68,6 +71,8 @@ class MpcResult:
     reached_goal: bool
     collided: bool
     executed: Trajectory | None
+    # executed steps whose plan was not clear of the raw predicted obstacles
+    uncertified_steps: int = 0
 
 
 def _point_boundaries(scenario: Scenario):
@@ -89,24 +94,26 @@ def _barn_c1(scenario: Scenario):
     return c1
 
 
-def _inflated_obstacles(scenario: Scenario, timestamps, t_now: float = 0.0) -> Obstacles:
-    """The predicted obstacles with semi-axes inflated by PLAN_MARGIN for planning: the solvers converge
-    onto the constraint boundary to within residual tolerance, and the inflation makes their plans clear
-    the raw scenario geometry strictly."""
-    obstacles = predict_obstacles(scenario, timestamps, t_now=t_now)
+def _inflated(obstacles: Obstacles) -> Obstacles:
+    """The obstacles with semi-axes inflated by PLAN_MARGIN for planning: the solvers converge onto the
+    constraint boundary to within residual tolerance, and the inflation makes their plans clear the raw
+    scenario geometry strictly."""
     return Obstacles(obstacles.centres, obstacles.a + PLAN_MARGIN, obstacles.b + PLAN_MARGIN)
 
 
 def single_problem_from_scenario(scenario: Scenario, basis, *, boundary=None, t_now: float = 0.0):
     """The single problem from boundary (default: the scenario's start and
-    goal at rest) against the obstacles predicted from time t_now; it tracks
-    the straight line from the boundary's start to its goal."""
+    goal at rest) against the obstacles predicted from time t_now, inflated
+    for planning; it tracks the straight line from the boundary's start to
+    its goal, and carries the raw semi-axes its plan is certified against."""
     boundary = _point_boundaries(scenario) if boundary is None else boundary
+    raw = predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now)
     return solver_single.SingleProblem(
         basis=basis,
         boundary=boundary,
         desired=straight_line(basis, *endpoints(boundary)),
-        obstacles=_inflated_obstacles(scenario, basis.grid.timestamps, t_now=t_now),
+        obstacles=_inflated(raw),
+        raw_axes=(raw.a, raw.b),
     )
 
 
@@ -124,7 +131,7 @@ def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, *
         boundary=boundary,
         psi_boundary=(heading, heading),
         desired=straight_line(basis, start, goal),
-        obstacles=_inflated_obstacles(scenario, basis.grid.timestamps, t_now=t_now),
+        obstacles=_inflated(predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now)),
         footprint=solver_batch.FootprintSpec(offsets=offsets),
         v_max=scenario.robot.v_max,
         a_max=scenario.robot.a_max,
@@ -137,7 +144,7 @@ def priest_setup_from_scenario(scenario: Scenario, basis):
     return solver_priest.ProjectionSetup(
         basis=basis,
         boundary=_point_boundaries(scenario),
-        obstacles=_inflated_obstacles(scenario, basis.grid.timestamps),
+        obstacles=_inflated(predict_obstacles(scenario, basis.grid.timestamps)),
         v_max=scenario.robot.v_max,
         a_max=scenario.robot.a_max,
         s_min=s_min,
@@ -168,14 +175,16 @@ def _timed(solve, *args, **kwargs):
     return out, 1000.0 * (time.perf_counter() - t_start)
 
 
-def _plan(solver: str, problem, max_iter: int, seed: int, state=None):
+def _plan(solver: str, problem, max_iter: int, seed: int, state=None, extra_sweeps: int = 0):
     """Solve a single or batch problem, from a warm state if one is given.
 
     Returns (trajectory, residual_norm, iterations, state, wall_ms).  A batch
-    run returns its best feasible member, else its least-residual one.
+    run returns its best feasible member, else its least-residual one.  A
+    single solve sweeps on past max_iter while its plan is uncertified, up
+    to extra_sweeps more (SingleParams.extra_sweeps).
     """
     if solver == "single":
-        params = solver_single.SingleParams(max_iter=max_iter)
+        params = solver_single.SingleParams(max_iter=max_iter, extra_sweeps=extra_sweeps)
         sol, wall_ms = _timed(solver_single.solve_single, problem, params, state=state)
         return sol.trajectory, sol.residual_norm, sol.iterations, sol.state, wall_ms
     params = solver_batch.BatchParams(max_iter=max_iter)
@@ -334,12 +343,18 @@ def receding_horizon_run(
     The single solver's warm state is first shifted by the executed samples
     (solver_single.shift_state), so each step starts from the rest of the
     last plan; the batch state is handed on as it is.
-    step_budget caps solver iterations per control loop; a step's
-    wall_time_ms covers its solve only.  The executed segment is the plan's
-    next EXEC_FRACTION of samples, one slice, checked in one pass against
-    the true obstacle motion at the executed times.  It ends at its first
-    sample that collides or lies within GOAL_RADIUS of the goal, and the
-    episode with it; a collision wins over the goal on the same sample.
+    step_budget is the solve's max_iter.  It caps a batch step's iterations,
+    but not a single step's: a single plan that is not clear of the raw
+    predicted obstacles at the budget is swept on, in the same solve, up to
+    MPC_EXTRA_SWEEPS more sweeps, until it is.  A step's wall_time_ms covers
+    its solve only, and MpcResult.uncertified_steps counts the steps whose
+    plan was executed though not clear (min_clearance < 0 against the
+    obstacles as predicted for the plan's times).  The executed segment is
+    the plan's next EXEC_FRACTION of samples, one slice, checked in one
+    pass against the true obstacle motion at the executed times.  It ends
+    at its first sample that collides or lies within GOAL_RADIUS of the
+    goal, and the episode with it; a collision wins over the goal on the
+    same sample.
     Failures are recorded, not raised.
     """
     if solver not in ("single", "batch"):
@@ -361,6 +376,7 @@ def receding_horizon_run(
     collided = bool(_collides(scenario, pos[None], np.zeros(1))[0])
     reached = False
     warm_state = None
+    uncertified = 0
 
     for step in range(n_steps):
         if collided or reached:
@@ -372,9 +388,10 @@ def receding_horizon_run(
             problem = single_problem_from_scenario(scenario, basis, boundary=boundary, t_now=t_abs)
         else:
             problem = batch_problem_from_scenario(scenario, basis, n_batch=50, boundary=boundary, t_now=t_abs)
-        traj, residual, iters, warm_state, wall_ms = _plan(solver, problem, step_budget, seed, warm_state)
+        traj, residual, iters, warm_state, wall_ms = _plan(solver, problem, step_budget, seed, warm_state, MPC_EXTRA_SWEEPS)
         # the plan is scored against the obstacles as predicted for its own times
         metrics = eval_metrics(traj, scenario, problem.desired, t_now=t_abs)
+        uncertified += not metrics.min_clearance >= 0.0
         metrics.iters = iters
         metrics.residual_final = residual
         metrics.wall_time_ms = wall_ms
@@ -405,4 +422,4 @@ def receding_horizon_run(
         p, t = np.concatenate(executed_pos), np.concatenate(executed_t)
         v = np.gradient(p, t, axis=0)
         executed = Trajectory(t=t, pos=p, vel=v, acc=np.gradient(v, t, axis=0))
-    return MpcResult(records=records, success=reached, reached_goal=reached, collided=collided, executed=executed)
+    return MpcResult(records=records, success=reached, reached_goal=reached, collided=collided, executed=executed, uncertified_steps=uncertified)

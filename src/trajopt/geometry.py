@@ -27,12 +27,10 @@ The kernel, the only place this math is written:
 - ObstacleRows: the collision rows of many points on their active set,
   found by a broad phase over time windows, the one residual pass over
   obstacles of the batch and priest solvers, and of the CEM penalty;
-- unit_pair: the projection onto the unit circle, (cos, sin) of an angle
-  without the angle;
 - radial_target: the closed-form spheroid scale and target for targets
   shifted off the offset (e.g. by multipliers), with no angles;
-- angle2d, angles3d: the angles recovering an offset, which only seed the
-  single solver's unit pairs (its sweeps project with unit_pair);
+- angle2d: the planar angle of an offset, in the angle form that
+  radial_clamp and radial_target replace; no solver takes it;
 - stalled: the windowed stall test behind every penalty schedule;
 - Schedule: the geometric penalty schedule that the single and batch
   solvers' parameters extend, its checks, its stall test and its growth;
@@ -48,8 +46,8 @@ The kernel, the only place this math is written:
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
 one call covers every timestep, obstacle and batch member.  The functions
-are pure but for their out arguments: scaled_sq_norm, los_scale,
-unit_pair and radial_target write their result into out when one is given
+are pure but for their out arguments: scaled_sq_norm, los_scale and
+radial_target write their result into out when one is given
 (the single solver's sweep and the multi-agent iteration pass their
 state's own arrays), and return it.
 ObstacleRows owns the buffer of its sums, forms offsets only where its
@@ -74,7 +72,6 @@ __all__ = [
     "Obstacles",
     "Schedule",
     "angle2d",
-    "angles3d",
     "check_count",
     "check_gaussian",
     "check_obstacles",
@@ -87,7 +84,6 @@ __all__ = [
     "residual_extremes",
     "scaled_sq_norm",
     "stalled",
-    "unit_pair",
 ]
 
 # Numerical cap standing in for the +inf upper bound on collision scales.
@@ -95,9 +91,6 @@ D_CAP = 1e6
 
 # Time samples per window of ObstacleRows' broad phase.
 _WINDOW = 10
-
-# The smallest normal float: unit_pair's c*c + s*s below it is rounded as a subnormal.
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -175,21 +168,6 @@ def angle2d(dx, dy):
     return np.where(alpha == -np.pi, np.pi, alpha)
 
 
-def angles3d(deltas, a, b):
-    """Azimuth/polar angles recovering (dx, dy, dz) through the spheroid equalities.
-
-    alpha in (-pi, pi], beta in [0, pi].  Degenerate directions
-    (dx = dy = 0) take alpha = 0; beta stays total because it is computed
-    from the planar magnitude rather than dividing by cos(alpha).  deltas,
-    a and b are as in scaled_sq_norm.
-    """
-    dx, dy, dz = deltas
-    alpha = angle2d(dx, dy)
-    planar = np.hypot(dx / a, dy / a)
-    beta = np.arctan2(planar, dz / b)
-    return alpha, beta
-
-
 def scaled_sq_norm(deltas, a, b, out=None, inverse=False):
     """Squared ellipsoidal norm of per-axis offsets.
 
@@ -238,8 +216,7 @@ def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
     axis in 2-D and at lower * b along the last axis in 3-D.
 
     deltas, a and b are as in scaled_sq_norm.  Returns the list of per-axis
-    residuals, each shaped as the offsets broadcast against a and b.  At
-    a = b = lower = upper = 1 in 2-D the target is unit_pair.
+    residuals, each shaped as the offsets broadcast against a and b.
 
     Zero band: the residual is exactly zero (possibly -0.0) wherever the
     squared norm q = scaled_sq_norm(deltas, a, b) satisfies
@@ -473,49 +450,6 @@ def norm_clamp(deltas, limit: float):
     out = [np.zeros(active.shape) for _ in deltas]
     for res, r in zip(out, clamped):
         res[active] = r
-    return out
-
-
-def unit_pair(c, s, out=None):
-    """(c, s) / r, r = sqrt(c*c + s*s), stacked as (2, ...): (cos, sin) of arctan2(s, c), no angle taken.
-
-    This is the radial_clamp target at a = b = lower = upper = 1, the
-    nearest point of the unit circle.  Written into out, a (2, ...) array
-    that shares no memory with c or s, when given; the cos row holds
-    c*c + s*s and then r until it is divided.
-
-    The radius is sqrt(c*c + s*s), with no error state to set.  Where
-    c*c + s*s is not a normal finite number (zero, subnormal, overflowed
-    or NaN) its rounding is no longer hypot's to the ulp, so such entries
-    take np.hypot(c, s) in its place, and the origin maps to (1, 0), the
-    convention of arctan2(0, 0) = 0.  An overflowing square warns, as
-    scaled_sq_norm's do; the entry still takes hypot's pair.
-    """
-    if out is None:
-        out = np.empty((2, *np.broadcast_shapes(np.shape(c), np.shape(s))))
-    cos, sin = out[0, ...], out[1, ...]
-    r = np.multiply(c, c, out=cos)
-    r += np.multiply(s, s, out=sin)
-    # NaN fails both comparisons, so it takes the fallback too
-    if r.size and not (r.min() >= _TINY and r.max() < np.inf):
-        return _unit_pair_fallback(c, s, out)
-    np.sqrt(r, out=r)
-    np.divide(s, r, out=sin)
-    np.divide(c, r, out=cos)
-    return out
-
-
-def _unit_pair_fallback(c, s, out):
-    """unit_pair where some c*c + s*s, held in out[0], is not a normal finite number: those entries take hypot's radius."""
-    cos, sin = out[0, ...], out[1, ...]
-    off = ~(cos >= _TINY) | (cos == np.inf)
-    r = np.sqrt(cos, out=cos)
-    r[off] = np.broadcast_to(np.hypot(c, s), r.shape)[off]
-    centre = r == 0.0
-    with np.errstate(invalid="ignore"):
-        np.divide(s, r, out=sin)
-        np.divide(c, r, out=cos)
-    cos[centre], sin[centre] = 1.0, 0.0
     return out
 
 

@@ -31,6 +31,8 @@ from trajopt.bench import (
 )
 from trajopt.bench.runner import SOLVERS
 from trajopt import solver_single
+from trajopt.bench import runner
+from trajopt.basis import build_basis
 from trajopt.geometry import scaled_sq_norm
 from trajopt.bench.runner import _collides
 
@@ -601,9 +603,11 @@ class TestRecedingHorizon:
 
     def test_single_closed_loop_outcomes(self):
         # five scene kinds x six seeds with the default step budget: with the
-        # warm state shifted by the executed samples, 6 of the 30 episodes
-        # collide and 19 reach the goal (18 and 1 when it was handed on
-        # unshifted)
+        # radial sweep, the shifted warm state and the extra sweeps of an
+        # uncertified plan, 2 of the 30 episodes collide and 28 reach the
+        # goal (6 and 19 with the angle sweep and no extra sweeps, 18 and 1
+        # when the warm state was also handed on unshifted); the gate allows
+        # one episode of slack each way
         kinds = [("corridor", None), ("random-static", None), ("random-static", {"dim": 3}), ("barn-like", None),
                  ("dynamic-flow", None)]
         collided = reached = 0
@@ -612,7 +616,35 @@ class TestRecedingHorizon:
                 result = receding_horizon_run(gen_scenario(kind, params, seed=seed), solver="single", step_budget=40, n_steps=30)
                 collided += result.collided
                 reached += result.reached_goal
-        assert collided <= 6 and reached >= 19, (collided, reached)
+        assert collided <= 3 and reached >= 27, (collided, reached)
+
+    def test_uncertified_steps_are_counted(self):
+        # corridor seed 5 executes an uncertified plan at its third step,
+        # whose segment then collides
+        result = receding_horizon_run(gen_scenario("corridor", seed=5), solver="single", n_steps=30)
+        clearances = [r.metrics.min_clearance for r in result.records]
+        assert result.collided and len(clearances) == 3
+        assert result.uncertified_steps == sum(not c >= 0.0 for c in clearances) == 1
+
+    def test_step_sweeps_on_until_its_plan_clears(self, monkeypatch):
+        # dynamic-flow seed 0: the first step's plan is not clear at the
+        # budget of 40 sweeps, and the same solve sweeps on until it is
+        solves = []
+        original = solver_single.solve_single
+
+        def recording(*args, **kwargs):
+            solves.append(original(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(solver_single, "solve_single", recording)
+        result = receding_horizon_run(gen_scenario("dynamic-flow", seed=0), solver="single", step_budget=40, n_steps=3)
+        assert len(solves) == len(result.records) == 3
+        first = solves[0]
+        assert first.certified and first.extra_sweeps > 0
+        assert result.records[0].metrics.iters == first.iterations == 40 + first.extra_sweeps
+        assert result.records[0].metrics.min_clearance >= 0.0
+        assert result.uncertified_steps == 0 and all(sol.certified for sol in solves)
+
 
     def test_dynamic_flow_success_rate_definition(self):
         seeds = range(3)
@@ -624,6 +656,58 @@ class TestRecedingHorizon:
         rate = sum(outcomes) / len(outcomes)
         assert 0.0 <= rate <= 1.0
         assert rate == pytest.approx(np.mean(outcomes))
+
+
+class TestCertificate:
+    """The single solver's certified flag is eval_metrics' min_clearance >= 0 against the raw semi-axes."""
+
+    @staticmethod
+    def _problem(kind, params, seed, t_now=0.0):
+        scenario = gen_scenario(kind, params, seed=seed)
+        h = scenario.horizon
+        return scenario, runner.single_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10), t_now=t_now)
+
+    def test_problem_carries_the_raw_semi_axes(self):
+        scenario, problem = self._problem("barn-like", None, 0, t_now=0.7)
+        raw = predict_obstacles(scenario, problem.basis.grid.timestamps, t_now=0.7)
+        for got, expected in zip(problem.raw_axes, (raw.a, raw.b)):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(problem.obstacles.a, raw.a + runner.PLAN_MARGIN)
+        np.testing.assert_array_equal(problem.obstacles.centres, raw.centres)
+
+    def test_certified_is_the_metrics_clearance_verdict(self):
+        verdicts = []
+        for kind, params in [("corridor", None), ("random-static", {"dim": 3}), ("barn-like", None), ("dynamic-flow", None)]:
+            for seed in range(2):
+                for t_now in (0.0, 1.3):
+                    scenario, problem = self._problem(kind, params, seed, t_now)
+                    for max_iter in (1, 5, 300):
+                        sol = solver_single.solve_single(problem, solver_single.SingleParams(max_iter=max_iter))
+                        clear = eval_metrics(sol.trajectory, scenario, problem.desired, t_now=t_now).min_clearance >= 0.0
+                        assert sol.certified == clear, (kind, seed, t_now, max_iter)
+                        verdicts.append(clear)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_uncertified_plan_is_swept_on_in_the_same_solve(self):
+        scenario, problem = self._problem("dynamic-flow", None, 0)
+        budget = solver_single.solve_single(problem, solver_single.SingleParams(max_iter=40))
+        assert not budget.certified and budget.extra_sweeps == 0 and budget.iterations == 40
+        params = solver_single.SingleParams(max_iter=40, extra_sweeps=runner.MPC_EXTRA_SWEEPS)
+        swept = solver_single.solve_single(problem, params)
+        assert swept.certified and 0 < swept.extra_sweeps < runner.MPC_EXTRA_SWEEPS
+        assert swept.iterations == 40 + swept.extra_sweeps
+        # the first 40 sweeps are the budget solve's; the sweeps after them stop at the first clear plan
+        assert swept.residual_history[:40] == budget.residual_history
+        assert eval_metrics(swept.trajectory, scenario, problem.desired).min_clearance >= 0.0
+        shorter = solver_single.solve_single(problem, solver_single.SingleParams(max_iter=40, extra_sweeps=swept.extra_sweeps - 1))
+        assert not shorter.certified and shorter.extra_sweeps == swept.extra_sweeps - 1
+
+    def test_no_obstacle_plan_is_certified(self):
+        scenario = empty_scenario()
+        h = scenario.horizon
+        problem = runner.single_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10))
+        sol = solver_single.solve_single(problem, solver_single.SingleParams(max_iter=0))
+        assert sol.certified and sol.extra_sweeps == 0 and sol.iterations == 0
 
 
 class TestCli:

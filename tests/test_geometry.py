@@ -23,7 +23,6 @@ from trajopt.geometry import (
     Schedule,
     check_obstacles,
     angle2d,
-    angles3d,
     los_scale,
     norm_clamp,
     radial_clamp,
@@ -31,12 +30,13 @@ from trajopt.geometry import (
     residual_extremes,
     scaled_sq_norm,
     stalled,
-    unit_pair,
 )
 from trajopt.solver_batch import BatchParams
 from trajopt.solver_multiagent import JointParams
 from trajopt.solver_priest import CemParams, PriestParams, ProjectionSetup
 from trajopt.solver_single import SingleParams
+
+from angle_forms import angles3d
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 
@@ -822,51 +822,15 @@ class TestBroadPhase:
 
 class TestUnitPair:
     def test_unit_radial_clamp_target_and_trig_of_arctan2(self):
+        # the unit pair (cos, sin) of an angle is radial_clamp's target at unit
+        # semi-axes and scale; the origin takes its convention, (1, 0)
         rng = np.random.default_rng(3)
         c, s = rng.normal(size=(2, 3, 40)) * np.array([1e-3, 1.0, 1e3])[:, None]
-        c[:, :2] = s[:, :2] = 0.0  # the origin takes arctan2(0, 0) = 0
-        got = unit_pair(c, s)
-        target = [x - res for x, res in zip((c, s), radial_clamp((c, s), 1.0, 1.0, 1.0, 1.0))]
-        np.testing.assert_allclose(got, target, rtol=0, atol=1e-12)
+        c[:, :2] = s[:, :2] = 0.0
+        got = np.array([x - res for x, res in zip((c, s), radial_clamp((c, s), 1.0, 1.0, 1.0, 1.0))])
         angle = np.arctan2(s, c)
-        np.testing.assert_allclose(got, [np.cos(angle), np.sin(angle)], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got, [np.cos(angle), np.sin(angle)], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(got[:, :, :2], np.broadcast_to([[[1.0]], [[0.0]]], (2, 3, 2)))
-
-    @staticmethod
-    def _hypot_pair(c, s):
-        """The pair as hypot arithmetic forms it: (c, s) / hypot(c, s), the origin at (1, 0)."""
-        r = np.hypot(c, s)
-        with np.errstate(invalid="ignore"):
-            pair = np.array([c / r, s / r])
-        return np.array([1.0, 0.0]) if r == 0.0 else pair
-
-    @pytest.mark.parametrize(
-        "c,s",
-        [(0.0, 0.0), (-0.0, 0.0), (3e-160, 0.0), (1e-170, 1e-170), (1e200, -1e200), (np.nan, 1.0), (0.5, np.nan)],
-        ids=["origin", "minus-zero", "subnormal-square", "underflowed-squares", "overflowed-squares", "nan-c", "nan-s"],
-    )
-    def test_fallback_is_the_hypot_arithmetic(self, c, s):
-        # where c*c + s*s is zero, subnormal, overflowed or NaN, sqrt of it
-        # would not round as hypot does; those entries take hypot's radius,
-        # alone or among entries of the sqrt path
-        expected = self._hypot_pair(c, s)
-        with np.errstate(over="ignore"):  # the squares of 1e200 overflow, as scaled_sq_norm's would
-            alone = unit_pair(c, s)
-            among = unit_pair(np.array([3.0, c, -1.0]), np.array([4.0, s, 2.0]))
-        np.testing.assert_array_equal(alone, expected)
-        np.testing.assert_array_equal(among[:, 1], expected)
-        np.testing.assert_array_equal(among[:, [0, 2]], [[0.6, -1.0 / np.sqrt(5.0)], [0.8, 2.0 / np.sqrt(5.0)]])
-        if c == 0.0 and s == 0.0:
-            assert alone.tolist() == [1.0, 0.0]
-
-    def test_normal_squares_take_sqrt_without_hypot(self):
-        rng = np.random.default_rng(4)
-        c, s = rng.normal(size=(2, 2, 16, 100))
-        out = np.empty((2, 2, 16, 100))
-        assert unit_pair(c, s, out=out) is out
-        np.testing.assert_array_equal(out, [c / np.sqrt(c * c + s * s), s / np.sqrt(c * c + s * s)])
-        # hypot rounds the radius once, sqrt(c*c + s*s) up to thrice: a few ulps apart
-        np.testing.assert_allclose(out, [c / np.hypot(c, s), s / np.hypot(c, s)], rtol=1e-15, atol=0)
 
 
 class TestShapeValidation:
@@ -995,9 +959,10 @@ class TestSchedule:
 
     def test_params_keep_its_fields_in_order(self):
         names = [f.name for f in dataclasses.fields(Schedule)]
-        assert [f.name for f in dataclasses.fields(SingleParams)] == names
+        assert [f.name for f in dataclasses.fields(SingleParams)] == [*names, "extra_sweeps"]
         assert [f.name for f in dataclasses.fields(BatchParams)] == [*names, "d_margin", "kin_margin"]
-        assert (SingleParams().max_iter, SingleParams().tol) == (300, 1e-3)
+        assert (SingleParams().max_iter, SingleParams().tol, SingleParams().stall_improvement) == (300, 1e-3, 0.04)
+        assert SingleParams().extra_sweeps == 0
         assert (BatchParams().max_iter, BatchParams().tol) == (100, 1e-2)
 
 

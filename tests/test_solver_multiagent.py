@@ -9,7 +9,7 @@ import scipy.linalg
 from trajopt import geometry, qpcore, solver_multiagent
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
 from trajopt.bench import gen_scenario, runner
-from trajopt.geometry import D_CAP, EllipsoidShape, angles3d, radial_target, stalled
+from trajopt.geometry import D_CAP, EllipsoidShape, radial_target, stalled
 from trajopt.solver_multiagent import (
     JointParams,
     MultiAgentProblem,
@@ -22,6 +22,8 @@ from trajopt.solver_multiagent import (
     pairwise_residuals_arrays,
     solve_joint,
 )
+
+from angle_forms import angles3d
 
 N_P = 60
 

@@ -8,22 +8,23 @@ import pytest
 from trajopt import qpcore, solver_single
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
 from trajopt.bench import gen_scenario, receding_horizon_run, runner
-from trajopt.geometry import EllipsoidShape, Obstacles, angles3d, los_scale, residual_extremes, unit_pair
+from trajopt.geometry import D_CAP, EllipsoidShape, Obstacles, angle2d, los_scale, radial_target, residual_extremes
 from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
-    _angle_step,
-    _copy_step,
     _cost_blocks,
+    _polar_step,
     _position_step,
-    _row_coefs,
     _SingleStructure,
+    _untie,
     am_iteration,
     equality_residuals,
     init_state,
     shift_state,
     solve_single,
 )
+
+from angle_forms import angles3d
 
 
 def _line(start, goal, n_p):
@@ -84,245 +85,125 @@ def boundary_qp_oracle(problem):
     return np.stack(xis)
 
 
-class _Reference:
-    """The single-solver sweep as first written: the angles themselves kept
-    (here, beside the state), recovered from the copies by arctan2 and
-    expanded by cos/sin in the sweep start, the copy steps and the
-    residuals; the cost blocks, boundary rows and stacked obstacle tracks
-    rebuilt in every step, the positions P @ xi.T evaluated four times, and
-    the factor taken from the state's cache on those rebuilt matrices.  Its
-    state holds one array per angle family, as _per_family makes it from a
-    SingleState, and it writes the unit pairs as cos/sin of its angles.
+def _polar_direction(delta, a, b):
+    """The polar point at unit scale, (dim, n_o, n_p), at the angles of the offsets, as the angle form writes it.
+
+    (a cos(alpha), b sin(alpha)) at alpha = angle2d(dx / a, dy / b) in 2-D,
+    the spheroid point at angles3d's (alpha, beta) in 3-D; a zero offset
+    takes the radial form's origin convention, b along the last axis.
     """
-
-    def __init__(self, problem, state):
-        self.problem = problem
-        self.alpha = np.arctan2(state.unit_a[1], state.unit_a[0])
-        self.beta = None if state.unit_b is None else np.arctan2(state.unit_b[1], state.unit_b[0])
-
-    def tracks(self):
-        """The obstacle centres, (n_o, n_p, dim)."""
-        return self.problem.obstacles.centres.transpose(1, 2, 0)
-
-    def deltas(self, positions):
-        return positions[None, :, :] - self.tracks()
-
-    def semi_axes(self):
-        return self.problem.obstacles.a[:, None], self.problem.obstacles.b[:, None]
-
-    def position_step(self, state):
-        problem = self.problem
-        basis = problem.basis
-        Q, q = _cost_blocks(problem)
-        A = boundary_matrix(basis)
-        bs = np.stack([bc.values() for bc in problem.boundary])
-        factor = state.factors.get(Q, basis.P.T @ basis.P, A, state.rho * problem.n_o)
-        if problem.n_o:
-            a, b = self.semi_axes()
-            tracks = self.tracks()
-            if problem.dim == 3:
-                targets = np.stack([
-                    tracks[:, :, 0] + a * state.d * state.cos_a * state.sin_b,
-                    tracks[:, :, 1] + a * state.d * state.sin_a * state.sin_b,
-                    tracks[:, :, 2] + b * state.d * state.cos_b,
-                ])
-            else:
-                targets = np.stack([tracks[:, :, 0] + a * state.d * state.cos_a, tracks[:, :, 1] + b * state.d * state.sin_a])
-            lam_sum = state.lam_pos.sum(axis=1)
-            q_lin = q + lam_sum @ basis.P - state.rho * targets.sum(axis=1) @ basis.P
-        else:
-            q_lin = q
-        state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
-
-    def alpha_copy_step(self, state):
-        problem = self.problem
-        deltas = self.deltas(problem.basis.P @ state.xi.T)
-        a, b = self.semi_axes()
-        rho = state.rho
-        dx, dy = deltas[:, :, 0], deltas[:, :, 1]
-        if problem.dim == 3:
-            coef = a * state.d * state.sin_b
-            den = rho + rho * coef**2
-            state.cos_a = (rho * np.cos(self.alpha) - state.lam_cos_a + coef * (state.lam_pos[0] + rho * dx)) / den
-            state.sin_a = (rho * np.sin(self.alpha) - state.lam_sin_a + coef * (state.lam_pos[1] + rho * dy)) / den
-        else:
-            coef_x, coef_y = a * state.d, b * state.d
-            state.cos_a = (rho * np.cos(self.alpha) - state.lam_cos_a + coef_x * (state.lam_pos[0] + rho * dx)) / (
-                rho + rho * coef_x**2
-            )
-            state.sin_a = (rho * np.sin(self.alpha) - state.lam_sin_a + coef_y * (state.lam_pos[1] + rho * dy)) / (
-                rho + rho * coef_y**2
-            )
-
-    def beta_copy_step(self, state):
-        deltas = self.deltas(self.problem.basis.P @ state.xi.T)
-        a, b = self.semi_axes()
-        rho = state.rho
-        dx, dy, dz = deltas[:, :, 0], deltas[:, :, 1], deltas[:, :, 2]
-        coef_cb = b * state.d
-        state.cos_b = (rho * np.cos(self.beta) - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho * dz)) / (
-            rho + rho * coef_cb**2
-        )
-        coef_sb = a * state.d
-        num = (
-            rho * np.sin(self.beta)
-            - state.lam_sin_b
-            + coef_sb * (state.cos_a * (state.lam_pos[0] + rho * dx) + state.sin_a * (state.lam_pos[1] + rho * dy))
-        )
-        state.sin_b = num / (rho + rho * coef_sb**2 * (state.cos_a**2 + state.sin_a**2))
-
-    def residuals(self, state):
-        problem = self.problem
-        deltas = self.deltas(problem.basis.P @ state.xi.T)
-        a, b = self.semi_axes()
-        res = {}
-        if problem.dim == 3:
-            res["coll_x"] = deltas[:, :, 0] - a * state.d * state.cos_a * state.sin_b
-            res["coll_y"] = deltas[:, :, 1] - a * state.d * state.sin_a * state.sin_b
-            res["coll_z"] = deltas[:, :, 2] - b * state.d * state.cos_b
-            res["copy_cos_b"] = state.cos_b - np.cos(self.beta)
-            res["copy_sin_b"] = state.sin_b - np.sin(self.beta)
-        else:
-            res["coll_x"] = deltas[:, :, 0] - a * state.d * state.cos_a
-            res["coll_y"] = deltas[:, :, 1] - b * state.d * state.sin_a
-        res["copy_cos_a"] = state.cos_a - np.cos(self.alpha)
-        res["copy_sin_a"] = state.sin_a - np.sin(self.alpha)
-        return res
-
-    def sweep(self, state):
-        """One parent sweep on a problem with obstacles; mutates the state."""
-        problem = self.problem
-        state.cos_a, state.sin_a = np.cos(self.alpha), np.sin(self.alpha)
-        if problem.dim == 3:
-            state.cos_b, state.sin_b = np.cos(self.beta), np.sin(self.beta)
-        self.position_step(state)
-        self.alpha_copy_step(state)
-        self.alpha = np.arctan2(state.sin_a, state.cos_a)
-        state.unit_a = np.stack([np.cos(self.alpha), np.sin(self.alpha)])
-        if problem.dim == 3:
-            self.beta_copy_step(state)
-            self.beta = np.arctan2(state.sin_b, state.cos_b)
-            state.unit_b = np.stack([np.cos(self.beta), np.sin(self.beta)])
-        deltas = self.deltas(problem.basis.P @ state.xi.T)
-        state.d = los_scale(np.moveaxis(deltas, -1, 0), *self.semi_axes())
-        res = state.residuals = self.residuals(state)
-        for k, name in enumerate(("coll_x", "coll_y", "coll_z")[: problem.dim]):
-            state.lam_pos[k] += state.rho * res[name]
-        state.lam_cos_a += state.rho * res["copy_cos_a"]
-        state.lam_sin_a += state.rho * res["copy_sin_a"]
-        if problem.dim == 3:
-            state.lam_cos_b += state.rho * res["copy_cos_b"]
-            state.lam_sin_b += state.rho * res["copy_sin_b"]
-        state.iteration += 1
+    if len(delta) == 2:
+        alpha = angle2d(delta[0] / a, delta[1] / b)
+        v = np.array([a * np.cos(alpha), b * np.sin(alpha)])
+    else:
+        alpha, beta = angles3d(delta, a, b)
+        v = np.array([a * np.cos(alpha) * np.sin(beta), a * np.sin(alpha) * np.sin(beta), b * np.cos(beta)])
+    centre = np.all(delta == 0.0, axis=0)
+    v[:, centre] = 0.0
+    v[-1][centre] = np.broadcast_to(b, centre.shape)[centre]
+    return v
 
 
-_FAMILIES = ("cos_a", "sin_a", "cos_b", "sin_b")
+class _Reference:
+    """The radial sweep written from the angle form.
 
-
-def _family_residuals(block, dim):
-    """A residual block as the per-family report: coll_x, coll_y[, coll_z],
-    then copy_cos_b, copy_sin_b (3-D), copy_cos_a, copy_sin_a; {} without obstacles."""
-    beta = ["copy_cos_b", "copy_sin_b"] if dim == 3 else []
-    names = ["coll_x", "coll_y", "coll_z"][:dim] + beta + ["copy_cos_a", "copy_sin_a"]
-    return {name: row.copy() for name, row in zip(names, block)} if block.shape[1] else {}
-
-
-def _per_family(state):
-    """A copy of a SingleState with one array per angle family: unit_a,
-    unit_b, cos_a ... sin_b and lam_cos_a ... lam_sin_b, the beta ones None
-    in 2-D, and the residuals as a per-family dict."""
-    dim, k = state.xi.shape[0], len(state.unit)
-    fam = SimpleNamespace(
-        xi=state.xi.copy(),
-        d=state.d.copy(),
-        lam_pos=state.lam_pos.copy(),
-        rho=state.rho,
-        iteration=state.iteration,
-        factors=copy.deepcopy(state.factors),
-        residuals=_family_residuals(state.residuals, dim),
-        unit_a=state.unit[:2].copy(),
-        unit_b=state.unit[2:].copy() if k == 4 else None,
-    )
-    for i, name in enumerate(_FAMILIES):
-        setattr(fam, name, state.copies[i].copy() if i < k else None)
-        setattr(fam, f"lam_{name}", state.lam_copies[i].copy() if i < k else None)
-    return fam
-
-
-class _PerFamilySweep:
-    """The stacked sweep as written one angle family and axis at a time.
-
-    It sweeps a per-family state (see _per_family): the copies restart at
-    the unit pairs, the alpha copy step loops over its two rows, the beta
-    copy step is written out, each angle takes its own unit_pair pass and
-    the residuals are reported per family, in the order the residual norm
-    concatenates them.  Each entry's arithmetic is the stacked sweep's, so
-    the two must agree bit for bit.
+    Every step rebuilds the cost blocks, boundary rows and offsets, takes
+    the factor from the state's cache on those rebuilt matrices, solves the
+    position step on the targets centres + recon - lam / rho through
+    qpcore.solve_batch, and takes the polar step at the angles of each
+    offset: d = clip(shifted . v / v . v, 1, D_CAP) for the unit-scale polar
+    point v, recon = d v.  It sweeps a copy of a SingleState.
     """
 
     def __init__(self, problem):
-        self.struct = struct = _SingleStructure(problem)
-        self.lateral = (struct.a, struct.a if problem.dim == 3 else struct.b)
-
-    def planar(self, state):
-        return state.d if state.sin_b is None else state.d * state.sin_b
-
-    def reconstruction(self, state):
-        (ax, ay), planar = self.lateral, self.planar(state)
-        rows = [ax * planar * state.cos_a, ay * planar * state.sin_a]
-        if self.struct.dim == 3:
-            rows.append(self.struct.b * state.d * state.cos_b)
-        return np.array(rows)
-
-    def residuals(self, state, offsets):
-        res = dict(zip(("coll_x", "coll_y", "coll_z"), offsets - self.reconstruction(state)))
-        if self.struct.dim == 3:
-            res["copy_cos_b"] = state.cos_b - state.unit_b[0]
-            res["copy_sin_b"] = state.sin_b - state.unit_b[1]
-        res["copy_cos_a"] = state.cos_a - state.unit_a[0]
-        res["copy_sin_a"] = state.sin_a - state.unit_a[1]
-        return res
+        self.problem = problem
 
     def sweep(self, state):
-        struct, rho = self.struct, state.rho
-        factor = state.factors.get(struct.Q, struct.PtP, struct.A, rho * struct.n_o)
+        problem = self.problem
+        basis, obstacles = problem.basis, problem.obstacles
+        Q, q = _cost_blocks(problem)
+        bs = np.stack([bc.values() for bc in problem.boundary])
+        factor = state.factors.get(Q, basis.P.T @ basis.P, boundary_matrix(basis), state.rho * problem.n_o)
+        q_lin = q
+        if problem.n_o:
+            targets = obstacles.centres + state.recon - state.lam / state.rho
+            q_lin = q - state.rho * targets.sum(axis=1) @ basis.P
+        state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=bs))
+        state.iteration += 1
+        if not problem.n_o:
+            return
+        delta = (basis.P @ state.xi.T).T[:, None, :] - obstacles.centres
+        shifted = delta + state.lam / state.rho
+        v = _polar_direction(delta, obstacles.a[:, None], obstacles.b[:, None])
+        state.d = np.clip(np.sum(shifted * v, axis=0) / np.sum(v * v, axis=0), 1.0, D_CAP)
+        state.recon = state.d * v
+        state.residuals = delta - state.recon
+        state.lam = state.lam + state.rho * state.residuals
+
+
+def _assert_states_close(got, ref, atol=1e-12):
+    """A SingleState against the reference's, array by array."""
+    for name in ("xi", "d", "recon", "lam", "residuals"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=0, atol=atol, err_msg=name)
+
+
+_COLL = ("coll_x", "coll_y", "coll_z")
+
+
+def _per_family(state):
+    """A copy of a SingleState with one array per residual family: recon,
+    lam and the residuals as dicts of the rows coll_x, coll_y[, coll_z],
+    the residuals {} without obstacles."""
+    names = _COLL[: state.xi.shape[0]]
+    return SimpleNamespace(
+        xi=state.xi.copy(),
+        d=state.d.copy(),
+        rho=state.rho,
+        iteration=state.iteration,
+        factors=copy.deepcopy(state.factors),
+        recon=dict(zip(names, state.recon.copy())),
+        lam=dict(zip(names, state.lam.copy())),
+        residuals=dict(zip(names, state.residuals.copy())) if state.d.shape[0] else {},
+    )
+
+
+class _PerFamilySweep:
+    """The sweep written one residual family, polar row x, y[, z], at a time.
+
+    Each family's target sum, residual and multiplier ascent is its own
+    allocating expression, and the residuals are reported per family, in
+    the order the residual norm concatenates them.  The position step
+    solves the axes as one block of right-hand sides through
+    qpcore.solve_batch, and the polar step, which couples the rows through
+    the scaled norm, is one allocating radial_target call.  Each entry's
+    arithmetic is the in-place sweep's, so the two must agree bit for bit.
+    """
+
+    def __init__(self, problem):
+        self.struct = _SingleStructure(problem)
+        self.names = _COLL[: problem.dim]
+
+    def sweep(self, fam):
+        struct, rho = self.struct, fam.rho
+        factor = fam.factors.get(struct.Q, struct.PtP, struct.A, rho * struct.n_o)
         q_lin = struct.q
         if struct.n_o:
-            state.cos_a, state.sin_a = state.unit_a
-            if struct.dim == 3:
-                state.cos_b, state.sin_b = state.unit_b
-            targets = struct.centres + self.reconstruction(state)
-            q_lin = struct.q + state.lam_pos.sum(axis=1) @ struct.P - rho * targets.sum(axis=1) @ struct.P
-        state.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
-        state.residuals = {}
-        state.iteration += 1
+            rows = []
+            for k, name in enumerate(self.names):
+                pull = (fam.recon[name].sum(axis=0) + struct.centres[k].sum(axis=0)) * rho
+                rows.append(fam.lam[name].sum(axis=0) - pull)
+            q_lin = np.array(rows) @ struct.P + struct.q
+        fam.xi, _ = qpcore.solve_batch(factor, qpcore.BatchRHS(qs=q_lin, bs=struct.bs))
+        fam.iteration += 1
         if not struct.n_o:
             return
-        offsets = struct.offsets(state.xi)
-        planar, copies = self.planar(state), []
-        lams = (state.lam_cos_a, state.lam_sin_a)
-        for semi, unit, lam, lam_pos, delta in zip(self.lateral, state.unit_a, lams, state.lam_pos, offsets):
-            coef = semi * planar
-            copies.append((rho * unit - lam + coef * (lam_pos + rho * delta)) / (rho + rho * coef**2))
-        state.cos_a, state.sin_a = copies
-        if struct.dim == 3:
-            dx, dy, dz = offsets
-            coef_cb = struct.b * state.d
-            num = rho * state.unit_b[0] - state.lam_cos_b + coef_cb * (state.lam_pos[2] + rho * dz)
-            state.cos_b = num / (rho + rho * coef_cb**2)
-            coef_sb = struct.a * state.d
-            pulled = state.cos_a * (state.lam_pos[0] + rho * dx) + state.sin_a * (state.lam_pos[1] + rho * dy)
-            num = rho * state.unit_b[1] - state.lam_sin_b + coef_sb * pulled
-            state.sin_b = num / (rho + rho * coef_sb**2 * (state.cos_a**2 + state.sin_a**2))
-            state.unit_b = unit_pair(state.cos_b, state.sin_b)
-        state.unit_a = unit_pair(state.cos_a, state.sin_a)
-        state.d = los_scale(offsets, struct.a, struct.b)
-        res = state.residuals = self.residuals(state, offsets)
-        for k, name in enumerate(("coll_x", "coll_y", "coll_z")[: struct.dim]):
-            state.lam_pos[k] += rho * res[name]
-        for name in _FAMILIES[: 2 * struct.dim - 2]:
-            lam = getattr(state, f"lam_{name}")
-            lam += rho * res[f"copy_{name}"]
+        offsets = struct.offsets(fam.xi)
+        shifted = np.array([fam.lam[name] / rho + delta for name, delta in zip(self.names, offsets)])
+        fam.d, recon = radial_target(offsets, struct.a, struct.b, shifted)
+        for name, delta, point in zip(self.names, offsets, recon):
+            fam.recon[name] = point
+            fam.residuals[name] = delta - point
+            fam.lam[name] = fam.lam[name] + fam.residuals[name] * rho
 
 
 def _concatenated_extremes(res):
@@ -336,9 +217,10 @@ def _concatenated_extremes(res):
 def augmented_lagrangian(state, problem):
     """Objective plus multiplier and quadratic penalty terms (fixed multipliers).
 
-    The minimization blocks must not increase it.  The d and multiplier
-    steps are excluded from that property: d follows the analytic
-    line-of-sight rule and the multiplier step is dual ascent.
+    The position step minimizes it over xi.  The polar and multiplier steps
+    are excluded from that property: the polar step is the closed-form
+    scale at the angles of the new offsets, not a minimizer over every
+    polar point, and the multiplier step is dual ascent.
     """
     basis = problem.basis
     acc = basis.Pddot @ state.xi.T
@@ -346,10 +228,8 @@ def augmented_lagrangian(state, problem):
     value = problem.w_smooth * float(np.sum(acc**2)) + problem.w_track * float(np.sum((pos - problem.desired) ** 2))
     if not problem.n_o:
         return value
-    coll = equality_residuals(state, problem)[: problem.dim]
-    value += float(np.sum(state.lam_pos * coll)) + 0.5 * state.rho * float(np.sum(coll**2))
-    copy_res = state.copies - state.unit
-    return value + 0.5 * state.rho * float(np.sum((copy_res + state.lam_copies / state.rho) ** 2))
+    coll = equality_residuals(state, problem)
+    return value + float(np.sum(state.lam * coll)) + 0.5 * state.rho * float(np.sum(coll**2))
 
 
 class TestDStep:
@@ -375,22 +255,23 @@ class TestInitState:
     def test_multipliers_start_at_zero(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
         state = init_state(prob)
-        assert np.all(state.lam_pos == 0.0)
-        assert np.all(state.lam_copies == 0.0)
+        assert np.all(state.lam == 0.0)
         assert np.all(state.d == 1.0)
+        # recon is the offsets of the straight line scaled onto the unit level set
+        deltas = _SingleStructure(prob).offsets(state.xi)
+        np.testing.assert_allclose(state.recon, deltas / los_scale(deltas, 0.5, 0.5, lower=0.0), rtol=1e-15)
 
     def test_zero_obstacles_gives_empty_polar_arrays(self):
         prob = make_problem_2d()
         state = init_state(prob)
         assert state.d.shape == (0, 60)
-        assert state.unit.shape == state.copies.shape == (2, 0, 60)
-        assert state.residuals.shape == (4, 0, 60)
+        assert state.recon.shape == state.lam.shape == state.residuals.shape == (2, 0, 60)
 
     def test_same_seed_identical_states(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
         s1, s2 = init_state(prob), init_state(prob)
         np.testing.assert_array_equal(s1.xi, s2.xi)
-        np.testing.assert_array_equal(s1.unit, s2.unit)
+        np.testing.assert_array_equal(s1.recon, s2.recon)
         np.testing.assert_array_equal(s1.d, s2.d)
 
 
@@ -405,22 +286,21 @@ class TestAmIteration:
         np.testing.assert_allclose(state.xi, expected, atol=1e-9)
 
     def test_consistent_state_is_a_residual_fixed_point(self):
-        # cost-optimal trajectory, far non-binding obstacle, polar variables
-        # reconstructed exactly from the geometry, zero multipliers
-        obstacle = _static_obstacle([4.0, 30.0, 1.0], EllipsoidShape(0.5, 0.5), 50)
+        # cost-optimal trajectory, far non-binding obstacle, polar points
+        # at the offsets themselves (d = r), zero multipliers
+        obstacle = _static_obstacle([4.0, 30.0, 1.0], EllipsoidShape(0.5, 0.7), 50)
         prob = make_problem_3d(obstacles=[obstacle])
         state = init_state(prob)
         state.xi = boundary_qp_oracle(prob)
-        positions = prob.basis.P @ state.xi.T
-        deltas = positions[None, :, :] - obstacle.centers[None, :, :]
-        alpha, beta = angles3d(np.moveaxis(deltas[0], -1, 0), obstacle.shape.a, obstacle.shape.b)
-        state.unit = np.stack([np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)])[:, None, :]
-        state.copies = state.unit.copy()
-        state.d = los_scale(np.moveaxis(deltas, -1, 0), obstacle.shape.a, obstacle.shape.b)
+        deltas = _SingleStructure(prob).offsets(state.xi)
+        state.recon = deltas.copy()
+        state.d = los_scale(deltas, 0.5, 0.7)
 
-        assert np.max(np.abs(equality_residuals(state, prob))) < 1e-9
+        assert np.max(np.abs(equality_residuals(state, prob))) == 0.0
         am_iteration(state, prob)
-        assert np.max(np.abs(equality_residuals(state, prob))) < 1e-8
+        assert np.max(np.abs(state.residuals)) < 1e-9
+        np.testing.assert_allclose(state.xi, boundary_qp_oracle(prob), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(state.d, los_scale(deltas, 0.5, 0.7), rtol=1e-12)
 
     def test_residual_trend_on_cluttered_problem(self):
         rng = np.random.default_rng(0)
@@ -436,47 +316,29 @@ class TestAmIteration:
         assert np.all(np.diff(windows) <= windows[:-1] * 1e-6 + 1e-12)
 
     def test_minimization_blocks_do_not_increase_augmented_lagrangian(self):
-        # the d step (analytic assignment) and the multiplier step (dual
-        # ascent) are not descent steps; the minimization blocks are
+        # the position step minimizes the augmented Lagrangian over xi; the
+        # polar step (the closed-form scale at the new offsets' angles) and
+        # the multiplier step (dual ascent) are not descent steps
         obstacles = [_static_obstacle([4.0, 0.1], EllipsoidShape(0.8, 0.8), 60)]
-        prob = make_problem_2d(obstacles=obstacles)
+        self._check_position_descent(make_problem_2d(obstacles=obstacles), 12)
+
+    def test_position_block_is_descent_in_3d(self):
+        obstacle = _static_obstacle([3.0, 0.4, 1.1], EllipsoidShape(0.8, 0.6), 50)
+        self._check_position_descent(make_problem_3d(obstacles=[obstacle]), 10)
+
+    @staticmethod
+    def _check_position_descent(prob, sweeps):
         state = init_state(prob)
         # first sweep makes the iterate boundary-feasible; the constrained
         # position block is a descent step only within the feasible set
         am_iteration(state, prob)
         struct = _SingleStructure(prob)
-        for sweep in range(12):
-            state.copies[:] = state.unit  # the copies' anchor, where the sweep reads the polar rows
-            coefs = _row_coefs(struct, state.d, state.unit)
+        for _ in range(sweeps):
             before = augmented_lagrangian(state, prob)
-            _position_step(state, struct, coefs)
-            after_pos = augmented_lagrangian(state, prob)
-            assert after_pos <= before + 1e-9 * max(1.0, abs(before))
-            _copy_step(state, struct, struct.offsets(state.xi), coefs)  # the alpha pair only in 2-D
-            after_copies = augmented_lagrangian(state, prob)
-            assert after_copies <= after_pos + 1e-9 * max(1.0, abs(after_pos))
-            am_iteration(state, prob)  # finish the sweep (angles, d, multipliers)
-
-    def test_beta_copy_block_is_descent_in_3d(self):
-        obstacle = _static_obstacle([3.0, 0.4, 1.1], EllipsoidShape(0.8, 0.6), 50)
-        prob = make_problem_3d(obstacles=[obstacle])
-        state = init_state(prob)
-        am_iteration(state, prob)
-        struct = _SingleStructure(prob)
-        for sweep in range(10):
-            coefs = _row_coefs(struct, state.d, state.unit)
-            _position_step(state, struct, coefs)
-            _copy_step(state, struct, struct.offsets(state.xi), coefs)
-            # the beta copies, taken at the new alpha copies, against the
-            # beta pair left at its anchor, with the alpha unit pair moved on
-            beta = state.copies[2:].copy()
-            state.copies[2:] = state.unit[2:]
-            state.unit[:2] = state.copies[:2] / np.hypot(*state.copies[:2])
-            before_beta = augmented_lagrangian(state, prob)
-            state.copies[2:] = beta
-            after_beta = augmented_lagrangian(state, prob)
-            assert after_beta <= before_beta + 1e-9 * max(1.0, abs(before_beta))
-            am_iteration(state, prob)
+            _position_step(state, struct)
+            after = augmented_lagrangian(state, prob)
+            assert after <= before + 1e-9 * max(1.0, abs(before))
+            _polar_step(state, struct, struct.offsets(state.xi))  # finish the sweep
 
 
 class TestSolveSingle:
@@ -508,12 +370,14 @@ class TestSolveSingle:
         assert sol.tracking_cost <= 1e-10
 
     def test_blocking_obstacle_produces_collision_free_path(self):
+        # the obstacle is centred on the straight line, so the start state's
+        # tie rule picks the side; the path is checked between the samples too
         obstacle = _static_obstacle([4.0, 0.0], EllipsoidShape(1.0, 1.0), 60)
         prob = make_problem_2d(obstacles=[obstacle])
         sol = solve_single(prob, SingleParams(max_iter=400))
         assert sol.converged
-        delta = sol.trajectory.pos - obstacle.centers
-        scaled = np.hypot(delta[:, 0] / 1.0, delta[:, 1] / 1.0)
+        pos = _fine_positions(prob, sol.state.xi)
+        scaled = np.hypot(pos[:, 0] - 4.0, pos[:, 1])
         assert scaled.min() >= 1.0 - 1e-2  # raw constraint with margin tolerance on d
 
     def test_boundary_conditions_hold_every_iteration(self):
@@ -594,28 +458,28 @@ class TestInvariants:
 
         Q, q = _cost_blocks(prob)
         # reconstruct the per-axis linear terms exactly as the position step
-        # (the initial copies are the unit pairs the sweep restarts them at)
+        # does, on the start state's targets centres + recon - lam / rho
         state2 = init_state(prob)
         struct = _SingleStructure(prob)
-        targets = struct.centres + _row_coefs(struct, state2.d, state2.unit) * state2.unit[:3]
+        targets = struct.centres + state2.recon - state2.lam / state2.rho
         A = boundary_matrix(prob.basis)
         D = Q + state2.rho * prob.n_o * (prob.basis.P.T @ prob.basis.P)
         factor = qpcore.factorize(D, A)
         for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
             xi_seq = np.empty_like(batch_xi)
             for k in order:
-                q_lin = q[k] + state2.lam_pos[k].sum(axis=0) @ prob.basis.P - state2.rho * targets[k].sum(axis=0) @ prob.basis.P
+                q_lin = q[k] - state2.rho * targets[k].sum(axis=0) @ prob.basis.P
                 xi_seq[k], _ = qpcore.solve(factor, q_lin, prob.boundary[k].values())
             np.testing.assert_allclose(xi_seq, batch_xi, atol=1e-12)
 
 
 class TestResidualReport:
-    """equality_residuals, the report of every relaxed equality family."""
+    """equality_residuals, the report of the polar equalities."""
 
     def test_exact_state_reports_zero(self):
         prob = make_problem_2d()
         state = init_state(prob)
-        assert equality_residuals(state, prob).shape == (4, 0, 60)
+        assert equality_residuals(state, prob).shape == (2, 0, 60)
         assert residual_extremes(equality_residuals(state, prob)) == (0.0, 0.0)
 
     def test_matches_brute_force_formula(self):
@@ -624,63 +488,21 @@ class TestResidualReport:
         state = init_state(prob)
         rng = np.random.default_rng(5)
         state.xi = rng.normal(size=state.xi.shape)
-        state.d = 1.0 + rng.uniform(size=state.d.shape)
-        alpha = rng.uniform(-np.pi, np.pi, size=state.d.shape)
-        state.unit = np.stack([np.cos(alpha), np.sin(alpha)])
-        state.copies = rng.normal(size=state.unit.shape)
-        cos_a, sin_a = state.copies[:, 0]
+        state.recon = rng.normal(size=state.recon.shape)
 
-        coll_x, coll_y, copy_cos_a, copy_sin_a = equality_residuals(state, prob)[:, 0]
+        coll_x, coll_y = equality_residuals(state, prob)[:, 0]
         pos = prob.basis.P @ state.xi.T
-        dx = pos[:, 0] - obstacle.centers[:, 0]
-        dy = pos[:, 1] - obstacle.centers[:, 1]
-        np.testing.assert_allclose(coll_x, dx - 0.6 * state.d[0] * cos_a, atol=1e-12)
-        np.testing.assert_allclose(coll_y, dy - 0.9 * state.d[0] * sin_a, atol=1e-12)
-        np.testing.assert_allclose(copy_cos_a, cos_a - np.cos(alpha[0]), atol=1e-12)
-        np.testing.assert_allclose(copy_sin_a, sin_a - np.sin(alpha[0]), atol=1e-12)
+        np.testing.assert_allclose(coll_x, pos[:, 0] - 4.0 - state.recon[0, 0], atol=1e-12)
+        np.testing.assert_allclose(coll_y, pos[:, 1] - 0.3 - state.recon[1, 0], atol=1e-12)
 
-    def test_3d_rows_put_the_beta_pair_first(self):
-        # polar rows x, y, z, then the beta copy pair before the alpha pair
+    def test_3d_rows_are_x_y_z(self):
         obstacle = _static_obstacle([3.0, 0.4, 1.1], EllipsoidShape(0.6, 0.9), 50)
         prob = make_problem_3d(obstacles=[obstacle])
         state = init_state(prob)
-        rng = np.random.default_rng(6)
-        state.d = 1.0 + rng.uniform(size=state.d.shape)
-        state.copies = rng.normal(size=state.copies.shape)
-        cos_a, sin_a, cos_b, sin_b = state.copies
+        state.recon = np.random.default_rng(6).normal(size=state.recon.shape)
         res = equality_residuals(state, prob)
         deltas = np.moveaxis(prob.basis.P @ state.xi.T - obstacle.centers, -1, 0)[:, None, :]
-        polar = [0.6 * state.d * sin_b * cos_a, 0.6 * state.d * sin_b * sin_a, 0.9 * state.d * cos_b]
-        np.testing.assert_allclose(res[:3], deltas - np.array(polar), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(res[3:5], state.copies[2:] - state.unit[2:])
-        np.testing.assert_array_equal(res[5:], state.copies[:2] - state.unit[:2])
-
-
-FAMILY_FIELDS = (
-    "xi", "d", "unit_a", "unit_b", "cos_a", "sin_a", "cos_b", "sin_b",
-    "lam_pos", "lam_cos_a", "lam_sin_a", "lam_cos_b", "lam_sin_b",
-)
-
-
-def _assert_states_match(got, ref, exact=False):
-    """A SingleState against a per-family state, to 1e-12 or bit for bit."""
-    fam = _per_family(got)
-
-    def check(g, r, name):
-        if exact:
-            assert np.array_equal(g, r), name
-        else:
-            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
-
-    for name in FAMILY_FIELDS:
-        g, r = getattr(fam, name), getattr(ref, name)
-        if r is None:
-            assert g is None, name
-        else:
-            check(g, r, name)
-    assert fam.residuals.keys() == ref.residuals.keys()
-    for name, r in ref.residuals.items():
-        check(fam.residuals[name], r, name)
+        np.testing.assert_array_equal(res, deltas - state.recon)
 
 
 def _moving_obstacle(start, velocity, shape, n_p, tf=6.0):
@@ -706,21 +528,21 @@ def _mixed_problem(dim, shift=0.0):
 
 
 class TestMatchesReference:
-    """Every sweep matches the parent formulation of _Reference."""
+    """Every sweep matches _Reference, the sweep written from the angle form."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_cold_sweeps_match(self, dim):
         prob = _mixed_problem(dim)
         state = init_state(prob)
-        ref_state = _per_family(state)
-        ref = _Reference(prob, ref_state)
+        ref_state = copy.deepcopy(state)
+        ref = _Reference(prob)
         for sweep in range(30):
             if sweep in (10, 20):  # a penalty step makes both refactor
                 for s in (state, ref_state):
                     s.rho = 1.4 * s.rho
             am_iteration(state, prob)
             ref.sweep(ref_state)
-            _assert_states_match(state, ref_state)
+            _assert_states_close(state, ref_state)
         assert state.factors.count == ref_state.factors.count == 3
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -728,32 +550,32 @@ class TestMatchesReference:
         # the receding-horizon case: same saddle, obstacles and boundary moved
         state = solve_single(_mixed_problem(dim), SingleParams(max_iter=40)).state
         prob = _mixed_problem(dim, shift=0.3)
-        ref_state = _per_family(state)
-        ref = _Reference(prob, ref_state)
+        ref_state = copy.deepcopy(state)
+        ref = _Reference(prob)
         struct = solver_single._SingleStructure(prob)
         for _ in range(15):
             am_iteration(state, prob, struct)
             ref.sweep(ref_state)
-            _assert_states_match(state, ref_state)
+            _assert_states_close(state, ref_state)
         assert state.factors.count == ref_state.factors.count
 
     def test_solve_matches_reference_sweeps(self):
         # a cold solve is the reference sweep under the same schedule
         prob = _mixed_problem(3)
         sol = solve_single(prob, SingleParams(max_iter=60, tol=0.0))
-        ref_state = _per_family(init_state(prob))
-        ref = _Reference(prob, ref_state)
+        ref_state = init_state(prob)
+        ref = _Reference(prob)
         for h in sol.residual_history:
             ref_state.rho = h["rho"]
             ref.sweep(ref_state)
-        _assert_states_match(sol.state, ref_state)
+        _assert_states_close(sol.state, ref_state)
         assert sol.n_factorizations == ref_state.factors.count
 
 
 def _centred_problem(dim):
     """One obstacle moving along the straight line the initial state starts
-    on, so that every first offset is zero: the angles take their origin
-    convention and d its lower clamp."""
+    on, so that every first offset is zero: the tie rule gives each its
+    part across the line."""
     base = make_problem_2d(n_p=50) if dim == 2 else make_problem_3d()
     path = base.basis.P @ init_state(base).xi.T
     obstacle = Track(centers=path, shape=EllipsoidShape(0.8, 0.6))
@@ -761,7 +583,7 @@ def _centred_problem(dim):
 
 
 class TestMatchesPerFamilySweep:
-    """Every stacked sweep is _PerFamilySweep's, bit for bit: the whole
+    """Every in-place sweep is _PerFamilySweep's, bit for bit: the whole
     state, the residual report and its norm and max."""
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -786,15 +608,23 @@ class TestMatchesPerFamilySweep:
                 state.rho = fam.rho = 1.4 * state.rho
             am_iteration(state, prob, struct)
             ref.sweep(fam)
-            _assert_states_match(state, fam, exact=True)
+            got = _per_family(state)
+            for name in ("xi", "d"):
+                assert np.array_equal(getattr(got, name), getattr(fam, name)), name
+            for name in ("recon", "lam", "residuals"):
+                got_rows, ref_rows = getattr(got, name), getattr(fam, name)
+                assert got_rows.keys() == ref_rows.keys(), name
+                for row in ref_rows:
+                    assert np.array_equal(got_rows[row], ref_rows[row]), (name, row)
             assert residual_extremes(state.residuals) == _concatenated_extremes(fam.residuals)
         assert (state.iteration, state.factors.count) == (fam.iteration, fam.factors.count)
 
 
 class TestOnePassPerSweep:
     def test_one_structure_trig_offsets_and_residual_per_sweep(self, monkeypatch):
-        # one structure per solve, one offset evaluation, residual pass and
-        # unit_pair projection (over every angle's pair at once) per sweep
+        # one structure per solve; one offset evaluation and one polar step
+        # (radial_target, the residuals and the multiplier ascent) per sweep;
+        # no trig and no hypot anywhere: the polar points take no angle
         counts = {}
 
         def counted(name, fn):
@@ -807,41 +637,15 @@ class TestOnePassPerSweep:
         structure = solver_single._SingleStructure
         monkeypatch.setattr(structure, "__init__", counted("structure", structure.__init__))
         monkeypatch.setattr(structure, "offsets", counted("offsets", structure.offsets))
-        monkeypatch.setattr(solver_single, "equality_residuals", counted("residuals", solver_single.equality_residuals))
-        monkeypatch.setattr(solver_single, "unit_pair", counted("unit_pair", solver_single.unit_pair))
-        for name in ("arctan2", "cos", "sin"):
+        for name in ("_polar_step", "radial_target", "equality_residuals"):
+            monkeypatch.setattr(solver_single, name, counted(name, getattr(solver_single, name)))
+        for name in ("arctan2", "cos", "sin", "hypot"):
             monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
         sol = solve_single(_mixed_problem(3), SingleParams(max_iter=12, tol=0.0))
         assert sol.iterations == 12
-        # the initial state's straight line takes one more offset evaluation,
-        # and its angles (alpha through angle2d, beta) the only arctan2, cos
-        # and sin: the sweeps project the copy pairs onto the unit circle
-        assert counts == {
-            "structure": 1, "offsets": 13, "residuals": 12, "unit_pair": 12, "arctan2": 2, "cos": 2, "sin": 2
-        }
-
-
-class TestSweepOverheads:
-    def test_sweeps_take_no_hypot_and_make_their_views_once(self, monkeypatch):
-        # the angle step forms its radii as sqrt(c*c + s*s) (hypot only where
-        # that is not a normal number), and the pair-row views are made once
-        # per solve, not once per sweep
-        prob = _mixed_problem(3)
-        state = init_state(prob)  # its beta angles take the one np.hypot of a cold solve
-        counts = {"hypot": 0, "views": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(np, "hypot", counted("hypot", np.hypot))
-        monkeypatch.setattr(solver_single, "_PairViews", counted("views", solver_single._PairViews))
-        sol = solve_single(prob, SingleParams(max_iter=12, tol=0.0), state=state)
-        assert sol.iterations == 12
-        assert counts == {"hypot": 0, "views": 1}
+        # the initial state's straight line takes one more offset evaluation
+        # and radial_target call; the certificate reads the last sweep's offsets
+        assert counts == {"structure": 1, "offsets": 13, "radial_target": 13, "_polar_step": 12}
 
 
 class TestInPlaceSweep:
@@ -852,7 +656,7 @@ class TestInPlaceSweep:
         prob = _mixed_problem(dim)
         struct = _SingleStructure(prob)
         state = init_state(prob, struct=struct)
-        names = ("d", "unit", "copies", "lam_pos", "lam_copies", "residuals")
+        names = ("d", "recon", "lam", "residuals")
         arrays = {name: getattr(state, name) for name in names}
         before = {name: value.copy() for name, value in arrays.items()}
         for _ in range(3):
@@ -862,24 +666,103 @@ class TestInPlaceSweep:
             assert not np.array_equal(value, before[name]), name
 
 
-class TestAngleStep:
+class TestOriginConvention:
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_copy_pair_at_origin_projects_to_unit_x(self, dim):
-        # (cos, sin) of arctan2(0, 0) = 0; elsewhere the pair is scaled to unit length
+    def test_zero_offset_takes_the_point_on_the_b_axis(self, dim):
+        # at r = 0 the polar point is radial_target's (0, b d) in 2-D and
+        # (0, 0, b d) in 3-D, d the last axis's shifted target over b,
+        # clamped; elsewhere it is the offset scaled to d
         obstacles = [_static_obstacle([3.0, 0.4, 1.1][:dim], EllipsoidShape(0.8, 0.6), 50)]
         prob = make_problem_2d(n_p=50, obstacles=obstacles) if dim == 2 else make_problem_3d(obstacles=obstacles)
-        state = init_state(prob)
-        pair = np.zeros((2, 1, 50))
-        pair[:, 0, 1:] = np.random.default_rng(dim).normal(size=(2, 49))
-        # the beta copy pair, in 3-D, is the alpha pair swapped
-        pairs = [pair, pair[::-1]][: dim - 1]
-        state.copies = np.concatenate(pairs)
-        _angle_step(state)
-        assert state.unit.shape == state.copies.shape
-        for unit, (c, s) in zip(solver_single._pairs(state.unit), pairs):
-            angle = np.arctan2(s, c)
-            np.testing.assert_array_equal(unit[:, 0, 0], [1.0, 0.0])
-            np.testing.assert_allclose(unit, np.stack([np.cos(angle), np.sin(angle)]), rtol=0, atol=1e-15)
+        struct = _SingleStructure(prob)
+        state = init_state(prob, struct=struct)
+        deltas = np.random.default_rng(dim).normal(size=(dim, 1, 50))
+        deltas[:, 0, :3] = 0.0
+        deltas[:, 0, 3] = -0.0
+        state.lam[:] = 0.0
+        state.lam[-1, 0, 1] = 1.5 * state.rho  # a shift of 1.5 along the last axis: d = 1.5 / 0.6
+        state.lam[0, 0, 2] = 0.9 * state.rho  # a shift across it moves nothing
+        _polar_step(state, struct, deltas)
+        expected_d = [1.0, 2.5, 1.0, 1.0]
+        np.testing.assert_allclose(state.d[0, :4], expected_d, rtol=1e-15)
+        point = np.zeros((dim, 4))
+        point[-1] = 0.6 * state.d[0, :4]
+        np.testing.assert_array_equal(state.recon[:, 0, :4], point)
+        r = los_scale(deltas[:, 0, 4:], 0.8, 0.6, lower=0.0)
+        np.testing.assert_allclose(state.recon[:, 0, 4:], deltas[:, 0, 4:] * state.d[0, 4:] / r, rtol=1e-13)
+
+
+class TestTieRule:
+    """An offset with no part across the start-goal line takes a fixed one in the start state."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_offsets_on_the_line_take_the_left_normal(self, dim):
+        # a line off the axes; offsets along it (a -0.0 one among them) take
+        # a part of 1e-3 b along the line's left normal in the x-y plane,
+        # and so does one whose own part is shorter; a longer one is kept
+        start = np.array([1.0, -2.0, 0.5][:dim])
+        goal = np.array([7.0, 2.5, 3.0][:dim])
+        u = (goal - start) / np.linalg.norm(goal - start)
+        left = np.array([-u[1], u[0], 0.0][:dim]) / np.hypot(u[0], u[1])
+        b = np.array([[0.5], [2.0]])
+        deltas = np.stack([u[:, None] * np.linspace(-3.0, 3.0, 7)] * 2, axis=1)  # (dim, 2, 7)
+        deltas[:, 0, 3] = -0.0
+        deltas[:, 1, 5] += 0.004 * left  # longer than the push of 2e-3: kept
+        deltas[:, 1, 6] += 0.001 * left  # shorter: taken to the push
+        untied = _untie(deltas, b, start, goal)
+        expected = deltas.copy()
+        for o, k in [(0, k) for k in range(7)] + [(1, k) for k in (0, 1, 2, 3, 4, 6)]:
+            expected[:, o, k] = u * (deltas[:, o, k] @ u) + 1e-3 * b[o, 0] * left
+        np.testing.assert_allclose(untied, expected, rtol=0, atol=1e-15)
+        assert untied[:, 0, 3] @ left == pytest.approx(0.5e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_vertical_or_empty_line_takes_the_x_axis(self, dim):
+        # start = goal in 2-D and 3-D, and a vertical line in 3-D: the part
+        # across the line is pushed along x
+        start = np.zeros(dim)
+        goals = [start] + ([np.array([0.0, 0.0, 2.0])] if dim == 3 else [])
+        deltas = np.zeros((dim, 1, 4))
+        deltas[-1, 0, 1] = -1.0 if dim == 3 else 0.0
+        for goal in goals:
+            untied = _untie(deltas, np.array([[0.5]]), start, goal)
+            expected = deltas.copy()
+            expected[0] += 0.5e-3
+            if dim == 3 and goal is start:
+                expected[:, 0, 1] = deltas[:, 0, 1]  # (0, 0, -1) is all across an empty line: kept
+            np.testing.assert_array_equal(untied, expected)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_tie_leaves_the_offsets(self, dim):
+        deltas = np.random.default_rng(dim).normal(size=(dim, 3, 20))
+        start, goal = np.zeros(dim), np.ones(dim)
+        assert _untie(deltas, np.full((3, 1), 0.5), start, goal) is deltas
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_centred_obstacle_is_passed_between_the_samples_too(self, dim):
+        # an obstacle centred on a start-goal line that is not axis-aligned:
+        # without the rule every polar point stays on the line, the samples
+        # clear and the path between them crosses the obstacle
+        n_p = 60 if dim == 2 else 50
+        start, goal = np.array([0.0, 0.0, 1.0][:dim]), np.array([6.0, 3.0, 2.5][:dim])
+        centre = 0.5 * (start + goal)
+        prob = SingleProblem(
+            basis=build_basis(0.0, 6.0, n_p, 8),
+            boundary=tuple(AxisBoundary(p0=s0, p1=g0) for s0, g0 in zip(start, goal)),
+            desired=_line(start, goal, n_p),
+            obstacles=_stack([_static_obstacle(centre, EllipsoidShape(0.8, 0.6), n_p)]),
+        )
+        sol = solve_single(prob, SingleParams(max_iter=400))
+        assert sol.converged
+        scaled = los_scale((_fine_positions(prob, sol.state.xi) - centre).T, 0.8, 0.6, lower=0.0)
+        assert scaled.min() >= 1.0 - 1e-2
+
+
+def _fine_positions(prob, xi):
+    """The positions of xi on a grid ten times finer than the problem's samples, (10 (n_p - 1) + 1, dim)."""
+    grid = prob.basis.grid
+    fine = build_basis(grid.t0, grid.tf, 10 * (grid.n_p - 1) + 1, prob.basis.degree)
+    return fine.P @ xi.T
 
 
 class TestWarmState:
@@ -903,7 +786,7 @@ class TestWarmState:
         state = self._solved_state(make_problem_3d(degree=8))
         self._assert_rejected_untouched(make_problem_3d(degree=10), state, "warm state xi")
 
-    @pytest.mark.parametrize("name", ["d", "unit", "copies", "lam_pos", "lam_copies", "residuals"])
+    @pytest.mark.parametrize("name", ["d", "recon", "lam", "residuals"])
     def test_polar_shape_mismatch_rejected(self, name):
         obstacles = [_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)]
         state = self._solved_state(make_problem_3d(obstacles=obstacles))
@@ -916,23 +799,24 @@ class TestWarmState:
         more = [_static_obstacle([x, 0.5], EllipsoidShape(0.5, 0.5), 60) for x in (2.0, 4.0, 6.0)]
         self._assert_rejected_untouched(make_problem_2d(obstacles=more), state, "warm state d")
 
-    # a stack of the wrong height: a beta pair on a planar problem, or none on a spatial one
+    # polar rows of the wrong count: a z row (the one the beta angle spans)
+    # on a planar problem, or none on a spatial one
     def test_beta_set_on_planar_problem_rejected(self):
         prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
         state = self._solved_state(prob)
-        state.unit = np.concatenate([state.unit, state.unit])
-        self._assert_rejected_untouched(prob, state, r"warm state unit has shape \(4, 1, 60\), expected \(2, 1, 60\)")
+        state.recon = np.concatenate([state.recon, state.recon[:1]])
+        self._assert_rejected_untouched(prob, state, r"warm state recon has shape \(3, 1, 60\), expected \(2, 1, 60\)")
 
     def test_beta_unset_on_spatial_problem_rejected(self):
         prob = make_problem_3d(obstacles=[_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)])
         state = self._solved_state(prob)
-        state.copies = state.copies[:2]
-        self._assert_rejected_untouched(prob, state, r"warm state copies has shape \(2, 1, 50\), expected \(4, 1, 50\)")
+        state.lam = state.lam[:2]
+        self._assert_rejected_untouched(prob, state, r"warm state lam has shape \(2, 1, 50\), expected \(3, 1, 50\)")
 
     def _obstacle_problem_3d(self):
         return make_problem_3d(obstacles=[_static_obstacle([3.0, 0.4, 1.0], EllipsoidShape(0.5, 0.5), 50)])
 
-    @pytest.mark.parametrize("name", ["xi", "d", "unit", "copies", "lam_pos", "lam_copies"])
+    @pytest.mark.parametrize("name", ["xi", "d", "recon", "lam"])
     def test_non_finite_array_rejected(self, name):
         # a NaN multiplier used to be swept in and come back as NaN
         # coefficients, reported unconverged
@@ -963,22 +847,22 @@ class TestWarmState:
 
     @pytest.mark.parametrize("kind,params", [("barn-like", None), ("random-static", {"dim": 3}), ("dynamic-flow", None)])
     def test_swept_arrays_are_not_read(self, kind, params):
-        # a sweep writes xi (the position step), the copies and the residual
-        # block before it reads them, so their warm values reach no output
+        # a sweep writes xi (the position step), d and the residual block
+        # before it reads them, so their warm values reach no output
         scenario = gen_scenario(kind, params, seed=0)
         basis = build_basis(scenario.horizon.t0, scenario.horizon.tf, scenario.horizon.n_p, 10)
         state = self._solved_state(runner.single_problem_from_scenario(scenario, basis), iters=5)
         prob = runner.single_problem_from_scenario(scenario, basis, t_now=0.5)
         other = copy.deepcopy(state)
         rng = np.random.default_rng(2)
-        for name in ("xi", "copies", "residuals"):
+        for name in ("xi", "d", "residuals"):
             setattr(other, name, rng.normal(size=getattr(state, name).shape))
         warm = solve_single(prob, SingleParams(max_iter=3), state=other)
         expected = solve_single(prob, SingleParams(max_iter=3), state=state)
         assert (warm.iterations, warm.converged, warm.residual_history) == (
             expected.iterations, expected.converged, expected.residual_history)
         np.testing.assert_array_equal(warm.trajectory.pos, expected.trajectory.pos)
-        for name in ("xi", "d", "unit", "copies", "lam_pos", "lam_copies", "residuals"):
+        for name in ("xi", "d", "recon", "lam", "residuals"):
             np.testing.assert_array_equal(getattr(warm.state, name), getattr(expected.state, name), err_msg=name)
 
     def test_iterations_count_the_call(self):
@@ -988,7 +872,7 @@ class TestWarmState:
         sol = solve_single(prob, SingleParams(max_iter=3, tol=0.0), state=state)
         assert (sol.iterations, sol.state.iteration, len(sol.residual_history)) == (3, 23, 3)
 
-    @pytest.mark.parametrize("name", ["d", "unit", "copies", "lam_pos", "lam_copies", "residuals"])
+    @pytest.mark.parametrize("name", ["d", "recon", "lam", "residuals"])
     def test_read_only_array_rejected(self, name):
         # a sweep writes these in place; a read-only one used to fail
         # partway through the first sweep, or not at all
@@ -1000,14 +884,14 @@ class TestWarmState:
     def test_array_of_another_dtype_rejected(self):
         prob = self._obstacle_problem_3d()
         state = self._solved_state(prob)
-        state.unit = state.unit.astype(np.float32)
-        self._assert_rejected_untouched(prob, state, "warm state unit must be a float64 array")
+        state.recon = state.recon.astype(np.float32)
+        self._assert_rejected_untouched(prob, state, "warm state recon must be a float64 array")
 
     def test_arrays_sharing_memory_rejected(self):
         prob = self._obstacle_problem_3d()
         state = self._solved_state(prob)
-        state.copies = state.unit
-        self._assert_rejected_untouched(prob, state, "warm state unit and copies share memory")
+        state.lam = state.recon
+        self._assert_rejected_untouched(prob, state, "warm state recon and lam share memory")
 
     @pytest.mark.parametrize("change", ["horizon", "w_smooth"])
     def test_changed_saddle_matrix_is_refactored(self, change):
@@ -1066,7 +950,7 @@ class TestWarmState:
 
 
 class TestShiftState:
-    _SHIFTED = ("d", "unit", "lam_pos", "lam_copies")
+    _SHIFTED = ("d", "recon", "lam")
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_time_indexed_arrays_move_and_repeat_their_last_sample(self, dim):
@@ -1082,7 +966,7 @@ class TestShiftState:
             assert got is arrays[name]  # in place
             np.testing.assert_array_equal(got[..., :-4], old[..., 4:], err_msg=name)
             np.testing.assert_array_equal(got[..., -4:], np.repeat(old[..., -1:], 4, axis=-1), err_msg=name)
-        for name in ("xi", "copies", "residuals"):
+        for name in ("xi", "residuals"):
             np.testing.assert_array_equal(getattr(state, name), getattr(before, name), err_msg=name)
 
     @pytest.mark.parametrize("n", [0, -1, 60, 61])
@@ -1160,6 +1044,22 @@ class TestProblemValidation:
             SingleProblem(**{**vars(prob), "obstacles": Obstacles(centres, [0.5], [0.5])})
 
 
+    @pytest.mark.parametrize(
+        "raw_axes", [([0.5, 0.5], [0.5]), ([float("nan")], [0.5]), ([0.5], [0.0])], ids=["two-a", "a-nan", "b-zero"]
+    )
+    def test_bad_raw_semi_axes_rejected(self, raw_axes):
+        prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
+        with pytest.raises(ValueError, match="semi-axes"):
+            SingleProblem(**{**vars(prob), "raw_axes": raw_axes})
+
+    def test_raw_semi_axes_are_copied_read_only(self):
+        prob = make_problem_2d(obstacles=[_static_obstacle([4.0, 0.5], EllipsoidShape(0.5, 0.5), 60)])
+        raw = [0.45], [0.4]
+        prob = SingleProblem(**{**vars(prob), "raw_axes": raw})
+        raw[0][0] = 9.0
+        assert [axis.tolist() for axis in prob.raw_axes] == [[0.45], [0.4]]
+        assert not any(axis.flags.writeable for axis in prob.raw_axes)
+
     def test_basis_below_the_boundary_rows_rejected(self):
         # a degree-4 basis has 5 coefficients per axis for 6 boundary rows:
         # it was accepted, and the first sweep raised FactorizationError
@@ -1187,6 +1087,8 @@ class TestParamsValidation:
             dict(stall_window=0),
             dict(tol=float("nan")),
             dict(stall_improvement=float("nan")),
+            dict(extra_sweeps=-1),
+            dict(extra_sweeps=2.0),
         ],
         ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
     )

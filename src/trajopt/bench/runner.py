@@ -175,19 +175,20 @@ def _timed(solve, *args, **kwargs):
     return out, 1000.0 * (time.perf_counter() - t_start)
 
 
-def _plan(solver: str, problem, max_iter: int, seed: int, state=None, extra_sweeps: int = 0):
+def _plan(solver: str, problem, max_iter: int, seed: int, state=None, extra_sweeps: int = 0, stop_on_certificate: bool = False):
     """Solve a single or batch problem, from a warm state if one is given.
 
     Returns (trajectory, residual_norm, iterations, state, wall_ms).  A batch
-    run returns its best feasible member, else its least-residual one.  A
-    single solve sweeps on past max_iter while its plan is uncertified, up
-    to extra_sweeps more (SingleParams.extra_sweeps).
+    run returns its best feasible member, else its least-residual one, and
+    with stop_on_certificate ends at its certified stop (BatchParams.
+    stop_on_certificate).  A single solve sweeps on past max_iter while its
+    plan is uncertified, up to extra_sweeps more (SingleParams.extra_sweeps).
     """
     if solver == "single":
         params = solver_single.SingleParams(max_iter=max_iter, extra_sweeps=extra_sweeps)
         sol, wall_ms = _timed(solver_single.solve_single, problem, params, state=state)
         return sol.trajectory, sol.residual_norm, sol.iterations, sol.state, wall_ms
-    params = solver_batch.BatchParams(max_iter=max_iter)
+    params = solver_batch.BatchParams(max_iter=max_iter, stop_on_certificate=stop_on_certificate)
     ranked, wall_ms = _timed(solver_batch.solve_batch_opt, problem, params, seed=seed, state=state)
     idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
     return ranked.trajectories[idx], float(ranked.residual_norm[idx]), ranked.iterations, ranked.state, wall_ms
@@ -199,9 +200,12 @@ def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir
     success is the direct geometric check, min_clearance >= 0 against the
     raw obstacles (for multiagent, the least pair distance against the agent
     diameter); convergence is reported separately through residual_final.
-    multiagent stops at its clearance certificate (JointParams.
-    stop_on_certificate), so its iters and residual_final are those of the
-    certified stop.
+    batch and multiagent stop at their certificates (BatchParams.
+    stop_on_certificate: a stationary best candidate that passes the raw
+    feasibility check; JointParams.stop_on_certificate: a residual that
+    proves clearance), so for them iters and residual_final are those of
+    the certified stop, at most iters; a batch run with no such member runs
+    all of iters.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -210,7 +214,7 @@ def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir
 
     if solver in ("single", "batch"):
         build = single_problem_from_scenario if solver == "single" else batch_problem_from_scenario
-        traj, residual, iterations, _, wall_ms = _plan(solver, build(scenario, basis), iters, seed)
+        traj, residual, iterations, _, wall_ms = _plan(solver, build(scenario, basis), iters, seed, stop_on_certificate=True)
     elif solver in ("priest", "cem"):
         setup = priest_setup_from_scenario(scenario, basis)
         dist = default_sampling_distribution(scenario, basis)
@@ -343,10 +347,11 @@ def receding_horizon_run(
     The single solver's warm state is first shifted by the executed samples
     (solver_single.shift_state), so each step starts from the rest of the
     last plan; the batch state is handed on as it is.
-    step_budget is the solve's max_iter.  It caps a batch step's iterations,
-    but not a single step's: a single plan that is not clear of the raw
-    predicted obstacles at the budget is swept on, in the same solve, up to
-    MPC_EXTRA_SWEEPS more sweeps, until it is.  A step's wall_time_ms covers
+    step_budget is the solve's max_iter.  A batch step runs all of it, with
+    no certified stop: with the stop, one fewer of 24 planar episodes
+    reached its goal.  The budget does not cap a single step: a single plan
+    that is not clear of the raw predicted obstacles at the budget is swept
+    on, in the same solve, up to MPC_EXTRA_SWEEPS more sweeps, until it is.  A step's wall_time_ms covers
     its solve only, and MpcResult.uncertified_steps counts the steps whose
     plan was executed though not clear (min_clearance < 0 against the
     obstacles as predicted for the plan's times).  The executed segment is

@@ -37,6 +37,7 @@ The kernel, the only place this math is written:
 - residual_extremes: the (norm, max |entry|) a solver reports of a residual;
 - check_count: the check of one integer count (iterations, windows, batch
   sizes, seeds) that every params class and the batch problem share;
+- check_flag: the check of one bool switch (the certified stops);
 - check_real: the check of one real-valued input (limits, weights, margins,
   penalties, semi-axes, horizon ends) against one of a few named rules, that
   every params, problem and scenario class shares;
@@ -73,6 +74,7 @@ __all__ = [
     "Schedule",
     "angle2d",
     "check_count",
+    "check_flag",
     "check_gaussian",
     "check_obstacles",
     "check_real",
@@ -589,6 +591,14 @@ def check_count(owner, lower, *names):
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if value < lower:
             raise ValueError(f"{name} must be at least {lower}, got {value}")
+
+
+def check_flag(owner, *names):
+    """Reject each named field of owner unless it is a bool (NumPy's too); a truthy string or number is not."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 # The rules of check_real, each named by what it asks of a value, as its error states it.

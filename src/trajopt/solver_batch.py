@@ -59,6 +59,20 @@ and norm.  A warm start takes that pass at its own iterate on the new
 problem, as init_state does at the samples, so nothing of the last
 problem's targets is carried over.  The heading block is fit to
 arctan2(sin-copy, cos-copy) targets (a convex surrogate).
+
+A solve runs max_iter iterations, or with BatchParams.stop_on_certificate
+ends at the first iteration whose best candidate is stationary and
+certified.  The candidates are the members with residual_max <= tol; the
+best is the least augmented cost, cost + rho residual_norm, the final
+ranking's key.  It is stationary when that least cost has changed by at
+most stall_improvement (relative) over the last stall_window iterations of
+the call, and certified when it passes check_raw_feasibility.  The per
+iteration test costs the candidates in coefficient space, xi Q xi' + 2 q
+xi' + const, one (N_b, 4m) by (4m, 4m) product; only a stationary
+iteration ranks by the sample-space cost and checks one member, in a
+one-member workspace of the collision pass.  Every feasible member is a
+candidate, so the certified member is the ranking's best_index, and the
+iterates are those of a solve whose max_iter is the stop's iteration.
 """
 
 from __future__ import annotations
@@ -69,7 +83,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, endpoints, sample_trajectory, straight_line_coeffs
-from .geometry import ObstacleRows, Obstacles, Schedule, check_count, check_gaussian, check_obstacles, check_real, draw_gaussian, norm_clamp
+from .geometry import ObstacleRows, Obstacles, Schedule, check_count, check_flag, check_gaussian, check_obstacles, check_real, draw_gaussian, norm_clamp
 
 
 @dataclass(frozen=True)
@@ -124,12 +138,17 @@ class BatchProblem:
 class BatchParams(Schedule):
     d_margin: float = 1e-2
     kin_margin: float = 1e-2
+    # end at the first iteration whose best candidate (residual_max <= tol,
+    # least augmented cost) is stationary and passes check_raw_feasibility;
+    # see solve_batch_opt
+    stop_on_certificate: bool = False
 
     def __post_init__(self):
         super().__post_init__()
         check_real(self, "non-negative and finite", "d_margin", "kin_margin")
         if self.d_margin >= 1.0:
             raise ValueError(f"d_margin must lie in [0, 1), got {self.d_margin}")
+        check_flag(self, "stop_on_certificate")
 
 
 @dataclass
@@ -211,28 +230,34 @@ class _Structure:
         self.Q_psi_smooth = Pddot.T @ Pddot
 
         self.obstacles = problem.obstacles
-        self._rows = None
+        self._rows = {}
         # the factor caches compare these by identity first
         for keyed in (self.Q, self.FtF, self.A, self.b, self.Q_psi_smooth, self.PtP, self.A_psi, self.b_psi):
             keyed.setflags(write=False)
 
     def obstacle_rows(self, n_b: int) -> ObstacleRows:
-        """The collision pass's workspace for n_b members, allocated at its first use in a solve."""
-        if self._rows is None or self._rows.n != n_b * self.r.size:
-            self._rows = ObstacleRows(self.obstacles, n_b * self.r.size)
-        return self._rows
+        """The collision pass's workspace for n_b members, allocated at its first use in a solve.
+
+        Each member count keeps its own, so the certificate's one-member
+        check never reallocates the whole batch's.
+        """
+        if n_b not in self._rows:
+            self._rows[n_b] = ObstacleRows(self.obstacles, n_b * self.r.size)
+        return self._rows[n_b]
 
 
-def _circles(struct, basis, xi, heading):
-    """Footprint circle centres as points of the collision pass, (N_b * n_c, 2, n_p).
+def _circles(struct, basis, xi, heading, members=slice(None)):
+    """Footprint circle centres of the given members as points of the collision pass, (n * n_c, 2, n_p).
 
-    heading is the (N_b, n_p) pair placing the circles along the body
-    x-axis: the copies (P xi_c, P xi_s) in the residual pass, (cos psi,
-    sin psi) for the true circles.  The circles are member-major.
+    heading is the (n, n_p) pair placing the members' circles along the
+    body x-axis: the copies (P xi_c, P xi_s) in the residual pass, (cos psi,
+    sin psi) for the true circles.  The positions are rows of the whole
+    batch's product, so a member's circles do not depend on which others
+    are taken.  The circles are member-major.
     """
     xi_x, _, xi_y, _ = _split(xi, struct.m)
     r = struct.r[None, :, None]
-    circles = [(xi_p @ basis.P.T)[:, None, :] + r * h[:, None, :] for xi_p, h in zip((xi_x, xi_y), heading)]
+    circles = [(xi_p @ basis.P.T)[members][:, None, :] + r * h[:, None, :] for xi_p, h in zip((xi_x, xi_y), heading)]
     return np.stack(circles, axis=2).reshape(-1, 2, basis.n_p)
 
 
@@ -394,27 +419,67 @@ def _member_costs(state, problem, struct):
     return problem.w_smooth * smooth + problem.w_track * track
 
 
-def check_raw_feasibility(state, problem, struct, d_margin, kin_margin):
+def check_raw_feasibility(state, problem, struct, d_margin, kin_margin, members=None):
     """Direct evaluation of the original quadratic constraints per member.
 
     A member is feasible when every circle keeps a scaled distance of at
     least 1 - d_margin from every obstacle, and its speed and acceleration
     stay within (1 + kin_margin) of their limits; d_margin lies in [0, 1).
+    members, an index array, checks only those members, in that order.  Their
+    samples are rows of the whole batch's products and the rest is
+    elementwise, so each gets the verdict the whole check gives it.
     """
-    basis, m, n_b = problem.basis, struct.m, state.xi.shape[0]
+    basis, m = problem.basis, struct.m
+    rows = slice(None) if members is None else np.asarray(members, dtype=np.intp)
     xi_x, _, xi_y, _ = _split(state.xi, m)
-    ok = np.ones(n_b, dtype=bool)
+    psi = state.psi[rows]
+    n = psi.shape[0]
+    ok = np.ones(n, dtype=bool)
     if problem.n_o:
-        circles = _circles(struct, basis, state.xi, (np.cos(state.psi), np.sin(state.psi)))
+        circles = _circles(struct, basis, state.xi, (np.cos(psi), np.sin(psi)), rows)
         # exact here: an entry the broad phase skips has q >= 1, and d_margin >= 0
-        q = struct.obstacle_rows(n_b).least_sq_norms(circles)
+        q = struct.obstacle_rows(n).least_sq_norms(circles)
         # sqrt is monotone, so the least distance is the root of the least q
-        ok &= np.sqrt(q.reshape(n_b, -1).min(axis=1)) >= 1.0 - d_margin
-    speed = np.hypot(xi_x @ basis.Pdot.T, xi_y @ basis.Pdot.T)
-    ok &= speed.max(axis=1) <= problem.v_max * (1.0 + kin_margin)
-    accel = np.hypot(xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T)
-    ok &= accel.max(axis=1) <= problem.a_max * (1.0 + kin_margin)
+        ok &= np.sqrt(q.reshape(n, -1).min(axis=1)) >= 1.0 - d_margin
+    for limit, mat in ((problem.v_max, basis.Pdot), (problem.a_max, basis.Pddot)):
+        norm = np.hypot((xi_x @ mat.T)[rows], (xi_y @ mat.T)[rows])
+        ok &= norm.max(axis=1) <= limit * (1.0 + kin_margin)
     return ok
+
+
+class _CertifiedStop:
+    """The test of BatchParams.stop_on_certificate, taken after each iteration of one solve.
+
+    Each call records the least augmented cost over the candidates, +inf
+    with none, the cost taken in coefficient space (_member_costs to
+    rounding).  A stationary call ranks by the final ranking's own key and
+    passes when that member passes check_raw_feasibility.
+    """
+
+    def __init__(self, params: BatchParams, problem: BatchProblem, struct: _Structure):
+        self.params, self.problem, self.struct = params, problem, struct
+        self.records: list[float] = []
+        # a member's cost is xi Q xi' + xi q2' + cost_0 + w_smooth xi_psi Q_psi_smooth xi_psi'
+        self.q2, self.cost_0 = 2.0 * struct.q, problem.w_track * float(np.sum(problem.desired**2))
+
+    def __call__(self, state: BatchState) -> bool:
+        params, struct = self.params, self.struct
+        candidates = state.residual_max <= params.tol
+        key = np.inf
+        if candidates.any():
+            xi, xi_psi = state.xi[candidates], state.xi_psi[candidates]
+            costs = np.einsum("ij,ij->i", xi @ struct.Q + self.q2, xi) + self.cost_0
+            costs += self.problem.w_smooth * np.einsum("ij,ij->i", xi_psi @ struct.Q_psi_smooth, xi_psi)
+            key = float(np.min(costs + state.rho * state.residual_norm[candidates]))
+        self.records.append(key)
+        window = self.records[-(params.stall_window + 1) :]
+        if len(window) <= params.stall_window or not np.isfinite(window).all():
+            return False
+        if not abs(key - window[0]) <= params.stall_improvement * abs(window[0]):
+            return False
+        aug_costs = _member_costs(state, self.problem, struct) + state.rho * state.residual_norm
+        best = int(np.argmin(np.where(candidates, aug_costs, np.inf)))
+        return bool(check_raw_feasibility(state, self.problem, struct, params.d_margin, params.kin_margin, [best])[0])
 
 
 def solve_batch_opt(
@@ -436,7 +501,10 @@ def solve_batch_opt(
     coefficients and multipliers must fit the problem, its first residual
     pass is taken on this problem, and its cached factors are reused only
     while the saddle matrices they factor are unchanged.  iterations counts
-    the sweeps of this call.
+    the sweeps of this call.  With params.stop_on_certificate the call ends
+    at its first iteration whose best candidate is stationary over the
+    call's own window and passes check_raw_feasibility (see the module
+    docstring); a call with no such iteration runs all of max_iter.
     """
     params = params or BatchParams()
     struct = _Structure(problem)
@@ -461,6 +529,7 @@ def solve_batch_opt(
     best_history = []
     start = last_change = state.iteration
     maxabs_hist: list[float] = []
+    certified = _CertifiedStop(params, problem, struct) if params.stop_on_certificate else None
     for _ in range(params.max_iter):
         batch_iteration(state, problem, struct)
         best_idx = int(np.argmin(state.residual_norm))
@@ -471,6 +540,8 @@ def solve_batch_opt(
         if params.stalled(maxabs_hist, state.iteration - last_change):
             state.rho = params.grown(state.rho)
             last_change = state.iteration
+        if certified is not None and certified(state):
+            break
 
     residual_max, residual_norm = state.residual_max, state.residual_norm
     feasible = (residual_max <= params.tol) & check_raw_feasibility(

@@ -80,7 +80,7 @@ import numpy as np
 
 from . import qpcore
 from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, sample_trajectory, straight_line_coeffs
-from .geometry import EllipsoidShape, check_count, check_real, radial_target, residual_extremes, stalled
+from .geometry import EllipsoidShape, check_count, check_flag, check_real, radial_target, residual_extremes, stalled
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,7 @@ class JointParams:
         check_count(self, 0, "max_iter")
         check_real(self, "non-negative and finite", "inflation_factor", "typical_residual")
         check_real(self, "not NaN", "tol_norm", "stall_improvement")
+        check_flag(self, "stop_on_certificate")
 
 
 @dataclass

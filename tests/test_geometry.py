@@ -960,9 +960,10 @@ class TestSchedule:
     def test_params_keep_its_fields_in_order(self):
         names = [f.name for f in dataclasses.fields(Schedule)]
         assert [f.name for f in dataclasses.fields(SingleParams)] == [*names, "extra_sweeps"]
-        assert [f.name for f in dataclasses.fields(BatchParams)] == [*names, "d_margin", "kin_margin"]
+        assert [f.name for f in dataclasses.fields(BatchParams)] == [*names, "d_margin", "kin_margin", "stop_on_certificate"]
         assert (SingleParams().max_iter, SingleParams().tol, SingleParams().stall_improvement) == (300, 1e-3, 0.04)
         assert SingleParams().extra_sweeps == 0
+        assert BatchParams().stop_on_certificate is False
         assert (BatchParams().max_iter, BatchParams().tol) == (100, 1e-2)
 
 
@@ -1094,6 +1095,15 @@ class TestCheckReal:
     def test_prefix_leads_the_message(self):
         with pytest.raises(ValueError, match=r"^warm state rho must be a real number, positive and finite, got 0\.0$"):
             geometry.check_real(SimpleNamespace(rho=0.0), "positive and finite", "rho", prefix="warm state ")
+
+
+def test_check_flag_takes_only_bools():
+    for value in (True, False, np.True_, np.False_):
+        geometry.check_flag(SimpleNamespace(stop=value), "stop")
+    # each was truthy or falsy, and taken as a switch without a word
+    for value in ("no", "", 1, 0, 1.0, None, np.array(True)):
+        with pytest.raises(ValueError, match=rf"^stop must be a bool, got {re.escape(repr(value))}$"):
+            geometry.check_flag(SimpleNamespace(stop=value), "stop")
 
 
 def test_public_names_are_used_by_the_package():

@@ -283,7 +283,7 @@ class TestApplyPrimal:
     }
 
     @pytest.mark.parametrize("solver", list(SHAPES))
-    def test_folded_apply_is_solve_primal(self, solver):
+    def test_folded_apply_is_solve_batch(self, solver):
         blocks, n_v, n_eq, n_b = self.SHAPES[solver]
         rng = np.random.default_rng(sum(map(ord, solver)))
         Q = _graded_hessians(rng, blocks[0] if blocks else 1, n_v, 3.0)

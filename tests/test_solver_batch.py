@@ -13,6 +13,7 @@ from trajopt.solver_batch import (
     BatchParams,
     BatchProblem,
     FootprintSpec,
+    _CertifiedStop,
     _circles,
     _member_costs,
     _Structure,
@@ -794,6 +795,75 @@ class TestSolveBatchOpt:
         assert len(built) == 1
 
 
+def _flow_problem(seed, n_batch):
+    scenario = gen_scenario("dynamic-flow", seed=seed)
+    h = scenario.horizon
+    return runner.batch_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, degree=10), n_batch=n_batch)
+
+
+class TestStopOnCertificate:
+    """BatchParams.stop_on_certificate ends a solve at a stationary, raw-feasible best candidate."""
+
+    def test_stopped_solve_is_the_truncated_solve(self):
+        prob = _flow_problem(3, 30)
+        stopped = solve_batch_opt(prob, BatchParams(max_iter=40, stop_on_certificate=True), seed=3)
+        k = stopped.iterations
+        assert 0 < k < 40
+        truncated = solve_batch_opt(prob, BatchParams(max_iter=k), seed=3)
+        assert stopped.best_index is not None and stopped.best_index == truncated.best_index
+        assert stopped.feasible[stopped.best_index]
+        for name in ("costs", "aug_costs", "feasible", "residual_max", "residual_norm"):
+            np.testing.assert_array_equal(getattr(stopped, name), getattr(truncated, name), err_msg=name)
+        for name in ("xi", "xi_psi", "lam", "lam_psi", "psi"):
+            np.testing.assert_array_equal(getattr(stopped.state, name), getattr(truncated.state, name), err_msg=name)
+        assert stopped.state.rho == truncated.state.rho
+        assert stopped.best_history == truncated.best_history
+
+    def test_no_feasible_member_runs_every_iteration(self):
+        # seed 4 has no feasible member at 40 iterations (nor at 100 with 100 members)
+        prob = _flow_problem(4, 20)
+        ranked = solve_batch_opt(prob, BatchParams(max_iter=40, stop_on_certificate=True), seed=4)
+        assert ranked.iterations == 40
+        assert ranked.best_index is None and not ranked.feasible.any()
+
+    def test_warm_solve_counts_its_window_from_its_first_iteration(self):
+        # the cold solve stops at a stationary best candidate; the warm one
+        # takes stall_window + 1 records of its own before it may stop again
+        prob = _flow_problem(2, 20)
+        params = BatchParams(max_iter=40, stop_on_certificate=True)
+        cold = solve_batch_opt(prob, params, seed=2)
+        assert cold.iterations < params.max_iter
+        state = copy.deepcopy(cold.state)
+        warm = solve_batch_opt(prob, params, state=cold.state)
+        assert warm.iterations == params.stall_window + 1
+        truncated = solve_batch_opt(prob, BatchParams(max_iter=warm.iterations), state=state)
+        assert warm.best_index == truncated.best_index is not None
+        np.testing.assert_array_equal(warm.state.xi, truncated.state.xi)
+
+    def test_record_is_the_least_candidate_key(self):
+        prob = _flow_problem(2, 20)
+        params = BatchParams(max_iter=30)
+        state = solve_batch_opt(prob, params, seed=2).state
+        candidates = state.residual_max <= params.tol
+        assert 0 < candidates.sum() < candidates.size
+        struct = _Structure(prob)
+        stop = _CertifiedStop(params, prob, struct)
+        assert not stop(state)  # one record is no window
+        aug_costs = _member_costs(state, prob, struct) + state.rho * state.residual_norm
+        assert stop.records == [pytest.approx(aug_costs[candidates].min(), rel=1e-12)]
+
+    def test_one_member_check_is_the_whole_check(self):
+        prob = _flow_problem(2, 20)
+        ranked = solve_batch_opt(prob, BatchParams(max_iter=30), seed=2)
+        struct = _Structure(prob)
+        whole = check_raw_feasibility(ranked.state, prob, struct, 1e-2, 1e-2)
+        assert 0 < whole.sum() < whole.size
+        members = np.arange(whole.size)[::-1]
+        np.testing.assert_array_equal(check_raw_feasibility(ranked.state, prob, struct, 1e-2, 1e-2, members), whole[::-1])
+        for i in range(whole.size):
+            assert check_raw_feasibility(ranked.state, prob, struct, 1e-2, 1e-2, [i])[0] == whole[i]
+
+
 class TestBadSamplesRejected:
     """Samples and sampling moments that no pass can use are rejected before the first one."""
 
@@ -945,6 +1015,8 @@ class TestParamsValidation:
             dict(rho_growth=float("nan")),  # likewise, once rho first grew
             dict(stall_window=0),  # warned "Mean of empty slice" and never grew rho
             dict(rho_cap=-1.0),
+            dict(stop_on_certificate="no"),  # truthy, it turned the stop on
+            dict(stop_on_certificate=1),
         ],
         ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
     )
@@ -957,6 +1029,7 @@ class TestParamsValidation:
         BatchParams(rho_start=2.0, rho_cap=2.0, rho_growth=1.0, max_iter=0, stall_window=1, tol=0.0)
         BatchParams(d_margin=0.0, kin_margin=0.0)
         BatchParams(d_margin=0.999, kin_margin=10.0)
+        BatchParams(stop_on_certificate=np.True_)
 
     @pytest.mark.parametrize(
         "name,value",

@@ -1013,6 +1013,7 @@ class TestParamsValidation:
             dict(typical_residual=-0.01),
             dict(tol_norm=np.nan),  # accepted, a solve then never converged
             dict(stall_improvement=np.nan),
+            dict(stop_on_certificate="no"),  # truthy, it turned the stop on
             # each of these raised TypeError
             *(
                 dict.fromkeys([name], value)

@@ -63,16 +63,18 @@ arctan2(sin-copy, cos-copy) targets (a convex surrogate).
 A solve runs max_iter iterations, or with BatchParams.stop_on_certificate
 ends at the first iteration whose best candidate is stationary and
 certified.  The candidates are the members with residual_max <= tol; the
-best is the least augmented cost, cost + rho residual_norm, the final
-ranking's key.  It is stationary when that least cost has changed by at
-most stall_improvement (relative) over the last stall_window iterations of
-the call, and certified when it passes check_raw_feasibility.  The per
-iteration test costs the candidates in coefficient space, xi Q xi' + 2 q
-xi' + const, one (N_b, 4m) by (4m, 4m) product; only a stationary
-iteration ranks by the sample-space cost and checks one member, in a
-one-member workspace of the collision pass.  Every feasible member is a
-candidate, so the certified member is the ranking's best_index, and the
-iterates are those of a solve whose max_iter is the stop's iteration.
+best is the least augmented cost, cost + rho residual_norm, the ranking's
+key.  It is stationary when that least cost has changed by at most
+stall_improvement (relative) over the last stall_window iterations of the
+call.  A member's cost is taken in coefficient space, xi Q xi' + 2 q xi' +
+w_track |desired|^2 + w_smooth xi_psi Q_psi_smooth xi_psi', one (n, 4m) by
+(4m, 4m) product; each iteration costs only the candidates.  A stationary
+iteration ranks the whole batch, costs and check_raw_feasibility, as the
+solve ranks after its loop, and the best candidate is certified when the
+ranking finds it feasible.  Every feasible member is a candidate, so the
+certified member is the ranking's best_index: the stop returns the ranking
+it took, and the iterates are those of a solve whose max_iter is the stop's
+iteration.
 """
 
 from __future__ import annotations
@@ -228,36 +230,33 @@ class _Structure:
         self.A_psi = np.vstack([P[0], P[-1]])
         self.b_psi = np.array(problem.psi_boundary, dtype=float)
         self.Q_psi_smooth = Pddot.T @ Pddot
+        # the linear, constant and heading terms of a member's cost, see _member_costs
+        self.q2, self.w_smooth = 2.0 * self.q, problem.w_smooth
+        self.cost_0 = problem.w_track * float(np.sum(problem.desired**2))
 
         self.obstacles = problem.obstacles
-        self._rows = {}
+        self._rows = None
         # the factor caches compare these by identity first
         for keyed in (self.Q, self.FtF, self.A, self.b, self.Q_psi_smooth, self.PtP, self.A_psi, self.b_psi):
             keyed.setflags(write=False)
 
     def obstacle_rows(self, n_b: int) -> ObstacleRows:
-        """The collision pass's workspace for n_b members, allocated at its first use in a solve.
-
-        Each member count keeps its own, so the certificate's one-member
-        check never reallocates the whole batch's.
-        """
-        if n_b not in self._rows:
-            self._rows[n_b] = ObstacleRows(self.obstacles, n_b * self.r.size)
-        return self._rows[n_b]
+        """The collision pass's workspace for n_b members, allocated at its first use in a solve."""
+        if self._rows is None or self._rows.n != n_b * self.r.size:
+            self._rows = ObstacleRows(self.obstacles, n_b * self.r.size)
+        return self._rows
 
 
-def _circles(struct, basis, xi, heading, members=slice(None)):
-    """Footprint circle centres of the given members as points of the collision pass, (n * n_c, 2, n_p).
+def _circles(struct, basis, xi, heading):
+    """Footprint circle centres as points of the collision pass, (N_b * n_c, 2, n_p).
 
-    heading is the (n, n_p) pair placing the members' circles along the
-    body x-axis: the copies (P xi_c, P xi_s) in the residual pass, (cos psi,
-    sin psi) for the true circles.  The positions are rows of the whole
-    batch's product, so a member's circles do not depend on which others
-    are taken.  The circles are member-major.
+    heading is the (N_b, n_p) pair placing the circles along the body
+    x-axis: the copies (P xi_c, P xi_s) in the residual pass, (cos psi,
+    sin psi) for the true circles.  The circles are member-major.
     """
     xi_x, _, xi_y, _ = _split(xi, struct.m)
     r = struct.r[None, :, None]
-    circles = [(xi_p @ basis.P.T)[members][:, None, :] + r * h[:, None, :] for xi_p, h in zip((xi_x, xi_y), heading)]
+    circles = [(xi_p @ basis.P.T)[:, None, :] + r * h[:, None, :] for xi_p, h in zip((xi_x, xi_y), heading)]
     return np.stack(circles, axis=2).reshape(-1, 2, basis.n_p)
 
 
@@ -408,78 +407,48 @@ def batch_iteration(state: BatchState, problem: BatchProblem, struct: _Structure
     return state
 
 
-def _member_costs(state, problem, struct):
-    basis, m = problem.basis, struct.m
-    xi_x, _, xi_y, _ = _split(state.xi, m)
-    ax, ay = xi_x @ basis.Pddot.T, xi_y @ basis.Pddot.T
-    psi_acc = state.xi_psi @ basis.Pddot.T
-    x, y = xi_x @ basis.P.T, xi_y @ basis.P.T
-    smooth = np.sum(ax**2 + ay**2, axis=1) + np.sum(psi_acc**2, axis=1)
-    track = np.sum((x - problem.desired[:, 0]) ** 2 + (y - problem.desired[:, 1]) ** 2, axis=1)
-    return problem.w_smooth * smooth + problem.w_track * track
+def _member_costs(struct, xi, xi_psi):
+    """The cost of each given member, xi Q xi' + 2 q xi' + cost_0 + w_smooth xi_psi Q_psi_smooth xi_psi'.
+
+    The smoothness and tracking cost of the sampled trajectory, w_smooth
+    (|Pddot xi_x|^2 + |Pddot xi_y|^2 + |Pddot xi_psi|^2) + w_track
+    |(P xi_x, P xi_y) - desired|^2, taken in coefficient space; xi and
+    xi_psi are any rows of the state's.
+    """
+    costs = np.einsum("ij,ij->i", xi @ struct.Q + struct.q2, xi) + struct.cost_0
+    return costs + struct.w_smooth * np.einsum("ij,ij->i", xi_psi @ struct.Q_psi_smooth, xi_psi)
 
 
-def check_raw_feasibility(state, problem, struct, d_margin, kin_margin, members=None):
+def check_raw_feasibility(state, problem, struct, d_margin, kin_margin):
     """Direct evaluation of the original quadratic constraints per member.
 
     A member is feasible when every circle keeps a scaled distance of at
     least 1 - d_margin from every obstacle, and its speed and acceleration
     stay within (1 + kin_margin) of their limits; d_margin lies in [0, 1).
-    members, an index array, checks only those members, in that order.  Their
-    samples are rows of the whole batch's products and the rest is
-    elementwise, so each gets the verdict the whole check gives it.
+    A solve calls it only through _ranking, on the whole batch.
     """
-    basis, m = problem.basis, struct.m
-    rows = slice(None) if members is None else np.asarray(members, dtype=np.intp)
+    basis, m, n_b = problem.basis, struct.m, state.xi.shape[0]
     xi_x, _, xi_y, _ = _split(state.xi, m)
-    psi = state.psi[rows]
-    n = psi.shape[0]
-    ok = np.ones(n, dtype=bool)
+    ok = np.ones(n_b, dtype=bool)
     if problem.n_o:
-        circles = _circles(struct, basis, state.xi, (np.cos(psi), np.sin(psi)), rows)
+        circles = _circles(struct, basis, state.xi, (np.cos(state.psi), np.sin(state.psi)))
         # exact here: an entry the broad phase skips has q >= 1, and d_margin >= 0
-        q = struct.obstacle_rows(n).least_sq_norms(circles)
+        q = struct.obstacle_rows(n_b).least_sq_norms(circles)
         # sqrt is monotone, so the least distance is the root of the least q
-        ok &= np.sqrt(q.reshape(n, -1).min(axis=1)) >= 1.0 - d_margin
+        ok &= np.sqrt(q.reshape(n_b, -1).min(axis=1)) >= 1.0 - d_margin
     for limit, mat in ((problem.v_max, basis.Pdot), (problem.a_max, basis.Pddot)):
-        norm = np.hypot((xi_x @ mat.T)[rows], (xi_y @ mat.T)[rows])
+        norm = np.hypot(xi_x @ mat.T, xi_y @ mat.T)
         ok &= norm.max(axis=1) <= limit * (1.0 + kin_margin)
     return ok
 
 
-class _CertifiedStop:
-    """The test of BatchParams.stop_on_certificate, taken after each iteration of one solve.
-
-    Each call records the least augmented cost over the candidates, +inf
-    with none, the cost taken in coefficient space (_member_costs to
-    rounding).  A stationary call ranks by the final ranking's own key and
-    passes when that member passes check_raw_feasibility.
-    """
-
-    def __init__(self, params: BatchParams, problem: BatchProblem, struct: _Structure):
-        self.params, self.problem, self.struct = params, problem, struct
-        self.records: list[float] = []
-        # a member's cost is xi Q xi' + xi q2' + cost_0 + w_smooth xi_psi Q_psi_smooth xi_psi'
-        self.q2, self.cost_0 = 2.0 * struct.q, problem.w_track * float(np.sum(problem.desired**2))
-
-    def __call__(self, state: BatchState) -> bool:
-        params, struct = self.params, self.struct
-        candidates = state.residual_max <= params.tol
-        key = np.inf
-        if candidates.any():
-            xi, xi_psi = state.xi[candidates], state.xi_psi[candidates]
-            costs = np.einsum("ij,ij->i", xi @ struct.Q + self.q2, xi) + self.cost_0
-            costs += self.problem.w_smooth * np.einsum("ij,ij->i", xi_psi @ struct.Q_psi_smooth, xi_psi)
-            key = float(np.min(costs + state.rho * state.residual_norm[candidates]))
-        self.records.append(key)
-        window = self.records[-(params.stall_window + 1) :]
-        if len(window) <= params.stall_window or not np.isfinite(window).all():
-            return False
-        if not abs(key - window[0]) <= params.stall_improvement * abs(window[0]):
-            return False
-        aug_costs = _member_costs(state, self.problem, struct) + state.rho * state.residual_norm
-        best = int(np.argmin(np.where(candidates, aug_costs, np.inf)))
-        return bool(check_raw_feasibility(state, self.problem, struct, params.d_margin, params.kin_margin, [best])[0])
+def _ranking(state, problem, struct, params):
+    """(costs, aug_costs, feasible) of every member at the state's iterate."""
+    costs = _member_costs(struct, state.xi, state.xi_psi)
+    feasible = (state.residual_max <= params.tol) & check_raw_feasibility(
+        state, problem, struct, params.d_margin, params.kin_margin
+    )
+    return costs, costs + state.rho * state.residual_norm, feasible
 
 
 def solve_batch_opt(
@@ -503,8 +472,9 @@ def solve_batch_opt(
     while the saddle matrices they factor are unchanged.  iterations counts
     the sweeps of this call.  With params.stop_on_certificate the call ends
     at its first iteration whose best candidate is stationary over the
-    call's own window and passes check_raw_feasibility (see the module
-    docstring); a call with no such iteration runs all of max_iter.
+    call's own window and feasible in that iteration's ranking, and returns
+    that ranking (see the module docstring); a call with no such iteration
+    runs all of max_iter and ranks after its loop.
     """
     params = params or BatchParams()
     struct = _Structure(problem)
@@ -526,12 +496,13 @@ def solve_batch_opt(
         _check_state(state, problem, struct)
         _first_pass(state, problem, struct)
 
-    best_history = []
+    best_history, records = [], []  # records: the stop's least candidate key per iteration
     start = last_change = state.iteration
     maxabs_hist: list[float] = []
-    certified = _CertifiedStop(params, problem, struct) if params.stop_on_certificate else None
+    ranking = None  # (costs, aug_costs, feasible) when the last iteration took it
     for _ in range(params.max_iter):
         batch_iteration(state, problem, struct)
+        ranking = None
         best_idx = int(np.argmin(state.residual_norm))
         best_history.append(
             {"norm": float(state.residual_norm[best_idx]), "max_abs": float(state.residual_max[best_idx]), "rho": state.rho}
@@ -540,15 +511,19 @@ def solve_batch_opt(
         if params.stalled(maxabs_hist, state.iteration - last_change):
             state.rho = params.grown(state.rho)
             last_change = state.iteration
-        if certified is not None and certified(state):
-            break
-
-    residual_max, residual_norm = state.residual_max, state.residual_norm
-    feasible = (residual_max <= params.tol) & check_raw_feasibility(
-        state, problem, struct, params.d_margin, params.kin_margin
-    )
-    costs = _member_costs(state, problem, struct)
-    aug_costs = costs + state.rho * residual_norm
+        if not params.stop_on_certificate:
+            continue
+        candidates = state.residual_max <= params.tol
+        keys = _member_costs(struct, state.xi[candidates], state.xi_psi[candidates])
+        records.append(float(np.min(keys + state.rho * state.residual_norm[candidates], initial=np.inf)))  # +inf with none
+        window = records[-(params.stall_window + 1) :]
+        if len(window) <= params.stall_window or not np.isfinite(window).all():
+            continue
+        if abs(window[-1] - window[0]) <= params.stall_improvement * abs(window[0]):
+            costs, aug_costs, feasible = ranking = _ranking(state, problem, struct, params)
+            if feasible[np.argmin(np.where(candidates, aug_costs, np.inf))]:
+                break
+    costs, aug_costs, feasible = ranking or _ranking(state, problem, struct, params)
     best_index = int(np.argmin(np.where(feasible, aug_costs, np.inf))) if feasible.any() else None
 
     xi_x, _, xi_y, _ = _split(state.xi, m)
@@ -556,7 +531,7 @@ def solve_batch_opt(
         sample_trajectory(basis, np.column_stack([xi_x[i], xi_y[i]]), psi=state.psi[i]) for i in range(state.xi.shape[0])
     ]
     return RankedSolutions(
-        trajectories=trajectories, costs=costs, aug_costs=aug_costs, residual_max=residual_max,
-        residual_norm=residual_norm, feasible=feasible, best_index=best_index, best_history=best_history,
+        trajectories=trajectories, costs=costs, aug_costs=aug_costs, residual_max=state.residual_max,
+        residual_norm=state.residual_norm, feasible=feasible, best_index=best_index, best_history=best_history,
         iterations=state.iteration - start, n_factorizations=state.xi_factors.count + state.psi_factors.count, state=state,
     )

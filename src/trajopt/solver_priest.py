@@ -175,7 +175,6 @@ class ProjectionSetup:
         self.n_o = n_o = self.obstacles.n_o
 
         B = boundary_matrix(basis, start_orders, end_orders)
-        self.A = np.kron(np.eye(dim), B)
         # position, velocity and acceleration samples of one axis in one product
         self._pva = np.vstack([basis.P, basis.Pdot, basis.Pddot])
 
@@ -372,10 +371,12 @@ class PriestResult:
 def update_distribution(mu, sigma_mat, elite_xi, elite_costs, sigma, gamma):
     """Exponentially weighted mean/covariance refit with learning rate.
 
-    Weights exp((cost - min cost) / gamma) favor low cost for gamma < 0; the
-    min-cost shift only stabilizes the exponentials (the normalized weights
-    are shift-invariant).  Only the elites with a finite cost are weighed;
-    with none, (mu, sigma_mat) is returned unchanged.
+    Weights exp((cost - shift) / gamma) favor low cost for gamma < 0 and
+    high cost for gamma > 0.  The shift is the cost of the largest weight,
+    the least cost for gamma < 0 and the greatest for gamma > 0, so no
+    exponent is positive; it only stabilizes the exponentials (the
+    normalized weights are shift-invariant).  Only the elites with a finite
+    cost are weighed; with none, (mu, sigma_mat) is returned unchanged.
     """
     elite_xi = np.asarray(elite_xi, dtype=float)
     costs = np.asarray(elite_costs, dtype=float)
@@ -383,7 +384,7 @@ def update_distribution(mu, sigma_mat, elite_xi, elite_costs, sigma, gamma):
     if not finite.any():
         return mu, sigma_mat
     elite_xi, costs = elite_xi[finite], costs[finite]
-    weights = np.exp((costs - costs.min()) / gamma)
+    weights = np.exp((costs - (costs.min() if gamma < 0 else costs.max())) / gamma)
     wsum = weights.sum()
     weighted_mean = (weights[:, None] * elite_xi).sum(axis=0) / wsum
     new_mu = (1.0 - sigma) * mu + sigma * weighted_mean

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trajopt import bench, qpcore, solver_batch, solver_multiagent, solver_priest, solver_single
-from trajopt.basis import build_basis, straight_line_coeffs
+from trajopt.basis import boundary_matrix, build_basis, straight_line_coeffs
 from trajopt.bench import check_collision_free, gen_scenario
 from trajopt.bench.runner import (
     batch_problem_from_scenario,
@@ -205,7 +205,8 @@ def test_criterion_08_projection_guarantees():
     mean = straight_line_coeffs(basis, scenario.boundary.start, scenario.boundary.goal).ravel()
     samples = mean[None, :] + rng.normal(scale=0.6, size=(40, mean.size))
     projected, scores, _ = solver_priest.project(setup, samples, n_inner=30)
-    boundary_ok = all(np.max(np.abs(setup.A @ xi - setup.b_eq)) <= 1e-8 for xi in projected)
+    B, b_eq = boundary_matrix(basis, (0, 1, 2), (0,)), setup.b_eq.reshape(setup.dim, -1).T
+    boundary_ok = all(np.max(np.abs(B @ xi.reshape(setup.dim, setup.m).T - b_eq)) <= 1e-8 for xi in projected)
 
     # feasible inputs are fixed points: take a strictly feasible projected
     # trajectory and push it through again

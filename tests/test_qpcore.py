@@ -334,6 +334,8 @@ class TestApplyPrimal:
             boundary_part(f, np.zeros((2, 4, 2)))
         with pytest.raises(ValueError, match="boundary part's"):
             apply_primal(f, np.zeros((3, 5)), boundary_part(f, np.zeros((4, 2))))
+        with pytest.raises(ValueError, match="boundary part's"):  # qs of the wrong width
+            apply_primal(f, np.zeros((3, 4)), boundary_part(f, np.zeros((3, 2))))
 
     def test_cache_refreshes_the_boundary_part_with_its_factor(self):
         Q, M, A = TestFactorCache._matrices()

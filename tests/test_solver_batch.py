@@ -13,7 +13,6 @@ from trajopt.solver_batch import (
     BatchParams,
     BatchProblem,
     FootprintSpec,
-    _CertifiedStop,
     _circles,
     _member_costs,
     _Structure,
@@ -159,7 +158,11 @@ class _Reference:
         st.feasible = (st.residual_max <= params.tol) & check_raw_feasibility(
             st, prob, struct, params.d_margin, params.kin_margin
         )
-        aug_costs = _member_costs(st, prob, struct) + st.rho * residual_norm
+        # the sample-space cost, an oracle apart from the solver's coefficient-space one
+        xi_x, _, xi_y, _ = _split(st.xi, self.m)
+        smooth = sum(np.sum((c @ prob.basis.Pddot.T) ** 2, axis=1) for c in (xi_x, xi_y, st.xi_psi))
+        track = sum(np.sum((c @ P.T - prob.desired[:, k]) ** 2, axis=1) for k, c in enumerate((xi_x, xi_y)))
+        aug_costs = prob.w_smooth * smooth + prob.w_track * track + st.rho * residual_norm
         st.best_index = int(np.argmin(np.where(st.feasible, aug_costs, np.inf))) if st.feasible.any() else None
         return st
 
@@ -781,6 +784,14 @@ class TestSolveBatchOpt:
         assert ranked.residual_max[0] < 1e-9
         assert ranked.feasible[0] and ranked.best_index == 0
 
+    def test_one_collision_workspace_rebuilt_only_when_the_count_changes(self):
+        struct = _Structure(make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.8, 0.8)], offsets=OFFSETS))
+        rows = struct.obstacle_rows(8)
+        assert rows.n == 8 * len(OFFSETS) and struct.obstacle_rows(8) is rows
+        other = struct.obstacle_rows(3)
+        assert other.n == 3 * len(OFFSETS) and struct.obstacle_rows(3) is other
+        assert struct.obstacle_rows(8) is not rows  # one workspace, not one per count
+
 
     def test_cold_solve_builds_one_structure(self, monkeypatch):
         built = []
@@ -840,28 +851,69 @@ class TestStopOnCertificate:
         assert warm.best_index == truncated.best_index is not None
         np.testing.assert_array_equal(warm.state.xi, truncated.state.xi)
 
-    def test_record_is_the_least_candidate_key(self):
+    def test_record_is_the_least_candidate_key(self, monkeypatch):
+        # a stopping solve keys each iteration on _member_costs of the
+        # candidates alone; its ranking costs every member
         prob = _flow_problem(2, 20)
         params = BatchParams(max_iter=30)
         state = solve_batch_opt(prob, params, seed=2).state
-        candidates = state.residual_max <= params.tol
-        assert 0 < candidates.sum() < candidates.size
-        struct = _Structure(prob)
-        stop = _CertifiedStop(params, prob, struct)
-        assert not stop(state)  # one record is no window
-        aug_costs = _member_costs(state, prob, struct) + state.rho * state.residual_norm
-        assert stop.records == [pytest.approx(aug_costs[candidates].min(), rel=1e-12)]
+        keys = []
+        member_costs = solver_batch._member_costs
 
-    def test_one_member_check_is_the_whole_check(self):
-        prob = _flow_problem(2, 20)
-        ranked = solve_batch_opt(prob, BatchParams(max_iter=30), seed=2)
-        struct = _Structure(prob)
-        whole = check_raw_feasibility(ranked.state, prob, struct, 1e-2, 1e-2)
-        assert 0 < whole.sum() < whole.size
-        members = np.arange(whole.size)[::-1]
-        np.testing.assert_array_equal(check_raw_feasibility(ranked.state, prob, struct, 1e-2, 1e-2, members), whole[::-1])
-        for i in range(whole.size):
-            assert check_raw_feasibility(ranked.state, prob, struct, 1e-2, 1e-2, [i])[0] == whole[i]
+        def recording(struct, xi, xi_psi):
+            keys.append(member_costs(struct, xi, xi_psi))
+            return keys[-1]
+
+        monkeypatch.setattr(solver_batch, "_member_costs", recording)
+        warm = solve_batch_opt(prob, BatchParams(max_iter=1, stop_on_certificate=True), state=state)
+        candidates = warm.state.residual_max <= params.tol
+        assert 0 < candidates.sum() < candidates.size
+        assert len(keys) == 2 and keys[0].shape == (candidates.sum(),)  # the candidates' key, then the ranking
+        np.testing.assert_allclose(keys[0], keys[1][candidates], rtol=1e-12)
+        np.testing.assert_array_equal(keys[1], warm.costs)
+
+    def test_member_costs_are_the_sampled_cost(self):
+        prob = BatchProblem(**{**vars(_flow_problem(2, 20)), "w_smooth": 0.7, "w_track": 1.3})
+        state = solve_batch_opt(prob, BatchParams(max_iter=5), seed=2).state
+        basis = prob.basis
+        xi_x, _, xi_y, _ = _split(state.xi, basis.n_var)
+        smooth = sum(np.sum((c @ basis.Pddot.T) ** 2, axis=1) for c in (xi_x, xi_y, state.xi_psi))
+        track = sum(np.sum((c @ basis.P.T - prob.desired[:, k]) ** 2, axis=1) for k, c in enumerate((xi_x, xi_y)))
+        costs = _member_costs(_Structure(prob), state.xi, state.xi_psi)
+        np.testing.assert_allclose(costs, 0.7 * smooth + 1.3 * track, rtol=1e-12)
+
+    def test_stopped_solve_checks_the_whole_batch_once_per_stationary_iteration(self, monkeypatch):
+        # seed 1's best candidate is stationary at iterations 35 and 36 but
+        # not feasible; the solve stops at 37
+        prob = _flow_problem(1, 30)
+        params = BatchParams(max_iter=40, stop_on_certificate=True)
+        calls = []
+        check = solver_batch.check_raw_feasibility
+
+        def counting(state, *args, **kwargs):
+            ok = check(state, *args, **kwargs)
+            calls.append((state.iteration, ok.size))
+            return ok
+
+        with monkeypatch.context() as patched:
+            patched.setattr(solver_batch, "check_raw_feasibility", counting)
+            stopped = solve_batch_opt(prob, params, seed=1)
+        assert stopped.iterations < params.max_iter
+        # the iterations whose least candidate key is stationary over the window
+        records = []
+        for h in range(1, stopped.iterations + 1):
+            state = solve_batch_opt(prob, BatchParams(max_iter=h), seed=1)
+            candidates = state.residual_max <= params.tol
+            records.append(float(np.min(state.aug_costs[candidates], initial=np.inf)))
+        stationary = [
+            k + 1
+            for k in range(params.stall_window, len(records))
+            if np.isfinite(records[k - params.stall_window : k + 1]).all()
+            and abs(records[k] - records[k - params.stall_window])
+            <= params.stall_improvement * abs(records[k - params.stall_window])
+        ]
+        assert len(stationary) > 1 and stationary[-1] == stopped.iterations
+        assert calls == [(k, prob.n_batch) for k in stationary]
 
 
 class TestBadSamplesRejected:

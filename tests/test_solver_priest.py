@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajopt import qpcore, solver_priest
-from trajopt.basis import AxisBoundary, build_basis, straight_line_coeffs
+from trajopt.basis import AxisBoundary, boundary_matrix, build_basis, straight_line_coeffs
 from trajopt.bench import gen_scenario
 from trajopt.bench.runner import _barn_c1, default_sampling_distribution, priest_setup_from_scenario, run_scenario
 from trajopt.geometry import D_CAP, ObstacleRows, Obstacles, draw_gaussian, radial_clamp
@@ -80,6 +80,11 @@ def _line_sample(setup):
     return straight_line_coeffs(setup.basis, start, goal).ravel()
 
 
+def _stacked_rows(setup):
+    """kron(I_dim, B): the boundary rows of every axis on whole samples, for the stacked factors."""
+    return np.kron(np.eye(setup.dim), boundary_matrix(setup.basis, (0, 1, 2), (0,)))
+
+
 def _reference_projection(setup, samples, n_inner):
     """The projection as first written: polar targets through arctan2/cos/sin
     and products with the dense stacked constraint matrix F.
@@ -100,7 +105,7 @@ def _reference_projection(setup, samples, n_inner):
     else:
         G, tau = np.zeros((0, dim * m)), np.zeros(0)
     F = np.vstack([F_tilde, G])
-    factor = qpcore.factorize(np.eye(dim * m) + setup.rho * F.T @ F, setup.A)
+    factor = qpcore.factorize(np.eye(dim * m) + setup.rho * F.T @ F, _stacked_rows(setup))
 
     def per_axis(xis, mat):
         return np.stack([xis[:, k * m : (k + 1) * m] @ mat.T for k in range(dim)], axis=1)
@@ -166,7 +171,7 @@ def _reference_projection(setup, samples, n_inner):
 
 def _noisy_line_samples(setup, n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    return _line_sample(setup)[None, :] + rng.normal(scale=scale, size=(n, setup.A.shape[1]))
+    return _line_sample(setup)[None, :] + rng.normal(scale=scale, size=(n, setup.dim * setup.m))
 
 
 def _acc_cost(pva):
@@ -185,10 +190,10 @@ class TestProject:
     def test_empty_constraint_set_is_equality_projection(self):
         setup = make_setup_2d(obstacles=[], v_max=None, a_max=None, bounds=False)
         rng = np.random.default_rng(0)
-        xi = rng.normal(size=setup.A.shape[1])
+        xi = rng.normal(size=setup.dim * setup.m)
         projected, _, _ = project(setup, xi[None, :], n_inner=3)
         # oracle: min ||z - xi||^2 s.t. A z = b  via the KKT system
-        factor = qpcore.factorize(np.eye(xi.size), setup.A)
+        factor = qpcore.factorize(np.eye(xi.size), _stacked_rows(setup))
         expected, _ = qpcore.solve(factor, -xi, setup.b_eq)
         np.testing.assert_allclose(projected[0], expected, atol=1e-9)
 
@@ -207,16 +212,16 @@ class TestProject:
         obstacle = _static_obstacle([4.0, 0.2], 0.8, 0.8)
         setup = make_setup_2d(obstacles=[obstacle])
         rng = np.random.default_rng(1)
-        samples = _line_sample(setup)[None, :] + rng.normal(scale=1.0, size=(12, setup.A.shape[1]))
+        samples = _line_sample(setup)[None, :] + rng.normal(scale=1.0, size=(12, setup.dim * setup.m))
         projected, _, _ = project(setup, samples, n_inner=15)
         for xi in projected:
-            np.testing.assert_allclose(setup.A @ xi, setup.b_eq, atol=1e-8)
+            np.testing.assert_allclose(_stacked_rows(setup) @ xi, setup.b_eq, atol=1e-8)
 
     def test_batch_matches_per_sample_projection(self):
         obstacle = _static_obstacle([4.0, 0.2], 0.8, 0.8)
         setup = make_setup_2d(obstacles=[obstacle])
         rng = np.random.default_rng(2)
-        samples = _line_sample(setup)[None, :] + rng.normal(scale=1.0, size=(6, setup.A.shape[1]))
+        samples = _line_sample(setup)[None, :] + rng.normal(scale=1.0, size=(6, setup.dim * setup.m))
         batch, _, _ = project(setup, samples, n_inner=10)
         for i in range(6):
             single, _, _ = project(setup, samples[i][None, :], n_inner=10)
@@ -228,7 +233,7 @@ class TestProject:
         setup = make_setup_2d(obstacles=[obstacle])
         assert qpcore.factorization_count() == before + 1
         rng = np.random.default_rng(3)
-        samples = rng.normal(size=(5, setup.A.shape[1]))
+        samples = rng.normal(size=(5, setup.dim * setup.m))
         project(setup, samples, n_inner=5)
         project(setup, samples, n_inner=5)
         assert qpcore.factorization_count() == before + 1
@@ -392,6 +397,12 @@ class TestDistributionUpdate:
             centered = elites - elites.mean(axis=0)[None, :]
             np.testing.assert_array_equal(new_mu, elites.mean(axis=0))
             np.testing.assert_array_equal(new_sigma, (centered[:, :, None] * centered[:, None, :]).mean(axis=0))
+
+    def test_positive_gamma_weighs_the_greatest_cost_without_overflow(self):
+        # shifted by the least cost, exp(1000 / 1) overflowed to a NaN mean and covariance
+        new_mu, new_sigma = update_distribution(np.zeros(2), np.eye(2), [[0.0, 0.0], [1.0, 1.0]], [0.0, 1000.0], 0.5, 1.0)
+        np.testing.assert_array_equal(new_mu, [0.5, 0.5])
+        np.testing.assert_array_equal(new_sigma, [[0.625, 0.125], [0.125, 0.625]])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_no_finite_cost_keeps_the_distribution(self, bad):
@@ -572,7 +583,7 @@ def _stacked_projection(setup, samples, n_inner):
     stacked boundary rows A, applied to whole samples: the coefficient step
     before it was split per axis.  Returns the projected coefficients."""
     n, dim, m = samples.shape[0], setup.dim, setup.m
-    factor = qpcore.factorize(np.eye(dim * m) + setup.rho * np.kron(np.eye(dim), setup.FtF), setup.A)
+    factor = qpcore.factorize(np.eye(dim * m) + setup.rho * np.kron(np.eye(dim), setup.FtF), _stacked_rows(setup))
     boundary = qpcore.boundary_part(factor, np.tile(setup.b_eq, (n, 1)))
     rows = ObstacleRows(setup.obstacles, n)
     xi_bar, lam = samples.copy(), np.zeros_like(samples)
@@ -616,7 +627,7 @@ class TestProjectMatchesReference:
         centers[10:20] = 0.0
         track = Track(centers, 1.0, 0.8)
         setup = make(obstacles=[track, _static_obstacle(np.full(dim, 3.0), 0.6, 0.9)])
-        samples = np.vstack([np.zeros(setup.A.shape[1]), _noisy_line_samples(setup, 5, seed=1)])
+        samples = np.vstack([np.zeros(setup.dim * setup.m), _noisy_line_samples(setup, 5, seed=1)])
         _assert_matches_reference(setup, samples, n_inner=20)
 
     def test_priest_optimize_one_outer_iteration(self, monkeypatch):
@@ -1007,14 +1018,14 @@ class TestCemPenalty:
         # values of the original dense formulation on a fixed input; every
         # family (obstacles, speed, acceleration, workspace box) contributes
         s2 = make_setup_2d(obstacles=[_static_obstacle([4.0, 0.0], 1.2, 0.9), _static_obstacle([6.0, 1.0], 0.7, 1.1)])
-        x2 = _line_sample(s2)[None, :] + np.random.default_rng(8).normal(scale=1.5, size=(4, s2.A.shape[1]))
+        x2 = _line_sample(s2)[None, :] + np.random.default_rng(8).normal(scale=1.5, size=(4, s2.dim * s2.m))
         np.testing.assert_allclose(
             _cem_penalty(s2, s2.pva_samples(x2), ObstacleRows(s2.obstacles, 4)),
             [9.138142420076484, 97.93144900718406, 1.0253246112348724, 136.17507851754567],
             rtol=1e-12,
         )
         s3 = make_setup_3d(obstacles=[_static_obstacle([4.0, 0.0, 1.0], 1.0, 0.8)])
-        x3 = _line_sample(s3)[None, :] + np.random.default_rng(9).normal(scale=1.5, size=(3, s3.A.shape[1]))
+        x3 = _line_sample(s3)[None, :] + np.random.default_rng(9).normal(scale=1.5, size=(3, s3.dim * s3.m))
         np.testing.assert_allclose(
             _cem_penalty(s3, s3.pva_samples(x3), ObstacleRows(s3.obstacles, 3)),
             [103.08846544930357, 34.16351275469579, 3.070211144049175],

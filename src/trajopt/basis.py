@@ -12,6 +12,12 @@ keep the Gram matrices well conditioned at the default degree 10 (monomial
 Gram condition is ~1e14 there, which poisons every downstream saddle
 system).
 
+A BasisSet also owns what every solver forms from its matrices alone: the
+Gram blocks P'P, Pdot'Pdot and Pddot'Pddot, formed once when it is built,
+and the boundary rows of each order set it is asked for, formed once on
+first use.  The solvers read these arrays themselves, never copies, so a
+factor cache keyed on them compares them by identity.
+
 Everything here is immutable after construction and safe to share between
 solver instances.
 """
@@ -55,13 +61,34 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Sampled basis matrices P, Pdot, Pddot of shape (n_p, degree + 1)."""
+    """Sampled basis matrices P, Pdot, Pddot of shape (n_p, degree + 1).
+
+    gram[k] is the Gram block of the order-k samples, (degree + 1,
+    degree + 1): P'P, Pdot'Pdot and Pddot'Pddot, read-only.
+    """
 
     grid: TimeGrid
     degree: int
     P: np.ndarray
     Pdot: np.ndarray
     Pddot: np.ndarray
+    gram: tuple = field(init=False, repr=False, compare=False)
+    _rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        gram = tuple(m.T @ m for m in (self.P, self.Pdot, self.Pddot))
+        for block in gram:
+            block.setflags(write=False)
+        object.__setattr__(self, "gram", gram)
+
+    def boundary_rows(self, start_orders=(0, 1, 2), end_orders=(0, 1, 2)) -> np.ndarray:
+        """boundary_matrix(self, start_orders, end_orders), formed once per order set and read-only."""
+        key = tuple(start_orders), tuple(end_orders)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = boundary_matrix(self, *key)
+            rows.setflags(write=False)
+        return rows
 
     @property
     def n_var(self) -> int:

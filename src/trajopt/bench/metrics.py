@@ -25,12 +25,13 @@ class RunMetrics:
 
 
 def eval_metrics(
-    trajectory: Trajectory, scenario: Scenario, desired: np.ndarray | None = None, t_now: float = 0.0
+    trajectory: Trajectory, scenario: Scenario | Obstacles, desired: np.ndarray | None = None, t_now: float = 0.0
 ) -> RunMetrics:
     """Smoothness / tracking / arc-length / clearance metrics of a sampled trajectory.
 
     The clearance is taken against the obstacles predicted from time t_now
-    on, as for clearance_lower_bound.  Solver-specific fields (success,
+    on, or against scenario itself when it is those obstacles already
+    predicted, as for clearance_lower_bound.  Solver-specific fields (success,
     iters, residual, wall time) are filled by the runner; they default to
     zero here.
     """
@@ -78,15 +79,17 @@ def check_collision_free(trajectory: Trajectory, scenario: Scenario, margin: flo
     return worst <= 0.0, worst
 
 
-def clearance_lower_bound(trajectory: Trajectory, scenario: Scenario, t_now: float = 0.0) -> float:
+def clearance_lower_bound(trajectory: Trajectory, scenario: Scenario | Obstacles, t_now: float = 0.0) -> float:
     """Conservative metric clearance in meters.
 
     (scaled distance - 1) * min(a, b) is exact for spheres and a lower bound
     for ellipsoids; returns +inf with no obstacles.  The trajectory starts
-    at time t_now of the obstacles' motion.
+    at time t_now of the obstacles' motion, which predict_obstacles takes
+    from the scenario; scenario may instead be the obstacles predicted for
+    the trajectory's samples (t_now is then not read).
     """
-    if not scenario.obstacles:
+    obstacles = scenario if isinstance(scenario, Obstacles) else predict_obstacles(scenario, trajectory.t, t_now)
+    if not obstacles.n_o:
         return math.inf
-    obstacles = predict_obstacles(scenario, trajectory.t, t_now)
     semi = np.minimum(obstacles.a, obstacles.b)[:, None]
     return float(np.min((np.sqrt(scaled_sq_distances(trajectory.pos, obstacles)) - 1.0) * semi))

@@ -2,8 +2,9 @@
 
 The single and batch problem builders take the robot's boundary state and
 the time t_now its obstacles are predicted from; their defaults are the
-scenario's rest-to-rest boundary at t_now = 0, which run_scenario plans, and
-receding_horizon_run passes each control step's state and time.  A step
+scenario's rest-to-rest boundary at t_now = 0, which run_scenario plans.
+Both go through _problem, which receding_horizon_run calls as well, with
+each control step's state and the tracks it predicted for the step.  A step
 executes one slice of its plan (EXEC_FRACTION of it), checked in one pass
 against the true obstacle motion; a collision wins over GOAL_RADIUS on the
 same sample.  In both entry points wall_time_ms covers the solve only:
@@ -26,7 +27,7 @@ from .. import solver_batch, solver_multiagent, solver_priest, solver_single
 from ..basis import AxisBoundary, Trajectory, build_basis, endpoints, straight_line, straight_line_coeffs
 from ..geometry import EllipsoidShape, Obstacles
 from .metrics import RunMetrics, eval_metrics, scaled_sq_distances
-from .scenarios import Scenario, agent_boundaries, predict_obstacles
+from .scenarios import ObstacleMotion, Scenario, agent_boundaries, predict_obstacles
 
 SOLVERS = ("single", "batch", "priest", "cem", "multiagent")
 
@@ -98,7 +99,35 @@ def _inflated(obstacles: Obstacles) -> Obstacles:
     """The obstacles with semi-axes inflated by PLAN_MARGIN for planning: the solvers converge onto the
     constraint boundary to within residual tolerance, and the inflation makes their plans clear the raw
     scenario geometry strictly."""
-    return Obstacles(obstacles.centres, obstacles.a + PLAN_MARGIN, obstacles.b + PLAN_MARGIN)
+    return obstacles.with_axes(obstacles.a + PLAN_MARGIN, obstacles.b + PLAN_MARGIN)
+
+
+def _problem(solver: str, scenario: Scenario, basis, boundary, raw: Obstacles, n_batch: int = 100):
+    """The single or batch problem from boundary against the obstacles raw,
+    predicted on the basis grid, inflated for planning; it tracks the
+    straight line from the boundary's start to its goal.  The single
+    problem carries the raw semi-axes its plan is certified against; the
+    batch heading starts and ends along the line from start to goal."""
+    start, goal = endpoints(boundary)
+    desired = straight_line(basis, start, goal)
+    if solver == "single":
+        return solver_single.SingleProblem(
+            basis=basis, boundary=boundary, desired=desired, obstacles=_inflated(raw), raw_axes=(raw.a, raw.b)
+        )
+    if scenario.dim != 2:
+        raise ValueError("the batch solver is planar")
+    heading = float(np.arctan2(goal[1] - start[1], goal[0] - start[0]))
+    return solver_batch.BatchProblem(
+        basis=basis,
+        boundary=boundary,
+        psi_boundary=(heading, heading),
+        desired=desired,
+        obstacles=_inflated(raw),
+        footprint=solver_batch.FootprintSpec(offsets=tuple(scenario.robot.footprint_offsets) or (0.0,)),
+        v_max=scenario.robot.v_max,
+        a_max=scenario.robot.a_max,
+        n_batch=n_batch,
+    )
 
 
 def single_problem_from_scenario(scenario: Scenario, basis, *, boundary=None, t_now: float = 0.0):
@@ -107,36 +136,14 @@ def single_problem_from_scenario(scenario: Scenario, basis, *, boundary=None, t_
     for planning; it tracks the straight line from the boundary's start to
     its goal, and carries the raw semi-axes its plan is certified against."""
     boundary = _point_boundaries(scenario) if boundary is None else boundary
-    raw = predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now)
-    return solver_single.SingleProblem(
-        basis=basis,
-        boundary=boundary,
-        desired=straight_line(basis, *endpoints(boundary)),
-        obstacles=_inflated(raw),
-        raw_axes=(raw.a, raw.b),
-    )
+    return _problem("single", scenario, basis, boundary, predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now))
 
 
 def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, *, boundary=None, t_now: float = 0.0):
     """The batch problem from boundary and t_now, as single_problem_from_scenario;
     the heading starts and ends along the line from start to goal."""
-    if scenario.dim != 2:
-        raise ValueError("the batch solver is planar")
     boundary = _point_boundaries(scenario) if boundary is None else boundary
-    offsets = tuple(scenario.robot.footprint_offsets) or (0.0,)
-    start, goal = endpoints(boundary)
-    heading = float(np.arctan2(goal[1] - start[1], goal[0] - start[0]))
-    return solver_batch.BatchProblem(
-        basis=basis,
-        boundary=boundary,
-        psi_boundary=(heading, heading),
-        desired=straight_line(basis, start, goal),
-        obstacles=_inflated(predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now)),
-        footprint=solver_batch.FootprintSpec(offsets=offsets),
-        v_max=scenario.robot.v_max,
-        a_max=scenario.robot.a_max,
-        n_batch=n_batch,
-    )
+    return _problem("batch", scenario, basis, boundary, predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now), n_batch)
 
 
 def priest_setup_from_scenario(scenario: Scenario, basis):
@@ -175,20 +182,18 @@ def _timed(solve, *args, **kwargs):
     return out, 1000.0 * (time.perf_counter() - t_start)
 
 
-def _plan(solver: str, problem, max_iter: int, seed: int, state=None, extra_sweeps: int = 0, stop_on_certificate: bool = False):
-    """Solve a single or batch problem, from a warm state if one is given.
+def _plan(problem, params, seed: int, state=None):
+    """Solve a single or batch problem with its params, from a warm state if one is given.
 
     Returns (trajectory, residual_norm, iterations, state, wall_ms).  A batch
     run returns its best feasible member, else its least-residual one, and
-    with stop_on_certificate ends at its certified stop (BatchParams.
-    stop_on_certificate).  A single solve sweeps on past max_iter while its
-    plan is uncertified, up to extra_sweeps more (SingleParams.extra_sweeps).
+    with BatchParams.stop_on_certificate ends at its certified stop.  A
+    single solve sweeps on past max_iter while its plan is uncertified, up
+    to SingleParams.extra_sweeps more.
     """
-    if solver == "single":
-        params = solver_single.SingleParams(max_iter=max_iter, extra_sweeps=extra_sweeps)
+    if isinstance(problem, solver_single.SingleProblem):
         sol, wall_ms = _timed(solver_single.solve_single, problem, params, state=state)
         return sol.trajectory, sol.residual_norm, sol.iterations, sol.state, wall_ms
-    params = solver_batch.BatchParams(max_iter=max_iter, stop_on_certificate=stop_on_certificate)
     ranked, wall_ms = _timed(solver_batch.solve_batch_opt, problem, params, seed=seed, state=state)
     idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
     return ranked.trajectories[idx], float(ranked.residual_norm[idx]), ranked.iterations, ranked.state, wall_ms
@@ -213,8 +218,12 @@ def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir
     basis = build_basis(h.t0, h.tf, h.n_p, degree=10)
 
     if solver in ("single", "batch"):
-        build = single_problem_from_scenario if solver == "single" else batch_problem_from_scenario
-        traj, residual, iterations, _, wall_ms = _plan(solver, build(scenario, basis), iters, seed, stop_on_certificate=True)
+        if solver == "single":
+            problem, params = single_problem_from_scenario(scenario, basis), solver_single.SingleParams(max_iter=iters)
+        else:
+            problem = batch_problem_from_scenario(scenario, basis)
+            params = solver_batch.BatchParams(max_iter=iters, stop_on_certificate=True)
+        traj, residual, iterations, _, wall_ms = _plan(problem, params, seed)
     elif solver in ("priest", "cem"):
         setup = priest_setup_from_scenario(scenario, basis)
         dist = default_sampling_distribution(scenario, basis)
@@ -320,10 +329,11 @@ def read_results_csv(path) -> list:
     return out
 
 
-def _collides(scenario: Scenario, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _collides(scenario: Scenario | ObstacleMotion, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Whether each sample pos[i] lies inside an obstacle at its true position at time t[i].
 
-    The obstacles are predicted at [0, t...] from time 0, so each sample's
+    The obstacles of the scenario (or of the ObstacleMotion read from it)
+    are predicted at [0, t...] from time 0, so each sample's
     offset is t[i] itself, and every sample is tested in one pass against
     the last len(t) samples of the tracks.
     """
@@ -341,9 +351,10 @@ def receding_horizon_run(
     """Receding-horizon loop: re-predict obstacles, warm-start multipliers,
     execute the first trajectory segment.
 
-    Each control step builds its problem with single_problem_from_scenario
-    or batch_problem_from_scenario (50 members) from the robot's executed
-    state and the current time, and warm-starts from the last step's state.
+    Each control step builds its problem as single_problem_from_scenario
+    or batch_problem_from_scenario (50 members) do, from the robot's
+    executed state and the current time, and warm-starts from the last
+    step's state.
     The single solver's warm state is first shifted by the executed samples
     (solver_single.shift_state), so each step starts from the rest of the
     last plan; the batch state is handed on as it is.
@@ -360,6 +371,14 @@ def receding_horizon_run(
     at its first sample that collides or lies within GOAL_RADIUS of the
     goal, and the episode with it; a collision wins over the goal on the
     same sample.
+    An episode reads the scenario's obstacles once, at its start
+    (ObstacleMotion.of): a change to the scenario's obstacles while it runs
+    does not reach its steps.  What the episode never changes (the basis
+    with its Gram blocks and boundary rows, the obstacles' positions,
+    velocities and semi-axes) is built once; a step rebuilds only what
+    moves: the boundary values, the desired line and the obstacle tracks
+    predicted from its t_now, checked once and shared by the problem, its
+    inflated copy and the step record's clearance.
     Failures are recorded, not raised.
     """
     if solver not in ("single", "batch"):
@@ -367,18 +386,24 @@ def receding_horizon_run(
     h = scenario.horizon
     basis = build_basis(h.t0, h.tf, h.n_p, degree=10)
     n_exec = max(1, int(round(EXEC_FRACTION * basis.n_p)))
-    dt = basis.grid.dt
+    # the running clock's increments; its first entry is set to each step's t_abs
+    clock = np.full(n_exec + 1, basis.grid.dt)
+    if solver == "single":
+        params = solver_single.SingleParams(max_iter=step_budget, extra_sweeps=MPC_EXTRA_SWEEPS)
+    else:
+        params = solver_batch.BatchParams(max_iter=step_budget)
 
     goal = np.asarray(scenario.boundary.goal, dtype=float)
     pos = np.asarray(scenario.boundary.start, dtype=float)
     vel = np.zeros(scenario.dim)
     acc = np.zeros(scenario.dim)
     t_abs = 0.0
+    motion = ObstacleMotion.of(scenario)
 
     records: list[RunRecord] = []
     executed_pos = [pos[None]]
     executed_t = [np.zeros(1)]
-    collided = bool(_collides(scenario, pos[None], np.zeros(1))[0])
+    collided = bool(_collides(motion, pos[None], np.zeros(1))[0])
     reached = False
     warm_state = None
     uncertified = 0
@@ -389,13 +414,11 @@ def receding_horizon_run(
         boundary = tuple(
             AxisBoundary(p0=pos[k], v0=vel[k], a0=acc[k], p1=goal[k]) for k in range(scenario.dim)
         )
-        if solver == "single":
-            problem = single_problem_from_scenario(scenario, basis, boundary=boundary, t_now=t_abs)
-        else:
-            problem = batch_problem_from_scenario(scenario, basis, n_batch=50, boundary=boundary, t_now=t_abs)
-        traj, residual, iters, warm_state, wall_ms = _plan(solver, problem, step_budget, seed, warm_state, MPC_EXTRA_SWEEPS)
+        raw = predict_obstacles(motion, basis.grid.timestamps, t_now=t_abs)
+        problem = _problem(solver, scenario, basis, boundary, raw, n_batch=50)
+        traj, residual, iters, warm_state, wall_ms = _plan(problem, params, seed, warm_state)
         # the plan is scored against the obstacles as predicted for its own times
-        metrics = eval_metrics(traj, scenario, problem.desired, t_now=t_abs)
+        metrics = eval_metrics(traj, raw, problem.desired)
         uncertified += not metrics.min_clearance >= 0.0
         metrics.iters = iters
         metrics.residual_final = residual
@@ -403,9 +426,10 @@ def receding_horizon_run(
 
         # execute the first segment against the true obstacle motion; cumsum
         # adds dt to t_abs one sample at a time, as a running clock would
-        t = np.cumsum(np.r_[t_abs, np.full(n_exec, dt)])[1:]
+        clock[0] = t_abs
+        t = np.cumsum(clock)[1:]
         segment = traj.pos[1 : n_exec + 1]
-        collides = _collides(scenario, segment, t)
+        collides = _collides(motion, segment, t)
         near_goal = np.linalg.norm(segment - goal, axis=1) <= GOAL_RADIUS
         stops = np.flatnonzero(collides | near_goal)
         n = stops[0] + 1 if stops.size else n_exec

@@ -149,18 +149,46 @@ def load_scenario(path) -> Scenario:
         return from_json(fh.read())
 
 
-def predict_obstacles(scenario: Scenario, timestamps: np.ndarray, t_now: float = 0.0) -> Obstacles:
+@dataclass(frozen=True, eq=False)
+class ObstacleMotion:
+    """A scenario's obstacles as arrays, read from its list once.
+
+    centres and velocities are the (dim, n_o) positions at time 0 and the
+    constant velocities, a and b the (n_o,) semi-axes; all are read-only.
+    The arrays are a snapshot: a later change to the scenario's obstacle
+    list does not reach them.
+    """
+
+    centres: np.ndarray
+    velocities: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, scenario: Scenario) -> ObstacleMotion:
+        obstacles = scenario.obstacles
+        arrays = (
+            np.array([obs.center for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T,
+            np.array([obs.velocity for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T,
+            np.array([obs.a for obs in obstacles], dtype=float),
+            np.array([obs.b for obs in obstacles], dtype=float),
+        )
+        for value in arrays:
+            value.setflags(write=False)
+        return cls(*arrays)
+
+
+def predict_obstacles(scenario: Scenario | ObstacleMotion, timestamps: np.ndarray, t_now: float = 0.0) -> Obstacles:
     """Constant-velocity extrapolation of every obstacle onto the grid.
 
     The grid's first timestamp is time t_now of the obstacles' motion.  The
-    (dim, n_o, n_p) centres are formed in one broadcast.
+    (dim, n_o, n_p) centres are formed in one broadcast.  scenario may be
+    the ObstacleMotion read from a scenario, which this reads as it is.
     """
+    motion = scenario if isinstance(scenario, ObstacleMotion) else ObstacleMotion.of(scenario)
     timestamps = np.asarray(timestamps, dtype=float)
-    obstacles = scenario.obstacles
-    centres = np.array([obs.center for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T
-    velocities = np.array([obs.velocity for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T
-    tracks = centres[:, :, None] + velocities[:, :, None] * (t_now + timestamps - timestamps[0])
-    return Obstacles(tracks, [obs.a for obs in obstacles], [obs.b for obs in obstacles])
+    tracks = motion.centres[:, :, None] + motion.velocities[:, :, None] * (t_now + timestamps - timestamps[0])
+    return Obstacles(tracks, motion.a, motion.b)
 
 
 def agent_boundaries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:

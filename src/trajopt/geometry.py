@@ -117,7 +117,8 @@ class Obstacles:
     centres is the (dim, n_o, n_p) track of every obstacle, stacked axis-major
     (bench.predict_obstacles bakes in constant-velocity motion); a and b are
     the (n_o,) semi-axes, read as in scaled_sq_norm.  Every array is copied,
-    C-contiguous and read-only, and checked here, once for every solver.
+    C-contiguous and read-only, and checked here, once for every solver;
+    with_axes gives the same tracks with other semi-axes, checking only those.
     """
 
     centres: np.ndarray
@@ -126,18 +127,31 @@ class Obstacles:
 
     def __post_init__(self):
         centres = np.array(self.centres, dtype=float, order="C")
-        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
         if centres.ndim != 3 or centres.shape[0] not in (2, 3):
             raise ValueError(f"obstacle centres must be (dim, n_o, n_p) with dim 2 or 3, got shape {centres.shape}")
-        if a.shape != centres.shape[1:2] or b.shape != a.shape:
-            raise ValueError(f"semi-axes a and b must be {centres.shape[1:2]}, one per obstacle, got {a.shape}, {b.shape}")
-        if not np.all(np.isfinite(centres)):
+        if not np.isfinite(centres).all():
             raise ValueError("obstacle centres must be finite")
-        if not (np.all(np.isfinite(a) & (a > 0)) and np.all(np.isfinite(b) & (b > 0))):
+        centres.setflags(write=False)
+        object.__setattr__(self, "centres", centres)
+        self._set_axes(self.a, self.b)
+
+    def _set_axes(self, a, b) -> None:
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        if a.shape != self.centres.shape[1:2] or b.shape != a.shape:
+            raise ValueError(f"semi-axes a and b must be {self.centres.shape[1:2]}, one per obstacle, got {a.shape}, {b.shape}")
+        if not ((np.isfinite(a) & (a > 0)).all() and (np.isfinite(b) & (b > 0)).all()):
             raise ValueError(f"semi-axes must be positive and finite, got a={a}, b={b}")
-        for name, value in (("centres", centres), ("a", a), ("b", b)):
+        for name, value in (("a", a), ("b", b)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def with_axes(self, a, b) -> Obstacles:
+        """These tracks with the semi-axes a and b, checked as the constructor
+        checks them; the read-only centres are shared, not copied or checked again."""
+        other = object.__new__(Obstacles)
+        object.__setattr__(other, "centres", self.centres)
+        other._set_axes(a, b)
+        return other
 
     @property
     def dim(self) -> int:

@@ -43,7 +43,8 @@ family adds nothing to the residual max, the norm or the products, whose
 terms would all be zero.  The copies P xi_c, P xi_s are formed once per
 iteration, for the heading step and the residual pass.
 
-F'F is one closed-form (2m, 2m) block per axis,
+F'F is one closed-form (2m, 2m) block per axis, summed from the basis's
+own Gram blocks,
 
     [[Pdot'Pdot + Pddot'Pddot + n_c n_o P'P,  (sum r) n_o P'P          ],
      [(sum r) n_o P'P,                         ((sum r^2) n_o + 1) P'P ]]
@@ -84,7 +85,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, endpoints, sample_trajectory, straight_line_coeffs
+from .basis import AxisBoundary, BasisSet, Trajectory, check_boundary_basis, endpoints, straight_line_coeffs
 from .geometry import ObstacleRows, Obstacles, Schedule, check_count, check_flag, check_gaussian, check_obstacles, check_real, draw_gaussian, norm_clamp
 
 
@@ -200,36 +201,40 @@ def sample_initializations(mean: np.ndarray, covariance: np.ndarray, n_batch: in
 
 
 class _Structure:
-    """Constant matrices of one BatchProblem (F'F, boundary rows, cost blocks)."""
+    """Constant matrices of one BatchProblem (F'F, boundary rows, cost blocks).
+
+    P'P, the heading's Pddot'Pddot and its boundary rows are the basis's own
+    read-only arrays.
+    """
 
     def __init__(self, problem: BatchProblem):
         basis = problem.basis
         m, n_o = basis.n_var, problem.n_o
         self.m = m
-        P, Pdot, Pddot = basis.P, basis.Pdot, basis.Pddot
-        self.PtP = PtP = P.T @ P
+        PtP, PdtPd, PddtPdd = basis.gram
+        self.PtP = PtP
         self.r = r = np.asarray(problem.footprint.offsets, dtype=float)
 
         coupling = r.sum() * n_o * PtP
-        pos_block = Pdot.T @ Pdot + Pddot.T @ Pddot + r.size * n_o * PtP
+        pos_block = PdtPd + PddtPdd + r.size * n_o * PtP
         self.FtF = np.kron(np.eye(2), np.block([[pos_block, coupling], [coupling, (r @ r * n_o + 1.0) * PtP]]))
 
-        cost_xx = problem.w_smooth * Pddot.T @ Pddot + problem.w_track * PtP
+        cost_xx = problem.w_smooth * PddtPdd + problem.w_track * PtP
         self.Q = np.zeros((4 * m, 4 * m))
         self.Q[:m, :m] = cost_xx
         self.Q[2 * m : 3 * m, 2 * m : 3 * m] = cost_xx
-        track = [-problem.w_track * P.T @ problem.desired[:, k] for k in range(2)]
+        track = [-problem.w_track * basis.P.T @ problem.desired[:, k] for k in range(2)]
         self.q = np.concatenate([track[0], np.zeros(m), track[1], np.zeros(m)])
 
-        B = boundary_matrix(basis)
+        B = basis.boundary_rows()
         self.A = np.zeros((12, 4 * m))
         self.A[:6, :m] = B
         self.A[6:, 2 * m : 3 * m] = B
         self.b = np.concatenate([problem.boundary[0].values(), problem.boundary[1].values()])
 
-        self.A_psi = np.vstack([P[0], P[-1]])
+        self.A_psi = basis.boundary_rows((0,), (0,))
         self.b_psi = np.array(problem.psi_boundary, dtype=float)
-        self.Q_psi_smooth = Pddot.T @ Pddot
+        self.Q_psi_smooth = PddtPdd
         # the linear, constant and heading terms of a member's cost, see _member_costs
         self.q2, self.w_smooth = 2.0 * self.q, problem.w_smooth
         self.cost_0 = problem.w_track * float(np.sum(problem.desired**2))
@@ -237,7 +242,7 @@ class _Structure:
         self.obstacles = problem.obstacles
         self._rows = None
         # the factor caches compare these by identity first
-        for keyed in (self.Q, self.FtF, self.A, self.b, self.Q_psi_smooth, self.PtP, self.A_psi, self.b_psi):
+        for keyed in (self.Q, self.FtF, self.A, self.b, self.b_psi):
             keyed.setflags(write=False)
 
     def obstacle_rows(self, n_b: int) -> ObstacleRows:
@@ -526,9 +531,12 @@ def solve_batch_opt(
     costs, aug_costs, feasible = ranking or _ranking(state, problem, struct, params)
     best_index = int(np.argmin(np.where(feasible, aug_costs, np.inf))) if feasible.any() else None
 
+    # every member's (m, 2) coefficients, sampled by one stacked product per basis matrix
     xi_x, _, xi_y, _ = _split(state.xi, m)
+    coeffs = np.stack([xi_x, xi_y], axis=-1)
+    pos, vel, acc = (mat @ coeffs for mat in (basis.P, basis.Pdot, basis.Pddot))
     trajectories = [
-        sample_trajectory(basis, np.column_stack([xi_x[i], xi_y[i]]), psi=state.psi[i]) for i in range(state.xi.shape[0])
+        Trajectory(t=basis.grid.timestamps, pos=pos[i], vel=vel[i], acc=acc[i], psi=state.psi[i]) for i in range(len(coeffs))
     ]
     return RankedSolutions(
         trajectories=trajectories, costs=costs, aug_costs=aug_costs, residual_max=state.residual_max,

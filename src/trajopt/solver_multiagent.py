@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, sample_trajectory, straight_line_coeffs
+from .basis import AxisBoundary, BasisSet, Trajectory, check_boundary_basis, sample_trajectory, straight_line_coeffs
 from .geometry import EllipsoidShape, check_count, check_flag, check_real, radial_target, residual_extremes, stalled
 
 
@@ -259,9 +259,8 @@ class _JointStructure:
         else:
             self.rho_levels = [params.rho_start]
         # one stacked factorization per rho level, shared by the x/y/z steps
-        Q_axis = basis.Pddot.T @ basis.Pddot
-        PtP = basis.P.T @ basis.P
-        B = boundary_matrix(basis)
+        # on the basis's own Gram blocks and boundary rows
+        PtP, Q_axis, B = basis.gram[0], basis.gram[2], basis.boundary_rows()
         self.factors = [qpcore.factorize(Q_axis + rho * lam[:, None, None] * PtP, B) for rho in self.rho_levels]
         self.n_factorizations = len(self.factors)
         # and its boundary part, the modes' boundary values through the level's maps

@@ -24,8 +24,9 @@ coefficient space with one small product per family:
     e @ F        = xi @ F'F - residual @ F
 
 F is never built.  F'F is block diagonal with the same (m, m) block for
-every axis, n_o P'P + Pdot'Pdot + Pddot'Pddot + 2 P'P, and the boundary rows
-A are per axis too, so the coefficient step splits into one saddle per
+every axis, n_o P'P + Pdot'Pdot + Pddot'Pddot + 2 P'P (summed from the
+basis's own Gram blocks), and the boundary rows A, the basis's own, are
+per axis too, so the coefficient step splits into one saddle per
 axis, all on the block I + rho F'F and the one axis's boundary rows.  That
 block does not depend on the axis or the sample: one cached (m, m) factor
 serves every axis of every sample, applied to the (N * dim, m) axis rows of
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix
+from .basis import AxisBoundary, BasisSet, Trajectory
 from .geometry import ObstacleRows, Obstacles, check_count, check_gaussian, check_obstacles, check_real, draw_gaussian, norm_clamp
 
 _SPEED_EPS = 1e-6
@@ -174,24 +175,23 @@ class ProjectionSetup:
         self.obstacles = check_obstacles(obstacles, dim, basis.n_p)
         self.n_o = n_o = self.obstacles.n_o
 
-        B = boundary_matrix(basis, start_orders, end_orders)
         # position, velocity and acceleration samples of one axis in one product
         self._pva = np.vstack([basis.P, basis.Pdot, basis.Pddot])
 
         # F'F of the stacked constraint rows, one (m, m) block per axis: every
         # obstacle and both workspace bounds contribute P'P
-        PtP = basis.P.T @ basis.P
+        PtP, PdtPd, PddtPdd = basis.gram
         FtF = n_o * PtP
         if v_max is not None:
-            FtF = FtF + basis.Pdot.T @ basis.Pdot
+            FtF = FtF + PdtPd
         if a_max is not None:
-            FtF = FtF + basis.Pddot.T @ basis.Pddot
+            FtF = FtF + PddtPdd
         if self.s_min is not None:
             FtF = FtF + 2.0 * PtP
         self.FtF = FtF
 
-        # the saddle of one axis; every axis of every sample shares it
-        self.factor = qpcore.factorize(np.eye(m) + self.rho * FtF, B)
+        # the saddle of one axis on the basis's boundary rows; every axis of every sample shares it
+        self.factor = qpcore.factorize(np.eye(m) + self.rho * FtF, basis.boundary_rows(start_orders, end_orders))
         self.n_factorizations = 1
 
     def _validate(self):

@@ -31,7 +31,9 @@ _TIE_PUSH * b takes that part as _TIE_PUSH * b along one fixed direction
 What the sweep reads from the problem is built once per solve in a
 _SingleStructure: the cost blocks Q and q, the boundary rows A and values,
 P'P, the centres, semi-axes and inverse semi-axes of the problem's
-Obstacles, and the raw (uninflated) semi-axes of the clearance test.  A
+Obstacles, and the raw (uninflated) semi-axes of the clearance test.
+P'P and A are the basis's own read-only arrays (BasisSet.gram and
+boundary_rows), and Q is formed from its Gram blocks.  A
 sweep writes in place: d, recon, the residuals and lam are the state's own
 arrays, and the offsets and shifted targets go to a workspace the
 structure allocates once per solve.  The position step applies the cached
@@ -70,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qpcore
-from .basis import AxisBoundary, BasisSet, Trajectory, boundary_matrix, check_boundary_basis, endpoints, sample_trajectory, straight_line_coeffs
+from .basis import AxisBoundary, BasisSet, Trajectory, check_boundary_basis, endpoints, sample_trajectory, straight_line_coeffs
 
 # No sweep calls angle2d: perfbench's patch test (perfbench/tests) checks
 # that patching geometry.angle2d rebinds this module's name as well.
@@ -109,7 +111,7 @@ class SingleProblem:
         self.obstacles = check_obstacles(self.obstacles, dim, n_p)
         if self.raw_axes is not None:
             # Obstacles' checks of semi-axes, one pair per obstacle
-            raw = Obstacles(self.obstacles.centres, *self.raw_axes)
+            raw = self.obstacles.with_axes(*self.raw_axes)
             self.raw_axes = raw.a, raw.b
 
     @property
@@ -168,34 +170,37 @@ class SingleSolution:
 
 
 def _cost_blocks(problem: SingleProblem):
-    """Quadratic cost Q (shared by all axes) and per-axis linear terms."""
+    """Quadratic cost Q (shared by all axes), from the basis's Gram blocks, and per-axis linear terms."""
     basis = problem.basis
-    Q = 2.0 * (problem.w_smooth * basis.Pddot.T @ basis.Pddot + problem.w_track * basis.P.T @ basis.P)
+    Q = 2.0 * (problem.w_smooth * basis.gram[2] + problem.w_track * basis.gram[0])
     q = -2.0 * problem.w_track * (basis.P.T @ problem.desired).T  # (dim, n_var)
     return Q, q
 
 
 class _SingleStructure:
-    """Constant arrays of one SingleProblem, built once per solve."""
+    """Constant arrays of one SingleProblem, built once per solve.
+
+    P'P and the boundary rows A are the basis's own read-only arrays.
+    """
 
     def __init__(self, problem: SingleProblem):
         basis = problem.basis
         self.P = basis.P
         self.dim, self.n_o = problem.dim, problem.n_o
         self.Q, self.q = _cost_blocks(problem)
-        self.PtP = basis.P.T @ basis.P
-        self.A = boundary_matrix(basis)
-        # the factor cache compares these by identity first
-        for keyed in (self.Q, self.PtP, self.A):
-            keyed.setflags(write=False)
-        self.bs = np.stack([bc.values() for bc in problem.boundary])  # (dim, 6)
+        self.PtP, self.A = basis.gram[0], basis.boundary_rows()
+        # the factor cache compares Q, P'P and A by identity first
+        self.Q.setflags(write=False)
+        self.bs = np.array([bc.values() for bc in problem.boundary])  # (dim, 6)
         obstacles = problem.obstacles  # centres (dim, n_o, n_p), and the semi-axes as (n_o, 1) columns
         self.centres, self.a, self.b = obstacles.centres, obstacles.a[:, None], obstacles.b[:, None]
         self.centre_sums = self.centres.sum(axis=1)  # (dim, n_p)
         rows = self.centres.shape
         # the inverse semi-axes, as radial_target would form them on every
-        # call, spread over the samples so that each product is one pass
-        self.inverse = tuple(np.broadcast_to(1.0 / semi, rows[1:]).copy() for semi in (self.a, self.b))
+        # call, spread over the samples so that each product is one pass;
+        # forming them costs about what comparing the semi-axes with the
+        # last solve's would, so they are not carried over
+        self.inverse = tuple(np.divide(1.0, semi, out=np.empty(rows[1:])) for semi in (self.a, self.b))
         raw_a, raw_b = (obstacles.a, obstacles.b) if problem.raw_axes is None else problem.raw_axes
         self.raw_a, self.raw_b = raw_a[:, None], raw_b[:, None]
         # the sweep's workspace: the offsets, and the shifted targets, then rho times the residuals

@@ -165,3 +165,60 @@ class TestBoundaryHelpers:
         bc = AxisBoundary(p0=1.0, v0=2.0, a0=3.0, p1=4.0, v1=5.0, a1=6.0)
         np.testing.assert_array_equal(bc.values(), [1, 2, 3, 4, 5, 6])
         np.testing.assert_array_equal(bc.values(start_orders=(0, 1, 2), end_orders=(0,)), [1, 2, 3, 4])
+
+
+class TestOwnedBlocks:
+    """A basis owns its Gram blocks and boundary rows, read-only and formed
+    once; the four solver structures read those arrays, not copies."""
+
+    @pytest.mark.parametrize("t0,tf,n_p,degree", [(0.0, 10.0, 100, 10), (0.0, 5.0, 37, 10), (-1.0, 4.0, 30, 6)])
+    def test_gram_blocks_are_read_only_fresh_products(self, t0, tf, n_p, degree):
+        b = build_basis(t0, tf, n_p, degree)
+        for block, mat in zip(b.gram, (b.P, b.Pdot, b.Pddot)):
+            np.testing.assert_array_equal(block, mat.T @ mat)
+            assert not block.flags["WRITEABLE"]
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+    @pytest.mark.parametrize("orders", [((0, 1, 2), (0, 1, 2)), ((0, 1, 2), (0,)), ((0,), (0,))])
+    def test_boundary_rows_are_formed_once(self, orders):
+        b = build_basis(0.0, 10.0, 100, 10)
+        rows = b.boundary_rows(*orders)
+        np.testing.assert_array_equal(rows, boundary_matrix(b, *orders))
+        assert not rows.flags["WRITEABLE"]
+        assert b.boundary_rows(*orders) is rows
+        assert b.boundary_rows(*(list(o) for o in orders)) is rows
+        if orders == ((0, 1, 2), (0, 1, 2)):
+            assert b.boundary_rows() is rows
+
+    def test_structures_hold_the_basis_arrays(self, monkeypatch):
+        from trajopt import qpcore, solver_batch, solver_multiagent, solver_priest, solver_single
+        from trajopt.bench import gen_scenario, runner
+
+        scenario = gen_scenario("dynamic-flow", seed=0)
+        h = scenario.horizon
+        b = build_basis(h.t0, h.tf, h.n_p, 10)
+        PtP, PdtPd, PddtPdd = b.gram
+
+        single = solver_single._SingleStructure(runner.single_problem_from_scenario(scenario, b))
+        assert single.PtP is PtP and single.A is b.boundary_rows()
+        batch = solver_batch._Structure(runner.batch_problem_from_scenario(scenario, b, n_batch=3))
+        assert batch.PtP is PtP and batch.Q_psi_smooth is PddtPdd and batch.A_psi is b.boundary_rows((0,), (0,))
+
+        # priest and multiagent factor at set-up: their equality rows are the basis's own
+        factored = []
+        factorize = qpcore.factorize
+
+        def recording(Q, A):
+            factored.append(A)
+            return factorize(Q, A)
+
+        monkeypatch.setattr(qpcore, "factorize", recording)
+        setup = runner.priest_setup_from_scenario(scenario, b)
+        assert factored[-1] is b.boundary_rows((0, 1, 2), (0,))
+        np.testing.assert_array_equal(setup.FtF, (setup.n_o * PtP + PdtPd + PddtPdd) + 2.0 * PtP)
+        swarm = gen_scenario("square-antipodal", {"n_agents": 3}, seed=0)
+        problem = runner.multiagent_problem_from_scenario(swarm, build_basis(0.0, 10.0, 100, 10))
+        structure = solver_multiagent._JointStructure(problem, solver_multiagent.JointParams())
+        assert factored[-1] is problem.basis.boundary_rows()
+        assert len(factored) == 1 + len(structure.factors)

@@ -35,6 +35,7 @@ from trajopt.bench import runner
 from trajopt.basis import build_basis
 from trajopt.geometry import scaled_sq_norm
 from trajopt.bench.runner import _collides
+from trajopt.bench.scenarios import ObstacleMotion
 
 
 def _trajectory_from_positions(t, pos):
@@ -296,6 +297,10 @@ class TestMovingObstacleDistances:
         semi = np.array([[min(o.a, o.b)] for o in scenario.obstacles])
         assert clearance_lower_bound(traj, scenario, t_now) == float(np.min((dists - 1.0) * semi))
         assert eval_metrics(traj, scenario, t_now=t_now).min_clearance == float(np.min((dists - 1.0) * semi))
+        # the same, bit for bit, from the obstacles already predicted for the trajectory's samples
+        predicted = predict_obstacles(scenario, traj.t, t_now)
+        assert clearance_lower_bound(traj, predicted) == float(np.min((dists - 1.0) * semi))
+        assert eval_metrics(traj, predicted).min_clearance == float(np.min((dists - 1.0) * semi))
         at_zero = _track_distances(traj, scenario, 0.0)
         for margin in (0.0, 0.1):
             worst = float(np.max(1.0 + margin - at_zero))
@@ -453,6 +458,22 @@ class TestPredictObstacles:
     def test_no_obstacles(self):
         obstacles = predict_obstacles(empty_scenario(dim=3), np.linspace(0, 4, 5))
         assert obstacles.centres.shape == (3, 0, 5) and obstacles.a.shape == obstacles.b.shape == (0,)
+
+    @pytest.mark.parametrize("kind,params", [("dynamic-flow", None), ("random-static", {"dim": 3}), ("corridor", {"n_o": 0})])
+    def test_motion_read_once_predicts_as_the_scenario(self, kind, params):
+        scenario = gen_scenario(kind, params, seed=2)
+        motion = ObstacleMotion.of(scenario)
+        assert motion.centres.shape == motion.velocities.shape == (scenario.dim, len(scenario.obstacles))
+        for value in vars(motion).values():
+            assert not value.flags["WRITEABLE"]
+        ts = np.linspace(0.0, 10.0, 100)
+        for t_now in (0.0, 1.7):
+            expected, got = predict_obstacles(scenario, ts, t_now), predict_obstacles(motion, ts, t_now)
+            for name in ("centres", "a", "b"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+        if scenario.obstacles:  # a snapshot: a later change to the scenario does not reach it
+            scenario.obstacles[0].velocity = [9.0] * scenario.dim
+            assert not np.array_equal(predict_obstacles(scenario, ts).centres, predict_obstacles(motion, ts).centres)
 
 
 class TestResultsCsv:
@@ -644,6 +665,63 @@ class TestRecedingHorizon:
         assert result.records[0].metrics.iters == first.iterations == 40 + first.extra_sweeps
         assert result.records[0].metrics.min_clearance >= 0.0
         assert result.uncertified_steps == 0 and all(sol.certified for sol in solves)
+
+    # (kind, params, seed, factorizations of the episode): one episode per
+    # scene kind, with the counts of the episode built anew at every step
+    EPISODES = [
+        ("corridor", None, 5, 22),
+        ("random-static", None, 4, 22),
+        ("random-static", {"dim": 3}, 3, 16),
+        ("barn-like", None, 0, 16),
+        ("dynamic-flow", None, 4, 22),
+    ]
+
+    @pytest.mark.parametrize("kind,params,seed,factorizations", EPISODES)
+    def test_episode_set_up_once_reuses_exactly(self, monkeypatch, kind, params, seed, factorizations):
+        # a step's record scores its plan against the tracks its problem
+        # holds, so its min_clearance >= 0 is the solve's certified flag,
+        # and the basis's own Gram blocks and boundary rows keep every
+        # factor the step-by-step construction made
+        from trajopt import qpcore
+
+        solves = []
+        original = solver_single.solve_single
+
+        def recording(*args, **kwargs):
+            solves.append(original(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(solver_single, "solve_single", recording)
+        before = qpcore.factorization_count()
+        result = receding_horizon_run(gen_scenario(kind, params, seed=seed), solver="single", n_steps=30)
+        assert qpcore.factorization_count() - before == factorizations
+        assert len(solves) == len(result.records) > 1
+        verdicts = [r.metrics.min_clearance >= 0.0 for r in result.records]
+        assert verdicts == [sol.certified for sol in solves]
+        assert result.uncertified_steps == verdicts.count(False)
+
+    def test_episode_reads_the_obstacles_once(self, monkeypatch):
+        # an obstacle's velocity changed while the episode runs (inside its
+        # first solve) does not reach the episode's steps
+        def outcome(scenario):
+            result = receding_horizon_run(scenario, solver="single", n_steps=6)
+            return [r.metrics.__dict__ | {"wall_time_ms": 0.0} for r in result.records], result.executed.pos
+
+        records, executed = outcome(gen_scenario("dynamic-flow", seed=1))
+        scenario = gen_scenario("dynamic-flow", seed=1)
+        original = solver_single.solve_single
+
+        def mutating(*args, **kwargs):
+            scenario.obstacles[0].velocity = [5.0, 5.0]
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_single, "solve_single", mutating)
+        mutated_records, mutated_executed = outcome(scenario)
+        assert scenario.obstacles[0].velocity == [5.0, 5.0]
+        assert len(records) == 6 and mutated_records == records
+        np.testing.assert_array_equal(mutated_executed, executed)
+        # a new episode reads the changed velocity
+        assert outcome(scenario)[0] != records
 
 
     def test_dynamic_flow_success_rate_definition(self):

@@ -896,6 +896,23 @@ class TestObstacles:
         centres[0, 0, 0], a[0] = -1.0, 9.0  # the caller's arrays stay its own
         assert obstacles.centres[0, 0, 0] == 0.0 and obstacles.a[0] == 0.5
 
+    def test_with_axes_shares_the_tracks_and_checks_the_axes(self):
+        obstacles = Obstacles(*_obstacle_case())
+        a = np.array([0.6, 0.8])
+        other = obstacles.with_axes(a, [0.5, 1.0])
+        assert other.centres is obstacles.centres
+        for value in (other.a, other.b):
+            assert not value.flags["WRITEABLE"] and value.dtype == float
+        a[0] = 9.0  # the caller's array stays its own
+        np.testing.assert_array_equal(other.a, [0.6, 0.8])
+        np.testing.assert_array_equal(other.b, [0.5, 1.0])
+        np.testing.assert_array_equal(obstacles.a, _obstacle_case()[1])
+        for bad in ([0.5], [0.0, 0.7], [0.5, np.nan], [[0.5, 0.7]]):
+            with pytest.raises(ValueError, match="semi-axes"):
+                obstacles.with_axes(bad, [0.4, 0.9])
+            with pytest.raises(ValueError, match="semi-axes"):
+                obstacles.with_axes([0.4, 0.9], bad)
+
     def test_none_is_no_obstacles_of_the_problem(self):
         obstacles = check_obstacles(None, 3, 7)
         assert obstacles.centres.shape == (3, 0, 7) and obstacles.a.shape == obstacles.b.shape == (0,)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trajopt import geometry, qpcore, solver_batch
-from trajopt.basis import AxisBoundary, boundary_matrix, build_basis, straight_line_coeffs
+from trajopt.basis import AxisBoundary, boundary_matrix, build_basis, sample_trajectory, straight_line_coeffs
 from trajopt.bench import gen_scenario, receding_horizon_run, runner
 from trajopt.geometry import D_CAP, Obstacles, radial_clamp, scaled_sq_norm, stalled
 from trajopt.solver_batch import (
@@ -792,6 +792,21 @@ class TestSolveBatchOpt:
         assert other.n == 3 * len(OFFSETS) and struct.obstacle_rows(3) is other
         assert struct.obstacle_rows(8) is not rows  # one workspace, not one per count
 
+
+    def test_member_trajectories_are_sampled_members(self):
+        # one stacked product per basis matrix samples every member as
+        # sample_trajectory samples it alone
+        problem = _flow_problem(0, 100)
+        ranked = solve_batch_opt(problem, BatchParams(max_iter=5), seed=0)
+        xi_x, _, xi_y, _ = _split(ranked.state.xi, problem.basis.n_var)
+        assert len(ranked.trajectories) == 100
+        for i, traj in enumerate(ranked.trajectories):
+            alone = sample_trajectory(problem.basis, np.column_stack([xi_x[i], xi_y[i]]), psi=ranked.state.psi[i])
+            assert traj.t is problem.basis.grid.timestamps
+            np.testing.assert_array_equal(traj.psi, ranked.state.psi[i])
+            for got, expected in ((traj.pos, alone.pos), (traj.vel, alone.vel), (traj.acc, alone.acc)):
+                assert got.shape == expected.shape
+                np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_cold_solve_builds_one_structure(self, monkeypatch):
         built = []

@@ -15,7 +15,6 @@ with a = b = the limit and d in [0, 1].
 The kernel, the only place this math is written:
 
 - scaled_sq_norm: squared ellipsoidal norm r**2 of per-axis offsets;
-- los_scale: the closed-form scale d = clip(r, lower, upper);
 - radial_clamp: residual of the closed-form polar projection, with no angles;
 - norm_clamp: radial_clamp of velocity or acceleration samples against
   their norm bound, taken only where the bound is exceeded; a family with
@@ -47,10 +46,10 @@ The kernel, the only place this math is written:
 
 Offsets are passed per axis, and the semi-axes broadcast against them, so
 one call covers every timestep, obstacle and batch member.  The functions
-are pure but for their out arguments: scaled_sq_norm, los_scale and
-radial_target write their result into out when one is given
-(the single solver's sweep and the multi-agent iteration pass their
-state's own arrays), and return it.
+are pure but for their out arguments: scaled_sq_norm and radial_target
+write their result into out when one is given (the single solver's sweep
+and the multi-agent iteration pass their state's own arrays), and return
+it.
 ObstacleRows owns the buffer of its sums, forms offsets only where its
 broad phase, per-window boxes of the obstacle tracks, cannot show the
 clamp's residual to be zero, and reduces per-point scores only when a
@@ -79,7 +78,6 @@ __all__ = [
     "check_obstacles",
     "check_real",
     "draw_gaussian",
-    "los_scale",
     "norm_clamp",
     "radial_clamp",
     "radial_target",
@@ -206,18 +204,6 @@ def scaled_sq_norm(deltas, a, b, out=None, inverse=False):
         scaled *= scaled
         quad += scaled
     return quad
-
-
-def los_scale(deltas, a, b, lower=1.0, upper=D_CAP, out=None, inverse=False):
-    """Closed-form line-of-sight scale: the scaled norm clamped to [lower, upper].
-
-    This is the d minimizing the polar equality residual when the angles are
-    those of the offset itself.  deltas, a, b, inverse and out are as in
-    scaled_sq_norm.  The clamp is np.maximum then np.minimum, which give
-    np.clip's values, NaN included.
-    """
-    r = np.sqrt(scaled_sq_norm(deltas, a, b, out=out, inverse=inverse), out=out)
-    return np.minimum(np.maximum(r, lower, out=out), upper, out=out)
 
 
 def radial_clamp(deltas, a, b, lower=1.0, upper=D_CAP):
@@ -477,7 +463,7 @@ def radial_target(deltas, a, b, shifted, lower=1.0, upper=D_CAP, out=None, inver
     sin(beta) cos(alpha) = dx / (a r), sin(beta) sin(alpha) = dy / (a r) and
     cos(beta) = dz / (b r), r the scaled norm, no angle is needed:
     d = clip(r (delta . shifted) / (delta . delta)) and target = delta d / r.
-    With shifted = delta, d is los_scale and delta - target is radial_clamp.
+    With shifted = delta, d is clip(r) and delta - target is radial_clamp.
     At r = 0 the angles take their origin convention (alpha = beta = 0):
     the target is (0, 0, b d), d = clip(shifted_z / b).
 

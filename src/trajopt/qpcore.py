@@ -31,15 +31,25 @@ block has its own guard, and solve_batch applies block i to the i-th stack
 of right-hand sides.
 
 The solvers' saddles are Q + rho * M on fixed rows A, with a penalty rho
-that grows during a solve.  FactorCache holds the one rule for when a
-factor still applies: it is rebuilt only when rho, or the value of Q, M or
-A, differs from the last factored one, and it forms the boundary part
-again only for a new factor or another boundary array.  The single and
-batch solvers keep their caches in their states, so a warm start on equal
-matrices reuses the factor and one on other matrices refactors.
+that grows during a solve.  A Pencil of (Q, M, A) takes the QR of A', the
+reduced blocks N'QN and N'MN and one symmetric eigendecomposition that
+diagonalizes both, once; the factor of every penalty is then a rescaled
+diagonal and a few small products, with factorize's guard on the exact
+reduced Hessian.  FactorCache holds the one rule for when a factor still
+applies: it is formed again only when rho, or the value of Q, M or A,
+differs from the last call's, and the boundary part only for a new factor
+or another boundary array.  The single and batch solvers keep their
+caches in their states, so a warm start on equal matrices reuses the
+factor and one on other matrices forms a new one.  The single solver forms
+its factors from a pencil the cache keeps while Q, M and A stay equal
+(get_from_pencil), so a receding-horizon episode takes one
+eigendecomposition and rescales it for each penalty.  The batch solver's
+saddles stay on factorize (get), and the multi-agent solver factorizes its
+penalty levels directly: a pencil's factor differs from factorize's by
+rounding, and both iterations amplify rounding into their outputs.
 
-KKTFactor is immutable after construction; solve, solve_batch,
-boundary_part and apply_primal are reentrant.
+KKTFactor and Pencil are not changed after construction; solve,
+solve_batch, boundary_part, apply_primal and Pencil.factor are reentrant.
 """
 
 from __future__ import annotations
@@ -54,9 +64,10 @@ _COND_LIMIT = 1e12
 
 
 def factorization_count() -> int:
-    """Total number of factorizations performed in this process.
+    """Total number of KKT factors formed in this process, by factorize or Pencil.factor.
 
-    Tests snapshot this before/after a solve to assert factor caching.
+    Building a Pencil forms none.  Tests snapshot this before/after a solve
+    to assert factor caching.
     """
     return _factorization_count
 
@@ -108,6 +119,54 @@ class KKTFactor:
         return self.n_v + self.n_eq
 
 
+def _saddle_blocks(Q, A) -> tuple[np.ndarray, np.ndarray]:
+    """Q and A as float arrays, checked: Q symmetric (n_v, n_v) or a stack of them, A (n_eq, n_v)."""
+    Q = np.asarray(Q, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    n_v = Q.shape[-1]
+    if Q.ndim not in (2, 3) or Q.shape[-2] != n_v:
+        raise ValueError(f"Q must be square or a stack of square matrices, got {Q.shape}")
+    QT = np.swapaxes(Q, -1, -2)
+    if not np.all(np.abs(Q - QT) <= 1e-12 + 1e-10 * np.abs(QT)):
+        raise ValueError("Q must be symmetric")
+    if A.shape[1] != n_v:
+        raise ValueError(f"A has {A.shape[1]} columns, expected {n_v}")
+    return Q, A
+
+
+def _null_space(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, Pb) from one QR of A' = [Y N] [R; 0]: N spans null(A) and Pb = Y R^-T.
+
+    Raises FactorizationError when A is row rank-deficient.
+    """
+    n_eq, n_v = A.shape
+    # R's diagonal gives the rank
+    basis, R = np.linalg.qr(A.T, mode="complete")
+    pivots = np.abs(np.diagonal(R))
+    # covers n_eq > n_v as well: more rows than columns can never be full row rank
+    if n_eq > n_v or (n_eq and pivots.min() <= pivots.max() * max(A.shape) * np.finfo(float).eps):
+        raise FactorizationError(f"equality matrix A is rank-deficient (rank < {n_eq})")
+    R = R[:n_eq]
+    Y, N = basis[:, :n_eq], basis[:, n_eq:]
+    return N, np.linalg.solve(R, Y.T).T  # Y R^-T, the particular solution map
+
+
+def _guarded_cond(eig: np.ndarray) -> np.ndarray:
+    """The 2-norm condition numbers of reduced Hessians with eigenvalues eig (..., m), one per block.
+
+    Raises FactorizationError when one is not finite or exceeds 1e12.
+    """
+    cond = np.ones(eig.shape[:-1])  # A square and invertible: nothing left to factor
+    if eig.shape[-1]:
+        magnitude = np.abs(eig)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = magnitude.max(axis=-1) / magnitude.min(axis=-1)
+    worst = float(np.max(cond))
+    if not np.isfinite(worst) or worst > _COND_LIMIT:
+        raise FactorizationError(f"reduced Hessian N'QN is near-singular (cond estimate {worst:.3e})")
+    return cond
+
+
 def factorize(Q: np.ndarray, A: np.ndarray) -> KKTFactor:
     """Factorize the saddle matrix once for repeated solves.
 
@@ -117,38 +176,12 @@ def factorize(Q: np.ndarray, A: np.ndarray) -> KKTFactor:
     degrade conditioning; fail loudly rather than return garbage).
     """
     global _factorization_count
-    Q = np.asarray(Q, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n_v = Q.shape[-1]
-    if Q.ndim not in (2, 3) or Q.shape[-2] != n_v:
-        raise ValueError(f"Q must be square or a stack of square matrices, got {Q.shape}")
-    QT = np.swapaxes(Q, -1, -2)
-    if not np.all(np.abs(Q - QT) <= 1e-12 + 1e-10 * np.abs(QT)):
-        raise ValueError("Q must be symmetric")
-    n_eq = A.shape[0]
-    if A.shape[1] != n_v:
-        raise ValueError(f"A has {A.shape[1]} columns, expected {n_v}")
-
-    # A' = [Y N] [R; 0]: R's diagonal gives the rank, N spans null(A)
-    basis, R = np.linalg.qr(A.T, mode="complete")
-    pivots = np.abs(np.diagonal(R))
-    # covers n_eq > n_v as well: more rows than columns can never be full row rank
-    if n_eq > n_v or (n_eq and pivots.min() <= pivots.max() * max(A.shape) * np.finfo(float).eps):
-        raise FactorizationError(f"equality matrix A is rank-deficient (rank < {n_eq})")
-    R = R[:n_eq]
-    Y, N = basis[:, :n_eq], basis[:, n_eq:]
-    Pb = np.linalg.solve(R, Y.T).T  # Y R^-T, the particular solution map
+    Q, A = _saddle_blocks(Q, A)
+    N, Pb = _null_space(A)
 
     # the reduced Hessian is symmetric: its eigenvalues give the guard and its inverse
     eig, U = np.linalg.eigh(N.T @ Q @ N)
-    cond = np.ones(eig.shape[:-1])  # A square and invertible: nothing left to factor
-    if eig.shape[-1]:
-        magnitude = np.abs(eig)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = magnitude.max(axis=-1) / magnitude.min(axis=-1)
-    worst = float(np.max(cond))
-    if not np.isfinite(worst) or worst > _COND_LIMIT:
-        raise FactorizationError(f"reduced Hessian N'QN is near-singular (cond estimate {worst:.3e})")
+    cond = _guarded_cond(eig)
 
     G = N @ U
     q_map = -(G / eig[..., None, :]) @ np.swapaxes(G, -1, -2)
@@ -156,8 +189,8 @@ def factorize(Q: np.ndarray, A: np.ndarray) -> KKTFactor:
     dual_map = -(Pb.T @ Q) @ C
     _factorization_count += 1
     return KKTFactor(
-        n_v=n_v,
-        n_eq=n_eq,
+        n_v=Q.shape[-1],
+        n_eq=A.shape[0],
         cond_estimate=cond if Q.ndim == 3 else float(cond),
         q_map=q_map,
         b_map=np.swapaxes(C, -1, -2),
@@ -165,29 +198,110 @@ def factorize(Q: np.ndarray, A: np.ndarray) -> KKTFactor:
     )
 
 
-class FactorCache:
-    """The factor of Q + rho * M on rows A, rebuilt only when one of them changes.
+class Pencil:
+    """The factors of Q + sigma * M on rows A for every penalty sigma, from one eigendecomposition.
 
-    get refactors when rho differs from the last call's, or when Q, M or A
+    Q and M are symmetric (n_v, n_v) and positive semidefinite on null(A),
+    with N'(Q + M)N positive definite; otherwise the constructor raises
+    FactorizationError, as it does for rank-deficient rows A.  The QR of A'
+    is taken once, as factorize takes it, and so are the reduced blocks
+    H0 = N'QN and H1 = N'MN.  With S = H0 + H1 = L L' and the symmetric
+    eigendecomposition L^-1 H1 L^-T = W diag(mu) W' (mu in [0, 1]), every
+    member of the pencil is
+
+        H0 + sigma H1 = L W diag(1 + (sigma - 1) mu) W' L',
+
+    so with G = N L^-T W the primal map is -G diag(1 / (1 + (sigma - 1) mu)) G'
+    and the boundary and dual maps follow from the products G'Q Pb and G'M Pb.
+    factor(sigma) rescales that diagonal where factorize(Q + sigma * M, A)
+    would take a QR, a solve, an eigendecomposition and five products; the
+    two agree to rounding.  Its guard is factorize's, on the exact
+    eigenvalues of H0 + sigma H1.
+    """
+
+    def __init__(self, Q: np.ndarray, M: np.ndarray, A: np.ndarray):
+        Q, A = _saddle_blocks(Q, A)
+        if Q.ndim != 2 or np.shape(M) != Q.shape:
+            raise ValueError(f"a pencil takes Q and M of one (n_v, n_v) shape, got {Q.shape} and {np.shape(M)}")
+        M, _ = _saddle_blocks(M, A)
+        self.n_v, self.n_eq = Q.shape[0], A.shape[0]
+        N, self.Pb = _null_space(A)
+        self.H0, self.H1 = N.T @ Q @ N, N.T @ M @ N
+        try:
+            L = np.linalg.cholesky(self.H0 + self.H1)
+        except np.linalg.LinAlgError:
+            raise FactorizationError("reduced pencil N'(Q + M)N is not positive definite") from None
+        L_inv = np.linalg.inv(L)
+        self.mu, W = np.linalg.eigh(L_inv @ self.H1 @ L_inv.T)
+        self.G = N @ (L_inv.T @ W)
+        QPb, MPb = Q @ self.Pb, M @ self.Pb
+        self.GtQPb, self.GtMPb = self.G.T @ QPb, self.G.T @ MPb
+        self.PbtQPb, self.PbtMPb = self.Pb.T @ QPb, self.Pb.T @ MPb
+
+    def factor(self, sigma: float) -> KKTFactor:
+        """The KKTFactor of Q + sigma * M on rows A; raises FactorizationError as factorize does."""
+        global _factorization_count
+        cond = _guarded_cond(np.linalg.eigvalsh(self.H0 + sigma * self.H1))
+        scale = 1.0 / (1.0 + (sigma - 1.0) * self.mu)
+        coupling = self.GtQPb + sigma * self.GtMPb  # G'(Q + sigma M) Pb
+        scaled = scale[:, None] * coupling
+        C = self.Pb - self.G @ scaled
+        _factorization_count += 1
+        return KKTFactor(
+            n_v=self.n_v,
+            n_eq=self.n_eq,
+            cond_estimate=float(cond),
+            q_map=-(self.G * scale) @ self.G.T,
+            b_map=C.T,
+            dual_map=coupling.T @ scaled - (self.PbtQPb + sigma * self.PbtMPb),
+        )
+
+
+class FactorCache:
+    """The factor of Q + rho * M on rows A, formed again only when one of them changes.
+
+    get forms it with factorize(Q + rho * M, A).  get_from_pencil forms it
+    with Pencil(Q, M, A).factor(rho) and keeps the pencil while Q, M and A
+    stay equal, so a new rho only rescales the pencil's diagonal.  Either
+    forms a factor when rho differs from the last call's, or when Q, M or A
     differs in value from the array last passed; an argument that is that
     very array is not compared again, so the arrays must not be edited in
-    place between calls.  count is the number of factorizations made.
+    place between calls.  count is the number of factors formed.
     """
 
     def __init__(self):
         self.factor: KKTFactor | None = None
+        self.pencil: Pencil | None = None  # of the last call's Q, M and A, when get_from_pencil formed it
         self.count = 0
         self._key: tuple | None = None  # (Q, M, A, rho) of the last call
         self._boundary: tuple | None = None  # (factor, bs, boundary part) of the last boundary call
 
+    def _same_matrices(self, Q: np.ndarray, M: np.ndarray, A: np.ndarray) -> bool:
+        key = self._key
+        if key is None:
+            return False
+        # within a solve the arrays are the very ones of the last call
+        if Q is key[0] and M is key[1] and A is key[2]:
+            return True
+        return all(new is old or np.array_equal(new, old) for new, old in zip((Q, M, A), key))
+
     def get(self, Q: np.ndarray, M: np.ndarray, A: np.ndarray, rho: float) -> KKTFactor:
-        arrays = (Q, M, A)
-        if self._key is None or rho != self._key[3] or not all(
-            new is old or np.array_equal(new, old) for new, old in zip(arrays, self._key)
-        ):
+        same = self._same_matrices(Q, M, A)
+        if not same or rho != self._key[3]:
             self.factor = factorize(Q + rho * M, A)
             self.count += 1
-        self._key = (*arrays, rho)
+            if not same:
+                self.pencil = None
+        self._key = (Q, M, A, rho)
+        return self.factor
+
+    def get_from_pencil(self, Q: np.ndarray, M: np.ndarray, A: np.ndarray, rho: float) -> KKTFactor:
+        same = self._same_matrices(Q, M, A)
+        pencil = self.pencil if same and self.pencil is not None else Pencil(Q, M, A)
+        if not same or rho != self._key[3]:
+            self.factor = pencil.factor(rho)
+            self.count += 1
+        self.pencil, self._key = pencil, (Q, M, A, rho)
         return self.factor
 
     def boundary(self, bs: np.ndarray) -> np.ndarray:

@@ -44,10 +44,13 @@ everything a sweep writes.
 
 The KKT matrix of the position step is Q + rho * n_o * P'P; its size does
 not depend on the obstacle count.  The state holds a qpcore.FactorCache for
-it, keyed on Q, P'P, A and the penalty rho * n_o: within a solve the
-factor is rebuilt only when rho changes, and a warm state on other
-matrices (another basis, weights or obstacle count) refactors on its first
-sweep.  Works in 2-D (planar ellipses) and 3-D.
+it, keyed on Q, P'P, A and the penalty rho * n_o, which forms each factor
+from a qpcore.Pencil of (Q, P'P, A) and keeps the pencil while those stay
+equal: a new penalty (a grown rho or another obstacle count) rescales the
+pencil's diagonal, and a warm state on other matrices (another basis or
+weights) takes a new pencil on its first sweep.  So a receding-horizon
+episode takes one eigendecomposition, not one factorization per penalty.
+Works in 2-D (planar ellipses) and 3-D.
 
 The solve stops when the residual max reaches tol or after max_iter
 sweeps.  Its plan is certified when every sample lies on or outside every
@@ -76,7 +79,7 @@ from .basis import AxisBoundary, BasisSet, Trajectory, check_boundary_basis, end
 
 # No sweep calls angle2d: perfbench's patch test (perfbench/tests) checks
 # that patching geometry.angle2d rebinds this module's name as well.
-from .geometry import Obstacles, Schedule, angle2d, check_count, check_obstacles, check_real, los_scale, radial_target, residual_extremes  # noqa: F401
+from .geometry import Obstacles, Schedule, angle2d, check_count, check_obstacles, check_real, radial_target, residual_extremes, scaled_sq_norm  # noqa: F401
 
 # The lateral part, times the obstacle's b, that a start offset takes when
 # its own part across the start-goal direction is shorter.
@@ -202,7 +205,8 @@ class _SingleStructure:
         # last solve's would, so they are not carried over
         self.inverse = tuple(np.divide(1.0, semi, out=np.empty(rows[1:])) for semi in (self.a, self.b))
         raw_a, raw_b = (obstacles.a, obstacles.b) if problem.raw_axes is None else problem.raw_axes
-        self.raw_a, self.raw_b = raw_a[:, None], raw_b[:, None]
+        # the clearance test's inverse raw semi-axes, as (n_o, 1) columns
+        self.raw_inverse = 1.0 / raw_a[:, None], 1.0 / raw_b[:, None]
         # the sweep's workspace: the offsets, and the shifted targets, then rho times the residuals
         self.deltas, self.shifted = np.empty(rows), np.empty(rows)
 
@@ -213,14 +217,16 @@ class _SingleStructure:
     def clear(self, deltas: np.ndarray) -> bool:
         """Whether every offset lies on or outside its raw obstacle.
 
-        The scaled distance, los_scale unclamped, is at least 1 everywhere:
-        bench.metrics' min_clearance >= 0 on the same samples, bit for bit
-        (the offsets are formed alike, and r >= 1 is r - 1 >= 0).
-        A NaN offset is not clear.
+        The squared scaled distance q is at least 1 everywhere: bench.metrics'
+        min_clearance >= 0 on the same samples, bit for bit (the offsets are
+        formed alike, sqrt is monotone and exact at 1, so q >= 1 is
+        sqrt(q) - 1 >= 0).  A NaN offset is not clear.  q is written into
+        the workspace's shifted targets, which no sweep reads before writing.
         """
         if not self.n_o:
             return True
-        return bool(los_scale(deltas, self.raw_a, self.raw_b, lower=0.0, upper=np.inf).min() >= 1.0)
+        q = scaled_sq_norm(deltas, *self.raw_inverse, out=self.shifted[0], inverse=True)
+        return bool(q.min() >= 1.0)
 
 
 # the state arrays a sweep writes in place
@@ -332,7 +338,7 @@ def init_state(
 def _position_step(state: SingleState, struct: _SingleStructure) -> None:
     """The positions minimizing the relaxation, on the targets centres + recon - lam / rho."""
     factors = state.factors
-    factor = factors.get(struct.Q, struct.PtP, struct.A, state.rho * struct.n_o)
+    factor = factors.get_from_pencil(struct.Q, struct.PtP, struct.A, state.rho * struct.n_o)
     q_lin = struct.q
     if struct.n_o:
         # q + (lam_sum - rho * (recon_sum + centre_sum)) @ P

@@ -6,7 +6,19 @@ geometry.radial_target, and the multi-agent iteration, against this form.
 
 import numpy as np
 
-from trajopt.geometry import angle2d
+from trajopt.geometry import D_CAP, angle2d, scaled_sq_norm
+
+
+def los_scale(deltas, a, b, lower=1.0, upper=D_CAP, out=None, inverse=False):
+    """Closed-form line-of-sight scale: the scaled norm clamped to [lower, upper].
+
+    This is the d minimizing the polar equality residual when the angles are
+    those of the offset itself.  deltas, a, b, inverse and out are as in
+    scaled_sq_norm.  The clamp is np.maximum then np.minimum, which give
+    np.clip's values, NaN included.
+    """
+    r = np.sqrt(scaled_sq_norm(deltas, a, b, out=out, inverse=inverse), out=out)
+    return np.minimum(np.maximum(r, lower, out=out), upper, out=out)
 
 
 def angles3d(deltas, a, b):

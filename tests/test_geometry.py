@@ -23,7 +23,6 @@ from trajopt.geometry import (
     Schedule,
     check_obstacles,
     angle2d,
-    los_scale,
     norm_clamp,
     radial_clamp,
     radial_target,
@@ -36,7 +35,7 @@ from trajopt.solver_multiagent import JointParams
 from trajopt.solver_priest import CemParams, PriestParams, ProjectionSetup
 from trajopt.solver_single import SingleParams
 
-from angle_forms import angles3d
+from angle_forms import angles3d, los_scale
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 

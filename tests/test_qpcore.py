@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from trajopt.qpcore import (
     BatchRHS,
     FactorCache,
     FactorizationError,
+    Pencil,
     apply_primal,
     boundary_part,
     factorization_count,
@@ -422,6 +425,124 @@ class TestFactorCache:
         assert cache.count == 3
         cache.get(*self._matrices(seed=1), 1.0)
         assert cache.count == 4
+
+
+def _single_saddle(kind, params=None, degree=10, **weights):
+    """Q, P'P and A of the single solver's position step, on the problem of a scenario at seed 0."""
+    from trajopt.basis import build_basis
+    from trajopt.bench import gen_scenario, runner
+    from trajopt.solver_single import SingleProblem, _SingleStructure
+
+    scenario = gen_scenario(kind, params, seed=0)
+    h = scenario.horizon
+    problem = runner.single_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, degree))
+    if weights:
+        problem = SingleProblem(**{**vars(problem), **weights})
+    struct = _SingleStructure(problem)
+    return struct.Q, struct.PtP, struct.A
+
+
+# (scenario kind, its params, basis degree, problem weights)
+SINGLE_SADDLES = {
+    "2-D": ("corridor", None, 10, {}),
+    "3-D": ("random-static", {"dim": 3}, 10, {}),
+    "2-D-tracking-only": ("corridor", None, 10, {"w_smooth": 0.0}),
+    "3-D-tracking-only": ("random-static", {"dim": 3}, 10, {"w_smooth": 0.0}),
+    # six coefficients on six boundary rows: null(A) is empty
+    "degree-5": ("corridor", None, 5, {}),
+}
+
+
+class TestPencil:
+    """Pencil(Q, M, A).factor(sigma) is factorize(Q + sigma * M, A) to rounding, guard and count included."""
+
+    @pytest.mark.parametrize("case", SINGLE_SADDLES)
+    def test_factor_matches_factorize(self, case):
+        kind, params, degree, weights = SINGLE_SADDLES[case]
+        Q, M, A = _single_saddle(kind, params, degree, **weights)
+        pencil = Pencil(Q, M, A)
+        # sigma = 0 is the penalty of a problem with no obstacles
+        sigmas = [0.0, *10.0 ** np.random.default_rng(degree).uniform(-2.0, 4.0, size=10)]
+        for sigma in sigmas:
+            got, expected = pencil.factor(sigma), factorize(Q + sigma * M, A)
+            for name in ("q_map", "b_map", "dual_map"):
+                value, reference = getattr(got, name), getattr(expected, name)
+                assert np.abs(value - reference).max() <= 1e-10 * np.abs(reference).max(), (sigma, name)
+            reduced = np.linalg.cond(_reduced(Q + sigma * M, A)) if Q.shape[0] > A.shape[0] else 1.0
+            assert got.cond_estimate == pytest.approx(reduced, rel=1e-6), sigma
+
+    def test_rank_deficient_rows_raise_factorizes_error(self):
+        Q, M, A = _single_saddle("corridor")
+        A = np.vstack([A, A[:1]])
+        with pytest.raises(FactorizationError) as expected:
+            factorize(Q + M, A)
+        with pytest.raises(FactorizationError, match=f"^{re.escape(str(expected.value))}$"):
+            Pencil(Q, M, A)
+
+    def test_penalty_past_the_guard_raises(self):
+        Q, _, A = TestFactorCache._matrices()
+        f = np.random.default_rng(4).normal(size=Q.shape[0])
+        M = np.outer(f, f)  # rank one: the reduced Hessian's condition grows with sigma
+        pencil = Pencil(Q, M, A)
+        assert pencil.factor(1e6).cond_estimate == pytest.approx(factorize(Q + 1e6 * M, A).cond_estimate, rel=1e-6)
+        before = factorization_count()
+        for sigma in (1e14, 1e18):
+            with pytest.raises(FactorizationError, match="near-singular"):
+                factorize(Q + sigma * M, A)
+            with pytest.raises(FactorizationError, match="near-singular"):
+                pencil.factor(sigma)
+        assert factorization_count() == before
+
+    def test_singular_pencil_rejected(self):
+        # Q and M both singular along the same direction of null(A)
+        Q, M, A = np.diag([1.0, 0.0, 1.0]), np.diag([1.0, 0.0, 0.0]), np.array([[0.0, 0.0, 1.0]])
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            Pencil(Q, M, A)
+
+    @pytest.mark.parametrize(
+        "Q,M,match",
+        [(np.stack([np.eye(3)] * 2), np.eye(3), "one"), (np.eye(3), np.eye(2), "one"), (np.eye(3), np.triu(np.ones((3, 3))), "symmetric")],
+        ids=["stacked-Q", "M-shape", "asymmetric-M"],
+    )
+    def test_malformed_blocks_rejected(self, Q, M, match):
+        with pytest.raises(ValueError, match=match):
+            Pencil(Q, M, np.eye(1, 3))
+
+    def test_each_factor_formed_counts_once(self):
+        Q, M, A = _single_saddle("corridor")
+        before = factorization_count()
+        pencil = Pencil(Q, M, A)
+        assert factorization_count() == before
+        for sigma in (1.0, 2.0, 2.0):
+            pencil.factor(sigma)
+        assert factorization_count() == before + 3
+
+    def test_cache_keeps_the_pencil_while_the_matrices_stay(self):
+        Q, M, A = TestFactorCache._matrices()
+        cache = FactorCache()
+        first = cache.get_from_pencil(Q, M, A, 2.0)
+        pencil = cache.pencil
+        assert cache.get_from_pencil(Q.copy(), M.copy(), A, 2.0) is first
+        second = cache.get_from_pencil(Q, M, A, 3.0)
+        assert cache.pencil is pencil and cache.count == 2
+        np.testing.assert_array_equal(second.q_map, pencil.factor(3.0).q_map)
+        # other matrices: a new pencil, or none once get has factorized them
+        cache.get_from_pencil(*TestFactorCache._matrices(seed=1), 3.0)
+        assert cache.pencil is not pencil and cache.count == 3
+        cache.get(Q, M, A, 3.0)
+        assert cache.pencil is None and cache.count == 4
+        cache.get_from_pencil(Q, M, A, 4.0)
+        np.testing.assert_array_equal(cache.factor.q_map, Pencil(Q, M, A).factor(4.0).q_map)
+
+    def test_failed_factor_leaves_the_cache_as_it_was(self):
+        Q, _, A = TestFactorCache._matrices()
+        f = np.random.default_rng(4).normal(size=Q.shape[0])
+        M = np.outer(f, f)
+        cache = FactorCache()
+        first = cache.get_from_pencil(Q, M, A, 1.0)
+        with pytest.raises(FactorizationError):
+            cache.get_from_pencil(Q, M, A, 1e14)
+        assert cache.get_from_pencil(Q, M, A, 1.0) is first and cache.count == 1
 
 
 class TestStackedFactor:

@@ -8,7 +8,7 @@ import pytest
 from trajopt import qpcore, solver_single
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis
 from trajopt.bench import gen_scenario, receding_horizon_run, runner
-from trajopt.geometry import D_CAP, EllipsoidShape, Obstacles, angle2d, los_scale, radial_target, residual_extremes
+from trajopt.geometry import D_CAP, EllipsoidShape, Obstacles, angle2d, radial_target, residual_extremes
 from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
@@ -24,7 +24,7 @@ from trajopt.solver_single import (
     solve_single,
 )
 
-from angle_forms import angles3d
+from angle_forms import angles3d, los_scale
 
 
 def _line(start, goal, n_p):
@@ -185,7 +185,7 @@ class _PerFamilySweep:
 
     def sweep(self, fam):
         struct, rho = self.struct, fam.rho
-        factor = fam.factors.get(struct.Q, struct.PtP, struct.A, rho * struct.n_o)
+        factor = fam.factors.get_from_pencil(struct.Q, struct.PtP, struct.A, rho * struct.n_o)
         q_lin = struct.q
         if struct.n_o:
             rows = []
@@ -947,6 +947,78 @@ class TestWarmState:
         rhos = [h["rho"] for sol in runs for h in sol.residual_history]
         changes = sum(1 for before, after in zip(rhos, rhos[1:]) if before != after)
         assert runs[-1].n_factorizations == 1 + changes
+
+
+class TestClearanceTest:
+    """_SingleStructure.clear takes the squared scaled norm q >= 1 for the los_scale form's sqrt(q) >= 1, with the same verdict."""
+
+    @staticmethod
+    def _verdicts(dim, a, b, offset):
+        obstacles = [_static_obstacle(np.zeros(dim), EllipsoidShape(a, b), 60 if dim == 2 else 50)]
+        prob = make_problem_2d(obstacles=obstacles) if dim == 2 else make_problem_3d(obstacles=obstacles)
+        struct = _SingleStructure(prob)
+        deltas = np.full((dim, 1, prob.basis.n_p), 10.0)  # every other sample far outside
+        deltas[:, 0, 7] = offset
+        raw_a, raw_b = prob.obstacles.a[:, None], prob.obstacles.b[:, None]
+        form = bool(los_scale(deltas, raw_a, raw_b, lower=0.0, upper=np.inf).min() >= 1.0)
+        return struct.clear(deltas), form
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "axis,expected",
+        [("on-a", True), ("inside-a", False), ("on-b", True), ("inside-b", False), ("nan", False), ("zero", False)],
+    )
+    def test_verdict_at_the_boundary(self, dim, axis, expected):
+        # semi-axes that are powers of two: q is exactly 1 on the boundary,
+        # and one ulp inside it stays below 1 after the root
+        a, b = 0.5, 0.25
+        offset = np.zeros(dim)
+        if axis.endswith("-a"):
+            offset[0] = a if axis == "on-a" else np.nextafter(a, 0.0)
+        elif axis.endswith("-b"):
+            offset[-1] = b if axis == "on-b" else np.nextafter(b, 0.0)
+        elif axis == "nan":
+            offset[0] = np.nan
+        assert self._verdicts(dim, a, b, offset) == (expected, expected)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_verdict_near_the_boundary_of_other_semi_axes(self, dim):
+        a, b = 0.7, 0.3
+        for scale in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 - 1e-15, 1.0 + 1e-15):
+            for direction in (np.eye(dim)[0] * a, np.eye(dim)[-1] * b, np.array([a, b, b][:dim]) / np.sqrt(dim)):
+                got, form = self._verdicts(dim, a, b, scale * direction)
+                assert got == form, (scale, direction)
+
+
+class TestPencilFactors:
+    """The position step forms every penalty's factor from the state's pencil, never through qpcore.factorize."""
+
+    @pytest.fixture
+    def no_factorize(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the single solver called qpcore.factorize")
+
+        monkeypatch.setattr(qpcore, "factorize", refuse)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_solve_forms_one_factor_per_penalty(self, no_factorize, dim):
+        sol = solve_single(_mixed_problem(dim), SingleParams(max_iter=120, tol=0.0))
+        rhos = {h["rho"] for h in sol.residual_history}
+        assert len(rhos) > 1 and sol.n_factorizations == len(rhos)
+
+    def test_receding_horizon_run_forms_one_factor_per_penalty(self, monkeypatch, no_factorize):
+        runs = []
+        original = solver_single.solve_single
+
+        def recording(*args, **kwargs):
+            runs.append(original(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solver_single, "solve_single", recording)
+        result = receding_horizon_run(gen_scenario("barn-like", seed=0), solver="single", n_steps=4)
+        assert len(result.records) == len(runs) >= 2
+        rhos = {h["rho"] for sol in runs for h in sol.residual_history}
+        assert len(rhos) > 1 and runs[-1].n_factorizations == len(rhos)
 
 
 class TestShiftState:

@@ -64,7 +64,9 @@ class BasisSet:
     """Sampled basis matrices P, Pdot, Pddot of shape (n_p, degree + 1).
 
     gram[k] is the Gram block of the order-k samples, (degree + 1,
-    degree + 1): P'P, Pdot'Pdot and Pddot'Pddot, read-only.
+    degree + 1): P'P, Pdot'Pdot and Pddot'Pddot, read-only.  ramp is the
+    (n_p, 1) column of n_p points from 0 to 1 that straight_line scales,
+    read-only.
     """
 
     grid: TimeGrid
@@ -73,13 +75,16 @@ class BasisSet:
     Pdot: np.ndarray
     Pddot: np.ndarray
     gram: tuple = field(init=False, repr=False, compare=False)
+    ramp: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         gram = tuple(m.T @ m for m in (self.P, self.Pdot, self.Pddot))
-        for block in gram:
+        ramp = np.linspace(0.0, 1.0, self.grid.n_p)[:, None]
+        for block in (*gram, ramp):
             block.setflags(write=False)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "ramp", ramp)
 
     def boundary_rows(self, start_orders=(0, 1, 2), end_orders=(0, 1, 2)) -> np.ndarray:
         """boundary_matrix(self, start_orders, end_orders), formed once per order set and read-only."""
@@ -125,8 +130,8 @@ class AxisBoundary:
     a1: float = 0.0
 
     def values(self, start_orders=(0, 1, 2), end_orders=(0, 1, 2)) -> np.ndarray:
-        start = {0: self.p0, 1: self.v0, 2: self.a0}
-        end = {0: self.p1, 1: self.v1, 2: self.a1}
+        start = self.p0, self.v0, self.a0
+        end = self.p1, self.v1, self.a1
         return np.array([start[o] for o in start_orders] + [end[o] for o in end_orders])
 
 
@@ -212,7 +217,7 @@ def straight_line(basis: BasisSet, start, goal) -> np.ndarray:
     """Samples (n_p, dim) of the straight constant-speed path from start to goal on the basis grid."""
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    return start[None, :] + (goal - start)[None, :] * np.linspace(0.0, 1.0, basis.n_p)[:, None]
+    return start[None, :] + (goal - start)[None, :] * basis.ramp
 
 
 def straight_line_coeffs(basis: BasisSet, start, goal) -> np.ndarray:

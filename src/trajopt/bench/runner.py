@@ -20,13 +20,14 @@ import csv
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .. import solver_batch, solver_multiagent, solver_priest, solver_single
 from ..basis import AxisBoundary, Trajectory, build_basis, endpoints, straight_line, straight_line_coeffs
-from ..geometry import EllipsoidShape, Obstacles
-from .metrics import RunMetrics, eval_metrics, scaled_sq_distances
+from ..geometry import EllipsoidShape, Obstacles, check_count, scaled_sq_norm
+from .metrics import RunMetrics, eval_metrics
 from .scenarios import ObstacleMotion, Scenario, agent_boundaries, predict_obstacles
 
 SOLVERS = ("single", "batch", "priest", "cem", "multiagent")
@@ -102,17 +103,18 @@ def _inflated(obstacles: Obstacles) -> Obstacles:
     return obstacles.with_axes(obstacles.a + PLAN_MARGIN, obstacles.b + PLAN_MARGIN)
 
 
-def _problem(solver: str, scenario: Scenario, basis, boundary, raw: Obstacles, n_batch: int = 100):
+def _problem(solver: str, scenario: Scenario, basis, boundary, raw: Obstacles, inflated: Obstacles, n_batch: int = 100):
     """The single or batch problem from boundary against the obstacles raw,
-    predicted on the basis grid, inflated for planning; it tracks the
-    straight line from the boundary's start to its goal.  The single
-    problem carries the raw semi-axes its plan is certified against; the
-    batch heading starts and ends along the line from start to goal."""
+    predicted on the basis grid, planned against inflated, raw's tracks with
+    the planning semi-axes; it tracks the straight line from the boundary's
+    start to its goal.  The single problem carries the raw semi-axes its
+    plan is certified against; the batch heading starts and ends along the
+    line from start to goal."""
     start, goal = endpoints(boundary)
     desired = straight_line(basis, start, goal)
     if solver == "single":
         return solver_single.SingleProblem(
-            basis=basis, boundary=boundary, desired=desired, obstacles=_inflated(raw), raw_axes=(raw.a, raw.b)
+            basis=basis, boundary=boundary, desired=desired, obstacles=inflated, raw_axes=(raw.a, raw.b)
         )
     if scenario.dim != 2:
         raise ValueError("the batch solver is planar")
@@ -122,7 +124,7 @@ def _problem(solver: str, scenario: Scenario, basis, boundary, raw: Obstacles, n
         boundary=boundary,
         psi_boundary=(heading, heading),
         desired=desired,
-        obstacles=_inflated(raw),
+        obstacles=inflated,
         footprint=solver_batch.FootprintSpec(offsets=tuple(scenario.robot.footprint_offsets) or (0.0,)),
         v_max=scenario.robot.v_max,
         a_max=scenario.robot.a_max,
@@ -136,14 +138,16 @@ def single_problem_from_scenario(scenario: Scenario, basis, *, boundary=None, t_
     for planning; it tracks the straight line from the boundary's start to
     its goal, and carries the raw semi-axes its plan is certified against."""
     boundary = _point_boundaries(scenario) if boundary is None else boundary
-    return _problem("single", scenario, basis, boundary, predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now))
+    raw = predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now)
+    return _problem("single", scenario, basis, boundary, raw, _inflated(raw))
 
 
 def batch_problem_from_scenario(scenario: Scenario, basis, n_batch: int = 100, *, boundary=None, t_now: float = 0.0):
     """The batch problem from boundary and t_now, as single_problem_from_scenario;
     the heading starts and ends along the line from start to goal."""
     boundary = _point_boundaries(scenario) if boundary is None else boundary
-    return _problem("batch", scenario, basis, boundary, predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now), n_batch)
+    raw = predict_obstacles(scenario, basis.grid.timestamps, t_now=t_now)
+    return _problem("batch", scenario, basis, boundary, raw, _inflated(raw), n_batch)
 
 
 def priest_setup_from_scenario(scenario: Scenario, basis):
@@ -185,18 +189,23 @@ def _timed(solve, *args, **kwargs):
 def _plan(problem, params, seed: int, state=None):
     """Solve a single or batch problem with its params, from a warm state if one is given.
 
-    Returns (trajectory, residual_norm, iterations, state, wall_ms).  A batch
-    run returns its best feasible member, else its least-residual one, and
-    with BatchParams.stop_on_certificate ends at its certified stop.  A
-    single solve sweeps on past max_iter while its plan is uncertified, up
-    to SingleParams.extra_sweeps more.
+    Returns (trajectory, residual_norm, iterations, state, wall_ms,
+    measured); measured is what the solve measured of the trajectory, as
+    eval_metrics' keyword arguments against the problem's raw obstacles and
+    desired line: a single solve's costs and its certificate's squared
+    distances, nothing for batch.  A batch run returns its best feasible
+    member, else its least-residual one, and with
+    BatchParams.stop_on_certificate ends at its certified stop.  A single
+    solve sweeps on past max_iter while its plan is uncertified, up to
+    SingleParams.extra_sweeps more.
     """
     if isinstance(problem, solver_single.SingleProblem):
         sol, wall_ms = _timed(solver_single.solve_single, problem, params, state=state)
-        return sol.trajectory, sol.residual_norm, sol.iterations, sol.state, wall_ms
+        measured = dict(smoothness=sol.smoothness_cost, tracking=sol.tracking_cost, sq_distances=sol.raw_sq_distances)
+        return sol.trajectory, sol.residual_norm, sol.iterations, sol.state, wall_ms, measured
     ranked, wall_ms = _timed(solver_batch.solve_batch_opt, problem, params, seed=seed, state=state)
     idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
-    return ranked.trajectories[idx], float(ranked.residual_norm[idx]), ranked.iterations, ranked.state, wall_ms
+    return ranked.trajectories[idx], float(ranked.residual_norm[idx]), ranked.iterations, ranked.state, wall_ms, {}
 
 
 def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir=None) -> RunRecord:
@@ -223,7 +232,7 @@ def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir
         else:
             problem = batch_problem_from_scenario(scenario, basis)
             params = solver_batch.BatchParams(max_iter=iters, stop_on_certificate=True)
-        traj, residual, iterations, _, wall_ms = _plan(problem, params, seed)
+        traj, residual, iterations, _, wall_ms, _ = _plan(problem, params, seed)
     elif solver in ("priest", "cem"):
         setup = priest_setup_from_scenario(scenario, basis)
         dist = default_sampling_distribution(scenario, basis)
@@ -332,13 +341,13 @@ def read_results_csv(path) -> list:
 def _collides(scenario: Scenario | ObstacleMotion, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Whether each sample pos[i] lies inside an obstacle at its true position at time t[i].
 
-    The obstacles of the scenario (or of the ObstacleMotion read from it)
-    are predicted at [0, t...] from time 0, so each sample's
-    offset is t[i] itself, and every sample is tested in one pass against
-    the last len(t) samples of the tracks.
+    The obstacles' centres are read from the ObstacleMotion (read from the
+    scenario when one is given) at the times t, and every sample is tested
+    in one pass against its own.
     """
-    obstacles = predict_obstacles(scenario, np.concatenate(([0.0], t)))
-    return np.any(scaled_sq_distances(pos, obstacles) < 1.0, axis=0)
+    motion = scenario if isinstance(scenario, ObstacleMotion) else ObstacleMotion.of(scenario)
+    deltas = pos.T[:, None, :] - motion.tracks(t)
+    return np.any(scaled_sq_norm(deltas, motion.a[:, None], motion.b[:, None]) < 1.0, axis=0)
 
 
 def receding_horizon_run(
@@ -358,31 +367,45 @@ def receding_horizon_run(
     The single solver's warm state is first shifted by the executed samples
     (solver_single.shift_state), so each step starts from the rest of the
     last plan; the batch state is handed on as it is.
-    step_budget is the solve's max_iter.  A batch step runs all of it, with
-    no certified stop: with the stop, one fewer of 24 planar episodes
+    step_budget is the solve's max_iter and must be at least 1: a step with
+    no sweep would execute the last plan again, from where the robot stood
+    a step earlier.  n_steps must be at least 0.  Either is rejected with
+    ValueError before the first step.  A batch step runs all of its budget,
+    with no certified stop: with the stop, one fewer of 24 planar episodes
     reached its goal.  The budget does not cap a single step: a single plan
     that is not clear of the raw predicted obstacles at the budget is swept
-    on, in the same solve, up to MPC_EXTRA_SWEEPS more sweeps, until it is.  A step's wall_time_ms covers
-    its solve only, and MpcResult.uncertified_steps counts the steps whose
-    plan was executed though not clear (min_clearance < 0 against the
-    obstacles as predicted for the plan's times).  The executed segment is
-    the plan's next EXEC_FRACTION of samples, one slice, checked in one
-    pass against the true obstacle motion at the executed times.  It ends
+    on, in the same solve, up to MPC_EXTRA_SWEEPS more sweeps, until it
+    is.  A step's wall_time_ms covers its solve only, and
+    MpcResult.uncertified_steps counts the steps whose plan was executed
+    though not clear (min_clearance < 0 against the obstacles as predicted
+    for the plan's times).  The executed segment is the plan's next
+    EXEC_FRACTION of samples, one slice, checked in one pass against the
+    true obstacle motion at the executed times.  It ends
     at its first sample that collides or lies within GOAL_RADIUS of the
     goal, and the episode with it; a collision wins over the goal on the
     same sample.
     An episode reads the scenario's obstacles once, at its start
     (ObstacleMotion.of): a change to the scenario's obstacles while it runs
-    does not reach its steps.  What the episode never changes (the basis
-    with its Gram blocks and boundary rows, the obstacles' positions,
-    velocities and semi-axes) is built once; a step rebuilds only what
-    moves: the boundary values, the desired line and the obstacle tracks
-    predicted from its t_now, checked once and shared by the problem, its
-    inflated copy and the step record's clearance.
+    does not reach its steps.  What the episode never changes is built and
+    checked once: the basis with its Gram blocks, boundary rows and the
+    unit ramp of the desired line, the obstacles' positions, velocities and
+    raw semi-axes, the planning semi-axes inflated at the first step, and,
+    kept with the single solver's warm state, the solve's set-up (Q, the
+    inverse semi-axes and the sweep workspace).  Every step hands the
+    solver the same semi-axis arrays, so a step rebuilds only what moves:
+    the boundary values, the desired line with its linear cost, and the
+    obstacle tracks predicted from its t_now, checked once and shared by the
+    problem and its inflated copy.  A single step's record reads what its
+    solve measured (the certificate's squared distances, the smoothness and
+    tracking costs) through eval_metrics, and the executed segment is
+    checked against the ObstacleMotion directly.
     Failures are recorded, not raised.
     """
     if solver not in ("single", "batch"):
         raise ValueError("receding-horizon driving supports the single and batch solvers")
+    counts = SimpleNamespace(step_budget=step_budget, n_steps=n_steps)
+    check_count(counts, 1, "step_budget")
+    check_count(counts, 0, "n_steps")
     h = scenario.horizon
     basis = build_basis(h.t0, h.tf, h.n_p, degree=10)
     n_exec = max(1, int(round(EXEC_FRACTION * basis.n_p)))
@@ -406,6 +429,7 @@ def receding_horizon_run(
     collided = bool(_collides(motion, pos[None], np.zeros(1))[0])
     reached = False
     warm_state = None
+    planning = None  # the inflated obstacles of the first step, whose semi-axes every step plans against
     uncertified = 0
 
     for step in range(n_steps):
@@ -415,10 +439,11 @@ def receding_horizon_run(
             AxisBoundary(p0=pos[k], v0=vel[k], a0=acc[k], p1=goal[k]) for k in range(scenario.dim)
         )
         raw = predict_obstacles(motion, basis.grid.timestamps, t_now=t_abs)
-        problem = _problem(solver, scenario, basis, boundary, raw, n_batch=50)
-        traj, residual, iters, warm_state, wall_ms = _plan(problem, params, seed, warm_state)
+        planning = _inflated(raw) if planning is None else raw.with_axes(planning.a, planning.b)
+        problem = _problem(solver, scenario, basis, boundary, raw, planning, n_batch=50)
+        traj, residual, iters, warm_state, wall_ms, measured = _plan(problem, params, seed, warm_state)
         # the plan is scored against the obstacles as predicted for its own times
-        metrics = eval_metrics(traj, raw, problem.desired)
+        metrics = eval_metrics(traj, raw, problem.desired, **measured)
         uncertified += not metrics.min_clearance >= 0.0
         metrics.iters = iters
         metrics.residual_final = residual

@@ -155,8 +155,11 @@ class ObstacleMotion:
 
     centres and velocities are the (dim, n_o) positions at time 0 and the
     constant velocities, a and b the (n_o,) semi-axes; all are read-only.
-    The arrays are a snapshot: a later change to the scenario's obstacle
-    list does not reach them.
+    The positions and semi-axes are checked here as Obstacles checks them,
+    and the velocities for finite values; the semi-axes are Obstacles' own
+    checked arrays, so every prediction shares them instead of checking
+    them again.  The arrays are a snapshot: a later change to the
+    scenario's obstacle list does not reach them.
     """
 
     centres: np.ndarray
@@ -167,15 +170,18 @@ class ObstacleMotion:
     @classmethod
     def of(cls, scenario: Scenario) -> ObstacleMotion:
         obstacles = scenario.obstacles
-        arrays = (
-            np.array([obs.center for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T,
-            np.array([obs.velocity for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T,
-            np.array([obs.a for obs in obstacles], dtype=float),
-            np.array([obs.b for obs in obstacles], dtype=float),
-        )
-        for value in arrays:
+        centres = np.array([obs.center for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T
+        velocities = np.array([obs.velocity for obs in obstacles], dtype=float).reshape(-1, scenario.dim).T
+        start = Obstacles(centres[:, :, None], [obs.a for obs in obstacles], [obs.b for obs in obstacles])
+        if not np.isfinite(velocities).all():
+            raise ValueError("obstacle velocities must be finite")
+        for value in (centres, velocities):
             value.setflags(write=False)
-        return cls(*arrays)
+        return cls(centres, velocities, start.a, start.b)
+
+    def tracks(self, times: np.ndarray) -> np.ndarray:
+        """The (dim, n_o, len(times)) centres at the given times of the motion, by constant-velocity extrapolation."""
+        return self.centres[:, :, None] + self.velocities[:, :, None] * times
 
 
 def predict_obstacles(scenario: Scenario | ObstacleMotion, timestamps: np.ndarray, t_now: float = 0.0) -> Obstacles:
@@ -183,12 +189,12 @@ def predict_obstacles(scenario: Scenario | ObstacleMotion, timestamps: np.ndarra
 
     The grid's first timestamp is time t_now of the obstacles' motion.  The
     (dim, n_o, n_p) centres are formed in one broadcast.  scenario may be
-    the ObstacleMotion read from a scenario, which this reads as it is.
+    the ObstacleMotion read from a scenario, which this reads as it is:
+    only the tracks are checked, and the motion's semi-axes are shared.
     """
     motion = scenario if isinstance(scenario, ObstacleMotion) else ObstacleMotion.of(scenario)
     timestamps = np.asarray(timestamps, dtype=float)
-    tracks = motion.centres[:, :, None] + motion.velocities[:, :, None] * (t_now + timestamps - timestamps[0])
-    return Obstacles(tracks, motion.a, motion.b)
+    return Obstacles(motion.tracks(t_now + timestamps - timestamps[0]), motion.a, motion.b)
 
 
 def agent_boundaries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:

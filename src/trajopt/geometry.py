@@ -21,8 +21,10 @@ The kernel, the only place this math is written:
   no sample beyond its bound costs one pass over the squared norms and
   yields None, so its solver adds nothing to its products;
 - Obstacles: the one obstacle input of every solver, (dim, n_o, n_p) centre
-  tracks and (n_o,) semi-axes checked once when built, and check_obstacles,
-  their fit (None for none) to a problem's dimension and grid;
+  tracks and (n_o,) semi-axes checked once when built (semi-axes that an
+  Obstacles already checked are shared, not checked again), and
+  check_obstacles, their fit (None for none) to a problem's dimension and
+  grid;
 - ObstacleRows: the collision rows of many points on their active set,
   found by a broad phase over time windows, the one residual pass over
   obstacles of the batch and priest solvers, and of the CEM penalty;
@@ -61,6 +63,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +120,10 @@ class Obstacles:
     the (n_o,) semi-axes, read as in scaled_sq_norm.  Every array is copied,
     C-contiguous and read-only, and checked here, once for every solver;
     with_axes gives the same tracks with other semi-axes, checking only those.
+    Semi-axes that are the very read-only arrays of an Obstacles are shared,
+    not copied or checked again, as with_axes shares the tracks: a caller
+    that hands the same checked semi-axes to many obstacles (a
+    receding-horizon episode's, at every step) checks them once.
     """
 
     centres: np.ndarray
@@ -134,14 +141,11 @@ class Obstacles:
         self._set_axes(self.a, self.b)
 
     def _set_axes(self, a, b) -> None:
-        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-        if a.shape != self.centres.shape[1:2] or b.shape != a.shape:
-            raise ValueError(f"semi-axes a and b must be {self.centres.shape[1:2]}, one per obstacle, got {a.shape}, {b.shape}")
-        if not ((np.isfinite(a) & (a > 0)).all() and (np.isfinite(b) & (b > 0)).all()):
-            raise ValueError(f"semi-axes must be positive and finite, got a={a}, b={b}")
-        for name, value in (("a", a), ("b", b)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        n_o = self.centres.shape[1:2]
+        if not all(_CHECKED_AXES.get(id(value)) is value and not value.flags.writeable and value.shape == n_o for value in (a, b)):
+            a, b = _checked_axes(a, b, n_o)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def with_axes(self, a, b) -> Obstacles:
         """These tracks with the semi-axes a and b, checked as the constructor
@@ -162,6 +166,23 @@ class Obstacles:
     @property
     def n_p(self) -> int:
         return self.centres.shape[2]
+
+
+# The semi-axis arrays that _checked_axes made, by id, while they live.
+_CHECKED_AXES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _checked_axes(a, b, n_o: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float copies of the semi-axes a and b, each of shape n_o and positive and finite; ValueError otherwise."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    if a.shape != n_o or b.shape != a.shape:
+        raise ValueError(f"semi-axes a and b must be {n_o}, one per obstacle, got {a.shape}, {b.shape}")
+    if not ((np.isfinite(a) & (a > 0)).all() and (np.isfinite(b) & (b > 0)).all()):
+        raise ValueError(f"semi-axes must be positive and finite, got a={a}, b={b}")
+    for value in (a, b):
+        value.setflags(write=False)
+        _CHECKED_AXES[id(value)] = value
+    return a, b
 
 
 def check_obstacles(obstacles: Obstacles | None, dim: int, n_p: int) -> Obstacles:

@@ -28,19 +28,24 @@ state an offset whose part across the start-goal direction is shorter than
 _TIE_PUSH * b takes that part as _TIE_PUSH * b along one fixed direction
 (see _untie), which decides the side deterministically.
 
-What the sweep reads from the problem is built once per solve in a
-_SingleStructure: the cost blocks Q and q, the boundary rows A and values,
-P'P, the centres, semi-axes and inverse semi-axes of the problem's
-Obstacles, and the raw (uninflated) semi-axes of the clearance test.
-P'P and A are the basis's own read-only arrays (BasisSet.gram and
-boundary_rows), and Q is formed from its Gram blocks.  A
-sweep writes in place: d, recon, the residuals and lam are the state's own
-arrays, and the offsets and shifted targets go to a workspace the
-structure allocates once per solve.  The position step applies the cached
-factor primal-only (qpcore.apply_primal), with the boundary part the
-factor cache forms once per factor.  A warm state is checked before the
-first sweep: shapes, finite values and a writeable float64 array for
-everything a sweep writes.
+What the sweep reads from the problem is held in a _SingleStructure,
+which the state keeps beside its factor cache.  Its set-up is what the
+problem's basis, weights and semi-axes fix: the cost block Q, formed from
+the basis's Gram blocks, P'P and the boundary rows A (the basis's own
+read-only arrays, BasisSet.gram and boundary_rows), the semi-axes and
+inverse semi-axes of the problem's Obstacles, the inverse raw
+(uninflated) semi-axes of the clearance test, and the sweep's workspace.
+A warm solve keeps that set-up while the basis and the semi-axis arrays
+are the very objects of the last problem and the weights are equal, and
+writes only what moves: the boundary values, the linear cost q of the
+desired line and the obstacle tracks with their sums; any other problem
+sets up anew.  A sweep writes in place: d, recon, the residuals and lam
+are the state's own arrays, and the offsets and shifted targets go to the
+workspace.  The position step applies the cached factor primal-only
+(qpcore.apply_primal), with the boundary part the factor cache forms once
+per factor.  A warm state is checked before the first sweep: shapes,
+finite values and a writeable float64 array for everything a sweep
+writes.
 
 The KKT matrix of the position step is Q + rho * n_o * P'P; its size does
 not depend on the obstacle count.  The state holds a qpcore.FactorCache for
@@ -56,7 +61,9 @@ The solve stops when the residual max reaches tol or after max_iter
 sweeps.  Its plan is certified when every sample lies on or outside every
 raw obstacle (SingleProblem.raw_axes, the obstacles' own semi-axes when not
 given), tested as bench.metrics takes min_clearance >= 0, so the two agree
-bit for bit.  With SingleParams.extra_sweeps, a plan that is not certified
+bit for bit; the solution carries the test's squared scaled distances
+(raw_sq_distances), which bench.metrics reads instead of forming them
+again.  With SingleParams.extra_sweeps, a plan that is not certified
 at the normal stop is swept on, up to that many further sweeps, until it
 is; the solution reports certified and the extra sweeps taken.
 
@@ -104,9 +111,9 @@ class SingleProblem:
         check_boundary_basis(self.basis)
         if dim not in (2, 3):
             raise ValueError(f"need 2 or 3 axis boundaries, got {dim}")
-        if self.desired.shape != (n_p, dim) or not np.all(np.isfinite(self.desired)):
+        if self.desired.shape != (n_p, dim) or not np.isfinite(self.desired).all():
             raise ValueError(f"desired trajectory must be finite and (n_p, {dim})")
-        if not all(np.all(np.isfinite(bc.values())) for bc in self.boundary):
+        if not np.isfinite([bc.values() for bc in self.boundary]).all():
             raise ValueError("boundary values must be finite")
         check_real(self, "non-negative and finite", "w_smooth", "w_track")
         if self.w_smooth + self.w_track == 0:
@@ -154,6 +161,8 @@ class SingleState:
     iteration: int = 0
     # the position step's KKT factor
     factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
+    # the set-up of the last problem solved from this state
+    structure: _SingleStructure | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -169,64 +178,84 @@ class SingleSolution:
     n_factorizations: int
     state: SingleState
     certified: bool  # every sample clears every raw obstacle
+    # (n_o, n_p) squared scaled distances of the samples to the raw obstacles, as the certificate took them
+    raw_sq_distances: np.ndarray
     extra_sweeps: int  # sweeps taken past the normal stop
 
 
-def _cost_blocks(problem: SingleProblem):
-    """Quadratic cost Q (shared by all axes), from the basis's Gram blocks, and per-axis linear terms."""
-    basis = problem.basis
-    Q = 2.0 * (problem.w_smooth * basis.gram[2] + problem.w_track * basis.gram[0])
-    q = -2.0 * problem.w_track * (basis.P.T @ problem.desired).T  # (dim, n_var)
-    return Q, q
-
-
 class _SingleStructure:
-    """Constant arrays of one SingleProblem, built once per solve.
+    """Constant arrays of one SingleProblem, set up once and kept with the state.
 
-    P'P and the boundary rows A are the basis's own read-only arrays.
+    The set-up is what a problem's basis, weights and semi-axes fix: the
+    cost block Q, from the basis's Gram blocks, P'P and the boundary rows A
+    (the basis's own read-only arrays), the inverse semi-axes of the
+    obstacles and the inverse raw (uninflated) semi-axes of the clearance
+    test, and the sweep's workspace.  load writes what moves from problem to
+    problem: the boundary values bs, the linear cost q of the desired line,
+    and the obstacle tracks with their sums.  fits tells whether a problem
+    has this set-up: the same basis and semi-axis arrays, by identity, and
+    equal weights and dimension.
     """
 
     def __init__(self, problem: SingleProblem):
-        basis = problem.basis
+        basis, obstacles = problem.basis, problem.obstacles
+        self._arrays, self._values = _setup_key(problem)
         self.P = basis.P
         self.dim, self.n_o = problem.dim, problem.n_o
-        self.Q, self.q = _cost_blocks(problem)
+        self.Q = 2.0 * (problem.w_smooth * basis.gram[2] + problem.w_track * basis.gram[0])
         self.PtP, self.A = basis.gram[0], basis.boundary_rows()
         # the factor cache compares Q, P'P and A by identity first
         self.Q.setflags(write=False)
-        self.bs = np.array([bc.values() for bc in problem.boundary])  # (dim, 6)
-        obstacles = problem.obstacles  # centres (dim, n_o, n_p), and the semi-axes as (n_o, 1) columns
-        self.centres, self.a, self.b = obstacles.centres, obstacles.a[:, None], obstacles.b[:, None]
-        self.centre_sums = self.centres.sum(axis=1)  # (dim, n_p)
-        rows = self.centres.shape
+        # the semi-axes as (n_o, 1) columns
+        self.a, self.b = obstacles.a[:, None], obstacles.b[:, None]
+        rows = (self.dim, self.n_o, basis.n_p)
         # the inverse semi-axes, as radial_target would form them on every
-        # call, spread over the samples so that each product is one pass;
-        # forming them costs about what comparing the semi-axes with the
-        # last solve's would, so they are not carried over
+        # call, spread over the samples so that each product is one pass
         self.inverse = tuple(np.divide(1.0, semi, out=np.empty(rows[1:])) for semi in (self.a, self.b))
-        raw_a, raw_b = (obstacles.a, obstacles.b) if problem.raw_axes is None else problem.raw_axes
+        raw_a, raw_b = self._arrays[3:]  # the raw semi-axes, last in the set-up key
         # the clearance test's inverse raw semi-axes, as (n_o, 1) columns
         self.raw_inverse = 1.0 / raw_a[:, None], 1.0 / raw_b[:, None]
         # the sweep's workspace: the offsets, and the shifted targets, then rho times the residuals
         self.deltas, self.shifted = np.empty(rows), np.empty(rows)
+        self.centre_sums = np.empty((self.dim, basis.n_p))
+        self.load(problem)
+
+    def fits(self, problem: SingleProblem) -> bool:
+        """Whether problem has this structure's set-up (basis, dimension, weights and semi-axes)."""
+        arrays, values = _setup_key(problem)
+        return values == self._values and all(new is old for new, old in zip(arrays, self._arrays))
+
+    def load(self, problem: SingleProblem) -> None:
+        """Write problem's boundary values, linear cost and obstacle tracks; problem must fit."""
+        self.bs = np.array([bc.values() for bc in problem.boundary])  # (dim, 6)
+        self.q = -2.0 * problem.w_track * (self.P.T @ problem.desired).T  # (dim, n_var)
+        self.centres = problem.obstacles.centres  # (dim, n_o, n_p)
+        self.centres.sum(axis=1, out=self.centre_sums)
 
     def offsets(self, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Robot-to-obstacle offsets per axis, (dim, n_o, n_p), written into out when given."""
         return np.subtract((self.P @ xi.T).T[:, None, :], self.centres, out=out)
 
-    def clear(self, deltas: np.ndarray) -> bool:
+    def clear(self, deltas: np.ndarray, out: np.ndarray | None = None) -> bool:
         """Whether every offset lies on or outside its raw obstacle.
 
         The squared scaled distance q is at least 1 everywhere: bench.metrics'
         min_clearance >= 0 on the same samples, bit for bit (the offsets are
         formed alike, sqrt is monotone and exact at 1, so q >= 1 is
-        sqrt(q) - 1 >= 0).  A NaN offset is not clear.  q is written into
-        the workspace's shifted targets, which no sweep reads before writing.
+        sqrt(q) - 1 >= 0).  A NaN offset is not clear.  q, (n_o, n_p), is
+        written into out when given.
         """
         if not self.n_o:
             return True
-        q = scaled_sq_norm(deltas, *self.raw_inverse, out=self.shifted[0], inverse=True)
+        q = scaled_sq_norm(deltas, *self.raw_inverse, out=out, inverse=True)
         return bool(q.min() >= 1.0)
+
+
+def _setup_key(problem: SingleProblem) -> tuple[tuple, tuple]:
+    """What fixes a problem's set-up: its basis and semi-axis arrays, compared by identity, and its dimension and weights, by value."""
+    obstacles = problem.obstacles
+    raw = (obstacles.a, obstacles.b) if problem.raw_axes is None else problem.raw_axes
+    return (problem.basis, obstacles.a, obstacles.b, *raw), (problem.dim, problem.w_smooth, problem.w_track)
 
 
 # the state arrays a sweep writes in place
@@ -238,9 +267,11 @@ def _check_state(state: SingleState, problem: SingleProblem) -> None:
 
     Every array must have this problem's shape; xi, d, recon, lam and rho
     must be finite (rho positive); and those a sweep writes in place must
-    be writeable float64 arrays that share no memory.  Its factor cache is
-    left as it is: the first sweep refactors when this problem's saddle
-    differs from the one it holds.
+    be writeable float64 arrays that share no memory.  Its factor cache and
+    set-up are left as they are: solve_single sets up anew when this
+    problem's basis, weights or semi-axes are not those of the set-up, and
+    the first sweep refactors when this problem's saddle differs from the
+    one the cache holds.
     """
     dim, n_o, n_p = problem.dim, problem.n_o, problem.basis.n_p
     shapes = {"xi": (dim, problem.basis.n_var), "d": (n_o, n_p)}
@@ -317,6 +348,7 @@ def init_state(
 ) -> SingleState:
     """Initial AM state: the straight line, d = 1, recon its offsets at unit scale (ties broken by _untie), lam = 0.
 
+    The state keeps struct (built when not given) as its set-up.
     Deterministic: the same problem gives the same state.
     """
     params = params or SingleParams()
@@ -332,6 +364,7 @@ def init_state(
         lam=np.zeros_like(recon),
         residuals=np.zeros_like(recon),
         rho=params.rho_start,
+        structure=struct,
     )
 
 
@@ -395,16 +428,25 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
     Non-convergence is reported through the flag, never raised.  Passing a
     state warm-starts from a previous solve (receding-horizon use); it must
     fit the problem (_check_state raises ValueError before the first sweep
-    otherwise), the sweeps write its arrays in place, and its cached factor
-    is reused only while the saddle matrix it factors is unchanged.
+    otherwise), the sweeps write its arrays in place, its set-up (Q, the
+    inverse semi-axes and the workspace) is kept while the problem's basis
+    and semi-axis arrays are the last problem's very objects and its
+    weights are equal, and its cached factor is reused only while the
+    saddle matrix it factors is unchanged.  A one-shot solve and a warm one
+    run the same path; a one-shot solve's state carries its set-up on.
     iterations counts the sweeps of this call, extra ones included.
     """
     params = params or SingleParams()
-    struct = _SingleStructure(problem)
     if state is None:
-        state = init_state(problem, params=params, struct=struct)
+        state = init_state(problem, params=params)
     else:
         _check_state(state, problem)
+        if state.structure is None or not state.structure.fits(problem):
+            state.structure = _SingleStructure(problem)
+        else:
+            state.structure.load(problem)
+    struct = state.structure
+    sq_distances = np.empty(struct.deltas.shape[1:])
     history: list[dict] = []
     max_hist: list[float] = []
     start = last_change = state.iteration
@@ -414,7 +456,7 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
         swept = state.iteration - start
         if converged or swept >= params.max_iter:
             # the normal stop: done once the plan clears the raw obstacles or the allowance is spent
-            certified = struct.clear(struct.deltas if swept else struct.offsets(state.xi))
+            certified = struct.clear(struct.deltas if swept else struct.offsets(state.xi), out=sq_distances)
             if certified or extra == params.extra_sweeps:
                 break
             extra += 1
@@ -443,5 +485,6 @@ def solve_single(problem: SingleProblem, params: SingleParams | None = None, sta
         n_factorizations=state.factors.count,
         state=state,
         certified=certified,
+        raw_sq_distances=sq_distances,
         extra_sweeps=extra,
     )

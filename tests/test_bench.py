@@ -475,6 +475,18 @@ class TestPredictObstacles:
             scenario.obstacles[0].velocity = [9.0] * scenario.dim
             assert not np.array_equal(predict_obstacles(scenario, ts).centres, predict_obstacles(motion, ts).centres)
 
+    @pytest.mark.parametrize("name,message", [("velocity", "velocities must be finite"), ("center", "centres must be finite")])
+    def test_motion_checks_its_arrays_once_and_predictions_share_its_semi_axes(self, name, message):
+        scenario = gen_scenario("dynamic-flow", seed=2)
+        motion = ObstacleMotion.of(scenario)
+        for t_now in (0.0, 1.7):
+            predicted = predict_obstacles(motion, np.linspace(0.0, 10.0, 100), t_now)
+            assert predicted.a is motion.a and predicted.b is motion.b
+        # a scenario edited after it was checked is checked again when read
+        setattr(scenario.obstacles[1], name, [np.nan] * scenario.dim)
+        with pytest.raises(ValueError, match=message):
+            ObstacleMotion.of(scenario)
+
 
 class TestResultsCsv:
     def test_round_trip(self, tmp_path):
@@ -725,15 +737,82 @@ class TestRecedingHorizon:
 
 
     def test_dynamic_flow_success_rate_definition(self):
-        seeds = range(3)
+        # an episode succeeds when it reaches its goal without colliding, and
+        # its last step record carries that verdict
         outcomes = []
-        for seed in seeds:
+        for seed in range(3):
             scenario = gen_scenario("dynamic-flow", {"n_o": 3, "n_p": 40, "tf": 8.0}, seed=seed)
             result = receding_horizon_run(scenario, solver="single", step_budget=25, n_steps=25)
+            assert result.success == (result.reached_goal and not result.collided)
+            assert result.records and result.records[-1].metrics.success == result.success
             outcomes.append(result.success)
-        rate = sum(outcomes) / len(outcomes)
-        assert 0.0 <= rate <= 1.0
-        assert rate == pytest.approx(np.mean(outcomes))
+        assert any(outcomes)
+
+    @pytest.mark.parametrize("solver", ["single", "batch"])
+    @pytest.mark.parametrize(
+        "counts,name", [({"step_budget": 0}, "step_budget"), ({"step_budget": -3}, "step_budget"), ({"n_steps": -1}, "n_steps")]
+    )
+    def test_bad_budget_or_step_count_rejected_before_the_first_step(self, monkeypatch, solver, counts, name):
+        # with step_budget=0 every step after the first executed a stale plan:
+        # a single step returned the unshifted warm plan, 0.50 m from the
+        # robot, and counted it certified, and the batch path jumped 1.86 m
+        solves = []
+        for module, entry in ((solver_single, "solve_single"), (runner.solver_batch, "solve_batch_opt")):
+            monkeypatch.setattr(module, entry, lambda *args, **kwargs: solves.append(args))
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            receding_horizon_run(gen_scenario("random-static", seed=1), solver=solver, **({"n_steps": 4} | counts))
+        assert solves == []
+
+    def test_no_steps_is_an_empty_episode(self):
+        result = receding_horizon_run(gen_scenario("random-static", seed=1), solver="single", n_steps=0)
+        assert result.records == [] and result.executed is None
+        assert not (result.success or result.collided or result.reached_goal)
+
+    @pytest.mark.parametrize("kind,params,seed,factorizations", EPISODES)
+    def test_step_records_are_the_metrics_of_their_plans(self, monkeypatch, kind, params, seed, factorizations):
+        # a single step's record reads what its solve measured (its costs and
+        # its certificate's squared distances), and equals eval_metrics of the
+        # same plan against the raw obstacles it was certified against
+        steps = []
+        original = solver_single.solve_single
+
+        def recording(problem, *args, **kwargs):
+            steps.append((problem, original(problem, *args, **kwargs)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(solver_single, "solve_single", recording)
+        result = receding_horizon_run(gen_scenario(kind, params, seed=seed), solver="single", n_steps=30)
+        assert len(steps) == len(result.records) > 1
+        fields = ("min_clearance", "smoothness", "tracking", "arc_length")
+        for record, (problem, sol) in zip(result.records, steps):
+            raw = problem.obstacles.with_axes(*problem.raw_axes)
+            expected = eval_metrics(sol.trajectory, raw, problem.desired)
+            assert [float(getattr(record.metrics, f)).hex() for f in fields] == [float(getattr(expected, f)).hex() for f in fields]
+
+    def test_episode_checks_its_semi_axes_and_sets_the_solve_up_once(self, monkeypatch):
+        # the raw semi-axes are checked when the episode reads the obstacles,
+        # the planning ones when its first step inflates them, and the
+        # single solve is set up at the first step; later steps share all three
+        from trajopt import geometry
+
+        counts = {"axes": 0, "structures": 0}
+        checked_axes, structure_init = geometry._checked_axes, solver_single._SingleStructure.__init__
+
+        def counting_axes(*args):
+            counts["axes"] += 1
+            return checked_axes(*args)
+
+        def counting_structure(self, problem):
+            counts["structures"] += 1
+            structure_init(self, problem)
+
+        monkeypatch.setattr(geometry, "_checked_axes", counting_axes)
+        monkeypatch.setattr(solver_single._SingleStructure, "__init__", counting_structure)
+        for kind, params, seed, _ in self.EPISODES:
+            counts.update(axes=0, structures=0)
+            result = receding_horizon_run(gen_scenario(kind, params, seed=seed), solver="single", n_steps=30)
+            assert len(result.records) > 1
+            assert counts == {"axes": 2, "structures": 1}, (kind, seed, len(result.records))
 
 
 class TestCertificate:

@@ -912,6 +912,26 @@ class TestObstacles:
             with pytest.raises(ValueError, match="semi-axes"):
                 obstacles.with_axes([0.4, 0.9], bad)
 
+    def test_checked_semi_axes_are_shared_not_checked_again(self):
+        obstacles = Obstacles(*_obstacle_case())
+        moved = Obstacles(obstacles.centres + 1.0, obstacles.a, obstacles.b)
+        assert moved.a is obstacles.a and moved.b is obstacles.b
+        swapped = moved.with_axes(obstacles.b, obstacles.a)
+        assert swapped.a is obstacles.b and swapped.centres is moved.centres
+        # an equal read-only array that no Obstacles made is copied and checked
+        a = obstacles.a.copy()
+        a.setflags(write=False)
+        assert Obstacles(obstacles.centres, a, obstacles.b).a is not a
+        # a checked array made writeable again is checked again, and copied
+        b = Obstacles(*_obstacle_case()).b
+        b.setflags(write=True)
+        b[0] = -1.0
+        with pytest.raises(ValueError, match="positive and finite"):
+            Obstacles(obstacles.centres, obstacles.a, b)
+        # checked semi-axes of another obstacle count are rejected as any others are
+        with pytest.raises(ValueError, match="semi-axes a and b must be"):
+            Obstacles(np.zeros((2, 3, 5)), obstacles.a, obstacles.b)
+
     def test_none_is_no_obstacles_of_the_problem(self):
         obstacles = check_obstacles(None, 3, 7)
         assert obstacles.centres.shape == (3, 0, 7) and obstacles.a.shape == obstacles.b.shape == (0,)

@@ -1,5 +1,6 @@
 import copy
 from collections import namedtuple
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,6 @@ from trajopt.geometry import D_CAP, EllipsoidShape, Obstacles, angle2d, radial_t
 from trajopt.solver_single import (
     SingleParams,
     SingleProblem,
-    _cost_blocks,
     _polar_step,
     _position_step,
     _SingleStructure,
@@ -71,6 +71,12 @@ def make_problem_3d(n_p=50, obstacles=(), degree=8):
         desired=_line([0.0, 0.0, 1.0], [6.0, 1.0, 1.0], n_p),
         obstacles=_stack(obstacles),
     )
+
+
+def _cost_blocks(problem):
+    """The quadratic cost Q (shared by all axes) and the per-axis linear terms q of the position step."""
+    struct = _SingleStructure(problem)
+    return struct.Q, struct.q
 
 
 def boundary_qp_oracle(problem):
@@ -1171,3 +1177,50 @@ class TestParamsValidation:
     def test_defaults_and_boundary_values_accepted(self):
         SingleParams()
         SingleParams(rho_start=2.0, rho_cap=2.0, rho_growth=1.0, max_iter=0, stall_window=1, tol=0.0)
+
+
+class TestSetUpKeptWithTheState:
+    """A warm solve keeps its state's set-up while the problem's basis and semi-axis arrays are the last
+    problem's very objects and its weights are equal, sets up anew otherwise, and sweeps either way as a
+    solve set up anew does, bit for bit."""
+
+    # (name, the next problem from the last one, whether the set-up is kept)
+    CHANGES = [
+        ("moved-start", lambda p: replace(p, boundary=(AxisBoundary(p0=0.4, v0=0.3, p1=p.boundary[0].p1), *p.boundary[1:])), True),
+        ("moved-tracks", lambda p: replace(p, obstacles=Obstacles(p.obstacles.centres + 0.3, p.obstacles.a, p.obstacles.b)), True),
+        ("another-basis", lambda p: replace(p, basis=build_basis(p.basis.grid.t0, p.basis.grid.tf, p.basis.n_p, 10)), False),
+        ("another-weight", lambda p: replace(p, w_smooth=2.0), False),
+        ("other-semi-axes", lambda p: replace(p, obstacles=p.obstacles.with_axes(p.obstacles.a.copy(), p.obstacles.b)), False),
+        ("other-raw-semi-axes", lambda p: replace(p, raw_axes=(p.raw_axes[0], p.raw_axes[1] * 0.5)), False),
+    ]
+
+    @pytest.mark.parametrize("change,kept", [(change, kept) for _, change, kept in CHANGES], ids=[c[0] for c in CHANGES])
+    def test_warm_solve_matches_a_solve_set_up_anew(self, monkeypatch, change, kept):
+        scenario = gen_scenario("dynamic-flow", seed=3)
+        h = scenario.horizon
+        problem = runner.single_problem_from_scenario(scenario, build_basis(h.t0, h.tf, h.n_p, 10))
+        state = solve_single(problem, SingleParams(max_iter=20)).state
+        structure, state.structure = state.structure, None
+        warm, fresh = copy.deepcopy(state), copy.deepcopy(state)
+        warm.structure = structure
+        builds = []
+        structure_init = _SingleStructure.__init__
+
+        def counting(self, problem):
+            builds.append(problem)
+            structure_init(self, problem)
+
+        monkeypatch.setattr(_SingleStructure, "__init__", counting)
+        other = change(problem)
+        params = SingleParams(max_iter=15, extra_sweeps=40)
+        got = solve_single(other, params, state=warm)
+        assert len(builds) == (0 if kept else 1)
+        assert (warm.structure is structure) == kept
+        expected = solve_single(other, params, state=fresh)
+        assert got.residual_history == expected.residual_history
+        assert (got.iterations, got.certified, got.n_factorizations) == (expected.iterations, expected.certified, expected.n_factorizations)
+        for name in ("pos", "vel", "acc"):
+            np.testing.assert_array_equal(getattr(got.trajectory, name), getattr(expected.trajectory, name))
+        np.testing.assert_array_equal(got.raw_sq_distances, expected.raw_sq_distances)
+        for name in ("Q", "q", "bs", "centres", "centre_sums", "inverse", "raw_inverse"):
+            np.testing.assert_array_equal(getattr(warm.structure, name), getattr(fresh.structure, name))

@@ -187,25 +187,27 @@ def _timed(solve, *args, **kwargs):
 
 
 def _plan(problem, params, seed: int, state=None):
-    """Solve a single or batch problem with its params, from a warm state if one is given.
+    """Solve a single or batch problem with its params.
 
-    Returns (trajectory, residual_norm, iterations, state, wall_ms,
-    measured); measured is what the solve measured of the trajectory, as
-    eval_metrics' keyword arguments against the problem's raw obstacles and
-    desired line: a single solve's costs and its certificate's squared
-    distances, nothing for batch.  A batch run returns its best feasible
-    member, else its least-residual one, and with
-    BatchParams.stop_on_certificate ends at its certified stop.  A single
-    solve sweeps on past max_iter while its plan is uncertified, up to
-    SingleParams.extra_sweeps more.
+    A single solve starts from the warm state if one is given; a batch solve
+    always starts cold, its members drawn from seed.  Returns (trajectory,
+    residual_norm, iterations, state, wall_ms, measured); state is the
+    single solve's state to warm-start the next one, None for batch, and
+    measured is what the solve measured of the trajectory, as eval_metrics'
+    keyword arguments against the problem's raw obstacles and desired line:
+    a single solve's costs and its certificate's squared distances, nothing
+    for batch.  A batch run returns its best feasible member, else its
+    least-residual one, and with BatchParams.stop_on_certificate ends at
+    its certified stop.  A single solve sweeps on past max_iter while its
+    plan is uncertified, up to SingleParams.extra_sweeps more.
     """
     if isinstance(problem, solver_single.SingleProblem):
         sol, wall_ms = _timed(solver_single.solve_single, problem, params, state=state)
         measured = dict(smoothness=sol.smoothness_cost, tracking=sol.tracking_cost, sq_distances=sol.raw_sq_distances)
         return sol.trajectory, sol.residual_norm, sol.iterations, sol.state, wall_ms, measured
-    ranked, wall_ms = _timed(solver_batch.solve_batch_opt, problem, params, seed=seed, state=state)
+    ranked, wall_ms = _timed(solver_batch.solve_batch_opt, problem, params, seed=seed)
     idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
-    return ranked.trajectories[idx], float(ranked.residual_norm[idx]), ranked.iterations, ranked.state, wall_ms, {}
+    return ranked.trajectories[idx], float(ranked.residual_norm[idx]), ranked.iterations, None, wall_ms, {}
 
 
 def run_scenario(scenario: Scenario, solver: str, seed: int, iters: int, out_dir=None) -> RunRecord:
@@ -357,25 +359,25 @@ def receding_horizon_run(
     n_steps: int = 30,
     seed: int = 0,
 ) -> MpcResult:
-    """Receding-horizon loop: re-predict obstacles, warm-start multipliers,
-    execute the first trajectory segment.
+    """Receding-horizon loop: re-predict obstacles, plan, execute the first
+    trajectory segment.
 
     Each control step builds its problem as single_problem_from_scenario
     or batch_problem_from_scenario (50 members) do, from the robot's
-    executed state and the current time, and warm-starts from the last
-    step's state.
-    The single solver's warm state is first shifted by the executed samples
+    executed state and the current time.  A single step warm-starts from
+    the last step's state, first shifted by the executed samples
     (solver_single.shift_state), so each step starts from the rest of the
-    last plan; the batch state is handed on as it is.
-    step_budget is the solve's max_iter and must be at least 1: a step with
-    no sweep would execute the last plan again, from where the robot stood
-    a step earlier.  n_steps must be at least 0.  Either is rejected with
-    ValueError before the first step.  A batch step runs all of its budget,
-    with no certified stop: with the stop, one fewer of 24 planar episodes
-    reached its goal.  The budget does not cap a single step: a single plan
-    that is not clear of the raw predicted obstacles at the budget is swept
-    on, in the same solve, up to MPC_EXTRA_SWEEPS more sweeps, until it
-    is.  A step's wall_time_ms covers its solve only, and
+    last plan.  A batch step plans cold, its members drawn from seed as
+    run_scenario draws them, and ends at its certified stop
+    (BatchParams.stop_on_certificate) or at the budget.
+    step_budget is the solve's max_iter and must be at least 1: a single
+    step with no sweep would execute the last plan again, from where the
+    robot stood a step earlier.  n_steps must be at least 0.  Either is
+    rejected with ValueError before the first step.  The budget does not
+    cap a single step: a single plan that is not clear of the raw predicted
+    obstacles at the budget is swept on, in the same solve, up to
+    MPC_EXTRA_SWEEPS more sweeps, until it is.  A step's wall_time_ms
+    covers its solve only, and
     MpcResult.uncertified_steps counts the steps whose plan was executed
     though not clear (min_clearance < 0 against the obstacles as predicted
     for the plan's times).  The executed segment is the plan's next
@@ -414,7 +416,7 @@ def receding_horizon_run(
     if solver == "single":
         params = solver_single.SingleParams(max_iter=step_budget, extra_sweeps=MPC_EXTRA_SWEEPS)
     else:
-        params = solver_batch.BatchParams(max_iter=step_budget)
+        params = solver_batch.BatchParams(max_iter=step_budget, stop_on_certificate=True)
 
     goal = np.asarray(scenario.boundary.goal, dtype=float)
     pos = np.asarray(scenario.boundary.start, dtype=float)

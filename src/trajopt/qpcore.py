@@ -39,8 +39,9 @@ reduced Hessian.  FactorCache holds the one rule for when a factor still
 applies: it is formed again only when rho, or the value of Q, M or A,
 differs from the last call's, and the boundary part only for a new factor
 or another boundary array.  The single and batch solvers keep their
-caches in their states, so a warm start on equal matrices reuses the
-factor and one on other matrices forms a new one.  The single solver forms
+caches in their states; a single warm start on equal matrices reuses the
+factor and one on other matrices forms a new one, and every batch solve
+starts with empty caches.  The single solver forms
 its factors from a pencil the cache keeps while Q, M and A stay equal
 (get_from_pencil), so a receding-horizon episode takes one
 eigendecomposition and rescales it for each penalty.  The batch solver's

@@ -50,24 +50,23 @@ own Gram blocks,
      [(sum r) n_o P'P,                         ((sum r^2) n_o + 1) P'P ]]
 
 So the xi-step KKT matrix Q + rho F'F is factorized once per penalty value
-and applied to the whole batch in one shot; the state keeps it, and the
-heading block's Q_psi + rho P'P, in a qpcore.FactorCache each.  Every
+and applied to the whole batch in one shot; within a solve it, and the
+heading block's Q_psi + rho P'P, sit in a qpcore.FactorCache each.  Every
 member shares the problem's boundary values, so each step adds one shared
 boundary row, (4m,) and (m,), formed once per factor.  From
 the same pass the multiplier step reads residual @ F, the next xi step
 g @ F = xi F'F - residual @ F, and the ranking each member's residual max
-and norm.  A warm start takes that pass at its own iterate on the new
-problem, as init_state does at the samples, so nothing of the last
-problem's targets is carried over.  The heading block is fit to
-arctan2(sin-copy, cos-copy) targets (a convex surrogate).
+and norm.  Every solve starts cold: init_state takes the first pass at the
+samples.  The heading block is fit to arctan2(sin-copy, cos-copy) targets
+(a convex surrogate).
 
 A solve runs max_iter iterations, or with BatchParams.stop_on_certificate
 ends at the first iteration whose best candidate is stationary and
 certified.  The candidates are the members with residual_max <= tol; the
 best is the least augmented cost, cost + rho residual_norm, the ranking's
 key.  It is stationary when that least cost has changed by at most
-stall_improvement (relative) over the last stall_window iterations of the
-call.  A member's cost is taken in coefficient space, xi Q xi' + 2 q xi' +
+stall_improvement (relative) over the last stall_window iterations.  A
+member's cost is taken in coefficient space, xi Q xi' + 2 q xi' +
 w_track |desired|^2 + w_smooth xi_psi Q_psi_smooth xi_psi', one (n, 4m) by
 (4m, 4m) product; each iteration costs only the candidates.  A stationary
 iteration ranks the whole batch, costs and check_raw_feasibility, as the
@@ -161,14 +160,14 @@ class BatchState:
     lam: np.ndarray  # (N_b, 4m)
     lam_psi: np.ndarray  # (N_b, m)
     rho: float  # the penalty of the xi and heading steps
-    # set by the residual pass at the iterate, which every solve takes first: heading
+    # set by the residual pass at the iterate, which init_state takes first: heading
     # samples (N_b, n_p), g @ F (N_b, 4m), per-member max and norm of F xi - g (N_b,)
     psi: np.ndarray | None = None
     target_products: np.ndarray | None = None
     residual_max: np.ndarray | None = None
     residual_norm: np.ndarray | None = None
     iteration: int = 0
-    # the KKT factors of the xi and heading steps
+    # the KKT factors of the xi and heading steps, formed within the solve
     xi_factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
     psi_factors: qpcore.FactorCache = field(default_factory=qpcore.FactorCache, repr=False)
 
@@ -308,34 +307,9 @@ def init_state(
     xi = np.hstack([samples[:, :m], np.tile(xi_c_one, (n_b, 1)), samples[:, m:], np.tile(xi_s_one, (n_b, 1))])
 
     state = BatchState(xi, xi_psi, lam=np.zeros((n_b, 4 * m)), lam_psi=np.zeros((n_b, m)), rho=params.rho_start)
-    return _first_pass(state, problem, struct)
-
-
-def _first_pass(state: BatchState, problem: BatchProblem, struct: _Structure) -> BatchState:
-    """Set the heading samples of xi_psi and take the residual pass at the state's iterate on this problem."""
-    state.psi = state.xi_psi @ problem.basis.P.T
-    polar_step(state, problem, struct, _placed(state.xi, problem.basis, struct.m))
+    state.psi = xi_psi @ basis.P.T
+    polar_step(state, problem, struct, _placed(xi, basis, m))
     return state
-
-
-def _check_state(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
-    """Reject a warm state whose coefficients, multipliers or rho do not fit this problem.
-
-    Those arrays must have this problem's shapes, n_batch members included,
-    and be finite, and rho be positive and finite; the first pass retakes
-    the rest.  The factor caches are left as they are: the first iteration
-    refactors the saddles of this problem that differ from the ones they
-    hold.
-    """
-    n_b, m = problem.n_batch, struct.m
-    shapes = {"xi": (n_b, 4 * m), "xi_psi": (n_b, m), "lam": (n_b, 4 * m), "lam_psi": (n_b, m)}
-    for name, shape in shapes.items():
-        value = getattr(state, name)
-        if np.shape(value) != shape:
-            raise ValueError(f"warm state {name} has shape {np.shape(value)}, expected {shape} for this problem")
-        if not np.isfinite(value).all():
-            raise ValueError(f"warm state {name} is not finite")
-    check_real(state, "positive and finite", "rho", prefix="warm state ")
 
 
 def batch_xi_step(state: BatchState, problem: BatchProblem, struct: _Structure) -> None:
@@ -464,45 +438,37 @@ def solve_batch_opt(
     mean: np.ndarray | None = None,
     covariance: np.ndarray | None = None,
     seed=0,
-    state: BatchState | None = None,
 ) -> RankedSolutions:
-    """Run the batch optimizer and rank members.
+    """Run the batch optimizer from a cold start and rank members.
 
     Members are initialized from explicit coefficient samples, or drawn from
     N(mean, covariance) (defaults: straight-line mean, diagonal covariance
-    scaled to the start-goal distance).  Explicit samples and a warm state
-    must have problem.n_batch members.  Passing state warm-starts; its
-    coefficients and multipliers must fit the problem, its first residual
-    pass is taken on this problem, and its cached factors are reused only
-    while the saddle matrices they factor are unchanged.  iterations counts
-    the sweeps of this call.  With params.stop_on_certificate the call ends
-    at its first iteration whose best candidate is stationary over the
-    call's own window and feasible in that iteration's ranking, and returns
-    that ranking (see the module docstring); a call with no such iteration
-    runs all of max_iter and ranks after its loop.
+    scaled to the start-goal distance).  Explicit samples must have
+    problem.n_batch members.  Each call forms its own factors, which the
+    returned state holds.  With params.stop_on_certificate the call ends at
+    its first iteration whose best candidate is stationary and feasible in
+    that iteration's ranking, and returns that ranking (see the module
+    docstring); a call with no such iteration runs all of max_iter and
+    ranks after its loop.
     """
     params = params or BatchParams()
     struct = _Structure(problem)
     basis, m = problem.basis, struct.m
 
-    if state is None:
-        if samples is None:
-            bx, by = problem.boundary
-            if mean is None:
-                mean = straight_line_coeffs(basis, *endpoints(problem.boundary)).ravel()
-            if covariance is None:
-                scale = max(np.hypot(bx.p1 - bx.p0, by.p1 - by.p0) / 10.0, 0.5)
-                covariance = np.eye(2 * m) * scale**2
-            samples = sample_initializations(mean, covariance, problem.n_batch, seed)
-        state = init_state(problem, samples, params, struct)
-        if len(state.xi) != problem.n_batch:
-            raise ValueError(f"{len(state.xi)} samples given, expected n_batch = {problem.n_batch}")
-    else:
-        _check_state(state, problem, struct)
-        _first_pass(state, problem, struct)
+    if samples is None:
+        bx, by = problem.boundary
+        if mean is None:
+            mean = straight_line_coeffs(basis, *endpoints(problem.boundary)).ravel()
+        if covariance is None:
+            scale = max(np.hypot(bx.p1 - bx.p0, by.p1 - by.p0) / 10.0, 0.5)
+            covariance = np.eye(2 * m) * scale**2
+        samples = sample_initializations(mean, covariance, problem.n_batch, seed)
+    state = init_state(problem, samples, params, struct)
+    if len(state.xi) != problem.n_batch:
+        raise ValueError(f"{len(state.xi)} samples given, expected n_batch = {problem.n_batch}")
 
     best_history, records = [], []  # records: the stop's least candidate key per iteration
-    start = last_change = state.iteration
+    last_change = 0
     maxabs_hist: list[float] = []
     ranking = None  # (costs, aug_costs, feasible) when the last iteration took it
     for _ in range(params.max_iter):
@@ -541,5 +507,5 @@ def solve_batch_opt(
     return RankedSolutions(
         trajectories=trajectories, costs=costs, aug_costs=aug_costs, residual_max=state.residual_max,
         residual_norm=state.residual_norm, feasible=feasible, best_index=best_index, best_history=best_history,
-        iterations=state.iteration - start, n_factorizations=state.xi_factors.count + state.psi_factors.count, state=state,
+        iterations=state.iteration, n_factorizations=state.xi_factors.count + state.psi_factors.count, state=state,
     )

@@ -651,6 +651,22 @@ class TestRecedingHorizon:
                 reached += result.reached_goal
         assert collided <= 3 and reached >= 27, (collided, reached)
 
+    def test_batch_closed_loop_outcomes(self):
+        # one seed per planar scene kind: each step plans cold with the
+        # certified stop, and all four episodes reach the goal without a
+        # collision (none did when each step was handed the last step's
+        # unshifted state: all four ran out of steps).  n_steps=30 matters:
+        # a cold plan is the rest-to-rest optimum over the whole horizon, so
+        # each step covers about 10% of the distance left (corridor seed 0:
+        # 12 -> 11.5 -> 10.3 -> ... -> 0.60 -> 0.54 m), and the episodes
+        # reach the goal at steps 28-30.  The gate allows one episode of slack.
+        collided = reached = 0
+        for kind in ("corridor", "random-static", "barn-like", "dynamic-flow"):
+            result = receding_horizon_run(gen_scenario(kind, seed=0), solver="batch", step_budget=40, n_steps=30)
+            collided += result.collided
+            reached += result.reached_goal
+        assert collided == 0 and reached >= 3, (collided, reached)
+
     def test_uncertified_steps_are_counted(self):
         # corridor seed 5 executes an uncertified plan at its third step,
         # whose segment then collides

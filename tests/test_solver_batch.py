@@ -1,4 +1,3 @@
-import copy
 from collections import namedtuple
 from types import SimpleNamespace
 
@@ -7,7 +6,7 @@ import pytest
 
 from trajopt import geometry, qpcore, solver_batch
 from trajopt.basis import AxisBoundary, boundary_matrix, build_basis, sample_trajectory, straight_line_coeffs
-from trajopt.bench import gen_scenario, receding_horizon_run, runner
+from trajopt.bench import gen_scenario, runner
 from trajopt.geometry import D_CAP, Obstacles, radial_clamp, scaled_sq_norm, stalled
 from trajopt.solver_batch import (
     BatchParams,
@@ -770,6 +769,14 @@ class TestSolveBatchOpt:
         distinct_rho = len({h["rho"] for h in ranked.best_history})
         assert ranked.n_factorizations == 2 * distinct_rho  # one xi factor + one psi factor per value
 
+    def test_keyed_matrices_are_read_only(self):
+        # the factor caches take an identical array as unchanged, so an
+        # in-place edit must fail rather than leave a stale factor
+        struct = solver_batch._Structure(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
+        for keyed in (struct.Q, struct.FtF, struct.A, struct.b, struct.Q_psi_smooth, struct.PtP, struct.A_psi, struct.b_psi):
+            with pytest.raises(ValueError, match="read-only"):
+                keyed[(0,) * keyed.ndim] = 1.0
+
     def test_elliptical_obstacle_far_from_the_path_converges(self):
         # (a, b) = (0.5, 2.0) at (5, -6): every sample of the straight line
         # y = 0 has scaled distance >= 3, so the collision rows are slack and
@@ -852,26 +859,12 @@ class TestStopOnCertificate:
         assert ranked.iterations == 40
         assert ranked.best_index is None and not ranked.feasible.any()
 
-    def test_warm_solve_counts_its_window_from_its_first_iteration(self):
-        # the cold solve stops at a stationary best candidate; the warm one
-        # takes stall_window + 1 records of its own before it may stop again
-        prob = _flow_problem(2, 20)
-        params = BatchParams(max_iter=40, stop_on_certificate=True)
-        cold = solve_batch_opt(prob, params, seed=2)
-        assert cold.iterations < params.max_iter
-        state = copy.deepcopy(cold.state)
-        warm = solve_batch_opt(prob, params, state=cold.state)
-        assert warm.iterations == params.stall_window + 1
-        truncated = solve_batch_opt(prob, BatchParams(max_iter=warm.iterations), state=state)
-        assert warm.best_index == truncated.best_index is not None
-        np.testing.assert_array_equal(warm.state.xi, truncated.state.xi)
-
     def test_record_is_the_least_candidate_key(self, monkeypatch):
         # a stopping solve keys each iteration on _member_costs of the
-        # candidates alone; its ranking costs every member
+        # candidates alone; the ranking of its stopping iteration costs
+        # every member (seed 2 stops at 27 with 4 of 20 candidates)
         prob = _flow_problem(2, 20)
-        params = BatchParams(max_iter=30)
-        state = solve_batch_opt(prob, params, seed=2).state
+        params = BatchParams(max_iter=40, stop_on_certificate=True)
         keys = []
         member_costs = solver_batch._member_costs
 
@@ -880,12 +873,12 @@ class TestStopOnCertificate:
             return keys[-1]
 
         monkeypatch.setattr(solver_batch, "_member_costs", recording)
-        warm = solve_batch_opt(prob, BatchParams(max_iter=1, stop_on_certificate=True), state=state)
-        candidates = warm.state.residual_max <= params.tol
-        assert 0 < candidates.sum() < candidates.size
-        assert len(keys) == 2 and keys[0].shape == (candidates.sum(),)  # the candidates' key, then the ranking
-        np.testing.assert_allclose(keys[0], keys[1][candidates], rtol=1e-12)
-        np.testing.assert_array_equal(keys[1], warm.costs)
+        stopped = solve_batch_opt(prob, params, seed=2)
+        candidates = stopped.state.residual_max <= params.tol
+        assert stopped.iterations < params.max_iter and 0 < candidates.sum() < candidates.size
+        assert keys[-2].shape == (candidates.sum(),)  # the candidates' key, then the ranking
+        np.testing.assert_allclose(keys[-2], keys[-1][candidates], rtol=1e-12)
+        np.testing.assert_array_equal(keys[-1], stopped.costs)
 
     def test_member_costs_are_the_sampled_cost(self):
         prob = BatchProblem(**{**vars(_flow_problem(2, 20)), "w_smooth": 0.7, "w_track": 1.3})
@@ -1119,204 +1112,3 @@ class TestParamsValidation:
     def test_margins_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             BatchParams(**{name: value})
-
-
-def _assert_rejected_untouched(state, prob, match):
-    """A warm solve of prob raises before its first iteration and leaves the state as it was."""
-    caches = (state.xi_factors, state.psi_factors)
-    factors = [(cache.factor, cache.count) for cache in caches]
-    before = copy.deepcopy(state)
-    with pytest.raises(ValueError, match=match):
-        solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-    assert (state.xi_factors, state.psi_factors) == caches
-    assert all(cache.factor is factor and cache.count == count for cache, (factor, count) in zip(caches, factors))
-    for name, value in vars(before).items():
-        if isinstance(value, np.ndarray):
-            np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
-        elif name not in ("xi_factors", "psi_factors"):
-            np.testing.assert_equal(getattr(state, name), value, err_msg=name)  # NaN rho included
-
-
-class TestWarmState:
-    def _solved_state(self, prob, iters=3):
-        return solve_batch_opt(prob, BatchParams(max_iter=iters), seed=0).state
-
-    def _assert_warm_solve_refactors(self, state, prob, n_refactored):
-        """A warm solve of prob runs its iterations on n_refactored new factors, as from fresh caches."""
-        fresh = copy.deepcopy(state)
-        fresh.xi_factors, fresh.psi_factors = qpcore.FactorCache(), qpcore.FactorCache()
-        n_before = state.xi_factors.count + state.psi_factors.count
-        warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-        expected = solve_batch_opt(prob, BatchParams(max_iter=3), state=fresh)
-        assert (warm.iterations, warm.n_factorizations) == (3, n_before + n_refactored)
-        assert np.all(np.isfinite(warm.residual_norm))
-        np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
-        np.testing.assert_array_equal(warm.residual_max, expected.residual_max)
-
-    # the first pass of a warm solve is taken on the new problem, so a warm
-    # state carries over to another layout of the same coefficient width
-
-    def test_obstacle_count_change_runs_and_refactors(self):
-        # F'F scales with the obstacle count; the heading saddle does not
-        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)]))
-        prob = make_problem(obstacles=[_static_obstacle([5.0, y], 0.5, 0.5) for y in (-2.0, 0.0, 2.0)])
-        self._assert_warm_solve_refactors(state, prob, 1)
-
-    def test_circle_count_change_runs_and_refactors(self):
-        obstacle = [_static_obstacle([5.0, 0.0], 0.5, 0.5)]
-        state = self._solved_state(make_problem(obstacles=obstacle, offsets=(0.3, -0.3)))
-        self._assert_warm_solve_refactors(state, make_problem(obstacles=obstacle, offsets=(0.3, 0.0, -0.3)), 1)
-
-    def test_grid_change_runs_and_refactors(self):
-        # the same degree on 60 samples: every coefficient block fits, and
-        # both saddles sum over the samples
-        def problem(n_p):
-            basis = build_basis(0.0, 10.0, n_p, 10)
-            line = np.column_stack([np.linspace(0.0, 10.0, n_p), np.zeros(n_p)])
-            obstacle = Obstacles(np.tile([[[5.0]], [[0.0]]], (1, 1, n_p)), [0.5], [0.5])
-            return BatchProblem(**{**vars(make_problem()), "basis": basis, "desired": line, "obstacles": obstacle})
-
-        state = self._solved_state(problem(60))
-        self._assert_warm_solve_refactors(state, problem(50), 2)
-
-    @pytest.mark.parametrize("max_iter", [0, 3])
-    def test_last_pass_is_not_read(self, max_iter):
-        # the heading samples and the last residual pass are retaken on the
-        # new problem, so no value of theirs reaches the outputs
-        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
-        prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
-        other = copy.deepcopy(state)
-        rng = np.random.default_rng(4)
-        for name in ("psi", "target_products", "residual_max", "residual_norm"):
-            setattr(other, name, rng.normal(size=np.shape(getattr(state, name))))
-        warm = solve_batch_opt(prob, BatchParams(max_iter=max_iter), state=other)
-        expected = solve_batch_opt(prob, BatchParams(max_iter=max_iter), state=state)
-        for name in ("costs", "aug_costs", "residual_max", "residual_norm", "feasible"):
-            np.testing.assert_array_equal(getattr(warm, name), getattr(expected, name), err_msg=name)
-        for name in ("xi", "xi_psi", "psi", "target_products", "lam", "lam_psi"):
-            np.testing.assert_array_equal(getattr(warm.state, name), getattr(expected.state, name), err_msg=name)
-        assert (warm.best_history, warm.iterations) == (expected.best_history, max_iter)
-
-    def test_zero_iteration_warm_solve_reports_the_new_problem(self):
-        # the last pass was the old problem's: with the obstacle moved onto
-        # the members' path, the report must show the new collision rows
-        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 3.0], 0.5, 0.5)], n_batch=6))
-        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)], n_batch=6)
-        ranked = solve_batch_opt(prob, BatchParams(max_iter=0), state=state)
-        ref = _Reference(prob)
-        xi, psi = ranked.state.xi, ranked.state.psi
-        res = xi @ ref.F.T - ref.g(ref.polar(xi), psi)
-        np.testing.assert_array_equal(psi, ranked.state.xi_psi @ prob.basis.P.T)
-        np.testing.assert_allclose(ranked.residual_max, np.abs(res).max(axis=1), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(ranked.residual_norm, np.linalg.norm(res, axis=1), rtol=0, atol=1e-12)
-        assert ranked.residual_max.min() > 0.1
-
-    def test_iterations_count_the_call(self):
-        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
-        state = self._solved_state(prob)
-        state.iteration = 20
-        ranked = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-        assert (ranked.iterations, ranked.state.iteration) == (3, 23)
-
-    @pytest.mark.parametrize("name", ["xi", "xi_psi", "lam", "lam_psi"])
-    def test_non_finite_array_rejected_before_iterating(self, name):
-        # a NaN multiplier used to turn its member NaN partway through the solve
-        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
-        state = self._solved_state(prob)
-        value = np.array(getattr(state, name))
-        value.flat[3] = np.nan
-        setattr(state, name, value)
-        _assert_rejected_untouched(state, prob, f"warm state {name} is not finite")
-
-    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0, "1", None])
-    def test_bad_penalty_rejected_before_iterating(self, rho):
-        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
-        state = self._solved_state(prob)
-        state.rho = rho
-        _assert_rejected_untouched(state, prob, "warm state rho")
-
-    def test_non_finite_residual_report_accepted(self):
-        # the last pass's residual max and norm are overwritten, never read
-        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)])
-        state = self._solved_state(prob)
-        clean = copy.deepcopy(state)
-        state.residual_max = np.full_like(state.residual_max, np.nan)
-        state.residual_norm = np.full_like(state.residual_norm, np.inf)
-        warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-        expected = solve_batch_opt(prob, BatchParams(max_iter=3), state=clean)
-        np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
-        np.testing.assert_array_equal(warm.residual_norm, expected.residual_norm)
-
-    @pytest.mark.parametrize("n_batch", [6, 50])
-    def test_member_count_mismatch_rejected(self, n_batch):
-        # a warm state of 8 members used to run 8 members on any n_batch
-        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
-        prob = make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)], n_batch=n_batch)
-        _assert_rejected_untouched(state, prob, rf"warm state xi has shape \(8, 44\), expected \({n_batch}, 44\)")
-
-    def test_basis_mismatch_rejected(self):
-        state = self._solved_state(make_problem())
-        basis = build_basis(0.0, 10.0, N_P, 8)
-        prob = make_problem()
-        prob = BatchProblem(**{**vars(prob), "basis": basis})
-        with pytest.raises(ValueError, match="warm state xi"):
-            solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-
-    def test_changed_saddle_matrix_is_refactored(self):
-        # same shapes, different footprint offsets: F'F changes, so the
-        # cached xi factor must not be reused; the heading saddle is the
-        # same, so its factor is
-        obstacle = [_static_obstacle([5.0, 0.5], 0.5, 0.5)]
-        state = self._solved_state(make_problem(obstacles=obstacle, offsets=(0.3,)))
-        fresh = copy.deepcopy(state)
-        fresh.xi_factors, fresh.psi_factors = qpcore.FactorCache(), qpcore.FactorCache()
-        prob = make_problem(obstacles=obstacle, offsets=(0.6,))
-        n_before, psi_factor = state.xi_factors.count + state.psi_factors.count, state.psi_factors.factor
-        warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-        expected = solve_batch_opt(prob, BatchParams(max_iter=3), state=fresh)
-        assert warm.n_factorizations == n_before + 1
-        assert warm.state.psi_factors.factor is psi_factor
-        np.testing.assert_array_equal(warm.state.xi, expected.state.xi)
-
-    def test_keyed_matrices_are_read_only(self):
-        # the factor caches take an identical array as unchanged, so an
-        # in-place edit must fail rather than leave a stale factor
-        struct = solver_batch._Structure(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
-        for keyed in (struct.Q, struct.FtF, struct.A, struct.b, struct.Q_psi_smooth, struct.PtP, struct.A_psi, struct.b_psi):
-            with pytest.raises(ValueError, match="read-only"):
-                keyed[(0,) * keyed.ndim] = 1.0
-
-    def test_same_structure_reuses_the_factor(self):
-        # moved obstacle, new boundary and desired path: the saddle matrices
-        # are unchanged, so the warm solve factorizes nothing
-        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
-        prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
-        prob = BatchProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=1.0, p1=10.0), AxisBoundary(p0=0.2, p1=0.0))})
-        n_before = state.xi_factors.count + state.psi_factors.count
-        warm = solve_batch_opt(prob, BatchParams(max_iter=3), state=state)
-        assert warm.n_factorizations == n_before
-
-    def test_moved_obstacle_warm_solve_pinned(self):
-        # the problem above: the obstacle moves from (5, 0.5) to (6, -0.5),
-        # and the warm solve's first pass is taken against it at (6, -0.5)
-        state = self._solved_state(make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]))
-        prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
-        prob = BatchProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=1.0, p1=10.0), AxisBoundary(p0=0.2, p1=0.0))})
-        xi = solve_batch_opt(prob, BatchParams(max_iter=3), state=state).state.xi
-        norms = [22.881839512792073, 22.82657960043405, 22.731744225776787, 22.518260382186188,
-                 22.797401308010897, 22.752350813112113, 22.664495897913238, 23.01606077730867]
-        np.testing.assert_allclose(np.linalg.norm(xi, axis=1), norms, rtol=0, atol=1e-9)
-        m = prob.basis.n_var
-        entries = [[3.268565212588337, 0.9890314985831685, -0.9747585630757233, 0.0738965514213067],
-                   [3.2120903951621926, 1.032553578675511, -1.358452720908128, 0.2618465403625013]]
-        np.testing.assert_allclose(xi[[0, 5]][:, [3, m + 4, 2 * m + 5, 3 * m + 6]], entries, rtol=0, atol=1e-9)
-
-    def test_receding_horizon_batch_factorizes_once(self):
-        # every control loop builds a problem with the same saddle matrices;
-        # with fewer iterations per loop than a stall window pair, rho never
-        # grows and only the first loop factorizes
-        scenario = gen_scenario("dynamic-flow", seed=0)
-        n_before = qpcore.factorization_count()
-        result = receding_horizon_run(scenario, solver="batch", step_budget=4, n_steps=3)
-        assert len(result.records) == 3
-        assert qpcore.factorization_count() - n_before == 2

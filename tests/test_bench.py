@@ -667,6 +667,50 @@ class TestRecedingHorizon:
             reached += result.reached_goal
         assert collided == 0 and reached >= 3, (collided, reached)
 
+    def _batch_steps(self, monkeypatch, kind):
+        """Three batch steps of seed 0 of kind at the default budget, with each solve's (problem, params, keywords, ranking)."""
+        solves = []
+        original = runner.solver_batch.solve_batch_opt
+
+        def recording(problem, params, **kwargs):
+            solves.append((problem, params, kwargs, original(problem, params, **kwargs)))
+            return solves[-1][-1]
+
+        monkeypatch.setattr(runner.solver_batch, "solve_batch_opt", recording)
+        result = receding_horizon_run(gen_scenario(kind, seed=0), solver="batch", step_budget=40, n_steps=3)
+        assert len(solves) == len(result.records) == 3
+        return result, solves
+
+    @pytest.mark.parametrize("kind", ["corridor", "random-static", "barn-like", "dynamic-flow"])
+    def test_batch_step_is_the_cold_solve_of_its_problem(self, monkeypatch, kind):
+        # every step draws its members from the episode's seed and stops at
+        # its certificate or the budget; no step's solve depends on another's
+        result, solves = self._batch_steps(monkeypatch, kind)
+        monkeypatch.undo()
+        for record, (problem, params, kwargs, ranked) in zip(result.records, solves):
+            assert kwargs == {"seed": 0}
+            assert (params.max_iter, params.stop_on_certificate) == (40, True)
+            alone = runner.solver_batch.solve_batch_opt(problem, params, seed=0)
+            np.testing.assert_array_equal(ranked.state.xi, alone.state.xi)
+            assert (ranked.best_index, ranked.iterations) == (alone.best_index, alone.iterations)
+            assert record.metrics.iters == ranked.iterations <= 40
+            idx = ranked.best_index if ranked.best_index is not None else int(np.argmin(ranked.residual_max))
+            assert record.metrics.residual_final == float(ranked.residual_norm[idx])
+
+    @pytest.mark.parametrize("kind", ["corridor", "random-static", "barn-like", "dynamic-flow"])
+    def test_batch_step_factors_its_own_saddles(self, monkeypatch, kind):
+        # each step forms one xi and one heading factor per penalty value it
+        # runs, and those are all the episode forms
+        from trajopt import qpcore
+
+        before = qpcore.factorization_count()
+        _, solves = self._batch_steps(monkeypatch, kind)
+        formed = qpcore.factorization_count() - before
+        counts = [ranked.n_factorizations for *_, ranked in solves]
+        assert formed == sum(counts)
+        assert counts == [2 * len({h["rho"] for h in ranked.best_history}) for *_, ranked in solves]
+        assert min(counts) >= 2
+
     def test_uncertified_steps_are_counted(self):
         # corridor seed 5 executes an uncertified plan at its third step,
         # whose segment then collides

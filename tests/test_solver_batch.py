@@ -1112,3 +1112,105 @@ class TestParamsValidation:
     def test_margins_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             BatchParams(**{name: value})
+
+
+def _grid_problem(n_p):
+    """make_problem's layout on n_p samples at the same degree, one obstacle at (5, 0)."""
+    basis = build_basis(0.0, 10.0, n_p, 10)
+    line = np.column_stack([np.linspace(0.0, 10.0, n_p), np.zeros(n_p)])
+    obstacle = Obstacles(np.tile([[[5.0]], [[0.0]]], (1, 1, n_p)), [0.5], [0.5])
+    return BatchProblem(**{**vars(make_problem()), "basis": basis, "desired": line, "obstacles": obstacle})
+
+
+def _moved_obstacle_problem():
+    """The obstacle at (6, -0.5) and the robot started at (1, 0.2)."""
+    prob = make_problem(obstacles=[_static_obstacle([6.0, -0.5], 0.5, 0.5)])
+    return BatchProblem(**{**vars(prob), "boundary": (AxisBoundary(p0=1.0, p1=10.0), AxisBoundary(p0=0.2, p1=0.0))})
+
+
+# layouts of the same coefficient width, each built on first use
+LAYOUTS = {
+    "no-obstacles": lambda: make_problem(),
+    "one-obstacle": lambda: make_problem(obstacles=[_static_obstacle([5.0, 0.5], 0.5, 0.5)]),
+    "three-obstacles": lambda: make_problem(obstacles=[_static_obstacle([5.0, y], 0.5, 0.5) for y in (-2.0, 0.0, 2.0)]),
+    "three-circles": lambda: make_problem(obstacles=[_static_obstacle([5.0, 0.0], 0.5, 0.5)], offsets=(0.3, 0.0, -0.3)),
+    "grid-60": lambda: _grid_problem(60),
+    "moved-obstacle": _moved_obstacle_problem,
+}
+
+
+class TestColdSolve:
+    """Every call of solve_batch_opt starts from its own samples and forms its own factors."""
+
+    @pytest.mark.parametrize("layout", ["no-obstacles", "one-obstacle", "three-obstacles", "three-circles", "grid-60"])
+    def test_layout_solves_on_its_own_factors(self, layout):
+        prob = LAYOUTS[layout]()
+        before = qpcore.factorization_count()
+        ranked = solve_batch_opt(prob, BatchParams(max_iter=12), seed=0)
+        distinct_rho = len({h["rho"] for h in ranked.best_history})
+        assert ranked.n_factorizations == 2 * distinct_rho == qpcore.factorization_count() - before
+        assert np.all(np.isfinite(ranked.residual_norm)) and np.all(np.isfinite(ranked.state.xi))
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3, 7])
+    def test_iterations_count_the_call(self, max_iter):
+        ranked = solve_batch_opt(LAYOUTS["one-obstacle"](), BatchParams(max_iter=max_iter), seed=0)
+        assert ranked.iterations == ranked.state.iteration == len(ranked.best_history) == max_iter
+
+    @pytest.mark.parametrize("centre", [(5.0, 0.0), (5.0, 3.0), (6.0, -0.5)])
+    def test_zero_iteration_solve_reports_its_first_pass(self, centre):
+        # init_state takes the residual pass at the sampled members against
+        # the problem's own obstacles, and the report is that pass
+        prob = make_problem(obstacles=[_static_obstacle(centre, 0.5, 0.5)], n_batch=6)
+        ranked = solve_batch_opt(prob, BatchParams(max_iter=0), seed=0)
+        ref = _Reference(prob)
+        xi, psi = ranked.state.xi, ranked.state.psi
+        res = xi @ ref.F.T - ref.g(ref.polar(xi), psi)
+        assert (ranked.iterations, ranked.best_history, ranked.n_factorizations) == (0, [], 0)
+        np.testing.assert_array_equal(psi, ranked.state.xi_psi @ prob.basis.P.T)
+        np.testing.assert_allclose(ranked.residual_max, np.abs(res).max(axis=1), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ranked.residual_norm, np.linalg.norm(res, axis=1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("one-obstacle", "moved-obstacle"), ("one-obstacle", "three-obstacles"), ("one-obstacle", "three-circles"),
+         ("grid-60", "one-obstacle")],
+    )
+    def test_a_call_reads_nothing_of_an_earlier_call(self, first, second):
+        params = BatchParams(max_iter=5)
+        alone = solve_batch_opt(LAYOUTS[second](), params, seed=1)
+        solve_batch_opt(LAYOUTS[first](), params, seed=0)
+        after = solve_batch_opt(LAYOUTS[second](), params, seed=1)
+        for name in ("costs", "aug_costs", "residual_max", "residual_norm", "feasible"):
+            np.testing.assert_array_equal(getattr(after, name), getattr(alone, name), err_msg=name)
+        for name in ("xi", "xi_psi", "psi", "lam", "lam_psi"):
+            np.testing.assert_array_equal(getattr(after.state, name), getattr(alone.state, name), err_msg=name)
+        assert (after.best_index, after.best_history, after.n_factorizations) == (
+            alone.best_index, alone.best_history, alone.n_factorizations
+        )
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_each_call_forms_its_own_factors(self, stop):
+        # the state's factor caches serve one solve; the next solve of the
+        # same problem forms its factors again
+        prob = _flow_problem(2, 20)
+        params = BatchParams(max_iter=30, stop_on_certificate=stop)
+        before = qpcore.factorization_count()
+        first = solve_batch_opt(prob, params, seed=2)
+        second = solve_batch_opt(prob, params, seed=2)
+        assert first.n_factorizations == second.n_factorizations > 0
+        assert qpcore.factorization_count() - before == 2 * first.n_factorizations
+        assert second.state.xi_factors is not first.state.xi_factors
+        assert second.state.psi_factors is not first.state.psi_factors
+
+    def test_moved_obstacle_solve_pinned(self):
+        # three iterations of the cold solve with the obstacle at (6, -0.5)
+        # and the robot started at (1, 0.2), recorded from this solver
+        prob = _moved_obstacle_problem()
+        xi = solve_batch_opt(prob, BatchParams(max_iter=3), seed=0).state.xi
+        norms = [23.053706258877444, 22.696367608982996, 23.334811340657623, 22.315612575752798,
+                 22.71745078676405, 23.158451967299534, 22.258461252657522, 22.526439648248292]
+        np.testing.assert_allclose(np.linalg.norm(xi, axis=1), norms, rtol=0, atol=1e-9)
+        m = prob.basis.n_var
+        entries = [[4.788578942273007, 1.2353973611807096, -0.22167282558989332, 0.5318287023677963],
+                   [4.607466055440396, 2.1911278711956217, -1.9573167119911243, -2.497801114092316]]
+        np.testing.assert_allclose(xi[[0, 5]][:, [3, m + 4, 2 * m + 5, 3 * m + 6]], entries, rtol=0, atol=1e-9)
